@@ -31,7 +31,6 @@ from .graph import (
     common_neighbors,
     induced_subgraph,
     largest_color_class,
-    peel_low_degree,
     read_dimacs,
     verify_coloring,
     verify_independent_set,
@@ -43,7 +42,6 @@ from .progress import (
     build_candidate_collection,
     collection_guarantee_check,
     degree_buckets,
-    merge_same_color,
     progress_driver,
 )
 from .rounding import (
@@ -80,9 +78,9 @@ __all__ = [
     "cutoff", "degree_buckets", "expected_rounding_size", "f_exponent",
     "fit_exponent", "induced_subgraph", "is_k_colorable", "kms_color",
     "kms_independent_set", "kms_threshold", "l2_vector_indset",
-    "largest_color_class", "merge_same_color", "neighborhood_reduce",
-    "normal_pdf", "normal_tail", "peel_low_degree", "planted_k_colorable",
-    "progress_driver", "project_orthogonal", "read_dimacs", "round_once",
+    "largest_color_class", "neighborhood_reduce", "normal_pdf",
+    "normal_tail", "planted_k_colorable", "progress_driver",
+    "project_orthogonal", "read_dimacs", "round_once",
     "solve_indset_sdp", "solve_vector_coloring", "verify_coloring",
     "verify_independent_set", "wedge_bounds", "wedge_probability_exact",
     "wedge_probability_mc", "well_aligned_subset", "write_dimacs",

@@ -20,6 +20,7 @@ import time
 from . import analysis
 from .combined import CombinedConfig, combined_color, fit_exponent
 from .graph import (
+    Coloring,
     DimacsError,
     Graph,
     read_dimacs,
@@ -29,7 +30,6 @@ from .graph import (
 from .indset import ak_independent_set
 from .rounding import kms_color, NotVectorColorableError
 from .testkit import PlantedInstance, planted_k_colorable, random_graph
-from .graph import Coloring
 
 SCHEMA = 1
 
@@ -56,19 +56,18 @@ def parse_generator_spec(spec: str):
             if not sep:
                 raise UsageError(f"malformed generator item {item!r}")
             kwargs[key.strip()] = val.strip()
-    if name == "planted":
-        try:
+    try:
+        if name == "planted":
             return planted_k_colorable(
                 n=int(kwargs["n"]), k=int(kwargs["k"]),
                 p=float(kwargs.get("p", 0.5)), seed=int(kwargs.get("seed", 0)))
-        except KeyError as exc:
-            raise UsageError(f"planted generator needs n and k: missing {exc}")
-    if name == "gnp":
-        try:
+        if name == "gnp":
             return random_graph(n=int(kwargs["n"]), p=float(kwargs["p"]),
                                 seed=int(kwargs.get("seed", 0)))
-        except KeyError as exc:
-            raise UsageError(f"gnp generator needs n and p: missing {exc}")
+    except KeyError as exc:
+        raise UsageError(f"{name} generator is missing {exc}") from None
+    except ValueError as exc:
+        raise UsageError(f"bad {name} generator spec {spec!r}: {exc}") from None
     raise UsageError(f"unknown generator {name!r} (expected planted or gnp)")
 
 
@@ -89,14 +88,25 @@ def load_input(args) -> tuple[Graph, PlantedInstance | None]:
     return made, None
 
 
+def check_solver_args(args) -> None:
+    """Reject solver settings the library would refuse mid-run."""
+    if not args.eps > 0:
+        raise UsageError("--eps must be positive")
+    if args.trials < 1:
+        raise UsageError("--trials must be at least 1")
+
+
 def parse_float_token(token: str) -> float:
     """Floats with a pi/<d> convenience form ("pi/6", "pi", "0.5")."""
     token = token.strip()
     if token == "pi":
         return math.pi
-    if token.startswith("pi/"):
-        return math.pi / float(token[3:])
-    return float(token)
+    try:
+        if token.startswith("pi/"):
+            return math.pi / float(token[3:])
+        return float(token)
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(f"not a number: {token!r}") from None
 
 
 def parse_range(token: str) -> list[float]:
@@ -158,6 +168,7 @@ def cmd_color(args) -> int:
     graph, _ = load_input(args)
     if args.k < 2:
         raise UsageError("--k must be at least 2")
+    check_solver_args(args)
     cfg = CombinedConfig(eps=args.eps, trials=args.trials, seed=args.seed,
                          repeats=args.repeats, c0=args.c0)
     result = combined_color(graph, args.k, cfg)
@@ -174,6 +185,7 @@ def cmd_indset(args) -> int:
     graph, _ = load_input(args)
     if args.alpha < 1:
         raise UsageError("--alpha must be at least 1")
+    check_solver_args(args)
     members = ak_independent_set(graph, args.alpha, eps=args.eps,
                                  trials=args.trials, seed=args.seed)
     if not verify_independent_set(graph, members):
@@ -192,8 +204,13 @@ def cmd_indset(args) -> int:
 
 def cmd_verify(args) -> int:
     graph, _ = load_input(args)
-    with open(args.result, "r", encoding="ascii") as fh:
-        payload = json.load(fh)
+    try:
+        with open(args.result, "r", encoding="ascii") as fh:
+            payload = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"cannot read result file {args.result}: {exc}") from None
+    if not isinstance(payload, dict):
+        raise UsageError("result file holds neither a coloring nor a set")
     if "coloring" in payload and payload["coloring"] is not None:
         ok = verify_coloring(graph, Coloring(tuple(payload["coloring"])))
         kind = "coloring"
@@ -215,9 +232,11 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",")]
-    if not sizes:
-        raise UsageError("--sizes must list at least one size")
+    try:
+        sizes = [int(s) for s in args.sizes.split(",")]
+    except ValueError:
+        raise UsageError("--sizes must be a comma list of integers") from None
+    check_solver_args(args)
     cells = []
     for n in sizes:
         for s in range(args.seeds):

@@ -31,7 +31,7 @@ solver stall), since the randomized inner steps can produce false
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -228,36 +228,30 @@ def color_three_fallback(g: Graph, cfg: CombinedConfig, seed: int) -> Coloring:
 # The per-round finder for k >= 4
 # ---------------------------------------------------------------------------
 
-def _bipartition_submatrix(sub: np.ndarray) -> tuple[list[int], list[int]] | None:
-    """BFS 2-coloring of a boolean adjacency submatrix; None on an odd cycle."""
-    s = sub.shape[0]
-    color = np.full(s, -1, dtype=np.int8)
-    for root in range(s):
-        if color[root] != -1:
-            continue
-        color[root] = 0
-        queue = [root]
-        while queue:
-            v = queue.pop()
-            nbrs = np.nonzero(sub[v])[0]
-            for w in nbrs:
-                if color[w] == -1:
-                    color[w] = 1 - color[v]
-                    queue.append(int(w))
-                elif color[w] == color[v]:
-                    return None
-    side0 = [int(i) for i in np.nonzero(color == 0)[0]]
-    side1 = [int(i) for i in np.nonzero(color != 0)[0]]
-    return side0, side1
+def _best_pair(cg: ContractedGraph, w_ids: list[int]) -> tuple[int, int, int] | None:
+    """The pair in W with the most common neighbours in the quotient (the
+    first in row-major order on ties) and that count, or None when no two
+    vertices of W share a neighbour."""
+    if len(w_ids) < 2:
+        return None
+    rows = cg.adj[w_ids].astype(np.float32)
+    common = rows @ rows.T
+    np.fill_diagonal(common, 0)
+    i, j = divmod(int(np.argmax(common)), len(w_ids))
+    best = int(common[i, j])
+    if i == j or best <= 0:
+        return None
+    u, v = w_ids[i], w_ids[j]
+    return (min(u, v), max(u, v), best)
 
 
 class _CombinedFinder:
     """Progress finder realizing peeling, pair probes, and candidate probes.
 
-    Maintains an incremental mirror of the quotient: boolean adjacency A and
-    the common-neighbor count matrix C over base vertex ids, replayed from
-    the ContractedGraph oplog. All returned vertex ids are quotient
-    representatives (= base ids), which is what the driver verifies against.
+    Holds no graph state: each round reads the ContractedGraph it is handed,
+    and every returned vertex id is a quotient representative (= base id),
+    which is what the driver verifies against. Across rounds it keeps only
+    the round counter and the warm-start rows of the last solve.
     """
 
     def __init__(self, k: int, cfg: CombinedConfig, seed: int,
@@ -267,117 +261,9 @@ class _CombinedFinder:
         self.seed = seed
         self.declarations = declarations
         self.round_no = 0
-        self._synced = 0
-        self._a = None
-        self._c = None
-        self._alive = None
-        self._deg = None
         self._warm: dict[int, np.ndarray] = {}  # rep id -> last solution row
 
-    # -- incremental state ---------------------------------------------------
-
-    def _init_state(self, cg: ContractedGraph) -> None:
-        base = cg.base
-        a = base.adjacency_matrix().copy()
-        af = a.astype(np.float32)
-        c = (af @ af).astype(np.int32)
-        np.fill_diagonal(c, 0)
-        self._a = a
-        self._c = c
-        self._alive = np.ones(base.n, dtype=bool)
-        self._deg = a.sum(axis=1).astype(np.int64)
-
-    def _apply_merge(self, keep: int, drop: int) -> None:
-        a, c = self._a, self._c
-        row_keep = a[keep].copy()
-        row_drop = a[drop].copy()
-        union = row_keep | row_drop
-        union[keep] = False
-        union[drop] = False
-        only_keep = np.nonzero(row_keep & ~row_drop & self._alive)[0]
-        only_drop = np.nonzero(row_drop & ~row_keep & self._alive)[0]
-        both = np.nonzero(row_keep & row_drop & self._alive)[0]
-        # The merged vertex is one common neighbor where there were two
-        # (pairs adjacent to both halves) or none (pairs split across the
-        # symmetric difference).
-        if both.size:
-            c[np.ix_(both, both)] -= 1
-        if only_keep.size and only_drop.size:
-            c[np.ix_(only_keep, only_drop)] += 1
-            c[np.ix_(only_drop, only_keep)] += 1
-        self._alive[drop] = False
-        a[drop, :] = False
-        a[:, drop] = False
-        c[drop, :] = 0
-        c[:, drop] = 0
-        a[keep, :] = union
-        a[:, keep] = union
-        nbr_idx = np.nonzero(union)[0]
-        fresh = a[:, nbr_idx].sum(axis=1).astype(np.int32)
-        fresh[~self._alive] = 0
-        fresh[keep] = 0
-        c[keep, :] = fresh
-        c[:, keep] = fresh
-        np.fill_diagonal(c, 0)
-        self._deg = a.sum(axis=1).astype(np.int64)
-
-    def _apply_delete(self, vs: frozenset[int]) -> None:
-        a, c = self._a, self._c
-        idx = np.fromiter(sorted(vs), dtype=np.int64)
-        cols = a[:, idx].astype(np.float32)
-        c -= (cols @ cols.T).astype(np.int32)
-        self._alive[idx] = False
-        a[idx, :] = False
-        a[:, idx] = False
-        c[idx, :] = 0
-        c[:, idx] = 0
-        np.fill_diagonal(c, 0)
-        self._deg = a.sum(axis=1).astype(np.int64)
-
-    def _sync(self, cg: ContractedGraph) -> None:
-        if self._a is None:
-            self._init_state(cg)
-        for op in cg.oplog[self._synced:]:
-            if op[0] == "merge":
-                self._apply_merge(op[1], op[2])
-            else:
-                self._apply_delete(op[1])
-        self._synced = len(cg.oplog)
-
-    # -- helpers --------------------------------------------------------------
-
-    def _materialize(self, ids: list[int]) -> tuple[Graph, dict[int, int]]:
-        idx = np.fromiter(ids, dtype=np.int64)
-        sub = self._a[np.ix_(idx, idx)]
-        iu, iv = np.nonzero(np.triu(sub, 1))
-        edges = tuple(sorted((int(a), int(b)) for a, b in zip(iu, iv)))
-        adj: list[set[int]] = [set() for _ in ids]
-        for a, b in edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        graph = Graph._from_parts(len(ids), edges,
-                                  tuple(frozenset(s) for s in adj))
-        return graph, {rep: i for i, rep in enumerate(ids)}
-
-    def _peel(self, thr: float) -> tuple[list[int], list[int]]:
-        alive_idx = np.nonzero(self._alive)[0]
-        sub = self._a[np.ix_(alive_idx, alive_idx)]
-        keep = np.ones(alive_idx.size, dtype=bool)
-        deg = sub.sum(axis=1).astype(np.int64)
-        while True:
-            low = keep & (deg < thr)
-            if not low.any():
-                break
-            keep &= ~low
-            deg = (sub[:, keep].sum(axis=1)).astype(np.int64)
-        u_ids = [int(alive_idx[i]) for i in np.nonzero(~keep)[0]]
-        w_ids = [int(alive_idx[i]) for i in np.nonzero(keep)[0]]
-        return u_ids, w_ids
-
-    # -- the round ------------------------------------------------------------
-
     def __call__(self, cg: ContractedGraph):
-        self._sync(cg)
         self.round_no += 1
         k, cfg = self.k, self.cfg
         n = cg.alive_count
@@ -390,33 +276,17 @@ class _CombinedFinder:
         ak = float(alpha_k(k))
         ak2 = float(alpha_k(k - 2))
         peel_thr = n ** (ak / (1.0 - 2.0 / k))
-        u_ids, w_ids = self._peel(peel_thr)
+        u_ids, w_ids = cg.peel(peel_thr)
         if len(u_ids) >= n / 2:
-            return self._round_low_degree(u_ids)
-        pair = self._best_pair(w_ids)
+            return self._round_low_degree(cg, u_ids)
+        pair = _best_pair(cg, w_ids)
         s_thr = n ** ((1.0 - ak) / (1.0 - ak2))
         if pair is not None and pair[2] >= s_thr:
             return self._probe_pair(cg, pair[0], pair[1])
         return self._candidate_round(cg, w_ids, n, ak)
 
-    def _best_pair(self, w_ids: list[int]) -> tuple[int, int, int] | None:
-        if len(w_ids) < 2:
-            return None
-        idx = np.fromiter(w_ids, dtype=np.int64)
-        sub_c = self._c[np.ix_(idx, idx)]
-        flat = int(np.argmax(sub_c))
-        i, j = divmod(flat, sub_c.shape[1])
-        if i == j:
-            return None
-        best = int(sub_c[i, j])
-        if best <= 0:
-            return None
-        u, v = int(idx[i]), int(idx[j])
-        return (min(u, v), max(u, v), best)
-
-    def _round_low_degree(self, u_ids: list[int]):
-        sub, mapping = self._materialize(u_ids)
-        inverse = {i: rep for rep, i in mapping.items()}
+    def _round_low_degree(self, cg: ContractedGraph, u_ids: list[int]):
+        sub = cg.induced(u_ids)
         if sub.m == 0:
             return LargeIndependentSet(frozenset(u_ids))
         rng_seed = self.seed * 1009 + self.round_no
@@ -435,43 +305,31 @@ class _CombinedFinder:
                                        seed=rng_seed, restarts=2, init=init)
         except InfeasibleError as exc:
             raise NotKColorableError("solver", str(exc)) from exc
-        self._warm = {rep: vc.vectors[mapping[rep]].copy() for rep in u_ids}
+        self._warm = {rep: vc.vectors[i].copy() for i, rep in enumerate(u_ids)}
         c = kms_threshold(float(self.k), sub.average_degree)
         chosen = kms_independent_set(
             sub, vc, RoundingParams(c, trials=self.cfg.trials, seed=rng_seed))
-        return LargeIndependentSet(frozenset(inverse[i] for i in chosen))
+        return LargeIndependentSet(frozenset(u_ids[i] for i in chosen))
 
     def _probe_pair(self, cg: ContractedGraph, u: int, v: int):
-        s_ids = sorted(cg.adj[u] & cg.adj[v])
+        s_ids = np.flatnonzero(cg.adj[u] & cg.adj[v]).tolist()
+        sub = cg.induced(s_ids)
         k2 = self.k - 2
         if k2 == 2:
-            idx = np.fromiter(s_ids, dtype=np.int64)
-            sub = self._a[np.ix_(idx, idx)]
-            parts = _bipartition_submatrix(sub)
+            parts = bipartition(sub)
             if parts is not None:
-                side = max(parts, key=len)
                 return LargeIndependentSet(
-                    frozenset(int(idx[i]) for i in side))
-            self._record_declaration(s_ids, k2)
+                    frozenset(s_ids[i] for i in max(parts, key=len)))
         else:
-            sub, mapping = self._materialize(s_ids)
-            probe_cfg = CombinedConfig(
-                eps=self.cfg.eps, trials=max(8, self.cfg.trials // 2),
-                seed=self.seed, repeats=1, c0=self.cfg.c0,
-                size_floor_const=self.cfg.size_floor_const,
-                candidate_cap=self.cfg.candidate_cap,
-                solver_budget=self.cfg.solver_budget,
-                indset_budget=self.cfg.indset_budget,
-                exact_threshold=self.cfg.exact_threshold,
-                declaration_limit=0, declaration_limit_bipartite=0)
+            probe_cfg = replace(
+                self.cfg, trials=max(8, self.cfg.trials // 2), seed=self.seed,
+                repeats=1, declaration_limit=0, declaration_limit_bipartite=0)
             result = combined_color(sub, k2, probe_cfg)
             if (result.coloring is not None
                     and result.colors_used <= cutoff(sub.n, k2, self.cfg.c0)):
                 cls = largest_color_class(result.coloring)
-                inverse = {i: rep for rep, i in mapping.items()}
-                return LargeIndependentSet(
-                    frozenset(inverse[i] for i in cls))
-            self._record_declaration(s_ids, k2)
+                return LargeIndependentSet(frozenset(s_ids[i] for i in cls))
+        self._record_declaration(sub, k2)
         if cg.has_edge(u, v):
             # Adjacent endpoints can never share a color: together with the
             # failed probe this certifies the graph is not k-colorable.
@@ -480,19 +338,16 @@ class _CombinedFinder:
                 f"more than {k2} colors")
         return SameColor(u, v)
 
-    def _record_declaration(self, s_ids: list[int], k2: int) -> None:
+    def _record_declaration(self, sub: Graph, k2: int) -> None:
         limit = (self.cfg.declaration_limit_bipartite if k2 == 2
                  else self.cfg.declaration_limit)
-        if len(s_ids) > limit:
-            return
-        sub, _ = self._materialize(s_ids)
-        self.declarations.append(Declaration(sub.n, sub.edges, k2))
+        if sub.n <= limit:
+            self.declarations.append(Declaration(sub.n, sub.edges, k2))
 
     def _candidate_round(self, cg: ContractedGraph, w_ids: list[int],
                          n: int, ak: float):
         if len(w_ids) >= 2:
-            wsub, wmap = self._materialize(w_ids)
-            winv = {i: rep for rep, i in wmap.items()}
+            wsub = cg.induced(w_ids)
             coll = build_candidate_collection(wsub, default_delta(n))
             floor_size = max(1, int(n ** (1.0 - ak) / self.cfg.size_floor_const))
             order = sorted(range(len(coll.sets)),
@@ -500,8 +355,7 @@ class _CombinedFinder:
             alpha_probe = (self.k - 1) + 3.0 / math.log(max(n, 3))
             for rank, i in enumerate(order[:self.cfg.candidate_cap]):
                 members = sorted(coll.sets[i].members)
-                tsub, tmap = induced_subgraph(wsub, members)
-                tinv = {new: old for old, new in tmap.items()}
+                tsub, _ = induced_subgraph(wsub, members)
                 found = ak_independent_set(
                     tsub, alpha_probe, eps=self.cfg.eps,
                     trials=max(8, self.cfg.trials // 4),
@@ -509,7 +363,7 @@ class _CombinedFinder:
                     solver_budget=self.cfg.indset_budget)
                 if len(found) >= floor_size:
                     return LargeIndependentSet(frozenset(
-                        winv[tinv[x]] for x in found))
+                        w_ids[members[x]] for x in found))
         # Last resort: greedy progress keeps the driver moving; the color
         # budget polices the overall count.
         quotient, mapping = cg.quotient_graph()

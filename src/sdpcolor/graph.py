@@ -194,37 +194,6 @@ def common_neighbors(g: Graph, u: int, v: int) -> set[int]:
     return set(g.neighbors(u) & g.neighbors(v))
 
 
-def peel_low_degree(g: Graph, threshold: float) -> tuple[set[int], set[int]]:
-    """Exhaustively remove vertices of residual degree < threshold.
-
-    Returns (U, W): U is everything removed, W = V - U is the unique maximal
-    subgraph of minimum degree >= threshold. Runs in O(n + m) via a work
-    queue; the result does not depend on removal order.
-    """
-    if threshold < 0:
-        raise ValueError("threshold must be nonnegative")
-    deg = g.degrees()
-    removed = [False] * g.n
-    queue = deque(v for v in range(g.n) if deg[v] < threshold)
-    in_queue = [False] * g.n
-    for v in queue:
-        in_queue[v] = True
-    while queue:
-        v = queue.popleft()
-        if removed[v]:
-            continue
-        removed[v] = True
-        for w in g.neighbors(v):
-            if not removed[w]:
-                deg[w] -= 1
-                if deg[w] < threshold and not in_queue[w]:
-                    in_queue[w] = True
-                    queue.append(w)
-    u_set = {v for v in range(g.n) if removed[v]}
-    w_set = {v for v in range(g.n) if not removed[v]}
-    return u_set, w_set
-
-
 def verify_coloring(g: Graph, c: Coloring) -> bool:
     """True iff c assigns a color to every vertex and no edge is monochromatic."""
     a = c.assignment

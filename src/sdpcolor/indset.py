@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 
 from .graph import Graph, bipartition, induced_subgraph, verify_independent_set
-from .rounding import RoundingParams, kms_independent_set, kms_threshold
+from .rounding import RoundingParams, kms_independent_set, kms_threshold, lex_best
 from .vecsdp import (
     DegenerateProjectionError,
     PromiseNotMetError,
@@ -62,12 +62,6 @@ def greedy_independent_set(g: Graph) -> frozenset[int]:
                 if x in alive:
                     deg[x] -= 1
     return frozenset(chosen)
-
-
-def _lex_best(a: frozenset[int], b: frozenset[int]) -> frozenset[int]:
-    if len(a) != len(b):
-        return a if len(a) > len(b) else b
-    return a if tuple(sorted(a)) <= tuple(sorted(b)) else b
 
 
 def _bigger_side(g: Graph) -> frozenset[int] | None:
@@ -145,7 +139,7 @@ def _l2_recurse(g: Graph, vc: VectorColoring, trials: int, seed: int,
                 inverse = {new: old for old, new in red.mapping.items()}
                 branch_b = frozenset(inverse[i] for i in inner)
 
-    return _lex_best(branch_a, branch_b)
+    return lex_best(branch_a, branch_b)
 
 
 def ak_independent_set(g: Graph, alpha: float, eps: float = 1e-3,
@@ -185,7 +179,7 @@ def ak_independent_set(g: Graph, alpha: float, eps: float = 1e-3,
         inner = _l2_recurse(sub, vc, trials, seed, guard)
         # The aligned subgraph is dominated by the promised independent set,
         # so the greedy baseline on it is often strong; keep the max.
-        inner = _lex_best(inner, greedy_independent_set(sub))
+        inner = lex_best(inner, greedy_independent_set(sub))
     inverse = {new: old for old, new in res.mapping.items()}
     out = frozenset(inverse[i] for i in inner)
     if not verify_independent_set(g, out):

@@ -4,7 +4,9 @@ Two ways of making progress toward an O~(n^a)-coloring: proving that two
 non-adjacent vertices share a color in some valid k-coloring (contract
 them), or finding a large independent set (spend one color on it). The
 driver loops a caller-supplied finder over the shrinking quotient graph,
-verifying every claim before applying it.
+verifying every claim before applying it. The quotient lives in one place,
+a ContractedGraph: finders read its dense adjacency and take Graph copies
+of the parts they need through ``induced``; only the driver mutates it.
 
 The candidate collection groups vertices into geometric degree buckets
 I_j = {v : (1+delta)^j <= d(v) < (1+delta)^{j+1}} and emits, for every
@@ -248,21 +250,22 @@ ProgressResult = SameColor | LargeIndependentSet | Colored
 
 
 class ContractedGraph:
-    """Union-find over a base graph with a live quotient adjacency.
+    """The quotient graph, the one mutable state of the progress driver.
 
-    Vertices of the quotient are base-vertex representatives (the smallest id
-    in each merged group). Single-owner mutable; the driver serializes all
-    mutations. Every mutation is appended to ``oplog`` so observers (the
-    combined finder) can replay changes incrementally.
+    ``adj`` is a boolean adjacency matrix over base vertex ids in which the
+    rows and columns of merged-away and deleted ids are zero; ``live`` marks
+    the quotient's vertices. Each quotient vertex is named by its
+    representative, the smallest base id in its merged group (``parent`` is
+    the union-find, ``members`` the group). Single-owner mutable; the driver
+    serializes all mutations.
     """
 
     def __init__(self, base: Graph):
         self.base = base
+        self.adj = base.adjacency_matrix().copy()
+        self.live = np.ones(base.n, dtype=bool)
         self.parent = list(range(base.n))
-        self.adj: dict[int, set[int]] = {v: set(base.neighbors(v))
-                                         for v in range(base.n)}
         self.members: dict[int, set[int]] = {v: {v} for v in range(base.n)}
-        self.oplog: list[tuple] = []
 
     def find(self, v: int) -> int:
         while self.parent[v] != v:
@@ -272,81 +275,87 @@ class ContractedGraph:
 
     @property
     def alive(self) -> list[int]:
-        return sorted(self.adj)
+        return np.flatnonzero(self.live).tolist()
 
     @property
     def alive_count(self) -> int:
-        return len(self.adj)
-
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        return int(np.count_nonzero(self.live))
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
+        return bool(self.adj[u, v])
 
     def is_independent(self, vs: Iterable[int]) -> bool:
-        vset = set(vs)
-        if not all(v in self.adj for v in vset):
+        idx = sorted(set(vs))
+        if not all(0 <= v < self.base.n and self.live[v] for v in idx):
             return False
-        return all(not (self.adj[v] & vset) for v in vset)
+        return not self.adj[np.ix_(idx, idx)].any()
 
     def merge(self, u: int, v: int) -> int:
         """Merge two live, distinct, non-adjacent quotient vertices; returns
         the surviving representative (the smaller id)."""
         u, v = self.find(u), self.find(v)
-        if u == v or u not in self.adj or v not in self.adj:
+        if u == v or not (self.live[u] and self.live[v]):
             raise ValueError(f"merge needs two live distinct vertices, got {u},{v}")
-        if v in self.adj[u]:
+        if self.adj[u, v]:
             raise ContradictionError(
                 f"vertices {u} and {v} are adjacent; no valid coloring gives "
                 f"them the same color")
         keep, drop = (u, v) if u < v else (v, u)
         self.parent[drop] = keep
-        new_nbrs = (self.adj[keep] | self.adj[drop]) - {keep, drop}
-        for w in self.adj[keep]:
-            self.adj[w].discard(keep)
-        for w in self.adj[drop]:
-            self.adj[w].discard(drop)
-        for w in new_nbrs:
-            self.adj[w].add(keep)
-        self.adj[keep] = new_nbrs
-        del self.adj[drop]
+        union = self.adj[keep] | self.adj[drop]
+        self.adj[drop, :] = False
+        self.adj[:, drop] = False
+        self.adj[keep, :] = union
+        self.adj[:, keep] = union
+        self.live[drop] = False
         self.members[keep] |= self.members.pop(drop)
-        self.oplog.append(("merge", keep, drop))
         return keep
 
     def delete(self, vs: Iterable[int]) -> None:
-        vset = {self.find(v) for v in vs}
-        for v in vset:
-            if v not in self.adj:
+        idx = sorted({self.find(v) for v in vs})
+        for v in idx:
+            if not self.live[v]:
                 raise ValueError(f"vertex {v} is not live")
-        for v in vset:
-            for w in self.adj[v]:
-                if w not in vset:
-                    self.adj[w].discard(v)
-            del self.adj[v]
-        self.oplog.append(("delete", frozenset(vset)))
+        self.adj[idx, :] = False
+        self.adj[:, idx] = False
+        self.live[idx] = False
+
+    def induced(self, ids: list[int]) -> Graph:
+        """The subgraph of the quotient induced by ``ids`` as an immutable
+        Graph; vertex i of it is ids[i]."""
+        sub = self.adj[np.ix_(ids, ids)]
+        iu, iv = np.nonzero(np.triu(sub, 1))
+        edges = tuple(zip(iu.tolist(), iv.tolist()))
+        adj = tuple(frozenset(np.flatnonzero(row).tolist()) for row in sub)
+        return Graph._from_parts(len(ids), edges, adj)
 
     def quotient_graph(self) -> tuple[Graph, dict[int, int]]:
-        """The quotient as an immutable Graph plus representative -> index."""
+        """The whole quotient as an immutable Graph plus representative ->
+        index."""
         reps = self.alive
-        mapping = {rep: i for i, rep in enumerate(reps)}
-        edges = []
-        for rep in reps:
-            for w in self.adj[rep]:
-                if rep < w:
-                    edges.append((mapping[rep], mapping[w]))
-        return Graph(len(reps), edges), mapping
+        return self.induced(reps), {rep: i for i, rep in enumerate(reps)}
+
+    def peel(self, threshold: float) -> tuple[list[int], list[int]]:
+        """Exhaustively remove live vertices of residual degree < threshold.
+
+        Returns (U, W), both sorted: U is everything removed, W the unique
+        maximal subgraph of the quotient with minimum degree >= threshold,
+        so the result does not depend on removal order.
+        """
+        ids = np.flatnonzero(self.live)
+        sub = self.adj[np.ix_(ids, ids)]
+        keep = np.ones(ids.size, dtype=bool)
+        deg = sub.sum(axis=1)
+        while True:
+            low = keep & (deg < threshold)
+            if not low.any():
+                break
+            keep &= ~low
+            deg = sub[:, keep].sum(axis=1)
+        return ids[~keep].tolist(), ids[keep].tolist()
 
     def base_members(self, rep: int) -> set[int]:
         return set(self.members[self.find(rep)])
-
-
-def merge_same_color(cg: ContractedGraph, u: int, v: int) -> ContractedGraph:
-    """Apply one same-color inference in place (raises ContradictionError on
-    an adjacent pair); returns cg for chaining."""
-    cg.merge(u, v)
-    return cg
 
 
 class NotKColorableError(RuntimeError):

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import stream
-from .graph import Coloring, Graph, two_coloring, verify_coloring
+from .graph import Coloring, Graph, induced_subgraph, two_coloring, verify_coloring
 from .testkit import CHROMATIC_GUARD, brute_force_chromatic
-from .vecsdp import VectorColoring, solve_vector_coloring
+from .vecsdp import InfeasibleError, VectorColoring, solve_vector_coloring
 
 
 @dataclass(frozen=True)
@@ -86,8 +86,13 @@ def round_once(vc: VectorColoring, g: Graph, r: np.ndarray, c: float) -> frozens
     return frozenset(alive)
 
 
-def _lex_key(s: frozenset[int]) -> tuple:
-    return tuple(sorted(s))
+def lex_best(a: frozenset[int], b: frozenset[int]) -> frozenset[int]:
+    """The larger set; between equal sizes the one whose sorted members come
+    first lexicographically (a on a tie), so reductions over many sets do
+    not depend on their order."""
+    if len(a) != len(b):
+        return a if len(a) > len(b) else b
+    return a if sorted(a) <= sorted(b) else b
 
 
 def kms_independent_set(g: Graph, vc: VectorColoring,
@@ -102,10 +107,7 @@ def kms_independent_set(g: Graph, vc: VectorColoring,
     for trial in range(params.trials):
         rng = stream(params.seed, "kms-trial", trial)
         r = rng.standard_normal(vc.dim)
-        cand = round_once(vc, g, r, params.c)
-        if len(cand) > len(best) or (len(cand) == len(best) and cand and
-                                     _lex_key(cand) < _lex_key(best)):
-            best = cand
+        best = lex_best(best, round_once(vc, g, r, params.c))
     if not best and g.n >= 1:
         fallback = min(range(g.n), key=lambda v: (g.degree(v), v))
         best = frozenset([fallback])
@@ -139,7 +141,7 @@ def kms_color(g: Graph, k: int, eps: float = 1e-3, trials: int = 64,
             "graph is not bipartite, so it has no vector 2-coloring")
     try:
         vc = solve_vector_coloring(g, float(k), eps=eps, seed=seed)
-    except Exception as exc:
+    except InfeasibleError as exc:
         raise NotVectorColorableError(
             f"not vector {k}-colorable at tolerance {eps:g}: {exc}") from exc
 
@@ -148,7 +150,6 @@ def kms_color(g: Graph, k: int, eps: float = 1e-3, trials: int = 64,
     color = 0
     while remaining:
         sub_vertices = remaining
-        from .graph import induced_subgraph
         sub, mapping = induced_subgraph(g, sub_vertices)
         rvc = vc.restrict(sub_vertices)
         c = kms_threshold(float(k), sub.average_degree)

@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from sdpcolor.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main, parse_range
 from sdpcolor.graph import Coloring, verify_coloring, verify_independent_set
 from sdpcolor.testkit import planted_k_colorable, save_fixture
@@ -160,3 +162,28 @@ def test_module_entry_point(tmp_path):
         env=env, capture_output=True, text=True)
     assert proc.returncode == 0
     assert (tmp_path / "x.csv").exists()
+
+
+GEN10 = ["--gen", "planted:n=10,k=3,seed=0"]
+USAGE_ERRORS = {
+    "verify-missing-result": ["verify"] + GEN10 + ["--result", "{tmp}/missing.json"],
+    "verify-malformed-result": ["verify"] + GEN10 + ["--result", "{tmp}/bad.json"],
+    "gen-non-numeric-p": ["color", "--gen", "planted:n=20,k=3,p=x", "--k", "3"],
+    "gen-n-below-k": ["color", "--gen", "planted:n=2,k=3", "--k", "3"],
+    "color-k4-zero-eps": ["color", "--gen", "planted:n=40,k=4,seed=0",
+                          "--k", "4", "--eps", "0"],
+    "color-zero-trials": ["color", "--gen", "planted:n=40,k=4,seed=0",
+                          "--k", "4", "--trials", "0"],
+    "analyze-non-numeric-c": ["analyze", "--c", "x"],
+    "bench-non-integer-size": ["bench", "--k", "4", "--sizes", "30,x"],
+    # Used to exit 2 as if the algorithm had failed.
+    "color-k3-zero-eps": ["color", "--gen", "planted:n=40,k=3,seed=0",
+                          "--k", "3", "--eps", "0"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(USAGE_ERRORS))
+def test_usage_error_exits_1(case, tmp_path):
+    (tmp_path / "bad.json").write_text("{not json")
+    argv = [a.format(tmp=tmp_path) for a in USAGE_ERRORS[case]]
+    assert run(argv) == EXIT_USAGE

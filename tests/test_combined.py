@@ -12,6 +12,7 @@ from sdpcolor.combined import (
     cutoff,
     fit_exponent,
     step9_identity_holds,
+    _best_pair,
     _CombinedFinder,
 )
 from sdpcolor.graph import Graph, verify_coloring
@@ -159,15 +160,15 @@ def test_result_json_schema():
     }
 
 
-def test_finder_incremental_counts_match_recompute():
-    # The finder's incremental common-neighbor matrix must track the quotient
-    # exactly through merges and deletions.
+def test_quotient_matches_recompute_through_merges_and_deletes():
+    # The dense quotient must equal the graph rebuilt from the base graph and
+    # the merged groups, dead ids must hold no edges, and the finder's pair
+    # counts must match common neighbours counted on the rebuilt quotient.
     rng = stream(11, "finder-fuzz")
     for seed in range(6):
         g = random_graph(22, 0.3, seed=seed)
+        base = g.adjacency_matrix().astype(np.int64)
         cg = ContractedGraph(g)
-        finder = _CombinedFinder(4, CombinedConfig(), seed, [])
-        finder._sync(cg)
         for step in range(8):
             alive = cg.alive
             if len(alive) < 4:
@@ -181,16 +182,37 @@ def test_finder_incremental_counts_match_recompute():
                 u, v = (int(x) for x in rng.choice(alive, 2, replace=False))
                 if u != v and not cg.has_edge(u, v):
                     cg.merge(u, v)
-            finder._sync(cg)
-            quotient, mapping = cg.quotient_graph()
-            adj = quotient.adjacency_matrix().astype(np.float32)
-            want = (adj @ adj).astype(np.int32)
-            np.fill_diagonal(want, 0)
-            reps = sorted(mapping)
-            got = finder._c[np.ix_(reps, reps)]
-            assert np.array_equal(got, want)
-            degs = np.asarray(quotient.degrees())
-            assert np.array_equal(finder._deg[reps], degs)
+            alive = cg.alive
+            groups = np.zeros((len(alive), g.n), dtype=np.int64)
+            for i, rep in enumerate(alive):
+                groups[i, sorted(cg.base_members(rep))] = 1
+            want = (groups @ base @ groups.T) > 0
+            assert np.array_equal(cg.adj[np.ix_(alive, alive)], want)
+            assert not cg.adj[~cg.live].any() and not cg.adj[:, ~cg.live].any()
+            quotient, _ = cg.quotient_graph()
+            assert np.array_equal(quotient.adjacency_matrix(), want)
+            common = want.astype(np.int64) @ want.astype(np.int64)
+            np.fill_diagonal(common, 0)
+            pair = _best_pair(cg, alive)
+            if common.max() == 0:
+                assert pair is None
+            else:
+                u, v, count = pair
+                assert count == common.max()
+                assert count == common[alive.index(u), alive.index(v)]
+
+
+def test_candidate_round_pinned():
+    # No planted golden reaches the candidate round, so one round is pinned
+    # directly: the set it returned before the quotient refactor.
+    g = planted_k_colorable(60, 4, 0.4, seed=0).graph
+    cg = ContractedGraph(g)
+    finder = _CombinedFinder(4, CombinedConfig(trials=16), 0, [])
+    finder.round_no = 1
+    got = finder._candidate_round(cg, cg.alive, cg.alive_count,
+                                  float(alpha_k(4)))
+    assert got.members == {1, 12, 15, 16, 30, 39, 40, 43, 57}
+    assert cg.is_independent(got.members)
 
 
 def test_fit_exponent():

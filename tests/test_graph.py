@@ -10,13 +10,13 @@ from sdpcolor.graph import (
     common_neighbors,
     induced_subgraph,
     largest_color_class,
-    peel_low_degree,
     read_dimacs,
     two_coloring,
     verify_coloring,
     verify_independent_set,
     write_dimacs,
 )
+from sdpcolor.progress import ContractedGraph
 from sdpcolor.testkit import (
     complete_graph,
     cycle_graph,
@@ -76,18 +76,23 @@ def test_common_neighbors():
         common_neighbors(complete_graph(3), 0, 7)
 
 
+def _peel(g, threshold):
+    u, w = ContractedGraph(g).peel(threshold)
+    return set(u), set(w)
+
+
 def test_peel_star():
-    u, w = peel_low_degree(star_graph(5), 2)
+    u, w = _peel(star_graph(5), 2)
     assert u == set(range(6)) and w == set()
 
 
 def test_peel_k5_keeps_all():
-    u, w = peel_low_degree(complete_graph(5), 3)
+    u, w = _peel(complete_graph(5), 3)
     assert u == set() and w == set(range(5))
 
 
 def test_peel_path_high_threshold():
-    u, w = peel_low_degree(path_graph(3), 10)
+    u, w = _peel(path_graph(3), 10)
     assert u == set(range(3)) and w == set()
 
 
@@ -95,7 +100,7 @@ def test_peel_average_degree_bound_and_core_property():
     for seed in range(8):
         g = random_graph(40, 0.15, seed=seed)
         thr = 3
-        u, w = peel_low_degree(g, thr)
+        u, w = _peel(g, thr)
         sub_u, _ = induced_subgraph(g, u)
         if sub_u.n:
             assert sub_u.average_degree <= 2 * thr
@@ -121,7 +126,7 @@ def test_peel_order_independence():
                         if nb in alive:
                             deg[nb] -= 1
                     changed = True
-        u, w = peel_low_degree(g, thr)
+        u, w = _peel(g, thr)
         assert w == alive and u == set(range(g.n)) - alive
 
 

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from sdpcolor._rng import stream
@@ -19,7 +20,6 @@ from sdpcolor.progress import (
     default_delta,
     degree_buckets,
     find_pigeon_index,
-    merge_same_color,
     progress_driver,
 )
 from sdpcolor.testkit import (
@@ -155,7 +155,7 @@ def test_guarantee_check_rejects_mismatched_graph():
 
 def test_merge_path_to_single_edge():
     cg = ContractedGraph(path_graph(3))
-    merge_same_color(cg, 0, 2)
+    cg.merge(0, 2)
     q, _ = cg.quotient_graph()
     assert q.n == 2 and q.m == 1
 
@@ -163,14 +163,14 @@ def test_merge_path_to_single_edge():
 def test_merge_triangle_contradiction():
     cg = ContractedGraph(complete_graph(3))
     with pytest.raises(ContradictionError):
-        merge_same_color(cg, 0, 1)
+        cg.merge(0, 1)
 
 
 def test_merge_c6_antipodal_gives_triangle():
     cg = ContractedGraph(cycle_graph(6))
-    merge_same_color(cg, 0, 3)
-    merge_same_color(cg, 1, 4)
-    merge_same_color(cg, 2, 5)
+    cg.merge(0, 3)
+    cg.merge(1, 4)
+    cg.merge(2, 5)
     q, _ = cg.quotient_graph()
     assert q == complete_graph(3)
 
@@ -200,7 +200,8 @@ def test_contraction_lift_preserves_properness():
         # Greedy color the quotient, lift, verify.
         assignment = {}
         for rep in sorted(mapping):
-            banned = {assignment[w] for w in cg.adj[rep] if w in assignment}
+            banned = {assignment[w] for w in np.flatnonzero(cg.adj[rep])
+                      if w in assignment}
             c = 0
             while c in banned:
                 c += 1
