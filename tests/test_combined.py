@@ -203,8 +203,9 @@ def test_quotient_matches_recompute_through_merges_and_deletes():
 
 
 def test_candidate_round_pinned():
-    # No planted golden reaches the candidate round, so one round is pinned
-    # directly: the set it returned before the quotient refactor.
+    # No golden CLI case reaches the candidate round, so one round is pinned
+    # directly; this set comes from an ak_independent_set probe, not from
+    # the greedy last resort.
     g = planted_k_colorable(60, 4, 0.4, seed=0).graph
     cg = ContractedGraph(g)
     finder = _CombinedFinder(4, CombinedConfig(trials=16), 0, [])
