@@ -85,8 +85,7 @@ class VectorColoring:
         if g.m == 0:
             return float("-inf")
         eu, ev = g.edge_arrays()
-        dots = (self.vectors[eu] * self.vectors[ev]).sum(axis=1)
-        return float(dots.max() - self.target)
+        return float(_edge_dots(self.vectors, eu, ev).max() - self.target)
 
     def norm_residual(self) -> float:
         """max over vertices of | ||v_i|| - 1 |."""
@@ -153,36 +152,113 @@ def simplex_vectors(count: int, dim: int | None = None) -> np.ndarray:
 # Shared descent machinery
 # ---------------------------------------------------------------------------
 
-def _row_normalize(v: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(v, axis=1, keepdims=True)
-    norms[norms == 0.0] = 1.0
-    v /= norms
+def _row_sums(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``a.sum(axis=1)`` bit for bit.
+
+    numpy adds a row shorter than 8 entries in order, starting from +0.0
+    (which only turns an all -0.0 sum into +0.0), so such rows are summed
+    by adding whole columns: that skips numpy's per-row reduction call,
+    which costs more than the additions on short rows.
+    """
+    d = a.shape[1]
+    if d >= 8:
+        return np.add.reduce(a, axis=1, out=out)
+    if out is None:
+        out = np.empty(a.shape[0], dtype=a.dtype)
+    np.add(a[:, 0], 0.0, out=out)
+    for j in range(1, d):
+        np.add(out, a[:, j], out=out)
+    return out
+
+
+def _edge_dots(v: np.ndarray, eu: np.ndarray, ev: np.ndarray,
+               out: np.ndarray | None = None, rows_u: np.ndarray | None = None,
+               rows_v: np.ndarray | None = None) -> np.ndarray:
+    """v[eu[t]] . v[ev[t]] for every edge t, bit for bit
+    ``(v[eu] * v[ev]).sum(axis=1)``.
+
+    With the (m, d) row buffers given nothing is allocated; the gathers then
+    skip the bounds check (numpy buffers a checked gather), so callers
+    passing buffers pass in-range endpoints.
+    """
+    mode = "raise" if rows_u is None else "clip"
+    rows_u = v.take(eu, axis=0, out=rows_u, mode=mode)
+    rows_v = v.take(ev, axis=0, out=rows_v, mode=mode)
+    np.multiply(rows_u, rows_v, out=rows_u)
+    return _row_sums(rows_u, out)
+
+
+def _row_normalize(v: np.ndarray, sq: np.ndarray | None = None,
+                   norms: np.ndarray | None = None) -> np.ndarray:
+    """Divide each nonzero row of v by its Euclidean norm, in place.
+
+    Bit for bit the ``np.linalg.norm(v, axis=1)`` form; the optional (n, d)
+    and (n,) buffers make it allocation-free.
+    """
+    sq = np.multiply(v, v, out=sq)
+    norms = _row_sums(sq, norms)
+    np.sqrt(norms, out=norms)
+    if not norms.all():
+        norms[norms == 0.0] = 1.0
+    v /= norms[:, None]
     return v
 
 
 def _scatter_rows(idx: np.ndarray, weights: np.ndarray, rows: np.ndarray,
-                  n: int) -> np.ndarray:
+                  out: np.ndarray) -> None:
     """out[idx[t]] += weights[t] * rows[t], accumulated over t."""
-    out = np.empty((n, rows.shape[1]))
+    n = out.shape[0]
     for col in range(rows.shape[1]):
-        out[:, col] = np.bincount(idx, weights=weights * rows[:, col], minlength=n)
-    return out
+        out[:, col] += np.bincount(idx, weights=weights * rows[:, col],
+                                   minlength=n)
 
 
 class _Adam:
+    """Adam steps with the moments updated in place.
+
+    Each step performs the operations of the out-of-place expressions
+    ``m = 0.9 m + 0.1 g``, ``v = 0.999 v + 0.001 g g`` and
+    ``params -= lr mhat / (sqrt(vhat) + 1e-12)`` in the same order and
+    dtypes, so the parameters match that form bit for bit.
+    """
+
     def __init__(self, like, lr):
         self.lr = lr
         self.m = np.zeros_like(like)
         self.v = np.zeros_like(like)
         self.t = 0
+        self._mhat = np.empty_like(self.m)
+        self._den = np.empty_like(self.m)
+        self._g = {}  # grad dtype -> scratch for the scaled gradient
 
     def step(self, params, grad):
         self.t += 1
-        self.m = 0.9 * self.m + 0.1 * grad
-        self.v = 0.999 * self.v + 0.001 * grad * grad
-        mhat = self.m / (1.0 - 0.9 ** self.t)
-        vhat = self.v / (1.0 - 0.999 ** self.t)
-        params -= self.lr * mhat / (np.sqrt(vhat) + 1e-12)
+        if np.result_type(self.m, grad) != self.m.dtype:
+            # A wider gradient (a float64 scatter on float32 rows) widens
+            # the moments for good, as the out-of-place update does.
+            self.m = 0.9 * self.m + 0.1 * grad
+            self.v = 0.999 * self.v + 0.001 * grad * grad
+            self._mhat = np.empty_like(self.m)
+            self._den = np.empty_like(self.m)
+        else:
+            g = self._g.get(grad.dtype)
+            if g is None:
+                g = self._g[grad.dtype] = np.empty_like(grad)
+            np.multiply(0.9, self.m, out=self.m)
+            np.multiply(0.1, grad, out=g)
+            np.add(self.m, g, out=self.m)
+            np.multiply(0.999, self.v, out=self.v)
+            np.multiply(0.001, grad, out=g)
+            np.multiply(g, grad, out=g)
+            np.add(self.v, g, out=self.v)
+        mhat, den = self._mhat, self._den
+        np.divide(self.m, 1.0 - 0.9 ** self.t, out=mhat)
+        np.divide(self.v, 1.0 - 0.999 ** self.t, out=den)
+        np.sqrt(den, out=den)
+        np.add(den, 1e-12, out=den)
+        np.multiply(self.lr, mhat, out=mhat)
+        np.divide(mhat, den, out=mhat)
+        np.subtract(params, mhat, out=params)
 
 
 def _solver_dim(n: int, m: int, cap: int = 24) -> int:
@@ -208,58 +284,92 @@ def _coloring_descent(v, eu, ev, both_idx, target, mode, iters, lr,
     hinge part of the gradient only touches violated edges; the uniform part
     of the polish gradient uses the dense adjacency product when ``adj`` is
     supplied. Returns the iteration count actually used.
+
+    Every array an iteration writes is allocated once per call. The
+    operation order is part of the output contract: each iteration performs
+    the floating-point operations of the plain out-of-place expressions
+    (noted beside each step) in their order and dtypes, so the vectors, and
+    with them every downstream decision and the golden CLI results, stay
+    bit for bit the same. Reordering a sum or fusing a product changes them.
     """
-    n = v.shape[0]
+    n, d = v.shape
     m = len(eu)
-    d = v.shape[1]
+    feasible, polish = mode == "feasible", mode == "polish"
+    hinge_scale = 2.0 if feasible else 2.0 * mu
     stage = max(1, iters // 6)
     opt = _Adam(v, lr)
     used = 0
     other = np.concatenate([ev, eu])
     # Dense weighted-adjacency workspace: one gemm beats per-column scatters
-    # once enough edges are active to amortize the n^2 traffic.
+    # once enough edges are active to amortize the n^2 traffic. Polish
+    # weights every edge, so it takes the dense branch on every iteration
+    # or on none; it writes every edge entry each time and nothing else.
     dense_w = np.zeros((n, n), dtype=v.dtype) if n <= 2048 else None
     dense_bar = max(32, (n * n) // max(16 * d, 16))
+    if dense_w is not None:
+        flat_w = dense_w.reshape(-1)
+        fwd, bwd = eu * n + ev, ev * n + eu
+    rows_u, rows_v = np.empty((m, d), v.dtype), np.empty((m, d), v.dtype)
+    dots, viol, hinge = (np.empty(m, v.dtype) for _ in range(3))
+    sq, norms = np.empty((n, d), v.dtype), np.empty(n, v.dtype)
+    # Gradient, projection scratch and row coefficients per gradient dtype:
+    # the gemm gives v's dtype, the bincount scatter float64.
+    grads = {dt: (np.empty((n, d), dt), np.empty((n, d), dt), np.empty(n, dt))
+             for dt in (v.dtype, np.dtype(np.float64))}
+    if polish and adj is None:
+        rows_o, ones = np.empty((2 * m, d), v.dtype), np.ones(2 * m)
     for it in range(iters):
         used += 1
         if it % stage == 0 and it > 0:
             opt.lr *= 0.5
-        dots = (v[eu] * v[ev]).sum(axis=1)
-        viol = np.maximum(dots - target, 0.0)
-        if mode == "feasible" and it % 10 == 0 and stop_at is not None \
+        _edge_dots(v, eu, ev, dots, rows_u, rows_v)  # (v[eu] * v[ev]).sum(1)
+        np.subtract(dots, target, out=viol)
+        np.maximum(viol, 0.0, out=viol)              # relu(dots - target)
+        if feasible and it % 10 == 0 and stop_at is not None \
                 and dots.max() <= stop_at:
             break
-        hinge_w = (2.0 if mode == "feasible" else 2.0 * mu) * viol
-        active = np.nonzero(viol)[0]
-        use_dense = dense_w is not None and (
-            active.size > dense_bar or (mode == "polish" and m > dense_bar))
-        if use_dense:
-            dense_w.fill(0.0)
-            if mode == "polish":
-                wall = 1.0 + hinge_w
-                dense_w[eu, ev] = wall
-                dense_w[ev, eu] = wall
+        np.multiply(hinge_scale, viol, out=hinge)
+        n_active = np.count_nonzero(viol)
+        if dense_w is not None and (
+                n_active > dense_bar or (polish and m > dense_bar)):
+            if polish:
+                np.add(1.0, hinge, out=hinge)        # 1 + hinge_w
+                flat_w[fwd] = hinge
+                flat_w[bwd] = hinge
             else:
-                ea, va, wa = eu[active], ev[active], hinge_w[active]
-                dense_w[ea, va] = wa
-                dense_w[va, ea] = wa
-            grad = dense_w @ v
+                dense_w.fill(0.0)
+                active = viol.nonzero()[0]
+                wa = hinge[active]
+                flat_w[fwd[active]] = wa
+                flat_w[bwd[active]] = wa
+            grad, tmp, coef = grads[v.dtype]
+            np.matmul(dense_w, v, out=grad)
         else:
-            if active.size:
+            if n_active:
+                grad, tmp, coef = grads[np.dtype(np.float64)]
+                grad.fill(0.0)
+                active = viol.nonzero()[0]
                 act2 = np.concatenate([active, active + m])
-                wa = hinge_w[active]
-                grad = _scatter_rows(both_idx[act2], np.concatenate([wa, wa]),
-                                     v[other[act2]], n)
+                wa = hinge[active]
+                _scatter_rows(both_idx[act2], np.concatenate([wa, wa]),
+                              v[other[act2]], grad)
             else:
-                grad = np.zeros_like(v)
-            if mode == "polish":
+                grad, tmp, coef = grads[v.dtype]
+                grad.fill(0.0)
+            if polish:
                 if adj is not None:
-                    grad += adj @ v
+                    np.matmul(adj, v, out=tmp)       # grad += adj @ v
+                    np.add(grad, tmp, out=grad)
                 else:
-                    grad += _scatter_rows(both_idx, np.ones(2 * m), v[other], n)
-        grad -= (grad * v).sum(axis=1, keepdims=True) * v
+                    v.take(other, axis=0, out=rows_o, mode="clip")
+                    _scatter_rows(both_idx, ones, rows_o, grad)
+        # grad -= (grad * v).sum(axis=1, keepdims=True) * v
+        np.multiply(grad, v, out=tmp)
+        _row_sums(tmp, coef)
+        np.multiply(coef[:, None], v, out=tmp)
+        np.subtract(grad, tmp, out=grad)
         opt.step(v, grad)
-        _row_normalize(v)
+        _row_normalize(v, sq, norms)
     return used
 
 
@@ -383,8 +493,7 @@ def solve_vector_coloring(g: Graph, alpha: float, eps: float = 1e-3,
 
 
 def _residual(v, eu, ev, target):
-    dots = (v[eu] * v[ev]).sum(axis=1)
-    return float(dots.max() - target)
+    return float(_edge_dots(v, eu, ev).max() - target)
 
 
 # ---------------------------------------------------------------------------
@@ -459,8 +568,8 @@ def solve_indset_sdp(g: Graph, eps: float = 1e-3, budget: int = 6000,
                     h = (p[eu] * p[ev]).sum(axis=1)
                     s = lam + mu * h
                     s2 = np.concatenate([s, s])
-                    grad = np.empty_like(w)
-                    grad[1:] = _scatter_rows(both_idx, s2, p[other_idx], n)
+                    grad = np.zeros_like(w)
+                    _scatter_rows(both_idx, s2, p[other_idx], grad[1:])
                     grad[1:] -= v0
                     grad[0] = (s[:, None] * (p[eu] + p[ev])).sum(axis=0) \
                         - w[1:].sum(axis=0)

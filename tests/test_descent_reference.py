@@ -1,0 +1,236 @@
+"""The workspace descent against the out-of-place loop it replaced, bit for bit.
+
+``_ref_coloring_descent`` and its helpers below are the allocating loop as it
+stood before the per-call workspace, kept verbatim as the reference. Each
+case runs both from the same start on a pinned planted instance and asserts
+identical vectors and iteration counts: the golden CLI results rest on this
+equality, and a failure here names the branch that drifted.
+"""
+
+import numpy as np
+import pytest
+
+import sdpcolor.vecsdp as vecsdp
+from sdpcolor._rng import stream
+from sdpcolor.testkit import planted_k_colorable
+from sdpcolor.vecsdp import (
+    _coloring_descent,
+    _row_sums,
+    _solver_dim,
+    simplex_vectors,
+)
+
+
+# ---------------------------------------------------------------------------
+# Reference: the out-of-place loop, verbatim
+# ---------------------------------------------------------------------------
+
+def _ref_row_normalize(v: np.ndarray) -> np.ndarray:
+    norms = np.linalg.norm(v, axis=1, keepdims=True)
+    norms[norms == 0.0] = 1.0
+    v /= norms
+    return v
+
+
+def _ref_scatter_rows(idx: np.ndarray, weights: np.ndarray, rows: np.ndarray,
+                      n: int) -> np.ndarray:
+    """out[idx[t]] += weights[t] * rows[t], accumulated over t."""
+    out = np.empty((n, rows.shape[1]))
+    for col in range(rows.shape[1]):
+        out[:, col] = np.bincount(idx, weights=weights * rows[:, col], minlength=n)
+    return out
+
+
+class _RefAdam:
+    def __init__(self, like, lr):
+        self.lr = lr
+        self.m = np.zeros_like(like)
+        self.v = np.zeros_like(like)
+        self.t = 0
+
+    def step(self, params, grad):
+        self.t += 1
+        self.m = 0.9 * self.m + 0.1 * grad
+        self.v = 0.999 * self.v + 0.001 * grad * grad
+        mhat = self.m / (1.0 - 0.9 ** self.t)
+        vhat = self.v / (1.0 - 0.999 ** self.t)
+        params -= self.lr * mhat / (np.sqrt(vhat) + 1e-12)
+
+
+def _ref_coloring_descent(v, eu, ev, both_idx, target, mode, iters, lr,
+                          mu=50.0, stop_at=None, adj=None):
+    n = v.shape[0]
+    m = len(eu)
+    d = v.shape[1]
+    stage = max(1, iters // 6)
+    opt = _RefAdam(v, lr)
+    used = 0
+    other = np.concatenate([ev, eu])
+    dense_w = np.zeros((n, n), dtype=v.dtype) if n <= 2048 else None
+    dense_bar = max(32, (n * n) // max(16 * d, 16))
+    for it in range(iters):
+        used += 1
+        if it % stage == 0 and it > 0:
+            opt.lr *= 0.5
+        dots = (v[eu] * v[ev]).sum(axis=1)
+        viol = np.maximum(dots - target, 0.0)
+        if mode == "feasible" and it % 10 == 0 and stop_at is not None \
+                and dots.max() <= stop_at:
+            break
+        hinge_w = (2.0 if mode == "feasible" else 2.0 * mu) * viol
+        active = np.nonzero(viol)[0]
+        use_dense = dense_w is not None and (
+            active.size > dense_bar or (mode == "polish" and m > dense_bar))
+        if use_dense:
+            dense_w.fill(0.0)
+            if mode == "polish":
+                wall = 1.0 + hinge_w
+                dense_w[eu, ev] = wall
+                dense_w[ev, eu] = wall
+            else:
+                ea, va, wa = eu[active], ev[active], hinge_w[active]
+                dense_w[ea, va] = wa
+                dense_w[va, ea] = wa
+            grad = dense_w @ v
+        else:
+            if active.size:
+                act2 = np.concatenate([active, active + m])
+                wa = hinge_w[active]
+                grad = _ref_scatter_rows(both_idx[act2], np.concatenate([wa, wa]),
+                                         v[other[act2]], n)
+            else:
+                grad = np.zeros_like(v)
+            if mode == "polish":
+                if adj is not None:
+                    grad += adj @ v
+                else:
+                    grad += _ref_scatter_rows(both_idx, np.ones(2 * m), v[other], n)
+        grad -= (grad * v).sum(axis=1, keepdims=True) * v
+        opt.step(v, grad)
+        _ref_row_normalize(v)
+    return used
+
+
+# ---------------------------------------------------------------------------
+# Cases
+# ---------------------------------------------------------------------------
+
+def _instance(n, k, p, seed):
+    g = planted_k_colorable(n, k, p, seed=seed).graph
+    eu, ev = g.edge_arrays()
+    return g, eu, ev, np.concatenate([eu, ev])
+
+
+def _random_start(n, d, seed, dtype=np.float64):
+    rng = stream(seed, "descent-reference")
+    return _ref_row_normalize(rng.standard_normal((n, d))).astype(dtype)
+
+
+def _planted_start(inst_seed, n, k, p, noise):
+    """Rows at the planted class's simplex vertex plus noise: near-feasible."""
+    inst = planted_k_colorable(n, k, p, seed=inst_seed)
+    rng = stream(inst_seed, "descent-reference-planted")
+    corners = simplex_vectors(k)
+    v = corners[inst.class_of()] + noise * rng.standard_normal((n, k - 1))
+    return _ref_row_normalize(v)
+
+
+@pytest.fixture
+def scatters(monkeypatch):
+    """Counts the descent's calls of the bincount scatter (sparse branch)."""
+    calls = []
+    real = vecsdp._scatter_rows
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(vecsdp, "_scatter_rows", counted)
+    return calls
+
+
+def _both(v0, *args, **kwargs):
+    ref, new = v0.copy(), v0.copy()
+    used_ref = _ref_coloring_descent(ref, *args, **kwargs)
+    used_new = _coloring_descent(new, *args, **kwargs)
+    return ref, new, used_ref, used_new
+
+
+def _assert_same(ref, new, used_ref, used_new):
+    assert used_new == used_ref
+    assert new.dtype == ref.dtype
+    assert np.array_equal(new, ref)
+
+
+def test_wide_float32_feasible_is_bitwise(scatters):
+    g, eu, ev, both = _instance(120, 4, 0.3, seed=11)
+    d = _solver_dim(g.n, g.m)
+    assert d == 24
+    target = -1.0 / 3.0
+    v0 = _random_start(g.n, d, 1, np.float32)
+    ref, new, ur, un = _both(v0, eu, ev, both, target - 5e-4, "feasible",
+                             100, lr=0.05, stop_at=target + 5e-4)
+    _assert_same(ref, new, ur, un)
+    assert not scatters  # every iteration took the dense gemm branch
+
+
+def test_lowrank_float64_feasible_stops_early_bitwise():
+    g, eu, ev, both = _instance(96, 4, 0.3, seed=12)
+    target = -1.0 / 3.0
+    v0 = _planted_start(12, 96, 4, 0.3, noise=0.05)
+    assert v0.shape[1] == 3
+    ref, new, ur, un = _both(v0, eu, ev, both, target - 5e-4, "feasible",
+                             100, lr=0.02, stop_at=target + 3e-3)
+    assert un < 100  # the stop_at exit fired
+    _assert_same(ref, new, ur, un)
+
+
+def test_polish_with_adjacency_is_bitwise():
+    g, eu, ev, both = _instance(96, 4, 0.3, seed=13)
+    adj = g.adjacency_matrix().astype(float)
+    target = -1.0 / 3.0
+    v0 = _planted_start(13, 96, 4, 0.3, noise=0.2)
+    ref, new, ur, un = _both(v0, eu, ev, both, target - 5e-4, "polish",
+                             100, lr=0.01, adj=adj)
+    _assert_same(ref, new, ur, un)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sparse_scatter_branch_is_bitwise(dtype, scatters):
+    # Average degree 4 at n=300: dense_bar = 90000 // 384 = 234 exceeds the
+    # active count on most iterations, so the bincount scatter runs.
+    g, eu, ev, both = _instance(300, 3, 4.0 / 200, seed=14)
+    d = _solver_dim(g.n, g.m)
+    v0 = _random_start(g.n, d, 2, dtype)
+    ref, new, ur, un = _both(v0, eu, ev, both, -0.5 - 5e-4, "feasible",
+                             100, lr=0.05)
+    _assert_same(ref, new, ur, un)
+    # Dense gemm steps first, then the float64 scatter once few edges stay
+    # violated; in float32 that widens Adam's moments mid-run.
+    assert 0 < len(scatters) < un
+
+
+def test_sparse_polish_without_adjacency_is_bitwise(scatters):
+    g, eu, ev, both = _instance(300, 3, 4.0 / 200, seed=15)
+    v0 = _planted_start(15, 300, 3, 4.0 / 200, noise=0.3)
+    ref, new, ur, un = _both(v0, eu, ev, both, -0.5 - 5e-4, "polish",
+                             100, lr=0.01)
+    _assert_same(ref, new, ur, un)
+    assert len(scatters) >= un  # the uniform part goes through the scatter
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("d", list(range(1, 33)) + [64, 127, 128, 129, 200])
+def test_row_sums_match_numpy_bitwise(d, dtype):
+    # The descent's sums replay numpy's row summation order; a numpy that
+    # sums rows differently fails here rather than as a golden diff.
+    rng = np.random.default_rng(d)
+    a = rng.standard_normal((513, d)).astype(dtype)
+    a[0] = 0.0
+    a[1, 0] = -0.0
+    a[2] = -0.0
+    want = a.sum(axis=1)
+    got = _row_sums(a.copy())
+    assert got.dtype == want.dtype
+    assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
+
