@@ -17,7 +17,8 @@ One round of the finder on the current quotient graph (n vertices):
   5/6. otherwise probe the pair u,v in W with the largest common
        neighborhood S (when |S| >= n^{(1-a_k)/(1-a_{k-2})}): color G[S] with
        k-2 colors recursively; success within the cutoff extracts a large
-       color class, failure proves u,v share a color and they are merged.
+       color class, failure proves u,v share a color and they are merged
+       (a solver stall in the probe proves nothing and fails the attempt).
   7-9. no qualifying pair: build the candidate collection on G[W] and run
        the promise extractor on the largest candidates until one yields a
        set of size n^{1-a_k} up to the harness constant.
@@ -146,6 +147,9 @@ class CombinedResult:
     repeats_used: int
     k3_fallback: bool
     declarations: list[Declaration] = field(default_factory=list)
+    # (kind, message) of every failed attempt, kind as in NotKColorableError
+    # or "contradiction"
+    attempt_failures: list[tuple[str, str]] = field(default_factory=list)
 
     @property
     def colors_used(self) -> int | None:
@@ -329,6 +333,14 @@ class _CombinedFinder:
                     and result.colors_used <= cutoff(sub.n, k2, self.cfg.c0)):
                 cls = largest_color_class(result.coloring)
                 return LargeIndependentSet(frozenset(s_ids[i] for i in cls))
+            if result.coloring is None:
+                kind, msg = result.attempt_failures[-1]
+                if kind == "solver":
+                    # A stalled solver says nothing about S: neither a
+                    # merge nor a contradiction may rest on it, so the
+                    # whole attempt reruns with a fresh seed.
+                    raise NotKColorableError(
+                        "solver", f"{k2}-coloring probe of pair {u},{v}: {msg}")
         self._record_declaration(sub, k2)
         if cg.has_edge(u, v):
             # Adjacent endpoints can never share a color: together with the
@@ -389,7 +401,7 @@ def combined_color(g: Graph, k: int, cfg: CombinedConfig | None = None) -> Combi
     if k < 2:
         raise ValueError(f"k must be at least 2, got {k}")
     a_exp = alpha_k(k)
-    failures: list[str] = []
+    failures: list[tuple[str, str]] = []
     declarations: list[Declaration] = []
     for attempt in range(max(1, cfg.repeats)):
         seed = cfg.seed + 7919 * attempt
@@ -397,14 +409,16 @@ def combined_color(g: Graph, k: int, cfg: CombinedConfig | None = None) -> Combi
             coloring, used_fallback = _attempt(g, k, cfg, seed, declarations)
         except (ContradictionError, NotKColorableError) as exc:
             kind = exc.kind if isinstance(exc, NotKColorableError) else "contradiction"
-            failures.append(f"{kind}: {exc}")
+            failures.append((kind, str(exc)))
             continue
         return CombinedResult(g.n, k, coloring, None, a_exp, cfg.seed,
-                              attempt + 1, used_fallback, declarations)
+                              attempt + 1, used_fallback, declarations,
+                              failures)
     return CombinedResult(
         g.n, k, None,
-        "not k-colorable or algorithm failure: " + " | ".join(failures),
-        a_exp, cfg.seed, max(1, cfg.repeats), False, declarations)
+        "not k-colorable or algorithm failure: "
+        + " | ".join(f"{kind}: {msg}" for kind, msg in failures),
+        a_exp, cfg.seed, max(1, cfg.repeats), False, declarations, failures)
 
 
 def _attempt(g: Graph, k: int, cfg: CombinedConfig, seed: int,

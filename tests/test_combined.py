@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from sdpcolor._rng import stream
+import sdpcolor.combined as combined
 from sdpcolor.combined import (
     CombinedConfig,
+    CombinedResult,
     alpha_k,
     combined_color,
     cutoff,
@@ -16,7 +18,12 @@ from sdpcolor.combined import (
     _CombinedFinder,
 )
 from sdpcolor.graph import Graph, verify_coloring
-from sdpcolor.progress import ContractedGraph
+from sdpcolor.progress import (
+    ContractedGraph,
+    ContradictionError,
+    NotKColorableError,
+    SameColor,
+)
 from sdpcolor.testkit import (
     complete_graph,
     complete_multipartite,
@@ -214,6 +221,56 @@ def test_candidate_round_pinned():
                                   float(alpha_k(4)))
     assert got.members == {1, 12, 15, 16, 30, 39, 40, 43, 57}
     assert cg.is_independent(got.members)
+
+
+def _probe_fixture(adjacent):
+    # Pair 0,1 with the common neighbourhood {2..6}, a K5, which no
+    # 4-colouring probe can colour; 0-1 is an edge when ``adjacent``.
+    edges = [(a, b) for a in range(2, 7) for b in range(a + 1, 7)]
+    edges += [(0, x) for x in range(2, 7)] + [(1, x) for x in range(2, 7)]
+    if adjacent:
+        edges.append((0, 1))
+    return ContractedGraph(Graph(7, edges))
+
+
+def _failing_probe(monkeypatch, kind):
+    """Make the recursive probe fail with ``kind``; returns its call log."""
+    calls = []
+
+    def probe(sub, k, cfg=None):
+        calls.append((sub.n, k))
+        return CombinedResult(sub.n, k, None, f"{kind}: probe failed",
+                              alpha_k(k), 0, 1, False,
+                              attempt_failures=[(kind, "probe failed")])
+
+    monkeypatch.setattr(combined, "combined_color", probe)
+    return calls
+
+
+@pytest.mark.parametrize("adjacent", [False, True])
+def test_probe_solver_stall_is_no_evidence(monkeypatch, adjacent):
+    # A stalled solver must neither merge the pair nor contradict the graph:
+    # the attempt fails as "solver" and reruns with a fresh seed.
+    calls = _failing_probe(monkeypatch, "solver")
+    declarations = []
+    finder = _CombinedFinder(6, CombinedConfig(), 0, declarations)
+    with pytest.raises(NotKColorableError) as err:
+        finder._probe_pair(_probe_fixture(adjacent), 0, 1)
+    assert err.value.kind == "solver"
+    assert "pair 0,1" in str(err.value)
+    assert calls == [(5, 4)]
+    assert declarations == []
+
+
+@pytest.mark.parametrize("kind", ["budget", "witness", "contradiction"])
+def test_probe_sound_failure_merges_or_contradicts(monkeypatch, kind):
+    _failing_probe(monkeypatch, kind)
+    declarations = []
+    finder = _CombinedFinder(6, CombinedConfig(), 0, declarations)
+    assert finder._probe_pair(_probe_fixture(False), 0, 1) == SameColor(0, 1)
+    with pytest.raises(ContradictionError):
+        finder._probe_pair(_probe_fixture(True), 0, 1)
+    assert [(d.n, d.k) for d in declarations] == [(5, 4), (5, 4)]
 
 
 def test_fit_exponent():

@@ -6,6 +6,9 @@ timestamp and is not compared. To capture the files (only when an output
 change is intended):
 
     PYTHONPATH=src python tests/test_golden.py
+
+It prints each case's exit code and whether its file is new, unchanged or
+changed, so a recapture states exactly which results moved.
 """
 
 import os
@@ -34,7 +37,9 @@ CASES = {
     "color-k6-n90-recursive": (["color", "--gen", "planted:n=90,k=6,p=0.8,seed=5",
                                 "--k", "6", "--trials", "16", "--seed", "5"],
                                EXIT_OK),
-    # contradiction on an adjacent pair
+    # 6-colourable by construction, but the recursive k=4 probe of an
+    # adjacent pair stalls in the solver on every attempt: exit 2, three
+    # solver failures (a stall is no contradiction)
     "color-k6-n120-contradiction": (["color", "--gen",
                                      "planted:n=120,k=6,p=0.7,seed=3", "--k", "6",
                                      "--trials", "16", "--seed", "3"],
@@ -58,12 +63,24 @@ def test_cli_result_matches_golden(name, tmp_path):
         assert out.read_bytes() == fh.read()
 
 
+def _read(path):
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except FileNotFoundError:
+        return None
+
+
 if __name__ == "__main__":
     os.makedirs(GOLDEN, exist_ok=True)
     for name, (argv, want_code) in sorted(CASES.items()):
         path = os.path.join(GOLDEN, f"{name}.json")
+        before = _read(path)
         code = main(argv + ["--out", path])
         os.remove(path + ".meta.json")
         if code != want_code:
             sys.exit(f"{name}: exit {code}, expected {want_code}")
-        print(f"{name}: exit {code}")
+        after = _read(path)
+        drift = ("new" if before is None
+                 else "unchanged" if after == before else "changed")
+        print(f"{name}: exit {code}, {drift}")
