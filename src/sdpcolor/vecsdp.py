@@ -119,8 +119,7 @@ class IndSetSdpSolution:
         return self.vectors.shape[0]
 
     def alignment_sum(self) -> float:
-        return float(self.vectors @ self.v0).__float__() if self.n == 1 else \
-            float((self.vectors @ self.v0).sum())
+        return float((self.vectors @ self.v0).sum())
 
     def constraint_residual(self, g: Graph) -> float:
         if g.m == 0:

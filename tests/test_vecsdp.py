@@ -12,6 +12,7 @@ from sdpcolor.testkit import (
 )
 from sdpcolor.vecsdp import (
     DegenerateProjectionError,
+    IndSetSdpSolution,
     InfeasibleError,
     PromiseNotMetError,
     VectorColoring,
@@ -150,6 +151,15 @@ def test_indset_sdp_fields_are_consistent():
 # ---------------------------------------------------------------------------
 # Projections
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_indset_alignment_sum(n):
+    v0 = np.array([1.0, 0.0])
+    vecs = np.tile([0.6, 0.8], (n, 1))
+    sol = IndSetSdpSolution(v0, vecs, 0.0, 1e-3, 0.0, 0.0)
+    assert isinstance(sol.alignment_sum(), float)
+    assert sol.alignment_sum() == pytest.approx(0.6 * n)
+
 
 def test_project_orthogonal_basics():
     e1 = np.array([1.0, 0.0, 0.0])
