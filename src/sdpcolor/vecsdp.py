@@ -272,24 +272,36 @@ def _solver_dim(n: int, m: int, cap: int = 24) -> int:
 # Vector alpha-coloring
 # ---------------------------------------------------------------------------
 
+# A descent phase stops once its objective moved by at most this much,
+# relative to max(1, |objective|), over the ten iterations between checks:
+# a low-rank factorization parks at a stationary point (Burer-Monteiro) and
+# the remaining budget would not move it.
+_STALL_RTOL = 1e-9
+
+
 def _coloring_descent(v, eu, ev, both_idx, target, mode, iters, lr,
                       mu=50.0, stop_at=None, adj=None):
     """Adam descent phases for the coloring program.
 
     mode "feasible": minimize sum relu(d_e - target)^2.
     mode "polish":   minimize sum d_e + mu * relu(d_e - target)^2.
-    The learning rate is halved in six stages over the run; in feasible mode
-    the loop exits early once the max edge dot drops to ``stop_at``. The
-    hinge part of the gradient only touches violated edges; the uniform part
-    of the polish gradient uses the dense adjacency product when ``adj`` is
-    supplied. Returns the iteration count actually used.
+    The learning rate is halved in six stages over the run. Every tenth
+    iteration, before its step, the loop exits early in feasible mode once
+    the max edge dot drops to ``stop_at``, and in either mode once the
+    objective (summed in v's dtype) changed by at most ``_STALL_RTOL *
+    max(1, |objective|)`` since the previous check. The hinge part of the
+    gradient only touches violated edges; the uniform part of the polish
+    gradient uses the dense adjacency product when ``adj`` is supplied.
+    Returns the iteration count actually used, the iteration that exits
+    included.
 
     Every array an iteration writes is allocated once per call. The
     operation order is part of the output contract: each iteration performs
     the floating-point operations of the plain out-of-place expressions
     (noted beside each step) in their order and dtypes, so the vectors, and
     with them every downstream decision and the golden CLI results, stay
-    bit for bit the same. Reordering a sum or fusing a product changes them.
+    bit for bit the same. Reordering a sum or fusing a product changes them;
+    so does moving the stall check, which only decides where a run ends.
     """
     n, d = v.shape
     m = len(eu)
@@ -298,6 +310,7 @@ def _coloring_descent(v, eu, ev, both_idx, target, mode, iters, lr,
     stage = max(1, iters // 6)
     opt = _Adam(v, lr)
     used = 0
+    prev_obj = math.inf
     other = np.concatenate([ev, eu])
     # Dense weighted-adjacency workspace: one gemm beats per-column scatters
     # once enough edges are active to amortize the n^2 traffic. Polish
@@ -324,9 +337,16 @@ def _coloring_descent(v, eu, ev, both_idx, target, mode, iters, lr,
         _edge_dots(v, eu, ev, dots, rows_u, rows_v)  # (v[eu] * v[ev]).sum(1)
         np.subtract(dots, target, out=viol)
         np.maximum(viol, 0.0, out=viol)              # relu(dots - target)
-        if feasible and it % 10 == 0 and stop_at is not None \
-                and dots.max() <= stop_at:
-            break
+        if it % 10 == 0:
+            if feasible and stop_at is not None and dots.max() <= stop_at:
+                break
+            np.multiply(viol, viol, out=hinge)      # hinge is rewritten below
+            obj = float(hinge.sum())
+            if polish:
+                obj = float(dots.sum()) + mu * obj
+            if abs(obj - prev_obj) <= _STALL_RTOL * max(1.0, abs(obj)):
+                break
+            prev_obj = obj
         np.multiply(hinge_scale, viol, out=hinge)
         n_active = np.count_nonzero(viol)
         if dense_w is not None and (
@@ -388,11 +408,16 @@ def solve_vector_coloring(g: Graph, alpha: float, eps: float = 1e-3,
                           init: np.ndarray | None = None) -> VectorColoring:
     """Find a vector alpha-coloring of g at tolerance eps.
 
-    budget caps the gradient iterations of the feasibility phase per restart;
-    the polish and rank-reduction phases each get at most half that again.
-    ``init`` warm-starts the first restart (rows are renormalized and padded
-    or truncated to the working width). Raises InfeasibleError (evidence
-    only) when every restart stalls above eps.
+    Per restart, the wide feasibility phase gets at most ``budget``
+    iterations and each of up to six refinement passes ``budget // 2``. When
+    the rank-``ceil(alpha) - 1`` re-descent runs, its feasibility and polish
+    phases get ``budget`` each and its final feasibility phase
+    ``budget // 2``; the full-width polish, run when no low-rank solution is
+    returned, gets ``budget // 4``. Every phase also stops early once its
+    objective stalls (see ``_coloring_descent``). ``init`` warm-starts the
+    first restart (rows are renormalized and padded or truncated to the
+    working width). Raises InfeasibleError (evidence only) when every
+    restart stalls above eps; its iteration count covers every phase run.
     """
     if alpha < 2.0:
         raise ValueError(f"alpha must be at least 2, got {alpha}")
@@ -421,18 +446,21 @@ def solve_vector_coloring(g: Graph, alpha: float, eps: float = 1e-3,
     wide_dtype = np.float32 if (eps >= 1e-4 and d > 8) else np.float64
     rank = max(2, int(math.ceil(alpha)) - 1)
 
+    def descend(vecs, mode, iters, lr, **kwargs):
+        nonlocal total_iters
+        total_iters += _coloring_descent(vecs, eu, ev, both_idx,
+                                         target - cushion, mode, iters, lr,
+                                         **kwargs)
+
     def try_lowrank(full):
         # Re-descend in the top-rank basis; cheap iterations carry the long
         # margin polish that clusters planted-style instances.
         reduced = _rank_reduce(full, rank)
-        _coloring_descent(reduced, eu, ev, both_idx, target - cushion,
-                          "feasible", budget, lr=0.02, stop_at=stop_at)
+        descend(reduced, "feasible", budget, lr=0.02, stop_at=stop_at)
         if _residual(reduced, eu, ev, target) > eps:
             return None
-        _coloring_descent(reduced, eu, ev, both_idx, target - cushion,
-                          "polish", budget, lr=0.01, adj=adj)
-        _coloring_descent(reduced, eu, ev, both_idx, target - cushion,
-                          "feasible", budget // 2, lr=0.005, stop_at=stop_at)
+        descend(reduced, "polish", budget, lr=0.01, adj=adj)
+        descend(reduced, "feasible", budget // 2, lr=0.005, stop_at=stop_at)
         if _residual(reduced, eu, ev, target) > eps:
             return None
         return reduced
@@ -450,9 +478,7 @@ def solve_vector_coloring(g: Graph, alpha: float, eps: float = 1e-3,
         else:
             v = _row_normalize(rng.standard_normal((n, d)))
         work = v.astype(wide_dtype) if wide_dtype is np.float32 else v
-        total_iters += _coloring_descent(
-            work, eu, ev, both_idx, target - cushion, "feasible", budget,
-            lr=0.05, stop_at=target + 0.5 * eps)
+        descend(work, "feasible", budget, lr=0.05, stop_at=target + 0.5 * eps)
         res = _residual(work, eu, ev, target)
         if res <= 10.0 * eps and rank < d:
             reduced = try_lowrank(_row_normalize(work.astype(np.float64)))
@@ -465,9 +491,7 @@ def solve_vector_coloring(g: Graph, alpha: float, eps: float = 1e-3,
         for lr in (0.02, 0.008, 0.003, 0.02, 0.008, 0.003):
             if res <= eps:
                 break
-            total_iters += _coloring_descent(
-                work, eu, ev, both_idx, target - cushion, "feasible",
-                budget // 2, lr=lr, stop_at=stop_at)
+            descend(work, "feasible", budget // 2, lr=lr, stop_at=stop_at)
             res = _residual(work, eu, ev, target)
         v = _row_normalize(work.astype(np.float64)) \
             if wide_dtype is np.float32 else work
@@ -482,8 +506,7 @@ def solve_vector_coloring(g: Graph, alpha: float, eps: float = 1e-3,
                     alpha, reduced, eps,
                     max_edge_residual=_residual(reduced, eu, ev, target))
         polished = v.copy()
-        _coloring_descent(polished, eu, ev, both_idx, target - cushion,
-                          "polish", budget // 4, lr=0.02, adj=adj)
+        descend(polished, "polish", budget // 4, lr=0.02, adj=adj)
         if _residual(polished, eu, ev, target) <= eps:
             v = polished
         res = _residual(v, eu, ev, target)

@@ -1,8 +1,9 @@
 """The workspace descent against the out-of-place loop it replaced, bit for bit.
 
 ``_ref_coloring_descent`` and its helpers below are the allocating loop as it
-stood before the per-call workspace, kept verbatim as the reference. Each
-case runs both from the same start on a pinned planted instance and asserts
+stood before the per-call workspace, kept verbatim as the reference; it has
+no stall stop, and ``cut_at`` ends it where a stall stop would. Each case
+runs both from the same start on a pinned planted instance and asserts
 identical vectors and iteration counts: the golden CLI results rest on this
 equality, and a failure here names the branch that drifted.
 """
@@ -14,7 +15,9 @@ import sdpcolor.vecsdp as vecsdp
 from sdpcolor._rng import stream
 from sdpcolor.testkit import planted_k_colorable
 from sdpcolor.vecsdp import (
+    _STALL_RTOL,
     _coloring_descent,
+    _rank_reduce,
     _row_sums,
     _solver_dim,
     simplex_vectors,
@@ -58,7 +61,7 @@ class _RefAdam:
 
 
 def _ref_coloring_descent(v, eu, ev, both_idx, target, mode, iters, lr,
-                          mu=50.0, stop_at=None, adj=None):
+                          mu=50.0, stop_at=None, adj=None, cut_at=None):
     n = v.shape[0]
     m = len(eu)
     d = v.shape[1]
@@ -76,6 +79,8 @@ def _ref_coloring_descent(v, eu, ev, both_idx, target, mode, iters, lr,
         viol = np.maximum(dots - target, 0.0)
         if mode == "feasible" and it % 10 == 0 and stop_at is not None \
                 and dots.max() <= stop_at:
+            break
+        if used == cut_at:
             break
         hinge_w = (2.0 if mode == "feasible" else 2.0 * mu) * viol
         active = np.nonzero(viol)[0]
@@ -217,6 +222,63 @@ def test_sparse_polish_without_adjacency_is_bitwise(scatters):
                              100, lr=0.01)
     _assert_same(ref, new, ur, un)
     assert len(scatters) >= un  # the uniform part goes through the scatter
+
+
+def _objective(v, eu, ev, target, mode, mu=50.0):
+    dots = (v[eu] * v[ev]).sum(axis=1)
+    obj = float((np.maximum(dots - target, 0.0) ** 2).sum())
+    return float(dots.sum()) + mu * obj if mode == "polish" else obj
+
+
+def _stalled(v0, eu, ev, both, target, mode, iters, lr, **kwargs):
+    """Runs a descent that must stop on a stall; checks that it is a prefix
+    of the reference run and returns (stopped, full-budget reference, used).
+    """
+    new = v0.copy()
+    used = _coloring_descent(new, eu, ev, both, target, mode, iters, lr,
+                             **kwargs)
+    assert used < iters
+    cut, full = v0.copy(), v0.copy()
+    assert _ref_coloring_descent(cut, eu, ev, both, target, mode, iters, lr,
+                                 cut_at=used, **kwargs) == used
+    assert np.array_equal(new, cut)
+    assert _ref_coloring_descent(full, eu, ev, both, target, mode, iters, lr,
+                                 **kwargs) == iters
+    return new, full, used
+
+
+def test_polish_stops_on_stall_near_its_full_budget_objective():
+    g, eu, ev, both = _instance(96, 4, 0.3, seed=13)
+    adj = g.adjacency_matrix().astype(float)
+    target = -1.0 / 3.0 - 5e-4
+    v0 = _planted_start(13, 96, 4, 0.3, noise=0.2)
+    new, full, used = _stalled(v0, eu, ev, both, target, "polish", 1600,
+                               lr=0.01, adj=adj)
+    assert used <= 400
+    got = _objective(new, eu, ev, target, "polish")
+    want = _objective(full, eu, ev, target, "polish")
+    assert abs(got - want) <= _STALL_RTOL * max(1.0, abs(want))
+
+
+def test_lowrank_feasible_stops_at_its_fixed_point():
+    # The solver's route on a sparse 3-colourable graph: a wide float32
+    # pass, then the rank-2 basis, where the hinge descent parks at a
+    # stationary point just above stop_at instead of reaching it.
+    g, eu, ev, both = _instance(150, 3, 30.0 / 150, seed=0)
+    target = -0.5
+    wide = _random_start(g.n, _solver_dim(g.n, g.m), 3, np.float32)
+    _coloring_descent(wide, eu, ev, both, target - 5e-4, "feasible", 2000,
+                      lr=0.05, stop_at=target + 5e-4)
+    v0 = _rank_reduce(_ref_row_normalize(wide.astype(np.float64)), 2)
+    stop_at = target - 2.5e-4
+    new, full, used = _stalled(v0, eu, ev, both, target - 5e-4, "feasible",
+                               2000, lr=0.02, stop_at=stop_at)
+    assert used <= 500
+    for v in (new, full):
+        assert (v[eu] * v[ev]).sum(axis=1).max() > stop_at
+    got = _objective(new, eu, ev, target - 5e-4, "feasible")
+    want = _objective(full, eu, ev, target - 5e-4, "feasible")
+    assert 0.0 < want and abs(got - want) <= _STALL_RTOL
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

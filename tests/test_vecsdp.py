@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import sdpcolor.vecsdp as vecsdp
 from sdpcolor._rng import stream
 from sdpcolor.graph import Graph
 from sdpcolor.testkit import (
@@ -79,6 +80,25 @@ def test_solve_tracks_vector_chromatic_boundary():
     assert vc.is_feasible_for(cycle_graph(5))
     with pytest.raises(InfeasibleError):
         solve_vector_coloring(cycle_graph(5), 2.1, eps=1e-3, budget=1200, seed=0)
+
+
+def test_infeasible_error_counts_every_descent_iteration(monkeypatch):
+    # Just below C5's vector chromatic number the wide pass lands within
+    # 10 eps, so the rank-2 re-descent runs before the solve gives up.
+    calls = []
+    real = vecsdp._coloring_descent
+
+    def counted(v, *args, **kwargs):
+        used = real(v, *args, **kwargs)
+        calls.append((v.shape[1], used))
+        return used
+
+    monkeypatch.setattr(vecsdp, "_coloring_descent", counted)
+    with pytest.raises(InfeasibleError) as err:
+        solve_vector_coloring(cycle_graph(5), 2.23, eps=1e-3, budget=400,
+                              seed=0, restarts=2)
+    assert any(width == 2 for width, _ in calls)
+    assert err.value.iterations == sum(used for _, used in calls)
 
 
 def test_validator_agrees_with_claimed_residual():
