@@ -135,7 +135,7 @@ def _outdir() -> str:
     return os.environ.get("SDPCOLOR_OUTDIR", ".")
 
 
-def _resolve_out(path: str | None, default_name: str) -> str | None:
+def _resolve_out(path: str | None) -> str | None:
     if path is None:
         return None
     if os.path.isabs(path) or os.path.dirname(path):
@@ -177,7 +177,7 @@ def cmd_color(args) -> int:
     if result.coloring is not None:
         if not verify_coloring(graph, result.coloring):
             raise AssertionError("refusing to write an unverified coloring")
-    write_text(_resolve_out(args.out, "color.json"), dump_json(payload))
+    write_text(_resolve_out(args.out), dump_json(payload))
     return EXIT_OK if result.coloring is not None else EXIT_FAILURE
 
 
@@ -198,7 +198,7 @@ def cmd_indset(args) -> int:
         "members": sorted(members),
         "seed": args.seed,
     }
-    write_text(_resolve_out(args.out, "indset.json"), dump_json(payload))
+    write_text(_resolve_out(args.out), dump_json(payload))
     return EXIT_OK
 
 
@@ -227,7 +227,7 @@ def cmd_analyze(args) -> int:
     betas = parse_range(args.beta)
     cs = parse_range(args.c)
     rows = analysis.sweep_rows(betas, cs, mc_samples=args.mc, seed=args.seed)
-    write_text(_resolve_out(args.out, "analyze.csv"), analysis.rows_to_csv(rows))
+    write_text(_resolve_out(args.out), analysis.rows_to_csv(rows))
     return EXIT_OK
 
 
@@ -283,7 +283,7 @@ def cmd_bench(args) -> int:
         "cells": cells,
         "fitted_exponent": fit_exponent(xs, ys) if len(set(xs)) > 1 else None,
     }
-    write_text(_resolve_out(args.out, "bench.json"), dump_json(payload))
+    write_text(_resolve_out(args.out), dump_json(payload))
     return EXIT_OK
 
 

@@ -102,25 +102,25 @@ def cutoff(size: int, k: int, c0: float = 4.0) -> int:
     return max(1, int(c0 * size ** a * (1.0 + math.log(size)) ** 2))
 
 
+SIZE_FLOOR_CONST = 4.0   # step-9 acceptance divisor
+CANDIDATE_CAP = 8        # step-9 candidate probes per round
+SOLVER_BUDGET = 1600     # descent budget of each low-degree round's solve
+INDSET_BUDGET = 3000     # independence-SDP budget of each candidate probe
+# Declarations stay auditable: general ones up to the exact oracle's size
+# guard, 2-colorability ones up to 80 (bipartiteness is exact at any size).
+DECLARATION_LIMIT = 30
+DECLARATION_LIMIT_BIPARTITE = 80
+
+
 @dataclass(frozen=True)
 class CombinedConfig:
-    """Tunable constants of the combined algorithm (all config-overridable)."""
+    """The caller-set parameters of the combined algorithm."""
 
     eps: float = 1e-3
     trials: int = 64
     seed: int = 0
     repeats: int = 3
     c0: float = 4.0                 # cutoff / budget constant
-    size_floor_const: float = 4.0   # step-9 acceptance divisor
-    candidate_cap: int = 8          # step-9 candidate probes per round
-    solver_budget: int = 1600
-    indset_budget: int = 3000
-    exact_threshold: int = CHROMATIC_GUARD  # quotient size for exact finish
-    # Declarations stay auditable: general ones up to the exact oracle's
-    # size guard, 2-colorability ones up to 80 (bipartiteness is exact at
-    # any size).
-    declaration_limit: int = 30
-    declaration_limit_bipartite: int = 80
 
 
 @dataclass(frozen=True)
@@ -128,7 +128,8 @@ class Declaration:
     """One step-6 "not (k-2)-colorable" inference, kept for oracle audits.
 
     Edges are in the local indexing of the probed common-neighborhood
-    subgraph; only subgraphs up to the configured size are recorded.
+    subgraph; only subgraphs up to DECLARATION_LIMIT vertices (80 when
+    k = 2) are recorded.
     """
 
     n: int
@@ -186,45 +187,39 @@ def color_three_fallback(g: Graph, cfg: CombinedConfig, seed: int) -> Coloring:
     assignment = [-1] * g.n
     remaining = list(range(g.n))
     next_color = 0
-    while remaining:
-        sub, mapping = induced_subgraph(g, remaining)
-        inverse = {new: old for old, new in mapping.items()}
-        if sub.n <= cfg.exact_threshold:
+    while True:
+        sub, verts = induced_subgraph(g, remaining)
+        if sub.n <= CHROMATIC_GUARD:
             col = brute_force_chromatic(sub)
-            for idx, c in enumerate(col.assignment):
-                assignment[inverse[idx]] = next_color + c
             break
-        exact2 = two_coloring(sub)
-        if exact2 is not None:
-            for idx, c in enumerate(exact2.assignment):
-                assignment[inverse[idx]] = next_color + c
+        col = two_coloring(sub)
+        if col is not None:
             break
         v_star = max(range(sub.n), key=lambda v: (sub.degree(v), -v))
-        if sub.degree(v_star) >= sub.n ** 0.75:
-            nbrs = sorted(sub.neighbors(v_star))
-            nsub, nmap = induced_subgraph(sub, nbrs)
-            parts = bipartition(nsub)
-            if parts is None:
-                raise NotKColorableError(
-                    "witness",
-                    "a vertex neighborhood is not bipartite, so the graph "
-                    "is not 3-colorable")
-            ninv = {new: old for old, new in nmap.items()}
-            for side, color in zip(parts, (next_color, next_color + 1)):
-                for idx in side:
-                    assignment[inverse[ninv[idx]]] = color
-            next_color += 2
-            colored = {inverse[ninv[idx]] for side in parts for idx in side}
-            remaining = [v for v in remaining if v not in colored]
-        else:
+        if sub.degree(v_star) < sub.n ** 0.75:
             try:
                 col = kms_color(sub, 3, eps=cfg.eps, trials=cfg.trials,
                                 seed=seed)
             except NotVectorColorableError as exc:
                 raise NotKColorableError("solver", str(exc)) from exc
-            for idx, c in enumerate(col.assignment):
-                assignment[inverse[idx]] = next_color + c
             break
+        # v* never joins its own neighborhood, so ``remaining`` stays
+        # nonempty across splits.
+        nbrs = sorted(sub.neighbors(v_star))
+        parts = bipartition(induced_subgraph(sub, nbrs)[0])
+        if parts is None:
+            raise NotKColorableError(
+                "witness",
+                "a vertex neighborhood is not bipartite, so the graph "
+                "is not 3-colorable")
+        for side, color in zip(parts, (next_color, next_color + 1)):
+            for idx in side:
+                assignment[verts[nbrs[idx]]] = color
+        next_color += 2
+        colored = {verts[v] for v in nbrs}
+        remaining = [v for v in remaining if v not in colored]
+    for idx, c in enumerate(col.assignment):
+        assignment[verts[idx]] = next_color + c
     return Coloring(tuple(assignment))
 
 
@@ -271,11 +266,10 @@ class _CombinedFinder:
         self.round_no += 1
         k, cfg = self.k, self.cfg
         n = cg.alive_count
-        if n <= cfg.exact_threshold:
-            quotient, mapping = cg.quotient_graph()
+        if n <= CHROMATIC_GUARD:
+            quotient, reps = cg.quotient_graph()
             col = brute_force_chromatic(quotient)
-            inverse = {i: rep for rep, i in mapping.items()}
-            return Colored({inverse[i]: int(c)
+            return Colored({reps[i]: int(c)
                             for i, c in enumerate(col.assignment)})
         ak = float(alpha_k(k))
         ak2 = float(alpha_k(k - 2))
@@ -305,7 +299,7 @@ class _CombinedFinder:
                     init[i, :row.shape[0]] = row
         try:
             vc = solve_vector_coloring(sub, float(self.k), eps=self.cfg.eps,
-                                       budget=self.cfg.solver_budget,
+                                       budget=SOLVER_BUDGET,
                                        seed=rng_seed, restarts=2, init=init)
         except InfeasibleError as exc:
             raise NotKColorableError("solver", str(exc)) from exc
@@ -327,7 +321,7 @@ class _CombinedFinder:
         else:
             probe_cfg = replace(
                 self.cfg, trials=max(8, self.cfg.trials // 2), seed=self.seed,
-                repeats=1, declaration_limit=0, declaration_limit_bipartite=0)
+                repeats=1)
             result = combined_color(sub, k2, probe_cfg)
             if (result.coloring is not None
                     and result.colors_used <= cutoff(sub.n, k2, self.cfg.c0)):
@@ -351,8 +345,7 @@ class _CombinedFinder:
         return SameColor(u, v)
 
     def _record_declaration(self, sub: Graph, k2: int) -> None:
-        limit = (self.cfg.declaration_limit_bipartite if k2 == 2
-                 else self.cfg.declaration_limit)
+        limit = DECLARATION_LIMIT_BIPARTITE if k2 == 2 else DECLARATION_LIMIT
         if sub.n <= limit:
             self.declarations.append(Declaration(sub.n, sub.edges, k2))
 
@@ -361,27 +354,25 @@ class _CombinedFinder:
         if len(w_ids) >= 2:
             wsub = cg.induced(w_ids)
             coll = build_candidate_collection(wsub, default_delta(n))
-            floor_size = max(1, int(n ** (1.0 - ak) / self.cfg.size_floor_const))
+            floor_size = max(1, int(n ** (1.0 - ak) / SIZE_FLOOR_CONST))
             order = sorted(range(len(coll.sets)),
                            key=lambda i: (-len(coll.sets[i].members), i))
             alpha_probe = (self.k - 1) + 3.0 / math.log(max(n, 3))
-            for rank, i in enumerate(order[:self.cfg.candidate_cap]):
-                members = sorted(coll.sets[i].members)
-                tsub, _ = induced_subgraph(wsub, members)
+            for rank, i in enumerate(order[:CANDIDATE_CAP]):
+                tsub, verts = induced_subgraph(wsub, coll.sets[i].members)
                 found = ak_independent_set(
                     tsub, alpha_probe, eps=self.cfg.eps,
                     trials=max(8, self.cfg.trials // 4),
                     seed=self.seed * 131 + self.round_no * 17 + rank,
-                    solver_budget=self.cfg.indset_budget)
+                    solver_budget=INDSET_BUDGET)
                 if len(found) >= floor_size:
                     return LargeIndependentSet(frozenset(
-                        w_ids[members[x]] for x in found))
+                        w_ids[verts[x]] for x in found))
         # Last resort: greedy progress keeps the driver moving; the color
         # budget polices the overall count.
-        quotient, mapping = cg.quotient_graph()
-        inverse = {i: rep for rep, i in mapping.items()}
+        quotient, reps = cg.quotient_graph()
         chosen = greedy_independent_set(quotient)
-        return LargeIndependentSet(frozenset(inverse[i] for i in chosen))
+        return LargeIndependentSet(frozenset(reps[i] for i in chosen))
 
 
 # ---------------------------------------------------------------------------

@@ -77,9 +77,6 @@ class Graph:
     def edges(self) -> tuple[tuple[int, int], ...]:
         return self._edges
 
-    def vertices(self) -> range:
-        return range(self._n)
-
     def neighbors(self, v: int) -> frozenset[int]:
         return self._adj[v]
 
@@ -154,35 +151,27 @@ class Coloring:
     def colors_used(self) -> int:
         return len(set(self.assignment))
 
-    @classmethod
-    def from_sequence(cls, seq: Iterable[int]) -> "Coloring":
-        return cls(tuple(int(c) for c in seq))
 
-
-def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, dict[int, int]]:
-    """Subgraph induced by vertex set ``s`` plus the old->new id mapping.
-
-    New ids are assigned in increasing order of the old ids, so the mapping is
-    the order-preserving bijection s -> [0, |s|).
-    """
+def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, list[int]]:
+    """Subgraph induced by vertex set ``s`` plus its sorted vertex list
+    ``verts``: vertex i of the subgraph is verts[i]."""
     verts = sorted(set(s))
     if verts and not (0 <= verts[0] and verts[-1] < g.n):
         raise ValueError(f"subset contains invalid vertex ids for n={g.n}")
-    mapping = {old: new for new, old in enumerate(verts)}
-    member = mapping.keys()
+    index = {old: new for new, old in enumerate(verts)}
     edges = []
     for u in verts:
-        mu = mapping[u]
+        iu = index[u]
         for v in g.neighbors(u):
-            if v > u and v in member:
-                edges.append((mu, mapping[v]))
+            if v > u and v in index:
+                edges.append((iu, index[v]))
     adj: list[set[int]] = [set() for _ in verts]
     for a, b in edges:
         adj[a].add(b)
         adj[b].add(a)
     sub = Graph._from_parts(len(verts), tuple(sorted(edges)),
                             tuple(frozenset(x) for x in adj))
-    return sub, mapping
+    return sub, verts
 
 
 def common_neighbors(g: Graph, u: int, v: int) -> set[int]:

@@ -112,39 +112,32 @@ def _l2_recurse(g: Graph, vc: VectorColoring, trials: int, seed: int,
     v_star = max(range(g.n), key=lambda v: (g.degree(v), -v))
     branch_b: frozenset[int] = frozenset()
     if g.degree(v_star) >= 1:
-        if vc.alpha - 1.0 < 2.0:
-            # The neighborhood of v* is vector (<2)-colorable, i.e. an
-            # independent set up to tolerance.
-            cand = frozenset(g.neighbors(v_star))
-            if verify_independent_set(g, cand):
-                branch_b = cand
-            else:
-                sub, mapping = induced_subgraph(g, cand)
-                inner = greedy_independent_set(sub)
-                inverse = {new: old for old, new in mapping.items()}
-                branch_b = frozenset(inverse[i] for i in inner)
-        else:
+        red = None
+        if vc.alpha - 1.0 >= 2.0:
             try:
                 red = neighborhood_reduce(vc, g, v_star, seed=seed)
             except DegenerateProjectionError:
                 # Collapsed geometry (typically a graph without the promised
                 # structure); stay best-effort with the greedy neighborhood.
-                sub, mapping = induced_subgraph(g, g.neighbors(v_star))
-                inner = greedy_independent_set(sub)
-                inverse = {new: old for old, new in mapping.items()}
-                branch_b = frozenset(inverse[i] for i in inner)
-            else:
-                inner = _l2_recurse(red.graph, red.coloring, trials,
-                                    seed + 1, remaining - 1)
-                inverse = {new: old for old, new in red.mapping.items()}
-                branch_b = frozenset(inverse[i] for i in inner)
+                pass
+        cand = g.neighbors(v_star)
+        if red is not None:
+            inner = _l2_recurse(red.graph, red.coloring, trials,
+                                seed + 1, remaining - 1)
+            branch_b = frozenset(red.vertices[i] for i in inner)
+        elif verify_independent_set(g, cand):
+            # With alpha - 1 < 2 the neighborhood of v* is vector
+            # (<2)-colorable, i.e. an independent set up to tolerance.
+            branch_b = cand
+        else:
+            sub, verts = induced_subgraph(g, cand)
+            branch_b = frozenset(verts[i] for i in greedy_independent_set(sub))
 
     return lex_best(branch_a, branch_b)
 
 
 def ak_independent_set(g: Graph, alpha: float, eps: float = 1e-3,
                        trials: int = 64, seed: int = 0,
-                       depth_guard: int | None = None,
                        solver_budget: int = 6000) -> frozenset[int]:
     """Independent set under the promise of one of size >= n/alpha.
 
@@ -167,21 +160,11 @@ def ak_independent_set(g: Graph, alpha: float, eps: float = 1e-3,
         res = well_aligned_subset(sol, g, max(alpha, 2.0), seed=seed)
     except PromiseNotMetError:
         return greedy_independent_set(g)
-    sub = res.graph
-    vc = res.coloring
-    if math.floor(vc.alpha) <= 1:
-        inner = (frozenset(range(sub.n)) if sub.m == 0
-                 else greedy_independent_set(sub))
-    else:
-        guard = depth_guard
-        if guard is None:
-            guard = min(int(math.ceil(vc.alpha)) + 2, sub.n + 2)
-        inner = _l2_recurse(sub, vc, trials, seed, guard)
-        # The aligned subgraph is dominated by the promised independent set,
-        # so the greedy baseline on it is often strong; keep the max.
-        inner = lex_best(inner, greedy_independent_set(sub))
-    inverse = {new: old for old, new in res.mapping.items()}
-    out = frozenset(inverse[i] for i in inner)
+    # The aligned subgraph is dominated by the promised independent set, so
+    # the greedy baseline on it is often strong; keep the max.
+    inner = lex_best(l2_vector_indset(res.graph, res.coloring, trials, seed),
+                     greedy_independent_set(res.graph))
+    out = frozenset(res.subset[i] for i in inner)
     if not verify_independent_set(g, out):
         # The recursion only returns verified pieces, so this is a bug trap.
         raise AssertionError("extraction produced a dependent set")

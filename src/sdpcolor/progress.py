@@ -329,11 +329,11 @@ class ContractedGraph:
         adj = tuple(frozenset(np.flatnonzero(row).tolist()) for row in sub)
         return Graph._from_parts(len(ids), edges, adj)
 
-    def quotient_graph(self) -> tuple[Graph, dict[int, int]]:
-        """The whole quotient as an immutable Graph plus representative ->
-        index."""
+    def quotient_graph(self) -> tuple[Graph, list[int]]:
+        """The whole quotient as an immutable Graph plus its sorted
+        representatives ``reps``: vertex i of the Graph is reps[i]."""
         reps = self.alive
-        return self.induced(reps), {rep: i for i, rep in enumerate(reps)}
+        return self.induced(reps), reps
 
     def peel(self, threshold: float) -> tuple[list[int], list[int]]:
         """Exhaustively remove live vertices of residual degree < threshold.
@@ -407,11 +407,11 @@ def progress_driver(g: Graph, k: int, alpha_target: float,
             next_color += 1
             cg.delete(members)
         elif isinstance(result, Colored):
-            quotient, mapping = cg.quotient_graph()
+            quotient, reps = cg.quotient_graph()
             proposal = result.coloring
-            if set(proposal) != set(mapping):
+            if set(proposal) != set(reps):
                 raise ValueError("finder coloring does not cover the quotient")
-            qcol = Coloring(tuple(proposal[rep] for rep in sorted(mapping)))
+            qcol = Coloring(tuple(proposal[rep] for rep in reps))
             if not verify_coloring(quotient, qcol):
                 raise ValueError("finder returned an improper quotient coloring")
             used = sorted(set(proposal.values()))

@@ -146,20 +146,18 @@ def kms_color(g: Graph, k: int, eps: float = 1e-3, trials: int = 64,
             f"not vector {k}-colorable at tolerance {eps:g}: {exc}") from exc
 
     assignment = [-1] * g.n
-    remaining = sorted(range(g.n))
+    remaining = list(range(g.n))
     color = 0
     while remaining:
-        sub_vertices = remaining
-        sub, mapping = induced_subgraph(g, sub_vertices)
-        rvc = vc.restrict(sub_vertices)
+        sub, verts = induced_subgraph(g, remaining)
+        rvc = vc.restrict(verts)
         c = kms_threshold(float(k), sub.average_degree)
         params = RoundingParams(c, trials=trials, seed=seed * 1000003 + color)
-        chosen = kms_independent_set(sub, rvc, params)
-        inverse = {new: old for old, new in mapping.items()}
-        for idx in chosen:
-            assignment[inverse[idx]] = color
-        chosen_old = {inverse[idx] for idx in chosen}
-        remaining = [v for v in remaining if v not in chosen_old]
+        chosen = {verts[idx] for idx in
+                  kms_independent_set(sub, rvc, params)}
+        for v in chosen:
+            assignment[v] = color
+        remaining = [v for v in remaining if v not in chosen]
         color += 1
     result = Coloring(tuple(assignment))
     if not verify_coloring(g, result):

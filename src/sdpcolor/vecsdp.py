@@ -112,7 +112,6 @@ class IndSetSdpSolution:
     objective: float     # sum (1 + v0 . v_i) / 2
     eps: float
     max_constraint_residual: float
-    slack_estimate: float  # heuristic optimality slack; not a certificate
 
     @property
     def n(self) -> int:
@@ -528,7 +527,8 @@ def solve_indset_sdp(g: Graph, eps: float = 1e-3, budget: int = 6000,
 
     Augmented Lagrangian on the edge constraints (v0+v_i).(v0+v_j) = 0 with
     the alignment objective; budget caps total inner gradient iterations per
-    restart. The reported slack is a stall-based heuristic, not a duality
+    restart. A restart stops early once the residual is within eps/2 and the
+    objective has stalled; that stop is a heuristic, not a duality
     certificate.
     """
     if eps <= 0.0:
@@ -537,12 +537,11 @@ def solve_indset_sdp(g: Graph, eps: float = 1e-3, budget: int = 6000,
     if n == 0:
         v0 = np.zeros(1)
         v0[0] = 1.0
-        return IndSetSdpSolution(v0, np.zeros((0, 1)), 0.0, eps, 0.0, 0.0)
+        return IndSetSdpSolution(v0, np.zeros((0, 1)), 0.0, eps, 0.0)
     if g.m == 0:
-        d = 1
         v0 = np.ones(1)
         vecs = np.ones((n, 1))
-        return IndSetSdpSolution(v0, vecs, float(n), eps, 0.0, 0.0)
+        return IndSetSdpSolution(v0, vecs, float(n), eps, 0.0)
 
     d = max(3, min(n + 1, 32))
     eu, ev = g.edge_arrays()
@@ -616,8 +615,7 @@ def solve_indset_sdp(g: Graph, eps: float = 1e-3, budget: int = 6000,
         p = vecs + v0
         res = float(np.abs((p[eu] * p[ev]).sum(axis=1)).max())
         obj = float((1.0 + vecs @ v0).sum() / 2.0)
-        cand = IndSetSdpSolution(v0, vecs, obj, eps, res,
-                                 slack_estimate=n * eps + stall)
+        cand = IndSetSdpSolution(v0, vecs, obj, eps, res)
         if best is None:
             best = cand
         else:
@@ -644,11 +642,11 @@ def project_orthogonal(v0: np.ndarray, v: np.ndarray, eps: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ReducedColoring:
-    """A vector coloring of an induced subgraph plus the vertex mapping."""
+    """A vector coloring of an induced subgraph plus its vertex list."""
 
     coloring: VectorColoring
     graph: Graph
-    mapping: dict[int, int]  # original vertex id -> row index in coloring
+    vertices: list[int]  # sorted original ids; row i of coloring is vertices[i]
 
 
 def _perturb_axis(axis: np.ndarray, magnitude: float, rng) -> np.ndarray:
@@ -706,24 +704,23 @@ def neighborhood_reduce(vc: VectorColoring, g: Graph, v: int,
             raise DegenerateProjectionError(
                 f"a neighbor of {v} is within eps of +-v_{v} even after "
                 f"perturbation")
-    sub, mapping = induced_subgraph(g, neighbors)
+    sub, verts = induced_subgraph(g, neighbors)
     alpha_prime = vc.alpha - 1.0
     reduced = VectorColoring(alpha_prime, proj, vc.eps)
     measured = reduced.edge_residual(sub)
     eps_prime = max(vc.eps, measured + 1e-12)
     reduced = VectorColoring(alpha_prime, proj, eps_prime,
                              max_edge_residual=measured)
-    return ReducedColoring(reduced, sub, mapping)
+    return ReducedColoring(reduced, sub, verts)
 
 
 @dataclass(frozen=True)
 class WellAlignedResult:
     """Output of the aligned-subset extraction."""
 
-    subset: tuple[int, ...]          # original vertex ids, sorted
+    subset: tuple[int, ...]          # sorted ids; vertex i of graph is subset[i]
     coloring: VectorColoring         # vector alpha'-coloring of graph
     graph: Graph
-    mapping: dict[int, int]
     alpha_prime: float
     threshold: float                 # the alignment cut beta
 
@@ -776,12 +773,12 @@ def well_aligned_subset(sol: IndSetSdpSolution, g: Graph, alpha: float,
         else:
             v0 = v0p
     alpha_prime = 1.0 + (1.0 - beta) / (1.0 + beta)
-    sub, mapping = induced_subgraph(g, members)
+    sub, _ = induced_subgraph(g, members)
     vc = VectorColoring(alpha_prime, proj, sol.eps)
     measured = vc.edge_residual(sub)
     eps_prime = max(sol.eps, (measured if math.isfinite(measured) else 0.0) + 1e-12)
     vc = VectorColoring(alpha_prime, proj, eps_prime, max_edge_residual=measured)
-    return WellAlignedResult(tuple(members), vc, sub, mapping, alpha_prime, beta)
+    return WellAlignedResult(tuple(members), vc, sub, alpha_prime, beta)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from sdpcolor.combined import (
     CombinedConfig,
     CombinedResult,
     alpha_k,
+    color_three_fallback,
     combined_color,
     cutoff,
     fit_exponent,
@@ -111,6 +112,32 @@ def test_color_three_witness_on_non_3_colorable():
     res = combined_color(g, 3, CombinedConfig(seed=0, trials=8, repeats=1))
     assert res.coloring is None
     assert "not" in res.failure
+
+
+def _wheel_plus_path(path_len):
+    # Hub 0 joined to the 30-cycle 1..30, then a path on 31..30+path_len.
+    edges = [(0, i) for i in range(1, 31)]
+    edges += [(i, i % 30 + 1) for i in range(1, 31)]
+    edges += [(i, i + 1) for i in range(31, 30 + path_len)]
+    return Graph(31 + path_len, edges)
+
+
+# The hub's degree 30 is at least n^{3/4}, so the fallback splits its
+# bipartite neighbourhood off with colours 0 and 1. The hub and the path
+# remain: 10 vertices go to the exact oracle, 30 to the exact 2-colouring.
+# Colourings captured before the fallback named its subgraphs by ``verts``.
+_WHEEL_CYCLE = (0, 1) * 15
+
+
+@pytest.mark.parametrize("path_len, rest", [
+    (9, (2,) + _WHEEL_CYCLE + (3, 2) * 4 + (3,)),
+    (29, (2,) + _WHEEL_CYCLE + (2, 3) * 14 + (2,)),
+])
+def test_color_three_fallback_splits_high_degree_neighbourhood(path_len, rest):
+    g = _wheel_plus_path(path_len)
+    col = color_three_fallback(g, CombinedConfig(), 0)
+    assert col.assignment == rest
+    assert verify_coloring(g, col)
 
 
 def test_combined_k4_planted_small():

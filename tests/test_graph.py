@@ -2,6 +2,7 @@ import io
 
 import pytest
 
+from sdpcolor._rng import stream
 from sdpcolor.graph import (
     Coloring,
     DimacsError,
@@ -48,22 +49,32 @@ def test_basic_queries():
 
 
 def test_induced_subgraph_k4_restriction():
-    sub, mapping = induced_subgraph(complete_graph(4), {0, 1, 2})
+    sub, verts = induced_subgraph(complete_graph(4), {0, 1, 2})
     assert sub == complete_graph(3)
-    assert mapping == {0: 0, 1: 1, 2: 2}
+    assert verts == [0, 1, 2]
 
 
 def test_induced_subgraph_c5_alternating():
     # C5 on {0,2,4} keeps only the edge (4,0), mapped to (0,2).
-    sub, mapping = induced_subgraph(cycle_graph(5), {0, 2, 4})
+    sub, verts = induced_subgraph(cycle_graph(5), {0, 2, 4})
     assert sub.n == 3
     assert sub.edges == ((0, 2),)
-    assert mapping == {0: 0, 2: 1, 4: 2}
+    assert verts == [0, 2, 4]
 
 
 def test_induced_subgraph_empty():
-    sub, mapping = induced_subgraph(cycle_graph(5), set())
-    assert sub.n == 0 and sub.m == 0 and mapping == {}
+    sub, verts = induced_subgraph(cycle_graph(5), set())
+    assert sub.n == 0 and sub.m == 0 and verts == []
+
+
+def test_induced_subgraph_matches_contracted_induced():
+    for seed in range(6):
+        g = random_graph(30, 0.3, seed=seed)
+        rng = stream(seed, "induced-subsets")
+        ids = [int(x) for x in rng.choice(g.n, size=4 + 3 * seed, replace=False)]
+        sub, verts = induced_subgraph(g, ids)
+        assert verts == sorted(ids)
+        assert sub == ContractedGraph(g).induced(verts)
 
 
 def test_common_neighbors():

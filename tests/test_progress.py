@@ -196,10 +196,10 @@ def test_contraction_lift_preserves_properness():
             u, v = sorted(int(x) for x in rng.choice(alive, 2, replace=False))
             if u != v and not cg.has_edge(u, v):
                 cg.merge(u, v)
-        quotient, mapping = cg.quotient_graph()
+        quotient, reps = cg.quotient_graph()
         # Greedy color the quotient, lift, verify.
         assignment = {}
-        for rep in sorted(mapping):
+        for rep in reps:
             banned = {assignment[w] for w in np.flatnonzero(cg.adj[rep])
                       if w in assignment}
             c = 0
@@ -227,10 +227,9 @@ def test_driver_edgeless_single_color():
 
 def test_driver_with_exact_mis_oracle_on_c5():
     def finder(cg):
-        quotient, mapping = cg.quotient_graph()
-        inverse = {i: rep for rep, i in mapping.items()}
+        quotient, reps = cg.quotient_graph()
         mis = brute_force_mis(quotient)
-        return LargeIndependentSet(frozenset(inverse[i] for i in mis))
+        return LargeIndependentSet(frozenset(reps[i] for i in mis))
 
     col = progress_driver(cycle_graph(5), 3, 0.5, finder)
     assert col.colors_used == 3

@@ -176,7 +176,7 @@ def test_indset_sdp_fields_are_consistent():
 def test_indset_alignment_sum(n):
     v0 = np.array([1.0, 0.0])
     vecs = np.tile([0.6, 0.8], (n, 1))
-    sol = IndSetSdpSolution(v0, vecs, 0.0, 1e-3, 0.0, 0.0)
+    sol = IndSetSdpSolution(v0, vecs, 0.0, 1e-3, 0.0)
     assert isinstance(sol.alignment_sum(), float)
     assert sol.alignment_sum() == pytest.approx(0.6 * n)
 
