@@ -9,6 +9,7 @@ All randomness comes from PCG64 streams (see _rng), so identical
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -16,6 +17,7 @@ import numpy as np
 
 from ._rng import stream
 from .graph import Coloring, Graph, read_dimacs, write_dimacs
+from .vecsdp import VectorColoring
 
 
 class SizeGuardError(ValueError):
@@ -268,7 +270,8 @@ def _clique_lower_bound(g: Graph, masks: list[int]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Fixture persistence: DIMACS graph + JSON sidecar with the hidden partition
+# Persistence: planted fixtures (DIMACS graph + JSON sidecar with the hidden
+# partition) and vector colorings (JSON)
 # ---------------------------------------------------------------------------
 
 def save_fixture(inst: PlantedInstance, basepath: str) -> tuple[str, str]:
@@ -298,3 +301,26 @@ def load_fixture(basepath: str) -> PlantedInstance:
     if not os.path.exists(basepath + ".col"):
         raise FileNotFoundError(basepath + ".col")
     return inst
+
+
+def vector_coloring_to_json(vc: VectorColoring) -> str:
+    payload = {
+        "alpha": vc.alpha,
+        "eps": vc.eps,
+        "dim": vc.dim,
+        "vectors": [[float(x) for x in row] for row in vc.vectors],
+        "max_edge_residual": (None if not math.isfinite(vc.max_edge_residual)
+                              else vc.max_edge_residual),
+    }
+    return json.dumps(payload, sort_keys=True)
+
+
+def vector_coloring_from_json(text: str) -> VectorColoring:
+    payload = json.loads(text)
+    res = payload.get("max_edge_residual")
+    return VectorColoring(
+        float(payload["alpha"]),
+        np.asarray(payload["vectors"], dtype=float).reshape(-1, int(payload["dim"])),
+        float(payload["eps"]),
+        max_edge_residual=float("-inf") if res is None else float(res),
+    )

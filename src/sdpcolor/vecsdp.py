@@ -20,10 +20,8 @@ certificates. All logarithms are natural.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from typing import IO
 
 import numpy as np
 
@@ -259,6 +257,18 @@ class _Adam:
         np.subtract(params, mhat, out=params)
 
 
+def _sphere_step(v, grad, opt, tmp, coef, sq, norms):
+    """Project grad onto each row's tangent space, step, renormalize rows.
+    Allocation-free: tmp is shaped like grad, sq like v, coef and norms (n,)."""
+    # grad -= (grad * v).sum(axis=1, keepdims=True) * v
+    np.multiply(grad, v, out=tmp)
+    _row_sums(tmp, coef)
+    np.multiply(coef[:, None], v, out=tmp)
+    np.subtract(grad, tmp, out=grad)
+    opt.step(v, grad)
+    _row_normalize(v, sq, norms)
+
+
 def _solver_dim(n: int, m: int, cap: int = 24) -> int:
     # Low-rank factorization dimension ceil(sqrt(2m)) + 4, generous enough
     # that the factorized landscape is benign, capped at 24: every iteration
@@ -381,13 +391,7 @@ def _coloring_descent(v, eu, ev, both_idx, target, mode, iters, lr,
                 else:
                     v.take(other, axis=0, out=rows_o, mode="clip")
                     _scatter_rows(both_idx, ones, rows_o, grad)
-        # grad -= (grad * v).sum(axis=1, keepdims=True) * v
-        np.multiply(grad, v, out=tmp)
-        _row_sums(tmp, coef)
-        np.multiply(coef[:, None], v, out=tmp)
-        np.subtract(grad, tmp, out=grad)
-        opt.step(v, grad)
-        _row_normalize(v, sq, norms)
+        _sphere_step(v, grad, opt, tmp, coef, sq, norms)
     return used
 
 
@@ -525,32 +529,39 @@ def solve_indset_sdp(g: Graph, eps: float = 1e-3, budget: int = 6000,
                      seed: int = 0, restarts: int = 2) -> IndSetSdpSolution:
     """Near-optimal feasible point of the independence-number program.
 
-    Augmented Lagrangian on the edge constraints (v0+v_i).(v0+v_j) = 0 with
-    the alignment objective; budget caps total inner gradient iterations per
-    restart. A restart stops early once the residual is within eps/2 and the
-    objective has stalled; that stop is a heuristic, not a duality
-    certificate.
+    Augmented Lagrangian (Burer-Monteiro) on the edge constraints
+    (v0+v_i).(v0+v_j) = 0 with the alignment objective; budget caps total
+    inner gradient iterations per restart. A restart stops early once the
+    residual is within eps/2 and the objective has stalled; that stop is a
+    heuristic, not a duality certificate.
+
+    Iterations run in buffers allocated once per call for the branch taken.
+    The edge values (v0+v_u).(v0+v_v) come from a gemm Gram matrix once
+    m >= n^2/16, else from per-edge dots; the gradient is one product with a
+    dense weight matrix up to n = 2048 and a bincount scatter above.
     """
     if eps <= 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
     n = g.n
-    if n == 0:
-        v0 = np.zeros(1)
-        v0[0] = 1.0
-        return IndSetSdpSolution(v0, np.zeros((0, 1)), 0.0, eps, 0.0)
     if g.m == 0:
-        v0 = np.ones(1)
-        vecs = np.ones((n, 1))
-        return IndSetSdpSolution(v0, vecs, float(n), eps, 0.0)
+        return IndSetSdpSolution(np.ones(1), np.ones((n, 1)), float(n), eps, 0.0)
 
     d = max(3, min(n + 1, 32))
     eu, ev = g.edge_arrays()
     dense = n <= 2048
+    gram_path = dense and g.m * 16 >= n * n
+    grad, tmp, sq = (np.empty((n + 1, d)) for _ in range(3))
+    coef, norms = np.empty(n + 1), np.empty(n + 1)
+    p, colsum, h, s = np.empty((n, d)), np.empty(d), np.empty(g.m), np.empty(g.m)
+    c = grad[1:]  # the weighted neighbour sums; v0 comes off after grad[0]
+    if gram_path:
+        gram, pt = np.empty((n, n)), np.empty((d, n))
+    else:
+        rows_u, rows_v = np.empty((g.m, d)), np.empty((g.m, d))
     if dense:
         s_buf = np.zeros((n, n))
-    else:
-        both_idx = np.concatenate([eu, ev])
-        other_idx = np.concatenate([ev, eu])
+        s_flat = s_buf.reshape(-1)
+        fwd, bwd = eu * n + ev, ev * n + eu
 
     best = None
     for attempt in range(max(1, restarts)):
@@ -562,8 +573,7 @@ def solve_indset_sdp(g: Graph, eps: float = 1e-3, budget: int = 6000,
         mu = 4.0
         inner = max(40, budget // 30)
         used = 0
-        prev_obj = None
-        stall = 0.0
+        prev_obj = math.inf
         outer = 0
         while used < budget:
             outer += 1
@@ -572,57 +582,48 @@ def solve_indset_sdp(g: Graph, eps: float = 1e-3, budget: int = 6000,
             for _ in range(inner):
                 used += 1
                 v0 = w[0]
-                p = w[1:] + v0
-                if dense:
-                    # Full Gram beats per-edge gathers once the graph is
-                    # dense enough to amortize the gemm.
-                    h = (p @ p.T)[eu, ev] if g.m * 16 >= n * n \
-                        else (p[eu] * p[ev]).sum(axis=1)
-                    s = lam + mu * h
-                    s_buf[eu, ev] = s
-                    s_buf[ev, eu] = s
-                    c = s_buf @ p
-                    grad = np.empty_like(w)
-                    grad[1:] = c - v0
-                    grad[0] = c.sum(axis=0) - w[1:].sum(axis=0)
+                np.add(w[1:], v0, out=p)
+                if gram_path:
+                    np.copyto(pt, p.T)
+                    np.matmul(p, pt, out=gram)  # gemm; p @ p.T would be syrk
+                    gram.reshape(-1).take(fwd, out=h, mode="clip")
                 else:
-                    h = (p[eu] * p[ev]).sum(axis=1)
-                    s = lam + mu * h
-                    s2 = np.concatenate([s, s])
-                    grad = np.zeros_like(w)
-                    _scatter_rows(both_idx, s2, p[other_idx], grad[1:])
-                    grad[1:] -= v0
-                    grad[0] = (s[:, None] * (p[eu] + p[ev])).sum(axis=0) \
-                        - w[1:].sum(axis=0)
-                grad -= (grad * w).sum(axis=1, keepdims=True) * w
-                opt.step(w, grad)
-                _row_normalize(w)
-            v0 = w[0]
-            p = w[1:] + v0
-            h = (p[eu] * p[ev]).sum(axis=1)
+                    _edge_dots(p, eu, ev, h, rows_u, rows_v)
+                np.multiply(mu, h, out=s)
+                np.add(lam, s, out=s)  # lam + mu * h
+                if dense:
+                    s_flat[fwd] = s
+                    s_flat[bwd] = s
+                    np.matmul(s_buf, p, out=c)
+                else:  # _edge_dots left p[ev] in rows_v
+                    c.fill(0.0)
+                    _scatter_rows(eu, s, rows_v, c)
+                    p.take(eu, axis=0, out=rows_u, mode="clip")
+                    _scatter_rows(ev, s, rows_u, c)
+                # grad[0] = c.sum(axis=0) - w[1:].sum(axis=0); grad[1:] = c - v0
+                np.add.reduce(c, axis=0, out=grad[0])
+                np.add.reduce(w[1:], axis=0, out=colsum)
+                np.subtract(grad[0], colsum, out=grad[0])
+                np.subtract(c, v0, out=c)
+                _sphere_step(w, grad, opt, tmp, coef, sq, norms)
+            np.add(w[1:], w[0], out=p)
+            _edge_dots(p, eu, ev, h)
             res = float(np.abs(h).max())
-            obj = float((1.0 + w[1:] @ v0).sum() / 2.0)
-            if prev_obj is not None:
-                stall = abs(obj - prev_obj)
+            obj = float((1.0 + w[1:] @ w[0]).sum() / 2.0)
+            stall = abs(obj - prev_obj)
             prev_obj = obj
             if res <= 0.5 * eps and outer >= 4 and stall <= max(1e-7, 0.01 * eps * n):
                 break
             lam = lam + mu * h
             if res > 0.25 * eps:
                 mu = min(mu * 1.6, 1e8)
-        v0 = w[0].copy()
-        vecs = w[1:].copy()
-        p = vecs + v0
-        res = float(np.abs((p[eu] * p[ev]).sum(axis=1)).max())
+        v0, vecs = w[0].copy(), w[1:].copy()
+        np.add(vecs, v0, out=p)
+        res = float(np.abs(_edge_dots(p, eu, ev)).max())
         obj = float((1.0 + vecs @ v0).sum() / 2.0)
-        cand = IndSetSdpSolution(v0, vecs, obj, eps, res)
-        if best is None:
-            best = cand
-        else:
-            cand_ok = cand.max_constraint_residual <= eps
-            best_ok = best.max_constraint_residual <= eps
-            if (cand_ok, cand.objective) > (best_ok, best.objective):
-                best = cand
+        if best is None or (res <= eps, obj) > best_key:
+            best = IndSetSdpSolution(v0, vecs, obj, eps, res)
+            best_key = (res <= eps, obj)
     return best
 
 
@@ -779,30 +780,3 @@ def well_aligned_subset(sol: IndSetSdpSolution, g: Graph, alpha: float,
     eps_prime = max(sol.eps, (measured if math.isfinite(measured) else 0.0) + 1e-12)
     vc = VectorColoring(alpha_prime, proj, eps_prime, max_edge_residual=measured)
     return WellAlignedResult(tuple(members), vc, sub, alpha_prime, beta)
-
-
-# ---------------------------------------------------------------------------
-# Solution persistence
-# ---------------------------------------------------------------------------
-
-def vector_coloring_to_json(vc: VectorColoring) -> str:
-    payload = {
-        "alpha": vc.alpha,
-        "eps": vc.eps,
-        "dim": vc.dim,
-        "vectors": [[float(x) for x in row] for row in vc.vectors],
-        "max_edge_residual": (None if not math.isfinite(vc.max_edge_residual)
-                              else vc.max_edge_residual),
-    }
-    return json.dumps(payload, sort_keys=True)
-
-
-def vector_coloring_from_json(text: str | IO[str]) -> VectorColoring:
-    payload = json.loads(text if isinstance(text, str) else text.read())
-    res = payload.get("max_edge_residual")
-    return VectorColoring(
-        float(payload["alpha"]),
-        np.asarray(payload["vectors"], dtype=float).reshape(-1, int(payload["dim"])),
-        float(payload["eps"]),
-        max_edge_residual=float("-inf") if res is None else float(res),
-    )

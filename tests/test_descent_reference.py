@@ -1,4 +1,4 @@
-"""The workspace descent against the out-of-place loop it replaced, bit for bit.
+"""The workspace descents against the out-of-place loops they replaced.
 
 ``_ref_coloring_descent`` and its helpers below are the allocating loop as it
 stood before the per-call workspace, kept verbatim as the reference; it has
@@ -6,6 +6,11 @@ no stall stop, and ``cut_at`` ends it where a stall stop would. Each case
 runs both from the same start on a pinned planted instance and asserts
 identical vectors and iteration counts: the golden CLI results rest on this
 equality, and a failure here names the branch that drifted.
+
+``_ref_solve_indset_sdp`` is the independence solver as it stood before its
+workspace, with the same helpers. Its per-edge-dot iterations must match bit
+for bit; the Gram path now rounds like gemm instead of syrk and the bincount
+branch sums the gradient of v0 in another order, so those agree to 1e-9.
 """
 
 import numpy as np
@@ -16,11 +21,13 @@ from sdpcolor._rng import stream
 from sdpcolor.testkit import planted_k_colorable
 from sdpcolor.vecsdp import (
     _STALL_RTOL,
+    IndSetSdpSolution,
     _coloring_descent,
     _rank_reduce,
     _row_sums,
     _solver_dim,
     simplex_vectors,
+    solve_indset_sdp,
 )
 
 
@@ -114,6 +121,90 @@ def _ref_coloring_descent(v, eu, ev, both_idx, target, mode, iters, lr,
         opt.step(v, grad)
         _ref_row_normalize(v)
     return used
+
+
+def _ref_solve_indset_sdp(g, eps=1e-3, budget=6000, seed=0, restarts=2):
+    """The allocating solver; only the bincount call's form is adapted."""
+    n = g.n
+    d = max(3, min(n + 1, 32))
+    eu, ev = g.edge_arrays()
+    dense = n <= 2048
+    if dense:
+        s_buf = np.zeros((n, n))
+    else:
+        both_idx = np.concatenate([eu, ev])
+        other_idx = np.concatenate([ev, eu])
+
+    best = None
+    for attempt in range(max(1, restarts)):
+        rng = stream(seed, "indsdp", attempt)
+        w = np.zeros((n + 1, d))
+        w[0] = _ref_row_normalize(rng.standard_normal((1, d)))[0]
+        w[1:] = _ref_row_normalize(w[0] + 0.3 * rng.standard_normal((n, d)))
+        lam = np.zeros(g.m)
+        mu = 4.0
+        inner = max(40, budget // 30)
+        used = 0
+        prev_obj = None
+        stall = 0.0
+        outer = 0
+        while used < budget:
+            outer += 1
+            lr = 0.03 * 0.85 ** min(outer, 30)
+            opt = _RefAdam(w, lr)
+            for _ in range(inner):
+                used += 1
+                v0 = w[0]
+                p = w[1:] + v0
+                if dense:
+                    h = (p @ p.T)[eu, ev] if g.m * 16 >= n * n \
+                        else (p[eu] * p[ev]).sum(axis=1)
+                    s = lam + mu * h
+                    s_buf[eu, ev] = s
+                    s_buf[ev, eu] = s
+                    c = s_buf @ p
+                    grad = np.empty_like(w)
+                    grad[1:] = c - v0
+                    grad[0] = c.sum(axis=0) - w[1:].sum(axis=0)
+                else:
+                    h = (p[eu] * p[ev]).sum(axis=1)
+                    s = lam + mu * h
+                    s2 = np.concatenate([s, s])
+                    grad = np.zeros_like(w)
+                    grad[1:] = _ref_scatter_rows(both_idx, s2, p[other_idx], n)
+                    grad[1:] -= v0
+                    grad[0] = (s[:, None] * (p[eu] + p[ev])).sum(axis=0) \
+                        - w[1:].sum(axis=0)
+                grad -= (grad * w).sum(axis=1, keepdims=True) * w
+                opt.step(w, grad)
+                _ref_row_normalize(w)
+            v0 = w[0]
+            p = w[1:] + v0
+            h = (p[eu] * p[ev]).sum(axis=1)
+            res = float(np.abs(h).max())
+            obj = float((1.0 + w[1:] @ v0).sum() / 2.0)
+            if prev_obj is not None:
+                stall = abs(obj - prev_obj)
+            prev_obj = obj
+            if res <= 0.5 * eps and outer >= 4 and stall <= max(1e-7, 0.01 * eps * n):
+                break
+            lam = lam + mu * h
+            if res > 0.25 * eps:
+                mu = min(mu * 1.6, 1e8)
+        v0 = w[0].copy()
+        vecs = w[1:].copy()
+        p = vecs + v0
+        res = float(np.abs((p[eu] * p[ev]).sum(axis=1)).max())
+        obj = float((1.0 + vecs @ v0).sum() / 2.0)
+        cand = IndSetSdpSolution(v0, vecs, obj, eps, res)
+        if best is None:
+            best = cand
+        else:
+            cand_ok = cand.max_constraint_residual <= eps
+            best_ok = best.max_constraint_residual <= eps
+            if (cand_ok, cand.objective) > (best_ok, best.objective):
+                best = cand
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -296,3 +387,40 @@ def test_row_sums_match_numpy_bitwise(d, dtype):
     assert got.dtype == want.dtype
     assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
 
+
+
+def _indset_pair(g, budget, seed):
+    return (_ref_solve_indset_sdp(g, budget=budget, seed=seed),
+            solve_indset_sdp(g, budget=budget, seed=seed))
+
+
+def test_indset_edge_dot_path_is_bitwise():
+    # Average degree 6 at n=120: m * 16 < n * n, so h comes from per-edge
+    # dots and the multipliers still go through the dense n x n matrix.
+    g = planted_k_colorable(120, 3, 6.0 / 80, seed=16).graph
+    assert g.m * 16 < g.n * g.n
+    ref, new = _indset_pair(g, 400, seed=3)
+    assert np.array_equal(new.vectors, ref.vectors)
+    assert np.array_equal(new.v0, ref.v0)
+    assert new.objective == ref.objective
+    assert new.max_constraint_residual == ref.max_constraint_residual
+
+
+def test_indset_gram_path_matches_within_rounding():
+    g = planted_k_colorable(100, 3, 0.3, seed=17).graph
+    assert g.m * 16 >= g.n * g.n
+    ref, new = _indset_pair(g, 400, seed=4)
+    assert np.abs(new.vectors - ref.vectors).max() <= 1e-9
+    assert np.abs(new.v0 - ref.v0).max() <= 1e-9
+    assert new.objective == pytest.approx(ref.objective, abs=1e-9)
+
+
+def test_indset_scatter_branch_above_2048_vertices():
+    # The only branch without the dense n x n matrix: n > 2048.
+    g = planted_k_colorable(2049, 3, 3.0 / 1366, seed=18).graph
+    ref, new = _indset_pair(g, 80, seed=5)
+    assert new.constraint_residual(g) == new.max_constraint_residual
+    recomputed = float((1.0 + new.vectors @ new.v0).sum() / 2.0)
+    assert new.objective == recomputed
+    assert np.abs(new.vectors - ref.vectors).max() <= 1e-9
+    assert new.objective == pytest.approx(ref.objective, abs=1e-9)

@@ -10,6 +10,8 @@ from sdpcolor.testkit import (
     complete_graph,
     cycle_graph,
     planted_k_colorable,
+    vector_coloring_from_json,
+    vector_coloring_to_json,
 )
 from sdpcolor.vecsdp import (
     DegenerateProjectionError,
@@ -22,8 +24,6 @@ from sdpcolor.vecsdp import (
     simplex_vectors,
     solve_indset_sdp,
     solve_vector_coloring,
-    vector_coloring_from_json,
-    vector_coloring_to_json,
     well_aligned_subset,
 )
 
