@@ -168,6 +168,8 @@ def cmd_color(args) -> int:
     graph, _ = load_input(args)
     if args.k < 2:
         raise UsageError("--k must be at least 2")
+    if not args.c0 > 0:
+        raise UsageError("--c0 must be positive")
     check_solver_args(args)
     cfg = CombinedConfig(eps=args.eps, trials=args.trials, seed=args.seed,
                          repeats=args.repeats, c0=args.c0)
@@ -226,6 +228,12 @@ def cmd_verify(args) -> int:
 def cmd_analyze(args) -> int:
     betas = parse_range(args.beta)
     cs = parse_range(args.c)
+    if not all(0.0 < b < 0.5 * math.pi for b in betas):
+        raise UsageError("every --beta must lie in (0, pi/2)")
+    if not all(c >= 0.0 for c in cs):
+        raise UsageError("every --c must be nonnegative")
+    if args.mc != 0 and args.mc < 1000:
+        raise UsageError("--mc must be 0 or at least 1000")
     rows = analysis.sweep_rows(betas, cs, mc_samples=args.mc, seed=args.seed)
     write_text(_resolve_out(args.out), analysis.rows_to_csv(rows))
     return EXIT_OK
@@ -236,6 +244,14 @@ def cmd_bench(args) -> int:
         sizes = [int(s) for s in args.sizes.split(",")]
     except ValueError:
         raise UsageError("--sizes must be a comma list of integers") from None
+    if args.k < 2:
+        raise UsageError("--k must be at least 2")
+    if not 0.0 <= args.p <= 1.0:
+        raise UsageError("--p must lie in [0, 1]")
+    if min(sizes) < args.k:
+        raise UsageError("every --sizes entry must be at least --k")
+    if args.seeds < 1:
+        raise UsageError("--seeds must be at least 1")
     check_solver_args(args)
     cells = []
     for n in sizes:

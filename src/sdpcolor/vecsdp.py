@@ -200,13 +200,38 @@ def _row_normalize(v: np.ndarray, sq: np.ndarray | None = None,
     return v
 
 
-def _scatter_rows(idx: np.ndarray, weights: np.ndarray, rows: np.ndarray,
-                  out: np.ndarray) -> None:
-    """out[idx[t]] += weights[t] * rows[t], accumulated over t."""
-    n = out.shape[0]
-    for col in range(rows.shape[1]):
-        out[:, col] += np.bincount(idx, weights=weights * rows[:, col],
-                                   minlength=n)
+class _EdgeSums:
+    """Weighted neighbour sums c_i = sum over edges e = {i, j} of w_e x_j,
+    the kernel of both solvers' iterations, written into ``out``.
+
+    ``dense`` (n <= 2048 only) writes every edge's weight into the n x n
+    matrix ``w``, whose other entries stay zero, and takes one gemm in its
+    dtype. ``scatter`` sums each column with a float64 bincount over every
+    edge or over the ``active`` edge indices, allocating as it goes; edges
+    left out add nothing, so ``active`` only skips zero weights.
+    """
+
+    def __init__(self, n, eu, ev, dtype):
+        self.n, self.m = n, len(eu)
+        self.idx, self.other = np.concatenate([eu, ev]), np.concatenate([ev, eu])
+        self.fwd, self.bwd = eu * n + ev, ev * n + eu
+        self.w = np.zeros((n, n), dtype) if n <= 2048 else None
+
+    def dense(self, weights, x, out):
+        flat = self.w.reshape(-1)
+        flat[self.fwd] = flat[self.bwd] = weights
+        np.matmul(self.w, x, out=out)
+
+    def scatter(self, weights, x, out, active=None):
+        idx, other = self.idx, self.other
+        if active is not None:
+            both = np.concatenate([active, active + self.m])
+            idx, other, weights = idx[both], other[both], weights[active]
+        weights = np.concatenate([weights, weights])
+        rows = x[other]
+        for col in range(x.shape[1]):
+            out[:, col] = np.bincount(idx, weights=weights * rows[:, col],
+                                      minlength=self.n)
 
 
 class _Adam:
@@ -288,8 +313,8 @@ def _solver_dim(n: int, m: int, cap: int = 24) -> int:
 _STALL_RTOL = 1e-9
 
 
-def _coloring_descent(v, eu, ev, both_idx, target, mode, iters, lr,
-                      mu=50.0, stop_at=None, adj=None):
+def _coloring_descent(v, eu, ev, target, mode, iters, lr, mu=50.0,
+                      stop_at=None):
     """Adam descent phases for the coloring program.
 
     mode "feasible": minimize sum relu(d_e - target)^2.
@@ -298,11 +323,11 @@ def _coloring_descent(v, eu, ev, both_idx, target, mode, iters, lr,
     iteration, before its step, the loop exits early in feasible mode once
     the max edge dot drops to ``stop_at``, and in either mode once the
     objective (summed in v's dtype) changed by at most ``_STALL_RTOL *
-    max(1, |objective|)`` since the previous check. The hinge part of the
-    gradient only touches violated edges; the uniform part of the polish
-    gradient uses the dense adjacency product when ``adj`` is supplied.
-    Returns the iteration count actually used, the iteration that exits
-    included.
+    max(1, |objective|)`` since the previous check. The gradient is the
+    ``_EdgeSums`` sum with weights 1 + hinge (polish) or hinge (feasible):
+    up to n = 2048 the gemm for polish and for more than ``dense_bar``
+    violated edges, else the scatter over every edge (polish) or the
+    violated ones. Returns the iterations used, the exiting one included.
 
     Every array an iteration writes is allocated once per call. The
     operation order is part of the output contract: each iteration performs
@@ -320,16 +345,10 @@ def _coloring_descent(v, eu, ev, both_idx, target, mode, iters, lr,
     opt = _Adam(v, lr)
     used = 0
     prev_obj = math.inf
-    other = np.concatenate([ev, eu])
-    # Dense weighted-adjacency workspace: one gemm beats per-column scatters
-    # once enough edges are active to amortize the n^2 traffic. Polish
-    # weights every edge, so it takes the dense branch on every iteration
-    # or on none; it writes every edge entry each time and nothing else.
-    dense_w = np.zeros((n, n), dtype=v.dtype) if n <= 2048 else None
+    sums = _EdgeSums(n, eu, ev, v.dtype)
+    # One gemm beats per-column scatters once enough edges are active to
+    # amortize the n^2 traffic.
     dense_bar = max(32, (n * n) // max(16 * d, 16))
-    if dense_w is not None:
-        flat_w = dense_w.reshape(-1)
-        fwd, bwd = eu * n + ev, ev * n + eu
     rows_u, rows_v = np.empty((m, d), v.dtype), np.empty((m, d), v.dtype)
     dots, viol, hinge = (np.empty(m, v.dtype) for _ in range(3))
     sq, norms = np.empty((n, d), v.dtype), np.empty(n, v.dtype)
@@ -337,8 +356,6 @@ def _coloring_descent(v, eu, ev, both_idx, target, mode, iters, lr,
     # the gemm gives v's dtype, the bincount scatter float64.
     grads = {dt: (np.empty((n, d), dt), np.empty((n, d), dt), np.empty(n, dt))
              for dt in (v.dtype, np.dtype(np.float64))}
-    if polish and adj is None:
-        rows_o, ones = np.empty((2 * m, d), v.dtype), np.ones(2 * m)
     for it in range(iters):
         used += 1
         if it % stage == 0 and it > 0:
@@ -357,40 +374,18 @@ def _coloring_descent(v, eu, ev, both_idx, target, mode, iters, lr,
                 break
             prev_obj = obj
         np.multiply(hinge_scale, viol, out=hinge)
+        if polish:
+            np.add(1.0, hinge, out=hinge)            # 1 + hinge_w
         n_active = np.count_nonzero(viol)
-        if dense_w is not None and (
-                n_active > dense_bar or (polish and m > dense_bar)):
-            if polish:
-                np.add(1.0, hinge, out=hinge)        # 1 + hinge_w
-                flat_w[fwd] = hinge
-                flat_w[bwd] = hinge
-            else:
-                dense_w.fill(0.0)
-                active = viol.nonzero()[0]
-                wa = hinge[active]
-                flat_w[fwd[active]] = wa
-                flat_w[bwd[active]] = wa
+        if sums.w is not None and (polish or n_active > dense_bar):
             grad, tmp, coef = grads[v.dtype]
-            np.matmul(dense_w, v, out=grad)
+            sums.dense(hinge, v, grad)
+        elif polish or n_active:
+            grad, tmp, coef = grads[np.dtype(np.float64)]
+            sums.scatter(hinge, v, grad, None if polish else viol.nonzero()[0])
         else:
-            if n_active:
-                grad, tmp, coef = grads[np.dtype(np.float64)]
-                grad.fill(0.0)
-                active = viol.nonzero()[0]
-                act2 = np.concatenate([active, active + m])
-                wa = hinge[active]
-                _scatter_rows(both_idx[act2], np.concatenate([wa, wa]),
-                              v[other[act2]], grad)
-            else:
-                grad, tmp, coef = grads[v.dtype]
-                grad.fill(0.0)
-            if polish:
-                if adj is not None:
-                    np.matmul(adj, v, out=tmp)       # grad += adj @ v
-                    np.add(grad, tmp, out=grad)
-                else:
-                    v.take(other, axis=0, out=rows_o, mode="clip")
-                    _scatter_rows(both_idx, ones, rows_o, grad)
+            grad, tmp, coef = grads[v.dtype]
+            grad.fill(0.0)
         _sphere_step(v, grad, opt, tmp, coef, sq, norms)
     return used
 
@@ -417,15 +412,19 @@ def solve_vector_coloring(g: Graph, alpha: float, eps: float = 1e-3,
     phases get ``budget`` each and its final feasibility phase
     ``budget // 2``; the full-width polish, run when no low-rank solution is
     returned, gets ``budget // 4``. Every phase also stops early once its
-    objective stalls (see ``_coloring_descent``). ``init`` warm-starts the
-    first restart (rows are renormalized and padded or truncated to the
-    working width). Raises InfeasibleError (evidence only) when every
-    restart stalls above eps; its iteration count covers every phase run.
+    objective stalls (see ``_coloring_descent``), and polish always takes
+    the ``_EdgeSums`` gemm up to n = 2048. ``init`` warm-starts the
+    first restart; it needs one row per vertex (else ValueError), which is
+    renormalized and padded or truncated to the working width. Raises
+    InfeasibleError (evidence only) when every restart stalls above eps;
+    its iteration count covers every phase run.
     """
     if alpha < 2.0:
         raise ValueError(f"alpha must be at least 2, got {alpha}")
     if eps <= 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
+    if init is not None and init.shape[0] != g.n:
+        raise ValueError(f"init has {init.shape[0]} rows, need {g.n}")
     n = g.n
     if n == 0:
         return VectorColoring(alpha, np.zeros((0, 1)), eps)
@@ -438,12 +437,10 @@ def solve_vector_coloring(g: Graph, alpha: float, eps: float = 1e-3,
     target = -1.0 / (alpha - 1.0)
     cushion = 0.5 * eps
     eu, ev = g.edge_arrays()
-    both_idx = np.concatenate([eu, ev])
 
     best_res = float("inf")
     total_iters = 0
     stop_at = target - 0.25 * eps
-    adj = g.adjacency_matrix().astype(float) if n <= 2048 else None
     # The wide phase only has to land a warm start within eps; float32 is
     # plenty for that whenever eps is far above float32 resolution.
     wide_dtype = np.float32 if (eps >= 1e-4 and d > 8) else np.float64
@@ -451,9 +448,8 @@ def solve_vector_coloring(g: Graph, alpha: float, eps: float = 1e-3,
 
     def descend(vecs, mode, iters, lr, **kwargs):
         nonlocal total_iters
-        total_iters += _coloring_descent(vecs, eu, ev, both_idx,
-                                         target - cushion, mode, iters, lr,
-                                         **kwargs)
+        total_iters += _coloring_descent(vecs, eu, ev, target - cushion,
+                                         mode, iters, lr, **kwargs)
 
     def try_lowrank(full):
         # Re-descend in the top-rank basis; cheap iterations carry the long
@@ -462,15 +458,15 @@ def solve_vector_coloring(g: Graph, alpha: float, eps: float = 1e-3,
         descend(reduced, "feasible", budget, lr=0.02, stop_at=stop_at)
         if _residual(reduced, eu, ev, target) > eps:
             return None
-        descend(reduced, "polish", budget, lr=0.01, adj=adj)
+        descend(reduced, "polish", budget, lr=0.01)
         descend(reduced, "feasible", budget // 2, lr=0.005, stop_at=stop_at)
-        if _residual(reduced, eu, ev, target) > eps:
-            return None
-        return reduced
+        res = _residual(reduced, eu, ev, target)
+        return VectorColoring(alpha, reduced, eps, max_edge_residual=res) \
+            if res <= eps else None
 
     for attempt in range(max(1, restarts)):
         rng = stream(seed, "veccol", attempt)
-        if attempt == 0 and init is not None and init.shape[0] == n:
+        if attempt == 0 and init is not None:
             v = np.zeros((n, d))
             w = min(d, init.shape[1])
             v[:, :w] = init[:, :w]
@@ -484,11 +480,9 @@ def solve_vector_coloring(g: Graph, alpha: float, eps: float = 1e-3,
         descend(work, "feasible", budget, lr=0.05, stop_at=target + 0.5 * eps)
         res = _residual(work, eu, ev, target)
         if res <= 10.0 * eps and rank < d:
-            reduced = try_lowrank(_row_normalize(work.astype(np.float64)))
-            if reduced is not None:
-                return VectorColoring(
-                    alpha, reduced, eps,
-                    max_edge_residual=_residual(reduced, eu, ev, target))
+            found = try_lowrank(_row_normalize(work.astype(np.float64)))
+            if found is not None:
+                return found
         # Shrinking-step refinement when the wide pass lands just above eps;
         # two lr sweeps cover instances whose active boundary settles slowly.
         for lr in (0.02, 0.008, 0.003, 0.02, 0.008, 0.003):
@@ -503,13 +497,11 @@ def solve_vector_coloring(g: Graph, alpha: float, eps: float = 1e-3,
         if res > eps:
             continue
         if rank < d:
-            reduced = try_lowrank(v)
-            if reduced is not None:
-                return VectorColoring(
-                    alpha, reduced, eps,
-                    max_edge_residual=_residual(reduced, eu, ev, target))
+            found = try_lowrank(v)
+            if found is not None:
+                return found
         polished = v.copy()
-        descend(polished, "polish", budget // 4, lr=0.02, adj=adj)
+        descend(polished, "polish", budget // 4, lr=0.02)
         if _residual(polished, eu, ev, target) <= eps:
             v = polished
         res = _residual(v, eu, ev, target)
@@ -537,8 +529,9 @@ def solve_indset_sdp(g: Graph, eps: float = 1e-3, budget: int = 6000,
 
     Iterations run in buffers allocated once per call for the branch taken.
     The edge values (v0+v_u).(v0+v_v) come from a gemm Gram matrix once
-    m >= n^2/16, else from per-edge dots; the gradient is one product with a
-    dense weight matrix up to n = 2048 and a bincount scatter above.
+    m >= n^2/16, else from per-edge dots; the gradient is the ``_EdgeSums``
+    neighbour sum of the multipliers, its dense gemm up to n = 2048 and its
+    bincount scatter above.
     """
     if eps <= 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
@@ -548,8 +541,8 @@ def solve_indset_sdp(g: Graph, eps: float = 1e-3, budget: int = 6000,
 
     d = max(3, min(n + 1, 32))
     eu, ev = g.edge_arrays()
-    dense = n <= 2048
-    gram_path = dense and g.m * 16 >= n * n
+    sums = _EdgeSums(n, eu, ev, np.float64)
+    gram_path = sums.w is not None and g.m * 16 >= n * n
     grad, tmp, sq = (np.empty((n + 1, d)) for _ in range(3))
     coef, norms = np.empty(n + 1), np.empty(n + 1)
     p, colsum, h, s = np.empty((n, d)), np.empty(d), np.empty(g.m), np.empty(g.m)
@@ -558,10 +551,6 @@ def solve_indset_sdp(g: Graph, eps: float = 1e-3, budget: int = 6000,
         gram, pt = np.empty((n, n)), np.empty((d, n))
     else:
         rows_u, rows_v = np.empty((g.m, d)), np.empty((g.m, d))
-    if dense:
-        s_buf = np.zeros((n, n))
-        s_flat = s_buf.reshape(-1)
-        fwd, bwd = eu * n + ev, ev * n + eu
 
     best = None
     for attempt in range(max(1, restarts)):
@@ -586,20 +575,12 @@ def solve_indset_sdp(g: Graph, eps: float = 1e-3, budget: int = 6000,
                 if gram_path:
                     np.copyto(pt, p.T)
                     np.matmul(p, pt, out=gram)  # gemm; p @ p.T would be syrk
-                    gram.reshape(-1).take(fwd, out=h, mode="clip")
+                    gram.reshape(-1).take(sums.fwd, out=h, mode="clip")
                 else:
                     _edge_dots(p, eu, ev, h, rows_u, rows_v)
                 np.multiply(mu, h, out=s)
                 np.add(lam, s, out=s)  # lam + mu * h
-                if dense:
-                    s_flat[fwd] = s
-                    s_flat[bwd] = s
-                    np.matmul(s_buf, p, out=c)
-                else:  # _edge_dots left p[ev] in rows_v
-                    c.fill(0.0)
-                    _scatter_rows(eu, s, rows_v, c)
-                    p.take(eu, axis=0, out=rows_u, mode="clip")
-                    _scatter_rows(ev, s, rows_u, c)
+                (sums.scatter if sums.w is None else sums.dense)(s, p, c)
                 # grad[0] = c.sum(axis=0) - w[1:].sum(axis=0); grad[1:] = c - v0
                 np.add.reduce(c, axis=0, out=grad[0])
                 np.add.reduce(w[1:], axis=0, out=colsum)

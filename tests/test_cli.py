@@ -179,6 +179,18 @@ USAGE_ERRORS = {
     # Used to exit 2 as if the algorithm had failed.
     "color-k3-zero-eps": ["color", "--gen", "planted:n=40,k=3,seed=0",
                           "--k", "3", "--eps", "0"],
+    "color-negative-c0": ["color", "--gen", "planted:n=40,k=4,seed=0",
+                          "--k", "4", "--c0", "-1"],
+    # These raised a library ValueError with a traceback.
+    "bench-k-below-2": ["bench", "--k", "1", "--sizes", "20"],
+    "bench-p-above-1": ["bench", "--k", "4", "--p", "1.5", "--sizes", "20"],
+    "bench-size-below-k": ["bench", "--k", "4", "--sizes", "2"],
+    "analyze-few-mc-samples": ["analyze", "--mc", "5"],
+    "analyze-zero-beta": ["analyze", "--beta", "0"],
+    "analyze-negative-c": ["analyze", "--c", "-1"],
+    # Used to exit 0 with no cells.
+    "bench-negative-seeds": ["bench", "--k", "4", "--sizes", "20",
+                             "--seeds", "-1"],
 }
 
 

@@ -5,7 +5,12 @@ stood before the per-call workspace, kept verbatim as the reference; it has
 no stall stop, and ``cut_at`` ends it where a stall stop would. Each case
 runs both from the same start on a pinned planted instance and asserts
 identical vectors and iteration counts: the golden CLI results rest on this
-equality, and a failure here names the branch that drifted.
+equality, and a failure here names the branch that drifted. The descent
+takes its neighbour sums from one ``_EdgeSums`` workspace and no adjacency
+matrix; the reference keeps its ``both_idx`` and ``adj`` arguments, which
+``_both`` passes to it alone. Polish always takes the gemm up to n = 2048,
+so where the reference scattered (few edges, or n > 2048) the two agree to
+1e-12 and 1e-9 instead of bit for bit.
 
 ``_ref_solve_indset_sdp`` is the independence solver as it stood before its
 workspace, with the same helpers. Its per-edge-dot iterations must match bit
@@ -233,22 +238,26 @@ def _planted_start(inst_seed, n, k, p, noise):
 
 @pytest.fixture
 def scatters(monkeypatch):
-    """Counts the descent's calls of the bincount scatter (sparse branch)."""
+    """Records the ``active`` argument of each bincount scatter the descent
+    calls (None when it sums every edge)."""
     calls = []
-    real = vecsdp._scatter_rows
+    real = vecsdp._EdgeSums.scatter
 
-    def counted(*args):
-        calls.append(1)
-        return real(*args)
+    def counted(self, weights, x, out, active=None):
+        calls.append(active)
+        return real(self, weights, x, out, active)
 
-    monkeypatch.setattr(vecsdp, "_scatter_rows", counted)
+    monkeypatch.setattr(vecsdp._EdgeSums, "scatter", counted)
     return calls
 
 
-def _both(v0, *args, **kwargs):
+def _both(v0, eu, ev, both, *args, adj=None, **kwargs):
+    """Runs the reference (with ``both`` and ``adj``) and the descent, which
+    takes neither, from copies of v0."""
     ref, new = v0.copy(), v0.copy()
-    used_ref = _ref_coloring_descent(ref, *args, **kwargs)
-    used_new = _coloring_descent(new, *args, **kwargs)
+    used_ref = _ref_coloring_descent(ref, eu, ev, both, *args, adj=adj,
+                                     **kwargs)
+    used_new = _coloring_descent(new, eu, ev, *args, **kwargs)
     return ref, new, used_ref, used_new
 
 
@@ -306,13 +315,38 @@ def test_sparse_scatter_branch_is_bitwise(dtype, scatters):
     assert 0 < len(scatters) < un
 
 
-def test_sparse_polish_without_adjacency_is_bitwise(scatters):
+def test_sparse_polish_takes_the_gemm_within_rounding(scatters):
+    # m <= dense_bar: the reference adds adj @ v to a scatter over the
+    # violated edges, the descent takes one gemm with weights 1 + hinge.
     g, eu, ev, both = _instance(300, 3, 4.0 / 200, seed=15)
     v0 = _planted_start(15, 300, 3, 4.0 / 200, noise=0.3)
+    assert g.m <= max(32, (g.n * g.n) // (16 * v0.shape[1]))
     ref, new, ur, un = _both(v0, eu, ev, both, -0.5 - 5e-4, "polish",
-                             100, lr=0.01)
+                             100, lr=0.01,
+                             adj=g.adjacency_matrix().astype(float))
+    assert un == ur == 100
+    assert not scatters
+    assert np.abs(new - ref).max() <= 1e-12
+
+
+def test_scatter_branches_above_2048_vertices(scatters):
+    # No dense matrix above n = 2048. The float32 wide phase at alpha 7
+    # scatters its violated edges in float64 and reaches steps with none
+    # violated (a zero gradient); polish scatters 1 + hinge over every edge.
+    g, eu, ev, both = _instance(2049, 3, 3.0 / 1366, seed=18)
+    target = -1.0 / 6.0 - 5e-4
+    v0 = _random_start(g.n, _solver_dim(g.n, g.m), 6, np.float32)
+    ref, new, ur, un = _both(v0, eu, ev, both, target, "feasible", 50,
+                             lr=0.05)
     _assert_same(ref, new, ur, un)
-    assert len(scatters) >= un  # the uniform part goes through the scatter
+    assert 0 < len(scatters) < un
+    assert all(a is not None and a.size for a in scatters)
+    scatters.clear()
+    v0 = _rank_reduce(_ref_row_normalize(new.astype(np.float64)), 6)
+    ref, new, ur, un = _both(v0, eu, ev, both, target, "polish", 50, lr=0.01)
+    assert un == ur == len(scatters) == 50
+    assert all(a is None for a in scatters)
+    assert np.abs(new - ref).max() <= 1e-9
 
 
 def _objective(v, eu, ev, target, mode, mu=50.0):
@@ -321,20 +355,19 @@ def _objective(v, eu, ev, target, mode, mu=50.0):
     return float(dots.sum()) + mu * obj if mode == "polish" else obj
 
 
-def _stalled(v0, eu, ev, both, target, mode, iters, lr, **kwargs):
+def _stalled(v0, eu, ev, both, target, mode, iters, lr, adj=None, **kwargs):
     """Runs a descent that must stop on a stall; checks that it is a prefix
     of the reference run and returns (stopped, full-budget reference, used).
     """
     new = v0.copy()
-    used = _coloring_descent(new, eu, ev, both, target, mode, iters, lr,
-                             **kwargs)
+    used = _coloring_descent(new, eu, ev, target, mode, iters, lr, **kwargs)
     assert used < iters
     cut, full = v0.copy(), v0.copy()
     assert _ref_coloring_descent(cut, eu, ev, both, target, mode, iters, lr,
-                                 cut_at=used, **kwargs) == used
+                                 cut_at=used, adj=adj, **kwargs) == used
     assert np.array_equal(new, cut)
     assert _ref_coloring_descent(full, eu, ev, both, target, mode, iters, lr,
-                                 **kwargs) == iters
+                                 adj=adj, **kwargs) == iters
     return new, full, used
 
 
@@ -358,7 +391,7 @@ def test_lowrank_feasible_stops_at_its_fixed_point():
     g, eu, ev, both = _instance(150, 3, 30.0 / 150, seed=0)
     target = -0.5
     wide = _random_start(g.n, _solver_dim(g.n, g.m), 3, np.float32)
-    _coloring_descent(wide, eu, ev, both, target - 5e-4, "feasible", 2000,
+    _coloring_descent(wide, eu, ev, target - 5e-4, "feasible", 2000,
                       lr=0.05, stop_at=target + 5e-4)
     v0 = _rank_reduce(_ref_row_normalize(wide.astype(np.float64)), 2)
     stop_at = target - 2.5e-4
