@@ -21,7 +21,10 @@ from ._rng import stream
 SQRT2 = math.sqrt(2.0)
 _SQRT_PI = math.sqrt(math.pi)
 _QUAD_TOL = 1e-12
+_QUAD_PANELS = 8
 _MAX_DEPTH = 48
+_MILLS_CF_DEPTH = 120
+_MC_BATCH = 1 << 21
 
 
 def normal_pdf(x: float) -> float:
@@ -43,11 +46,11 @@ def _erf_series(z: float) -> float:
     return 2.0 * z / _SQRT_PI * math.exp(-z * z) * total
 
 
-def _mills_cf(x: float, depth: int = 120) -> float:
+def _mills_cf(x: float) -> float:
     # Continued fraction for N(x)/phi(x) = 1/(x + 1/(x + 2/(x + ...))),
     # evaluated backward; accurate to ~1e-17 relative for x >= 3.
     t = 0.0
-    for k in range(depth, 0, -1):
+    for k in range(_MILLS_CF_DEPTH, 0, -1):
         t = k / (x + t)
     return 1.0 / (x + t)
 
@@ -84,22 +87,22 @@ def _adaptive_simpson(f, a, b, tol, fa, fm, fb, whole, depth):
             + _adaptive_simpson(f, m, b, 0.5 * tol, fm, frm, fb, right, depth - 1))
 
 
-def adaptive_quadrature(f, a: float, b: float, tol: float = _QUAD_TOL,
-                        panels: int = 8) -> float:
-    """Adaptive Simpson integration of f over [a, b] to absolute tolerance tol.
+def adaptive_quadrature(f, a: float, b: float) -> float:
+    """Adaptive Simpson integration of f over [a, b] to absolute tolerance
+    ``_QUAD_TOL``.
 
-    The interval is pre-split into ``panels`` equal pieces so integrands that
-    are exponentially flat near one endpoint (the t -> 0 regime here) are
-    resolved without deep recursion.
+    The interval is pre-split into ``_QUAD_PANELS`` equal pieces so
+    integrands that are exponentially flat near one endpoint (the t -> 0
+    regime here) are resolved without deep recursion.
     """
     if b < a:
         raise ValueError("integration bounds out of order")
     if b == a:
         return 0.0
     total = 0.0
-    step = (b - a) / panels
-    sub_tol = tol / panels
-    for i in range(panels):
+    step = (b - a) / _QUAD_PANELS
+    sub_tol = _QUAD_TOL / _QUAD_PANELS
+    for i in range(_QUAD_PANELS):
         x0 = a + i * step
         x1 = a + (i + 1) * step
         xm = 0.5 * (x0 + x1)
@@ -160,8 +163,8 @@ def wedge_probability_exact(w: WedgeSpec) -> float:
     return adaptive_quadrature(_wedge_integrand(w.c), 0.0, w.beta) / math.pi
 
 
-def wedge_probability_mc(w: WedgeSpec, samples: int, seed: int = 0,
-                         batch: int = 1 << 21) -> tuple[float, float]:
+def wedge_probability_mc(w: WedgeSpec, samples: int,
+                         seed: int = 0) -> tuple[float, float]:
     """Monte Carlo estimate of P(beta) with its binomial standard error.
 
     v1 = (sin b, cos b) and v2 = (sin b, -cos b) are placed symmetrically about
@@ -175,7 +178,7 @@ def wedge_probability_mc(w: WedgeSpec, samples: int, seed: int = 0,
     hits = 0
     remaining = samples
     while remaining > 0:
-        size = min(batch, remaining)
+        size = min(_MC_BATCH, remaining)
         x = rng.standard_normal(size)
         y = rng.standard_normal(size)
         # v1.r >= c and v2.r >= c  <=>  x sin b >= c + |y| cos b

@@ -170,6 +170,8 @@ def cmd_color(args) -> int:
         raise UsageError("--k must be at least 2")
     if not args.c0 > 0:
         raise UsageError("--c0 must be positive")
+    if args.repeats < 1:
+        raise UsageError("--repeats must be at least 1")
     check_solver_args(args)
     cfg = CombinedConfig(eps=args.eps, trials=args.trials, seed=args.seed,
                          repeats=args.repeats, c0=args.c0)
@@ -252,6 +254,8 @@ def cmd_bench(args) -> int:
         raise UsageError("every --sizes entry must be at least --k")
     if args.seeds < 1:
         raise UsageError("--seeds must be at least 1")
+    if args.repeats < 1:
+        raise UsageError("--repeats must be at least 1")
     check_solver_args(args)
     cells = []
     for n in sizes:

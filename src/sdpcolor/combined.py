@@ -391,10 +391,12 @@ def combined_color(g: Graph, k: int, cfg: CombinedConfig | None = None) -> Combi
         cfg = CombinedConfig()
     if k < 2:
         raise ValueError(f"k must be at least 2, got {k}")
+    if cfg.repeats < 1:
+        raise ValueError(f"repeats must be at least 1, got {cfg.repeats}")
     a_exp = alpha_k(k)
     failures: list[tuple[str, str]] = []
     declarations: list[Declaration] = []
-    for attempt in range(max(1, cfg.repeats)):
+    for attempt in range(cfg.repeats):
         seed = cfg.seed + 7919 * attempt
         try:
             coloring, used_fallback = _attempt(g, k, cfg, seed, declarations)
@@ -409,7 +411,7 @@ def combined_color(g: Graph, k: int, cfg: CombinedConfig | None = None) -> Combi
         g.n, k, None,
         "not k-colorable or algorithm failure: "
         + " | ".join(f"{kind}: {msg}" for kind, msg in failures),
-        a_exp, cfg.seed, max(1, cfg.repeats), False, declarations, failures)
+        a_exp, cfg.seed, cfg.repeats, False, declarations, failures)
 
 
 def _attempt(g: Graph, k: int, cfg: CombinedConfig, seed: int,

@@ -22,7 +22,6 @@ the checker verifies that against a known planted partition.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
@@ -124,14 +123,6 @@ def build_candidate_collection(g: Graph, delta: float | None = None) -> Candidat
                     seen[members] = len(out)
                     out.append(CandidateSet(members, v, j, i))
     return CandidateCollection(tuple(out), delta)
-
-
-def collection_to_json(coll: CandidateCollection) -> str:
-    payload = [
-        {"v": cs.v, "j": cs.j, "i": cs.i, "members": sorted(cs.members)}
-        for cs in coll.sets
-    ]
-    return json.dumps({"delta": coll.delta, "sets": payload}, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------

@@ -203,18 +203,3 @@ def bootstrap_mean_difference(a: np.ndarray, b: np.ndarray, resamples: int,
     means = diffs[idx].mean(axis=1)
     lo2_5, lo5 = np.percentile(means, [2.5, 5.0])
     return float(lo2_5), float(lo5)
-
-
-def rounding_report(alpha: float, d_avg: float, c: float, trials: int,
-                    sizes, seed: int) -> dict:
-    """Machine-readable summary of one rounding experiment."""
-    arr = np.asarray(sizes, dtype=float)
-    return {
-        "alpha": alpha,
-        "D": d_avg,
-        "c": c,
-        "trials": trials,
-        "mean_size": float(arr.mean()) if arr.size else 0.0,
-        "best_size": int(arr.max()) if arr.size else 0,
-        "seed": seed,
-    }

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,11 +38,7 @@ class PlantedInstance:
     seed: int
 
     def planted_coloring(self) -> Coloring:
-        assignment = [0] * self.graph.n
-        for color, cls in enumerate(self.classes):
-            for v in cls:
-                assignment[v] = color
-        return Coloring(tuple(assignment))
+        return Coloring(tuple(self.class_of()))
 
     def class_of(self) -> list[int]:
         out = [0] * self.graph.n
@@ -296,11 +291,8 @@ def load_fixture(basepath: str) -> PlantedInstance:
     with open(basepath + ".json", "r", encoding="ascii") as fh:
         payload = json.load(fh)
     classes = tuple(tuple(int(v) for v in c) for c in payload["classes"])
-    inst = PlantedInstance(graph, classes, int(payload["k"]),
+    return PlantedInstance(graph, classes, int(payload["k"]),
                            float(payload["p"]), int(payload["seed"]))
-    if not os.path.exists(basepath + ".col"):
-        raise FileNotFoundError(basepath + ".col")
-    return inst
 
 
 def vector_coloring_to_json(vc: VectorColoring) -> str:

@@ -207,8 +207,9 @@ class _EdgeSums:
     ``dense`` (n <= 2048 only) writes every edge's weight into the n x n
     matrix ``w``, whose other entries stay zero, and takes one gemm in its
     dtype. ``scatter`` sums each column with a float64 bincount over every
-    edge or over the ``active`` edge indices, allocating as it goes; edges
-    left out add nothing, so ``active`` only skips zero weights.
+    edge or over the ``active`` edge indices, allocating as it goes, and
+    assigns it into ``out``, which rounds it to ``out``'s dtype; edges left
+    out add nothing, so ``active`` only skips zero weights.
     """
 
     def __init__(self, n, eu, ev, dtype):
@@ -240,7 +241,8 @@ class _Adam:
     Each step performs the operations of the out-of-place expressions
     ``m = 0.9 m + 0.1 g``, ``v = 0.999 v + 0.001 g g`` and
     ``params -= lr mhat / (sqrt(vhat) + 1e-12)`` in the same order and
-    dtypes, so the parameters match that form bit for bit.
+    dtypes, so the parameters match that form bit for bit. The gradient has
+    the parameters' dtype.
     """
 
     def __init__(self, like, lr):
@@ -250,28 +252,18 @@ class _Adam:
         self.t = 0
         self._mhat = np.empty_like(self.m)
         self._den = np.empty_like(self.m)
-        self._g = {}  # grad dtype -> scratch for the scaled gradient
+        self._g = np.empty_like(self.m)  # the scaled gradient
 
     def step(self, params, grad):
         self.t += 1
-        if np.result_type(self.m, grad) != self.m.dtype:
-            # A wider gradient (a float64 scatter on float32 rows) widens
-            # the moments for good, as the out-of-place update does.
-            self.m = 0.9 * self.m + 0.1 * grad
-            self.v = 0.999 * self.v + 0.001 * grad * grad
-            self._mhat = np.empty_like(self.m)
-            self._den = np.empty_like(self.m)
-        else:
-            g = self._g.get(grad.dtype)
-            if g is None:
-                g = self._g[grad.dtype] = np.empty_like(grad)
-            np.multiply(0.9, self.m, out=self.m)
-            np.multiply(0.1, grad, out=g)
-            np.add(self.m, g, out=self.m)
-            np.multiply(0.999, self.v, out=self.v)
-            np.multiply(0.001, grad, out=g)
-            np.multiply(g, grad, out=g)
-            np.add(self.v, g, out=self.v)
+        g = self._g
+        np.multiply(0.9, self.m, out=self.m)
+        np.multiply(0.1, grad, out=g)
+        np.add(self.m, g, out=self.m)
+        np.multiply(0.999, self.v, out=self.v)
+        np.multiply(0.001, grad, out=g)
+        np.multiply(g, grad, out=g)
+        np.add(self.v, g, out=self.v)
         mhat, den = self._mhat, self._den
         np.divide(self.m, 1.0 - 0.9 ** self.t, out=mhat)
         np.divide(self.v, 1.0 - 0.999 ** self.t, out=den)
@@ -294,12 +286,17 @@ def _sphere_step(v, grad, opt, tmp, coef, sq, norms):
     _row_normalize(v, sq, norms)
 
 
-def _solver_dim(n: int, m: int, cap: int = 24) -> int:
+# Cap on the solver width: every iteration scales with the width and
+# desk-scale instances gain nothing past the cap (restarts cover the residual
+# risk of a spurious stall).
+_SOLVER_DIM_CAP = 24
+
+
+def _solver_dim(n: int, m: int) -> int:
     # Low-rank factorization dimension ceil(sqrt(2m)) + 4, generous enough
-    # that the factorized landscape is benign, capped at 24: every iteration
-    # scales with this width and desk-scale instances gain nothing past the
-    # cap (restarts cover the residual risk of a spurious stall).
-    return max(1, min(n, int(math.ceil(math.sqrt(2.0 * max(m, 1)))) + 4, cap))
+    # that the factorized landscape is benign, capped at _SOLVER_DIM_CAP.
+    return max(1, min(n, int(math.ceil(math.sqrt(2.0 * max(m, 1)))) + 4,
+                      _SOLVER_DIM_CAP))
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +326,8 @@ def _coloring_descent(v, eu, ev, target, mode, iters, lr, mu=50.0,
     violated edges, else the scatter over every edge (polish) or the
     violated ones. Returns the iterations used, the exiting one included.
 
-    Every array an iteration writes is allocated once per call. The
+    Every array an iteration writes is allocated once per call, in v's
+    dtype: the scatter sums in float64 and rounds into that gradient. The
     operation order is part of the output contract: each iteration performs
     the floating-point operations of the plain out-of-place expressions
     (noted beside each step) in their order and dtypes, so the vectors, and
@@ -351,11 +349,8 @@ def _coloring_descent(v, eu, ev, target, mode, iters, lr, mu=50.0,
     dense_bar = max(32, (n * n) // max(16 * d, 16))
     rows_u, rows_v = np.empty((m, d), v.dtype), np.empty((m, d), v.dtype)
     dots, viol, hinge = (np.empty(m, v.dtype) for _ in range(3))
-    sq, norms = np.empty((n, d), v.dtype), np.empty(n, v.dtype)
-    # Gradient, projection scratch and row coefficients per gradient dtype:
-    # the gemm gives v's dtype, the bincount scatter float64.
-    grads = {dt: (np.empty((n, d), dt), np.empty((n, d), dt), np.empty(n, dt))
-             for dt in (v.dtype, np.dtype(np.float64))}
+    sq, grad, tmp = (np.empty((n, d), v.dtype) for _ in range(3))
+    norms, coef = np.empty(n, v.dtype), np.empty(n, v.dtype)
     for it in range(iters):
         used += 1
         if it % stage == 0 and it > 0:
@@ -378,13 +373,10 @@ def _coloring_descent(v, eu, ev, target, mode, iters, lr, mu=50.0,
             np.add(1.0, hinge, out=hinge)            # 1 + hinge_w
         n_active = np.count_nonzero(viol)
         if sums.w is not None and (polish or n_active > dense_bar):
-            grad, tmp, coef = grads[v.dtype]
             sums.dense(hinge, v, grad)
         elif polish or n_active:
-            grad, tmp, coef = grads[np.dtype(np.float64)]
             sums.scatter(hinge, v, grad, None if polish else viol.nonzero()[0])
         else:
-            grad, tmp, coef = grads[v.dtype]
             grad.fill(0.0)
         _sphere_step(v, grad, opt, tmp, coef, sq, norms)
     return used
@@ -752,8 +744,6 @@ def well_aligned_subset(sol: IndSetSdpSolution, g: Graph, alpha: float,
             # inside S (an S-edge at one would need |v_i . v_j| > 1), so
             # their projected vector is unconstrained.
             proj = _project_all(v0, rows, sol.eps, fill_degenerate=True)
-        else:
-            v0 = v0p
     alpha_prime = 1.0 + (1.0 - beta) / (1.0 + beta)
     sub, _ = induced_subgraph(g, members)
     vc = VectorColoring(alpha_prime, proj, sol.eps)

@@ -191,6 +191,11 @@ USAGE_ERRORS = {
     # Used to exit 0 with no cells.
     "bench-negative-seeds": ["bench", "--k", "4", "--sizes", "20",
                              "--seeds", "-1"],
+    # Used to exit 0 after one attempt.
+    "color-negative-repeats": ["color", "--gen", "planted:n=20,k=4,seed=0",
+                               "--k", "4", "--repeats", "-2"],
+    "bench-zero-repeats": ["bench", "--k", "4", "--sizes", "20",
+                           "--repeats", "0"],
 }
 
 

@@ -98,6 +98,12 @@ def test_combined_k2_odd_cycle_fails():
     assert "not" in res.failure
 
 
+@pytest.mark.parametrize("repeats", [0, -2])
+def test_combined_rejects_repeats_below_1(repeats):
+    with pytest.raises(ValueError, match="repeats"):
+        combined_color(cycle_graph(9), 2, CombinedConfig(repeats=repeats))
+
+
 def test_combined_k3_fallback_flagged():
     inst = planted_k_colorable(90, 3, 0.3, seed=4)
     res = combined_color(inst.graph, 3, CombinedConfig(seed=1, trials=16))

@@ -1,16 +1,18 @@
 """The workspace descents against the out-of-place loops they replaced.
 
 ``_ref_coloring_descent`` and its helpers below are the allocating loop as it
-stood before the per-call workspace, kept verbatim as the reference; it has
-no stall stop, and ``cut_at`` ends it where a stall stop would. Each case
-runs both from the same start on a pinned planted instance and asserts
-identical vectors and iteration counts: the golden CLI results rest on this
-equality, and a failure here names the branch that drifted. The descent
-takes its neighbour sums from one ``_EdgeSums`` workspace and no adjacency
-matrix; the reference keeps its ``both_idx`` and ``adj`` arguments, which
-``_both`` passes to it alone. Polish always takes the gemm up to n = 2048,
-so where the reference scattered (few edges, or n > 2048) the two agree to
-1e-12 and 1e-9 instead of bit for bit.
+stood before the per-call workspace, kept verbatim as the reference, except
+that ``_ref_scatter_rows`` returns its float64 bincount sums in the rows'
+dtype, as the descent keeps every gradient of a phase in that phase's dtype.
+The reference has no stall stop, and ``cut_at`` ends it where a stall stop
+would. Each case runs both from the same start on a pinned planted instance
+and asserts identical vectors and iteration counts: the golden CLI results
+rest on this equality, and a failure here names the branch that drifted. The
+descent takes its neighbour sums from one ``_EdgeSums`` workspace and no
+adjacency matrix; the reference keeps its ``both_idx`` and ``adj``
+arguments, which ``_both`` passes to it alone. Polish always takes the gemm
+up to n = 2048, so where the reference scattered (few edges, or n > 2048)
+the two agree to 1e-12 and 1e-9 instead of bit for bit.
 
 ``_ref_solve_indset_sdp`` is the independence solver as it stood before its
 workspace, with the same helpers. Its per-edge-dot iterations must match bit
@@ -50,7 +52,7 @@ def _ref_row_normalize(v: np.ndarray) -> np.ndarray:
 def _ref_scatter_rows(idx: np.ndarray, weights: np.ndarray, rows: np.ndarray,
                       n: int) -> np.ndarray:
     """out[idx[t]] += weights[t] * rows[t], accumulated over t."""
-    out = np.empty((n, rows.shape[1]))
+    out = np.empty((n, rows.shape[1]), rows.dtype)
     for col in range(rows.shape[1]):
         out[:, col] = np.bincount(idx, weights=weights * rows[:, col], minlength=n)
     return out
@@ -238,13 +240,13 @@ def _planted_start(inst_seed, n, k, p, noise):
 
 @pytest.fixture
 def scatters(monkeypatch):
-    """Records the ``active`` argument of each bincount scatter the descent
-    calls (None when it sums every edge)."""
+    """Records the ``active`` argument (None when it sums every edge) and
+    the output dtype of each bincount scatter the descent calls."""
     calls = []
     real = vecsdp._EdgeSums.scatter
 
     def counted(self, weights, x, out, active=None):
-        calls.append(active)
+        calls.append((active, out.dtype))
         return real(self, weights, x, out, active)
 
     monkeypatch.setattr(vecsdp._EdgeSums, "scatter", counted)
@@ -310,9 +312,10 @@ def test_sparse_scatter_branch_is_bitwise(dtype, scatters):
     ref, new, ur, un = _both(v0, eu, ev, both, -0.5 - 5e-4, "feasible",
                              100, lr=0.05)
     _assert_same(ref, new, ur, un)
-    # Dense gemm steps first, then the float64 scatter once few edges stay
-    # violated; in float32 that widens Adam's moments mid-run.
+    # Dense gemm steps first, then the scatter once few edges stay violated;
+    # its float64 sums round into a gradient of the phase's dtype.
     assert 0 < len(scatters) < un
+    assert all(dt == dtype for _, dt in scatters)
 
 
 def test_sparse_polish_takes_the_gemm_within_rounding(scatters):
@@ -331,8 +334,9 @@ def test_sparse_polish_takes_the_gemm_within_rounding(scatters):
 
 def test_scatter_branches_above_2048_vertices(scatters):
     # No dense matrix above n = 2048. The float32 wide phase at alpha 7
-    # scatters its violated edges in float64 and reaches steps with none
-    # violated (a zero gradient); polish scatters 1 + hinge over every edge.
+    # scatters its violated edges into a float32 gradient and reaches steps
+    # with none violated (a zero gradient); polish scatters 1 + hinge over
+    # every edge.
     g, eu, ev, both = _instance(2049, 3, 3.0 / 1366, seed=18)
     target = -1.0 / 6.0 - 5e-4
     v0 = _random_start(g.n, _solver_dim(g.n, g.m), 6, np.float32)
@@ -340,12 +344,13 @@ def test_scatter_branches_above_2048_vertices(scatters):
                              lr=0.05)
     _assert_same(ref, new, ur, un)
     assert 0 < len(scatters) < un
-    assert all(a is not None and a.size for a in scatters)
+    assert all(a is not None and a.size for a, _ in scatters)
+    assert all(dt == np.float32 for _, dt in scatters)
     scatters.clear()
     v0 = _rank_reduce(_ref_row_normalize(new.astype(np.float64)), 6)
     ref, new, ur, un = _both(v0, eu, ev, both, target, "polish", 50, lr=0.01)
     assert un == ur == len(scatters) == 50
-    assert all(a is None for a in scatters)
+    assert all(a is None for a, _ in scatters)
     assert np.abs(new - ref).max() <= 1e-9
 
 

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -16,7 +15,6 @@ from sdpcolor.progress import (
     bucket_index,
     build_candidate_collection,
     collection_guarantee_check,
-    collection_to_json,
     default_delta,
     degree_buckets,
     find_pigeon_index,
@@ -89,14 +87,6 @@ def test_candidate_collection_size_bound_and_determinism():
         assert len(coll) <= bound
         again = build_candidate_collection(g)
         assert coll == again
-
-
-def test_candidate_collection_json():
-    coll = build_candidate_collection(complete_graph(4), delta=0.5)
-    payload = json.loads(collection_to_json(coll))
-    assert payload["delta"] == 0.5
-    assert len(payload["sets"]) == 8
-    assert all(set(entry) == {"v", "j", "i", "members"} for entry in payload["sets"])
 
 
 def test_pigeon_index_random_sequences():

@@ -14,7 +14,6 @@ from sdpcolor.rounding import (
     kms_threshold,
     paired_threshold_trials,
     round_once,
-    rounding_report,
 )
 from sdpcolor.testkit import (
     complete_multipartite,
@@ -187,11 +186,3 @@ def test_paired_trials_shapes_and_types():
     assert res["c_refined"] < res["c_classic"]
     for size in res["refined_sizes"]:
         assert 0 <= size <= inst.graph.n
-
-
-def test_rounding_report():
-    rep = rounding_report(3.0, 20.0, 1.2, 4, [10, 12, 8, 30], seed=7)
-    assert rep["mean_size"] == 15.0
-    assert rep["best_size"] == 30
-    assert rep["seed"] == 7
-    assert set(rep) == {"alpha", "D", "c", "trials", "mean_size", "best_size", "seed"}
