@@ -40,7 +40,6 @@ from .indset import ak_independent_set, f_exponent, l2_vector_indset
 from .progress import (
     ContractedGraph,
     build_candidate_collection,
-    collection_guarantee_check,
     degree_buckets,
     progress_driver,
 )
@@ -55,6 +54,7 @@ from .testkit import (
     PlantedInstance,
     brute_force_chromatic,
     brute_force_mis,
+    collection_guarantee_check,
     is_k_colorable,
     planted_k_colorable,
 )

@@ -1,8 +1,7 @@
 """Numerical verification of the probabilistic machinery behind the rounding.
 
-Everything here is dependency-free special-function work: the standard normal
-tail N(x) via a stable series / continued fraction, the exact two-sided
-threshold ("wedge") probability
+Everything here is dependency-free: the standard normal tail N(x) from the
+standard library's erfc, the exact two-sided threshold ("wedge") probability
 
     P(beta) = (1/pi) * integral_0^beta exp(-c^2 / (2 sin^2 t)) dt
 
@@ -19,11 +18,9 @@ from dataclasses import dataclass
 from ._rng import stream
 
 SQRT2 = math.sqrt(2.0)
-_SQRT_PI = math.sqrt(math.pi)
 _QUAD_TOL = 1e-12
 _QUAD_PANELS = 8
 _MAX_DEPTH = 48
-_MILLS_CF_DEPTH = 120
 _MC_BATCH = 1 << 21
 
 
@@ -32,40 +29,11 @@ def normal_pdf(x: float) -> float:
     return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
 
 
-def _erf_series(z: float) -> float:
-    # erf(z) = (2 z / sqrt(pi)) e^{-z^2} sum_k (2 z^2)^k / (1*3*...*(2k+1));
-    # all terms positive, so the summation is cancellation-free.
-    t = 2.0 * z * z
-    term = 1.0
-    total = 1.0
-    k = 0
-    while term > 1e-19 * total:
-        k += 1
-        term *= t / (2 * k + 1)
-        total += term
-    return 2.0 * z / _SQRT_PI * math.exp(-z * z) * total
-
-
-def _mills_cf(x: float) -> float:
-    # Continued fraction for N(x)/phi(x) = 1/(x + 1/(x + 2/(x + ...))),
-    # evaluated backward; accurate to ~1e-17 relative for x >= 3.
-    t = 0.0
-    for k in range(_MILLS_CF_DEPTH, 0, -1):
-        t = k / (x + t)
-    return 1.0 / (x + t)
-
-
 def normal_tail(x: float) -> float:
     """N(x) = Pr[Z >= x] for standard normal Z; absolute error <= 1e-14."""
     if not math.isfinite(x):
         raise ValueError(f"normal_tail requires finite x, got {x}")
-    if x < 0.0:
-        return 1.0 - normal_tail(-x)
-    if x == 0.0:
-        return 0.5
-    if x < 3.0:
-        return 0.5 * (1.0 - _erf_series(x / SQRT2))
-    return normal_pdf(x) * _mills_cf(x)
+    return 0.5 * math.erfc(x / SQRT2)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from .graph import (
     verify_independent_set,
 )
 from .indset import ak_independent_set
-from .rounding import kms_color, NotVectorColorableError
+from .rounding import kms_color
 from .testkit import PlantedInstance, planted_k_colorable, random_graph
 
 SCHEMA = 1
@@ -75,8 +75,9 @@ def load_input(args) -> tuple[Graph, PlantedInstance | None]:
     if getattr(args, "input", None):
         try:
             return read_dimacs(args.input), None
-        except FileNotFoundError:
-            raise UsageError(f"input file not found: {args.input}")
+        except OSError as exc:
+            raise UsageError(f"cannot read input file {args.input}: "
+                             f"{exc.strerror or exc}") from None
         except DimacsError as exc:
             raise UsageError(f"malformed DIMACS input: {exc}")
     spec = getattr(args, "gen", None)
@@ -187,7 +188,7 @@ def cmd_color(args) -> int:
 
 def cmd_indset(args) -> int:
     graph, _ = load_input(args)
-    if args.alpha < 1:
+    if not args.alpha >= 1:
         raise UsageError("--alpha must be at least 1")
     check_solver_args(args)
     members = ak_independent_set(graph, args.alpha, eps=args.eps,
@@ -215,14 +216,18 @@ def cmd_verify(args) -> int:
         raise UsageError(f"cannot read result file {args.result}: {exc}") from None
     if not isinstance(payload, dict):
         raise UsageError("result file holds neither a coloring nor a set")
-    if "coloring" in payload and payload["coloring"] is not None:
-        ok = verify_coloring(graph, Coloring(tuple(payload["coloring"])))
-        kind = "coloring"
+    if payload.get("coloring") is not None:
+        kind, values = "coloring", payload["coloring"]
     elif "members" in payload:
-        ok = verify_independent_set(graph, set(payload["members"]))
-        kind = "independent-set"
+        kind, values = "independent-set", payload["members"]
     else:
         raise UsageError("result file holds neither a coloring nor a set")
+    if not (isinstance(values, list) and all(type(v) is int for v in values)):
+        raise UsageError(f"the result's {kind} is not a list of integers")
+    if kind == "coloring":
+        ok = verify_coloring(graph, Coloring(tuple(values)))
+    else:
+        ok = verify_independent_set(graph, set(values))
     sys.stdout.write(f"{kind}: {'valid' if ok else 'INVALID'}\n")
     return EXIT_OK if ok else EXIT_FAILURE
 
@@ -272,11 +277,8 @@ def cmd_bench(args) -> int:
                     raise AssertionError("unverified coloring in bench")
                 value = res.colors_used
             elif args.algo == "kms":
-                try:
-                    col = kms_color(inst.graph, args.k, eps=args.eps,
-                                    trials=args.trials, seed=args.seed + s)
-                except NotVectorColorableError as exc:
-                    raise RuntimeError(str(exc))
+                col = kms_color(inst.graph, args.k, eps=args.eps,
+                                trials=args.trials, seed=args.seed + s)
                 if not verify_coloring(inst.graph, col):
                     raise AssertionError("unverified coloring in bench")
                 value = col.colors_used

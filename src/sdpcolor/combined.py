@@ -39,9 +39,12 @@ from functools import lru_cache
 import numpy as np
 
 from .graph import (
+    CHROMATIC_GUARD,
     Coloring,
     Graph,
     bipartition,
+    brute_force_chromatic,
+    exact_coloring,
     induced_subgraph,
     largest_color_class,
     two_coloring,
@@ -58,14 +61,7 @@ from .progress import (
     default_delta,
     progress_driver,
 )
-from .rounding import (
-    NotVectorColorableError,
-    RoundingParams,
-    kms_color,
-    kms_independent_set,
-    kms_threshold,
-)
-from .testkit import CHROMATIC_GUARD, brute_force_chromatic
+from .rounding import RoundingParams, kms_color, kms_independent_set, kms_threshold
 from .vecsdp import InfeasibleError, solve_vector_coloring
 
 
@@ -80,16 +76,6 @@ def alpha_k(k: int) -> Fraction:
         return Fraction(3, 14)
     prev = alpha_k(k - 2)
     return 1 - Fraction(6) / (k + 4 + 3 * (1 - Fraction(2, k)) / (1 - prev))
-
-
-def step9_identity_holds(k: int) -> bool:
-    """Exact check of (2a_k/(1-2/k) - (1-a_k)/(1-a_{k-2})) * 3/k == 1 - a_k."""
-    if k < 4:
-        raise ValueError("the identity applies for k >= 4")
-    a = alpha_k(k)
-    prev = alpha_k(k - 2)
-    lhs = (2 * a / (1 - Fraction(2, k)) - (1 - a) / (1 - prev)) * Fraction(3, k)
-    return lhs == 1 - a
 
 
 def cutoff(size: int, k: int, c0: float = 4.0) -> int:
@@ -189,10 +175,7 @@ def color_three_fallback(g: Graph, cfg: CombinedConfig, seed: int) -> Coloring:
     next_color = 0
     while True:
         sub, verts = induced_subgraph(g, remaining)
-        if sub.n <= CHROMATIC_GUARD:
-            col = brute_force_chromatic(sub)
-            break
-        col = two_coloring(sub)
+        col = exact_coloring(sub)
         if col is not None:
             break
         v_star = max(range(sub.n), key=lambda v: (sub.degree(v), -v))
@@ -200,7 +183,7 @@ def color_three_fallback(g: Graph, cfg: CombinedConfig, seed: int) -> Coloring:
             try:
                 col = kms_color(sub, 3, eps=cfg.eps, trials=cfg.trials,
                                 seed=seed)
-            except NotVectorColorableError as exc:
+            except InfeasibleError as exc:
                 raise NotKColorableError("solver", str(exc)) from exc
             break
         # v* never joins its own neighborhood, so ``remaining`` stays

@@ -246,6 +246,92 @@ def two_coloring(g: Graph) -> Coloring | None:
 
 
 # ---------------------------------------------------------------------------
+# Exact finish: optimal colorings of small graphs (backtracking)
+# ---------------------------------------------------------------------------
+
+CHROMATIC_GUARD = 20
+
+
+class SizeGuardError(ValueError):
+    """An exact oracle was asked for an instance above its size guard."""
+
+
+def _adjacency_masks(g: Graph) -> list[int]:
+    masks = [0] * g.n
+    for u, v in g.edges:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return masks
+
+
+def _try_k_coloring(g: Graph, k: int) -> tuple[int, ...] | None:
+    """Backtracking k-coloring; first vertex in the order is pinned to color 0
+    and a fresh color may only be opened one beyond the current maximum."""
+    n = g.n
+    if n == 0:
+        return ()
+    if k <= 0:
+        return None
+    order = sorted(range(n), key=lambda v: (-g.degree(v), v))
+    color = [-1] * n
+    neighbors = [sorted(g.neighbors(v)) for v in range(n)]
+
+    def place(idx: int, used: int) -> bool:
+        if idx == n:
+            return True
+        v = order[idx]
+        banned = {color[w] for w in neighbors[v] if color[w] != -1}
+        top = min(k, used + 1)
+        for c in range(top):
+            if c in banned:
+                continue
+            color[v] = c
+            if place(idx + 1, max(used, c + 1)):
+                return True
+            color[v] = -1
+        return False
+
+    return tuple(color) if place(0, 0) else None
+
+
+def _clique_lower_bound(g: Graph, masks: list[int]) -> int:
+    best = 1 if g.n else 0
+    for v in range(g.n):
+        clique = 1 << v
+        rest = masks[v]
+        while rest:
+            u = (rest & -rest).bit_length() - 1
+            clique |= 1 << u
+            rest &= masks[u]
+        best = max(best, bin(clique).count("1"))
+    return best
+
+
+def brute_force_chromatic(g: Graph) -> Coloring:
+    """An optimal proper coloring of a small graph (guarded)."""
+    if g.n > CHROMATIC_GUARD:
+        raise SizeGuardError(
+            f"brute_force_chromatic guard is n <= {CHROMATIC_GUARD}, got {g.n}")
+    if g.n == 0:
+        return Coloring(())
+    masks = _adjacency_masks(g)
+    lower = _clique_lower_bound(g, masks)
+    for k in range(max(1, lower), g.n + 1):
+        attempt = _try_k_coloring(g, k)
+        if attempt is not None:
+            return Coloring(attempt)
+    raise AssertionError("unreachable: every graph is n-colorable")
+
+
+def exact_coloring(g: Graph) -> Coloring | None:
+    """An optimal coloring when g is small enough for brute force, else the
+    exact 2-coloring, which is None when g is not bipartite."""
+    if g.n <= CHROMATIC_GUARD:
+        return brute_force_chromatic(g)
+    return two_coloring(g)
+
+
+# ---------------------------------------------------------------------------
 # DIMACS .col I/O
 # ---------------------------------------------------------------------------
 
@@ -255,10 +341,14 @@ def read_dimacs(source: str | IO[str]) -> Graph:
     Self-loops, duplicate edges, out-of-range endpoints, and a mismatched edge
     count are all hard parse errors: benchmark files are not silently cleaned.
     """
-    if isinstance(source, str):
-        with open(source, "r", encoding="ascii") as fh:
-            return _read_dimacs_lines(fh)
-    return _read_dimacs_lines(source)
+    try:
+        if isinstance(source, str):
+            with open(source, "r", encoding="ascii") as fh:
+                return _read_dimacs_lines(fh)
+        return _read_dimacs_lines(source)
+    except UnicodeDecodeError as exc:
+        raise DimacsError(f"not ASCII text: byte {exc.start} is "
+                          f"{exc.object[exc.start]:#04x}") from None
 
 
 def _read_dimacs_lines(lines: Iterator[str]) -> Graph:

@@ -29,11 +29,6 @@ from .vecsdp import (
 )
 
 
-class RecursionGuardError(RuntimeError):
-    """The extraction recursion failed to shrink its parameter (internal bug
-    guard; alpha must strictly decrease by one per level)."""
-
-
 def f_exponent(alpha: float) -> float:
     """Size exponent of the extractable independent set; continuous, equal to
     1 on [1, 2] and to 3/(k+1) at every integer k >= 2."""
@@ -72,33 +67,20 @@ def _bigger_side(g: Graph) -> frozenset[int] | None:
 
 
 def l2_vector_indset(g: Graph, vc: VectorColoring, trials: int = 64,
-                     seed: int = 0, depth_guard: int | None = None) -> frozenset[int]:
+                     seed: int = 0) -> frozenset[int]:
     """Independent set from a vector coloring: max of threshold rounding and
     the neighborhood recursion at parameter alpha - 1.
 
     Base case floor(alpha) = 1: a vector alpha-colorable graph with alpha < 2
     has no edges, so the whole vertex set is returned; residual edges (a
     numerics artifact) fall back to the greedy set. trials are shared across
-    recursion levels with a floor of 8 per level.
+    recursion levels with a floor of 8 per level. Each level lowers alpha by
+    one on a strictly smaller neighbourhood, so the recursion terminates.
     """
-    if depth_guard is None:
-        depth_guard = min(int(math.ceil(vc.alpha)) + 2, g.n + 2)
-    return _l2_recurse(g, vc, trials, seed, depth_guard)
-
-
-def _l2_recurse(g: Graph, vc: VectorColoring, trials: int, seed: int,
-                remaining: int) -> frozenset[int]:
-    if remaining < 0:
-        raise RecursionGuardError(
-            "neighborhood recursion exceeded its depth guard")
-    if g.n == 0:
-        return frozenset()
-    if vc.alpha < 2.0:
-        if g.m == 0:
-            return frozenset(range(g.n))
-        return greedy_independent_set(g)
     if g.m == 0:
         return frozenset(range(g.n))
+    if vc.alpha < 2.0:
+        return greedy_independent_set(g)
     if vc.alpha <= 2.0:
         # Vector 2-colorable means bipartite; take the larger side.
         side = _bigger_side(g)
@@ -122,8 +104,7 @@ def _l2_recurse(g: Graph, vc: VectorColoring, trials: int, seed: int,
                 pass
         cand = g.neighbors(v_star)
         if red is not None:
-            inner = _l2_recurse(red.graph, red.coloring, trials,
-                                seed + 1, remaining - 1)
+            inner = l2_vector_indset(red.graph, red.coloring, trials, seed + 1)
             branch_b = frozenset(red.vertices[i] for i in inner)
         elif verify_independent_set(g, cand):
             # With alpha - 1 < 2 the neighborhood of v* is vector
@@ -147,7 +128,7 @@ def ak_independent_set(g: Graph, alpha: float, eps: float = 1e-3,
     returns the greedy set instead of erroring. The output is always
     verified independent.
     """
-    if alpha < 1.0:
+    if not alpha >= 1.0:
         raise ValueError(f"alpha must be at least 1, got {alpha}")
     if g.n == 0:
         return frozenset()

@@ -17,7 +17,8 @@ vertex v and bucket pair (j, i), the set
 S = N(v) & I_j. On a k-colorable graph with minimum degree d_min and common
 neighborhoods bounded by s, at least one of these O(n log^2 n) sets is both
 large (d_min^2/s up to polylogs) and nearly 1/(k-1) pure in one color class;
-the checker verifies that against a known planted partition.
+``testkit.collection_guarantee_check`` tests that claim against a planted
+partition.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .graph import Coloring, Graph, verify_coloring
-from .testkit import PlantedInstance
 
 
 # ---------------------------------------------------------------------------
@@ -123,92 +123,6 @@ def build_candidate_collection(g: Graph, delta: float | None = None) -> Candidat
                     seen[members] = len(out)
                     out.append(CandidateSet(members, v, j, i))
     return CandidateCollection(tuple(out), delta)
-
-
-# ---------------------------------------------------------------------------
-# Pigeonhole search utility (test oracle for the bucket selection argument)
-# ---------------------------------------------------------------------------
-
-def find_pigeon_index(x, y, delta: float, beta: float | None = None) -> int:
-    """Index i with x_i >= delta * mean(x) and x_i >= (1-delta) * beta * y_i.
-
-    beta defaults to sum(x)/sum(y). Existence is guaranteed for nonnegative
-    sequences with sum(x) >= beta * sum(y); raises if the inputs break that
-    contract.
-    """
-    x = [float(v) for v in x]
-    y = [float(v) for v in y]
-    if len(x) != len(y) or not x:
-        raise ValueError("need two equal-length nonempty sequences")
-    if min(x) < 0 or min(y) < 0:
-        raise ValueError("sequences must be nonnegative")
-    total_x = sum(x)
-    if beta is None:
-        total_y = sum(y)
-        beta = total_x / total_y if total_y > 0 else float("inf")
-    mean_x = total_x / len(x)
-    for i in range(len(x)):
-        if x[i] >= delta * mean_x and x[i] >= (1.0 - delta) * beta * y[i]:
-            return i
-    raise ValueError("no index satisfies the pigeonhole conditions; "
-                     "inputs violate sum(x) >= beta * sum(y)")
-
-
-# ---------------------------------------------------------------------------
-# Guarantee check against a planted partition (test-only oracle)
-# ---------------------------------------------------------------------------
-
-def collection_guarantee_check(g: Graph, coll: CandidateCollection, k: int,
-                               planted: PlantedInstance) -> dict:
-    """Search the collection for a witness set that is simultaneously large
-    (>= d_min^2 / (s ln^2 n)) and nearly 1/(k-1) pure in the heaviest planted
-    class. Returns a report; the caller asserts report["found"]."""
-    if planted.graph != g:
-        raise ValueError("planted instance does not match the graph")
-    n = g.n
-    degs = g.degrees()
-    class_weight = [sum(degs[v] for v in cls) for cls in planted.classes]
-    red_class = min(range(len(class_weight)),
-                    key=lambda c: (-class_weight[c], c))
-    red = set(planted.classes[red_class])
-    d_min = min(degs) if n else 0
-    adj = g.adjacency_matrix().astype(np.int16)
-    common = adj @ adj
-    np.fill_diagonal(common, 0)
-    s_max = int(common.max()) if n else 0
-    logn = math.log(max(n, 3))
-    size_floor = d_min * d_min / (max(s_max, 1) * logn * logn)
-    purity_floor = 1.0 / (k - 1) - 2.0 / logn
-    best = None
-    found = None
-    for cs in coll.sets:
-        size = len(cs.members)
-        red_frac = len(cs.members & red) / size if size else 0.0
-        key = (min(size / max(size_floor, 1e-12), 4.0)
-               + min((red_frac - purity_floor) * 4.0, 4.0))
-        if best is None or key > best["score"]:
-            best = {"score": key, "v": cs.v, "j": cs.j, "i": cs.i,
-                    "size": size, "red_fraction": red_frac}
-        if size >= size_floor and red_frac >= purity_floor:
-            if found is None:
-                found = {"v": cs.v, "j": cs.j, "i": cs.i, "size": size,
-                         "red_fraction": red_frac}
-    if best is not None:
-        best.pop("score", None)
-    return {
-        "n": n,
-        "k": k,
-        "delta": coll.delta,
-        "d_min": d_min,
-        "s_max": s_max,
-        "size_floor": size_floor,
-        "purity_floor": purity_floor,
-        "collection_size": len(coll),
-        "red_class": red_class,
-        "found": found is not None,
-        "witness": found,
-        "best": best,
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,9 @@ value
     c = sqrt((1 - 2/alpha) (2 ln D - ln ln D)),   D = average degree,
 
 whose extra -ln ln D term buys the polylogarithmic improvement over the
-classical sqrt((1 - 2/alpha) 2 ln D) choice; both are exposed so experiments
-can compare them. Logarithms are natural; D is clamped below by e so
-ln ln D is defined.
+classical sqrt((1 - 2/alpha) 2 ln D) choice (``testkit.classic_threshold``,
+kept for the comparison experiments). Logarithms are natural; D is clamped
+below by e so ln ln D is defined.
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import stream
-from .graph import Coloring, Graph, induced_subgraph, two_coloring, verify_coloring
-from .testkit import CHROMATIC_GUARD, brute_force_chromatic
-from .vecsdp import InfeasibleError, VectorColoring, solve_vector_coloring
+from .graph import Coloring, Graph, exact_coloring, induced_subgraph, verify_coloring
+from .progress import NotKColorableError
+from .vecsdp import VectorColoring, solve_vector_coloring
 
 
 @dataclass(frozen=True)
@@ -46,14 +46,6 @@ def kms_threshold(alpha: float, d_avg: float) -> float:
         raise ValueError(f"threshold needs alpha > 2, got {alpha}")
     d = max(d_avg, math.e)
     return math.sqrt((1.0 - 2.0 / alpha) * (2.0 * math.log(d) - math.log(math.log(d))))
-
-
-def classic_threshold(alpha: float, d_avg: float) -> float:
-    """The unrefined sqrt((1 - 2/alpha) 2 ln D) threshold, for comparisons."""
-    if alpha <= 2.0:
-        raise ValueError(f"threshold needs alpha > 2, got {alpha}")
-    d = max(d_avg, math.e)
-    return math.sqrt((1.0 - 2.0 / alpha) * 2.0 * math.log(d))
 
 
 def round_once(vc: VectorColoring, g: Graph, r: np.ndarray, c: float) -> frozenset[int]:
@@ -114,36 +106,23 @@ def kms_independent_set(g: Graph, vc: VectorColoring,
     return best
 
 
-class NotVectorColorableError(RuntimeError):
-    """kms_color could not obtain the vector coloring it rounds."""
-
-
 def kms_color(g: Graph, k: int, eps: float = 1e-3, trials: int = 64,
               seed: int = 0) -> Coloring:
     """Color a vector k-colorable graph by repeated threshold rounding.
 
     The vector coloring is solved once and restricted to each residual
     subgraph (restriction closure); the threshold is recomputed from each
-    residual's average degree. Tiny graphs go straight to the exact oracle
-    and bipartite graphs to the exact 2-coloring.
+    residual's average degree. Tiny and bipartite graphs get their exact
+    coloring instead. A solver stall surfaces as InfeasibleError.
     """
     if k < 2:
         raise ValueError(f"k must be at least 2, got {k}")
-    if g.n == 0:
-        return Coloring(())
-    if g.n <= CHROMATIC_GUARD:
-        return brute_force_chromatic(g)
-    exact2 = two_coloring(g)
-    if exact2 is not None:
-        return exact2
+    exact = exact_coloring(g)
+    if exact is not None:
+        return exact
     if k == 2:
-        raise NotVectorColorableError(
-            "graph is not bipartite, so it has no vector 2-coloring")
-    try:
-        vc = solve_vector_coloring(g, float(k), eps=eps, seed=seed)
-    except InfeasibleError as exc:
-        raise NotVectorColorableError(
-            f"not vector {k}-colorable at tolerance {eps:g}: {exc}") from exc
+        raise NotKColorableError("witness", "graph is not bipartite")
+    vc = solve_vector_coloring(g, float(k), eps=eps, seed=seed)
 
     assignment = [-1] * g.n
     remaining = list(range(g.n))
@@ -164,42 +143,3 @@ def kms_color(g: Graph, k: int, eps: float = 1e-3, trials: int = 64,
         raise AssertionError("rounding produced an improper coloring")
     return result
 
-
-# ---------------------------------------------------------------------------
-# Experiment helpers
-# ---------------------------------------------------------------------------
-
-def paired_threshold_trials(g: Graph, vc: VectorColoring, alpha: float,
-                            trials: int, seed: int) -> dict:
-    """Rounded-set sizes for the refined and classic thresholds on shared
-    Gaussian draws (paired for variance reduction)."""
-    c_refined = kms_threshold(alpha, g.average_degree)
-    c_classic = classic_threshold(alpha, g.average_degree)
-    refined = np.empty(trials, dtype=np.int64)
-    classic = np.empty(trials, dtype=np.int64)
-    for trial in range(trials):
-        rng = stream(seed, "paired-trial", trial)
-        r = rng.standard_normal(vc.dim)
-        refined[trial] = len(round_once(vc, g, r, c_refined))
-        classic[trial] = len(round_once(vc, g, r, c_classic))
-    return {
-        "alpha": alpha,
-        "D": g.average_degree,
-        "c_refined": c_refined,
-        "c_classic": c_classic,
-        "refined_sizes": refined,
-        "classic_sizes": classic,
-        "seed": seed,
-    }
-
-
-def bootstrap_mean_difference(a: np.ndarray, b: np.ndarray, resamples: int,
-                              seed: int) -> tuple[float, float]:
-    """(2.5th, 5th) percentile of the bootstrap distribution of mean(a - b)."""
-    diffs = (a - b).astype(float)
-    rng = stream(seed, "bootstrap")
-    n = len(diffs)
-    idx = rng.integers(0, n, size=(resamples, n))
-    means = diffs[idx].mean(axis=1)
-    lo2_5, lo5 = np.percentile(means, [2.5, 5.0])
-    return float(lo2_5), float(lo5)

@@ -1,9 +1,11 @@
-"""Instance generators and exact brute-force oracles.
+"""Instance generators, exact oracles and checks of the paper's claims.
 
 The planted generator produces k-colorable graphs with a known hidden
-partition; the brute-force routines give exact ground truth on small graphs.
-All randomness comes from PCG64 streams (see _rng), so identical
-(n, k, p, seed) always yields the identical edge set.
+partition; the brute-force routines give exact ground truth on small graphs;
+the claim checks and experiment helpers measure the paper's statements
+against them. All randomness comes from PCG64 streams (see _rng), so
+identical (n, k, p, seed) always yields the identical edge set. No library
+module imports this one; the exact coloring it re-exports lives in graph.
 """
 
 from __future__ import annotations
@@ -11,16 +13,26 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from ._rng import stream
-from .graph import Coloring, Graph, read_dimacs, write_dimacs
+from .combined import alpha_k
+from .graph import (  # the exact coloring is re-exported from here
+    CHROMATIC_GUARD,
+    Coloring,
+    Graph,
+    SizeGuardError,
+    _adjacency_masks,
+    _try_k_coloring,
+    brute_force_chromatic,
+    read_dimacs,
+    write_dimacs,
+)
+from .progress import CandidateCollection
+from .rounding import kms_threshold, round_once
 from .vecsdp import VectorColoring
-
-
-class SizeGuardError(ValueError):
-    """An exact oracle was asked for an instance above its size guard."""
 
 
 # ---------------------------------------------------------------------------
@@ -134,16 +146,7 @@ def petersen_graph() -> Graph:
 # ---------------------------------------------------------------------------
 
 MIS_GUARD = 40
-CHROMATIC_GUARD = 20
 K_COLORABLE_GUARD = 30
-
-
-def _adjacency_masks(g: Graph) -> list[int]:
-    masks = [0] * g.n
-    for u, v in g.edges:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    return masks
 
 
 def _clique_cover_bound(cand: int, masks: list[int]) -> int:
@@ -195,36 +198,6 @@ def brute_force_mis(g: Graph) -> set[int]:
     return {v for v in range(g.n) if mask >> v & 1}
 
 
-def _try_k_coloring(g: Graph, k: int) -> tuple[int, ...] | None:
-    """Backtracking k-coloring; first vertex in the order is pinned to color 0
-    and a fresh color may only be opened one beyond the current maximum."""
-    n = g.n
-    if n == 0:
-        return ()
-    if k <= 0:
-        return None
-    order = sorted(range(n), key=lambda v: (-g.degree(v), v))
-    color = [-1] * n
-    neighbors = [sorted(g.neighbors(v)) for v in range(n)]
-
-    def place(idx: int, used: int) -> bool:
-        if idx == n:
-            return True
-        v = order[idx]
-        banned = {color[w] for w in neighbors[v] if color[w] != -1}
-        top = min(k, used + 1)
-        for c in range(top):
-            if c in banned:
-                continue
-            color[v] = c
-            if place(idx + 1, max(used, c + 1)):
-                return True
-            color[v] = -1
-        return False
-
-    return tuple(color) if place(0, 0) else None
-
-
 def is_k_colorable(g: Graph, k: int) -> bool:
     """Exact decision for small graphs (guarded)."""
     if g.n > K_COLORABLE_GUARD:
@@ -233,35 +206,6 @@ def is_k_colorable(g: Graph, k: int) -> bool:
     if k >= g.n or g.max_degree < k:
         return k >= 1 or g.n == 0
     return _try_k_coloring(g, k) is not None
-
-
-def brute_force_chromatic(g: Graph) -> Coloring:
-    """An optimal proper coloring of a small graph (guarded)."""
-    if g.n > CHROMATIC_GUARD:
-        raise SizeGuardError(
-            f"brute_force_chromatic guard is n <= {CHROMATIC_GUARD}, got {g.n}")
-    if g.n == 0:
-        return Coloring(())
-    masks = _adjacency_masks(g)
-    lower = _clique_lower_bound(g, masks)
-    for k in range(max(1, lower), g.n + 1):
-        attempt = _try_k_coloring(g, k)
-        if attempt is not None:
-            return Coloring(attempt)
-    raise AssertionError("unreachable: every graph is n-colorable")
-
-
-def _clique_lower_bound(g: Graph, masks: list[int]) -> int:
-    best = 1 if g.n else 0
-    for v in range(g.n):
-        clique = 1 << v
-        rest = masks[v]
-        while rest:
-            u = (rest & -rest).bit_length() - 1
-            clique |= 1 << u
-            rest &= masks[u]
-        best = max(best, bin(clique).count("1"))
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -316,3 +260,139 @@ def vector_coloring_from_json(text: str) -> VectorColoring:
         float(payload["eps"]),
         max_edge_residual=float("-inf") if res is None else float(res),
     )
+
+
+# ---------------------------------------------------------------------------
+# Claim checks and experiment helpers
+# ---------------------------------------------------------------------------
+
+def step9_identity_holds(k: int) -> bool:
+    """Exact check of (2a_k/(1-2/k) - (1-a_k)/(1-a_{k-2})) * 3/k == 1 - a_k."""
+    if k < 4:
+        raise ValueError("the identity applies for k >= 4")
+    a = alpha_k(k)
+    prev = alpha_k(k - 2)
+    lhs = (2 * a / (1 - Fraction(2, k)) - (1 - a) / (1 - prev)) * Fraction(3, k)
+    return lhs == 1 - a
+
+
+def find_pigeon_index(x, y, delta: float, beta: float | None = None) -> int:
+    """Index i with x_i >= delta * mean(x) and x_i >= (1-delta) * beta * y_i.
+
+    beta defaults to sum(x)/sum(y). Existence is guaranteed for nonnegative
+    sequences with sum(x) >= beta * sum(y); raises if the inputs break that
+    contract.
+    """
+    x = [float(v) for v in x]
+    y = [float(v) for v in y]
+    if len(x) != len(y) or not x:
+        raise ValueError("need two equal-length nonempty sequences")
+    if min(x) < 0 or min(y) < 0:
+        raise ValueError("sequences must be nonnegative")
+    total_x = sum(x)
+    if beta is None:
+        total_y = sum(y)
+        beta = total_x / total_y if total_y > 0 else float("inf")
+    mean_x = total_x / len(x)
+    for i in range(len(x)):
+        if x[i] >= delta * mean_x and x[i] >= (1.0 - delta) * beta * y[i]:
+            return i
+    raise ValueError("no index satisfies the pigeonhole conditions; "
+                     "inputs violate sum(x) >= beta * sum(y)")
+
+
+def collection_guarantee_check(g: Graph, coll: CandidateCollection, k: int,
+                               planted: PlantedInstance) -> dict:
+    """Search the collection for a witness set that is simultaneously large
+    (>= d_min^2 / (s ln^2 n)) and nearly 1/(k-1) pure in the heaviest planted
+    class. Returns a report; the caller asserts report["found"]."""
+    if planted.graph != g:
+        raise ValueError("planted instance does not match the graph")
+    n = g.n
+    degs = g.degrees()
+    class_weight = [sum(degs[v] for v in cls) for cls in planted.classes]
+    red_class = min(range(len(class_weight)),
+                    key=lambda c: (-class_weight[c], c))
+    red = set(planted.classes[red_class])
+    d_min = min(degs) if n else 0
+    adj = g.adjacency_matrix().astype(np.int16)
+    common = adj @ adj
+    np.fill_diagonal(common, 0)
+    s_max = int(common.max()) if n else 0
+    logn = math.log(max(n, 3))
+    size_floor = d_min * d_min / (max(s_max, 1) * logn * logn)
+    purity_floor = 1.0 / (k - 1) - 2.0 / logn
+    best = None
+    found = None
+    for cs in coll.sets:
+        size = len(cs.members)
+        red_frac = len(cs.members & red) / size if size else 0.0
+        key = (min(size / max(size_floor, 1e-12), 4.0)
+               + min((red_frac - purity_floor) * 4.0, 4.0))
+        if best is None or key > best["score"]:
+            best = {"score": key, "v": cs.v, "j": cs.j, "i": cs.i,
+                    "size": size, "red_fraction": red_frac}
+        if size >= size_floor and red_frac >= purity_floor:
+            if found is None:
+                found = {"v": cs.v, "j": cs.j, "i": cs.i, "size": size,
+                         "red_fraction": red_frac}
+    if best is not None:
+        best.pop("score", None)
+    return {
+        "n": n,
+        "k": k,
+        "delta": coll.delta,
+        "d_min": d_min,
+        "s_max": s_max,
+        "size_floor": size_floor,
+        "purity_floor": purity_floor,
+        "collection_size": len(coll),
+        "red_class": red_class,
+        "found": found is not None,
+        "witness": found,
+        "best": best,
+    }
+
+
+def classic_threshold(alpha: float, d_avg: float) -> float:
+    """The unrefined sqrt((1 - 2/alpha) 2 ln D) threshold, for comparisons."""
+    if alpha <= 2.0:
+        raise ValueError(f"threshold needs alpha > 2, got {alpha}")
+    d = max(d_avg, math.e)
+    return math.sqrt((1.0 - 2.0 / alpha) * 2.0 * math.log(d))
+
+
+def paired_threshold_trials(g: Graph, vc: VectorColoring, alpha: float,
+                            trials: int, seed: int) -> dict:
+    """Rounded-set sizes for the refined and classic thresholds on shared
+    Gaussian draws (paired for variance reduction)."""
+    c_refined = kms_threshold(alpha, g.average_degree)
+    c_classic = classic_threshold(alpha, g.average_degree)
+    refined = np.empty(trials, dtype=np.int64)
+    classic = np.empty(trials, dtype=np.int64)
+    for trial in range(trials):
+        rng = stream(seed, "paired-trial", trial)
+        r = rng.standard_normal(vc.dim)
+        refined[trial] = len(round_once(vc, g, r, c_refined))
+        classic[trial] = len(round_once(vc, g, r, c_classic))
+    return {
+        "alpha": alpha,
+        "D": g.average_degree,
+        "c_refined": c_refined,
+        "c_classic": c_classic,
+        "refined_sizes": refined,
+        "classic_sizes": classic,
+        "seed": seed,
+    }
+
+
+def bootstrap_mean_difference(a: np.ndarray, b: np.ndarray, resamples: int,
+                              seed: int) -> tuple[float, float]:
+    """(2.5th, 5th) percentile of the bootstrap distribution of mean(a - b)."""
+    diffs = (a - b).astype(float)
+    rng = stream(seed, "bootstrap")
+    n = len(diffs)
+    idx = rng.integers(0, n, size=(resamples, n))
+    means = diffs[idx].mean(axis=1)
+    lo2_5, lo5 = np.percentile(means, [2.5, 5.0])
+    return float(lo2_5), float(lo5)

@@ -27,24 +27,25 @@ from sdpcolor.combined import (
     alpha_k,
     combined_color,
     fit_exponent,
-    step9_identity_holds,
 )
 from sdpcolor.graph import Graph, verify_coloring, verify_independent_set
 from sdpcolor.indset import ak_independent_set, f_exponent, greedy_independent_set
-from sdpcolor.progress import build_candidate_collection, collection_guarantee_check
+from sdpcolor.progress import build_candidate_collection
 from sdpcolor.rounding import (
     RoundingParams,
-    bootstrap_mean_difference,
     kms_independent_set,
     kms_threshold,
-    paired_threshold_trials,
     round_once,
 )
 from sdpcolor.testkit import (
+    bootstrap_mean_difference,
     brute_force_mis,
+    collection_guarantee_check,
     is_k_colorable,
+    paired_threshold_trials,
     planted_k_colorable,
     random_graph,
+    step9_identity_holds,
 )
 from sdpcolor.vecsdp import VectorColoring, simplex_vectors, solve_vector_coloring
 

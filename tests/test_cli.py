@@ -196,11 +196,26 @@ USAGE_ERRORS = {
                                "--k", "4", "--repeats", "-2"],
     "bench-zero-repeats": ["bench", "--k", "4", "--sizes", "20",
                            "--repeats", "0"],
+    # These raised UnicodeDecodeError, IsADirectoryError or TypeError.
+    "input-non-ascii": ["color", "--input", "{tmp}/non_ascii.col", "--k", "3"],
+    "input-directory": ["color", "--input", "{tmp}", "--k", "3"],
+    "verify-coloring-not-list": ["verify"] + GEN10
+                                + ["--result", "{tmp}/coloring_int.json"],
+    "verify-members-not-list": ["verify"] + GEN10
+                               + ["--result", "{tmp}/members_int.json"],
+    "verify-members-not-ints": ["verify"] + GEN10
+                               + ["--result", "{tmp}/members_str.json"],
+    # Used to exit 2 as an inconsistent solver output.
+    "indset-nan-alpha": ["indset"] + GEN10 + ["--alpha", "nan"],
 }
 
 
 @pytest.mark.parametrize("case", sorted(USAGE_ERRORS))
 def test_usage_error_exits_1(case, tmp_path):
     (tmp_path / "bad.json").write_text("{not json")
+    (tmp_path / "non_ascii.col").write_bytes(b"p edge 2 1\ne 1 2\nc caf\xc3\xa9\n")
+    (tmp_path / "coloring_int.json").write_text('{"coloring": 5}')
+    (tmp_path / "members_int.json").write_text('{"members": 3}')
+    (tmp_path / "members_str.json").write_text('{"members": ["a"]}')
     argv = [a.format(tmp=tmp_path) for a in USAGE_ERRORS[case]]
     assert run(argv) == EXIT_USAGE

@@ -6,6 +6,7 @@ import pytest
 
 from sdpcolor._rng import stream
 import sdpcolor.combined as combined
+import sdpcolor.rounding as rounding
 from sdpcolor.combined import (
     CombinedConfig,
     CombinedResult,
@@ -14,7 +15,6 @@ from sdpcolor.combined import (
     combined_color,
     cutoff,
     fit_exponent,
-    step9_identity_holds,
     _best_pair,
     _CombinedFinder,
 )
@@ -32,7 +32,9 @@ from sdpcolor.testkit import (
     is_k_colorable,
     planted_k_colorable,
     random_graph,
+    step9_identity_holds,
 )
+from sdpcolor.vecsdp import InfeasibleError
 
 TABLE = {
     3: Fraction(3, 14),
@@ -144,6 +146,18 @@ def test_color_three_fallback_splits_high_degree_neighbourhood(path_len, rest):
     col = color_three_fallback(g, CombinedConfig(), 0)
     assert col.assignment == rest
     assert verify_coloring(g, col)
+
+
+def test_color_three_fallback_reports_solver_stall(monkeypatch):
+    # An odd 25-cycle is above the exact oracle's guard, not bipartite and
+    # of low degree, so the fallback rounds it through kms_color.
+    def stall(g, alpha, **kwargs):
+        raise InfeasibleError(alpha, kwargs["eps"], 0.5, 1)
+
+    monkeypatch.setattr(rounding, "solve_vector_coloring", stall)
+    with pytest.raises(NotKColorableError) as err:
+        color_three_fallback(cycle_graph(25), CombinedConfig(), 0)
+    assert err.value.kind == "solver"
 
 
 def test_combined_k4_planted_small():

@@ -2,7 +2,6 @@ import pytest
 
 from sdpcolor.graph import Graph, verify_independent_set
 from sdpcolor.indset import (
-    RecursionGuardError,
     ak_independent_set,
     f_exponent,
     greedy_independent_set,
@@ -84,13 +83,6 @@ def test_l2_dominates_single_branch():
     assert verify_independent_set(g, out)
 
 
-def test_l2_depth_guard_trips_on_forced_recursion():
-    g = complete_graph(4)
-    vc = VectorColoring(4.0, simplex_vectors(4), 1e-9)
-    with pytest.raises(RecursionGuardError):
-        l2_vector_indset(g, vc, trials=8, seed=0, depth_guard=0)
-
-
 def test_ak_edgeless_alpha_one():
     assert ak_independent_set(Graph(6), 1.0) == frozenset(range(6))
 
@@ -123,3 +115,8 @@ def test_ak_best_effort_without_promise():
 def test_ak_validation():
     with pytest.raises(ValueError):
         ak_independent_set(Graph(3), 0.5)
+
+
+def test_ak_rejects_nan_alpha():
+    with pytest.raises(ValueError):
+        ak_independent_set(Graph(3), float("nan"))

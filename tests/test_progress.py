@@ -14,16 +14,16 @@ from sdpcolor.progress import (
     SameColor,
     bucket_index,
     build_candidate_collection,
-    collection_guarantee_check,
     default_delta,
     degree_buckets,
-    find_pigeon_index,
     progress_driver,
 )
 from sdpcolor.testkit import (
     brute_force_mis,
+    collection_guarantee_check,
     complete_graph,
     cycle_graph,
+    find_pigeon_index,
     path_graph,
     planted_k_colorable,
     random_graph,

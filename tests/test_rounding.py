@@ -5,19 +5,19 @@ import pytest
 
 from sdpcolor._rng import stream
 from sdpcolor.graph import Graph, verify_coloring, verify_independent_set
+from sdpcolor.progress import NotKColorableError
 from sdpcolor.rounding import (
-    NotVectorColorableError,
     RoundingParams,
-    classic_threshold,
     kms_color,
     kms_independent_set,
     kms_threshold,
-    paired_threshold_trials,
     round_once,
 )
 from sdpcolor.testkit import (
+    classic_threshold,
     complete_multipartite,
     cycle_graph,
+    paired_threshold_trials,
     path_graph,
     petersen_graph,
     planted_k_colorable,
@@ -148,8 +148,9 @@ def test_kms_color_bipartite_shortcut():
 
 
 def test_kms_color_rejects_odd_cycle_for_k2():
-    with pytest.raises(NotVectorColorableError):
+    with pytest.raises(NotKColorableError) as info:
         kms_color(cycle_graph(25), 2)
+    assert info.value.kind == "witness"
 
 
 def test_kms_color_does_not_mask_bad_arguments_as_infeasible():
