@@ -97,6 +97,14 @@ def check_solver_args(args) -> None:
         raise UsageError("--trials must be at least 1")
 
 
+def finite(token: str) -> float:
+    """float(token), refusing inf and nan: every float option parses here."""
+    value = float(token)
+    if not math.isfinite(value):
+        raise UsageError(f"not a finite number: {token!r}")
+    return value
+
+
 def parse_float_token(token: str) -> float:
     """Floats with a pi/<d> convenience form ("pi/6", "pi", "0.5")."""
     token = token.strip()
@@ -104,10 +112,10 @@ def parse_float_token(token: str) -> float:
         return math.pi
     try:
         if token.startswith("pi/"):
-            return math.pi / float(token[3:])
-        return float(token)
+            return math.pi / finite(token[3:])
+        return finite(token)
     except (ValueError, ZeroDivisionError):
-        raise UsageError(f"not a number: {token!r}") from None
+        raise UsageError(f"not a finite number: {token!r}") from None
 
 
 def parse_range(token: str) -> list[float]:
@@ -158,7 +166,8 @@ def write_text(path: str | None, text: str) -> None:
 
 
 def dump_json(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"),
+                      allow_nan=False) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -332,18 +341,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("color", help="color a graph with the combined algorithm")
     _add_input_args(p)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--eps", type=float, default=1e-3)
+    p.add_argument("--eps", type=finite, default=1e-3)
     p.add_argument("--trials", type=int, default=64)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--repeats", type=int, default=3)
-    p.add_argument("--c0", type=float, default=4.0)
+    p.add_argument("--c0", type=finite, default=4.0)
     p.add_argument("--out", help="result JSON path (stdout if omitted)")
     p.set_defaults(func=cmd_color)
 
     p = subs.add_parser("indset", help="extract a large independent set")
     _add_input_args(p)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--eps", type=float, default=1e-3)
+    p.add_argument("--alpha", type=finite, required=True)
+    p.add_argument("--eps", type=finite, default=1e-3)
     p.add_argument("--trials", type=int, default=64)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
@@ -367,10 +376,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algo", choices=("combined", "kms", "indset"),
                    default="combined")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--p", type=float, default=0.3)
+    p.add_argument("--p", type=finite, default=0.3)
     p.add_argument("--sizes", required=True, help="comma list, e.g. 125,250,500")
     p.add_argument("--seeds", type=int, default=3)
-    p.add_argument("--eps", type=float, default=1e-3)
+    p.add_argument("--eps", type=finite, default=1e-3)
     p.add_argument("--trials", type=int, default=24)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--repeats", type=int, default=3)

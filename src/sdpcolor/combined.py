@@ -376,6 +376,8 @@ def combined_color(g: Graph, k: int, cfg: CombinedConfig | None = None) -> Combi
         raise ValueError(f"k must be at least 2, got {k}")
     if cfg.repeats < 1:
         raise ValueError(f"repeats must be at least 1, got {cfg.repeats}")
+    if not 0.0 < cfg.c0 < math.inf:
+        raise ValueError(f"c0 must be positive and finite, got {cfg.c0}")
     a_exp = alpha_k(k)
     failures: list[tuple[str, str]] = []
     declarations: list[Declaration] = []

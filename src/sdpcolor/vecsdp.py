@@ -14,6 +14,8 @@ renormalization; no external SDP solver):
 * the independence-number program: maximize sum (1 + v0 . v_i)/2 subject to
   (v0 + v_i) . (v0 + v_j) = 0 on edges, solved by an augmented Lagrangian.
 
+Both iterate on the edge kernels of one ``_EdgeSums`` workspace; a returned
+vector coloring is still measured edge by edge with per-edge products.
 Infeasibility reports are evidence only (best residual reached), never dual
 certificates. All logarithms are natural.
 """
@@ -201,9 +203,12 @@ def _row_normalize(v: np.ndarray, sq: np.ndarray | None = None,
 
 
 class _EdgeSums:
-    """Weighted neighbour sums c_i = sum over edges e = {i, j} of w_e x_j,
-    the kernel of both solvers' iterations, written into ``out``.
+    """Both solvers' edge kernels on (n, d) operands x, into ``out``: the
+    edge dots x_u . x_v and the neighbour sums c_i = sum_{ij in E} w_ij x_j.
 
+    ``dots`` reads the edge entries of the gemm Gram matrix x x^T (taken on
+    a transposed copy: gemm, not syrk) when n <= 2048 and 16 m >= n^2, else
+    it is ``_edge_dots`` on (m, d) row buffers; the two agree to rounding.
     ``dense`` (n <= 2048 only) writes every edge's weight into the n x n
     matrix ``w``, whose other entries stay zero, and takes one gemm in its
     dtype. ``scatter`` sums each column with a float64 bincount over every
@@ -212,11 +217,23 @@ class _EdgeSums:
     out add nothing, so ``active`` only skips zero weights.
     """
 
-    def __init__(self, n, eu, ev, dtype):
-        self.n, self.m = n, len(eu)
+    def __init__(self, eu, ev, shape, dtype):
+        n, d = shape
+        self.n, self.m, self.eu, self.ev = n, len(eu), eu, ev
         self.idx, self.other = np.concatenate([eu, ev]), np.concatenate([ev, eu])
         self.fwd, self.bwd = eu * n + ev, ev * n + eu
         self.w = np.zeros((n, n), dtype) if n <= 2048 else None
+        if self.w is not None and 16 * self.m >= n * n:
+            self.gram, self.xt = np.empty((n, n), dtype), np.empty((d, n), dtype)
+        else:
+            self.gram, self.rows = None, [np.empty((self.m, d), dtype) for _ in range(2)]
+
+    def dots(self, x, out):
+        if self.gram is None:
+            return _edge_dots(x, self.eu, self.ev, out, *self.rows)
+        np.copyto(self.xt, x.T)
+        np.matmul(x, self.xt, out=self.gram)
+        self.gram.reshape(-1).take(self.fwd, out=out, mode="clip")
 
     def dense(self, weights, x, out):
         flat = self.w.reshape(-1)
@@ -330,32 +347,30 @@ def _coloring_descent(v, eu, ev, target, mode, iters, lr, mu=50.0,
     dtype: the scatter sums in float64 and rounds into that gradient. The
     operation order is part of the output contract: each iteration performs
     the floating-point operations of the plain out-of-place expressions
-    (noted beside each step) in their order and dtypes, so the vectors, and
-    with them every downstream decision and the golden CLI results, stay
-    bit for bit the same. Reordering a sum or fusing a product changes them;
-    so does moving the stall check, which only decides where a run ends.
+    (noted beside each step) in their order and dtypes (to rounding where
+    the dots read the Gram matrix), so the golden CLI results stay bit for
+    bit the same. Reordering a sum or fusing a product changes them; so
+    does moving the stall check, which only decides where a run ends.
     """
     n, d = v.shape
-    m = len(eu)
     feasible, polish = mode == "feasible", mode == "polish"
     hinge_scale = 2.0 if feasible else 2.0 * mu
     stage = max(1, iters // 6)
     opt = _Adam(v, lr)
     used = 0
     prev_obj = math.inf
-    sums = _EdgeSums(n, eu, ev, v.dtype)
+    sums = _EdgeSums(eu, ev, v.shape, v.dtype)
     # One gemm beats per-column scatters once enough edges are active to
     # amortize the n^2 traffic.
     dense_bar = max(32, (n * n) // max(16 * d, 16))
-    rows_u, rows_v = np.empty((m, d), v.dtype), np.empty((m, d), v.dtype)
-    dots, viol, hinge = (np.empty(m, v.dtype) for _ in range(3))
+    dots, viol, hinge = (np.empty(sums.m, v.dtype) for _ in range(3))
     sq, grad, tmp = (np.empty((n, d), v.dtype) for _ in range(3))
     norms, coef = np.empty(n, v.dtype), np.empty(n, v.dtype)
     for it in range(iters):
         used += 1
         if it % stage == 0 and it > 0:
             opt.lr *= 0.5
-        _edge_dots(v, eu, ev, dots, rows_u, rows_v)  # (v[eu] * v[ev]).sum(1)
+        sums.dots(v, dots)                           # (v[eu] * v[ev]).sum(1)
         np.subtract(dots, target, out=viol)
         np.maximum(viol, 0.0, out=viol)              # relu(dots - target)
         if it % 10 == 0:
@@ -413,8 +428,8 @@ def solve_vector_coloring(g: Graph, alpha: float, eps: float = 1e-3,
     """
     if alpha < 2.0:
         raise ValueError(f"alpha must be at least 2, got {alpha}")
-    if eps <= 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     if init is not None and init.shape[0] != g.n:
         raise ValueError(f"init has {init.shape[0]} rows, need {g.n}")
     n = g.n
@@ -519,30 +534,24 @@ def solve_indset_sdp(g: Graph, eps: float = 1e-3, budget: int = 6000,
     residual is within eps/2 and the objective has stalled; that stop is a
     heuristic, not a duality certificate.
 
-    Iterations run in buffers allocated once per call for the branch taken.
-    The edge values (v0+v_u).(v0+v_v) come from a gemm Gram matrix once
-    m >= n^2/16, else from per-edge dots; the gradient is the ``_EdgeSums``
-    neighbour sum of the multipliers, its dense gemm up to n = 2048 and its
-    bincount scatter above.
+    Iterations run in buffers allocated once per call. The edge values
+    (v0+v_u).(v0+v_v) are ``_EdgeSums.dots``; the gradient is the
+    ``_EdgeSums`` neighbour sum of the multipliers, its dense gemm up to
+    n = 2048 and its bincount scatter above.
     """
-    if eps <= 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     n = g.n
     if g.m == 0:
         return IndSetSdpSolution(np.ones(1), np.ones((n, 1)), float(n), eps, 0.0)
 
     d = max(3, min(n + 1, 32))
     eu, ev = g.edge_arrays()
-    sums = _EdgeSums(n, eu, ev, np.float64)
-    gram_path = sums.w is not None and g.m * 16 >= n * n
+    sums = _EdgeSums(eu, ev, (n, d), np.float64)
     grad, tmp, sq = (np.empty((n + 1, d)) for _ in range(3))
     coef, norms = np.empty(n + 1), np.empty(n + 1)
     p, colsum, h, s = np.empty((n, d)), np.empty(d), np.empty(g.m), np.empty(g.m)
     c = grad[1:]  # the weighted neighbour sums; v0 comes off after grad[0]
-    if gram_path:
-        gram, pt = np.empty((n, n)), np.empty((d, n))
-    else:
-        rows_u, rows_v = np.empty((g.m, d)), np.empty((g.m, d))
 
     best = None
     for attempt in range(max(1, restarts)):
@@ -564,12 +573,7 @@ def solve_indset_sdp(g: Graph, eps: float = 1e-3, budget: int = 6000,
                 used += 1
                 v0 = w[0]
                 np.add(w[1:], v0, out=p)
-                if gram_path:
-                    np.copyto(pt, p.T)
-                    np.matmul(p, pt, out=gram)  # gemm; p @ p.T would be syrk
-                    gram.reshape(-1).take(sums.fwd, out=h, mode="clip")
-                else:
-                    _edge_dots(p, eu, ev, h, rows_u, rows_v)
+                sums.dots(p, h)
                 np.multiply(mu, h, out=s)
                 np.add(lam, s, out=s)  # lam + mu * h
                 (sums.scatter if sums.w is None else sums.dense)(s, p, c)

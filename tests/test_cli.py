@@ -5,7 +5,14 @@ import sys
 
 import pytest
 
-from sdpcolor.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main, parse_range
+from sdpcolor.cli import (
+    EXIT_FAILURE,
+    EXIT_OK,
+    EXIT_USAGE,
+    dump_json,
+    main,
+    parse_range,
+)
 from sdpcolor.graph import Coloring, verify_coloring, verify_independent_set
 from sdpcolor.testkit import planted_k_colorable, save_fixture
 import math
@@ -24,6 +31,11 @@ def test_parse_range():
     assert parse_range("0.5:1.5:0.5") == [0.5, 1.0, 1.5]
     assert parse_range("pi/6,pi/4") == [math.pi / 6, math.pi / 4]
     assert parse_range("1.25") == [1.25]
+
+
+def test_dump_json_refuses_nonfinite_numbers():
+    with pytest.raises(ValueError):
+        dump_json({"alpha": math.inf})
 
 
 def test_color_planted_small(tmp_path):
@@ -207,6 +219,19 @@ USAGE_ERRORS = {
                                + ["--result", "{tmp}/members_str.json"],
     # Used to exit 2 as an inconsistent solver output.
     "indset-nan-alpha": ["indset"] + GEN10 + ["--alpha", "nan"],
+    # Used to exit 0: with "alpha":Infinity, which is not JSON, or with a
+    # coloring from vectors gone nan.
+    "indset-inf-alpha": ["indset"] + GEN10 + ["--alpha", "inf"],
+    "indset-inf-eps": ["indset"] + GEN10 + ["--alpha", "3", "--eps", "inf"],
+    "color-k4-inf-eps": ["color", "--gen", "planted:n=40,k=4,seed=0",
+                         "--k", "4", "--eps", "inf"],
+    # Used to raise OverflowError from the colour budget.
+    "color-inf-c0": ["color", "--gen", "planted:n=40,k=4,seed=0",
+                     "--k", "4", "--c0", "inf"],
+    # Used to raise ValueError from normal_tail, or (a range to inf) never
+    # to end.
+    "analyze-inf-c": ["analyze", "--c", "inf"],
+    "analyze-inf-range-stop": ["analyze", "--c", "0:inf:1"],
 }
 
 

@@ -127,6 +127,14 @@ def test_alpha_validation():
         solve_vector_coloring(complete_graph(3), 3.0, eps=0.0)
 
 
+@pytest.mark.parametrize("eps", [math.inf, math.nan])
+def test_solvers_reject_nonfinite_eps(eps):
+    with pytest.raises(ValueError, match="finite"):
+        solve_vector_coloring(complete_graph(3), 3.0, eps=eps)
+    with pytest.raises(ValueError, match="finite"):
+        solve_indset_sdp(complete_graph(3), eps=eps)
+
+
 def test_init_needs_one_row_per_vertex():
     # A warm start with the wrong row count used to start cold silently.
     for rows in (2, 4):
