@@ -14,6 +14,8 @@ One round of the finder on the current quotient graph (n vertices):
   1/2. k = 2 exact bipartite coloring; k = 3 via the degree-split fallback.
   3.   peel vertices of residual degree < n^{a_k/(1-2/k)} into U, core W.
   4.   |U| >= n/2: threshold rounding on G[U] gives a large independent set.
+       It rounds the last solve's rows restricted to U when they still meet
+       eps on every edge of G[U]; only otherwise does it solve G[U] again.
   5/6. otherwise probe the pair u,v in W with the largest common
        neighborhood S (when |S| >= n^{(1-a_k)/(1-a_{k-2})}): color G[S] with
        k-2 colors recursively; success within the cutoff extracts a large
@@ -62,7 +64,7 @@ from .progress import (
     progress_driver,
 )
 from .rounding import RoundingParams, kms_color, kms_independent_set, kms_threshold
-from .vecsdp import InfeasibleError, solve_vector_coloring
+from .vecsdp import InfeasibleError, VectorColoring, solve_vector_coloring
 
 
 @lru_cache(maxsize=None)
@@ -233,7 +235,7 @@ class _CombinedFinder:
     Holds no graph state: each round reads the ContractedGraph it is handed,
     and every returned vertex id is a quotient representative (= base id),
     which is what the driver verifies against. Across rounds it keeps only
-    the round counter and the warm-start rows of the last solve.
+    the round counter and the last solve's rows, for restriction to U.
     """
 
     def __init__(self, k: int, cfg: CombinedConfig, seed: int,
@@ -243,7 +245,7 @@ class _CombinedFinder:
         self.seed = seed
         self.declarations = declarations
         self.round_no = 0
-        self._warm: dict[int, np.ndarray] = {}  # rep id -> last solution row
+        self._rows: dict[int, np.ndarray] = {}  # rep id -> last solved row
 
     def __call__(self, cg: ContractedGraph):
         self.round_no += 1
@@ -271,22 +273,23 @@ class _CombinedFinder:
         if sub.m == 0:
             return LargeIndependentSet(frozenset(u_ids))
         rng_seed = self.seed * 1009 + self.round_no
-        init = None
-        cached = [self._warm.get(rep) for rep in u_ids]
-        hits = [row for row in cached if row is not None]
-        if hits and len(hits) >= len(u_ids) // 2:
-            width = max(row.shape[0] for row in hits)
-            init = np.zeros((len(u_ids), width))
-            for i, row in enumerate(cached):
-                if row is not None:
-                    init[i, :row.shape[0]] = row
-        try:
-            vc = solve_vector_coloring(sub, float(self.k), eps=self.cfg.eps,
-                                       budget=SOLVER_BUDGET,
-                                       seed=rng_seed, restarts=2, init=init)
-        except InfeasibleError as exc:
-            raise NotKColorableError("solver", str(exc)) from exc
-        self._warm = {rep: vc.vectors[i].copy() for i, rep in enumerate(u_ids)}
+        vc = None
+        if all(rep in self._rows for rep in u_ids):
+            # Restriction closure; the exact per-edge check re-validates
+            # representatives merged since the solve.
+            vc = VectorColoring(float(self.k),
+                                np.stack([self._rows[rep] for rep in u_ids]),
+                                self.cfg.eps)
+            if vc.edge_residual(sub) > self.cfg.eps:
+                vc = None
+        if vc is None:
+            try:
+                vc = solve_vector_coloring(
+                    sub, float(self.k), eps=self.cfg.eps, budget=SOLVER_BUDGET,
+                    seed=rng_seed, restarts=2)
+            except InfeasibleError as exc:
+                raise NotKColorableError("solver", str(exc)) from exc
+            self._rows = dict(zip(u_ids, vc.vectors))
         c = kms_threshold(float(self.k), sub.average_degree)
         chosen = kms_independent_set(
             sub, vc, RoundingParams(c, trials=self.cfg.trials, seed=rng_seed))

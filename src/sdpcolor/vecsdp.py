@@ -409,8 +409,7 @@ def _rank_reduce(v, rank):
 
 def solve_vector_coloring(g: Graph, alpha: float, eps: float = 1e-3,
                           budget: int = 2000, seed: int = 0,
-                          restarts: int = 3,
-                          init: np.ndarray | None = None) -> VectorColoring:
+                          restarts: int = 3) -> VectorColoring:
     """Find a vector alpha-coloring of g at tolerance eps.
 
     Per restart, the wide feasibility phase gets at most ``budget``
@@ -420,9 +419,12 @@ def solve_vector_coloring(g: Graph, alpha: float, eps: float = 1e-3,
     ``budget // 2``; the full-width polish, run when no low-rank solution is
     returned, gets ``budget // 4``. Every phase also stops early once its
     objective stalls (see ``_coloring_descent``), and polish always takes
-    the ``_EdgeSums`` gemm up to n = 2048. ``init`` warm-starts the
-    first restart; it needs one row per vertex (else ValueError), which is
-    renormalized and padded or truncated to the working width. Raises
+    the ``_EdgeSums`` gemm up to n = 2048. Feasibility phases aim at the
+    exact target -1/(alpha-1), which any K_k forces some edge dot to reach;
+    polish aims at ``target - eps/2``. The low-rank and refinement phases
+    exit at ``target + eps/4``, the wide phase at the one hand-off bar
+    ``target + 10 eps`` its result must meet to be re-descended at low
+    rank. Every restart starts from random rows. Raises
     InfeasibleError (evidence only) when every restart stalls above eps;
     its iteration count covers every phase run.
     """
@@ -430,8 +432,6 @@ def solve_vector_coloring(g: Graph, alpha: float, eps: float = 1e-3,
         raise ValueError(f"alpha must be at least 2, got {alpha}")
     if not 0.0 < eps < math.inf:
         raise ValueError(f"eps must be positive and finite, got {eps}")
-    if init is not None and init.shape[0] != g.n:
-        raise ValueError(f"init has {init.shape[0]} rows, need {g.n}")
     n = g.n
     if n == 0:
         return VectorColoring(alpha, np.zeros((0, 1)), eps)
@@ -442,21 +442,22 @@ def solve_vector_coloring(g: Graph, alpha: float, eps: float = 1e-3,
         return VectorColoring(alpha, vecs, eps)
 
     target = -1.0 / (alpha - 1.0)
-    cushion = 0.5 * eps
     eu, ev = g.edge_arrays()
 
     best_res = float("inf")
     total_iters = 0
-    stop_at = target - 0.25 * eps
-    # The wide phase only has to land a warm start within eps; float32 is
+    stop_at = target + 0.25 * eps
+    handoff = 10.0 * eps  # the wide phase's exit and its hand-off test
+    # The wide phase only has to land within the hand-off bar; float32 is
     # plenty for that whenever eps is far above float32 resolution.
     wide_dtype = np.float32 if (eps >= 1e-4 and d > 8) else np.float64
     rank = max(2, int(math.ceil(alpha)) - 1)
 
     def descend(vecs, mode, iters, lr, **kwargs):
         nonlocal total_iters
-        total_iters += _coloring_descent(vecs, eu, ev, target - cushion,
-                                         mode, iters, lr, **kwargs)
+        aim = target - 0.5 * eps if mode == "polish" else target
+        total_iters += _coloring_descent(vecs, eu, ev, aim, mode, iters, lr,
+                                         **kwargs)
 
     def try_lowrank(full):
         # Re-descend in the top-rank basis; cheap iterations carry the long
@@ -473,20 +474,11 @@ def solve_vector_coloring(g: Graph, alpha: float, eps: float = 1e-3,
 
     for attempt in range(max(1, restarts)):
         rng = stream(seed, "veccol", attempt)
-        if attempt == 0 and init is not None:
-            v = np.zeros((n, d))
-            w = min(d, init.shape[1])
-            v[:, :w] = init[:, :w]
-            zero = np.linalg.norm(v, axis=1) == 0.0
-            if zero.any():
-                v[zero] = rng.standard_normal((int(zero.sum()), d))
-            _row_normalize(v)
-        else:
-            v = _row_normalize(rng.standard_normal((n, d)))
+        v = _row_normalize(rng.standard_normal((n, d)))
         work = v.astype(wide_dtype) if wide_dtype is np.float32 else v
-        descend(work, "feasible", budget, lr=0.05, stop_at=target + 0.5 * eps)
+        descend(work, "feasible", budget, lr=0.05, stop_at=target + handoff)
         res = _residual(work, eu, ev, target)
-        if res <= 10.0 * eps and rank < d:
+        if res <= handoff and rank < d:
             found = try_lowrank(_row_normalize(work.astype(np.float64)))
             if found is not None:
                 return found

@@ -183,6 +183,68 @@ def test_combined_k4_planted_midsize():
     assert res.colors_used <= 20
 
 
+# Planted (n, k, p, seed) cases whose solves once stalled above eps on every
+# attempt: with feasibility aimed below the exact target, a K_k held the
+# largest edge residual at 1.2-1.7e-3 against eps 1e-3.
+STALL_CASES = [
+    (200, 4, 0.5, 0), (250, 4, 0.5, 0), (300, 4, 0.5, 0), (120, 4, 0.6, 0),
+    (64, 4, 0.3, 0), (120, 6, 0.7, 3), (130, 4, 0.5, 306005),
+]
+
+
+@pytest.mark.parametrize("n,k,p,seed", STALL_CASES)
+def test_former_solver_stalls_colour(n, k, p, seed):
+    g = planted_k_colorable(n, k, p, seed=seed).graph
+    res = combined_color(g, k, CombinedConfig(seed=seed, trials=16))
+    assert res.coloring is not None, res.failure
+    assert verify_coloring(g, res.coloring)
+
+
+def _counting_solver(monkeypatch):
+    """Log the vertex count of every solve the finder makes."""
+    calls = []
+    solve = combined.solve_vector_coloring
+
+    def counted(g, alpha, **kwargs):
+        calls.append(g.n)
+        return solve(g, alpha, **kwargs)
+
+    monkeypatch.setattr(combined, "solve_vector_coloring", counted)
+    return calls
+
+
+def _first_round(monkeypatch):
+    calls = _counting_solver(monkeypatch)
+    cg = ContractedGraph(planted_k_colorable(60, 4, 0.3, seed=1).graph)
+    finder = _CombinedFinder(4, CombinedConfig(trials=16), 0, [])
+    first = finder._round_low_degree(cg, cg.alive)
+    assert calls == [60] and first.members
+    return calls, cg, finder, first
+
+
+def test_low_degree_round_restricts_feasible_cached_rows(monkeypatch):
+    calls, cg, finder, first = _first_round(monkeypatch)
+    cg.delete(first.members)
+    second = finder._round_low_degree(cg, cg.alive)
+    assert calls == [60]  # the cached rows of U served the round
+    assert second.members and cg.is_independent(second.members)
+
+
+@pytest.mark.parametrize("miss", ["row", "residual"])
+def test_low_degree_round_solves_cold_without_feasible_rows(monkeypatch, miss):
+    calls, cg, finder, _ = _first_round(monkeypatch)
+    rows = finder._rows
+    if miss == "row":
+        del rows[cg.alive[0]]
+    else:
+        # One shared row puts every edge dot at 1, far above -1/3 + eps.
+        for rep in rows:
+            rows[rep] = rows[cg.alive[0]]
+    second = finder._round_low_degree(cg, cg.alive)
+    assert calls == [60, 60]
+    assert second.members and cg.is_independent(second.members)
+
+
 def test_combined_proper_even_when_not_k_colorable():
     # K5 is not 4-colorable; the result is still a proper (5-)coloring.
     res = combined_color(complete_graph(5), 4)

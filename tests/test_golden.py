@@ -22,7 +22,7 @@ GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
 # name -> (argv without --out, expected exit code)
 CASES = {
-    # low-degree rounding, warm start, exact finish
+    # low-degree rounding, restricted rows, exact finish
     "color-k4-n96": (["color", "--gen", "planted:n=96,k=4,p=0.3,seed=1",
                       "--k", "4", "--trials", "16", "--seed", "1"], EXIT_OK),
     # SameColor merges
@@ -37,13 +37,16 @@ CASES = {
     "color-k6-n90-recursive": (["color", "--gen", "planted:n=90,k=6,p=0.8,seed=5",
                                 "--k", "6", "--trials", "16", "--seed", "5"],
                                EXIT_OK),
-    # 6-colourable by construction, but the recursive k=4 probe of an
-    # adjacent pair stalls in the solver on every attempt: exit 2, three
-    # solver failures (a stall is no contradiction)
-    "color-k6-n120-contradiction": (["color", "--gen",
-                                     "planted:n=120,k=6,p=0.7,seed=3", "--k", "6",
-                                     "--trials", "16", "--seed", "3"],
-                                    EXIT_FAILURE),
+    # recursive k=4 probes of adjacent pairs colour their common
+    # neighbourhoods within the cutoff and return a colour class
+    "color-k6-n120-adjacent-probe": (["color", "--gen",
+                                      "planted:n=120,k=6,p=0.7,seed=3", "--k", "6",
+                                      "--trials", "16", "--seed", "3"], EXIT_OK),
+    # not 4-colourable (its greedy clique has 23 vertices): exit 2, three
+    # contradiction failures
+    "color-k4-gnp60-contradiction": (["color", "--gen", "gnp:n=60,p=0.9,seed=1",
+                                      "--k", "4", "--trials", "16", "--seed", "1"],
+                                     EXIT_FAILURE),
     "color-k3-n120": (["color", "--gen", "planted:n=120,k=3,p=0.17,seed=3",
                        "--k", "3", "--trials", "16", "--seed", "3"], EXIT_OK),
     "color-k2-n40": (["color", "--gen", "planted:n=40,k=2,p=0.3,seed=6",

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sdpcolor._rng import stream
+import sdpcolor.rounding as rounding
 from sdpcolor.graph import Graph, verify_coloring, verify_independent_set
 from sdpcolor.progress import NotKColorableError
 from sdpcolor.rounding import (
@@ -133,6 +134,42 @@ def test_kms_independent_set_fallback_single_vertex():
     vc = VectorColoring(3.0, vecs, 1e-9)
     out = kms_independent_set(g, vc, RoundingParams(1e9, trials=3, seed=0))
     assert out == frozenset({0})  # degree-1 tie broken by lowest id
+
+
+def _counted_draws(monkeypatch):
+    """Count round_once calls, which kms_independent_set makes once a draw."""
+    draws = []
+
+    def counted(vc, g, r, c):
+        draws.append(c)
+        return round_once(vc, g, r, c)
+
+    monkeypatch.setattr(rounding, "round_once", counted)
+    return draws
+
+
+def test_kms_independent_set_draws_past_trials_until_a_hit(monkeypatch):
+    # Every vertex sits on e_0, so a draw selects all of them exactly when
+    # r_0 >= 2. With seed 0 draws 0-5 miss and draw 6 hits: the four trials
+    # alone would end in the single-vertex fallback.
+    draws = _counted_draws(monkeypatch)
+    g = Graph(5)
+    vecs = np.zeros((5, 2))
+    vecs[:, 0] = 1.0
+    vc = VectorColoring(3.0, vecs, 1e-9)
+    out = kms_independent_set(g, vc, RoundingParams(2.0, trials=4, seed=0))
+    assert out == frozenset(range(5))
+    assert len(draws) == 7
+
+
+def test_kms_independent_set_retry_is_capped(monkeypatch):
+    draws = _counted_draws(monkeypatch)
+    g = path_graph(4)
+    vecs = np.tile(np.array([1.0, 0.0]), (4, 1))
+    vc = VectorColoring(3.0, vecs, 1e-9)
+    out = kms_independent_set(g, vc, RoundingParams(1e9, trials=3, seed=0))
+    assert out == frozenset({0})  # the minimum-degree vertex, lowest id
+    assert len(draws) == 16 * 3
 
 
 def test_kms_color_small_graphs_exact():

@@ -135,17 +135,6 @@ def test_solvers_reject_nonfinite_eps(eps):
         solve_indset_sdp(complete_graph(3), eps=eps)
 
 
-def test_init_needs_one_row_per_vertex():
-    # A warm start with the wrong row count used to start cold silently.
-    for rows in (2, 4):
-        with pytest.raises(ValueError, match="init has"):
-            solve_vector_coloring(complete_graph(3), 3.0,
-                                  init=simplex_vectors(rows, 3))
-    vc = solve_vector_coloring(complete_graph(3), 3.0,
-                               init=simplex_vectors(3))
-    assert vc.is_feasible_for(complete_graph(3))
-
-
 # ---------------------------------------------------------------------------
 # Independence-number program
 # ---------------------------------------------------------------------------
