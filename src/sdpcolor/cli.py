@@ -29,7 +29,7 @@ from .graph import (
 )
 from .indset import ak_independent_set
 from .rounding import kms_color
-from .testkit import PlantedInstance, planted_k_colorable, random_graph
+from .testkit import planted_k_colorable, random_graph
 
 SCHEMA = 1
 
@@ -46,7 +46,7 @@ class UsageError(ValueError):
 # Inputs
 # ---------------------------------------------------------------------------
 
-def parse_generator_spec(spec: str):
+def parse_generator_spec(spec: str) -> Graph:
     """Parse "name:key=val,key=val" generator descriptions."""
     name, _, rest = spec.partition(":")
     kwargs = {}
@@ -60,7 +60,8 @@ def parse_generator_spec(spec: str):
         if name == "planted":
             return planted_k_colorable(
                 n=int(kwargs["n"]), k=int(kwargs["k"]),
-                p=float(kwargs.get("p", 0.5)), seed=int(kwargs.get("seed", 0)))
+                p=float(kwargs.get("p", 0.5)),
+                seed=int(kwargs.get("seed", 0))).graph
         if name == "gnp":
             return random_graph(n=int(kwargs["n"]), p=float(kwargs["p"]),
                                 seed=int(kwargs.get("seed", 0)))
@@ -71,10 +72,10 @@ def parse_generator_spec(spec: str):
     raise UsageError(f"unknown generator {name!r} (expected planted or gnp)")
 
 
-def load_input(args) -> tuple[Graph, PlantedInstance | None]:
+def load_input(args) -> Graph:
     if getattr(args, "input", None):
         try:
-            return read_dimacs(args.input), None
+            return read_dimacs(args.input)
         except OSError as exc:
             raise UsageError(f"cannot read input file {args.input}: "
                              f"{exc.strerror or exc}") from None
@@ -83,10 +84,7 @@ def load_input(args) -> tuple[Graph, PlantedInstance | None]:
     spec = getattr(args, "gen", None)
     if not spec:
         raise UsageError("exactly one of --input or --gen is required")
-    made = parse_generator_spec(spec)
-    if isinstance(made, PlantedInstance):
-        return made.graph, made
-    return made, None
+    return parse_generator_spec(spec)
 
 
 def check_solver_args(args) -> None:
@@ -175,7 +173,7 @@ def dump_json(payload: dict) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_color(args) -> int:
-    graph, _ = load_input(args)
+    graph = load_input(args)
     if args.k < 2:
         raise UsageError("--k must be at least 2")
     if not args.c0 > 0:
@@ -196,7 +194,7 @@ def cmd_color(args) -> int:
 
 
 def cmd_indset(args) -> int:
-    graph, _ = load_input(args)
+    graph = load_input(args)
     if not args.alpha >= 1:
         raise UsageError("--alpha must be at least 1")
     check_solver_args(args)
@@ -217,7 +215,7 @@ def cmd_indset(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    graph, _ = load_input(args)
+    graph = load_input(args)
     try:
         with open(args.result, "r", encoding="ascii") as fh:
             payload = json.load(fh)

@@ -245,20 +245,16 @@ def vector_coloring_to_json(vc: VectorColoring) -> str:
         "eps": vc.eps,
         "dim": vc.dim,
         "vectors": [[float(x) for x in row] for row in vc.vectors],
-        "max_edge_residual": (None if not math.isfinite(vc.max_edge_residual)
-                              else vc.max_edge_residual),
     }
     return json.dumps(payload, sort_keys=True)
 
 
 def vector_coloring_from_json(text: str) -> VectorColoring:
     payload = json.loads(text)
-    res = payload.get("max_edge_residual")
     return VectorColoring(
         float(payload["alpha"]),
         np.asarray(payload["vectors"], dtype=float).reshape(-1, int(payload["dim"])),
         float(payload["eps"]),
-        max_edge_residual=float("-inf") if res is None else float(res),
     )
 
 

@@ -6,10 +6,10 @@ renormalization; no external SDP solver):
 
 * vector alpha-coloring: unit v_1..v_n with v_i . v_j <= -1/(alpha-1) + eps
   on every edge. Solved as a penalty problem on the hinge violations,
-  followed by a margin polish (minimize the total edge inner product while
-  keeping feasibility) and an optional rank-reduction pass; the polish drives
-  planted instances toward their natural clustered configurations, which is
-  what makes downstream threshold rounding effective.
+  followed by a rank-reduction pass with a margin polish (minimize the total
+  edge inner product while keeping feasibility); the polish drives planted
+  instances toward their natural clustered configurations, which is what
+  makes downstream threshold rounding effective.
 
 * the independence-number program: maximize sum (1 + v0 . v_i)/2 subject to
   (v0 + v_i) . (v0 + v_j) = 0 on edges, solved by an augmented Lagrangian.
@@ -66,7 +66,6 @@ class VectorColoring:
     alpha: float
     vectors: np.ndarray  # shape (n, d)
     eps: float
-    max_edge_residual: float = float("-inf")
 
     @property
     def n(self) -> int:
@@ -85,7 +84,7 @@ class VectorColoring:
         if g.m == 0:
             return float("-inf")
         eu, ev = g.edge_arrays()
-        return float(_edge_dots(self.vectors, eu, ev).max() - self.target)
+        return _residual(self.vectors, eu, ev, self.target)
 
     def norm_residual(self) -> float:
         """max over vertices of | ||v_i|| - 1 |."""
@@ -99,8 +98,7 @@ class VectorColoring:
     def restrict(self, indices) -> "VectorColoring":
         """Row restriction; valid for the induced subgraph on sorted(indices)."""
         idx = sorted(indices)
-        return VectorColoring(self.alpha, self.vectors[idx].copy(), self.eps,
-                              self.max_edge_residual)
+        return VectorColoring(self.alpha, self.vectors[idx].copy(), self.eps)
 
 
 @dataclass(frozen=True)
@@ -184,6 +182,11 @@ def _edge_dots(v: np.ndarray, eu: np.ndarray, ev: np.ndarray,
     rows_v = v.take(ev, axis=0, out=rows_v, mode=mode)
     np.multiply(rows_u, rows_v, out=rows_u)
     return _row_sums(rows_u, out)
+
+
+def _residual(v, eu, ev, target):
+    """max over edges of v_u . v_v - target."""
+    return float(_edge_dots(v, eu, ev).max() - target)
 
 
 def _row_normalize(v: np.ndarray, sq: np.ndarray | None = None,
@@ -412,21 +415,27 @@ def solve_vector_coloring(g: Graph, alpha: float, eps: float = 1e-3,
                           restarts: int = 3) -> VectorColoring:
     """Find a vector alpha-coloring of g at tolerance eps.
 
-    Per restart, the wide feasibility phase gets at most ``budget``
-    iterations and each of up to six refinement passes ``budget // 2``. When
-    the rank-``ceil(alpha) - 1`` re-descent runs, its feasibility and polish
-    phases get ``budget`` each and its final feasibility phase
-    ``budget // 2``; the full-width polish, run when no low-rank solution is
-    returned, gets ``budget // 4``. Every phase also stops early once its
-    objective stalls (see ``_coloring_descent``), and polish always takes
-    the ``_EdgeSums`` gemm up to n = 2048. Feasibility phases aim at the
-    exact target -1/(alpha-1), which any K_k forces some edge dot to reach;
-    polish aims at ``target - eps/2``. The low-rank and refinement phases
-    exit at ``target + eps/4``, the wide phase at the one hand-off bar
-    ``target + 10 eps`` its result must meet to be re-descended at low
-    rank. Every restart starts from random rows. Raises
-    InfeasibleError (evidence only) when every restart stalls above eps;
-    its iteration count covers every phase run.
+    Each restart starts from random rows and takes one path:
+
+    1. the wide feasibility phase, at most ``budget`` iterations;
+    2. if its residual is within the hand-off bar 10 eps, the
+       rank-``ceil(alpha) - 1`` re-descent: feasibility and polish phases
+       of ``budget`` iterations each, then a final feasibility phase of
+       ``budget // 2``, returned if it meets eps;
+    3. while the residual exceeds eps, up to six refinement passes of
+       ``budget // 2`` on the wide rows;
+    4. if a refinement pass ran and brought the residual within eps, the
+       re-descent once more;
+    5. otherwise the wide rows, if they meet eps; else the next restart.
+
+    Every phase also stops early once its objective stalls (see
+    ``_coloring_descent``), and polish always takes the ``_EdgeSums`` gemm
+    up to n = 2048. Feasibility phases aim at the exact target
+    -1/(alpha-1), which any K_k forces some edge dot to reach; polish aims
+    at ``target - eps/2``. The low-rank and refinement phases exit at
+    ``target + eps/4``, the wide phase at the hand-off bar ``target + 10
+    eps``. Raises InfeasibleError (evidence only) when every restart stalls
+    above eps; its iteration count covers every phase run.
     """
     if alpha < 2.0:
         raise ValueError(f"alpha must be at least 2, got {alpha}")
@@ -468,9 +477,9 @@ def solve_vector_coloring(g: Graph, alpha: float, eps: float = 1e-3,
             return None
         descend(reduced, "polish", budget, lr=0.01)
         descend(reduced, "feasible", budget // 2, lr=0.005, stop_at=stop_at)
-        res = _residual(reduced, eu, ev, target)
-        return VectorColoring(alpha, reduced, eps, max_edge_residual=res) \
-            if res <= eps else None
+        if _residual(reduced, eu, ev, target) <= eps:
+            return VectorColoring(alpha, reduced, eps)
+        return None
 
     for attempt in range(max(1, restarts)):
         rng = stream(seed, "veccol", attempt)
@@ -478,12 +487,13 @@ def solve_vector_coloring(g: Graph, alpha: float, eps: float = 1e-3,
         work = v.astype(wide_dtype) if wide_dtype is np.float32 else v
         descend(work, "feasible", budget, lr=0.05, stop_at=target + handoff)
         res = _residual(work, eu, ev, target)
-        if res <= handoff and rank < d:
+        if res <= handoff:
             found = try_lowrank(_row_normalize(work.astype(np.float64)))
             if found is not None:
                 return found
         # Shrinking-step refinement when the wide pass lands just above eps;
         # two lr sweeps cover instances whose active boundary settles slowly.
+        refined = res > eps
         for lr in (0.02, 0.008, 0.003, 0.02, 0.008, 0.003):
             if res <= eps:
                 break
@@ -495,21 +505,9 @@ def solve_vector_coloring(g: Graph, alpha: float, eps: float = 1e-3,
         best_res = min(best_res, res)
         if res > eps:
             continue
-        if rank < d:
-            found = try_lowrank(v)
-            if found is not None:
-                return found
-        polished = v.copy()
-        descend(polished, "polish", budget // 4, lr=0.02)
-        if _residual(polished, eu, ev, target) <= eps:
-            v = polished
-        res = _residual(v, eu, ev, target)
-        return VectorColoring(alpha, v, eps, max_edge_residual=res)
+        found = try_lowrank(v) if refined else None
+        return found if found is not None else VectorColoring(alpha, v, eps)
     raise InfeasibleError(alpha, eps, best_res, total_iters)
-
-
-def _residual(v, eu, ev, target):
-    return float(_edge_dots(v, eu, ev).max() - target)
 
 
 # ---------------------------------------------------------------------------
@@ -649,6 +647,13 @@ def _project_all(axis, rows, eps, fill_degenerate=False):
     return proj / norms[:, None]
 
 
+def _measured(alpha, vectors, eps, g):
+    """The vector alpha-coloring of g by ``vectors``, its tolerance raised
+    from eps to just above its measured edge residual where that is larger."""
+    residual = VectorColoring(alpha, vectors, eps).edge_residual(g)
+    return VectorColoring(alpha, vectors, max(eps, residual + 1e-12))
+
+
 def neighborhood_reduce(vc: VectorColoring, g: Graph, v: int,
                         seed: int = 0) -> ReducedColoring:
     """Vector (alpha-1)-coloring of G[N(v)] by projecting orthogonal to v_v.
@@ -675,13 +680,8 @@ def neighborhood_reduce(vc: VectorColoring, g: Graph, v: int,
                 f"a neighbor of {v} is within eps of +-v_{v} even after "
                 f"perturbation")
     sub, verts = induced_subgraph(g, neighbors)
-    alpha_prime = vc.alpha - 1.0
-    reduced = VectorColoring(alpha_prime, proj, vc.eps)
-    measured = reduced.edge_residual(sub)
-    eps_prime = max(vc.eps, measured + 1e-12)
-    reduced = VectorColoring(alpha_prime, proj, eps_prime,
-                             max_edge_residual=measured)
-    return ReducedColoring(reduced, sub, verts)
+    return ReducedColoring(_measured(vc.alpha - 1.0, proj, vc.eps, sub), sub,
+                           verts)
 
 
 @dataclass(frozen=True)
@@ -742,8 +742,5 @@ def well_aligned_subset(sol: IndSetSdpSolution, g: Graph, alpha: float,
             proj = _project_all(v0, rows, sol.eps, fill_degenerate=True)
     alpha_prime = 1.0 + (1.0 - beta) / (1.0 + beta)
     sub, _ = induced_subgraph(g, members)
-    vc = VectorColoring(alpha_prime, proj, sol.eps)
-    measured = vc.edge_residual(sub)
-    eps_prime = max(sol.eps, (measured if math.isfinite(measured) else 0.0) + 1e-12)
-    vc = VectorColoring(alpha_prime, proj, eps_prime, max_edge_residual=measured)
+    vc = _measured(alpha_prime, proj, sol.eps, sub)
     return WellAlignedResult(tuple(members), vc, sub, alpha_prime, beta)
