@@ -14,10 +14,15 @@ renormalization; no external SDP solver):
 * the independence-number program: maximize sum (1 + v0 . v_i)/2 subject to
   (v0 + v_i) . (v0 + v_j) = 0 on edges, solved by an augmented Lagrangian.
 
-Both iterate on the edge kernels of one ``_EdgeSums`` workspace; a returned
-vector coloring is still measured edge by edge with per-edge products.
-Infeasibility reports are evidence only (best residual reached), never dual
-certificates. All logarithms are natural.
+Both iterate on the edge kernels of one ``_EdgeSums`` workspace. Where eps
+is at least 1e-4 and the rows are wider than 8 (``_iteration_dtype``), the
+coloring solver's wide phase and every iteration of the independence solver
+run in float32; everything else iterates in float64. What decides or is
+returned is measured in float64 with per-edge products: a vector coloring
+edge by edge, and the independence solver's residual, objective and
+multiplier update after each outer step. Infeasibility reports are evidence
+only (best residual reached), never dual certificates. All logarithms are
+natural.
 """
 
 from __future__ import annotations
@@ -306,6 +311,21 @@ def _sphere_step(v, grad, opt, tmp, coef, sq, norms):
     _row_normalize(v, sq, norms)
 
 
+def _iteration_dtype(eps: float, d: int):
+    """The dtype a solver iterates in at tolerance eps and width d.
+
+    float32 whenever eps is far above float32 resolution and the rows are
+    wider than 8: the iterations then only have to land near a target that
+    float64 measurements accept or refuse. float64 otherwise.
+    """
+    return np.float32 if (eps >= 1e-4 and d > 8) else np.float64
+
+
+def _as_float64(v: np.ndarray) -> np.ndarray:
+    """v itself when it is float64, else its rows in float64, renormalized."""
+    return v if v.dtype == np.float64 else _row_normalize(v.astype(np.float64))
+
+
 # Cap on the solver width: every iteration scales with the width and
 # desk-scale instances gain nothing past the cap (restarts cover the residual
 # risk of a spurious stall).
@@ -457,9 +477,8 @@ def solve_vector_coloring(g: Graph, alpha: float, eps: float = 1e-3,
     total_iters = 0
     stop_at = target + 0.25 * eps
     handoff = 10.0 * eps  # the wide phase's exit and its hand-off test
-    # The wide phase only has to land within the hand-off bar; float32 is
-    # plenty for that whenever eps is far above float32 resolution.
-    wide_dtype = np.float32 if (eps >= 1e-4 and d > 8) else np.float64
+    # The wide phase only has to land within the hand-off bar.
+    wide_dtype = _iteration_dtype(eps, d)
     rank = max(2, int(math.ceil(alpha)) - 1)
 
     def descend(vecs, mode, iters, lr, **kwargs):
@@ -499,8 +518,7 @@ def solve_vector_coloring(g: Graph, alpha: float, eps: float = 1e-3,
                 break
             descend(work, "feasible", budget // 2, lr=lr, stop_at=stop_at)
             res = _residual(work, eu, ev, target)
-        v = _row_normalize(work.astype(np.float64)) \
-            if wide_dtype is np.float32 else work
+        v = _as_float64(work)
         res = _residual(v, eu, ev, target)
         best_res = min(best_res, res)
         if res > eps:
@@ -522,25 +540,37 @@ def solve_indset_sdp(g: Graph, eps: float = 1e-3, budget: int = 6000,
     (v0+v_i).(v0+v_j) = 0 with the alignment objective; budget caps total
     inner gradient iterations per restart. A restart stops early once the
     residual is within eps/2 and the objective has stalled; that stop is a
-    heuristic, not a duality certificate.
+    heuristic, not a duality certificate. The restart returned is the best
+    by (residual <= eps, objective).
 
-    Iterations run in buffers allocated once per call. The edge values
-    (v0+v_u).(v0+v_v) are ``_EdgeSums.dots``; the gradient is the
-    ``_EdgeSums`` neighbour sum of the multipliers, its dense gemm up to
-    n = 2048 and its bincount scatter above.
+    The inner iterations run in ``_iteration_dtype(eps, d)``, in buffers
+    allocated once per call, with the multipliers rounded to that dtype for
+    each outer step. The edge values (v0+v_u).(v0+v_v) are
+    ``_EdgeSums.dots``; the gradient is the ``_EdgeSums`` neighbour sum of
+    the multipliers, its dense gemm up to n = 2048 and its bincount scatter
+    above, and v0's is the column sums of those neighbour sums less the
+    column sums of the rows. After each outer step the rows are taken to
+    float64 (renormalized when they ran in float32), and the residual,
+    objective and multiplier update are measured on those with per-edge
+    products. The last measurement is the restart's result.
     """
     if not 0.0 < eps < math.inf:
         raise ValueError(f"eps must be positive and finite, got {eps}")
+    if budget < 1:
+        raise ValueError(f"budget must be at least 1, got {budget}")
     n = g.n
     if g.m == 0:
         return IndSetSdpSolution(np.ones(1), np.ones((n, 1)), float(n), eps, 0.0)
 
     d = max(3, min(n + 1, 32))
+    dtype = _iteration_dtype(eps, d)
     eu, ev = g.edge_arrays()
-    sums = _EdgeSums(eu, ev, (n, d), np.float64)
-    grad, tmp, sq = (np.empty((n + 1, d)) for _ in range(3))
-    coef, norms = np.empty(n + 1), np.empty(n + 1)
-    p, colsum, h, s = np.empty((n, d)), np.empty(d), np.empty(g.m), np.empty(g.m)
+    sums = _EdgeSums(eu, ev, (n, d), dtype)
+    grad, tmp, sq = (np.empty((n + 1, d), dtype) for _ in range(3))
+    coef, norms = np.empty(n + 1, dtype), np.empty(n + 1, dtype)
+    p, colsum = np.empty((n, d), dtype), np.empty(d, dtype)
+    h, s = np.empty(g.m, dtype), np.empty(g.m, dtype)
+    p64, h64 = np.empty((n, d)), np.empty(g.m)  # measured in float64
     c = grad[1:]  # the weighted neighbour sums; v0 comes off after grad[0]
 
     best = None
@@ -549,6 +579,7 @@ def solve_indset_sdp(g: Graph, eps: float = 1e-3, budget: int = 6000,
         w = np.zeros((n + 1, d))
         w[0] = _row_normalize(rng.standard_normal((1, d)))[0]
         w[1:] = _row_normalize(w[0] + 0.3 * rng.standard_normal((n, d)))
+        w = w.astype(dtype, copy=False)
         lam = np.zeros(g.m)
         mu = 4.0
         inner = max(40, budget // 30)
@@ -559,13 +590,14 @@ def solve_indset_sdp(g: Graph, eps: float = 1e-3, budget: int = 6000,
             outer += 1
             lr = 0.03 * 0.85 ** min(outer, 30)
             opt = _Adam(w, lr)
+            lam_dt = lam.astype(dtype, copy=False)
             for _ in range(inner):
                 used += 1
                 v0 = w[0]
                 np.add(w[1:], v0, out=p)
                 sums.dots(p, h)
                 np.multiply(mu, h, out=s)
-                np.add(lam, s, out=s)  # lam + mu * h
+                np.add(lam_dt, s, out=s)  # lam + mu * h
                 (sums.scatter if sums.w is None else sums.dense)(s, p, c)
                 # grad[0] = c.sum(axis=0) - w[1:].sum(axis=0); grad[1:] = c - v0
                 np.add.reduce(c, axis=0, out=grad[0])
@@ -573,23 +605,20 @@ def solve_indset_sdp(g: Graph, eps: float = 1e-3, budget: int = 6000,
                 np.subtract(grad[0], colsum, out=grad[0])
                 np.subtract(c, v0, out=c)
                 _sphere_step(w, grad, opt, tmp, coef, sq, norms)
-            np.add(w[1:], w[0], out=p)
-            _edge_dots(p, eu, ev, h)
-            res = float(np.abs(h).max())
-            obj = float((1.0 + w[1:] @ w[0]).sum() / 2.0)
+            rows = _as_float64(w)
+            np.add(rows[1:], rows[0], out=p64)
+            _edge_dots(p64, eu, ev, h64)
+            res = float(np.abs(h64).max())
+            obj = float((1.0 + rows[1:] @ rows[0]).sum() / 2.0)
             stall = abs(obj - prev_obj)
             prev_obj = obj
             if res <= 0.5 * eps and outer >= 4 and stall <= max(1e-7, 0.01 * eps * n):
                 break
-            lam = lam + mu * h
+            lam = lam + mu * h64
             if res > 0.25 * eps:
                 mu = min(mu * 1.6, 1e8)
-        v0, vecs = w[0].copy(), w[1:].copy()
-        np.add(vecs, v0, out=p)
-        res = float(np.abs(_edge_dots(p, eu, ev)).max())
-        obj = float((1.0 + vecs @ v0).sum() / 2.0)
         if best is None or (res <= eps, obj) > best_key:
-            best = IndSetSdpSolution(v0, vecs, obj, eps, res)
+            best = IndSetSdpSolution(rows[0].copy(), rows[1:].copy(), obj, eps, res)
             best_key = (res <= eps, obj)
     return best
 

@@ -19,11 +19,17 @@ the gemm up to n = 2048, so where the reference scattered (few edges, or
 n > 2048) the two agree to 1e-12 and 1e-9 instead of bit for bit.
 
 ``_ref_solve_indset_sdp`` is the independence solver as it stood before its
-workspace, with the same helpers. Its per-edge-dot iterations must match bit
-for bit; the Gram path now rounds like gemm instead of syrk and the bincount
-branch sums the gradient of v0 in another order, so those agree to 1e-9.
-Two solves are also pinned by digest to the bits they had before the Gram
-dots moved into ``_EdgeSums``.
+workspace, with the same helpers, brought to what the solver now does: it
+iterates in float32 when eps >= 1e-4 and the width exceeds 8 (float64
+otherwise), rounds the multipliers to that dtype for each outer step,
+measures every outer step on the rows taken to float64 (renormalized
+after float32 iterations), takes its Gram matrix as ``p @ p.T.copy()``
+(gemm, not syrk) and forms the gradient of v0 from the column sums of the
+neighbour sums. Its solves must
+match bit for bit on all three branches: gathered dots, Gram dots, and the
+scatter above n = 2048. Three solves are also pinned by digest: two
+float32 ones, and one float64 one whose bits are those the solver had
+before its Gram dots moved into ``_EdgeSums``.
 """
 
 import hashlib
@@ -139,13 +145,14 @@ def _ref_coloring_descent(v, eu, ev, both_idx, target, mode, iters, lr,
 
 
 def _ref_solve_indset_sdp(g, eps=1e-3, budget=6000, seed=0, restarts=2):
-    """The allocating solver; only the bincount call's form is adapted."""
+    """The allocating solver, iterating in the solver's dtype."""
     n = g.n
     d = max(3, min(n + 1, 32))
+    dt = np.float32 if (eps >= 1e-4 and d > 8) else np.float64
     eu, ev = g.edge_arrays()
     dense = n <= 2048
     if dense:
-        s_buf = np.zeros((n, n))
+        s_buf = np.zeros((n, n), dt)
     else:
         both_idx = np.concatenate([eu, ev])
         other_idx = np.concatenate([ev, eu])
@@ -156,6 +163,7 @@ def _ref_solve_indset_sdp(g, eps=1e-3, budget=6000, seed=0, restarts=2):
         w = np.zeros((n + 1, d))
         w[0] = _ref_row_normalize(rng.standard_normal((1, d)))[0]
         w[1:] = _ref_row_normalize(w[0] + 0.3 * rng.standard_normal((n, d)))
+        w = w.astype(dt)
         lam = np.zeros(g.m)
         mu = 4.0
         inner = max(40, budget // 30)
@@ -167,37 +175,35 @@ def _ref_solve_indset_sdp(g, eps=1e-3, budget=6000, seed=0, restarts=2):
             outer += 1
             lr = 0.03 * 0.85 ** min(outer, 30)
             opt = _RefAdam(w, lr)
+            lam_dt = lam.astype(dt)
             for _ in range(inner):
                 used += 1
                 v0 = w[0]
                 p = w[1:] + v0
                 if dense:
-                    h = (p @ p.T)[eu, ev] if g.m * 16 >= n * n \
+                    h = (p @ p.T.copy())[eu, ev] if g.m * 16 >= n * n \
                         else (p[eu] * p[ev]).sum(axis=1)
-                    s = lam + mu * h
+                    s = lam_dt + mu * h
                     s_buf[eu, ev] = s
                     s_buf[ev, eu] = s
                     c = s_buf @ p
-                    grad = np.empty_like(w)
-                    grad[1:] = c - v0
-                    grad[0] = c.sum(axis=0) - w[1:].sum(axis=0)
                 else:
                     h = (p[eu] * p[ev]).sum(axis=1)
-                    s = lam + mu * h
-                    s2 = np.concatenate([s, s])
-                    grad = np.zeros_like(w)
-                    grad[1:] = _ref_scatter_rows(both_idx, s2, p[other_idx], n)
-                    grad[1:] -= v0
-                    grad[0] = (s[:, None] * (p[eu] + p[ev])).sum(axis=0) \
-                        - w[1:].sum(axis=0)
+                    s = lam_dt + mu * h
+                    c = _ref_scatter_rows(both_idx, np.concatenate([s, s]),
+                                          p[other_idx], n)
+                grad = np.empty_like(w)
+                grad[1:] = c - v0
+                grad[0] = c.sum(axis=0) - w[1:].sum(axis=0)
                 grad -= (grad * w).sum(axis=1, keepdims=True) * w
                 opt.step(w, grad)
                 _ref_row_normalize(w)
-            v0 = w[0]
-            p = w[1:] + v0
+            w64 = w if dt is np.float64 else _ref_row_normalize(w.astype(np.float64))
+            v0 = w64[0]
+            p = w64[1:] + v0
             h = (p[eu] * p[ev]).sum(axis=1)
             res = float(np.abs(h).max())
-            obj = float((1.0 + w[1:] @ v0).sum() / 2.0)
+            obj = float((1.0 + w64[1:] @ v0).sum() / 2.0)
             if prev_obj is not None:
                 stall = abs(obj - prev_obj)
             prev_obj = obj
@@ -206,8 +212,8 @@ def _ref_solve_indset_sdp(g, eps=1e-3, budget=6000, seed=0, restarts=2):
             lam = lam + mu * h
             if res > 0.25 * eps:
                 mu = min(mu * 1.6, 1e8)
-        v0 = w[0].copy()
-        vecs = w[1:].copy()
+        v0 = w64[0].copy()
+        vecs = w64[1:].copy()
         p = vecs + v0
         res = float(np.abs((p[eu] * p[ev]).sum(axis=1)).max())
         obj = float((1.0 + vecs @ v0).sum() / 2.0)
@@ -473,66 +479,77 @@ def test_row_sums_match_numpy_bitwise(d, dtype):
 
 
 
-def _indset_pair(g, budget, seed):
-    return (_ref_solve_indset_sdp(g, budget=budget, seed=seed),
-            solve_indset_sdp(g, budget=budget, seed=seed))
+def _indset_pair(g, budget, seed, eps=1e-3):
+    return (_ref_solve_indset_sdp(g, eps=eps, budget=budget, seed=seed),
+            solve_indset_sdp(g, eps=eps, budget=budget, seed=seed))
 
 
-def test_indset_edge_dot_path_is_bitwise():
-    # Average degree 6 at n=120: m * 16 < n * n, so h comes from per-edge
-    # dots and the multipliers still go through the dense n x n matrix.
-    g = planted_k_colorable(120, 3, 6.0 / 80, seed=16).graph
-    assert g.m * 16 < g.n * g.n
-    ref, new = _indset_pair(g, 400, seed=3)
+def _assert_indset_same(ref, new):
+    assert new.vectors.dtype == new.v0.dtype == np.float64
     assert np.array_equal(new.vectors, ref.vectors)
     assert np.array_equal(new.v0, ref.v0)
     assert new.objective == ref.objective
     assert new.max_constraint_residual == ref.max_constraint_residual
 
 
-def test_indset_gram_path_matches_within_rounding():
+def test_indset_edge_dot_path_is_bitwise(dot_branches):
+    # Average degree 6 at n=120: m * 16 < n * n, so h comes from per-edge
+    # dots and the multipliers still go through the dense n x n matrix.
+    g = planted_k_colorable(120, 3, 6.0 / 80, seed=16).graph
+    assert g.m * 16 < g.n * g.n
+    ref, new = _indset_pair(g, 400, seed=3)
+    _assert_indset_same(ref, new)
+    assert set(dot_branches) == {"gather"}
+
+
+@pytest.mark.parametrize("eps, dtype", [(1e-3, np.float32),
+                                        (5e-5, np.float64)],
+                         ids=["float32", "float64"])
+def test_indset_gram_path_is_bitwise(eps, dtype, dot_branches):
     g = planted_k_colorable(100, 3, 0.3, seed=17).graph
     assert g.m * 16 >= g.n * g.n
-    ref, new = _indset_pair(g, 400, seed=4)
-    assert np.abs(new.vectors - ref.vectors).max() <= 1e-9
-    assert np.abs(new.v0 - ref.v0).max() <= 1e-9
-    assert new.objective == pytest.approx(ref.objective, abs=1e-9)
+    assert vecsdp._iteration_dtype(eps, 32) is dtype
+    ref, new = _indset_pair(g, 400, seed=4, eps=eps)
+    _assert_indset_same(ref, new)
+    assert set(dot_branches) == {"gram"}
 
 
-def test_indset_scatter_branch_above_2048_vertices():
+def test_indset_scatter_branch_above_2048_vertices(dot_branches):
     # The only branch without the dense n x n matrix: n > 2048.
     g = planted_k_colorable(2049, 3, 3.0 / 1366, seed=18).graph
     ref, new = _indset_pair(g, 80, seed=5)
-    assert new.constraint_residual(g) == new.max_constraint_residual
-    recomputed = float((1.0 + new.vectors @ new.v0).sum() / 2.0)
-    assert new.objective == recomputed
-    assert np.abs(new.vectors - ref.vectors).max() <= 1e-9
-    assert new.objective == pytest.approx(ref.objective, abs=1e-9)
+    _assert_indset_same(ref, new)
+    assert set(dot_branches) == {"gather"}
 
 
 def _digest(a):
     return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()[:16]
 
 
-# (n, k, p, instance seed, budget, solver seed) -> digests of the vectors and
-# v0, and the objective and residual as float.hex, from the solver before
-# its Gram dots moved into ``_EdgeSums``.
+# (n, k, p, instance seed, budget, solver seed, eps) -> digests of the
+# vectors and v0, and the objective and residual as float.hex. The float32
+# pins hold the bits of the float32 iterations; the float64 pin (eps below
+# 1e-4) holds the bits the solver had before its Gram dots moved into
+# ``_EdgeSums``, which the float64 iterations keep.
 _INDSET_PINS = [
-    ((100, 3, 0.3, 17, 400, 4), "gram",
+    ((100, 3, 0.3, 17, 400, 4, 1e-3), "gram",
+     ("5c1502cb8fccec56", "34866ed0adaa7360", "0x1.06bac6645a962p+5",
+      "0x1.8bfd2d332ce00p-7")),
+    ((120, 3, 6.0 / 80, 16, 400, 3, 1e-3), "gather",
+     ("14430a1a3d42aa6b", "622f3b1c70831534", "0x1.8b3c529135ba7p+5",
+      "0x1.bd029b39861e8p-8")),
+    ((100, 3, 0.3, 17, 400, 4, 5e-5), "gram",
      ("1a96d4663f181e00", "08ca236d1e06a093", "0x1.07b7b590c510ep+5",
       "0x1.9acc2c6473e80p-7")),
-    ((120, 3, 6.0 / 80, 16, 400, 3), "gather",
-     ("0f9f2cc637b9f487", "ac142411263b6a0b", "0x1.8b469c43b9e5cp+5",
-      "0x1.94a9bac0d2a80p-8")),
 ]
 
 
 @pytest.mark.parametrize("case, branch, pin", _INDSET_PINS,
-                         ids=[b for _, b, _ in _INDSET_PINS])
+                         ids=["gram", "gather", "gram-float64"])
 def test_indset_solution_keeps_its_pinned_bits(case, branch, pin, dot_branches):
-    n, k, p, inst_seed, budget, seed = case
+    n, k, p, inst_seed, budget, seed, eps = case
     g = planted_k_colorable(n, k, p, seed=inst_seed).graph
-    sol = solve_indset_sdp(g, budget=budget, seed=seed)
+    sol = solve_indset_sdp(g, eps=eps, budget=budget, seed=seed)
     assert set(dot_branches) == {branch}
     assert (_digest(sol.vectors), _digest(sol.v0), sol.objective.hex(),
             sol.max_constraint_residual.hex()) == pin

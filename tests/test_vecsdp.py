@@ -167,6 +167,12 @@ def test_solvers_reject_nonfinite_eps(eps):
         solve_indset_sdp(complete_graph(3), eps=eps)
 
 
+@pytest.mark.parametrize("budget", [0, -1])
+def test_indset_sdp_rejects_budget_below_one(budget):
+    with pytest.raises(ValueError, match="budget"):
+        solve_indset_sdp(complete_graph(3), budget=budget)
+
+
 # ---------------------------------------------------------------------------
 # Independence-number program
 # ---------------------------------------------------------------------------
@@ -197,6 +203,17 @@ def test_indset_sdp_planted_alignment():
     assert sol.max_constraint_residual <= 1e-3
     align = float((sol.vectors @ sol.v0).sum())
     assert align >= (2.0 / 3.0 - 1.0 - 1.0 / math.log(100)) * 100
+
+
+def test_indset_sdp_float32_iterations_return_float64_rows():
+    g = planted_k_colorable(60, 3, 0.3, seed=5).graph
+    assert vecsdp._iteration_dtype(1e-3, 32) is np.float32  # width 32 at n=60
+    sol = solve_indset_sdp(g, eps=1e-3, budget=600, seed=2)
+    assert sol.vectors.dtype == sol.v0.dtype == np.float64
+    rows = np.vstack([sol.v0, sol.vectors])
+    assert np.abs(np.linalg.norm(rows, axis=1) - 1.0).max() <= 1e-12
+    assert sol.max_constraint_residual == sol.constraint_residual(g)
+    assert sol.objective == float((1.0 + sol.vectors @ sol.v0).sum() / 2.0)
 
 
 def test_indset_sdp_fields_are_consistent():
