@@ -20,15 +20,18 @@ coloring solver's wide phase and every iteration of the independence solver
 run in float32; everything else iterates in float64. What decides or is
 returned is measured in float64 with per-edge products: a vector coloring
 edge by edge, and the independence solver's residual, objective and
-multiplier update after each outer step. Infeasibility reports are evidence
-only (best residual reached), never dual certificates. All logarithms are
-natural.
+multiplier update after each outer step. The coloring solver's
+infeasibility reports are evidence only (best residual reached), not
+certificates. The independence solver does use a dual certificate: up to
+n = 2048 it bounds the program's optimum by weak duality after each
+restart and skips the remaining restarts once a feasible one is within
+eps/2 per vertex of that bound. All logarithms are natural.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -115,6 +118,7 @@ class IndSetSdpSolution:
     objective: float     # sum (1 + v0 . v_i) / 2
     eps: float
     max_constraint_residual: float
+    upper_bound: float = math.inf  # >= the optimum; inf above n = 2048
 
     @property
     def n(self) -> int:
@@ -326,6 +330,14 @@ def _as_float64(v: np.ndarray) -> np.ndarray:
     return v if v.dtype == np.float64 else _row_normalize(v.astype(np.float64))
 
 
+def _check_counts(budget: int, restarts: int) -> None:
+    """Both solvers run at least one iteration of at least one restart."""
+    if budget < 1:
+        raise ValueError(f"budget must be at least 1, got {budget}")
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
+
+
 # Cap on the solver width: every iteration scales with the width and
 # desk-scale instances gain nothing past the cap (restarts cover the residual
 # risk of a spurious stall).
@@ -455,12 +467,14 @@ def solve_vector_coloring(g: Graph, alpha: float, eps: float = 1e-3,
     at ``target - eps/2``. The low-rank and refinement phases exit at
     ``target + eps/4``, the wide phase at the hand-off bar ``target + 10
     eps``. Raises InfeasibleError (evidence only) when every restart stalls
-    above eps; its iteration count covers every phase run.
+    above eps; its iteration count covers every phase run, and ValueError
+    when budget or restarts is below 1.
     """
     if alpha < 2.0:
         raise ValueError(f"alpha must be at least 2, got {alpha}")
     if not 0.0 < eps < math.inf:
         raise ValueError(f"eps must be positive and finite, got {eps}")
+    _check_counts(budget, restarts)
     n = g.n
     if n == 0:
         return VectorColoring(alpha, np.zeros((0, 1)), eps)
@@ -500,7 +514,7 @@ def solve_vector_coloring(g: Graph, alpha: float, eps: float = 1e-3,
             return VectorColoring(alpha, reduced, eps)
         return None
 
-    for attempt in range(max(1, restarts)):
+    for attempt in range(restarts):
         rng = stream(seed, "veccol", attempt)
         v = _row_normalize(rng.standard_normal((n, d)))
         work = v.astype(wide_dtype) if wide_dtype is np.float32 else v
@@ -532,6 +546,32 @@ def solve_vector_coloring(g: Graph, alpha: float, eps: float = 1e-3,
 # Independence-number relaxation
 # ---------------------------------------------------------------------------
 
+def _dual_bound(rows, lam, eu, ev):
+    """Weak-duality upper bound on the independence program's optimum.
+
+    Valid for any (n+1, d) rows W = [v0; v_1..v_n] and any edge multipliers
+    lam (Lovasz 1979). With lam_e/2 on each edge constraint, the Lagrangian
+    at the Gram matrix X of unit rows is n/2 - sum(lam)/2 + <K, X>, where
+    K[0,i] = 1/4 - (sum of lam over the edges at i)/4, K[i,j] = -lam_ij/4
+    on each edge ij, and every other entry is 0. For any gamma, <K, X> <=
+    sum(gamma) + (n+1) max(0, -lambda_min(diag(gamma) - K)), since X is
+    PSD with trace n+1. gamma_a = W_a . (K W)_a, the rows' radial
+    multipliers, makes the bound tight at a stationary point. The value is
+    at least theta(G), which is at least alpha(G).
+    """
+    n = rows.shape[0] - 1
+    at = np.bincount(np.concatenate([eu, ev]), np.concatenate([lam, lam]), n)
+    k = np.zeros((n + 1, n + 1))
+    k[0, 1:] = k[1:, 0] = 0.25 - 0.25 * at
+    k[eu + 1, ev + 1] = k[ev + 1, eu + 1] = -0.25 * lam
+    gamma = (rows * (k @ rows)).sum(axis=1)
+    np.negative(k, out=k)
+    k.flat[::n + 2] = gamma
+    lmin = float(np.linalg.eigvalsh(k)[0])
+    return float(n / 2.0 - 0.5 * lam.sum() + gamma.sum()
+                 + (n + 1) * max(0.0, -lmin))
+
+
 def solve_indset_sdp(g: Graph, eps: float = 1e-3, budget: int = 6000,
                      seed: int = 0, restarts: int = 2) -> IndSetSdpSolution:
     """Near-optimal feasible point of the independence-number program.
@@ -542,6 +582,15 @@ def solve_indset_sdp(g: Graph, eps: float = 1e-3, budget: int = 6000,
     residual is within eps/2 and the objective has stalled; that stop is a
     heuristic, not a duality certificate. The restart returned is the best
     by (residual <= eps, objective).
+
+    Up to n = 2048, where the workspace keeps n x n state, each restart
+    ends with ``_dual_bound`` on its float64 rows and edge multipliers, and
+    ``upper_bound`` is the smallest of these bounds: at least the program's
+    optimum theta(G), hence at least alpha(G), whatever the rows. No further
+    restart runs once the best restart has residual <= eps and objective
+    within 0.5 eps n of ``upper_bound``. Above n = 2048 ``upper_bound`` is
+    inf and every restart runs; an edgeless graph returns n for both.
+    Raises ValueError when budget or restarts is below 1.
 
     The inner iterations run in ``_iteration_dtype(eps, d)``, in buffers
     allocated once per call, with the multipliers rounded to that dtype for
@@ -556,11 +605,11 @@ def solve_indset_sdp(g: Graph, eps: float = 1e-3, budget: int = 6000,
     """
     if not 0.0 < eps < math.inf:
         raise ValueError(f"eps must be positive and finite, got {eps}")
-    if budget < 1:
-        raise ValueError(f"budget must be at least 1, got {budget}")
+    _check_counts(budget, restarts)
     n = g.n
     if g.m == 0:
-        return IndSetSdpSolution(np.ones(1), np.ones((n, 1)), float(n), eps, 0.0)
+        return IndSetSdpSolution(np.ones(1), np.ones((n, 1)), float(n), eps,
+                                 0.0, float(n))
 
     d = max(3, min(n + 1, 32))
     dtype = _iteration_dtype(eps, d)
@@ -573,8 +622,8 @@ def solve_indset_sdp(g: Graph, eps: float = 1e-3, budget: int = 6000,
     p64, h64 = np.empty((n, d)), np.empty(g.m)  # measured in float64
     c = grad[1:]  # the weighted neighbour sums; v0 comes off after grad[0]
 
-    best = None
-    for attempt in range(max(1, restarts)):
+    best, upper = None, math.inf
+    for attempt in range(restarts):
         rng = stream(seed, "indsdp", attempt)
         w = np.zeros((n + 1, d))
         w[0] = _row_normalize(rng.standard_normal((1, d)))[0]
@@ -617,10 +666,14 @@ def solve_indset_sdp(g: Graph, eps: float = 1e-3, budget: int = 6000,
             lam = lam + mu * h64
             if res > 0.25 * eps:
                 mu = min(mu * 1.6, 1e8)
+        if sums.w is not None:
+            upper = min(upper, _dual_bound(rows, lam, eu, ev))
         if best is None or (res <= eps, obj) > best_key:
             best = IndSetSdpSolution(rows[0].copy(), rows[1:].copy(), obj, eps, res)
             best_key = (res <= eps, obj)
-    return best
+        if best_key[0] and upper - best.objective <= 0.5 * eps * n:
+            break
+    return replace(best, upper_bound=upper)
 
 
 # ---------------------------------------------------------------------------

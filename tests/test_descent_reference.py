@@ -25,14 +25,19 @@ otherwise), rounds the multipliers to that dtype for each outer step,
 measures every outer step on the rows taken to float64 (renormalized
 after float32 iterations), takes its Gram matrix as ``p @ p.T.copy()``
 (gemm, not syrk) and forms the gradient of v0 from the column sums of the
-neighbour sums. Its solves must
+neighbour sums. Up to n = 2048 it also stops restarting once its best
+restart meets eps and lies within eps/2 per vertex of the smallest
+weak-duality bound so far, which ``_ref_dual_bound`` computes from a dense
+K of its own. Its solves must
 match bit for bit on all three branches: gathered dots, Gram dots, and the
-scatter above n = 2048. Three solves are also pinned by digest: two
-float32 ones, and one float64 one whose bits are those the solver had
-before its Gram dots moved into ``_EdgeSums``.
+scatter above n = 2048, and in one solve where that stop skips restart 1;
+the bounds agree to 1e-9 per vertex. Three solves are also pinned by
+digest: two float32 ones, and one float64 one whose bits are those the
+solver had before its Gram dots moved into ``_EdgeSums``.
 """
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -144,6 +149,23 @@ def _ref_coloring_descent(v, eu, ev, both_idx, target, mode, iters, lr,
     return used
 
 
+def _ref_dual_bound(g, w64, lam):
+    """The weak-duality bound from a dense K accumulated with ``np.add.at``:
+    n/2 - sum(lam)/2 + sum(gamma) + (n+1) max(0, -lambda_min(diag(gamma) -
+    K)), with gamma_a = w_a . (K w)_a."""
+    n = g.n
+    eu, ev = g.edge_arrays()
+    k = np.zeros((n + 1, n + 1))
+    k[0, 1:] = k[1:, 0] = 0.25
+    for a, b in ((eu, ev), (ev, eu)):
+        np.add.at(k, (0, a + 1), -0.25 * lam)
+        np.add.at(k, (a + 1, 0), -0.25 * lam)
+        np.add.at(k, (a + 1, b + 1), -0.25 * lam)
+    gamma = np.einsum("ad,ad->a", w64, k @ w64)
+    lmin = np.linalg.eigvalsh(np.diag(gamma) - k).min()
+    return n / 2 - lam.sum() / 2 + gamma.sum() + (n + 1) * max(0.0, -lmin)
+
+
 def _ref_solve_indset_sdp(g, eps=1e-3, budget=6000, seed=0, restarts=2):
     """The allocating solver, iterating in the solver's dtype."""
     n = g.n
@@ -158,7 +180,8 @@ def _ref_solve_indset_sdp(g, eps=1e-3, budget=6000, seed=0, restarts=2):
         other_idx = np.concatenate([ev, eu])
 
     best = None
-    for attempt in range(max(1, restarts)):
+    upper = math.inf
+    for attempt in range(restarts):
         rng = stream(seed, "indsdp", attempt)
         w = np.zeros((n + 1, d))
         w[0] = _ref_row_normalize(rng.standard_normal((1, d)))[0]
@@ -217,6 +240,8 @@ def _ref_solve_indset_sdp(g, eps=1e-3, budget=6000, seed=0, restarts=2):
         p = vecs + v0
         res = float(np.abs((p[eu] * p[ev]).sum(axis=1)).max())
         obj = float((1.0 + vecs @ v0).sum() / 2.0)
+        if dense:
+            upper = min(upper, _ref_dual_bound(g, w64, lam))
         cand = IndSetSdpSolution(v0, vecs, obj, eps, res)
         if best is None:
             best = cand
@@ -225,7 +250,11 @@ def _ref_solve_indset_sdp(g, eps=1e-3, budget=6000, seed=0, restarts=2):
             best_ok = best.max_constraint_residual <= eps
             if (cand_ok, cand.objective) > (best_ok, best.objective):
                 best = cand
-    return best
+        if best.max_constraint_residual <= eps and \
+                upper - best.objective <= 0.5 * eps * n:
+            break
+    return IndSetSdpSolution(best.v0, best.vectors, best.objective, eps,
+                             best.max_constraint_residual, upper)
 
 
 # ---------------------------------------------------------------------------
@@ -490,6 +519,10 @@ def _assert_indset_same(ref, new):
     assert np.array_equal(new.v0, ref.v0)
     assert new.objective == ref.objective
     assert new.max_constraint_residual == ref.max_constraint_residual
+    if math.isinf(ref.upper_bound):
+        assert new.upper_bound == ref.upper_bound
+    else:
+        assert abs(new.upper_bound - ref.upper_bound) <= 1e-9 * new.n
 
 
 def test_indset_edge_dot_path_is_bitwise(dot_branches):
@@ -520,6 +553,28 @@ def test_indset_scatter_branch_above_2048_vertices(dot_branches):
     ref, new = _indset_pair(g, 80, seed=5)
     _assert_indset_same(ref, new)
     assert set(dot_branches) == {"gather"}
+    assert new.upper_bound == math.inf  # no bound without the n x n state
+
+
+def test_indset_certified_restart_skip_is_bitwise(monkeypatch):
+    # At the full budget restart 0 meets eps and lies within eps/2 per
+    # vertex of its dual bound, so neither solver runs restart 1.
+    draws = {"solver": [], "reference": []}
+
+    def counting(who, real):
+        def counted(seed, *key):
+            draws[who].append(key)
+            return real(seed, *key)
+        return counted
+
+    monkeypatch.setattr(vecsdp, "stream", counting("solver", vecsdp.stream))
+    monkeypatch.setitem(globals(), "stream", counting("reference", stream))
+    g = planted_k_colorable(100, 3, 0.3, seed=17).graph
+    ref, new = _indset_pair(g, 6000, seed=4)
+    _assert_indset_same(ref, new)
+    assert draws == {"solver": [("indsdp", 0)], "reference": [("indsdp", 0)]}
+    assert new.max_constraint_residual <= 1e-3
+    assert new.upper_bound - new.objective <= 0.5 * 1e-3 * g.n
 
 
 def _digest(a):

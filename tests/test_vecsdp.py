@@ -173,6 +173,18 @@ def test_indset_sdp_rejects_budget_below_one(budget):
         solve_indset_sdp(complete_graph(3), budget=budget)
 
 
+@pytest.mark.parametrize("solve, name", [
+    (solve_indset_sdp, "restarts"),
+    (lambda g, **kw: solve_vector_coloring(g, 3.0, **kw), "budget"),
+    (lambda g, **kw: solve_vector_coloring(g, 3.0, **kw), "restarts"),
+], ids=["indset-restarts", "coloring-budget", "coloring-restarts"])
+@pytest.mark.parametrize("value", [0, -1])
+def test_solvers_reject_counts_below_one(solve, name, value):
+    # A usage error, not InfeasibleError, and never a silent single restart.
+    with pytest.raises(ValueError, match=name):
+        solve(complete_graph(3), **{name: value})
+
+
 # ---------------------------------------------------------------------------
 # Independence-number program
 # ---------------------------------------------------------------------------
@@ -180,6 +192,7 @@ def test_indset_sdp_rejects_budget_below_one(budget):
 def test_indset_sdp_edgeless():
     sol = solve_indset_sdp(Graph(5), eps=1e-3, seed=0)
     assert sol.objective == pytest.approx(5.0, abs=1e-9)
+    assert sol.upper_bound == 5.0
 
 
 def test_indset_sdp_single_edge():
@@ -195,6 +208,72 @@ def test_indset_sdp_c5_matches_theta():
     sol = solve_indset_sdp(cycle_graph(5), eps=1e-6, seed=0)
     assert sol.max_constraint_residual <= 1e-6
     assert 2.0 <= sol.objective <= 2.2361
+
+
+_THETA = [(cycle_graph(5), math.sqrt(5.0)), (petersen_graph(), 4.0),
+          (complete_graph(4), 1.0)]
+
+
+@pytest.mark.parametrize("g, theta", _THETA, ids=["C5", "petersen", "K4"])
+def test_indset_upper_bound_brackets_theta(g, theta):
+    sol = solve_indset_sdp(g, eps=1e-3, seed=0)
+    assert theta <= sol.upper_bound <= theta + 1e-3
+
+
+def test_dual_bound_holds_for_any_rows_and_multipliers():
+    # Weak duality: no rows and no multipliers give a bound below theta.
+    for trial in range(50):
+        g, theta = _THETA[trial % 3]
+        rng = stream(trial, "dual-bound")
+        rows = rng.standard_normal((g.n + 1, 4))
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        lam = rng.uniform(0.0, 4.0) * rng.standard_normal(g.m)
+        eu, ev = g.edge_arrays()
+        assert vecsdp._dual_bound(rows, lam, eu, ev) >= theta - 1e-9
+
+
+def test_indset_upper_bound_covers_planted_class():
+    inst = planted_k_colorable(150, 3, 0.3, seed=2)
+    sol = solve_indset_sdp(inst.graph, eps=1e-3, seed=2)
+    largest = max(np.bincount(inst.class_of()))
+    assert largest <= sol.upper_bound < math.inf
+
+
+@pytest.fixture
+def indsdp_draws(monkeypatch):
+    """The restart streams the independence solver draws."""
+    draws = []
+    real = vecsdp.stream
+
+    def counted(seed, *key):
+        if key[0] == "indsdp":
+            draws.append(key[1])
+        return real(seed, *key)
+
+    monkeypatch.setattr(vecsdp, "stream", counted)
+    return draws
+
+
+def test_indset_certified_restart_skips_the_rest(indsdp_draws):
+    g = planted_k_colorable(100, 3, 0.3, seed=5).graph
+    sol = solve_indset_sdp(g, eps=1e-3, seed=3, restarts=2)
+    assert indsdp_draws == [0]
+    assert sol.max_constraint_residual <= 1e-3
+    assert sol.upper_bound - sol.objective <= 0.5 * 1e-3 * g.n
+    one = solve_indset_sdp(g, eps=1e-3, seed=3, restarts=1)
+    assert np.array_equal(sol.vectors, one.vectors)
+    assert np.array_equal(sol.v0, one.v0)
+    assert (sol.objective, sol.max_constraint_residual, sol.upper_bound) == (
+        one.objective, one.max_constraint_residual, one.upper_bound)
+
+
+def test_indset_uncertified_restart_runs_the_rest(indsdp_draws):
+    # 400 iterations leave the residual above eps: nothing to certify.
+    g = planted_k_colorable(100, 3, 0.3, seed=5).graph
+    sol = solve_indset_sdp(g, eps=1e-3, budget=400, seed=3, restarts=2)
+    assert indsdp_draws == [0, 1]
+    assert sol.max_constraint_residual > 1e-3
+    assert sol.upper_bound < math.inf
 
 
 def test_indset_sdp_planted_alignment():
