@@ -25,15 +25,20 @@ otherwise), rounds the multipliers to that dtype for each outer step,
 measures every outer step on the rows taken to float64 (renormalized
 after float32 iterations), takes its Gram matrix as ``p @ p.T.copy()``
 (gemm, not syrk) and forms the gradient of v0 from the column sums of the
-neighbour sums. Up to n = 2048 it also stops restarting once its best
-restart meets eps and lies within eps/2 per vertex of the smallest
-weak-duality bound so far, which ``_ref_dual_bound`` computes from a dense
-K of its own. Its solves must
-match bit for bit on all three branches: gathered dots, Gram dots, and the
-scatter above n = 2048, and in one solve where that stop skips restart 1;
-the bounds agree to 1e-9 per vertex. Three solves are also pinned by
-digest: two float32 ones, and one float64 one whose bits are those the
-solver had before its Gram dots moved into ``_EdgeSums``.
+neighbour sums. Up to n = 2048 it also computes the weak-duality bound,
+with a dense K of its own (``_ref_dual_bound``), after every outer step
+whose residual is within eps/2 and at the end of a restart whose last step
+was not; it ends a restart once the objective is within the stall
+tolerance max(1e-7, 0.01 eps n) of the smallest bound so far, and stops
+restarting once its best restart meets eps and lies within eps/2 per
+vertex of that bound. It counts its inner iterations over the restarts
+run. Its solves must match bit for bit, iteration counts included, on all
+three branches: gathered dots, Gram dots, and the scatter above n = 2048;
+in one solve where the restart skip leaves restart 1 out; and in one
+single-restart solve where the per-step bound ends the restart before the
+stall rule would. The bounds agree to 1e-9 per vertex. Three solves are
+also pinned by digest: two float32 ones, and one float64 one whose bits
+are those the solver had before its Gram dots moved into ``_EdgeSums``.
 """
 
 import hashlib
@@ -181,6 +186,7 @@ def _ref_solve_indset_sdp(g, eps=1e-3, budget=6000, seed=0, restarts=2):
 
     best = None
     upper = math.inf
+    iterations = 0
     for attempt in range(restarts):
         rng = stream(seed, "indsdp", attempt)
         w = np.zeros((n + 1, d))
@@ -230,17 +236,22 @@ def _ref_solve_indset_sdp(g, eps=1e-3, budget=6000, seed=0, restarts=2):
             if prev_obj is not None:
                 stall = abs(obj - prev_obj)
             prev_obj = obj
-            if res <= 0.5 * eps and outer >= 4 and stall <= max(1e-7, 0.01 * eps * n):
+            tol = max(1e-7, 0.01 * eps * n)
+            met = res <= 0.5 * eps
+            if met and dense:
+                upper = min(upper, _ref_dual_bound(g, w64, lam))
+            if met and (upper - obj <= tol or (outer >= 4 and stall <= tol)):
                 break
             lam = lam + mu * h
             if res > 0.25 * eps:
                 mu = min(mu * 1.6, 1e8)
+        iterations += used
         v0 = w64[0].copy()
         vecs = w64[1:].copy()
         p = vecs + v0
         res = float(np.abs((p[eu] * p[ev]).sum(axis=1)).max())
         obj = float((1.0 + vecs @ v0).sum() / 2.0)
-        if dense:
+        if dense and not met:
             upper = min(upper, _ref_dual_bound(g, w64, lam))
         cand = IndSetSdpSolution(v0, vecs, obj, eps, res)
         if best is None:
@@ -254,7 +265,7 @@ def _ref_solve_indset_sdp(g, eps=1e-3, budget=6000, seed=0, restarts=2):
                 upper - best.objective <= 0.5 * eps * n:
             break
     return IndSetSdpSolution(best.v0, best.vectors, best.objective, eps,
-                             best.max_constraint_residual, upper)
+                             best.max_constraint_residual, upper, iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -508,9 +519,9 @@ def test_row_sums_match_numpy_bitwise(d, dtype):
 
 
 
-def _indset_pair(g, budget, seed, eps=1e-3):
-    return (_ref_solve_indset_sdp(g, eps=eps, budget=budget, seed=seed),
-            solve_indset_sdp(g, eps=eps, budget=budget, seed=seed))
+def _indset_pair(g, budget, seed, eps=1e-3, restarts=2):
+    return (_ref_solve_indset_sdp(g, eps, budget, seed, restarts),
+            solve_indset_sdp(g, eps, budget, seed, restarts))
 
 
 def _assert_indset_same(ref, new):
@@ -519,6 +530,7 @@ def _assert_indset_same(ref, new):
     assert np.array_equal(new.v0, ref.v0)
     assert new.objective == ref.objective
     assert new.max_constraint_residual == ref.max_constraint_residual
+    assert new.iterations == ref.iterations
     if math.isinf(ref.upper_bound):
         assert new.upper_bound == ref.upper_bound
     else:
@@ -575,6 +587,20 @@ def test_indset_certified_restart_skip_is_bitwise(monkeypatch):
     assert draws == {"solver": [("indsdp", 0)], "reference": [("indsdp", 0)]}
     assert new.max_constraint_residual <= 1e-3
     assert new.upper_bound - new.objective <= 0.5 * 1e-3 * g.n
+
+
+def test_indset_step_certificate_is_bitwise(monkeypatch):
+    # One restart, so only the per-step stop can differ from the stall rule:
+    # here the objective is within max(1e-7, 0.01 eps n) of the bound one
+    # outer step before the objective stalls.
+    g = planted_k_colorable(80, 3, 0.3, seed=6).graph
+    ref, new = _indset_pair(g, 6000, seed=5, restarts=1)
+    _assert_indset_same(ref, new)
+    assert new.max_constraint_residual <= 0.5e-3
+    assert new.upper_bound - new.objective <= 0.01 * 1e-3 * g.n
+    monkeypatch.setattr(vecsdp, "_dual_bound", lambda *args: math.inf)
+    stalled = solve_indset_sdp(g, 1e-3, 6000, 5, restarts=1)
+    assert stalled.iterations > new.iterations
 
 
 def _digest(a):

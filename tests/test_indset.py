@@ -102,6 +102,17 @@ def test_ak_planted_500_meets_size_floor():
     assert len(out) >= 500 ** 0.75 / 4.0
 
 
+@pytest.mark.parametrize("n, seed", [(100 if i % 2 == 0 else 150, 960000 + i)
+                                     for i in range(6)])
+def test_ak_bench_shaped_returns_the_planted_class(n, seed):
+    # The indset-a3 workload's instances: planted k=3, p=0.3, where the
+    # extraction finds a largest planted class (34 or 50 vertices).
+    inst = planted_k_colorable(n, 3, 0.3, seed=seed)
+    out = ak_independent_set(inst.graph, 3.0, seed=seed)
+    assert verify_independent_set(inst.graph, out)
+    assert len(out) == max(len(c) for c in inst.classes) == -(-n // 3)
+
+
 def test_ak_best_effort_without_promise():
     # Dense random graphs lack the promised independent set; the extractor
     # must stay verified and within the true maximum.

@@ -193,6 +193,7 @@ def test_indset_sdp_edgeless():
     sol = solve_indset_sdp(Graph(5), eps=1e-3, seed=0)
     assert sol.objective == pytest.approx(5.0, abs=1e-9)
     assert sol.upper_bound == 5.0
+    assert sol.iterations == 0
 
 
 def test_indset_sdp_single_edge():
@@ -274,6 +275,30 @@ def test_indset_uncertified_restart_runs_the_rest(indsdp_draws):
     assert indsdp_draws == [0, 1]
     assert sol.max_constraint_residual > 1e-3
     assert sol.upper_bound < math.inf
+    assert sol.iterations == 2 * 400  # both restarts, each to its budget
+
+
+def _bench_shaped():
+    # The indset-a3 workload's shape: planted n=100, k=3, p=0.3.
+    return planted_k_colorable(100, 3, 0.3, seed=960000).graph
+
+
+def test_indset_step_certificate_is_within_the_stall_tolerance():
+    g = _bench_shaped()
+    sol = solve_indset_sdp(g, eps=1e-3, seed=960000)
+    assert sol.max_constraint_residual <= 0.5e-3
+    assert sol.upper_bound - sol.objective <= max(1e-7, 0.01 * 1e-3 * g.n)
+
+
+def test_indset_without_a_bound_runs_more_iterations(monkeypatch):
+    # inf is always a valid bound, and it certifies nothing. One restart,
+    # so the restart skip cannot account for the difference.
+    g = _bench_shaped()
+    sol = solve_indset_sdp(g, eps=1e-3, seed=960000, restarts=1)
+    monkeypatch.setattr(vecsdp, "_dual_bound", lambda *args: math.inf)
+    loose = solve_indset_sdp(g, eps=1e-3, seed=960000, restarts=1)
+    assert loose.upper_bound == math.inf
+    assert loose.iterations > sol.iterations > 0
 
 
 def test_indset_sdp_planted_alignment():
