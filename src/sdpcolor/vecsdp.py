@@ -589,6 +589,13 @@ def solve_indset_sdp(g: Graph, eps: float = 1e-3, budget: int = 6000,
     by (residual <= eps, objective); ``iterations`` sums the inner
     iterations of the restarts run.
 
+    Each restart draws v0 and Gaussian rows g from its own stream and starts
+    the rows at normalize(0.3 g - v0), beside v_i = -v0. That point has
+    v0 + v_i = 0 on every vertex: it meets every edge constraint exactly and
+    is the empty set. Rows on v0's side would put every vertex in the set
+    (edge values near 2.3), for the first outer steps to push most of them
+    out again.
+
     Up to n = 2048, where the workspace keeps n x n state, ``_dual_bound``
     runs on the float64 rows and edge multipliers after every outer step
     whose residual is within eps/2, and at the end of a restart whose last
@@ -646,7 +653,7 @@ def solve_indset_sdp(g: Graph, eps: float = 1e-3, budget: int = 6000,
         rng = stream(seed, "indsdp", attempt)
         w = np.zeros((n + 1, d))
         w[0] = _row_normalize(rng.standard_normal((1, d)))[0]
-        w[1:] = _row_normalize(w[0] + 0.3 * rng.standard_normal((n, d)))
+        w[1:] = _row_normalize(0.3 * rng.standard_normal((n, d)) - w[0])
         w = w.astype(dtype, copy=False)
         lam = np.zeros(g.m)
         mu = 4.0

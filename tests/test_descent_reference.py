@@ -191,7 +191,7 @@ def _ref_solve_indset_sdp(g, eps=1e-3, budget=6000, seed=0, restarts=2):
         rng = stream(seed, "indsdp", attempt)
         w = np.zeros((n + 1, d))
         w[0] = _ref_row_normalize(rng.standard_normal((1, d)))[0]
-        w[1:] = _ref_row_normalize(w[0] + 0.3 * rng.standard_normal((n, d)))
+        w[1:] = _ref_row_normalize(0.3 * rng.standard_normal((n, d)) - w[0])
         w = w.astype(dt)
         lam = np.zeros(g.m)
         mu = 4.0
@@ -608,20 +608,21 @@ def _digest(a):
 
 
 # (n, k, p, instance seed, budget, solver seed, eps) -> digests of the
-# vectors and v0, and the objective and residual as float.hex. The float32
-# pins hold the bits of the float32 iterations; the float64 pin (eps below
-# 1e-4) holds the bits the solver had before its Gram dots moved into
-# ``_EdgeSums``, which the float64 iterations keep.
+# vectors and v0, and the objective and residual as float.hex. Each pin
+# holds the bits of its branch's iterations, float32 for eps 1e-3 and
+# float64 for eps below 1e-4, from restarts that start beside the empty
+# set (rows at normalize(0.3 g - v0)); ``_ref_solve_indset_sdp`` gave the
+# same bits when they were captured.
 _INDSET_PINS = [
     ((100, 3, 0.3, 17, 400, 4, 1e-3), "gram",
-     ("5c1502cb8fccec56", "34866ed0adaa7360", "0x1.06bac6645a962p+5",
-      "0x1.8bfd2d332ce00p-7")),
+     ("728856c0baa5432d", "c11259b2f27c63ca", "0x1.0c06da0183a43p+5",
+      "0x1.947efded9e800p-8")),
     ((120, 3, 6.0 / 80, 16, 400, 3, 1e-3), "gather",
-     ("14430a1a3d42aa6b", "622f3b1c70831534", "0x1.8b3c529135ba7p+5",
-      "0x1.bd029b39861e8p-8")),
+     ("baa630648f05e780", "7bbbe546e6993485", "0x1.8b4d507527738p+5",
+      "0x1.a0ce3ee9e7d80p-8")),
     ((100, 3, 0.3, 17, 400, 4, 5e-5), "gram",
-     ("1a96d4663f181e00", "08ca236d1e06a093", "0x1.07b7b590c510ep+5",
-      "0x1.9acc2c6473e80p-7")),
+     ("4a646714a1f9a179", "a44dac514b608dd7", "0x1.0bf0a42b7deccp+5",
+      "0x1.73a85995079f0p-7")),
 ]
 
 
