@@ -48,6 +48,7 @@ from .graph import (
     brute_force_chromatic,
     exact_coloring,
     induced_subgraph,
+    larger_side,
     largest_color_class,
     two_coloring,
 )
@@ -180,7 +181,7 @@ def color_three_fallback(g: Graph, cfg: CombinedConfig, seed: int) -> Coloring:
         col = exact_coloring(sub)
         if col is not None:
             break
-        v_star = max(range(sub.n), key=lambda v: (sub.degree(v), -v))
+        v_star = int(np.argmax(sub.degrees()))  # ties to the lowest id
         if sub.degree(v_star) < sub.n ** 0.75:
             try:
                 col = kms_color(sub, 3, eps=cfg.eps, trials=cfg.trials,
@@ -300,10 +301,9 @@ class _CombinedFinder:
         sub = cg.induced(s_ids)
         k2 = self.k - 2
         if k2 == 2:
-            parts = bipartition(sub)
-            if parts is not None:
-                return LargeIndependentSet(
-                    frozenset(s_ids[i] for i in max(parts, key=len)))
+            side = larger_side(sub)
+            if side is not None:
+                return LargeIndependentSet(frozenset(s_ids[i] for i in side))
         else:
             probe_cfg = replace(
                 self.cfg, trials=max(8, self.cfg.trials // 2), seed=self.seed,

@@ -1,15 +1,19 @@
 """Immutable simple undirected graphs, colorings, and structural helpers.
 
-Vertices are the integers 0..n-1. Graphs are immutable after construction and
-every operation here is read-only, so instances can be shared freely between
-threads. DIMACS .col files use 1-indexed vertices; the conversion happens at
-the I/O boundary only.
+Vertices are the integers 0..n-1. A Graph is n plus its edges as two
+read-only int64 endpoint arrays (u < v, in (u, v) order), which the solvers
+read; the edge tuple, neighbour sets, degrees and adjacency matrix are
+derived from them on first use and cached. Graphs are immutable (threads
+racing to fill a cache store equal values), so instances can be shared
+freely between threads. DIMACS .col files use 1-indexed vertices; the
+conversion happens at the I/O boundary only.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import IO, Iterable, Iterator
 
 import numpy as np
@@ -26,14 +30,16 @@ class DimacsError(ValueError):
 
 
 class Graph:
-    """Simple undirected graph on vertices 0..n-1 (no loops, no multi-edges)."""
+    """Simple undirected graph on vertices 0..n-1 (no loops, no multi-edges).
 
-    __slots__ = ("_n", "_edges", "_adj", "_cache")
+    Its whole state is n and two read-only int64 endpoint arrays, u[i] <
+    v[i] in (u, v) order; everything else is derived from them when first
+    read, then cached.
+    """
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
-        adj: list[set[int]] = [set() for _ in range(n)]
         seen: set[tuple[int, int]] = set()
         for e in edges:
             u, v = e
@@ -46,24 +52,21 @@ class Graph:
             if (u, v) in seen:
                 raise ValueError(f"duplicate edge ({u}, {v})")
             seen.add((u, v))
-            adj[u].add(v)
-            adj[v].add(u)
-        self._n = n
-        self._edges: tuple[tuple[int, int], ...] = tuple(sorted(seen))
-        self._adj: tuple[frozenset[int], ...] = tuple(frozenset(s) for s in adj)
-        self._cache: dict = {}
+        self.edges = tuple(sorted(seen))  # fills the cached property
+        arr = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
+        self._set(n, arr[:, 0].copy(), arr[:, 1].copy())
 
     @classmethod
-    def _from_parts(cls, n: int, edges: tuple[tuple[int, int], ...],
-                    adj: tuple[frozenset[int], ...]) -> "Graph":
-        # Trusted constructor for internal callers that already hold
-        # normalized, validated parts. Skips all checks.
+    def _from_arrays(cls, n: int, eu: np.ndarray, ev: np.ndarray) -> "Graph":
+        # Trusted constructor: int64 arrays with eu < ev, in (u, v) order and
+        # without duplicates. Skips all checks.
         g = object.__new__(cls)
-        g._n = n
-        g._edges = edges
-        g._adj = adj
-        g._cache = {}
+        g._set(n, eu, ev)
         return g
+
+    def _set(self, n: int, eu: np.ndarray, ev: np.ndarray) -> None:
+        eu.flags.writeable = ev.flags.writeable = False
+        self._n, self._eu, self._ev = n, eu, ev
 
     @property
     def n(self) -> int:
@@ -71,23 +74,40 @@ class Graph:
 
     @property
     def m(self) -> int:
-        return len(self._edges)
+        return self._eu.size
 
-    @property
+    @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
-        return self._edges
+        """The edges as sorted (u, v) pairs with u < v."""
+        return tuple(zip(self._eu.tolist(), self._ev.tolist()))
+
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Edge endpoints as two read-only int64 arrays (u[i] < v[i])."""
+        return self._eu, self._ev
+
+    @cached_property
+    def _degrees(self) -> np.ndarray:
+        return np.bincount(np.concatenate((self._eu, self._ev)), minlength=self._n)
+
+    @cached_property
+    def _neighbors(self) -> tuple[frozenset[int], ...]:
+        # One CSR split: endpoints grouped by the other endpoint, ascending.
+        src = np.concatenate((self._ev, self._eu))
+        dst = np.concatenate((self._eu, self._ev))[np.argsort(src, kind="stable")]
+        parts = np.split(dst, np.cumsum(self._degrees)[:-1]) if self._n else []
+        return tuple(frozenset(part.tolist()) for part in parts)
 
     def neighbors(self, v: int) -> frozenset[int]:
-        return self._adj[v]
+        return self._neighbors[v]
 
     def degree(self, v: int) -> int:
-        return len(self._adj[v])
+        return int(self._degrees[v])
 
     def degrees(self) -> list[int]:
-        return [len(s) for s in self._adj]
+        return self._degrees.tolist()
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self._adj[u]
+        return v in self._neighbors[u]
 
     @property
     def average_degree(self) -> float:
@@ -99,39 +119,27 @@ class Graph:
     def max_degree(self) -> int:
         if self._n == 0:
             return 0
-        return max(len(s) for s in self._adj)
+        return int(self._degrees.max())
+
+    @cached_property
+    def _adjacency(self) -> np.ndarray:
+        mat = np.zeros((self._n, self._n), dtype=bool)
+        mat[self._eu, self._ev] = True
+        mat[self._ev, self._eu] = True
+        return mat
 
     def adjacency_matrix(self) -> np.ndarray:
         """Boolean n*n adjacency matrix (cached)."""
-        mat = self._cache.get("adjmat")
-        if mat is None:
-            mat = np.zeros((self._n, self._n), dtype=bool)
-            if self._edges:
-                eu, ev = self.edge_arrays()
-                mat[eu, ev] = True
-                mat[ev, eu] = True
-            self._cache["adjmat"] = mat
-        return mat
-
-    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Edge endpoints as two int64 arrays (u[i] < v[i]; cached)."""
-        arrs = self._cache.get("edgearr")
-        if arrs is None:
-            if self._edges:
-                arr = np.asarray(self._edges, dtype=np.int64)
-                arrs = (arr[:, 0].copy(), arr[:, 1].copy())
-            else:
-                arrs = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
-            self._cache["edgearr"] = arrs
-        return arrs
+        return self._adjacency
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Graph):
-            return self._n == other._n and self._edges == other._edges
+            return (self._n == other._n and np.array_equal(self._eu, other._eu)
+                    and np.array_equal(self._ev, other._ev))
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self._n, self._edges))
+        return hash((self._n, self._eu.tobytes(), self._ev.tobytes()))
 
     def __repr__(self) -> str:
         return f"Graph(n={self._n}, m={self.m})"
@@ -158,20 +166,12 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, list[int]]:
     verts = sorted(set(s))
     if verts and not (0 <= verts[0] and verts[-1] < g.n):
         raise ValueError(f"subset contains invalid vertex ids for n={g.n}")
-    index = {old: new for new, old in enumerate(verts)}
-    edges = []
-    for u in verts:
-        iu = index[u]
-        for v in g.neighbors(u):
-            if v > u and v in index:
-                edges.append((iu, index[v]))
-    adj: list[set[int]] = [set() for _ in verts]
-    for a, b in edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    sub = Graph._from_parts(len(verts), tuple(sorted(edges)),
-                            tuple(frozenset(x) for x in adj))
-    return sub, verts
+    pos = np.full(g.n, -1, dtype=np.int64)
+    pos[verts] = np.arange(len(verts))
+    eu, ev = g.edge_arrays()
+    keep = (pos[eu] >= 0) & (pos[ev] >= 0)
+    # The relabelling is monotone, so the kept edges stay in (u, v) order.
+    return Graph._from_arrays(len(verts), pos[eu[keep]], pos[ev[keep]]), verts
 
 
 def common_neighbors(g: Graph, u: int, v: int) -> set[int]:
@@ -185,10 +185,12 @@ def common_neighbors(g: Graph, u: int, v: int) -> set[int]:
 
 def verify_coloring(g: Graph, c: Coloring) -> bool:
     """True iff c assigns a color to every vertex and no edge is monochromatic."""
-    a = c.assignment
-    if len(a) != g.n:
+    if len(c.assignment) != g.n:
         return False
-    return all(a[u] != a[v] for u, v in g.edges)
+    # Object dtype: numpy would round integer colours from 2**63 to float.
+    a = np.asarray(c.assignment, dtype=object)
+    eu, ev = g.edge_arrays()
+    return not np.any(a[eu] == a[ev])
 
 
 def verify_independent_set(g: Graph, s: Iterable[int]) -> bool:
@@ -196,7 +198,10 @@ def verify_independent_set(g: Graph, s: Iterable[int]) -> bool:
     members = set(s)
     if any(not (0 <= v < g.n) for v in members):
         return False
-    return all(not (g.neighbors(v) & members) for v in members)
+    inside = np.zeros(g.n, dtype=bool)
+    inside[np.fromiter(members, dtype=np.int64, count=len(members))] = True
+    eu, ev = g.edge_arrays()
+    return not np.any(inside[eu] & inside[ev])
 
 
 def largest_color_class(c: Coloring) -> set[int]:
@@ -232,6 +237,13 @@ def bipartition(g: Graph) -> tuple[set[int], set[int]] | None:
                     return None
     return ({v for v in range(g.n) if side[v] == 0},
             {v for v in range(g.n) if side[v] == 1})
+
+
+def larger_side(g: Graph) -> set[int] | None:
+    """The larger side of ``bipartition(g)``, or None if an odd cycle exists.
+    On a tie it is side 0, the side holding vertex 0."""
+    parts = bipartition(g)
+    return None if parts is None else max(parts, key=len)
 
 
 def two_coloring(g: Graph) -> Coloring | None:

@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import math
 
-from .graph import Graph, bipartition, induced_subgraph, verify_independent_set
+import numpy as np
+
+from .graph import Graph, induced_subgraph, larger_side, verify_independent_set
 from .rounding import RoundingParams, kms_independent_set, kms_threshold, lex_best
 from .vecsdp import (
     DegenerateProjectionError,
@@ -59,13 +61,6 @@ def greedy_independent_set(g: Graph) -> frozenset[int]:
     return frozenset(chosen)
 
 
-def _bigger_side(g: Graph) -> frozenset[int] | None:
-    parts = bipartition(g)
-    if parts is None:
-        return None
-    return frozenset(max(parts, key=lambda s: (len(s), -min(s, default=0))))
-
-
 def l2_vector_indset(g: Graph, vc: VectorColoring, trials: int = 64,
                      seed: int = 0) -> frozenset[int]:
     """Independent set from a vector coloring: max of threshold rounding and
@@ -83,15 +78,15 @@ def l2_vector_indset(g: Graph, vc: VectorColoring, trials: int = 64,
         return greedy_independent_set(g)
     if vc.alpha <= 2.0:
         # Vector 2-colorable means bipartite; take the larger side.
-        side = _bigger_side(g)
-        return side if side is not None else greedy_independent_set(g)
+        side = larger_side(g)
+        return frozenset(side) if side is not None else greedy_independent_set(g)
 
     trials_here = max(8, trials // 4)
     c = kms_threshold(vc.alpha, g.average_degree)
     branch_a = kms_independent_set(
         g, vc, RoundingParams(c, trials=trials_here, seed=seed))
 
-    v_star = max(range(g.n), key=lambda v: (g.degree(v), -v))
+    v_star = int(np.argmax(g.degrees()))  # ties to the lowest id
     branch_b: frozenset[int] = frozenset()
     if g.degree(v_star) >= 1:
         red = None

@@ -5,8 +5,9 @@ non-adjacent vertices share a color in some valid k-coloring (contract
 them), or finding a large independent set (spend one color on it). The
 driver loops a caller-supplied finder over the shrinking quotient graph,
 verifying every claim before applying it. The quotient lives in one place,
-a ContractedGraph: finders read its dense adjacency and take Graph copies
-of the parts they need through ``induced``; only the driver mutates it.
+a ContractedGraph: finders read its dense adjacency and take the parts they
+need through ``induced`` as Graphs built from edge arrays alone (no Python
+sets or tuples); only the driver mutates it.
 
 The candidate collection groups vertices into geometric degree buckets
 I_j = {v : (1+delta)^j <= d(v) < (1+delta)^{j+1}} and emits, for every
@@ -160,23 +161,20 @@ class ContractedGraph:
     ``adj`` is a boolean adjacency matrix over base vertex ids in which the
     rows and columns of merged-away and deleted ids are zero; ``live`` marks
     the quotient's vertices. Each quotient vertex is named by its
-    representative, the smallest base id in its merged group (``parent`` is
-    the union-find, ``members`` the group). Single-owner mutable; the driver
-    serializes all mutations.
+    representative, the smallest base id in its merged group, and
+    ``members`` maps each representative to its group. Every method takes
+    representatives. Single-owner mutable; the driver serializes all
+    mutations.
     """
 
     def __init__(self, base: Graph):
         self.base = base
         self.adj = base.adjacency_matrix().copy()
         self.live = np.ones(base.n, dtype=bool)
-        self.parent = list(range(base.n))
         self.members: dict[int, set[int]] = {v: {v} for v in range(base.n)}
 
-    def find(self, v: int) -> int:
-        while self.parent[v] != v:
-            self.parent[v] = self.parent[self.parent[v]]
-            v = self.parent[v]
-        return v
+    def _all_live(self, vs: Iterable[int]) -> bool:
+        return all(0 <= v < self.base.n and self.live[v] for v in vs)
 
     @property
     def alive(self) -> list[int]:
@@ -191,22 +189,20 @@ class ContractedGraph:
 
     def is_independent(self, vs: Iterable[int]) -> bool:
         idx = sorted(set(vs))
-        if not all(0 <= v < self.base.n and self.live[v] for v in idx):
+        if not self._all_live(idx):
             return False
         return not self.adj[np.ix_(idx, idx)].any()
 
     def merge(self, u: int, v: int) -> int:
         """Merge two live, distinct, non-adjacent quotient vertices; returns
         the surviving representative (the smaller id)."""
-        u, v = self.find(u), self.find(v)
-        if u == v or not (self.live[u] and self.live[v]):
+        if u == v or not self._all_live((u, v)):
             raise ValueError(f"merge needs two live distinct vertices, got {u},{v}")
         if self.adj[u, v]:
             raise ContradictionError(
                 f"vertices {u} and {v} are adjacent; no valid coloring gives "
                 f"them the same color")
         keep, drop = (u, v) if u < v else (v, u)
-        self.parent[drop] = keep
         union = self.adj[keep] | self.adj[drop]
         self.adj[drop, :] = False
         self.adj[:, drop] = False
@@ -217,10 +213,9 @@ class ContractedGraph:
         return keep
 
     def delete(self, vs: Iterable[int]) -> None:
-        idx = sorted({self.find(v) for v in vs})
-        for v in idx:
-            if not self.live[v]:
-                raise ValueError(f"vertex {v} is not live")
+        idx = sorted(set(vs))
+        if not self._all_live(idx):
+            raise ValueError(f"delete needs live vertices, got {idx}")
         self.adj[idx, :] = False
         self.adj[:, idx] = False
         self.live[idx] = False
@@ -228,11 +223,8 @@ class ContractedGraph:
     def induced(self, ids: list[int]) -> Graph:
         """The subgraph of the quotient induced by ``ids`` as an immutable
         Graph; vertex i of it is ids[i]."""
-        sub = self.adj[np.ix_(ids, ids)]
-        iu, iv = np.nonzero(np.triu(sub, 1))
-        edges = tuple(zip(iu.tolist(), iv.tolist()))
-        adj = tuple(frozenset(np.flatnonzero(row).tolist()) for row in sub)
-        return Graph._from_parts(len(ids), edges, adj)
+        iu, iv = np.nonzero(np.triu(self.adj[np.ix_(ids, ids)], 1))
+        return Graph._from_arrays(len(ids), iu, iv)
 
     def quotient_graph(self) -> tuple[Graph, list[int]]:
         """The whole quotient as an immutable Graph plus its sorted
@@ -260,7 +252,7 @@ class ContractedGraph:
         return ids[~keep].tolist(), ids[keep].tolist()
 
     def base_members(self, rep: int) -> set[int]:
-        return set(self.members[self.find(rep)])
+        return set(self.members[rep])
 
 
 class NotKColorableError(RuntimeError):
@@ -293,10 +285,7 @@ def progress_driver(g: Graph, k: int, alpha_target: float,
     while cg.alive_count > 0:
         result = finder(cg)
         if isinstance(result, SameColor):
-            u, v = result.u, result.v
-            if cg.find(u) != u or cg.find(v) != v or u == v:
-                raise ValueError(f"finder returned a stale same-color pair {u},{v}")
-            cg.merge(u, v)  # raises ContradictionError on adjacency
+            cg.merge(result.u, result.v)  # raises on a stale or adjacent pair
         elif isinstance(result, LargeIndependentSet):
             members = result.members
             if not members:

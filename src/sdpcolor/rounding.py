@@ -57,16 +57,18 @@ def round_once(vc: VectorColoring, g: Graph, r: np.ndarray, c: float) -> frozens
     members = np.nonzero(selected)[0]
     if members.size == 0:
         return frozenset()
-    alive = set(int(v) for v in members)
-    internal = [(u, v) for u, v in g.edges if u in alive and v in alive]
-    if not internal:
+    alive = set(members.tolist())
+    eu, ev = g.edge_arrays()
+    inside = selected[eu] & selected[ev]
+    if not inside.any():
         return frozenset(alive)
+    internal = list(zip(eu[inside].tolist(), ev[inside].tolist()))
     nbrs: dict[int, set[int]] = {v: set() for v in alive}
     for u, v in internal:
         nbrs[u].add(v)
         nbrs[v].add(u)
     deg = {v: len(nbrs[v]) for v in alive}
-    for u, v in internal:  # g.edges is sorted, so the scan order is fixed
+    for u, v in internal:  # the edge arrays are sorted: a fixed scan order
         if u in alive and v in alive:
             # Drop the endpoint with more surviving internal edges; on a tie
             # drop the lower id. Dropping updates residual degrees.
@@ -105,8 +107,7 @@ def kms_independent_set(g: Graph, vc: VectorColoring,
         best = lex_best(best, round_once(vc, g, r, params.c))
         trial += 1
     if not best and g.n >= 1:
-        fallback = min(range(g.n), key=lambda v: (g.degree(v), v))
-        best = frozenset([fallback])
+        best = frozenset([int(np.argmin(g.degrees()))])  # ties to the lowest id
     return best
 
 

@@ -13,8 +13,13 @@ from sdpcolor.cli import (
     main,
     parse_range,
 )
-from sdpcolor.graph import Coloring, verify_coloring, verify_independent_set
-from sdpcolor.testkit import planted_k_colorable, save_fixture
+from sdpcolor.graph import (
+    Coloring,
+    verify_coloring,
+    verify_independent_set,
+    write_dimacs,
+)
+from sdpcolor.testkit import cycle_graph, planted_k_colorable, save_fixture
 import math
 
 
@@ -106,6 +111,16 @@ def test_indset_and_verify_round_trip(tmp_path):
     bad_codes.add(run(["verify", "--input", str(col_file) + ".col",
                        "--result", str(bad)]))
     assert EXIT_FAILURE in bad_codes
+
+
+def test_verify_refuses_negative_member(tmp_path, capsys):
+    graph_file = tmp_path / "c5.col"
+    write_dimacs(cycle_graph(5), str(graph_file))
+    result = tmp_path / "set.json"
+    result.write_text(json.dumps({"members": [-1, 1]}))
+    code = run(["verify", "--input", str(graph_file), "--result", str(result)])
+    assert code == EXIT_FAILURE
+    assert capsys.readouterr().out == "independent-set: INVALID\n"
 
 
 def test_analyze_csv_sandwich(tmp_path):

@@ -1,5 +1,6 @@
 import io
 
+import numpy as np
 import pytest
 
 from sdpcolor._rng import stream
@@ -74,7 +75,31 @@ def test_induced_subgraph_matches_contracted_induced():
         ids = [int(x) for x in rng.choice(g.n, size=4 + 3 * seed, replace=False)]
         sub, verts = induced_subgraph(g, ids)
         assert verts == sorted(ids)
-        assert sub == ContractedGraph(g).induced(verts)
+        validated = Graph(len(verts), sub.edges)
+        for other in (ContractedGraph(g).induced(verts), validated):
+            assert sub == other and hash(sub) == hash(other)
+            assert sub.edges == other.edges
+            assert sub.degrees() == other.degrees()
+            assert all(sub.neighbors(v) == other.neighbors(v)
+                       for v in range(sub.n))
+            for mine, theirs in zip(sub.edge_arrays(), other.edge_arrays()):
+                assert mine.dtype == theirs.dtype == np.int64
+                assert np.array_equal(mine, theirs)
+        pos = {old: new for new, old in enumerate(verts)}
+        assert validated.edges == tuple(sorted(
+            (pos[u], pos[v]) for u, v in g.edges if u in pos and v in pos))
+
+
+def test_edge_arrays_are_read_only():
+    g = cycle_graph(5)
+    sub, _ = induced_subgraph(g, range(4))
+    quotient, _ = ContractedGraph(g).quotient_graph()
+    for graph in (g, sub, quotient):
+        eu, ev = graph.edge_arrays()
+        with pytest.raises(ValueError):
+            eu[0] = 3
+        with pytest.raises(ValueError):
+            ev[0] = 3
 
 
 def test_common_neighbors():
@@ -145,6 +170,8 @@ def test_verify_coloring():
     assert verify_coloring(cycle_graph(5), Coloring((0, 1, 0, 1, 2)))
     assert not verify_coloring(complete_graph(3), Coloring((0, 0, 1)))
     assert not verify_coloring(complete_graph(3), Coloring((0, 1)))
+    # Colours are compared exactly, even where float64 cannot tell them apart.
+    assert verify_coloring(path_graph(2), Coloring((2**63, 2**63 + 1)))
 
 
 def test_verify_independent_set():
@@ -152,6 +179,9 @@ def test_verify_independent_set():
     assert verify_independent_set(c5, {0, 2})
     assert not verify_independent_set(c5, {0, 1})
     assert not verify_independent_set(c5, {0, 9})
+    # -1 must be refused, not read as vertex 4 (which would make {-1, 1} a
+    # valid set of C5).
+    assert not verify_independent_set(c5, {-1, 1})
 
 
 def test_independent_iff_induced_edgeless():

@@ -170,6 +170,8 @@ def test_merge_validates_liveness():
     cg.merge(0, 2)
     with pytest.raises(ValueError):
         cg.merge(0, 2)
+    with pytest.raises(ValueError):
+        cg.merge(1, -1)  # -1 must not be read as vertex 3
 
 
 def test_contraction_lift_preserves_properness():
