@@ -128,6 +128,8 @@ def parse_range(token: str) -> list[float]:
         out = []
         x = start
         while x <= stop + 1e-12:
+            if len(out) == 10_000:  # far past any sweep; x may not move
+                raise UsageError(f"range {token!r} has over 10000 points")
             out.append(round(x, 12))
             x += step
         return out

@@ -287,7 +287,7 @@ class _CombinedFinder:
             try:
                 vc = solve_vector_coloring(
                     sub, float(self.k), eps=self.cfg.eps, budget=SOLVER_BUDGET,
-                    seed=rng_seed, restarts=2)
+                    seed=rng_seed)
             except InfeasibleError as exc:
                 raise NotKColorableError("solver", str(exc)) from exc
             self._rows = dict(zip(u_ids, vc.vectors))

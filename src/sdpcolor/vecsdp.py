@@ -1,33 +1,28 @@
 """Semidefinite relaxations via low-rank Gram factorization.
 
-Two programs are solved here, both over unit vectors optimized directly on
-the product of spheres (gradient descent with Adam steps and row
-renormalization; no external SDP solver):
+Two programs are solved here over unit vectors, both as augmented
+Lagrangians (Burer-Monteiro) by Adam steps with row renormalization on the
+product of spheres (no external SDP solver):
 
 * vector alpha-coloring: unit v_1..v_n with v_i . v_j <= -1/(alpha-1) + eps
-  on every edge. Solved as a penalty problem on the hinge violations,
-  followed by a rank-reduction pass with a margin polish (minimize the total
-  edge inner product while keeping feasibility); the polish drives planted
-  instances toward their natural clustered configurations, which is what
-  makes downstream threshold rounding effective.
+  on every edge. A penalty descent on the hinge violations (multipliers at
+  zero), refined where it misses by per-edge multipliers, then a
+  rank-reduction pass with a margin polish (minimize the total edge inner
+  product while keeping feasibility); the polish drives planted instances
+  toward their natural clustered configurations, which is what makes
+  downstream threshold rounding effective.
 
 * the independence-number program: maximize sum (1 + v0 . v_i)/2 subject to
-  (v0 + v_i) . (v0 + v_j) = 0 on edges, solved by an augmented Lagrangian.
+  (v0 + v_i) . (v0 + v_j) = 0 on edges.
 
-Both iterate on the edge kernels of one ``_EdgeSums`` workspace. Where eps
-is at least 1e-4 and the rows are wider than 8 (``_iteration_dtype``), the
-coloring solver's wide phase and every iteration of the independence solver
-run in float32; everything else iterates in float64. What decides or is
-returned is measured in float64 with per-edge products: a vector coloring
-edge by edge, and the independence solver's residual, objective and
-multiplier update after each outer step. The coloring solver's
+Both iterate on the edge kernels of one ``_EdgeSums`` workspace: in float32
+where eps is at least 1e-4 and the rows are wider than 8
+(``_iteration_dtype``), which covers the coloring solver's wide rows and
+every independence iteration, else in float64. What is accepted or returned
+is measured in float64 with per-edge products. The coloring solver's
 infeasibility reports are evidence only (best residual reached), not
-certificates. The independence solver does use a dual certificate: up to
-n = 2048 it bounds the program's optimum by weak duality after each outer
-step that meets eps/2, ends a restart once its objective is within its
-stall tolerance of the smallest bound so far, and skips the remaining
-restarts once a feasible one is within eps/2 per vertex of that bound. All
-logarithms are natural.
+certificates; the independence solver stops on a weak-duality certificate
+up to n = 2048 (``solve_indset_sdp``). All logarithms are natural.
 """
 
 from __future__ import annotations
@@ -42,7 +37,7 @@ from .graph import Graph, induced_subgraph
 
 
 class InfeasibleError(RuntimeError):
-    """The penalty solver could not reach the requested tolerance.
+    """The coloring solver could not reach the requested tolerance.
 
     Evidence only: carries the best residual achieved, not a certificate
     that no feasible solution exists.
@@ -342,8 +337,7 @@ def _check_counts(budget: int, restarts: int) -> None:
 
 
 # Cap on the solver width: every iteration scales with the width and
-# desk-scale instances gain nothing past the cap (restarts cover the residual
-# risk of a spurious stall).
+# desk-scale instances gain nothing past the cap.
 _SOLVER_DIM_CAP = 24
 
 
@@ -369,8 +363,9 @@ def _coloring_descent(v, eu, ev, target, mode, iters, lr, mu=50.0,
                       stop_at=None):
     """Adam descent phases for the coloring program.
 
-    mode "feasible": minimize sum relu(d_e - target)^2.
-    mode "polish":   minimize sum d_e + mu * relu(d_e - target)^2.
+    mode "feasible": minimize sum relu(d_e - target_e)^2.
+    mode "polish":   minimize sum d_e + mu * relu(d_e - target_e)^2.
+    ``target`` is one aim, or one per edge in v's dtype (refinement).
     The learning rate is halved in six stages over the run. Every tenth
     iteration, before its step, the loop exits early in feasible mode once
     the max edge dot drops to ``stop_at``, and in either mode once the
@@ -447,7 +442,7 @@ def _rank_reduce(v, rank):
 
 def solve_vector_coloring(g: Graph, alpha: float, eps: float = 1e-3,
                           budget: int = 2000, seed: int = 0,
-                          restarts: int = 3) -> VectorColoring:
+                          restarts: int = 1) -> VectorColoring:
     """Find a vector alpha-coloring of g at tolerance eps.
 
     Each restart starts from random rows and takes one path:
@@ -457,21 +452,25 @@ def solve_vector_coloring(g: Graph, alpha: float, eps: float = 1e-3,
        rank-``ceil(alpha) - 1`` re-descent: feasibility and polish phases
        of ``budget`` iterations each, then a final feasibility phase of
        ``budget // 2``, returned if it meets eps;
-    3. while the residual exceeds eps, up to six refinement passes of
-       ``budget // 2`` on the wide rows;
+    3. while the residual exceeds eps, up to four refinement passes of
+       ``budget // 2`` on the wide rows, at lr 0.02, 0.008, 0.003, 0.001;
     4. if a refinement pass ran and brought the residual within eps, the
        re-descent once more;
     5. otherwise the wide rows, if they meet eps; else the next restart.
 
-    Every phase also stops early once its objective stalls (see
-    ``_coloring_descent``), and polish always takes the ``_EdgeSums`` gemm
-    up to n = 2048. Feasibility phases aim at the exact target
-    -1/(alpha-1), which any K_k forces some edge dot to reach; polish aims
-    at ``target - eps/2``. The low-rank and refinement phases exit at
-    ``target + eps/4``, the wide phase at the hand-off bar ``target + 10
-    eps``. Raises InfeasibleError (evidence only) when every restart stalls
-    above eps; its iteration count covers every phase run, and ValueError
-    when budget or restarts is below 1.
+    The refinement passes are an augmented Lagrangian on d_e <= t =
+    -1/(alpha-1): before each pass every edge's shift becomes max(0, shift
+    + d_e - t) and the pass aims its hinge at t - shift (multipliers 2
+    shift), so an edge that a K_k holds at t keeps its shift. The other
+    feasibility phases aim at t, which any K_k forces some edge dot to
+    reach, polish at t - eps/2; residuals that decide are measured against
+    t. The low-rank and refinement phases exit at t + eps/4, the wide phase
+    at the hand-off bar t + 10 eps, and every phase once its objective
+    stalls (``_coloring_descent``). Callers keep the one default restart
+    and rerun a failed solve with a fresh seed. Raises InfeasibleError
+    (evidence only) when every restart stalls above eps, its iteration
+    count covering every phase run, and ValueError when budget or restarts
+    is below 1.
     """
     if alpha < 2.0:
         raise ValueError(f"alpha must be at least 2, got {alpha}")
@@ -494,13 +493,11 @@ def solve_vector_coloring(g: Graph, alpha: float, eps: float = 1e-3,
     total_iters = 0
     stop_at = target + 0.25 * eps
     handoff = 10.0 * eps  # the wide phase's exit and its hand-off test
-    # The wide phase only has to land within the hand-off bar.
     wide_dtype = _iteration_dtype(eps, d)
     rank = max(2, int(math.ceil(alpha)) - 1)
 
-    def descend(vecs, mode, iters, lr, **kwargs):
+    def descend(vecs, mode, iters, lr, aim=target, **kwargs):
         nonlocal total_iters
-        aim = target - 0.5 * eps if mode == "polish" else target
         total_iters += _coloring_descent(vecs, eu, ev, aim, mode, iters, lr,
                                          **kwargs)
 
@@ -511,11 +508,10 @@ def solve_vector_coloring(g: Graph, alpha: float, eps: float = 1e-3,
         descend(reduced, "feasible", budget, lr=0.02, stop_at=stop_at)
         if _residual(reduced, eu, ev, target) > eps:
             return None
-        descend(reduced, "polish", budget, lr=0.01)
+        descend(reduced, "polish", budget, lr=0.01, aim=target - 0.5 * eps)
         descend(reduced, "feasible", budget // 2, lr=0.005, stop_at=stop_at)
-        if _residual(reduced, eu, ev, target) <= eps:
-            return VectorColoring(alpha, reduced, eps)
-        return None
+        ok = _residual(reduced, eu, ev, target) <= eps
+        return VectorColoring(alpha, reduced, eps) if ok else None
 
     for attempt in range(restarts):
         rng = stream(seed, "veccol", attempt)
@@ -527,14 +523,16 @@ def solve_vector_coloring(g: Graph, alpha: float, eps: float = 1e-3,
             found = try_lowrank(_row_normalize(work.astype(np.float64)))
             if found is not None:
                 return found
-        # Shrinking-step refinement when the wide pass lands just above eps;
-        # two lr sweeps cover instances whose active boundary settles slowly.
+        # Augmented-Lagrangian passes: multiplier step, then the shifted aim.
         refined = res > eps
-        for lr in (0.02, 0.008, 0.003, 0.02, 0.008, 0.003):
-            if res <= eps:
+        shift = 0.0
+        for lr in (0.02, 0.008, 0.003, 0.001):
+            dots = _edge_dots(work, eu, ev)
+            if dots.max() - target <= eps:
                 break
-            descend(work, "feasible", budget // 2, lr=lr, stop_at=stop_at)
-            res = _residual(work, eu, ev, target)
+            shift = np.maximum(shift + dots - target, 0.0)
+            descend(work, "feasible", budget // 2, lr=lr, aim=target - shift,
+                    stop_at=stop_at)
         v = _as_float64(work)
         res = _residual(v, eu, ev, target)
         best_res = min(best_res, res)

@@ -247,6 +247,10 @@ USAGE_ERRORS = {
     # to end.
     "analyze-inf-c": ["analyze", "--c", "inf"],
     "analyze-inf-range-stop": ["analyze", "--c", "0:inf:1"],
+    # Used to grow a list until the process was killed: 3e12 points, and a
+    # step that 1e17 + 1.0 == 1e17 never takes.
+    "analyze-range-too-many-points": ["analyze", "--c", "0:3:1e-12"],
+    "analyze-range-step-below-resolution": ["analyze", "--c", "1e17:1e17:1"],
 }
 
 

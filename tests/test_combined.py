@@ -185,7 +185,8 @@ def test_combined_k4_planted_midsize():
 
 # Planted (n, k, p, seed) cases whose solves once stalled above eps on every
 # attempt: with feasibility aimed below the exact target, a K_k held the
-# largest edge residual at 1.2-1.7e-3 against eps 1e-3.
+# largest edge residual at 1.2-1.7e-3 against eps 1e-3. Each now colours on
+# its first attempt; n=64 needed a second until refinement moved its aims.
 STALL_CASES = [
     (200, 4, 0.5, 0), (250, 4, 0.5, 0), (300, 4, 0.5, 0), (120, 4, 0.6, 0),
     (64, 4, 0.3, 0), (120, 6, 0.7, 3), (130, 4, 0.5, 306005),
@@ -198,6 +199,7 @@ def test_former_solver_stalls_colour(n, k, p, seed):
     res = combined_color(g, k, CombinedConfig(seed=seed, trials=16))
     assert res.coloring is not None, res.failure
     assert verify_coloring(g, res.coloring)
+    assert res.repeats_used == 1
 
 
 def _counting_solver(monkeypatch):

@@ -16,7 +16,12 @@ float64. The descent takes its neighbour sums from one ``_EdgeSums``
 workspace and no adjacency matrix; the reference keeps its ``both_idx`` and
 ``adj`` arguments, which ``_both`` passes to it alone. Polish always takes
 the gemm up to n = 2048, so where the reference scattered (few edges, or
-n > 2048) the two agree to 1e-12 and 1e-9 instead of bit for bit.
+n > 2048) the two agree to 1e-12 and 1e-9 instead of bit for bit. Both take
+``target`` as a scalar or as one aim per edge, the form a refinement pass
+passes; the reference's ``dots - target`` broadcasts either. The
+refinement case records every pass of two solves, checks each pass's aim
+against the multiplier step shift = max(0, shift + d - t), and runs the
+reference toward that aim from the pass's starting rows.
 
 ``_ref_solve_indset_sdp`` is the independence solver as it stood before its
 workspace, with the same helpers, brought to what the solver now does: it
@@ -500,6 +505,59 @@ def test_lowrank_feasible_stops_at_its_fixed_point_within_rounding(
     got = _objective(new, eu, ev, target - 5e-4, "feasible")
     want = _objective(full, eu, ev, target - 5e-4, "feasible")
     assert 0.0 < want and abs(got - want) <= _STALL_RTOL
+
+
+@pytest.mark.parametrize("case, eps, branch, prefix", [
+    ((60, 3, 4.0 / 40, 0), 1e-3, "gather", None),
+    ((60, 3, 0.3, 3), 5e-5, "gram", 100),
+], ids=["scatter-float32", "gram-float64"])
+def test_refinement_passes_match_the_reference(case, eps, branch, prefix,
+                                               monkeypatch, dot_branches):
+    # Every refinement pass of a solve that needs two or more: its per-edge
+    # aim is target - shift after the step shift = max(0, shift + d - t) on
+    # the pass's starting rows. Where the dots are gathered the whole pass
+    # matches the reference from the same rows bit for bit. On the Gram dots
+    # the descent toward each pass's aim is rerun for ``prefix`` iterations
+    # and matches within rounding, in float64 as the low-rank Gram case
+    # above does. An edge whose dot rounds to either side of its aim is
+    # active in one run only, and Adam's first steps scale that to a full
+    # step: a float32 pass on (40, 4, 0.3, 3) differs by 0.04 after one
+    # step, with a fixed aim as with shifts, and float64 passes on other
+    # instances by up to 1e-11.
+    n, k, p, seed = case
+    g, eu, ev, both = _instance(n, k, p, seed)
+    passes = []
+    real = vecsdp._coloring_descent
+
+    def recorded(v, eu_, ev_, target, *args, **kwargs):
+        start, first = v.copy(), len(dot_branches)
+        used = real(v, eu_, ev_, target, *args, **kwargs)
+        if isinstance(target, np.ndarray):
+            passes.append((start, target.copy(), args, kwargs, v.copy(), used,
+                           dot_branches[first:]))
+        return used
+
+    monkeypatch.setattr(vecsdp, "_coloring_descent", recorded)
+    vc = vecsdp.solve_vector_coloring(g, float(k), eps=eps, seed=seed)
+    assert vc.is_feasible_for(g)
+    assert len(passes) >= 2
+    target = -1.0 / (k - 1)
+    shift = np.zeros(g.m, passes[0][0].dtype)
+    for start, aim, args, kwargs, new, used, branches in passes:
+        shift = np.maximum(shift + (start[eu] * start[ev]).sum(axis=1) - target,
+                           0.0)
+        assert shift.any()
+        assert np.array_equal(aim, target - shift)
+        assert branches == [branch] * used
+        if prefix is None:
+            ref = start.copy()
+            used_ref = _ref_coloring_descent(ref, eu, ev, both, aim, *args,
+                                             cut_at=used, **kwargs)
+            _assert_same(ref, new, used_ref, used)
+        else:
+            mode, _, lr = args
+            _assert_within_rounding(*_both(start, eu, ev, both, aim, mode,
+                                           prefix, lr, **kwargs))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
