@@ -196,18 +196,13 @@ def _residual(v, eu, ev, target):
     return float(_edge_dots(v, eu, ev).max() - target)
 
 
-def _row_normalize(v: np.ndarray, sq: np.ndarray | None = None,
-                   norms: np.ndarray | None = None) -> np.ndarray:
-    """Divide each nonzero row of v by its Euclidean norm, in place.
-
-    Bit for bit the ``np.linalg.norm(v, axis=1)`` form; the optional (n, d)
-    and (n,) buffers make it allocation-free.
-    """
-    sq = np.multiply(v, v, out=sq)
-    norms = _row_sums(sq, norms)
+def _row_normalize(v: np.ndarray, norms: np.ndarray | None = None) -> np.ndarray:
+    """Divide each row of v by its Euclidean norm, in place; a zero row
+    stays zero (its norm is raised to the dtype's tiny). The optional (n,)
+    buffer makes it allocation-free."""
+    norms = np.einsum("ij,ij->i", v, v, out=norms)
     np.sqrt(norms, out=norms)
-    if not norms.all():
-        norms[norms == 0.0] = 1.0
+    np.maximum(norms, np.finfo(v.dtype).tiny, out=norms)
     v /= norms[:, None]
     return v
 
@@ -263,13 +258,14 @@ class _EdgeSums:
 
 
 class _Adam:
-    """Adam steps with the moments updated in place.
+    """Adam steps on unscaled moments, in place.
 
-    Each step performs the operations of the out-of-place expressions
-    ``m = 0.9 m + 0.1 g``, ``v = 0.999 v + 0.001 g g`` and
-    ``params -= lr mhat / (sqrt(vhat) + 1e-12)`` in the same order and
-    dtypes, so the parameters match that form bit for bit. The gradient has
-    the parameters' dtype.
+    M = 0.9 M + g and V = 0.999 V + g g are 10 and 1000 times the textbook
+    moments, so both bias corrections and lr fold into two scalars
+    (Kingma-Ba, section 2): params -= M / (sqrt(V) c2 / (lr c1) + 1e-12 /
+    (lr c1)) with c1 = 0.1 / (1 - 0.9^t) and c2 = sqrt(0.001 / (1 -
+    0.999^t)). That is the textbook lr mhat / (sqrt(vhat) + 1e-12) to
+    rounding, in ten array passes. The gradient has the parameters' dtype.
     """
 
     def __init__(self, like, lr):
@@ -277,40 +273,35 @@ class _Adam:
         self.m = np.zeros_like(like)
         self.v = np.zeros_like(like)
         self.t = 0
-        self._mhat = np.empty_like(self.m)
-        self._den = np.empty_like(self.m)
-        self._g = np.empty_like(self.m)  # the scaled gradient
+        self._buf = np.empty_like(self.m)
 
     def step(self, params, grad):
         self.t += 1
-        g = self._g
+        lr_c1 = self.lr * (0.1 / (1.0 - 0.9 ** self.t))
+        c2 = math.sqrt(0.001 / (1.0 - 0.999 ** self.t))
+        buf = self._buf
         np.multiply(0.9, self.m, out=self.m)
-        np.multiply(0.1, grad, out=g)
-        np.add(self.m, g, out=self.m)
+        np.add(self.m, grad, out=self.m)
         np.multiply(0.999, self.v, out=self.v)
-        np.multiply(0.001, grad, out=g)
-        np.multiply(g, grad, out=g)
-        np.add(self.v, g, out=self.v)
-        mhat, den = self._mhat, self._den
-        np.divide(self.m, 1.0 - 0.9 ** self.t, out=mhat)
-        np.divide(self.v, 1.0 - 0.999 ** self.t, out=den)
-        np.sqrt(den, out=den)
-        np.add(den, 1e-12, out=den)
-        np.multiply(self.lr, mhat, out=mhat)
-        np.divide(mhat, den, out=mhat)
-        np.subtract(params, mhat, out=params)
+        np.multiply(grad, grad, out=buf)
+        np.add(self.v, buf, out=self.v)
+        np.sqrt(self.v, out=buf)
+        np.multiply(buf, c2 / lr_c1, out=buf)
+        np.add(buf, 1e-12 / lr_c1, out=buf)
+        np.divide(self.m, buf, out=buf)
+        np.subtract(params, buf, out=params)
 
 
-def _sphere_step(v, grad, opt, tmp, coef, sq, norms):
+def _sphere_step(v, grad, opt, tmp, rowdots):
     """Project grad onto each row's tangent space, step, renormalize rows.
-    Allocation-free: tmp is shaped like grad, sq like v, coef and norms (n,)."""
-    # grad -= (grad * v).sum(axis=1, keepdims=True) * v
-    np.multiply(grad, v, out=tmp)
-    _row_sums(tmp, coef)
-    np.multiply(coef[:, None], v, out=tmp)
+    Allocation-free: tmp is shaped like grad, rowdots (n,) serves both
+    row-dot passes."""
+    # grad -= einsum("ij,ij->i", grad, v)[:, None] * v
+    np.einsum("ij,ij->i", grad, v, out=rowdots)
+    np.multiply(rowdots[:, None], v, out=tmp)
     np.subtract(grad, tmp, out=grad)
     opt.step(v, grad)
-    _row_normalize(v, sq, norms)
+    _row_normalize(v, rowdots)
 
 
 def _iteration_dtype(eps: float, d: int):
@@ -379,11 +370,12 @@ def _coloring_descent(v, eu, ev, target, mode, iters, lr, mu=50.0,
     Every array an iteration writes is allocated once per call, in v's
     dtype: the scatter sums in float64 and rounds into that gradient. The
     operation order is part of the output contract: each iteration performs
-    the floating-point operations of the plain out-of-place expressions
-    (noted beside each step) in their order and dtypes (to rounding where
-    the dots read the Gram matrix), so the golden CLI results stay bit for
-    bit the same. Reordering a sum or fusing a product changes them; so
-    does moving the stall check, which only decides where a run ends.
+    the floating-point operations of the out-of-place expressions noted
+    beside each step, ``_Adam``'s and ``_sphere_step``'s, in their order and
+    dtypes (to rounding where the dots read the Gram matrix), so the golden
+    CLI results keep their bits. Reordering a sum or fusing a product
+    changes them; so does moving the stall check, which only decides where
+    a run ends.
     """
     n, d = v.shape
     feasible, polish = mode == "feasible", mode == "polish"
@@ -397,8 +389,8 @@ def _coloring_descent(v, eu, ev, target, mode, iters, lr, mu=50.0,
     # amortize the n^2 traffic.
     dense_bar = max(32, (n * n) // max(16 * d, 16))
     dots, viol, hinge = (np.empty(sums.m, v.dtype) for _ in range(3))
-    sq, grad, tmp = (np.empty((n, d), v.dtype) for _ in range(3))
-    norms, coef = np.empty(n, v.dtype), np.empty(n, v.dtype)
+    grad, tmp = np.empty((n, d), v.dtype), np.empty((n, d), v.dtype)
+    rowdots = np.empty(n, v.dtype)
     for it in range(iters):
         used += 1
         if it % stage == 0 and it > 0:
@@ -419,14 +411,14 @@ def _coloring_descent(v, eu, ev, target, mode, iters, lr, mu=50.0,
         np.multiply(hinge_scale, viol, out=hinge)
         if polish:
             np.add(1.0, hinge, out=hinge)            # 1 + hinge_w
-        n_active = np.count_nonzero(viol)
-        if sums.w is not None and (polish or n_active > dense_bar):
+            (sums.scatter if sums.w is None else sums.dense)(hinge, v, grad)
+        elif sums.w is not None and np.count_nonzero(viol) > dense_bar:
             sums.dense(hinge, v, grad)
-        elif polish or n_active:
-            sums.scatter(hinge, v, grad, None if polish else viol.nonzero()[0])
+        elif viol.any():
+            sums.scatter(hinge, v, grad, viol.nonzero()[0])
         else:
             grad.fill(0.0)
-        _sphere_step(v, grad, opt, tmp, coef, sq, norms)
+        _sphere_step(v, grad, opt, tmp, rowdots)
     return used
 
 
@@ -621,10 +613,11 @@ def solve_indset_sdp(g: Graph, eps: float = 1e-3, budget: int = 6000,
     ``_EdgeSums.dots``; the gradient is the ``_EdgeSums`` neighbour sum of
     the multipliers, its dense gemm up to n = 2048 and its bincount scatter
     above, and v0's is the column sums of those neighbour sums less the
-    column sums of the rows. After each outer step the rows are taken to
-    float64 (renormalized when they ran in float32), and the residual,
-    objective and multiplier update are measured on those with per-edge
-    products. The last measurement is the restart's result.
+    column sums of the rows, each a gemv against a ones vector. After each
+    outer step the rows are taken to float64 (renormalized when they ran in
+    float32), and the residual, objective and multiplier update are
+    measured on those with per-edge products. The last measurement is the
+    restart's result.
     """
     if not 0.0 < eps < math.inf:
         raise ValueError(f"eps must be positive and finite, got {eps}")
@@ -638,8 +631,8 @@ def solve_indset_sdp(g: Graph, eps: float = 1e-3, budget: int = 6000,
     dtype = _iteration_dtype(eps, d)
     eu, ev = g.edge_arrays()
     sums = _EdgeSums(eu, ev, (n, d), dtype)
-    grad, tmp, sq = (np.empty((n + 1, d), dtype) for _ in range(3))
-    coef, norms = np.empty(n + 1, dtype), np.empty(n + 1, dtype)
+    grad, tmp = np.empty((n + 1, d), dtype), np.empty((n + 1, d), dtype)
+    rowdots, ones = np.empty(n + 1, dtype), np.ones(n, dtype)
     p, colsum = np.empty((n, d), dtype), np.empty(d, dtype)
     h, s = np.empty(g.m, dtype), np.empty(g.m, dtype)
     p64, h64 = np.empty((n, d)), np.empty(g.m)  # measured in float64
@@ -672,12 +665,12 @@ def solve_indset_sdp(g: Graph, eps: float = 1e-3, budget: int = 6000,
                 np.multiply(mu, h, out=s)
                 np.add(lam_dt, s, out=s)  # lam + mu * h
                 (sums.scatter if sums.w is None else sums.dense)(s, p, c)
-                # grad[0] = c.sum(axis=0) - w[1:].sum(axis=0); grad[1:] = c - v0
-                np.add.reduce(c, axis=0, out=grad[0])
-                np.add.reduce(w[1:], axis=0, out=colsum)
+                # grad[0] = ones @ c - ones @ w[1:] (gemv); grad[1:] = c - v0
+                np.matmul(ones, c, out=grad[0])
+                np.matmul(ones, w[1:], out=colsum)
                 np.subtract(grad[0], colsum, out=grad[0])
                 np.subtract(c, v0, out=c)
-                _sphere_step(w, grad, opt, tmp, coef, sq, norms)
+                _sphere_step(w, grad, opt, tmp, rowdots)
             rows = _as_float64(w)
             np.add(rows[1:], rows[0], out=p64)
             _edge_dots(p64, eu, ev, h64)

@@ -1,9 +1,15 @@
 """The workspace descents against the out-of-place loops they replaced.
 
 ``_ref_coloring_descent`` and its helpers below are the allocating loop as it
-stood before the per-call workspace, kept verbatim as the reference, except
-that ``_ref_scatter_rows`` returns its float64 bincount sums in the rows'
-dtype, as the descent keeps every gradient of a phase in that phase's dtype.
+stood before the per-call workspace, kept as the reference with two changes.
+``_ref_scatter_rows`` returns its float64 bincount sums in the rows' dtype,
+as the descent keeps every gradient of a phase in that phase's dtype. And
+the sphere step is no longer the old one verbatim: it moved in step with the
+descent's lean form, still written out of place. ``_RefAdam`` keeps unscaled
+moments M = 0.9 M + g, V = 0.999 V + g g and steps by M / (sqrt(V) c2 /
+(lr c1) + 1e-12 / (lr c1)), the textbook update to rounding (pinned in
+``tests/test_vecsdp.py``), and the tangent projection and
+``_ref_row_normalize`` take their row dots by ``np.einsum("ij,ij->i")``.
 The reference has no stall stop, and ``cut_at`` ends it where a stall stop
 would. Each case runs both from the same start on a pinned planted instance
 and records which ``_EdgeSums.dots`` branch the descent took. Where it
@@ -27,23 +33,24 @@ reference toward that aim from the pass's starting rows.
 workspace, with the same helpers, brought to what the solver now does: it
 iterates in float32 when eps >= 1e-4 and the width exceeds 8 (float64
 otherwise), rounds the multipliers to that dtype for each outer step,
-measures every outer step on the rows taken to float64 (renormalized
-after float32 iterations), takes its Gram matrix as ``p @ p.T.copy()``
-(gemm, not syrk) and forms the gradient of v0 from the column sums of the
-neighbour sums. Up to n = 2048 it also computes the weak-duality bound,
-with a dense K of its own (``_ref_dual_bound``), after every outer step
-whose residual is within eps/2 and at the end of a restart whose last step
-was not; it ends a restart once the objective is within the stall
-tolerance max(1e-7, 0.01 eps n) of the smallest bound so far, and stops
-restarting once its best restart meets eps and lies within eps/2 per
-vertex of that bound. It counts its inner iterations over the restarts
-run. Its solves must match bit for bit, iteration counts included, on all
-three branches: gathered dots, Gram dots, and the scatter above n = 2048;
-in one solve where the restart skip leaves restart 1 out; and in one
-single-restart solve where the per-step bound ends the restart before the
-stall rule would. The bounds agree to 1e-9 per vertex. Three solves are
-also pinned by digest: two float32 ones, and one float64 one whose bits
-are those the solver had before its Gram dots moved into ``_EdgeSums``.
+measures every outer step on the rows taken to float64 (renormalized after
+float32 iterations), takes its Gram matrix as ``p @ p.T.copy()`` (gemm, not
+syrk) and forms the gradient of v0 from the column sums of the neighbour
+sums and of the rows, each a gemv against a ones vector (the lean step's
+form; the verbatim loop reduced along axis 0). Up to n = 2048 it also
+computes the weak-duality bound, with a dense K of its own
+(``_ref_dual_bound``), after every outer step whose residual is within
+eps/2 and at the end of a restart whose last step was not; it ends a
+restart once the objective is within the stall tolerance max(1e-7, 0.01 eps
+n) of the smallest bound so far, and stops restarting once its best restart
+meets eps and lies within eps/2 per vertex of that bound. It counts its
+inner iterations over the restarts run. Its solves must match bit for bit,
+iteration counts included, on all three branches: gathered dots, Gram dots,
+and the scatter above n = 2048; in one solve where the restart skip leaves
+restart 1 out; and in one single-restart solve where the per-step bound
+ends the restart before the stall rule would. The bounds agree to 1e-9 per
+vertex. Three solves are also pinned by digest: two float32 ones and one
+float64 one.
 """
 
 import hashlib
@@ -72,7 +79,7 @@ from sdpcolor.vecsdp import (
 # ---------------------------------------------------------------------------
 
 def _ref_row_normalize(v: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(v, axis=1, keepdims=True)
+    norms = np.sqrt(np.einsum("ij,ij->i", v, v))[:, None]
     norms[norms == 0.0] = 1.0
     v /= norms
     return v
@@ -96,11 +103,11 @@ class _RefAdam:
 
     def step(self, params, grad):
         self.t += 1
-        self.m = 0.9 * self.m + 0.1 * grad
-        self.v = 0.999 * self.v + 0.001 * grad * grad
-        mhat = self.m / (1.0 - 0.9 ** self.t)
-        vhat = self.v / (1.0 - 0.999 ** self.t)
-        params -= self.lr * mhat / (np.sqrt(vhat) + 1e-12)
+        lr_c1 = self.lr * (0.1 / (1.0 - 0.9 ** self.t))
+        c2 = math.sqrt(0.001 / (1.0 - 0.999 ** self.t))
+        self.m = 0.9 * self.m + grad
+        self.v = 0.999 * self.v + grad * grad
+        params -= self.m / (np.sqrt(self.v) * (c2 / lr_c1) + 1e-12 / lr_c1)
 
 
 def _ref_coloring_descent(v, eu, ev, both_idx, target, mode, iters, lr,
@@ -153,7 +160,7 @@ def _ref_coloring_descent(v, eu, ev, both_idx, target, mode, iters, lr,
                     grad += adj @ v
                 else:
                     grad += _ref_scatter_rows(both_idx, np.ones(2 * m), v[other], n)
-        grad -= (grad * v).sum(axis=1, keepdims=True) * v
+        grad -= np.einsum("ij,ij->i", grad, v)[:, None] * v
         opt.step(v, grad)
         _ref_row_normalize(v)
     return used
@@ -183,6 +190,7 @@ def _ref_solve_indset_sdp(g, eps=1e-3, budget=6000, seed=0, restarts=2):
     dt = np.float32 if (eps >= 1e-4 and d > 8) else np.float64
     eu, ev = g.edge_arrays()
     dense = n <= 2048
+    ones = np.ones(n, dt)
     if dense:
         s_buf = np.zeros((n, n), dt)
     else:
@@ -228,8 +236,8 @@ def _ref_solve_indset_sdp(g, eps=1e-3, budget=6000, seed=0, restarts=2):
                                           p[other_idx], n)
                 grad = np.empty_like(w)
                 grad[1:] = c - v0
-                grad[0] = c.sum(axis=0) - w[1:].sum(axis=0)
-                grad -= (grad * w).sum(axis=1, keepdims=True) * w
+                grad[0] = ones @ c - ones @ w[1:]
+                grad -= np.einsum("ij,ij->i", grad, w)[:, None] * w
                 opt.step(w, grad)
                 _ref_row_normalize(w)
             w64 = w if dt is np.float64 else _ref_row_normalize(w.astype(np.float64))
@@ -669,18 +677,20 @@ def _digest(a):
 # vectors and v0, and the objective and residual as float.hex. Each pin
 # holds the bits of its branch's iterations, float32 for eps 1e-3 and
 # float64 for eps below 1e-4, from restarts that start beside the empty
-# set (rows at normalize(0.3 g - v0)); ``_ref_solve_indset_sdp`` gave the
-# same bits when they were captured.
+# set (rows at normalize(0.3 g - v0)) and iterations that take the lean
+# sphere step (Adam on unscaled moments, einsum row dots, gemv column
+# sums); ``_ref_solve_indset_sdp`` gave the same bits when they were
+# captured.
 _INDSET_PINS = [
     ((100, 3, 0.3, 17, 400, 4, 1e-3), "gram",
-     ("728856c0baa5432d", "c11259b2f27c63ca", "0x1.0c06da0183a43p+5",
-      "0x1.947efded9e800p-8")),
+     ("428709f680b32b98", "bfadede2c9283a69", "0x1.0c3740fc0e68bp+5",
+      "0x1.a31529df428f0p-8")),
     ((120, 3, 6.0 / 80, 16, 400, 3, 1e-3), "gather",
-     ("baa630648f05e780", "7bbbe546e6993485", "0x1.8b4d507527738p+5",
-      "0x1.a0ce3ee9e7d80p-8")),
+     ("cfbd5087298d38fa", "c4a8cd90c8bd2887", "0x1.8b53b33a7f9e4p+5",
+      "0x1.6e9f1504f0f20p-8")),
     ((100, 3, 0.3, 17, 400, 4, 5e-5), "gram",
-     ("4a646714a1f9a179", "a44dac514b608dd7", "0x1.0bf0a42b7deccp+5",
-      "0x1.73a85995079f0p-7")),
+     ("e52221431ea2f827", "fc16f2c7e88ee213", "0x1.0bf0a42b7d513p+5",
+      "0x1.73a8599317ed8p-7")),
 ]
 
 

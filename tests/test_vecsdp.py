@@ -38,6 +38,68 @@ def test_simplex_vectors():
         assert np.allclose(off, -1.0 / (count - 1), atol=1e-12)
 
 
+@pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+def test_adam_matches_textbook_adam(dtype, tol):
+    # The unscaled-moment step against out-of-place textbook Adam over 200
+    # seeded steps; one row's gradient stays zero and must not move it.
+    rng = stream(41, "adam-textbook")
+    lr = 0.02
+    p0 = rng.standard_normal((16, 5)).astype(dtype)
+    p0[3] = 0.0
+    lean, book = p0.copy(), p0.copy()
+    opt = vecsdp._Adam(lean, lr)
+    m, v = np.zeros_like(book), np.zeros_like(book)
+    for t in range(1, 201):
+        g = rng.standard_normal(book.shape).astype(dtype)
+        g[3] = 0.0
+        opt.step(lean, g)
+        m = 0.9 * m + 0.1 * g
+        v = 0.999 * v + 0.001 * g * g
+        mhat = m / (1.0 - 0.9 ** t)
+        vhat = v / (1.0 - 0.999 ** t)
+        book -= lr * mhat / (np.sqrt(vhat) + 1e-12)
+        assert lean.dtype == dtype
+        assert np.abs(lean - book).max() <= tol
+    assert np.array_equal(lean[3], p0[3])
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_adam_first_step_moves_by_lr_sign(dtype):
+    # Step 1 is lr g / (|g| + 1e-12): lr sign(g) up to the 1e-12 term and
+    # rounding. From zero the step is the whole move.
+    rng = stream(42, "adam-first-step")
+    g = rng.standard_normal((32, 7)).astype(dtype)
+    lr = 0.05
+    params = np.zeros_like(g)
+    vecsdp._Adam(params, lr).step(params, g)
+    slack = lr * (8 * np.finfo(dtype).eps + 1e-12 / np.abs(g.astype(float)))
+    assert np.all(np.abs(params + lr * np.sign(g)) <= slack)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_row_normalize_in_place_unit_rows_zero_row_kept(dtype):
+    # Against np.linalg.norm to 2 ulp of the rows' unit norm: the two sum
+    # the squares in different orders, so a small entry can differ by more
+    # than 2 of its own ulp (3 at d = 32 here).
+    rng = stream(43, "row-normalize")
+    eps = np.finfo(dtype).eps
+    for d in (1, 3, 8, 24, 32, 129):
+        v = rng.standard_normal((40, d)) * np.logspace(-3, 3, 40)[:, None]
+        v = v.astype(dtype)
+        v[5] = 0.0
+        want = v.copy()
+        keep = np.arange(40) != 5
+        want[keep] /= np.linalg.norm(v[keep], axis=1, keepdims=True)
+        got = v.copy()
+        norms = np.empty(40, dtype)
+        assert vecsdp._row_normalize(got, norms) is got
+        assert got.dtype == dtype
+        assert not got[5].any()
+        unit = np.linalg.norm(got[keep].astype(np.float64), axis=1)
+        assert np.abs(unit - 1.0).max() <= 4 * eps
+        assert np.abs(got - want).max() <= 2 * eps
+
+
 def test_solve_simplex_tight_instance():
     # K_{k+1} at alpha = k+1 forces the regular simplex: every pairwise dot
     # lands on -1/k.
