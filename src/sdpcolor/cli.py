@@ -28,8 +28,10 @@ from .graph import (
     verify_independent_set,
 )
 from .indset import ak_independent_set
+from .progress import NotKColorableError
 from .rounding import kms_color
 from .testkit import planted_k_colorable, random_graph
+from .vecsdp import InfeasibleError
 
 SCHEMA = 1
 
@@ -275,34 +277,11 @@ def cmd_bench(args) -> int:
     for n in sizes:
         for s in range(args.seeds):
             inst = planted_k_colorable(n, args.k, args.p, seed=s)
-            if args.algo == "combined":
-                cfg = CombinedConfig(eps=args.eps, trials=args.trials,
-                                     seed=args.seed + s, repeats=args.repeats)
-                res = combined_color(inst.graph, args.k, cfg)
-                if res.coloring is None:
-                    raise RuntimeError(f"combined failed on n={n} seed={s}: "
-                                       f"{res.failure}")
-                if not verify_coloring(inst.graph, res.coloring):
-                    raise AssertionError("unverified coloring in bench")
-                value = res.colors_used
-            elif args.algo == "kms":
-                col = kms_color(inst.graph, args.k, eps=args.eps,
-                                trials=args.trials, seed=args.seed + s)
-                if not verify_coloring(inst.graph, col):
-                    raise AssertionError("unverified coloring in bench")
-                value = col.colors_used
-            elif args.algo == "indset":
-                members = ak_independent_set(
-                    inst.graph, float(args.k), eps=args.eps,
-                    trials=args.trials, seed=args.seed + s)
-                if not verify_independent_set(inst.graph, members):
-                    raise AssertionError("unverified set in bench")
-                value = len(members)
-            else:
-                raise UsageError(f"unknown algo {args.algo!r}")
-            cells.append({"n": n, "seed": s, "value": value})
-    xs = [c["n"] for c in cells]
-    ys = [max(c["value"], 1) for c in cells]
+            value, failure = _bench_cell(args, inst.graph, s)
+            cells.append({"n": n, "seed": s, "value": value, "failure": failure})
+    verified = [c for c in cells if c["value"] is not None]
+    xs = [c["n"] for c in verified]
+    ys = [max(c["value"], 1) for c in verified]
     payload = {
         "schema": SCHEMA,
         "algo": args.algo,
@@ -315,7 +294,43 @@ def cmd_bench(args) -> int:
         "fitted_exponent": fit_exponent(xs, ys) if len(set(xs)) > 1 else None,
     }
     write_text(_resolve_out(args.out), dump_json(payload))
+    failed = len(cells) - len(verified)
+    if failed:
+        sys.stderr.write(f"failure: {failed} of {len(cells)} cells failed\n")
+        return EXIT_FAILURE
     return EXIT_OK
+
+
+def _bench_cell(args, graph: Graph, s: int) -> tuple[int | None, str | None]:
+    """One bench cell's verified value, or None and the failure's kind
+    (as in NotKColorableError) when the algorithm failed on it."""
+    if args.algo == "combined":
+        cfg = CombinedConfig(eps=args.eps, trials=args.trials,
+                             seed=args.seed + s, repeats=args.repeats)
+        res = combined_color(graph, args.k, cfg)
+        if res.coloring is None:
+            return None, res.attempt_failures[-1][0]
+        if not verify_coloring(graph, res.coloring):
+            raise AssertionError("unverified coloring in bench")
+        return res.colors_used, None
+    if args.algo == "kms":
+        try:
+            col = kms_color(graph, args.k, eps=args.eps, trials=args.trials,
+                            seed=args.seed + s)
+        except InfeasibleError:
+            return None, "solver"
+        except NotKColorableError as exc:
+            return None, exc.kind
+        if not verify_coloring(graph, col):
+            raise AssertionError("unverified coloring in bench")
+        return col.colors_used, None
+    if args.algo == "indset":
+        members = ak_independent_set(graph, float(args.k), eps=args.eps,
+                                     trials=args.trials, seed=args.seed + s)
+        if not verify_independent_set(graph, members):
+            raise AssertionError("unverified set in bench")
+        return len(members), None
+    raise UsageError(f"unknown algo {args.algo!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ n^{1-a_k} progress size.
 
 One round of the finder on the current quotient graph (n vertices):
 
-  1/2. k = 2 exact bipartite coloring; k = 3 via the degree-split fallback.
+  1/2. k = 2 exact bipartite coloring; k = 3 via the degree-split fallback,
+       whose n^{1/4} exponent the result reports in place of a_3.
   3.   peel vertices of residual degree < n^{a_k/(1-2/k)} into U, core W.
   4.   |U| >= n/2: threshold rounding on G[U] gives a large independent set.
        It rounds the last solve's rows restricted to U when they still meet
@@ -21,6 +22,9 @@ One round of the finder on the current quotient graph (n vertices):
        k-2 colors recursively; success within the cutoff extracts a large
        color class, failure proves u,v share a color and they are merged
        (a solver stall in the probe proves nothing and fails the attempt).
+       For k-2 = 2 the probe is exact: a level-by-level BFS 2-coloring of
+       S's block of the quotient's matrix (no Graph copy of S), whose
+       larger side is the set.
   7-9. no qualifying pair: build the candidate collection on G[W] and run
        the promise extractor on the largest candidates until one yields a
        set of size n^{1-a_k} up to the harness constant.
@@ -91,6 +95,9 @@ def cutoff(size: int, k: int, c0: float = 4.0) -> int:
     return max(1, int(c0 * size ** a * (1.0 + math.log(size)) ** 2))
 
 
+# The colour-count exponent of the n^{1/4} degree-split route that k = 3
+# takes (color_three_fallback), reported in place of a_3 = 3/14.
+K3_FALLBACK_EXPONENT = Fraction(1, 4)
 SIZE_FLOOR_CONST = 4.0   # step-9 acceptance divisor
 CANDIDATE_CAP = 8        # step-9 candidate probes per round
 SOLVER_BUDGET = 1600     # descent budget of each low-degree round's solve
@@ -132,7 +139,7 @@ class CombinedResult:
     k: int
     coloring: Coloring | None
     failure: str | None
-    alpha_exponent: Fraction
+    alpha_exponent: Fraction  # of the route that ran: 1/4 if k3_fallback
     seed: int
     repeats_used: int
     k3_fallback: bool
@@ -297,14 +304,14 @@ class _CombinedFinder:
         return LargeIndependentSet(frozenset(u_ids[i] for i in chosen))
 
     def _probe_pair(self, cg: ContractedGraph, u: int, v: int):
-        s_ids = np.flatnonzero(cg.adj[u] & cg.adj[v]).tolist()
-        sub = cg.induced(s_ids)
+        s_ids = np.flatnonzero(cg.adj[u] & cg.adj[v])
         k2 = self.k - 2
         if k2 == 2:
-            side = larger_side(sub)
+            side = larger_side(cg.adj[np.ix_(s_ids, s_ids)])
             if side is not None:
-                return LargeIndependentSet(frozenset(s_ids[i] for i in side))
+                return LargeIndependentSet(frozenset(s_ids[side].tolist()))
         else:
+            sub = cg.induced(s_ids)
             probe_cfg = replace(
                 self.cfg, trials=max(8, self.cfg.trials // 2), seed=self.seed,
                 repeats=1)
@@ -312,7 +319,7 @@ class _CombinedFinder:
             if (result.coloring is not None
                     and result.colors_used <= cutoff(sub.n, k2, self.cfg.c0)):
                 cls = largest_color_class(result.coloring)
-                return LargeIndependentSet(frozenset(s_ids[i] for i in cls))
+                return LargeIndependentSet(frozenset(s_ids[list(cls)].tolist()))
             if result.coloring is None:
                 kind, msg = result.attempt_failures[-1]
                 if kind == "solver":
@@ -321,7 +328,7 @@ class _CombinedFinder:
                     # whole attempt reruns with a fresh seed.
                     raise NotKColorableError(
                         "solver", f"{k2}-coloring probe of pair {u},{v}: {msg}")
-        self._record_declaration(sub, k2)
+        self._record_declaration(cg, s_ids, k2)
         if cg.has_edge(u, v):
             # Adjacent endpoints can never share a color: together with the
             # failed probe this certifies the graph is not k-colorable.
@@ -330,9 +337,11 @@ class _CombinedFinder:
                 f"more than {k2} colors")
         return SameColor(u, v)
 
-    def _record_declaration(self, sub: Graph, k2: int) -> None:
+    def _record_declaration(self, cg: ContractedGraph, s_ids: np.ndarray,
+                            k2: int) -> None:
         limit = DECLARATION_LIMIT_BIPARTITE if k2 == 2 else DECLARATION_LIMIT
-        if sub.n <= limit:
+        if len(s_ids) <= limit:
+            sub = cg.induced(s_ids)
             self.declarations.append(Declaration(sub.n, sub.edges, k2))
 
     def _candidate_round(self, cg: ContractedGraph, w_ids: list[int],
@@ -381,42 +390,41 @@ def combined_color(g: Graph, k: int, cfg: CombinedConfig | None = None) -> Combi
         raise ValueError(f"repeats must be at least 1, got {cfg.repeats}")
     if not 0.0 < cfg.c0 < math.inf:
         raise ValueError(f"c0 must be positive and finite, got {cfg.c0}")
-    a_exp = alpha_k(k)
+    fallback = k == 3 and g.n > 0  # every such attempt takes that route
+    a_exp = K3_FALLBACK_EXPONENT if fallback else alpha_k(k)
     failures: list[tuple[str, str]] = []
     declarations: list[Declaration] = []
     for attempt in range(cfg.repeats):
         seed = cfg.seed + 7919 * attempt
         try:
-            coloring, used_fallback = _attempt(g, k, cfg, seed, declarations)
+            coloring = _attempt(g, k, cfg, seed, declarations)
         except (ContradictionError, NotKColorableError) as exc:
             kind = exc.kind if isinstance(exc, NotKColorableError) else "contradiction"
             failures.append((kind, str(exc)))
             continue
         return CombinedResult(g.n, k, coloring, None, a_exp, cfg.seed,
-                              attempt + 1, used_fallback, declarations,
-                              failures)
+                              attempt + 1, fallback, declarations, failures)
     return CombinedResult(
         g.n, k, None,
         "not k-colorable or algorithm failure: "
         + " | ".join(f"{kind}: {msg}" for kind, msg in failures),
-        a_exp, cfg.seed, cfg.repeats, False, declarations, failures)
+        a_exp, cfg.seed, cfg.repeats, fallback, declarations, failures)
 
 
 def _attempt(g: Graph, k: int, cfg: CombinedConfig, seed: int,
-             declarations: list[Declaration]) -> tuple[Coloring, bool]:
+             declarations: list[Declaration]) -> Coloring:
     if g.n == 0:
-        return Coloring(()), False
+        return Coloring(())
     if k == 2:
         col = two_coloring(g)
         if col is None:
             raise NotKColorableError("witness", "graph is not bipartite")
-        return col, False
+        return col
     if k == 3:
-        return color_three_fallback(g, cfg, seed), True
+        return color_three_fallback(g, cfg, seed)
     finder = _CombinedFinder(k, cfg, seed, declarations)
     budget = cutoff(g.n, k, cfg.c0)
-    coloring = progress_driver(g, k, float(alpha_k(k)), finder, budget=budget)
-    return coloring, False
+    return progress_driver(g, k, float(alpha_k(k)), finder, budget=budget)
 
 
 def fit_exponent(sizes, values) -> float:

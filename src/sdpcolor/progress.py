@@ -248,7 +248,7 @@ class ContractedGraph:
             if not low.any():
                 break
             keep &= ~low
-            deg = sub[:, keep].sum(axis=1)
+            deg -= sub[:, low].sum(axis=1)
         return ids[~keep].tolist(), ids[keep].tolist()
 
     def base_members(self, rep: int) -> set[int]:

@@ -93,16 +93,18 @@ def kms_independent_set(g: Graph, vc: VectorColoring,
                         params: RoundingParams) -> frozenset[int]:
     """Best rounded set over params.trials independent Gaussian draws.
 
-    Ties go to the lexicographically smallest set, so the reduction is
-    schedule-independent. While every draw so far has selected nothing, it
-    keeps drawing past params.trials (Las Vegas amplification; no bound
-    changes), up to 16 * params.trials draws. Never empty for n >= 1: after
-    that cap it falls back to a single minimum-degree vertex.
+    The draws are consecutive standard_normal(vc.dim) vectors of one
+    stream(params.seed, "kms-trial"), opened once per call. Ties go to the
+    lexicographically smallest set, so the reduction is schedule-independent.
+    While every draw so far has selected nothing, it keeps drawing past
+    params.trials (Las Vegas amplification; no bound changes), up to 16 *
+    params.trials draws. Never empty for n >= 1: after that cap it falls
+    back to a single minimum-degree vertex.
     """
+    rng = stream(params.seed, "kms-trial")
     best: frozenset[int] = frozenset()
     trial = 0
     while trial < params.trials or (not best and trial < 16 * params.trials):
-        rng = stream(params.seed, "kms-trial", trial)
         r = rng.standard_normal(vc.dim)
         best = lex_best(best, round_once(vc, g, r, params.c))
         trial += 1

@@ -441,8 +441,9 @@ def solve_vector_coloring(g: Graph, alpha: float, eps: float = 1e-3,
 
     1. the wide feasibility phase, at most ``budget`` iterations;
     2. if its residual is within the hand-off bar 10 eps, the
-       rank-``ceil(alpha) - 1`` re-descent: feasibility and polish phases
-       of ``budget`` iterations each, then a final feasibility phase of
+       rank-``ceil(alpha) - 1`` re-descent: a feasibility phase of
+       ``budget`` iterations, which must end within the hand-off bar too,
+       a polish phase of ``budget``, then a final feasibility phase of
        ``budget // 2``, returned if it meets eps;
     3. while the residual exceeds eps, up to four refinement passes of
        ``budget // 2`` on the wide rows, at lr 0.02, 0.008, 0.003, 0.001;
@@ -456,9 +457,11 @@ def solve_vector_coloring(g: Graph, alpha: float, eps: float = 1e-3,
     shift), so an edge that a K_k holds at t keeps its shift. The other
     feasibility phases aim at t, which any K_k forces some edge dot to
     reach, polish at t - eps/2; residuals that decide are measured against
-    t. The low-rank and refinement phases exit at t + eps/4, the wide phase
-    at the hand-off bar t + 10 eps, and every phase once its objective
-    stalls (``_coloring_descent``). Callers keep the one default restart
+    t. The final low-rank phase and the refinement phases exit at t + eps/4,
+    the wide phase and the first low-rank phase at the hand-off bar t + 10
+    eps (polish lifts the rows above t again, so driving the first low-rank
+    phase further buys nothing), and every phase once its objective stalls
+    (``_coloring_descent``). Callers keep the one default restart
     and rerun a failed solve with a fresh seed. Raises InfeasibleError
     (evidence only) when every restart stalls above eps, its iteration
     count covering every phase run, and ValueError when budget or restarts
@@ -484,7 +487,7 @@ def solve_vector_coloring(g: Graph, alpha: float, eps: float = 1e-3,
     best_res = float("inf")
     total_iters = 0
     stop_at = target + 0.25 * eps
-    handoff = 10.0 * eps  # the wide phase's exit and its hand-off test
+    handoff = 10.0 * eps  # the wide and first low-rank phases' exit and test
     wide_dtype = _iteration_dtype(eps, d)
     rank = max(2, int(math.ceil(alpha)) - 1)
 
@@ -497,8 +500,8 @@ def solve_vector_coloring(g: Graph, alpha: float, eps: float = 1e-3,
         # Re-descend in the top-rank basis; cheap iterations carry the long
         # margin polish that clusters planted-style instances.
         reduced = _rank_reduce(full, rank)
-        descend(reduced, "feasible", budget, lr=0.02, stop_at=stop_at)
-        if _residual(reduced, eu, ev, target) > eps:
+        descend(reduced, "feasible", budget, lr=0.02, stop_at=target + handoff)
+        if _residual(reduced, eu, ev, target) > handoff:
             return None
         descend(reduced, "polish", budget, lr=0.01, aim=target - 0.5 * eps)
         descend(reduced, "feasible", budget // 2, lr=0.005, stop_at=stop_at)

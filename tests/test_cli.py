@@ -13,6 +13,7 @@ from sdpcolor.cli import (
     main,
     parse_range,
 )
+from sdpcolor.combined import fit_exponent
 from sdpcolor.graph import (
     Coloring,
     verify_coloring,
@@ -147,6 +148,27 @@ def test_bench_fitted_exponent(tmp_path):
     payload = read_json(out)
     assert payload["fitted_exponent"] is not None
     assert len(payload["cells"]) == 4
+
+
+def test_bench_records_a_failed_cell_and_carries_on(tmp_path, capsys):
+    # Planted k=3, n=60, seed 1 stalls the solver at a residual just above
+    # eps: that cell is recorded as failed, every other cell still runs, the
+    # fit uses the verified cells only, and the run exits 2.
+    out = tmp_path / "bench.json"
+    argv = ["bench", "--algo", "kms", "--k", "3", "--p", "0.15",
+            "--seeds", "2", "--out", str(out)]
+    assert run(argv + ["--sizes", "60"]) == EXIT_FAILURE
+    cells = read_json(out)["cells"]
+    assert [c["failure"] for c in cells] == [None, "solver"]
+    assert cells[0]["value"] >= 3 and cells[1]["value"] is None
+    assert "1 of 2 cells failed" in capsys.readouterr().err
+
+    assert run(argv + ["--sizes", "30,60"]) == EXIT_FAILURE
+    payload = read_json(out)
+    verified = [c for c in payload["cells"] if c["value"] is not None]
+    assert len(payload["cells"]) == 4 and len(verified) == 3
+    assert payload["fitted_exponent"] == pytest.approx(fit_exponent(
+        [c["n"] for c in verified], [c["value"] for c in verified]))
 
 
 def test_bad_generator_spec():

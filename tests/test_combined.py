@@ -272,17 +272,22 @@ def test_combined_declarations_are_sound():
 
 
 def test_result_json_schema():
-    inst = planted_k_colorable(40, 4, 0.4, seed=1)
-    res = combined_color(inst.graph, 4, CombinedConfig(seed=0, trials=8))
-    payload = res.to_json_dict()
-    assert payload["n"] == 40 and payload["k"] == 4
-    assert payload["alpha_k"] == "7/19"
-    assert payload["bound_n_pow_alpha"] == pytest.approx(40 ** (7 / 19))
-    assert payload["colors_used"] == len(set(payload["coloring"]))
-    assert set(payload) == {
-        "n", "k", "colors_used", "coloring", "failure", "alpha_k",
-        "bound_n_pow_alpha", "seed", "repeats_used", "k3_fallback",
-    }
+    # The exponent is the route's: k = 3 runs the n^{1/4} degree-split
+    # route, not the 3/14 one.
+    for k, alpha, fallback in ((4, "7/19", False), (3, "1/4", True)):
+        inst = planted_k_colorable(40, k, 0.4, seed=1)
+        res = combined_color(inst.graph, k, CombinedConfig(seed=0, trials=8))
+        payload = res.to_json_dict()
+        assert payload["n"] == 40 and payload["k"] == k
+        assert payload["k3_fallback"] is fallback
+        assert payload["alpha_k"] == alpha
+        assert payload["bound_n_pow_alpha"] == pytest.approx(
+            40 ** float(Fraction(alpha)))
+        assert payload["colors_used"] == len(set(payload["coloring"]))
+        assert set(payload) == {
+            "n", "k", "colors_used", "coloring", "failure", "alpha_k",
+            "bound_n_pow_alpha", "seed", "repeats_used", "k3_fallback",
+        }
 
 
 def test_quotient_matches_recompute_through_merges_and_deletes():

@@ -1,4 +1,5 @@
 import io
+from collections import deque
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from sdpcolor.graph import (
     bipartition,
     common_neighbors,
     induced_subgraph,
+    larger_side,
     largest_color_class,
     read_dimacs,
     two_coloring,
@@ -23,6 +25,7 @@ from sdpcolor.testkit import (
     complete_graph,
     cycle_graph,
     path_graph,
+    planted_k_colorable,
     random_graph,
     star_graph,
 )
@@ -222,6 +225,88 @@ def test_bipartition_and_two_coloring():
     col = two_coloring(cycle_graph(6))
     assert col is not None and col.colors_used == 2
     assert verify_coloring(cycle_graph(6), col)
+
+
+def _reference_bipartition(g):
+    """The vertex-by-vertex BFS that graph.bipartition replaced: the sides
+    the numpy level BFS must reproduce exactly."""
+    side = [-1] * g.n
+    for root in range(g.n):
+        if side[root] != -1:
+            continue
+        side[root] = 0
+        queue = deque([root])
+        while queue:
+            v = queue.popleft()
+            for w in g.neighbors(v):
+                if side[w] == -1:
+                    side[w] = 1 - side[v]
+                    queue.append(w)
+                elif side[w] == side[v]:
+                    return None
+    return ({v for v in range(g.n) if side[v] == 0},
+            {v for v in range(g.n) if side[v] == 1})
+
+
+def _relabelled(g, rng):
+    perm = rng.permutation(g.n)
+    return Graph(g.n, [(int(perm[u]), int(perm[v])) for u, v in g.edges])
+
+
+def _disjoint_union(a, b):
+    return Graph(a.n + b.n, list(a.edges)
+                 + [(u + a.n, v + a.n) for u, v in b.edges])
+
+
+def _bipartition_cases():
+    rng = stream(5, "bipartition-cases")
+    yield Graph(0)
+    yield Graph(1)
+    for n in (2, 7, 30):
+        yield Graph(n)  # edgeless
+    for n in (3, 5, 9, 21):
+        yield cycle_graph(n)  # odd cycles: None
+        yield _relabelled(cycle_graph(n), rng)
+        yield _disjoint_union(cycle_graph(n + 1), cycle_graph(n))
+    for seed in range(130):
+        n = int(rng.integers(2, 60))
+        yield random_graph(n, float(rng.choice([0.02, 0.05, 0.1, 0.3])),
+                           seed=seed)
+    for seed in range(130):
+        n = int(rng.integers(2, 80))
+        g = planted_k_colorable(n, 2, float(rng.choice([0.05, 0.2, 0.6])),
+                                seed=seed).graph
+        yield _relabelled(g, rng)
+    for seed in range(130):
+        # Several components with interleaved ids: each one's lowest id,
+        # not the lowest id overall, is its side-0 root.
+        a = planted_k_colorable(int(rng.integers(2, 30)), 2, 0.3, seed=seed).graph
+        b = random_graph(int(rng.integers(1, 30)), 0.08, seed=seed)
+        yield _relabelled(_disjoint_union(a, b), rng)
+
+
+def test_bipartition_matches_the_vertex_by_vertex_bfs():
+    # Both routes (a Graph's edge arrays and a dense block's np.nonzero)
+    # give exactly the old sides, so probe and k=2/k=3 results keep theirs:
+    # the larger side and its tie rule fix the partition.
+    count = odd = 0
+    for g in _bipartition_cases():
+        count += 1
+        want = _reference_bipartition(g)
+        odd += want is None
+        assert bipartition(g) == want
+        col = two_coloring(g)
+        if want is None:
+            assert col is None
+        else:
+            assert {v for v, c in enumerate(col.assignment) if c} == want[1]
+        larger = None if want is None else sorted(max(want, key=len))
+        assert larger_side(g) == larger
+        # The block of g inside a larger matrix, as a probe cuts it.
+        big = _disjoint_union(cycle_graph(3), g).adjacency_matrix()
+        ids = np.arange(3, 3 + g.n)
+        assert larger_side(big[np.ix_(ids, ids)]) == larger
+    assert count >= 400 and odd >= 50
 
 
 def test_dimacs_round_trip():

@@ -150,16 +150,32 @@ def _counted_draws(monkeypatch):
 
 def test_kms_independent_set_draws_past_trials_until_a_hit(monkeypatch):
     # Every vertex sits on e_0, so a draw selects all of them exactly when
-    # r_0 >= 2. With seed 0 draws 0-5 miss and draw 6 hits: the four trials
+    # r_0 >= 2. With seed 1 draws 0-5 miss and draw 6 hits: the four trials
     # alone would end in the single-vertex fallback.
     draws = _counted_draws(monkeypatch)
     g = Graph(5)
     vecs = np.zeros((5, 2))
     vecs[:, 0] = 1.0
     vc = VectorColoring(3.0, vecs, 1e-9)
-    out = kms_independent_set(g, vc, RoundingParams(2.0, trials=4, seed=0))
+    out = kms_independent_set(g, vc, RoundingParams(2.0, trials=4, seed=1))
     assert out == frozenset(range(5))
     assert len(draws) == 7
+
+
+def test_kms_independent_set_opens_one_stream_per_call(monkeypatch):
+    opened = []
+
+    def counted(seed, *key):
+        opened.append((seed, key))
+        return stream(seed, *key)
+
+    monkeypatch.setattr(rounding, "stream", counted)
+    g = path_graph(4)
+    vecs = np.tile(np.array([1.0, 0.0]), (4, 1))
+    vc = VectorColoring(3.0, vecs, 1e-9)
+    # 48 draws, all missing, from the one stream.
+    kms_independent_set(g, vc, RoundingParams(1e9, trials=3, seed=4))
+    assert opened == [(4, ("kms-trial",))]
 
 
 def test_kms_independent_set_retry_is_capped(monkeypatch):
