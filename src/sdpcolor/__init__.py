@@ -62,7 +62,6 @@ from .vecsdp import (
     IndSetSdpSolution,
     VectorColoring,
     neighborhood_reduce,
-    project_orthogonal,
     solve_indset_sdp,
     solve_vector_coloring,
     well_aligned_subset,
@@ -80,7 +79,7 @@ __all__ = [
     "kms_independent_set", "kms_threshold", "l2_vector_indset",
     "largest_color_class", "neighborhood_reduce", "normal_pdf",
     "normal_tail", "planted_k_colorable", "progress_driver",
-    "project_orthogonal", "read_dimacs", "round_once",
+    "read_dimacs", "round_once",
     "solve_indset_sdp", "solve_vector_coloring", "verify_coloring",
     "verify_independent_set", "wedge_bounds", "wedge_probability_exact",
     "wedge_probability_mc", "well_aligned_subset", "write_dimacs",

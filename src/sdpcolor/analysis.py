@@ -204,28 +204,6 @@ def wedge_bounds(w: WedgeSpec, alpha: float | None = None) -> BoundSet:
                     upper_general, upper_floor)
 
 
-def wedge_q_quadrature(w: WedgeSpec) -> float:
-    """Q(beta) = (1/pi) int_0^beta e^{-c^2/(2 sin^2 t)} (2 sin^2 t + tan^2 t) dt."""
-    base = _wedge_integrand(w.c)
-
-    def f(t: float) -> float:
-        v = base(t)
-        if v == 0.0:
-            return 0.0
-        s = math.sin(t)
-        return v * (2.0 * s * s + (s / math.cos(t)) ** 2)
-
-    return adaptive_quadrature(f, 0.0, w.beta) / math.pi
-
-
-def wedge_q_identity(w: WedgeSpec) -> float:
-    """Q(beta) via integration by parts: B(beta) e^{-c^2/(2 sin^2 b)} - c^2 P(beta)."""
-    sb = math.sin(w.beta)
-    b_coef = sb ** 3 / (math.pi * math.cos(w.beta))
-    decay = math.exp(-w.c * w.c / (2.0 * sb * sb))
-    return b_coef * decay - w.c * w.c * wedge_probability_exact(w)
-
-
 def expected_rounding_size(n: float, d_avg: float, alpha: float, c: float) -> float:
     """Lower bound n (N(c) - (D/2) N(sqrt((alpha-1)/(alpha-2)) c)^2) on the
     expected number of surviving vertices after one threshold-rounding pass."""

@@ -18,6 +18,12 @@ from fractions import Fraction
 import numpy as np
 
 from ._rng import stream
+from .analysis import (
+    WedgeSpec,
+    _wedge_integrand,
+    adaptive_quadrature,
+    wedge_probability_exact,
+)
 from .combined import alpha_k
 from .graph import (  # the exact coloring is re-exported from here
     CHROMATIC_GUARD,
@@ -32,7 +38,7 @@ from .graph import (  # the exact coloring is re-exported from here
 )
 from .progress import CandidateCollection
 from .rounding import kms_threshold, round_once
-from .vecsdp import VectorColoring
+from .vecsdp import DegenerateProjectionError, IndSetSdpSolution, VectorColoring
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +265,81 @@ def vector_coloring_from_json(text: str) -> VectorColoring:
 
 
 # ---------------------------------------------------------------------------
+# Vectors: exact configurations and checks of solver output
+# ---------------------------------------------------------------------------
+
+def simplex_vectors(count: int, dim: int | None = None) -> np.ndarray:
+    """count unit vectors with pairwise inner product exactly -1/(count-1)."""
+    if count < 2:
+        raise ValueError("simplex needs at least 2 vectors")
+    d = count - 1 if dim is None else dim
+    if d < count - 1:
+        raise ValueError(f"simplex on {count} vectors needs dimension >= {count - 1}")
+    eye = np.eye(count)
+    centered = eye - eye.mean(axis=0, keepdims=True)
+    # Rows of `centered` live in a (count-1)-dim subspace; orthonormalize it.
+    q, _ = np.linalg.qr(centered.T)
+    coords = centered @ q[:, :count - 1]
+    coords /= np.linalg.norm(coords, axis=1, keepdims=True)
+    out = np.zeros((count, d))
+    out[:, :count - 1] = coords
+    return out
+
+
+def project_orthogonal(v0: np.ndarray, v: np.ndarray, eps: float) -> np.ndarray:
+    """Normalized projection of v onto the hyperplane orthogonal to v0."""
+    residual = v - float(v0 @ v) * v0
+    norm = float(np.linalg.norm(residual))
+    if norm <= eps:
+        raise DegenerateProjectionError(
+            f"vector within {eps:g} of +-span(v0); projection is unstable")
+    return residual / norm
+
+
+def is_feasible_for(vc: VectorColoring, g: Graph) -> bool:
+    """vc's norms and edge inner products are within its eps on g."""
+    return vc.norm_residual() <= vc.eps and vc.edge_residual(g) <= vc.eps
+
+
+def alignment_sum(sol: IndSetSdpSolution) -> float:
+    """sum over vertices of v0 . v_i."""
+    return float((sol.vectors @ sol.v0).sum())
+
+
+def constraint_residual(sol: IndSetSdpSolution, g: Graph) -> float:
+    """max over edges of |(v0 + v_u) . (v0 + v_v)|; 0 without edges."""
+    if g.m == 0:
+        return 0.0
+    eu, ev = g.edge_arrays()
+    p = sol.vectors + sol.v0
+    return float(np.abs((p[eu] * p[ev]).sum(axis=1)).max())
+
+
+# ---------------------------------------------------------------------------
 # Claim checks and experiment helpers
 # ---------------------------------------------------------------------------
+
+def wedge_q_quadrature(w: WedgeSpec) -> float:
+    """Q(beta) = (1/pi) int_0^beta e^{-c^2/(2 sin^2 t)} (2 sin^2 t + tan^2 t) dt."""
+    base = _wedge_integrand(w.c)
+
+    def f(t: float) -> float:
+        v = base(t)
+        if v == 0.0:
+            return 0.0
+        s = math.sin(t)
+        return v * (2.0 * s * s + (s / math.cos(t)) ** 2)
+
+    return adaptive_quadrature(f, 0.0, w.beta) / math.pi
+
+
+def wedge_q_identity(w: WedgeSpec) -> float:
+    """Q(beta) via integration by parts: B(beta) e^{-c^2/(2 sin^2 b)} - c^2 P(beta)."""
+    sb = math.sin(w.beta)
+    b_coef = sb ** 3 / (math.pi * math.cos(w.beta))
+    decay = math.exp(-w.c * w.c / (2.0 * sb * sb))
+    return b_coef * decay - w.c * w.c * wedge_probability_exact(w)
+
 
 def step9_identity_holds(k: int) -> bool:
     """Exact check of (2a_k/(1-2/k) - (1-a_k)/(1-a_{k-2})) * 3/k == 1 - a_k."""

@@ -97,9 +97,6 @@ class VectorColoring:
             return 0.0
         return float(np.abs(np.linalg.norm(self.vectors, axis=1) - 1.0).max())
 
-    def is_feasible_for(self, g: Graph) -> bool:
-        return self.norm_residual() <= self.eps and self.edge_residual(g) <= self.eps
-
     def restrict(self, indices) -> "VectorColoring":
         """Row restriction; valid for the induced subgraph on sorted(indices)."""
         idx = sorted(indices)
@@ -121,34 +118,6 @@ class IndSetSdpSolution:
     @property
     def n(self) -> int:
         return self.vectors.shape[0]
-
-    def alignment_sum(self) -> float:
-        return float((self.vectors @ self.v0).sum())
-
-    def constraint_residual(self, g: Graph) -> float:
-        if g.m == 0:
-            return 0.0
-        eu, ev = g.edge_arrays()
-        p = self.vectors + self.v0
-        return float(np.abs((p[eu] * p[ev]).sum(axis=1)).max())
-
-
-def simplex_vectors(count: int, dim: int | None = None) -> np.ndarray:
-    """count unit vectors with pairwise inner product exactly -1/(count-1)."""
-    if count < 2:
-        raise ValueError("simplex needs at least 2 vectors")
-    d = count - 1 if dim is None else dim
-    if d < count - 1:
-        raise ValueError(f"simplex on {count} vectors needs dimension >= {count - 1}")
-    eye = np.eye(count)
-    centered = eye - eye.mean(axis=0, keepdims=True)
-    # Rows of `centered` live in a (count-1)-dim subspace; orthonormalize it.
-    q, _ = np.linalg.qr(centered.T)
-    coords = centered @ q[:, :count - 1]
-    coords /= np.linalg.norm(coords, axis=1, keepdims=True)
-    out = np.zeros((count, d))
-    out[:, :count - 1] = coords
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -207,19 +176,50 @@ def _row_normalize(v: np.ndarray, norms: np.ndarray | None = None) -> np.ndarray
     return v
 
 
+# No n x n state above this many vertices: gather and scatter only.
+_DENSE_N = 2048
+
+
+def _kernel_choice(n, m, d, size):
+    """Whether the Gram dots beat the gathered ones, and from how many
+    weighted edges on the gemm sums beat the scatter (m + 1: never), for
+    (n, d) operands of ``size``-byte floats and m edges. Each kernel's ns
+    per call on one BLAS thread is modelled below, fitted to the kernel
+    table of BENCH_kernel_model.json: bytes beyond 1.5 MiB of cache cost
+    more (``miss``), OpenBLAS packs the n x n matrix for gemm once d > 2,
+    and the scatter's rows outgrow the cache from ``knee`` edges on."""
+    cache = 1.5 * 2 ** 20
+
+    def miss(nbytes):  # the share of a working set beyond the cache
+        return max(0.0, 1.0 - cache / max(nbytes, 1))
+
+    b, rows = n * n * size, m * d * size
+    f = miss(b)
+    gram = 5190 + b * (0.0372 + 0.144 * f + 0.00583 * d) + m * (1.32 + 3.39 * f)
+    gather = (rows * (1.41 / size + 0.153 + 0.342 * miss(2 * rows))
+              + (d < 8) * d * (3640 + 0.0632 * rows))
+    gemm = 3470 + m * (6.24 + 14.3 * f) + b * (0.00655 + 0.113 * f + 0.00577 * d
+                                               + (d > 2) * (0.0201 + 0.12 * f))
+    # the scatter over a edges: base + a (slope + spill miss(a (48 + 2 d size)))
+    base, slope, spill = 8570 + 2570 * d, 49.6 + 9.25 * d, 15.4 * d
+    knee, t = cache / (48 + 2 * d * size), gemm - base
+    a = t / slope if t <= slope * knee else (t + spill * knee) / (slope + spill)
+    return gram < gather, max(0, min(m + 1, math.floor(a) + 1))
+
+
 class _EdgeSums:
     """Both solvers' edge kernels on (n, d) operands x, into ``out``: the
-    edge dots x_u . x_v and the neighbour sums c_i = sum_{ij in E} w_ij x_j.
+    edge dots x_u . x_v and the neighbour sums c_i = sum_{ij in E} w_ij x_j,
+    each by the kernel ``_kernel_choice`` models as cheaper for the
+    workspace's n, m, d and dtype; above n = ``_DENSE_N`` only gather and
+    scatter run.
 
-    ``dots`` reads the edge entries of the gemm Gram matrix x x^T (taken on
-    a transposed copy: gemm, not syrk) when n <= 2048 and 16 m >= n^2, else
-    it is ``_edge_dots`` on (m, d) row buffers; the two agree to rounding.
-    ``dense`` (n <= 2048 only) writes every edge's weight into the n x n
-    matrix ``w``, whose other entries stay zero, and takes one gemm in its
-    dtype. ``scatter`` sums each column with a float64 bincount over every
-    edge or over the ``active`` edge indices, allocating as it goes, and
-    assigns it into ``out``, which rounds it to ``out``'s dtype; edges left
-    out add nothing, so ``active`` only skips zero weights.
+    ``dots`` reads the edge entries of the gemm Gram matrix x x^T (on a
+    transposed copy: gemm, not syrk) or gathers (m, d) rows; the two agree
+    to rounding. ``neighbour_sums`` takes one gemm from ``gemm_from``
+    weighted edges on (``w`` holds every edge's weight and zeros), else a
+    float64 bincount per column over the edges ``nonzero`` marks (None:
+    all), rounded into ``out``; with no weighted edge ``out`` is zeroed.
     """
 
     def __init__(self, eu, ev, shape, dtype):
@@ -227,20 +227,34 @@ class _EdgeSums:
         self.n, self.m, self.eu, self.ev = n, len(eu), eu, ev
         self.idx, self.other = np.concatenate([eu, ev]), np.concatenate([ev, eu])
         self.fwd, self.bwd = eu * n + ev, ev * n + eu
-        self.w = np.zeros((n, n), dtype) if n <= 2048 else None
-        if self.w is not None and 16 * self.m >= n * n:
+        self.by_gram, self.gemm_from = (
+            _kernel_choice(n, self.m, d, np.dtype(dtype).itemsize)
+            if n <= _DENSE_N else (False, self.m + 1))
+        if self.gemm_from <= self.m:
+            self.w = np.zeros((n, n), dtype)
+        if self.by_gram:
             self.gram, self.xt = np.empty((n, n), dtype), np.empty((d, n), dtype)
         else:
-            self.gram, self.rows = None, [np.empty((self.m, d), dtype) for _ in range(2)]
+            self.rows = [np.empty((self.m, d), dtype) for _ in range(2)]
 
     def dots(self, x, out):
-        if self.gram is None:
+        if not self.by_gram:
             return _edge_dots(x, self.eu, self.ev, out, *self.rows)
         np.copyto(self.xt, x.T)
         np.matmul(x, self.xt, out=self.gram)
         self.gram.reshape(-1).take(self.fwd, out=out, mode="clip")
 
-    def dense(self, weights, x, out):
+    def neighbour_sums(self, weights, x, out, nonzero=None):
+        weighted = self.m if nonzero is None else np.count_nonzero(nonzero)
+        if not weighted:
+            out.fill(0.0)
+        elif weighted >= self.gemm_from:
+            self.gemm(weights, x, out)
+        else:
+            self.scatter(weights, x, out,
+                         None if nonzero is None else nonzero.nonzero()[0])
+
+    def gemm(self, weights, x, out):
         flat = self.w.reshape(-1)
         flat[self.fwd] = flat[self.bwd] = weights
         np.matmul(self.w, x, out=out)
@@ -356,26 +370,24 @@ def _coloring_descent(v, eu, ev, target, mode, iters, lr, mu=50.0,
 
     mode "feasible": minimize sum relu(d_e - target_e)^2.
     mode "polish":   minimize sum d_e + mu * relu(d_e - target_e)^2.
-    ``target`` is one aim, or one per edge in v's dtype (refinement).
-    The learning rate is halved in six stages over the run. Every tenth
-    iteration, before its step, the loop exits early in feasible mode once
-    the max edge dot drops to ``stop_at``, and in either mode once the
-    objective (summed in v's dtype) changed by at most ``_STALL_RTOL *
-    max(1, |objective|)`` since the previous check. The gradient is the
-    ``_EdgeSums`` sum with weights 1 + hinge (polish) or hinge (feasible):
-    up to n = 2048 the gemm for polish and for more than ``dense_bar``
-    violated edges, else the scatter over every edge (polish) or the
-    violated ones. Returns the iterations used, the exiting one included.
+    ``target`` is one aim, or one per edge in v's dtype (refinement). The
+    learning rate halves in six stages. Every tenth iteration, before its
+    step, the loop exits in feasible mode once the max edge dot drops to
+    ``stop_at``, and in either mode once the objective (summed in v's
+    dtype) moved by at most ``_STALL_RTOL * max(1, |objective|)`` since the
+    previous check. The gradient is the ``_EdgeSums`` neighbour sum with
+    weights 1 + hinge (polish) or hinge (feasible: the violated edges), by
+    the kernels the workspace picks. Returns the iterations used, the
+    exiting one included.
 
     Every array an iteration writes is allocated once per call, in v's
-    dtype: the scatter sums in float64 and rounds into that gradient. The
-    operation order is part of the output contract: each iteration performs
-    the floating-point operations of the out-of-place expressions noted
-    beside each step, ``_Adam``'s and ``_sphere_step``'s, in their order and
-    dtypes (to rounding where the dots read the Gram matrix), so the golden
-    CLI results keep their bits. Reordering a sum or fusing a product
-    changes them; so does moving the stall check, which only decides where
-    a run ends.
+    dtype. The operation order is part of the output contract: each
+    iteration performs the floating-point operations of the out-of-place
+    expressions noted beside each step, ``_Adam``'s and ``_sphere_step``'s,
+    in their order and dtypes (to rounding where the dots read the Gram
+    matrix), so the golden CLI results keep their bits. Reordering a sum or
+    fusing a product changes them; so does moving the stall check, which
+    only decides where a run ends.
     """
     n, d = v.shape
     feasible, polish = mode == "feasible", mode == "polish"
@@ -385,9 +397,6 @@ def _coloring_descent(v, eu, ev, target, mode, iters, lr, mu=50.0,
     used = 0
     prev_obj = math.inf
     sums = _EdgeSums(eu, ev, v.shape, v.dtype)
-    # One gemm beats per-column scatters once enough edges are active to
-    # amortize the n^2 traffic.
-    dense_bar = max(32, (n * n) // max(16 * d, 16))
     dots, viol, hinge = (np.empty(sums.m, v.dtype) for _ in range(3))
     grad, tmp = np.empty((n, d), v.dtype), np.empty((n, d), v.dtype)
     rowdots = np.empty(n, v.dtype)
@@ -411,13 +420,7 @@ def _coloring_descent(v, eu, ev, target, mode, iters, lr, mu=50.0,
         np.multiply(hinge_scale, viol, out=hinge)
         if polish:
             np.add(1.0, hinge, out=hinge)            # 1 + hinge_w
-            (sums.scatter if sums.w is None else sums.dense)(hinge, v, grad)
-        elif sums.w is not None and np.count_nonzero(viol) > dense_bar:
-            sums.dense(hinge, v, grad)
-        elif viol.any():
-            sums.scatter(hinge, v, grad, viol.nonzero()[0])
-        else:
-            grad.fill(0.0)
+        sums.neighbour_sums(hinge, v, grad, None if polish else viol)
         _sphere_step(v, grad, opt, tmp, rowdots)
     return used
 
@@ -577,49 +580,42 @@ def solve_indset_sdp(g: Graph, eps: float = 1e-3, budget: int = 6000,
     """Near-optimal feasible point of the independence-number program.
 
     Augmented Lagrangian (Burer-Monteiro) on the edge constraints
-    (v0+v_i).(v0+v_j) = 0 with the alignment objective; budget caps total
-    inner gradient iterations per restart. The restart returned is the best
-    by (residual <= eps, objective); ``iterations`` sums the inner
-    iterations of the restarts run.
+    (v0+v_i).(v0+v_j) = 0 with the alignment objective; budget caps the
+    inner iterations per restart. The restart returned is the best by
+    (residual <= eps, objective); ``iterations`` sums the restarts run.
 
     Each restart draws v0 and Gaussian rows g from its own stream and starts
-    the rows at normalize(0.3 g - v0), beside v_i = -v0. That point has
-    v0 + v_i = 0 on every vertex: it meets every edge constraint exactly and
-    is the empty set. Rows on v0's side would put every vertex in the set
-    (edge values near 2.3), for the first outer steps to push most of them
-    out again.
+    the rows at normalize(0.3 g - v0), beside v_i = -v0: the empty set,
+    which meets every edge constraint exactly. Rows on v0's side would put
+    every vertex in the set, for the first outer steps to push most out.
 
-    Up to n = 2048, where the workspace keeps n x n state, ``_dual_bound``
-    runs on the float64 rows and edge multipliers after every outer step
-    whose residual is within eps/2, and at the end of a restart whose last
-    step was not; ``upper_bound`` is the smallest of these bounds: at least
-    the program's optimum theta(G), hence at least alpha(G), whatever the
-    rows. Each call is one (n+1) x (n+1) ``eigvalsh`` (about 1.1 ms at
-    n=150, 16 ms at n=500 and 0.12 s at n=1000 on one BLAS thread), paid
-    by every such step, certified or not.
+    Up to n = 2048 (``_DENSE_N``) ``_dual_bound`` runs on the float64 rows
+    and edge multipliers after every outer step with residual within eps/2,
+    and at the end of a restart whose last step was not; ``upper_bound`` is
+    the smallest of these bounds, at least theta(G) >= alpha(G) whatever
+    the rows. Each call is one (n+1) x (n+1) ``eigvalsh`` (0.12 s at
+    n=1000 on one BLAS thread), paid by every such step, certified or not.
 
     A restart ends at the first outer step with residual within eps/2 that
     meets either stop, both with tolerance max(1e-7, 0.01 eps n): the
     certificate, objective within the tolerance of ``upper_bound`` (a bound
     from an earlier step or restart counts), or the stall rule, from the
-    fourth step on, objective within the tolerance of the previous step's.
-    The stall rule is the only stop above n = 2048 and wherever the bound
-    stays loose. No further restart runs once the
-    best restart has residual <= eps and objective within 0.5 eps n of
-    ``upper_bound``. Above n = 2048 ``upper_bound`` is inf and every
-    restart runs; an edgeless graph returns n for both. Raises ValueError
-    when budget or restarts is below 1.
+    fourth step on, objective within the tolerance of the previous step's;
+    above n = 2048 only the stall rule. No further restart runs once the
+    best has residual <= eps and objective within 0.5 eps n of
+    ``upper_bound``. Above n = 2048 ``upper_bound`` is inf; an edgeless
+    graph returns n for both. Raises ValueError when budget or restarts is
+    below 1.
 
     The inner iterations run in ``_iteration_dtype(eps, d)``, in buffers
     allocated once per call, with the multipliers rounded to that dtype for
     each outer step. The edge values (v0+v_u).(v0+v_v) are
-    ``_EdgeSums.dots``; the gradient is the ``_EdgeSums`` neighbour sum of
-    the multipliers, its dense gemm up to n = 2048 and its bincount scatter
-    above, and v0's is the column sums of those neighbour sums less the
-    column sums of the rows, each a gemv against a ones vector. After each
-    outer step the rows are taken to float64 (renormalized when they ran in
-    float32), and the residual, objective and multiplier update are
-    measured on those with per-edge products. The last measurement is the
+    ``_EdgeSums.dots``; the gradient is its neighbour sum of the
+    multipliers, by the kernels the workspace picks, and v0's is the column
+    sums of those less the column sums of the rows, each a gemv against a
+    ones vector. After each outer step the rows go to float64 (renormalized
+    after float32 iterations), where the residual, objective and multiplier
+    update are measured with per-edge products; the last measurement is the
     restart's result.
     """
     if not 0.0 < eps < math.inf:
@@ -667,7 +663,7 @@ def solve_indset_sdp(g: Graph, eps: float = 1e-3, budget: int = 6000,
                 sums.dots(p, h)
                 np.multiply(mu, h, out=s)
                 np.add(lam_dt, s, out=s)  # lam + mu * h
-                (sums.scatter if sums.w is None else sums.dense)(s, p, c)
+                sums.neighbour_sums(s, p, c)
                 # grad[0] = ones @ c - ones @ w[1:] (gemv); grad[1:] = c - v0
                 np.matmul(ones, c, out=grad[0])
                 np.matmul(ones, w[1:], out=colsum)
@@ -682,14 +678,14 @@ def solve_indset_sdp(g: Graph, eps: float = 1e-3, budget: int = 6000,
             stall = abs(obj - prev_obj)
             prev_obj = obj
             met = res <= 0.5 * eps
-            if met and sums.w is not None:
+            if met and n <= _DENSE_N:
                 upper = min(upper, _dual_bound(rows, lam, eu, ev))
             if met and (upper - obj <= tol or (outer >= 4 and stall <= tol)):
                 break
             lam = lam + mu * h64
             if res > 0.25 * eps:
                 mu = min(mu * 1.6, 1e8)
-        if sums.w is not None and not met:
+        if n <= _DENSE_N and not met:
             upper = min(upper, _dual_bound(rows, lam, eu, ev))
         iterations += used
         if best is None or (res <= eps, obj) > best_key:
@@ -703,16 +699,6 @@ def solve_indset_sdp(g: Graph, eps: float = 1e-3, budget: int = 6000,
 # ---------------------------------------------------------------------------
 # Projections
 # ---------------------------------------------------------------------------
-
-def project_orthogonal(v0: np.ndarray, v: np.ndarray, eps: float) -> np.ndarray:
-    """Normalized projection of v onto the hyperplane orthogonal to v0."""
-    residual = v - float(v0 @ v) * v0
-    norm = float(np.linalg.norm(residual))
-    if norm <= eps:
-        raise DegenerateProjectionError(
-            f"vector within {eps:g} of +-span(v0); projection is unstable")
-    return residual / norm
-
 
 @dataclass(frozen=True)
 class ReducedColoring:

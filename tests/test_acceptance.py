@@ -45,9 +45,10 @@ from sdpcolor.testkit import (
     paired_threshold_trials,
     planted_k_colorable,
     random_graph,
+    simplex_vectors,
     step9_identity_holds,
 )
-from sdpcolor.vecsdp import VectorColoring, simplex_vectors, solve_vector_coloring
+from sdpcolor.vecsdp import VectorColoring, solve_vector_coloring
 
 
 def report(number: int, elapsed: float, limit: float, detail: str) -> None:
@@ -264,7 +265,7 @@ def test_criterion_8_end_to_end_scaling():
 
 def test_criterion_9_projection_identity():
     t0 = time.monotonic()
-    from sdpcolor.vecsdp import project_orthogonal
+    from sdpcolor.testkit import project_orthogonal
     rng = stream(29, "accept-triples")
     worst = 0.0
     for _ in range(10_000):

@@ -13,9 +13,8 @@ from sdpcolor.analysis import (
     wedge_bounds,
     wedge_probability_exact,
     wedge_probability_mc,
-    wedge_q_identity,
-    wedge_q_quadrature,
 )
+from sdpcolor.testkit import wedge_q_identity, wedge_q_quadrature
 
 # Independent oracle: composite 20-point Gauss-Legendre quadrature of the
 # normal density over [x, x+12]; the remaining tail is below 1e-32.

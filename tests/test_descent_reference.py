@@ -12,22 +12,25 @@ moments M = 0.9 M + g, V = 0.999 V + g g and steps by M / (sqrt(V) c2 /
 ``_ref_row_normalize`` take their row dots by ``np.einsum("ij,ij->i")``.
 The reference has no stall stop, and ``cut_at`` ends it where a stall stop
 would. Each case runs both from the same start on a pinned planted instance
-and records which ``_EdgeSums.dots`` branch the descent took. Where it
-gathers the edge rows (16 m < n^2, or n > 2048) the case asserts identical
-vectors and iteration counts, and a failure names the branch that drifted.
-Where it reads a gemm Gram matrix (dense graphs up to n = 2048) the dots
-round differently from the reference's row products, so the case asserts
-equal iteration counts and vectors within 1e-5 in float32 and 1e-12 in
-float64. The descent takes its neighbour sums from one ``_EdgeSums``
-workspace and no adjacency matrix; the reference keeps its ``both_idx`` and
-``adj`` arguments, which ``_both`` passes to it alone. Polish always takes
-the gemm up to n = 2048, so where the reference scattered (few edges, or
-n > 2048) the two agree to 1e-12 and 1e-9 instead of bit for bit. Both take
-``target`` as a scalar or as one aim per edge, the form a refinement pass
-passes; the reference's ``dots - target`` broadcasts either. The
-refinement case records every pass of two solves, checks each pass's aim
-against the multiplier step shift = max(0, shift + d - t), and runs the
-reference toward that aim from the pass's starting rows.
+and records the kernels the descent's ``_EdgeSums`` workspace ran in every
+iteration (``kernels``): its dots, "gram" or "gather", and its sums, "gemm"
+or a scatter. The reference takes the gemm or the scatter wherever the
+workspace does (it asks the workspace's ``gemm_from``). Where the dots are
+gathered the case asserts identical vectors and iteration counts, and a
+failure names the kernels that drifted. Where they are read from a gemm
+Gram matrix they round differently from the reference's row products, so
+the case asserts equal iteration counts and vectors within 1e-5 in float32
+and 1e-12 in float64. The descent takes its neighbour sums from one
+``_EdgeSums`` workspace and no adjacency matrix; the reference keeps its
+``both_idx`` and ``adj`` arguments, which ``_both`` passes to it alone.
+Where polish scatters (above n = 2048 here) the reference scatters the
+hinge and adds the unit weights apart, so the two agree to 1e-9 instead of
+bit for bit. Both take ``target`` as a scalar or as one aim per edge, the
+form a refinement pass passes; the reference's ``dots - target``
+broadcasts either. The refinement case records every pass of two solves,
+checks each pass's aim against the multiplier step shift = max(0, shift +
+d - t), and runs the reference toward that aim from the pass's starting
+rows.
 
 ``_ref_solve_indset_sdp`` is the independence solver as it stood before its
 workspace, with the same helpers, brought to what the solver now does: it
@@ -50,7 +53,8 @@ and the scatter above n = 2048; in one solve where the restart skip leaves
 restart 1 out; and in one single-restart solve where the per-step bound
 ends the restart before the stall rule would. The bounds agree to 1e-9 per
 vertex. Three solves are also pinned by digest: two float32 ones and one
-float64 one.
+float64 one. Its Gram dots and its gemm or scatter sums follow the
+workspace's choice too.
 """
 
 import hashlib
@@ -61,7 +65,7 @@ import pytest
 
 import sdpcolor.vecsdp as vecsdp
 from sdpcolor._rng import stream
-from sdpcolor.testkit import planted_k_colorable
+from sdpcolor.testkit import is_feasible_for, planted_k_colorable, simplex_vectors
 from sdpcolor.vecsdp import (
     _STALL_RTOL,
     IndSetSdpSolution,
@@ -69,7 +73,6 @@ from sdpcolor.vecsdp import (
     _rank_reduce,
     _row_sums,
     _solver_dim,
-    simplex_vectors,
     solve_indset_sdp,
 )
 
@@ -120,7 +123,7 @@ def _ref_coloring_descent(v, eu, ev, both_idx, target, mode, iters, lr,
     used = 0
     other = np.concatenate([ev, eu])
     dense_w = np.zeros((n, n), dtype=v.dtype) if n <= 2048 else None
-    dense_bar = max(32, (n * n) // max(16 * d, 16))
+    workspace = vecsdp._EdgeSums(eu, ev, (n, d), v.dtype)
     for it in range(iters):
         used += 1
         if it % stage == 0 and it > 0:
@@ -134,8 +137,8 @@ def _ref_coloring_descent(v, eu, ev, both_idx, target, mode, iters, lr,
             break
         hinge_w = (2.0 if mode == "feasible" else 2.0 * mu) * viol
         active = np.nonzero(viol)[0]
-        use_dense = dense_w is not None and (
-            active.size > dense_bar or (mode == "polish" and m > dense_bar))
+        weighted = m if mode == "polish" else active.size
+        use_dense = 0 < weighted >= workspace.gemm_from
         if use_dense:
             dense_w.fill(0.0)
             if mode == "polish":
@@ -190,8 +193,10 @@ def _ref_solve_indset_sdp(g, eps=1e-3, budget=6000, seed=0, restarts=2):
     dt = np.float32 if (eps >= 1e-4 and d > 8) else np.float64
     eu, ev = g.edge_arrays()
     dense = n <= 2048
+    workspace = vecsdp._EdgeSums(eu, ev, (n, d), dt)
+    by_gram, by_gemm = workspace.by_gram, g.m >= workspace.gemm_from
     ones = np.ones(n, dt)
-    if dense:
+    if by_gemm:
         s_buf = np.zeros((n, n), dt)
     else:
         both_idx = np.concatenate([eu, ev])
@@ -222,16 +227,14 @@ def _ref_solve_indset_sdp(g, eps=1e-3, budget=6000, seed=0, restarts=2):
                 used += 1
                 v0 = w[0]
                 p = w[1:] + v0
-                if dense:
-                    h = (p @ p.T.copy())[eu, ev] if g.m * 16 >= n * n \
-                        else (p[eu] * p[ev]).sum(axis=1)
-                    s = lam_dt + mu * h
+                h = (p @ p.T.copy())[eu, ev] if by_gram \
+                    else (p[eu] * p[ev]).sum(axis=1)
+                s = lam_dt + mu * h
+                if by_gemm:
                     s_buf[eu, ev] = s
                     s_buf[ev, eu] = s
                     c = s_buf @ p
                 else:
-                    h = (p[eu] * p[ev]).sum(axis=1)
-                    s = lam_dt + mu * h
                     c = _ref_scatter_rows(both_idx, np.concatenate([s, s]),
                                           p[other_idx], n)
                 grad = np.empty_like(w)
@@ -305,34 +308,43 @@ def _planted_start(inst_seed, n, k, p, noise):
     return _ref_row_normalize(v)
 
 
-@pytest.fixture
-def scatters(monkeypatch):
-    """Records the ``active`` argument (None when it sums every edge) and
-    the output dtype of each bincount scatter the descent calls."""
-    calls = []
-    real = vecsdp._EdgeSums.scatter
+class _Kernels(list):
+    """(dots kernel, sums kernel) per iteration, and the dtypes of the sums'
+    outputs in ``dtypes``."""
 
-    def counted(self, weights, x, out, active=None):
-        calls.append((active, out.dtype))
-        return real(self, weights, x, out, active)
-
-    monkeypatch.setattr(vecsdp._EdgeSums, "scatter", counted)
-    return calls
+    def __init__(self):
+        super().__init__()
+        self.dtypes = set()
 
 
 @pytest.fixture
-def dot_branches(monkeypatch):
-    """Records the branch of each ``_EdgeSums.dots`` call: "gram" or
-    "gather"."""
-    calls = []
-    real = vecsdp._EdgeSums.dots
+def kernels(monkeypatch):
+    """Records the kernels of every iteration on an ``_EdgeSums``
+    workspace: its dots, "gram" or "gather", then its sums, "gemm",
+    "scatter" (over the ``active`` edges), "scatter-all" (over every edge)
+    or None (the iteration exited before its sums, or no edge carried
+    weight)."""
+    record = _Kernels()
+    real = vecsdp._EdgeSums
 
-    def recorded(self, x, out):
-        calls.append("gather" if self.gram is None else "gram")
-        return real(self, x, out)
+    def dots(self, x, out):
+        record.append(("gram" if self.by_gram else "gather", None))
+        return real_dots(self, x, out)
 
-    monkeypatch.setattr(vecsdp._EdgeSums, "dots", recorded)
-    return calls
+    def gemm(self, weights, x, out):
+        record[-1] = (record[-1][0], "gemm")
+        record.dtypes.add(out.dtype)
+        return real_gemm(self, weights, x, out)
+
+    def scatter(self, weights, x, out, active=None):
+        record[-1] = (record[-1][0], "scatter-all" if active is None else "scatter")
+        record.dtypes.add(out.dtype)
+        return real_scatter(self, weights, x, out, active)
+
+    real_dots, real_gemm, real_scatter = real.dots, real.gemm, real.scatter
+    for name, fn in (("dots", dots), ("gemm", gemm), ("scatter", scatter)):
+        monkeypatch.setattr(real, name, fn)
+    return record
 
 
 def _both(v0, eu, ev, both, *args, adj=None, **kwargs):
@@ -360,7 +372,13 @@ def _assert_within_rounding(ref, new, used_ref, used_new):
     assert np.abs(new - ref).max() <= _ROUNDING[new.dtype]
 
 
-def test_wide_float32_feasible_matches_within_rounding(scatters, dot_branches):
+def _steps(dots, sums, used, stopped=False):
+    """The kernel record of ``used`` iterations that all ran ``dots`` and
+    ``sums``, the last one exiting before its sums when ``stopped``."""
+    return [(dots, sums)] * (used - stopped) + [(dots, None)] * stopped
+
+
+def test_wide_float32_feasible_matches_within_rounding(kernels):
     g, eu, ev, both = _instance(120, 4, 0.3, seed=11)
     d = _solver_dim(g.n, g.m)
     assert d == 24
@@ -369,11 +387,10 @@ def test_wide_float32_feasible_matches_within_rounding(scatters, dot_branches):
     ref, new, ur, un = _both(v0, eu, ev, both, target - 5e-4, "feasible",
                              100, lr=0.05, stop_at=target + 5e-4)
     _assert_within_rounding(ref, new, ur, un)
-    assert dot_branches == ["gram"] * un
-    assert not scatters  # every iteration took the dense gemm branch
+    assert kernels == _steps("gram", "gemm", un)
 
 
-def test_lowrank_float64_feasible_stops_early_within_rounding(dot_branches):
+def test_lowrank_float64_feasible_stops_early_within_rounding(kernels):
     g, eu, ev, both = _instance(96, 4, 0.3, seed=12)
     target = -1.0 / 3.0
     v0 = _planted_start(12, 96, 4, 0.3, noise=0.05)
@@ -382,10 +399,10 @@ def test_lowrank_float64_feasible_stops_early_within_rounding(dot_branches):
                              100, lr=0.02, stop_at=target + 3e-3)
     assert un < 100  # the stop_at exit fired
     _assert_within_rounding(ref, new, ur, un)
-    assert dot_branches == ["gram"] * un
+    assert kernels == _steps("gram", "gemm", un, stopped=True)
 
 
-def test_polish_with_adjacency_matches_within_rounding(dot_branches):
+def test_polish_with_adjacency_matches_within_rounding(kernels):
     g, eu, ev, both = _instance(96, 4, 0.3, seed=13)
     adj = g.adjacency_matrix().astype(float)
     target = -1.0 / 3.0
@@ -393,62 +410,63 @@ def test_polish_with_adjacency_matches_within_rounding(dot_branches):
     ref, new, ur, un = _both(v0, eu, ev, both, target - 5e-4, "polish",
                              100, lr=0.01, adj=adj)
     _assert_within_rounding(ref, new, ur, un)
-    assert dot_branches == ["gram"] * un
+    assert kernels == _steps("gram", "gemm", un)
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_sparse_scatter_branch_is_bitwise(dtype, scatters, dot_branches):
-    # Average degree 4 at n=300: dense_bar = 90000 // 384 = 234 exceeds the
-    # active count on most iterations, so the bincount scatter runs.
-    g, eu, ev, both = _instance(300, 3, 4.0 / 200, seed=14)
+@pytest.mark.parametrize("dtype, case", [
+    (np.float32, (800, 3, 8.0 / 533, 14)),
+    (np.float64, (300, 3, 4.0 / 200, 14)),
+], ids=["float32", "float64"])
+def test_sparse_scatter_branch_is_bitwise(dtype, case, kernels):
+    # Average degree 8 at n=800 (float32) and 4 at n=300 (float64): the
+    # dots are gathered, and the sums take the gemm while most edges are
+    # violated, then scatter the violated edges once few are.
+    g, eu, ev, both = _instance(*case)
     d = _solver_dim(g.n, g.m)
     v0 = _random_start(g.n, d, 2, dtype)
     ref, new, ur, un = _both(v0, eu, ev, both, -0.5 - 5e-4, "feasible",
                              100, lr=0.05)
     _assert_same(ref, new, ur, un)
-    assert dot_branches == ["gather"] * un
-    # Dense gemm steps first, then the scatter once few edges stay violated;
-    # its float64 sums round into a gradient of the phase's dtype.
-    assert 0 < len(scatters) < un
-    assert all(dt == dtype for _, dt in scatters)
+    gemms = kernels.count(("gather", "gemm"))
+    assert 0 < gemms < un
+    assert kernels == (_steps("gather", "gemm", gemms)
+                       + _steps("gather", "scatter", un - gemms))
+    # The float64 bincount sums round into a gradient of the phase's dtype.
+    assert kernels.dtypes == {np.dtype(dtype)}
 
 
-def test_sparse_polish_takes_the_gemm_within_rounding(scatters, dot_branches):
-    # m <= dense_bar: the reference adds adj @ v to a scatter over the
-    # violated edges, the descent takes one gemm with weights 1 + hinge.
+def test_sparse_polish_takes_the_gemm_within_rounding(kernels):
+    # Average degree 4 at n=300 and rank 2: the dots are gathered and polish
+    # sums its 1 + hinge weights by the gemm, as the reference does.
     g, eu, ev, both = _instance(300, 3, 4.0 / 200, seed=15)
     v0 = _planted_start(15, 300, 3, 4.0 / 200, noise=0.3)
-    assert g.m <= max(32, (g.n * g.n) // (16 * v0.shape[1]))
     ref, new, ur, un = _both(v0, eu, ev, both, -0.5 - 5e-4, "polish",
                              100, lr=0.01,
                              adj=g.adjacency_matrix().astype(float))
     assert un == ur == 100
-    assert not scatters
-    assert dot_branches == ["gather"] * un
+    assert kernels == _steps("gather", "gemm", un)
     assert np.abs(new - ref).max() <= 1e-12
 
 
-def test_scatter_branches_above_2048_vertices(scatters, dot_branches):
+def test_scatter_branches_above_2048_vertices(kernels):
     # No dense matrix above n = 2048. The float32 wide phase at alpha 7
     # scatters its violated edges into a float32 gradient and reaches steps
     # with none violated (a zero gradient); polish scatters 1 + hinge over
-    # every edge.
+    # every edge, where the reference adds a scatter of the ones.
     g, eu, ev, both = _instance(2049, 3, 3.0 / 1366, seed=18)
     target = -1.0 / 6.0 - 5e-4
     v0 = _random_start(g.n, _solver_dim(g.n, g.m), 6, np.float32)
     ref, new, ur, un = _both(v0, eu, ev, both, target, "feasible", 50,
                              lr=0.05)
     _assert_same(ref, new, ur, un)
-    assert dot_branches == ["gather"] * un
-    assert 0 < len(scatters) < un
-    assert all(a is not None and a.size for a, _ in scatters)
-    assert all(dt == np.float32 for _, dt in scatters)
-    scatters.clear()
+    assert {dots for dots, _ in kernels} == {"gather"}
+    assert {sums for _, sums in kernels} == {"scatter", None}
+    assert kernels.dtypes == {np.dtype(np.float32)}
+    kernels.clear()
     v0 = _rank_reduce(_ref_row_normalize(new.astype(np.float64)), 6)
     ref, new, ur, un = _both(v0, eu, ev, both, target, "polish", 50, lr=0.01)
-    assert un == ur == len(scatters) == 50
-    assert dot_branches == ["gather"] * (2 * un)
-    assert all(a is None for a, _ in scatters)
+    assert un == ur == 50
+    assert kernels == _steps("gather", "scatter-all", un)
     assert np.abs(new - ref).max() <= 1e-9
 
 
@@ -476,14 +494,14 @@ def _stalled(v0, eu, ev, both, target, mode, iters, lr, adj=None, **kwargs):
 
 
 def test_polish_stall_stop_within_rounding_near_full_budget_objective(
-        dot_branches):
+        kernels):
     g, eu, ev, both = _instance(96, 4, 0.3, seed=13)
     adj = g.adjacency_matrix().astype(float)
     target = -1.0 / 3.0 - 5e-4
     v0 = _planted_start(13, 96, 4, 0.3, noise=0.2)
     new, full, used = _stalled(v0, eu, ev, both, target, "polish", 1600,
                                lr=0.01, adj=adj)
-    assert dot_branches == ["gram"] * used
+    assert kernels == _steps("gram", "gemm", used, stopped=True)
     assert used <= 400
     got = _objective(new, eu, ev, target, "polish")
     want = _objective(full, eu, ev, target, "polish")
@@ -491,22 +509,22 @@ def test_polish_stall_stop_within_rounding_near_full_budget_objective(
 
 
 def test_lowrank_feasible_stops_at_its_fixed_point_within_rounding(
-        dot_branches):
+        kernels):
     # The solver's route on a 3-colourable graph of average degree 20: a
     # wide float32 pass, then the rank-2 basis, where the hinge descent
     # parks at a stationary point just above stop_at instead of reaching it.
     g, eu, ev, both = _instance(150, 3, 30.0 / 150, seed=0)
-    assert 16 * g.m >= g.n * g.n  # dense enough for the Gram dots
     target = -0.5
     wide = _random_start(g.n, _solver_dim(g.n, g.m), 3, np.float32)
     _coloring_descent(wide, eu, ev, target - 5e-4, "feasible", 2000,
                       lr=0.05, stop_at=target + 5e-4)
     v0 = _rank_reduce(_ref_row_normalize(wide.astype(np.float64)), 2)
     stop_at = target - 2.5e-4
-    dot_branches.clear()
+    kernels.clear()
     new, full, used = _stalled(v0, eu, ev, both, target - 5e-4, "feasible",
                                2000, lr=0.02, stop_at=stop_at)
-    assert dot_branches == ["gram"] * used
+    assert [dots for dots, _ in kernels] == ["gram"] * used
+    assert kernels[-1] == ("gram", None)
     assert used <= 500
     for v in (new, full):
         assert (v[eu] * v[ev]).sum(axis=1).max() > stop_at
@@ -516,11 +534,11 @@ def test_lowrank_feasible_stops_at_its_fixed_point_within_rounding(
 
 
 @pytest.mark.parametrize("case, eps, branch, prefix", [
-    ((60, 3, 4.0 / 40, 0), 1e-3, "gather", None),
+    ((400, 3, 0.015, 1), 1e-3, "gather", None),
     ((60, 3, 0.3, 3), 5e-5, "gram", 100),
 ], ids=["scatter-float32", "gram-float64"])
 def test_refinement_passes_match_the_reference(case, eps, branch, prefix,
-                                               monkeypatch, dot_branches):
+                                               monkeypatch, kernels):
     # Every refinement pass of a solve that needs two or more: its per-edge
     # aim is target - shift after the step shift = max(0, shift + d - t) on
     # the pass's starting rows. Where the dots are gathered the whole pass
@@ -538,25 +556,25 @@ def test_refinement_passes_match_the_reference(case, eps, branch, prefix,
     real = vecsdp._coloring_descent
 
     def recorded(v, eu_, ev_, target, *args, **kwargs):
-        start, first = v.copy(), len(dot_branches)
+        start, first = v.copy(), len(kernels)
         used = real(v, eu_, ev_, target, *args, **kwargs)
         if isinstance(target, np.ndarray):
             passes.append((start, target.copy(), args, kwargs, v.copy(), used,
-                           dot_branches[first:]))
+                           kernels[first:]))
         return used
 
     monkeypatch.setattr(vecsdp, "_coloring_descent", recorded)
     vc = vecsdp.solve_vector_coloring(g, float(k), eps=eps, seed=seed)
-    assert vc.is_feasible_for(g)
+    assert is_feasible_for(vc, g)
     assert len(passes) >= 2
     target = -1.0 / (k - 1)
     shift = np.zeros(g.m, passes[0][0].dtype)
-    for start, aim, args, kwargs, new, used, branches in passes:
+    for start, aim, args, kwargs, new, used, ran in passes:
         shift = np.maximum(shift + (start[eu] * start[ev]).sum(axis=1) - target,
                            0.0)
         assert shift.any()
         assert np.array_equal(aim, target - shift)
-        assert branches == [branch] * used
+        assert [dots for dots, _ in ran] == [branch] * used
         if prefix is None:
             ref = start.copy()
             used_ref = _ref_coloring_descent(ref, eu, ev, both, aim, *args,
@@ -566,6 +584,8 @@ def test_refinement_passes_match_the_reference(case, eps, branch, prefix,
             mode, _, lr = args
             _assert_within_rounding(*_both(start, eu, ev, both, aim, mode,
                                            prefix, lr, **kwargs))
+    if prefix is None:  # the passes scatter once few edges stay violated
+        assert any(("gather", "scatter") in ran for *_, ran in passes)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -603,34 +623,32 @@ def _assert_indset_same(ref, new):
         assert abs(new.upper_bound - ref.upper_bound) <= 1e-9 * new.n
 
 
-def test_indset_edge_dot_path_is_bitwise(dot_branches):
-    # Average degree 6 at n=120: m * 16 < n * n, so h comes from per-edge
-    # dots and the multipliers still go through the dense n x n matrix.
-    g = planted_k_colorable(120, 3, 6.0 / 80, seed=16).graph
-    assert g.m * 16 < g.n * g.n
-    ref, new = _indset_pair(g, 400, seed=3)
+def test_indset_edge_dot_path_is_bitwise(kernels):
+    # Average degree 20 at n=800: h comes from per-edge dots and the
+    # multipliers still go through the dense n x n matrix.
+    g = planted_k_colorable(800, 3, 0.0375, seed=16).graph
+    ref, new = _indset_pair(g, 120, seed=3)
     _assert_indset_same(ref, new)
-    assert set(dot_branches) == {"gather"}
+    assert set(kernels) == {("gather", "gemm")}
 
 
 @pytest.mark.parametrize("eps, dtype", [(1e-3, np.float32),
                                         (5e-5, np.float64)],
                          ids=["float32", "float64"])
-def test_indset_gram_path_is_bitwise(eps, dtype, dot_branches):
+def test_indset_gram_path_is_bitwise(eps, dtype, kernels):
     g = planted_k_colorable(100, 3, 0.3, seed=17).graph
-    assert g.m * 16 >= g.n * g.n
     assert vecsdp._iteration_dtype(eps, 32) is dtype
     ref, new = _indset_pair(g, 400, seed=4, eps=eps)
     _assert_indset_same(ref, new)
-    assert set(dot_branches) == {"gram"}
+    assert set(kernels) == {("gram", "gemm")}
 
 
-def test_indset_scatter_branch_above_2048_vertices(dot_branches):
+def test_indset_scatter_branch_above_2048_vertices(kernels):
     # The only branch without the dense n x n matrix: n > 2048.
     g = planted_k_colorable(2049, 3, 3.0 / 1366, seed=18).graph
     ref, new = _indset_pair(g, 80, seed=5)
     _assert_indset_same(ref, new)
-    assert set(dot_branches) == {"gather"}
+    assert set(kernels) == {("gather", "scatter-all")}
     assert new.upper_bound == math.inf  # no bound without the n x n state
 
 
@@ -673,22 +691,22 @@ def _digest(a):
     return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()[:16]
 
 
-# (n, k, p, instance seed, budget, solver seed, eps) -> digests of the
-# vectors and v0, and the objective and residual as float.hex. Each pin
-# holds the bits of its branch's iterations, float32 for eps 1e-3 and
+# (n, k, p, instance seed, budget, solver seed, eps) -> the kernels every
+# iteration runs, and digests of the vectors and v0, and the objective and
+# residual as float.hex. Each pin holds the bits of its kernels' iterations, float32 for eps 1e-3 and
 # float64 for eps below 1e-4, from restarts that start beside the empty
 # set (rows at normalize(0.3 g - v0)) and iterations that take the lean
 # sphere step (Adam on unscaled moments, einsum row dots, gemv column
 # sums); ``_ref_solve_indset_sdp`` gave the same bits when they were
 # captured.
 _INDSET_PINS = [
-    ((100, 3, 0.3, 17, 400, 4, 1e-3), "gram",
+    ((100, 3, 0.3, 17, 400, 4, 1e-3), ("gram", "gemm"),
      ("428709f680b32b98", "bfadede2c9283a69", "0x1.0c3740fc0e68bp+5",
       "0x1.a31529df428f0p-8")),
-    ((120, 3, 6.0 / 80, 16, 400, 3, 1e-3), "gather",
-     ("cfbd5087298d38fa", "c4a8cd90c8bd2887", "0x1.8b53b33a7f9e4p+5",
-      "0x1.6e9f1504f0f20p-8")),
-    ((100, 3, 0.3, 17, 400, 4, 5e-5), "gram",
+    ((800, 3, 0.0375, 16, 120, 3, 1e-3), ("gather", "gemm"),
+     ("9a13d7894424a437", "c88455e818e09f4d", "0x1.005788d7ce096p+8",
+      "0x1.4935e71bae6bcp-5")),
+    ((100, 3, 0.3, 17, 400, 4, 5e-5), ("gram", "gemm"),
      ("e52221431ea2f827", "fc16f2c7e88ee213", "0x1.0bf0a42b7d513p+5",
       "0x1.73a8599317ed8p-7")),
 ]
@@ -696,10 +714,10 @@ _INDSET_PINS = [
 
 @pytest.mark.parametrize("case, branch, pin", _INDSET_PINS,
                          ids=["gram", "gather", "gram-float64"])
-def test_indset_solution_keeps_its_pinned_bits(case, branch, pin, dot_branches):
+def test_indset_solution_keeps_its_pinned_bits(case, branch, pin, kernels):
     n, k, p, inst_seed, budget, seed, eps = case
     g = planted_k_colorable(n, k, p, seed=inst_seed).graph
     sol = solve_indset_sdp(g, eps=eps, budget=budget, seed=seed)
-    assert set(dot_branches) == {branch}
+    assert set(kernels) == {branch}
     assert (_digest(sol.vectors), _digest(sol.v0), sol.objective.hex(),
             sol.max_constraint_residual.hex()) == pin

@@ -67,7 +67,7 @@ def test_edge_sums_dots_match_gathered_products(dtype, tol):
                 if g.m == 0:
                     continue
                 eu, ev = g.edge_arrays()
-                for d in (3, 48):
+                for d in (3, 16, 48):
                     rng = stream(seed, "fuzz-dots", k, d)
                     x = rng.standard_normal((g.n, d))
                     x = (x / np.linalg.norm(x, axis=1, keepdims=True)).astype(dtype)
@@ -75,11 +75,12 @@ def test_edge_sums_dots_match_gathered_products(dtype, tol):
                     got = np.empty(g.m, dtype)
                     sums.dots(x, got)
                     want = _edge_dots(x, eu, ev)
-                    branch = "gather" if sums.gram is None else "gram"
+                    branch = "gram" if sums.by_gram else "gather"
                     seen.add((branch, g.n < d))
                     if branch == "gather":
                         assert np.array_equal(got, want), name
                     else:
                         assert np.abs(got - want).max() <= tol, name
-    # Both branches ran, each with fewer and with more vertices than the width.
+    # Both branches ran, each with fewer and with more vertices than the
+    # width: width 16 gathers on the sparse 40-vertex graph.
     assert seen == {(b, small) for b in ("gather", "gram") for small in (True, False)}

@@ -13,8 +13,9 @@ from sdpcolor.testkit import (
     complete_graph,
     planted_k_colorable,
     random_graph,
+    simplex_vectors,
 )
-from sdpcolor.vecsdp import VectorColoring, simplex_vectors, solve_indset_sdp
+from sdpcolor.vecsdp import VectorColoring, solve_indset_sdp
 
 
 def test_f_integer_values():

@@ -1,4 +1,6 @@
+import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -7,10 +9,15 @@ import sdpcolor.vecsdp as vecsdp
 from sdpcolor._rng import stream
 from sdpcolor.graph import Graph
 from sdpcolor.testkit import (
+    alignment_sum,
     complete_graph,
+    constraint_residual,
     cycle_graph,
+    is_feasible_for,
     petersen_graph,
     planted_k_colorable,
+    project_orthogonal,
+    simplex_vectors,
     vector_coloring_from_json,
     vector_coloring_to_json,
 )
@@ -21,8 +28,6 @@ from sdpcolor.vecsdp import (
     PromiseNotMetError,
     VectorColoring,
     neighborhood_reduce,
-    project_orthogonal,
-    simplex_vectors,
     solve_indset_sdp,
     solve_vector_coloring,
     well_aligned_subset,
@@ -100,12 +105,71 @@ def test_row_normalize_in_place_unit_rows_zero_row_kept(dtype):
         assert np.abs(got - want).max() <= 2 * eps
 
 
+# The kernel table the cost model is fitted to: per shape, each kernel's
+# us per call in every run, and the weighted-edge counts of the sums.
+_KERNEL_TABLE = os.path.join(os.path.dirname(__file__), os.pardir,
+                             "BENCH_kernel_model.json")
+
+
+def _faster(times, a, b):
+    """a or b if it was faster in every run and by 20% or more in the
+    median; None for a tie within the table's run-to-run spread."""
+    ta, tb = np.asarray(times[a]), np.asarray(times[b])
+    if (ta < tb).all() and np.median(tb) >= 1.2 * np.median(ta):
+        return a
+    if (tb < ta).all() and np.median(ta) >= 1.2 * np.median(tb):
+        return b
+    return None
+
+
+def _kernel_rows():
+    """(n, m, d, dtype, weighted edges) -> (dots kernel, sums kernel), None
+    where the table measured a tie. Float32 rows of width 8 or less are left
+    out: ``_iteration_dtype`` never iterates there."""
+    with open(_KERNEL_TABLE, encoding="utf-8") as fh:
+        table = json.load(fh)["kernel_table"]["rows"]
+    rows = []
+    for r in table:
+        if r["dtype"] == "float32" and r["d"] <= 8:
+            continue
+        dots = _faster(r["us"], "gram", "gather")
+        for pct, weighted in r["weighted"].items():
+            sums = _faster(r["us"], f"gemm_{pct}", f"scatter_{pct}")
+            sums = sums and sums.split("_")[0]
+            rows.append(((r["n"], r["m"], r["d"], r["dtype"], weighted),
+                         (dots, sums)))
+    # Above 2048 vertices the gather and the scatter, whatever the counts.
+    for m, d, dtype in ((3000, 2, "float64"), (100_000, 24, "float32")):
+        rows += [((2049, m, d, dtype, w), ("gather", "scatter"))
+                 for w in (1, m // 2, m)]
+    # indset-a3's shapes: every edge weighted, width 32, float32.
+    rows += [((100, 1014, 32, "float32", 1014), ("gram", "gemm")),
+             ((150, 2270, 32, "float32", 2270), ("gram", "gemm"))]
+    return rows
+
+
+def test_edge_kernel_choice_follows_the_cost_model():
+    rows = _kernel_rows()
+    assert sum(dots is not None for _, (dots, _) in rows) >= 100
+    assert sum(sums is not None for _, (_, sums) in rows) >= 200
+    wrong = []
+    for (n, m, d, dtype, weighted), want in rows:
+        # The choice reads only the counts, so every edge may be 0-1.
+        sums = vecsdp._EdgeSums(np.zeros(m, np.int64), np.ones(m, np.int64),
+                                (n, d), np.dtype(dtype))
+        got = ("gram" if sums.by_gram else "gather",
+               "gemm" if weighted >= sums.gemm_from else "scatter")
+        if any(w is not None and w != g for w, g in zip(want, got)):
+            wrong.append(((n, m, d, dtype, weighted), want, got))
+    assert wrong == []
+
+
 def test_solve_simplex_tight_instance():
     # K_{k+1} at alpha = k+1 forces the regular simplex: every pairwise dot
     # lands on -1/k.
     g = complete_graph(5)
     vc = solve_vector_coloring(g, 5.0, eps=1e-3, seed=0)
-    assert vc.is_feasible_for(g)
+    assert is_feasible_for(vc, g)
     dots = vc.vectors @ vc.vectors.T
     off = dots[~np.eye(5, dtype=bool)]
     assert np.allclose(off, -0.25, atol=5e-3)
@@ -121,11 +185,11 @@ def test_solve_edgeless_any_alpha():
 def test_solve_planted_instance():
     inst = planted_k_colorable(30, 3, 0.5, seed=7)
     vc = solve_vector_coloring(inst.graph, 3.0, eps=1e-3, seed=1)
-    assert vc.is_feasible_for(inst.graph)
+    assert is_feasible_for(vc, inst.graph)
     # The planted classes give an exact witness, so feasibility must also hold
     # at any weaker alpha.
     vc2 = solve_vector_coloring(inst.graph, 3.5, eps=1e-3, seed=1)
-    assert vc2.is_feasible_for(inst.graph)
+    assert is_feasible_for(vc2, inst.graph)
 
 
 def test_solve_infeasible_is_evidence():
@@ -140,7 +204,7 @@ def test_solve_infeasible_is_evidence():
 def test_solve_tracks_vector_chromatic_boundary():
     # The vector chromatic number of C5 is sqrt(5) ~ 2.236.
     vc = solve_vector_coloring(cycle_graph(5), 2.5, eps=1e-3, seed=0)
-    assert vc.is_feasible_for(cycle_graph(5))
+    assert is_feasible_for(vc, cycle_graph(5))
     with pytest.raises(InfeasibleError):
         solve_vector_coloring(cycle_graph(5), 2.1, eps=1e-3, budget=1200, seed=0)
 
@@ -175,7 +239,7 @@ def test_refinement_rescues_the_solve(n, k, p, seed, dim):
     g = planted_k_colorable(n, k, p, seed=seed).graph
     vc = solve_vector_coloring(g, float(k), eps=1e-3, seed=seed, restarts=1)
     assert vc.dim == dim
-    assert vc.is_feasible_for(g)
+    assert is_feasible_for(vc, g)
 
 
 def test_unrefined_rows_are_re_descended_once(monkeypatch):
@@ -193,7 +257,7 @@ def test_unrefined_rows_are_re_descended_once(monkeypatch):
     g = petersen_graph()
     vc = solve_vector_coloring(g, 3.0, eps=1e-3, seed=0)
     assert calls == [2]
-    assert vc.dim == 10 and vc.is_feasible_for(g)
+    assert vc.dim == 10 and is_feasible_for(vc, g)
 
 
 def test_rank_at_least_width_still_solves():
@@ -202,7 +266,7 @@ def test_rank_at_least_width_still_solves():
     g = complete_graph(3)
     vc = solve_vector_coloring(g, 8.0, eps=1e-3, seed=0)
     assert vc.dim == 3
-    assert vc.is_feasible_for(g)
+    assert is_feasible_for(vc, g)
 
 
 def test_restriction_closure():
@@ -381,7 +445,7 @@ def test_indset_sdp_float32_iterations_return_float64_rows():
     assert sol.vectors.dtype == sol.v0.dtype == np.float64
     rows = np.vstack([sol.v0, sol.vectors])
     assert np.abs(np.linalg.norm(rows, axis=1) - 1.0).max() <= 1e-12
-    assert sol.max_constraint_residual == sol.constraint_residual(g)
+    assert sol.max_constraint_residual == constraint_residual(sol, g)
     assert sol.objective == float((1.0 + sol.vectors @ sol.v0).sum() / 2.0)
 
 
@@ -390,7 +454,7 @@ def test_indset_sdp_fields_are_consistent():
     sol = solve_indset_sdp(inst.graph, eps=1e-3, seed=0)
     recomputed = float((1.0 + sol.vectors @ sol.v0).sum() / 2.0)
     assert abs(recomputed - sol.objective) <= inst.graph.n * sol.eps
-    assert sol.constraint_residual(inst.graph) == pytest.approx(
+    assert constraint_residual(sol, inst.graph) == pytest.approx(
         sol.max_constraint_residual, abs=1e-12)
 
 
@@ -403,8 +467,8 @@ def test_indset_alignment_sum(n):
     v0 = np.array([1.0, 0.0])
     vecs = np.tile([0.6, 0.8], (n, 1))
     sol = IndSetSdpSolution(v0, vecs, 0.0, 1e-3, 0.0)
-    assert isinstance(sol.alignment_sum(), float)
-    assert sol.alignment_sum() == pytest.approx(0.6 * n)
+    assert isinstance(alignment_sum(sol), float)
+    assert alignment_sum(sol) == pytest.approx(0.6 * n)
 
 
 def test_project_orthogonal_basics():
