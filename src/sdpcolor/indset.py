@@ -123,8 +123,8 @@ def ak_independent_set(g: Graph, alpha: float, eps: float = 1e-3,
     returns the greedy set instead of erroring. The output is always
     verified independent.
     """
-    if not alpha >= 1.0:
-        raise ValueError(f"alpha must be at least 1, got {alpha}")
+    if not 1.0 <= alpha < math.inf:
+        raise ValueError(f"alpha must be finite and at least 1, got {alpha}")
     if g.n == 0:
         return frozenset()
     if g.m == 0:

@@ -34,8 +34,9 @@ class RoundingParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.c < 0.0:
-            raise ValueError(f"threshold must be nonnegative, got {self.c}")
+        if not 0.0 <= self.c < math.inf:
+            raise ValueError(
+                f"threshold c must be finite and nonnegative, got {self.c}")
         if self.trials < 1:
             raise ValueError(f"need at least one trial, got {self.trials}")
 

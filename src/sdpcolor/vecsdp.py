@@ -165,13 +165,18 @@ def _residual(v, eu, ev, target):
     return float(_edge_dots(v, eu, ev).max() - target)
 
 
+# The smallest normal number of each float dtype the solvers use, looked up
+# once: ``np.finfo`` costs a call per lookup.
+_TINY = {np.dtype(t): np.finfo(t).tiny for t in (np.float32, np.float64)}
+
+
 def _row_normalize(v: np.ndarray, norms: np.ndarray | None = None) -> np.ndarray:
     """Divide each row of v by its Euclidean norm, in place; a zero row
-    stays zero (its norm is raised to the dtype's tiny). The optional (n,)
-    buffer makes it allocation-free."""
+    stays zero (its norm is raised to the dtype's tiny). v is float32 or
+    float64. The optional (n,) buffer makes it allocation-free."""
     norms = np.einsum("ij,ij->i", v, v, out=norms)
     np.sqrt(norms, out=norms)
-    np.maximum(norms, np.finfo(v.dtype).tiny, out=norms)
+    np.maximum(norms, _TINY[v.dtype], out=norms)
     v /= norms[:, None]
     return v
 
@@ -333,6 +338,12 @@ def _as_float64(v: np.ndarray) -> np.ndarray:
     return v if v.dtype == np.float64 else _row_normalize(v.astype(np.float64))
 
 
+def _check_alpha(alpha: float) -> None:
+    """alpha is a finite number of at least 2 (NaN and infinity refused)."""
+    if not 2.0 <= alpha < math.inf:
+        raise ValueError(f"alpha must be finite and at least 2, got {alpha}")
+
+
 def _check_counts(budget: int, restarts: int) -> None:
     """Both solvers run at least one iteration of at least one restart."""
     if budget < 1:
@@ -360,8 +371,11 @@ def _solver_dim(n: int, m: int) -> int:
 # A descent phase stops once its objective moved by at most this much,
 # relative to max(1, |objective|), over the ten iterations between checks:
 # a low-rank factorization parks at a stationary point (Burer-Monteiro) and
-# the remaining budget would not move it.
-_STALL_RTOL = 1e-9
+# the remaining budget would not move it. Polish falls geometrically
+# (x0.3-0.5 per check) and crosses 1e-7 near its 100th iteration; a floor of
+# 1e-9 buys about 50 more iterations that move its objective by about 1e-7
+# of itself.
+_STALL_RTOL = 1e-7
 
 
 def _coloring_descent(v, eu, ev, target, mode, iters, lr, mu=50.0,
@@ -374,11 +388,12 @@ def _coloring_descent(v, eu, ev, target, mode, iters, lr, mu=50.0,
     learning rate halves in six stages. Every tenth iteration, before its
     step, the loop exits in feasible mode once the max edge dot drops to
     ``stop_at``, and in either mode once the objective (summed in v's
-    dtype) moved by at most ``_STALL_RTOL * max(1, |objective|)`` since the
-    previous check. The gradient is the ``_EdgeSums`` neighbour sum with
-    weights 1 + hinge (polish) or hinge (feasible: the violated edges), by
-    the kernels the workspace picks. Returns the iterations used, the
-    exiting one included.
+    dtype) moved by at most ``_STALL_RTOL * max(1, |objective|)`` (1e-7)
+    since the previous check: below that floor polish no longer moves the
+    rows by anything threshold rounding sees. The gradient is the
+    ``_EdgeSums`` neighbour sum with weights 1 + hinge (polish) or hinge
+    (feasible: the violated edges), by the kernels the workspace picks.
+    Returns the iterations used, the exiting one included.
 
     Every array an iteration writes is allocated once per call, in v's
     dtype. The operation order is part of the output contract: each
@@ -460,18 +475,21 @@ def solve_vector_coloring(g: Graph, alpha: float, eps: float = 1e-3,
     shift), so an edge that a K_k holds at t keeps its shift. The other
     feasibility phases aim at t, which any K_k forces some edge dot to
     reach, polish at t - eps/2; residuals that decide are measured against
-    t. The final low-rank phase and the refinement phases exit at t + eps/4,
-    the wide phase and the first low-rank phase at the hand-off bar t + 10
-    eps (polish lifts the rows above t again, so driving the first low-rank
-    phase further buys nothing), and every phase once its objective stalls
-    (``_coloring_descent``). Callers keep the one default restart
-    and rerun a failed solve with a fresh seed. Raises InfeasibleError
-    (evidence only) when every restart stalls above eps, its iteration
-    count covering every phase run, and ValueError when budget or restarts
-    is below 1.
+    t. The refinement phases exit at t + eps/4: they iterate the wide rows,
+    float32 ones renormalized in float64 before the eps test. The final
+    low-rank phase iterates float64 rows that are accepted at t + eps, so
+    it exits at t + eps/2, which leaves a margin between the Gram dots that
+    test the exit and the per-edge products that accept. The wide phase and
+    the first low-rank phase exit at the hand-off bar t + 10 eps (polish
+    lifts the rows above t again, so driving the first low-rank phase
+    further buys nothing), and every phase once its objective stalls
+    (``_coloring_descent``, relative change 1e-7). Callers keep the one
+    default restart and rerun a failed solve with a fresh seed. Raises
+    InfeasibleError (evidence only) when every restart stalls above eps,
+    its iteration count covering every phase run, and ValueError when alpha
+    is not finite or below 2, or budget or restarts is below 1.
     """
-    if alpha < 2.0:
-        raise ValueError(f"alpha must be at least 2, got {alpha}")
+    _check_alpha(alpha)
     if not 0.0 < eps < math.inf:
         raise ValueError(f"eps must be positive and finite, got {eps}")
     _check_counts(budget, restarts)
@@ -489,7 +507,6 @@ def solve_vector_coloring(g: Graph, alpha: float, eps: float = 1e-3,
 
     best_res = float("inf")
     total_iters = 0
-    stop_at = target + 0.25 * eps
     handoff = 10.0 * eps  # the wide and first low-rank phases' exit and test
     wide_dtype = _iteration_dtype(eps, d)
     rank = max(2, int(math.ceil(alpha)) - 1)
@@ -507,7 +524,8 @@ def solve_vector_coloring(g: Graph, alpha: float, eps: float = 1e-3,
         if _residual(reduced, eu, ev, target) > handoff:
             return None
         descend(reduced, "polish", budget, lr=0.01, aim=target - 0.5 * eps)
-        descend(reduced, "feasible", budget // 2, lr=0.005, stop_at=stop_at)
+        descend(reduced, "feasible", budget // 2, lr=0.005,
+                stop_at=target + 0.5 * eps)
         ok = _residual(reduced, eu, ev, target) <= eps
         return VectorColoring(alpha, reduced, eps) if ok else None
 
@@ -530,7 +548,7 @@ def solve_vector_coloring(g: Graph, alpha: float, eps: float = 1e-3,
                 break
             shift = np.maximum(shift + dots - target, 0.0)
             descend(work, "feasible", budget // 2, lr=lr, aim=target - shift,
-                    stop_at=stop_at)
+                    stop_at=target + 0.25 * eps)
         v = _as_float64(work)
         res = _residual(v, eu, ev, target)
         best_res = min(best_res, res)
@@ -796,8 +814,7 @@ def well_aligned_subset(sol: IndSetSdpSolution, g: Graph, alpha: float,
     otherwise (the graph lacked the promised independent set or the solver
     slack was too large). When the promise holds, |S| >= n / ln n.
     """
-    if alpha < 2.0:
-        raise ValueError(f"alpha must be at least 2, got {alpha}")
+    _check_alpha(alpha)
     n = g.n
     if n < 2:
         raise ValueError("aligned-subset extraction needs at least 2 vertices")

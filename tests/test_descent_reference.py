@@ -502,7 +502,7 @@ def test_polish_stall_stop_within_rounding_near_full_budget_objective(
     new, full, used = _stalled(v0, eu, ev, both, target, "polish", 1600,
                                lr=0.01, adj=adj)
     assert kernels == _steps("gram", "gemm", used, stopped=True)
-    assert used <= 400
+    assert used <= 220  # 201 at the 1e-7 floor; a 1e-9 floor ran 241
     got = _objective(new, eu, ev, target, "polish")
     want = _objective(full, eu, ev, target, "polish")
     assert abs(got - want) <= _STALL_RTOL * max(1.0, abs(want))
@@ -525,7 +525,7 @@ def test_lowrank_feasible_stops_at_its_fixed_point_within_rounding(
                                2000, lr=0.02, stop_at=stop_at)
     assert [dots for dots, _ in kernels] == ["gram"] * used
     assert kernels[-1] == ("gram", None)
-    assert used <= 500
+    assert used <= 190  # 171 at the 1e-7 floor; a 1e-9 floor ran 211
     for v in (new, full):
         assert (v[eu] * v[ev]).sum(axis=1).max() > stop_at
     got = _objective(new, eu, ev, target - 5e-4, "feasible")

@@ -137,3 +137,9 @@ def test_ak_validation():
 def test_ak_rejects_nan_alpha():
     with pytest.raises(ValueError):
         ak_independent_set(Graph(3), float("nan"))
+
+
+def test_ak_rejects_infinite_alpha():
+    # Refused before the solve, as well_aligned_subset would refuse it after.
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        ak_independent_set(Graph(3), float("inf"))

@@ -59,6 +59,14 @@ def test_threshold_validation_and_clamp():
     assert kms_threshold(3.0, 0.0) == kms_threshold(3.0, math.e)
 
 
+@pytest.mark.parametrize("c", [math.inf, math.nan, -1.0])
+def test_rounding_params_reject_nonfinite_or_negative_c(c):
+    # An infinite or NaN threshold selects no vertex in any draw, which
+    # would end every call in the one-vertex fallback.
+    with pytest.raises(ValueError, match="threshold c must be finite"):
+        RoundingParams(c)
+
+
 def test_refined_below_classic():
     for d in (10.0, 50.0, 1000.0):
         assert kms_threshold(3.0, d) < classic_threshold(3.0, d)

@@ -242,6 +242,26 @@ def test_refinement_rescues_the_solve(n, k, p, seed, dim):
     assert is_feasible_for(vc, g)
 
 
+def test_final_lowrank_phase_exits_at_half_eps(monkeypatch):
+    # The phase after polish iterates float64 rows accepted at t + eps and
+    # exits at t + eps/2.
+    phases = []
+    real = vecsdp._coloring_descent
+
+    def recorded(v, eu, ev, target, mode, *args, stop_at=None, **kwargs):
+        phases.append((mode, v.shape[1], stop_at))
+        return real(v, eu, ev, target, mode, *args, stop_at=stop_at, **kwargs)
+
+    monkeypatch.setattr(vecsdp, "_coloring_descent", recorded)
+    g = planted_k_colorable(60, 4, 0.3, seed=1).graph
+    eps = 1e-3
+    vc = solve_vector_coloring(g, 4.0, eps=eps, seed=1)
+    assert is_feasible_for(vc, g) and vc.dim == 3
+    after_polish = [phases[i + 1] for i, (mode, _, _) in enumerate(phases)
+                    if mode == "polish"]
+    assert after_polish == [("feasible", 3, -1.0 / 3.0 + 0.5 * eps)]
+
+
 def test_unrefined_rows_are_re_descended_once(monkeypatch):
     # On the Petersen graph the wide pass alone meets eps, so no refinement
     # pass runs and a failed re-descent is not repeated on the same rows.
@@ -286,6 +306,12 @@ def test_alpha_validation():
         solve_vector_coloring(complete_graph(3), 1.5)
     with pytest.raises(ValueError):
         solve_vector_coloring(complete_graph(3), 3.0, eps=0.0)
+
+
+@pytest.mark.parametrize("alpha", [math.inf, math.nan])
+def test_coloring_solver_rejects_nonfinite_alpha(alpha):
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        solve_vector_coloring(complete_graph(3), alpha)
 
 
 @pytest.mark.parametrize("eps", [math.inf, math.nan])
@@ -607,6 +633,14 @@ def test_well_aligned_refuses_broken_promise():
     sol = solve_indset_sdp(g, eps=1e-3, seed=0)
     with pytest.raises(PromiseNotMetError):
         well_aligned_subset(sol, g, 2.0)
+
+
+@pytest.mark.parametrize("alpha", [math.inf, math.nan])
+def test_well_aligned_rejects_nonfinite_alpha(alpha):
+    g = planted_k_colorable(30, 3, 0.3, seed=0).graph
+    sol = solve_indset_sdp(g, eps=1e-3, budget=200, seed=0)
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        well_aligned_subset(sol, g, alpha)
 
 
 def test_claim_c1_style_counting():

@@ -1,0 +1,179 @@
+"""Run the colouring quality gates and print their totals as one JSON line.
+
+    python3 tools/quality_sweep.py
+
+Run from anywhere; the library is imported from ``src`` with one BLAS
+thread. Three sets of cases, each a fixed list (no options):
+
+* ``grid``: criterion 8, planted k=4, p=0.3, n = 125..1000, 5 seeds,
+  ``combined_color`` at ``CombinedConfig(seed=100 + s, trials=16)``; also
+  reports the fitted exponent;
+* the 361-run sweep: ``kms`` (300 ``kms_color`` runs, k 3..7, p
+  0.3/0.5/0.7, n 40/60/90/150, seeds 0..4, trials 16), ``combined`` (54
+  ``combined_color`` runs, k 5/6, p 0.3/0.5/0.7, n 60/90/120, seeds 0..2,
+  trials 16) and ``stall`` (``tests/test_combined.STALL_CASES``, called as
+  that test calls them);
+* ``sparse_k3``: 54 ``solve_vector_coloring(g, 3.0, seed=s)`` solves on
+  planted 3-colourable graphs, n 60/90/120/200, average degree 4/6/8/12,
+  seeds 0..3, kept where 16 m < n^2.
+
+For each part the line gives the runs, colours, failures (an
+``InfeasibleError``, or a ``combined_color`` result with no colouring),
+repeats (``combined_color``'s ``repeats_used``, summed; per case for
+``stall``)
+and the ``_coloring_descent`` iterations per phase: ``wide`` (feasibility
+on the full-width rows), ``lowrank`` (both feasibility phases on the
+rank-reduced rows), ``polish`` and ``refine`` (the passes with per-edge
+aims). Colour and iteration totals are deterministic; ``seconds`` is not.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import sys
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+if __name__ == "__main__":
+    # Fixed before numpy loads, as perfbench/run.py does.
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                "BLIS_NUM_THREADS"):
+        os.environ[var] = "1"
+
+sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path.insert(0, os.path.join(ROOT, "tests"))
+
+import numpy as np  # noqa: E402
+
+from sdpcolor import vecsdp  # noqa: E402
+from sdpcolor.combined import CombinedConfig, combined_color, fit_exponent  # noqa: E402
+from sdpcolor.graph import verify_coloring  # noqa: E402
+from sdpcolor.rounding import kms_color  # noqa: E402
+from sdpcolor.testkit import planted_k_colorable  # noqa: E402
+from sdpcolor.vecsdp import InfeasibleError, solve_vector_coloring  # noqa: E402
+from test_combined import STALL_CASES  # noqa: E402
+
+PHASES = ("wide", "lowrank", "polish", "refine")
+
+
+def grid_cases():
+    """(n, k, p, instance seed, config seed) of criterion 8."""
+    return [(n, 4, 0.3, s, 100 + s) for n in (125, 250, 500, 1000)
+            for s in range(5)]
+
+
+def sweep_cases():
+    """(part, n, k, p, seed) of the 361-run sweep."""
+    kms = [("kms", n, k, p, s) for k in range(3, 8) for p in (0.3, 0.5, 0.7)
+           for n in (40, 60, 90, 150) for s in range(5)]
+    comb = [("combined", n, k, p, s) for k in (5, 6) for p in (0.3, 0.5, 0.7)
+            for n in (60, 90, 120) for s in range(3)]
+    return kms + comb + [("stall", *case) for case in STALL_CASES]
+
+
+def sparse_cases():
+    """(n, average degree, seed) of the sparse k=3 probe: planted at p =
+    degree / (2n/3), kept where 16 m < n^2."""
+    out = []
+    for n in (60, 90, 120, 200):
+        for deg in (4, 6, 8, 12):
+            for s in range(4):
+                g = planted_k_colorable(n, 3, deg / (2 * n / 3), seed=s).graph
+                if 16 * g.m < n * n:
+                    out.append((n, deg, s))
+    return out
+
+
+class _PhaseCounter:
+    """Counts ``_coloring_descent`` iterations per phase while installed.
+    Rows returned by ``_rank_reduce`` mark the low-rank phases."""
+
+    def __init__(self):
+        self.reduced = None
+        self.counts = dict.fromkeys(PHASES, 0)
+
+    def __enter__(self):
+        self.descent, self.rank_reduce = (vecsdp._coloring_descent,
+                                          vecsdp._rank_reduce)
+
+        def rank_reduce(v, rank):
+            self.reduced = self.rank_reduce(v, rank)
+            return self.reduced
+
+        def descent(v, eu, ev, target, mode, *args, **kwargs):
+            used = self.descent(v, eu, ev, target, mode, *args, **kwargs)
+            if mode == "polish":
+                phase = "polish"
+            elif isinstance(target, np.ndarray):
+                phase = "refine"
+            else:
+                phase = "lowrank" if v is self.reduced else "wide"
+            self.counts[phase] += used
+            return used
+
+        vecsdp._rank_reduce, vecsdp._coloring_descent = rank_reduce, descent
+        return self
+
+    def __exit__(self, *exc):
+        vecsdp._coloring_descent = self.descent
+        vecsdp._rank_reduce = self.rank_reduce
+
+
+def _finish(part, count, t0):
+    part["descent_iterations"] = dict(count.counts,
+                                      total=sum(count.counts.values()))
+    part["seconds"] = round(time.perf_counter() - t0, 1)
+    return part
+
+
+def run():
+    out = {}
+    cases = sweep_cases()
+    parts = [("grid", grid_cases())] + [
+        (name, [(n, k, p, s, s) for tag, n, k, p, s in cases if tag == name])
+        for name in ("kms", "combined", "stall")]
+    for name, mine in parts:
+        t0 = time.perf_counter()
+        colors, repeats = [], []
+        with _PhaseCounter() as count:
+            for n, k, p, s, seed in mine:
+                g = planted_k_colorable(n, k, p, seed=s).graph
+                if name == "kms":
+                    try:
+                        coloring = kms_color(g, k, seed=seed, trials=16)
+                    except InfeasibleError:
+                        coloring = None
+                else:
+                    res = combined_color(g, k, CombinedConfig(seed=seed, trials=16))
+                    coloring = res.coloring
+                    repeats.append(res.repeats_used)
+                if coloring is not None and not verify_coloring(g, coloring):
+                    raise AssertionError(f"improper colouring of {(n, k, p, s)}")
+                colors.append(None if coloring is None else coloring.colors_used)
+        done = [(case[0], c) for case, c in zip(mine, colors) if c is not None]
+        part = {"runs": len(mine), "colors": sum(c for _, c in done),
+                "failures": len(mine) - len(done)}
+        if name != "kms":
+            part["repeats"] = repeats if name == "stall" else sum(repeats)
+        if name == "grid":
+            part["fitted_exponent"] = round(fit_exponent(*zip(*done)), 3) + 0.0
+        out[name] = _finish(part, count, t0)
+
+    t0 = time.perf_counter()
+    sparse = {"runs": 0, "failures": 0}
+    with _PhaseCounter() as count:
+        for n, deg, s in sparse_cases():
+            g = planted_k_colorable(n, 3, deg / (2 * n / 3), seed=s).graph
+            sparse["runs"] += 1
+            try:
+                solve_vector_coloring(g, 3.0, seed=s)
+            except InfeasibleError:
+                sparse["failures"] += 1
+    out["sparse_k3"] = _finish(sparse, count, t0)
+    return out
+
+
+if __name__ == "__main__":
+    print(json.dumps(run()))
