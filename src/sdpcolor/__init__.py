@@ -28,7 +28,6 @@ from .graph import (
     Coloring,
     DimacsError,
     Graph,
-    common_neighbors,
     induced_subgraph,
     largest_color_class,
     read_dimacs,
@@ -40,7 +39,6 @@ from .indset import ak_independent_set, f_exponent, l2_vector_indset
 from .progress import (
     ContractedGraph,
     build_candidate_collection,
-    degree_buckets,
     progress_driver,
 )
 from .rounding import (
@@ -73,8 +71,8 @@ __all__ = [
     "RoundingParams", "VectorColoring", "WedgeSpec",
     "ak_independent_set", "alpha_k", "brute_force_chromatic",
     "brute_force_mis", "build_candidate_collection",
-    "collection_guarantee_check", "combined_color", "common_neighbors",
-    "cutoff", "degree_buckets", "expected_rounding_size", "f_exponent",
+    "collection_guarantee_check", "combined_color",
+    "cutoff", "expected_rounding_size", "f_exponent",
     "fit_exponent", "induced_subgraph", "is_k_colorable", "kms_color",
     "kms_independent_set", "kms_threshold", "l2_vector_indset",
     "largest_color_class", "neighborhood_reduce", "normal_pdf",

@@ -23,15 +23,14 @@ from .graph import (
     Coloring,
     DimacsError,
     Graph,
+    NotKColorableError,
     read_dimacs,
     verify_coloring,
     verify_independent_set,
 )
 from .indset import ak_independent_set
-from .progress import NotKColorableError
 from .rounding import kms_color
 from .testkit import planted_k_colorable, random_graph
-from .vecsdp import InfeasibleError
 
 SCHEMA = 1
 
@@ -317,8 +316,6 @@ def _bench_cell(args, graph: Graph, s: int) -> tuple[int | None, str | None]:
         try:
             col = kms_color(graph, args.k, eps=args.eps, trials=args.trials,
                             seed=args.seed + s)
-        except InfeasibleError:
-            return None, "solver"
         except NotKColorableError as exc:
             return None, exc.kind
         if not verify_coloring(graph, col):

@@ -48,7 +48,7 @@ from .graph import (
     CHROMATIC_GUARD,
     Coloring,
     Graph,
-    bipartition,
+    NotKColorableError,
     brute_force_chromatic,
     exact_coloring,
     induced_subgraph,
@@ -62,14 +62,13 @@ from .progress import (
     ContractedGraph,
     ContradictionError,
     LargeIndependentSet,
-    NotKColorableError,
     SameColor,
     build_candidate_collection,
     default_delta,
     progress_driver,
 )
 from .rounding import RoundingParams, kms_color, kms_independent_set, kms_threshold
-from .vecsdp import InfeasibleError, VectorColoring, solve_vector_coloring
+from .vecsdp import VectorColoring, solve_vector_coloring
 
 
 @lru_cache(maxsize=None)
@@ -145,7 +144,6 @@ class CombinedResult:
     k3_fallback: bool
     declarations: list[Declaration] = field(default_factory=list)
     # (kind, message) of every failed attempt, kind as in NotKColorableError
-    # or "contradiction"
     attempt_failures: list[tuple[str, str]] = field(default_factory=list)
 
     @property
@@ -190,24 +188,19 @@ def color_three_fallback(g: Graph, cfg: CombinedConfig, seed: int) -> Coloring:
             break
         v_star = int(np.argmax(sub.degrees()))  # ties to the lowest id
         if sub.degree(v_star) < sub.n ** 0.75:
-            try:
-                col = kms_color(sub, 3, eps=cfg.eps, trials=cfg.trials,
-                                seed=seed)
-            except InfeasibleError as exc:
-                raise NotKColorableError("solver", str(exc)) from exc
+            col = kms_color(sub, 3, eps=cfg.eps, trials=cfg.trials, seed=seed)
             break
         # v* never joins its own neighborhood, so ``remaining`` stays
         # nonempty across splits.
         nbrs = sorted(sub.neighbors(v_star))
-        parts = bipartition(induced_subgraph(sub, nbrs)[0])
-        if parts is None:
+        split = two_coloring(induced_subgraph(sub, nbrs)[0])
+        if split is None:
             raise NotKColorableError(
                 "witness",
                 "a vertex neighborhood is not bipartite, so the graph "
                 "is not 3-colorable")
-        for side, color in zip(parts, (next_color, next_color + 1)):
-            for idx in side:
-                assignment[verts[nbrs[idx]]] = color
+        for idx, side in enumerate(split.assignment):
+            assignment[verts[nbrs[idx]]] = next_color + side
         next_color += 2
         colored = {verts[v] for v in nbrs}
         remaining = [v for v in remaining if v not in colored]
@@ -291,12 +284,9 @@ class _CombinedFinder:
             if vc.edge_residual(sub) > self.cfg.eps:
                 vc = None
         if vc is None:
-            try:
-                vc = solve_vector_coloring(
-                    sub, float(self.k), eps=self.cfg.eps, budget=SOLVER_BUDGET,
-                    seed=rng_seed)
-            except InfeasibleError as exc:
-                raise NotKColorableError("solver", str(exc)) from exc
+            vc = solve_vector_coloring(
+                sub, float(self.k), eps=self.cfg.eps, budget=SOLVER_BUDGET,
+                seed=rng_seed)
             self._rows = dict(zip(u_ids, vc.vectors))
         c = kms_threshold(float(self.k), sub.average_degree)
         chosen = kms_independent_set(
@@ -398,9 +388,8 @@ def combined_color(g: Graph, k: int, cfg: CombinedConfig | None = None) -> Combi
         seed = cfg.seed + 7919 * attempt
         try:
             coloring = _attempt(g, k, cfg, seed, declarations)
-        except (ContradictionError, NotKColorableError) as exc:
-            kind = exc.kind if isinstance(exc, NotKColorableError) else "contradiction"
-            failures.append((kind, str(exc)))
+        except NotKColorableError as exc:
+            failures.append((exc.kind, str(exc)))
             continue
         return CombinedResult(g.n, k, coloring, None, a_exp, cfg.seed,
                               attempt + 1, fallback, declarations, failures)
@@ -424,7 +413,7 @@ def _attempt(g: Graph, k: int, cfg: CombinedConfig, seed: int,
         return color_three_fallback(g, cfg, seed)
     finder = _CombinedFinder(k, cfg, seed, declarations)
     budget = cutoff(g.n, k, cfg.c0)
-    return progress_driver(g, k, float(alpha_k(k)), finder, budget=budget)
+    return progress_driver(g, finder=finder, budget=budget)
 
 
 def fit_exponent(sizes, values) -> float:

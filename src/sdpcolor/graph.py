@@ -28,6 +28,16 @@ class DimacsError(ValueError):
         self.line = line
 
 
+class NotKColorableError(RuntimeError):
+    """An attempt of the algorithm failed; ``kind`` names the cause:
+    "solver" (a solver stall), "contradiction", "budget" (the color budget
+    ran out) or "witness" (a non-bipartite neighborhood or graph)."""
+
+    def __init__(self, kind: str, message: str):
+        super().__init__(message)
+        self.kind = kind
+
+
 class Graph:
     """Simple undirected graph on vertices 0..n-1 (no loops, no multi-edges).
 
@@ -180,15 +190,6 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, list[int]]:
     return Graph._from_arrays(len(verts), pos[eu[keep]], pos[ev[keep]]), verts
 
 
-def common_neighbors(g: Graph, u: int, v: int) -> set[int]:
-    """N(u) & N(v)."""
-    if not (0 <= u < g.n and 0 <= v < g.n):
-        raise ValueError(f"invalid vertex pair ({u}, {v}) for n={g.n}")
-    if u == v:
-        raise ValueError("common_neighbors requires two distinct vertices")
-    return set(g.neighbors(u) & g.neighbors(v))
-
-
 def verify_coloring(g: Graph, c: Coloring) -> bool:
     """True iff c assigns a color to every vertex and no edge is monochromatic."""
     if len(c.assignment) != g.n:
@@ -274,20 +275,10 @@ def _sides(g: Graph | np.ndarray) -> np.ndarray | None:
     return _bfs_sides(indptr, indices)
 
 
-def bipartition(g: Graph) -> tuple[set[int], set[int]] | None:
-    """A 2-coloring's two sides via BFS, or None if an odd cycle exists.
-    Side 0 holds each connected component's lowest id."""
-    side = _sides(g)
-    if side is None:
-        return None
-    return (set(np.flatnonzero(side == 0).tolist()),
-            set(np.flatnonzero(side == 1).tolist()))
-
-
 def larger_side(g: Graph | np.ndarray) -> list[int] | None:
     """The larger side of the BFS 2-coloring, sorted, or None if an odd
     cycle exists; ``g`` is a Graph or a symmetric boolean adjacency matrix.
-    On a tie it is side 0, the side holding vertex 0 (``bipartition``)."""
+    On a tie it is side 0, the side holding vertex 0 (``two_coloring``)."""
     side = _sides(g)
     if side is None:
         return None
@@ -296,8 +287,8 @@ def larger_side(g: Graph | np.ndarray) -> list[int] | None:
 
 
 def two_coloring(g: Graph) -> Coloring | None:
-    """Proper 2-coloring (1 color reused for isolated vertices), or None;
-    vertex v gets its ``bipartition`` side."""
+    """Proper 2-coloring via BFS, or None if an odd cycle exists. Color 0
+    holds each connected component's lowest id (isolated vertices too)."""
     side = _sides(g)
     return None if side is None else Coloring(tuple(side.tolist()))
 

@@ -86,28 +86,27 @@ def l2_vector_indset(g: Graph, vc: VectorColoring, trials: int = 64,
     branch_a = kms_independent_set(
         g, vc, RoundingParams(c, trials=trials_here, seed=seed))
 
+    # g has an edge, so the maximum-degree vertex has a neighbour.
     v_star = int(np.argmax(g.degrees()))  # ties to the lowest id
-    branch_b: frozenset[int] = frozenset()
-    if g.degree(v_star) >= 1:
-        red = None
-        if vc.alpha - 1.0 >= 2.0:
-            try:
-                red = neighborhood_reduce(vc, g, v_star, seed=seed)
-            except DegenerateProjectionError:
-                # Collapsed geometry (typically a graph without the promised
-                # structure); stay best-effort with the greedy neighborhood.
-                pass
-        cand = g.neighbors(v_star)
-        if red is not None:
-            inner = l2_vector_indset(red.graph, red.coloring, trials, seed + 1)
-            branch_b = frozenset(red.vertices[i] for i in inner)
-        elif verify_independent_set(g, cand):
-            # With alpha - 1 < 2 the neighborhood of v* is vector
-            # (<2)-colorable, i.e. an independent set up to tolerance.
-            branch_b = cand
-        else:
-            sub, verts = induced_subgraph(g, cand)
-            branch_b = frozenset(verts[i] for i in greedy_independent_set(sub))
+    red = None
+    if vc.alpha - 1.0 >= 2.0:
+        try:
+            red = neighborhood_reduce(vc, g, v_star, seed=seed)
+        except DegenerateProjectionError:
+            # Collapsed geometry (typically a graph without the promised
+            # structure); stay best-effort with the greedy neighborhood.
+            pass
+    cand = g.neighbors(v_star)
+    if red is not None:
+        inner = l2_vector_indset(red.graph, red.coloring, trials, seed + 1)
+        branch_b = frozenset(red.vertices[i] for i in inner)
+    elif verify_independent_set(g, cand):
+        # With alpha - 1 < 2 the neighborhood of v* is vector
+        # (<2)-colorable, i.e. an independent set up to tolerance.
+        branch_b = cand
+    else:
+        sub, verts = induced_subgraph(g, cand)
+        branch_b = frozenset(verts[i] for i in greedy_independent_set(sub))
 
     return lex_best(branch_a, branch_b)
 
@@ -140,7 +139,7 @@ def ak_independent_set(g: Graph, alpha: float, eps: float = 1e-3,
     # the greedy baseline on it is often strong; keep the max.
     inner = lex_best(l2_vector_indset(res.graph, res.coloring, trials, seed),
                      greedy_independent_set(res.graph))
-    out = frozenset(res.subset[i] for i in inner)
+    out = frozenset(res.vertices[i] for i in inner)
     if not verify_independent_set(g, out):
         # The recursion only returns verified pieces, so this is a bug trap.
         raise AssertionError("extraction produced a dependent set")

@@ -30,7 +30,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .graph import Coloring, Graph, verify_coloring
+from .graph import Coloring, Graph, NotKColorableError, verify_coloring
 
 
 # ---------------------------------------------------------------------------
@@ -59,18 +59,6 @@ def default_delta(n: int) -> float:
     if n < 2:
         return 1.0
     return max(1.0 / math.log(n), 0.05)
-
-
-def degree_buckets(g: Graph, delta: float) -> dict[int, set[int]]:
-    """Partition of the positive-degree vertices by geometric degree bucket."""
-    if not (0.0 < delta <= 1.0):
-        raise ValueError(f"delta must lie in (0, 1], got {delta}")
-    buckets: dict[int, set[int]] = {}
-    for v in range(g.n):
-        d = g.degree(v)
-        if d >= 1:
-            buckets.setdefault(bucket_index(d, delta), set()).add(v)
-    return buckets
 
 
 @dataclass(frozen=True)
@@ -130,10 +118,13 @@ def build_candidate_collection(g: Graph, delta: float | None = None) -> Candidat
 # Contraction and the progress driver
 # ---------------------------------------------------------------------------
 
-class ContradictionError(RuntimeError):
-    """A same-color merge hit an edge: no valid coloring is consistent with
-    the accumulated inferences (the input was not k-colorable, or a finder
-    made an unsound claim)."""
+class ContradictionError(NotKColorableError):
+    """A same-color merge hit an edge (kind "contradiction"): no valid
+    coloring is consistent with the accumulated inferences (the input was
+    not k-colorable, or a finder made an unsound claim)."""
+
+    def __init__(self, message: str):
+        super().__init__("contradiction", message)
 
 
 @dataclass(frozen=True)
@@ -251,34 +242,18 @@ class ContractedGraph:
             deg -= sub[:, low].sum(axis=1)
         return ids[~keep].tolist(), ids[keep].tolist()
 
-    def base_members(self, rep: int) -> set[int]:
-        return set(self.members[rep])
 
-
-class NotKColorableError(RuntimeError):
-    """Driver-level failure: contradiction, color budget exhaustion, or a
-    subordinate solver failure. ``kind`` distinguishes the cause."""
-
-    def __init__(self, kind: str, message: str):
-        super().__init__(message)
-        self.kind = kind
-
-
-def progress_driver(g: Graph, k: int, alpha_target: float,
+def progress_driver(g: Graph, *,
                     finder: Callable[[ContractedGraph], ProgressResult],
-                    budget: int | None = None) -> Coloring:
+                    budget: int) -> Coloring:
     """Drive a progress finder to a full proper coloring of g.
 
     SameColor claims contract the quotient; LargeIndependentSet claims spend
     one color on the base vertices of the claimed set; Colored finishes the
     remaining quotient outright. Every claim is verified against the quotient
-    before
-    being applied, and the color count is capped by ``budget`` (default
-    4 n^alpha_target (1 + ln n)^2).
+    before being applied, and the color count is capped by ``budget``;
+    exceeding it raises NotKColorableError of kind "budget".
     """
-    if budget is None:
-        budget = max(1, int(4.0 * max(g.n, 1) ** alpha_target
-                            * (1.0 + math.log(max(g.n, 1))) ** 2))
     cg = ContractedGraph(g)
     assignment: dict[int, int] = {}
     next_color = 0
@@ -296,7 +271,7 @@ def progress_driver(g: Graph, k: int, alpha_target: float,
                 raise NotKColorableError(
                     "budget", f"color budget {budget} exhausted")
             for rep in members:
-                for base_v in cg.base_members(rep):
+                for base_v in cg.members[rep]:
                     assignment[base_v] = next_color
             next_color += 1
             cg.delete(members)
@@ -314,7 +289,7 @@ def progress_driver(g: Graph, k: int, alpha_target: float,
                 raise NotKColorableError(
                     "budget", f"color budget {budget} exhausted")
             for rep, c in proposal.items():
-                for base_v in cg.base_members(rep):
+                for base_v in cg.members[rep]:
                     assignment[base_v] = relabel[c]
             next_color += len(used)
             cg.delete(list(proposal))

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import stream
-from .graph import Coloring, Graph, exact_coloring, induced_subgraph, verify_coloring
-from .progress import NotKColorableError
+from .graph import (Coloring, Graph, NotKColorableError, exact_coloring,
+                    induced_subgraph, verify_coloring)
 from .vecsdp import VectorColoring, solve_vector_coloring
 
 
@@ -121,7 +121,8 @@ def kms_color(g: Graph, k: int, eps: float = 1e-3, trials: int = 64,
     The vector coloring is solved once and restricted to each residual
     subgraph (restriction closure); the threshold is recomputed from each
     residual's average degree. Tiny and bipartite graphs get their exact
-    coloring instead. A solver stall surfaces as InfeasibleError.
+    coloring instead. Failures raise NotKColorableError: kind "solver" (its
+    subclass InfeasibleError) on a solver stall, "witness" at k = 2.
     """
     if k < 2:
         raise ValueError(f"k must be at least 2, got {k}")

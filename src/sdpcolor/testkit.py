@@ -245,25 +245,6 @@ def load_fixture(basepath: str) -> PlantedInstance:
                            float(payload["p"]), int(payload["seed"]))
 
 
-def vector_coloring_to_json(vc: VectorColoring) -> str:
-    payload = {
-        "alpha": vc.alpha,
-        "eps": vc.eps,
-        "dim": vc.dim,
-        "vectors": [[float(x) for x in row] for row in vc.vectors],
-    }
-    return json.dumps(payload, sort_keys=True)
-
-
-def vector_coloring_from_json(text: str) -> VectorColoring:
-    payload = json.loads(text)
-    return VectorColoring(
-        float(payload["alpha"]),
-        np.asarray(payload["vectors"], dtype=float).reshape(-1, int(payload["dim"])),
-        float(payload["eps"]),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Vectors: exact configurations and checks of solver output
 # ---------------------------------------------------------------------------

@@ -33,11 +33,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._rng import stream
-from .graph import Graph, induced_subgraph
+from .graph import Graph, NotKColorableError, induced_subgraph
 
 
-class InfeasibleError(RuntimeError):
-    """The coloring solver could not reach the requested tolerance.
+class InfeasibleError(NotKColorableError):
+    """The coloring solver could not reach the requested tolerance (kind
+    "solver").
 
     Evidence only: carries the best residual achieved, not a certificate
     that no feasible solution exists.
@@ -46,11 +47,10 @@ class InfeasibleError(RuntimeError):
     def __init__(self, alpha: float, eps: float, best_residual: float,
                  iterations: int):
         super().__init__(
+            "solver",
             f"no vector {alpha:g}-coloring found at tolerance {eps:g} "
             f"(best edge residual {best_residual:.3e} after {iterations} "
             f"iterations; evidence only, not a certificate)")
-        self.alpha = alpha
-        self.eps = eps
         self.best_residual = best_residual
         self.iterations = iterations
 
@@ -377,13 +377,15 @@ def _solver_dim(n: int, m: int) -> int:
 # of itself.
 _STALL_RTOL = 1e-7
 
+_POLISH_MU = 50.0
 
-def _coloring_descent(v, eu, ev, target, mode, iters, lr, mu=50.0,
-                      stop_at=None):
+
+def _coloring_descent(v, eu, ev, target, mode, iters, lr, stop_at=None):
     """Adam descent phases for the coloring program.
 
     mode "feasible": minimize sum relu(d_e - target_e)^2.
-    mode "polish":   minimize sum d_e + mu * relu(d_e - target_e)^2.
+    mode "polish":   minimize sum d_e + mu * relu(d_e - target_e)^2,
+                     mu = ``_POLISH_MU`` (50).
     ``target`` is one aim, or one per edge in v's dtype (refinement). The
     learning rate halves in six stages. Every tenth iteration, before its
     step, the loop exits in feasible mode once the max edge dot drops to
@@ -406,7 +408,7 @@ def _coloring_descent(v, eu, ev, target, mode, iters, lr, mu=50.0,
     """
     n, d = v.shape
     feasible, polish = mode == "feasible", mode == "polish"
-    hinge_scale = 2.0 if feasible else 2.0 * mu
+    hinge_scale = 2.0 if feasible else 2.0 * _POLISH_MU
     stage = max(1, iters // 6)
     opt = _Adam(v, lr)
     used = 0
@@ -428,7 +430,7 @@ def _coloring_descent(v, eu, ev, target, mode, iters, lr, mu=50.0,
             np.multiply(viol, viol, out=hinge)      # hinge is rewritten below
             obj = float(hinge.sum())
             if polish:
-                obj = float(dots.sum()) + mu * obj
+                obj = float(dots.sum()) + _POLISH_MU * obj
             if abs(obj - prev_obj) <= _STALL_RTOL * max(1.0, abs(obj)):
                 break
             prev_obj = obj
@@ -757,11 +759,25 @@ def _project_all(axis, rows, eps, fill_degenerate=False):
     return proj / norms[:, None]
 
 
-def _measured(alpha, vectors, eps, g):
-    """The vector alpha-coloring of g by ``vectors``, its tolerance raised
-    from eps to just above its measured edge residual where that is larger."""
-    residual = VectorColoring(alpha, vectors, eps).edge_residual(g)
-    return VectorColoring(alpha, vectors, max(eps, residual + 1e-12))
+def _project(axis, rows, eps, *key):
+    """``_project_all``; if a row is degenerate, once more with the axis
+    perturbed by 10 eps from ``stream(*key)``, which is opened only then.
+    None if a row is degenerate both times."""
+    proj = _project_all(axis, rows, eps)
+    if proj is None:
+        axis = _perturb_axis(axis, 10.0 * eps, stream(*key))
+        proj = _project_all(axis, rows, eps)
+    return proj
+
+
+def _reduced(alpha, vectors, eps, g, ids):
+    """The vector alpha-coloring of G[ids] by ``vectors`` (row i for the
+    i-th smallest id), its tolerance raised from eps to just above its
+    measured edge residual where that is larger."""
+    sub, verts = induced_subgraph(g, ids)
+    residual = VectorColoring(alpha, vectors, eps).edge_residual(sub)
+    vc = VectorColoring(alpha, vectors, max(eps, residual + 1e-12))
+    return ReducedColoring(vc, sub, verts)
 
 
 def neighborhood_reduce(vc: VectorColoring, g: Graph, v: int,
@@ -778,37 +794,20 @@ def neighborhood_reduce(vc: VectorColoring, g: Graph, v: int,
     if g.degree(v) < 1:
         raise ValueError(f"vertex {v} has no neighbors")
     neighbors = sorted(g.neighbors(v))
-    rows = vc.vectors[neighbors]
     axis = vc.vectors[v] / float(np.linalg.norm(vc.vectors[v]))
-    proj = _project_all(axis, rows, vc.eps)
+    proj = _project(axis, vc.vectors[neighbors], vc.eps, seed, "nbr-perturb", v)
     if proj is None:
-        rng = stream(seed, "nbr-perturb", v)
-        axis = _perturb_axis(axis, 10.0 * vc.eps, rng)
-        proj = _project_all(axis, rows, vc.eps)
-        if proj is None:
-            raise DegenerateProjectionError(
-                f"a neighbor of {v} is within eps of +-v_{v} even after "
-                f"perturbation")
-    sub, verts = induced_subgraph(g, neighbors)
-    return ReducedColoring(_measured(vc.alpha - 1.0, proj, vc.eps, sub), sub,
-                           verts)
-
-
-@dataclass(frozen=True)
-class WellAlignedResult:
-    """Output of the aligned-subset extraction."""
-
-    subset: tuple[int, ...]          # sorted ids; vertex i of graph is subset[i]
-    coloring: VectorColoring         # vector alpha'-coloring of graph
-    graph: Graph
-    alpha_prime: float
-    threshold: float                 # the alignment cut beta
+        raise DegenerateProjectionError(
+            f"a neighbor of {v} is within eps of +-v_{v} even after "
+            f"perturbation")
+    return _reduced(vc.alpha - 1.0, proj, vc.eps, g, neighbors)
 
 
 def well_aligned_subset(sol: IndSetSdpSolution, g: Graph, alpha: float,
-                        seed: int = 0) -> WellAlignedResult:
+                        seed: int = 0) -> ReducedColoring:
     """Aligned subset S = {i : v0 . v_i > 2/alpha - 1 - 3/ln n} and a vector
-    alpha'-coloring of G[S] with -1/(alpha'-1) = -(1+beta)/(1-beta).
+    alpha'-coloring of G[S] with -1/(alpha'-1) = -(1+beta)/(1-beta), as a
+    ReducedColoring (alpha' is its coloring's alpha).
 
     Requires the promise sum v0 . v_i >= (2/alpha - 1 - 1/ln n) n; refuses
     otherwise (the graph lacked the promised independent set or the solver
@@ -838,18 +837,12 @@ def well_aligned_subset(sol: IndSetSdpSolution, g: Graph, alpha: float,
             "inconsistent solver output")
     rows = sol.vectors[members]
     v0 = sol.v0 / float(np.linalg.norm(sol.v0))
-    proj = _project_all(v0, rows, sol.eps)
+    proj = _project(v0, rows, sol.eps, seed, "aligned-perturb")
     if proj is None:
-        rng = stream(seed, "aligned-perturb")
-        v0p = _perturb_axis(v0, 10.0 * sol.eps, rng)
-        proj = _project_all(v0p, rows, sol.eps)
-        if proj is None:
-            # Vectors still parallel to v0 after a perturbation sit at
-            # v_i ~ v0; feasibility forces such vertices to be isolated
-            # inside S (an S-edge at one would need |v_i . v_j| > 1), so
-            # their projected vector is unconstrained.
-            proj = _project_all(v0, rows, sol.eps, fill_degenerate=True)
+        # Vectors still parallel to v0 after a perturbation sit at
+        # v_i ~ v0; feasibility forces such vertices to be isolated
+        # inside S (an S-edge at one would need |v_i . v_j| > 1), so
+        # their projected vector is unconstrained.
+        proj = _project_all(v0, rows, sol.eps, fill_degenerate=True)
     alpha_prime = 1.0 + (1.0 - beta) / (1.0 + beta)
-    sub, _ = induced_subgraph(g, members)
-    vc = _measured(alpha_prime, proj, sol.eps, sub)
-    return WellAlignedResult(tuple(members), vc, sub, alpha_prime, beta)
+    return _reduced(alpha_prime, proj, sol.eps, g, members)

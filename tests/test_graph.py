@@ -9,8 +9,6 @@ from sdpcolor.graph import (
     Coloring,
     DimacsError,
     Graph,
-    bipartition,
-    common_neighbors,
     induced_subgraph,
     larger_side,
     largest_color_class,
@@ -103,16 +101,6 @@ def test_edge_arrays_are_read_only():
             eu[0] = 3
         with pytest.raises(ValueError):
             ev[0] = 3
-
-
-def test_common_neighbors():
-    assert common_neighbors(complete_graph(4), 0, 1) == {2, 3}
-    assert common_neighbors(cycle_graph(5), 0, 2) == {1}
-    assert common_neighbors(Graph(4), 0, 3) == set()
-    with pytest.raises(ValueError):
-        common_neighbors(complete_graph(3), 0, 0)
-    with pytest.raises(ValueError):
-        common_neighbors(complete_graph(3), 0, 7)
 
 
 def _peel(g, threshold):
@@ -219,17 +207,15 @@ def test_largest_color_class_independent_when_proper():
 
 
 def test_bipartition_and_two_coloring():
-    assert bipartition(cycle_graph(5)) is None
-    parts = bipartition(cycle_graph(6))
-    assert parts is not None and parts[0] | parts[1] == set(range(6))
+    assert two_coloring(cycle_graph(5)) is None
     col = two_coloring(cycle_graph(6))
     assert col is not None and col.colors_used == 2
     assert verify_coloring(cycle_graph(6), col)
 
 
 def _reference_bipartition(g):
-    """The vertex-by-vertex BFS that graph.bipartition replaced: the sides
-    the numpy level BFS must reproduce exactly."""
+    """The vertex-by-vertex BFS that the numpy level BFS replaced: the
+    sides (0, 1) it must reproduce exactly."""
     side = [-1] * g.n
     for root in range(g.n):
         if side[root] != -1:
@@ -294,12 +280,13 @@ def test_bipartition_matches_the_vertex_by_vertex_bfs():
         count += 1
         want = _reference_bipartition(g)
         odd += want is None
-        assert bipartition(g) == want
         col = two_coloring(g)
         if want is None:
             assert col is None
         else:
-            assert {v for v, c in enumerate(col.assignment) if c} == want[1]
+            for side in (0, 1):
+                assert {v for v, c in enumerate(col.assignment)
+                        if c == side} == want[side]
         larger = None if want is None else sorted(max(want, key=len))
         assert larger_side(g) == larger
         # The block of g inside a larger matrix, as a probe cuts it.

@@ -15,7 +15,6 @@ from sdpcolor.progress import (
     bucket_index,
     build_candidate_collection,
     default_delta,
-    degree_buckets,
     progress_driver,
 )
 from sdpcolor.testkit import (
@@ -27,8 +26,8 @@ from sdpcolor.testkit import (
     path_graph,
     planted_k_colorable,
     random_graph,
-    star_graph,
 )
+from sdpcolor.vecsdp import InfeasibleError
 
 
 def test_bucket_index_boundaries():
@@ -39,25 +38,6 @@ def test_bucket_index_boundaries():
     assert bucket_index(15, 1.0) == 3
     with pytest.raises(ValueError):
         bucket_index(0, 0.5)
-
-
-def test_degree_buckets_regular_graph_single_bucket():
-    buckets = degree_buckets(complete_graph(6), 0.3)
-    assert len(buckets) == 1
-    (members,) = buckets.values()
-    assert members == set(range(6))
-
-
-def test_degree_buckets_star():
-    buckets = degree_buckets(star_graph(8), 1.0)
-    assert buckets[0] == set(range(1, 9))  # leaves, degree 1
-    assert buckets[3] == {0}               # center, degree 8 in [8, 16)
-
-
-def test_degree_buckets_edgeless_empty():
-    assert degree_buckets(Graph(5), 0.5) == {}
-    with pytest.raises(ValueError):
-        degree_buckets(Graph(5), 1.5)
 
 
 def test_candidate_collection_k4():
@@ -200,7 +180,7 @@ def test_contraction_lift_preserves_properness():
             assignment[rep] = c
         lifted = [0] * g.n
         for rep, c in assignment.items():
-            for base_v in cg.base_members(rep):
+            for base_v in cg.members[rep]:
                 lifted[base_v] = c
         assert verify_coloring(g, Coloring(tuple(lifted)))
 
@@ -213,7 +193,7 @@ def test_driver_edgeless_single_color():
     def finder(cg):
         return LargeIndependentSet(frozenset(cg.alive))
 
-    col = progress_driver(Graph(6), 3, 0.5, finder)
+    col = progress_driver(Graph(6), finder=finder, budget=6)
     assert col.colors_used == 1
 
 
@@ -223,7 +203,7 @@ def test_driver_with_exact_mis_oracle_on_c5():
         mis = brute_force_mis(quotient)
         return LargeIndependentSet(frozenset(reps[i] for i in mis))
 
-    col = progress_driver(cycle_graph(5), 3, 0.5, finder)
+    col = progress_driver(cycle_graph(5), finder=finder, budget=5)
     assert col.colors_used == 3
     sizes = sorted(
         [list(col.assignment).count(c) for c in set(col.assignment)])
@@ -236,7 +216,7 @@ def test_driver_rejects_dependent_set():
         return LargeIndependentSet(frozenset(cg.alive))
 
     with pytest.raises(ValueError):
-        progress_driver(path_graph(3), 3, 0.5, finder)
+        progress_driver(path_graph(3), finder=finder, budget=3)
 
 
 def test_driver_budget_exhaustion():
@@ -244,7 +224,7 @@ def test_driver_budget_exhaustion():
         return LargeIndependentSet(frozenset([cg.alive[0]]))
 
     with pytest.raises(NotKColorableError) as err:
-        progress_driver(complete_graph(6), 3, 0.5, finder, budget=3)
+        progress_driver(complete_graph(6), finder=finder, budget=3)
     assert err.value.kind == "budget"
 
 
@@ -259,7 +239,7 @@ def test_driver_same_color_and_colored_path():
         return Colored({rep: i % 2 for i, rep in enumerate(cg.alive)})
 
     g = path_graph(3)
-    col = progress_driver(g, 2, 0.0, finder)
+    col = progress_driver(g, finder=finder, budget=3)
     assert verify_coloring(g, col)
     assert col.colors_used == 2
 
@@ -269,4 +249,14 @@ def test_driver_contradiction_bubbles():
         return SameColor(0, 1)
 
     with pytest.raises(ContradictionError):
-        progress_driver(complete_graph(3), 3, 0.5, finder)
+        progress_driver(complete_graph(3), finder=finder, budget=3)
+
+
+def test_failure_types_are_kinds_of_not_k_colorable():
+    stall = InfeasibleError(3.0, 1e-3, 0.5, 1)
+    contradiction = ContradictionError("x")
+    assert stall.kind == "solver" and contradiction.kind == "contradiction"
+    assert isinstance(stall, NotKColorableError)
+    assert isinstance(contradiction, NotKColorableError)
+    assert (stall.best_residual, stall.iterations) == (0.5, 1)
+    assert str(contradiction) == "x"

@@ -18,8 +18,6 @@ from sdpcolor.testkit import (
     planted_k_colorable,
     project_orthogonal,
     simplex_vectors,
-    vector_coloring_from_json,
-    vector_coloring_to_json,
 )
 from sdpcolor.vecsdp import (
     DegenerateProjectionError,
@@ -602,7 +600,7 @@ def test_well_aligned_edgeless_takes_everything():
     g = Graph(8)
     sol = solve_indset_sdp(g, eps=1e-3, seed=0)
     res = well_aligned_subset(sol, g, 2.0)
-    assert res.subset == tuple(range(8))
+    assert res.vertices == list(range(8))
 
 
 def test_well_aligned_planted():
@@ -610,10 +608,11 @@ def test_well_aligned_planted():
     g = inst.graph
     sol = solve_indset_sdp(g, eps=1e-3, seed=1)
     res = well_aligned_subset(sol, g, 3.0, seed=0)
-    assert len(res.subset) >= 100 / math.log(100)
+    assert len(res.vertices) >= 100 / math.log(100)
     sub = res.graph
     vc = res.coloring
-    assert vc.alpha == pytest.approx(res.alpha_prime)
+    beta = 2.0 / 3.0 - 1.0 - 3.0 / math.log(100)
+    assert vc.alpha == pytest.approx(1.0 + (1.0 - beta) / (1.0 + beta))
     assert vc.norm_residual() <= 1e-9
     if sub.m:
         assert vc.edge_residual(sub) <= vc.eps
@@ -621,9 +620,9 @@ def test_well_aligned_planted():
     # planted class structure should dominate it.
     classes = inst.class_of()
     counts = {}
-    for v in res.subset:
+    for v in res.vertices:
         counts[classes[v]] = counts.get(classes[v], 0) + 1
-    assert max(counts.values()) >= 0.8 * len(res.subset)
+    assert max(counts.values()) >= 0.8 * len(res.vertices)
 
 
 def test_well_aligned_refuses_broken_promise():
@@ -651,18 +650,3 @@ def test_claim_c1_style_counting():
     threshold = (gamma - eps) / (1 - eps)
     assert sum(1 for xi in x if xi > threshold) >= eps * len(x)
     assert sum(1 for xi in x if xi > threshold) == 2
-
-
-# ---------------------------------------------------------------------------
-# Persistence
-# ---------------------------------------------------------------------------
-
-def test_vector_coloring_json_round_trip():
-    inst = planted_k_colorable(16, 3, 0.5, seed=5)
-    vc = solve_vector_coloring(inst.graph, 3.0, eps=1e-3, seed=0)
-    text = vector_coloring_to_json(vc)
-    back = vector_coloring_from_json(text)
-    assert back.alpha == vc.alpha and back.eps == vc.eps
-    assert back.dim == vc.dim
-    assert np.allclose(back.vectors, vc.vectors)
-    assert vector_coloring_to_json(back) == text
