@@ -40,7 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -118,18 +118,30 @@ class CombinedConfig:
     c0: float = 4.0                 # cutoff / budget constant
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Declaration:
     """One step-6 "not (k-2)-colorable" inference, kept for oracle audits.
 
-    Edges are in the local indexing of the probed common-neighborhood
-    subgraph; only subgraphs up to DECLARATION_LIMIT vertices (80 when
-    k = 2) are recorded.
+    ``sub`` is the probed common-neighborhood subgraph as the probe built
+    it: a Graph, or for k = 2 the boolean block of the quotient's matrix.
+    ``n`` and ``edges`` (in its local indexing) are read from it, the edges
+    only when first asked for. Only subgraphs up to DECLARATION_LIMIT
+    vertices (80 when k = 2) are recorded.
     """
 
-    n: int
-    edges: tuple[tuple[int, int], ...]
+    sub: Graph | np.ndarray
     k: int  # the number of colors the subgraph was declared to exceed
+
+    @property
+    def n(self) -> int:
+        return len(self.sub) if isinstance(self.sub, np.ndarray) else self.sub.n
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        sub = self.sub
+        if isinstance(sub, np.ndarray):
+            sub = Graph._from_matrix(sub)
+        return sub.edges
 
 
 @dataclass
@@ -297,7 +309,8 @@ class _CombinedFinder:
         s_ids = np.flatnonzero(cg.adj[u] & cg.adj[v])
         k2 = self.k - 2
         if k2 == 2:
-            side = larger_side(cg.adj[np.ix_(s_ids, s_ids)])
+            sub = cg.adj[np.ix_(s_ids, s_ids)]
+            side = larger_side(sub)
             if side is not None:
                 return LargeIndependentSet(frozenset(s_ids[side].tolist()))
         else:
@@ -318,7 +331,9 @@ class _CombinedFinder:
                     # whole attempt reruns with a fresh seed.
                     raise NotKColorableError(
                         "solver", f"{k2}-coloring probe of pair {u},{v}: {msg}")
-        self._record_declaration(cg, s_ids, k2)
+        limit = DECLARATION_LIMIT_BIPARTITE if k2 == 2 else DECLARATION_LIMIT
+        if len(s_ids) <= limit:
+            self.declarations.append(Declaration(sub, k2))
         if cg.has_edge(u, v):
             # Adjacent endpoints can never share a color: together with the
             # failed probe this certifies the graph is not k-colorable.
@@ -326,13 +341,6 @@ class _CombinedFinder:
                 f"adjacent pair {u},{v} has a common neighborhood needing "
                 f"more than {k2} colors")
         return SameColor(u, v)
-
-    def _record_declaration(self, cg: ContractedGraph, s_ids: np.ndarray,
-                            k2: int) -> None:
-        limit = DECLARATION_LIMIT_BIPARTITE if k2 == 2 else DECLARATION_LIMIT
-        if len(s_ids) <= limit:
-            sub = cg.induced(s_ids)
-            self.declarations.append(Declaration(sub.n, sub.edges, k2))
 
     def _candidate_round(self, cg: ContractedGraph, w_ids: list[int],
                          n: int, ak: float):

@@ -73,6 +73,13 @@ class Graph:
         g._set(n, eu, ev)
         return g
 
+    @classmethod
+    def _from_matrix(cls, mat: np.ndarray) -> "Graph":
+        # Trusted constructor from a symmetric boolean adjacency matrix with
+        # a zero diagonal; np.nonzero's row-major order is (u, v) order.
+        eu, ev = np.nonzero(np.triu(mat, 1))
+        return cls._from_arrays(len(mat), eu, ev)
+
     def _set(self, n: int, eu: np.ndarray, ev: np.ndarray) -> None:
         eu.flags.writeable = ev.flags.writeable = False
         self._n, self._eu, self._ev = n, eu, ev
@@ -269,6 +276,15 @@ def _bfs_sides(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray | None:
 def _sides(g: Graph | np.ndarray) -> np.ndarray | None:
     if isinstance(g, Graph):
         return _bfs_sides(*g._csr)
+    # The BFS's first test, made on the block before any CSR array is
+    # built: an edge among the neighbours of the lowest non-isolated vertex
+    # (the first root) is a triangle. On a dense block it settles most
+    # calls; a block that passes goes through the BFS unchanged.
+    busy = g.any(axis=1)
+    if busy.any():
+        nbrs = np.flatnonzero(g[int(np.argmax(busy))])
+        if g[np.ix_(nbrs, nbrs)].any():
+            return None
     rows, indices = np.nonzero(g)  # row-major: already grouped by row
     indptr = np.zeros(len(g) + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=len(g)), out=indptr[1:])

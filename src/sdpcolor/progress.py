@@ -214,8 +214,7 @@ class ContractedGraph:
     def induced(self, ids: list[int]) -> Graph:
         """The subgraph of the quotient induced by ``ids`` as an immutable
         Graph; vertex i of it is ids[i]."""
-        iu, iv = np.nonzero(np.triu(self.adj[np.ix_(ids, ids)], 1))
-        return Graph._from_arrays(len(ids), iu, iv)
+        return Graph._from_matrix(self.adj[np.ix_(ids, ids)])
 
     def quotient_graph(self) -> tuple[Graph, list[int]]:
         """The whole quotient as an immutable Graph plus its sorted
@@ -230,17 +229,18 @@ class ContractedGraph:
         maximal subgraph of the quotient with minimum degree >= threshold,
         so the result does not depend on removal order.
         """
-        ids = np.flatnonzero(self.live)
-        sub = self.adj[np.ix_(ids, ids)]
-        keep = np.ones(ids.size, dtype=bool)
-        deg = sub.sum(axis=1)
+        # Read in place: the zero rows and columns of dead ids add nothing
+        # to a degree, and a dead id never enters ``keep``.
+        keep = self.live.copy()
+        deg = self.adj.sum(axis=1)
         while True:
             low = keep & (deg < threshold)
             if not low.any():
                 break
             keep &= ~low
-            deg -= sub[:, low].sum(axis=1)
-        return ids[~keep].tolist(), ids[keep].tolist()
+            deg -= self.adj[low].sum(axis=0)
+        return (np.flatnonzero(self.live & ~keep).tolist(),
+                np.flatnonzero(keep).tolist())
 
 
 def progress_driver(g: Graph, *,

@@ -10,6 +10,7 @@ import sdpcolor.rounding as rounding
 from sdpcolor.combined import (
     CombinedConfig,
     CombinedResult,
+    Declaration,
     alpha_k,
     color_three_fallback,
     combined_color,
@@ -394,6 +395,37 @@ def test_probe_sound_failure_merges_or_contradicts(monkeypatch, kind):
     with pytest.raises(ContradictionError):
         finder._probe_pair(_probe_fixture(True), 0, 1)
     assert [(d.n, d.k) for d in declarations] == [(5, 4), (5, 4)]
+
+
+def _same_declaration(got, cg, s_ids, k):
+    want = Declaration(cg.induced(s_ids), k)
+    assert (got.n, got.edges, got.k) == (want.n, want.edges, want.k)
+
+
+def test_declarations_read_what_the_probe_built(monkeypatch):
+    # k - 2 = 2 records the probe's block of the matrix, k - 2 >= 3 the
+    # probe's Graph; both read as the subgraph the quotient induces on S.
+    edges = [(0, x) for x in range(2, 9)] + [(1, x) for x in range(2, 9)]
+    edges += [(2, 3), (3, 4), (4, 5), (5, 6), (6, 2), (7, 8)]  # C5 + edge
+    cg = ContractedGraph(Graph(10, edges))
+    cg.merge(8, 9)  # a merged-away id, whose zero row stays out of S
+    declarations = []
+    finder = _CombinedFinder(4, CombinedConfig(), 0, declarations)
+    assert finder._probe_pair(cg, 0, 1) == SameColor(0, 1)
+    [dec] = declarations
+    assert isinstance(dec.sub, np.ndarray)
+    _same_declaration(dec, cg, list(range(2, 9)), 2)
+    assert dec.edges == ((0, 1), (0, 4), (1, 2), (2, 3), (3, 4), (5, 6))
+
+    _failing_probe(monkeypatch, "budget")
+    declarations.clear()
+    cg = _probe_fixture(False)
+    finder = _CombinedFinder(6, CombinedConfig(), 0, declarations)
+    assert finder._probe_pair(cg, 0, 1) == SameColor(0, 1)
+    [dec] = declarations
+    assert isinstance(dec.sub, Graph)
+    _same_declaration(dec, cg, list(range(2, 7)), 4)
+    assert len(dec.edges) == 10
 
 
 def test_fit_exponent():

@@ -157,6 +157,48 @@ def test_peel_order_independence():
         assert w == alive and u == set(range(g.n)) - alive
 
 
+def _reference_peel(g, cg, threshold):
+    """Peel of the quotient of g, vertex by vertex from the base edges and
+    ``members``, never from ``cg.adj``; also the number of passes that
+    removed something."""
+    owner = {b: rep for rep in cg.alive for b in cg.members[rep]}
+    nbrs = {rep: set() for rep in cg.alive}
+    for u, v in g.edges:
+        if u in owner and v in owner:
+            nbrs[owner[u]].add(owner[v])
+            nbrs[owner[v]].add(owner[u])
+    alive, passes = set(nbrs), 0
+    while True:
+        low = {v for v in alive if len(nbrs[v] & alive) < threshold}
+        if not low:
+            return sorted(set(nbrs) - alive), sorted(alive), passes
+        alive -= low
+        passes += 1
+
+
+def test_peel_after_merges_and_deletes():
+    # Merged-away and deleted ids leave zero rows and columns in the
+    # matrix that peel reads in place; none of them may count.
+    rng = stream(11, "peel-quotient")
+    most_passes = 0
+    for seed in range(12):
+        g = random_graph(45, 0.25, seed=seed)
+        cg = ContractedGraph(g)
+        for step in range(16):
+            alive = cg.alive
+            if step % 4 == 3:
+                cg.delete(rng.choice(alive, size=2, replace=False).tolist())
+                continue
+            u, v = (int(x) for x in rng.choice(alive, size=2, replace=False))
+            if not cg.has_edge(u, v):
+                cg.merge(u, v)
+        for threshold in (1, 4, 7.5, 10, 13, 100):
+            u_ids, w_ids, passes = _reference_peel(g, cg, threshold)
+            assert cg.peel(threshold) == (u_ids, w_ids)
+            most_passes = max(most_passes, passes)
+    assert most_passes >= 3
+
+
 def test_verify_coloring():
     assert verify_coloring(cycle_graph(5), Coloring((0, 1, 0, 1, 2)))
     assert not verify_coloring(complete_graph(3), Coloring((0, 0, 1)))
@@ -269,6 +311,26 @@ def _bipartition_cases():
         a = planted_k_colorable(int(rng.integers(2, 30)), 2, 0.3, seed=seed).graph
         b = random_graph(int(rng.integers(1, 30)), 0.08, seed=seed)
         yield _relabelled(_disjoint_union(a, b), rng)
+    yield from _first_level_passes()
+
+
+def _first_level_passes():
+    """Graphs with no edge among the neighbours of the lowest non-isolated
+    vertex: the block route's first-level test refuses none of them, so
+    the BFS must decide each one."""
+    yield Graph(1)
+    yield Graph(6)  # edgeless
+    for n in (5, 7):  # odd cycles found beyond the first level
+        yield cycle_graph(n)
+        yield _disjoint_union(cycle_graph(n + 1), cycle_graph(n))
+        yield _disjoint_union(path_graph(4), cycle_graph(n))
+    # A triangle at the far end of a path from the root.
+    yield Graph(8, [(i, i + 1) for i in range(5)] + [(5, 6), (6, 7), (5, 7)])
+    # The lowest vertex is isolated, so the root is a later one.
+    yield _disjoint_union(Graph(1), cycle_graph(5))
+    yield _disjoint_union(Graph(2), cycle_graph(6))
+    yield _disjoint_union(Graph(1), _disjoint_union(cycle_graph(4),
+                                                    complete_graph(3)))
 
 
 def test_bipartition_matches_the_vertex_by_vertex_bfs():
@@ -294,6 +356,12 @@ def test_bipartition_matches_the_vertex_by_vertex_bfs():
         ids = np.arange(3, 3 + g.n)
         assert larger_side(big[np.ix_(ids, ids)]) == larger
     assert count >= 400 and odd >= 50
+    for g in _first_level_passes():
+        adj = g.adjacency_matrix()
+        busy = np.flatnonzero(adj.any(axis=1))
+        if busy.size:
+            nbrs = np.flatnonzero(adj[busy[0]])
+            assert not adj[np.ix_(nbrs, nbrs)].any()
 
 
 def test_dimacs_round_trip():

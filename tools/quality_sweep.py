@@ -25,10 +25,15 @@ and the ``_coloring_descent`` iterations per phase: ``wide`` (feasibility
 on the full-width rows), ``lowrank`` (both feasibility phases on the
 rank-reduced rows), ``polish`` and ``refine`` (the passes with per-edge
 aims). Colour and iteration totals are deterministic; ``seconds`` is not.
+``colorings_sha256`` is one digest over the colourings of every
+``combined_color`` run (``grid``, ``combined`` and ``stall``), in run order:
+each as its JSON list (``null`` for no colouring), one per line, so two
+trees' outputs compare as one string.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import sys
@@ -130,6 +135,7 @@ def _finish(part, count, t0):
 
 def run():
     out = {}
+    digest = hashlib.sha256()
     cases = sweep_cases()
     parts = [("grid", grid_cases())] + [
         (name, [(n, k, p, s, s) for tag, n, k, p, s in cases if tag == name])
@@ -149,6 +155,9 @@ def run():
                     res = combined_color(g, k, CombinedConfig(seed=seed, trials=16))
                     coloring = res.coloring
                     repeats.append(res.repeats_used)
+                    digest.update(json.dumps(
+                        None if coloring is None
+                        else list(coloring.assignment)).encode() + b"\n")
                 if coloring is not None and not verify_coloring(g, coloring):
                     raise AssertionError(f"improper colouring of {(n, k, p, s)}")
                 colors.append(None if coloring is None else coloring.colors_used)
@@ -172,6 +181,7 @@ def run():
             except InfeasibleError:
                 sparse["failures"] += 1
     out["sparse_k3"] = _finish(sparse, count, t0)
+    out["colorings_sha256"] = digest.hexdigest()
     return out
 
 
