@@ -40,7 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -118,30 +118,25 @@ class CombinedConfig:
     c0: float = 4.0                 # cutoff / budget constant
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Declaration:
     """One step-6 "not (k-2)-colorable" inference, kept for oracle audits.
 
-    ``sub`` is the probed common-neighborhood subgraph as the probe built
-    it: a Graph, or for k = 2 the boolean block of the quotient's matrix.
-    ``n`` and ``edges`` (in its local indexing) are read from it, the edges
-    only when first asked for. Only subgraphs up to DECLARATION_LIMIT
-    vertices (80 when k = 2) are recorded.
+    ``sub`` is the probed common-neighborhood subgraph in its local
+    indexing; only subgraphs up to DECLARATION_LIMIT vertices (80 when
+    k = 2) are recorded.
     """
 
-    sub: Graph | np.ndarray
+    sub: Graph
     k: int  # the number of colors the subgraph was declared to exceed
 
     @property
     def n(self) -> int:
-        return len(self.sub) if isinstance(self.sub, np.ndarray) else self.sub.n
+        return self.sub.n
 
-    @cached_property
+    @property
     def edges(self) -> tuple[tuple[int, int], ...]:
-        sub = self.sub
-        if isinstance(sub, np.ndarray):
-            sub = Graph._from_matrix(sub)
-        return sub.edges
+        return self.sub.edges
 
 
 @dataclass
@@ -333,7 +328,8 @@ class _CombinedFinder:
                         "solver", f"{k2}-coloring probe of pair {u},{v}: {msg}")
         limit = DECLARATION_LIMIT_BIPARTITE if k2 == 2 else DECLARATION_LIMIT
         if len(s_ids) <= limit:
-            self.declarations.append(Declaration(sub, k2))
+            self.declarations.append(Declaration(
+                Graph._from_matrix(sub) if k2 == 2 else sub, k2))
         if cg.has_edge(u, v):
             # Adjacent endpoints can never share a color: together with the
             # failed probe this certifies the graph is not k-colorable.

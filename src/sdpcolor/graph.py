@@ -278,8 +278,8 @@ def _sides(g: Graph | np.ndarray) -> np.ndarray | None:
         return _bfs_sides(*g._csr)
     # The BFS's first test, made on the block before any CSR array is
     # built: an edge among the neighbours of the lowest non-isolated vertex
-    # (the first root) is a triangle. On a dense block it settles most
-    # calls; a block that passes goes through the BFS unchanged.
+    # (the first root) is a triangle, and the block is refused. A block
+    # that passes goes through the BFS unchanged.
     busy = g.any(axis=1)
     if busy.any():
         nbrs = np.flatnonzero(g[int(np.argmax(busy))])

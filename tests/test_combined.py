@@ -397,14 +397,10 @@ def test_probe_sound_failure_merges_or_contradicts(monkeypatch, kind):
     assert [(d.n, d.k) for d in declarations] == [(5, 4), (5, 4)]
 
 
-def _same_declaration(got, cg, s_ids, k):
-    want = Declaration(cg.induced(s_ids), k)
-    assert (got.n, got.edges, got.k) == (want.n, want.edges, want.k)
-
-
 def test_declarations_read_what_the_probe_built(monkeypatch):
-    # k - 2 = 2 records the probe's block of the matrix, k - 2 >= 3 the
-    # probe's Graph; both read as the subgraph the quotient induces on S.
+    # k - 2 = 2 records a Graph read from the probe's block of the matrix,
+    # k - 2 >= 3 the probe's Graph; both equal the subgraph the quotient
+    # induces on S.
     edges = [(0, x) for x in range(2, 9)] + [(1, x) for x in range(2, 9)]
     edges += [(2, 3), (3, 4), (4, 5), (5, 6), (6, 2), (7, 8)]  # C5 + edge
     cg = ContractedGraph(Graph(10, edges))
@@ -413,8 +409,8 @@ def test_declarations_read_what_the_probe_built(monkeypatch):
     finder = _CombinedFinder(4, CombinedConfig(), 0, declarations)
     assert finder._probe_pair(cg, 0, 1) == SameColor(0, 1)
     [dec] = declarations
-    assert isinstance(dec.sub, np.ndarray)
-    _same_declaration(dec, cg, list(range(2, 9)), 2)
+    assert dec == Declaration(cg.induced(list(range(2, 9))), 2)
+    assert (dec.n, dec.k) == (7, 2)
     assert dec.edges == ((0, 1), (0, 4), (1, 2), (2, 3), (3, 4), (5, 6))
 
     _failing_probe(monkeypatch, "budget")
@@ -423,9 +419,8 @@ def test_declarations_read_what_the_probe_built(monkeypatch):
     finder = _CombinedFinder(6, CombinedConfig(), 0, declarations)
     assert finder._probe_pair(cg, 0, 1) == SameColor(0, 1)
     [dec] = declarations
-    assert isinstance(dec.sub, Graph)
-    _same_declaration(dec, cg, list(range(2, 7)), 4)
-    assert len(dec.edges) == 10
+    assert dec == Declaration(cg.induced(list(range(2, 7))), 4)
+    assert (dec.n, dec.k, len(dec.edges)) == (5, 4, 10)
 
 
 def test_fit_exponent():

@@ -311,13 +311,13 @@ def _bipartition_cases():
         a = planted_k_colorable(int(rng.integers(2, 30)), 2, 0.3, seed=seed).graph
         b = random_graph(int(rng.integers(1, 30)), 0.08, seed=seed)
         yield _relabelled(_disjoint_union(a, b), rng)
-    yield from _first_level_passes()
+    yield from _beyond_the_first_level()
 
 
-def _first_level_passes():
+def _beyond_the_first_level():
     """Graphs with no edge among the neighbours of the lowest non-isolated
-    vertex: the block route's first-level test refuses none of them, so
-    the BFS must decide each one."""
+    vertex, the BFS's first root: an odd cycle, if any, shows only at a
+    later level or from a later root."""
     yield Graph(1)
     yield Graph(6)  # edgeless
     for n in (5, 7):  # odd cycles found beyond the first level
@@ -356,7 +356,7 @@ def test_bipartition_matches_the_vertex_by_vertex_bfs():
         ids = np.arange(3, 3 + g.n)
         assert larger_side(big[np.ix_(ids, ids)]) == larger
     assert count >= 400 and odd >= 50
-    for g in _first_level_passes():
+    for g in _beyond_the_first_level():
         adj = g.adjacency_matrix()
         busy = np.flatnonzero(adj.any(axis=1))
         if busy.size:
