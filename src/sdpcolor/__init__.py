@@ -42,7 +42,6 @@ from .progress import (
     progress_driver,
 )
 from .rounding import (
-    RoundingParams,
     kms_color,
     kms_independent_set,
     kms_threshold,
@@ -68,7 +67,7 @@ from .vecsdp import (
 __all__ = [
     "Coloring", "CombinedConfig", "CombinedResult", "ContractedGraph",
     "DimacsError", "Graph", "IndSetSdpSolution", "PlantedInstance",
-    "RoundingParams", "VectorColoring", "WedgeSpec",
+    "VectorColoring", "WedgeSpec",
     "ak_independent_set", "alpha_k", "brute_force_chromatic",
     "brute_force_mis", "build_candidate_collection",
     "collection_guarantee_check", "combined_color",

@@ -179,13 +179,11 @@ def cmd_color(args) -> int:
     graph = load_input(args)
     if args.k < 2:
         raise UsageError("--k must be at least 2")
-    if not args.c0 > 0:
-        raise UsageError("--c0 must be positive")
     if args.repeats < 1:
         raise UsageError("--repeats must be at least 1")
     check_solver_args(args)
     cfg = CombinedConfig(eps=args.eps, trials=args.trials, seed=args.seed,
-                         repeats=args.repeats, c0=args.c0)
+                         repeats=args.repeats)
     result = combined_color(graph, args.k, cfg)
     payload = result.to_json_dict()
     payload["schema"] = SCHEMA
@@ -357,7 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=64)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--repeats", type=int, default=3)
-    p.add_argument("--c0", type=finite, default=4.0)
     p.add_argument("--out", help="result JSON path (stdout if omitted)")
     p.set_defaults(func=cmd_color)
 

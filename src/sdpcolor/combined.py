@@ -67,7 +67,7 @@ from .progress import (
     default_delta,
     progress_driver,
 )
-from .rounding import RoundingParams, kms_color, kms_independent_set, kms_threshold
+from .rounding import kms_color, kms_independent_set
 from .vecsdp import VectorColoring, solve_vector_coloring
 
 
@@ -84,19 +84,22 @@ def alpha_k(k: int) -> Fraction:
     return 1 - Fraction(6) / (k + 4 + 3 * (1 - Fraction(2, k)) / (1 - prev))
 
 
-def cutoff(size: int, k: int, c0: float = 4.0) -> int:
-    """Color-count threshold c0 * size^{a_k} * (1 + ln size)^2 (floored)."""
+def cutoff(size: int, k: int) -> int:
+    """Color-count threshold C0 * size^{a_k} * (1 + ln size)^2 (floored):
+    the colour budget of a run and the success bar of a recursive pair
+    probe."""
     if size < 1:
         raise ValueError(f"cutoff needs a positive size, got {size}")
     if k < 2:
         raise ValueError(f"cutoff needs k >= 2, got {k}")
     a = float(alpha_k(k))
-    return max(1, int(c0 * size ** a * (1.0 + math.log(size)) ** 2))
+    return max(1, int(C0 * size ** a * (1.0 + math.log(size)) ** 2))
 
 
 # The colour-count exponent of the n^{1/4} degree-split route that k = 3
 # takes (color_three_fallback), reported in place of a_3 = 3/14.
 K3_FALLBACK_EXPONENT = Fraction(1, 4)
+C0 = 4.0                 # the constant of cutoff
 SIZE_FLOOR_CONST = 4.0   # step-9 acceptance divisor
 CANDIDATE_CAP = 8        # step-9 candidate probes per round
 SOLVER_BUDGET = 1600     # descent budget of each low-degree round's solve
@@ -115,7 +118,6 @@ class CombinedConfig:
     trials: int = 64
     seed: int = 0
     repeats: int = 3
-    c0: float = 4.0                 # cutoff / budget constant
 
 
 @dataclass(frozen=True)
@@ -190,12 +192,13 @@ def color_three_fallback(g: Graph, cfg: CombinedConfig, seed: int) -> Coloring:
     next_color = 0
     while True:
         sub, verts = induced_subgraph(g, remaining)
-        col = exact_coloring(sub)
-        if col is not None:
-            break
         v_star = int(np.argmax(sub.degrees()))  # ties to the lowest id
         if sub.degree(v_star) < sub.n ** 0.75:
+            # kms_color tries the exact coloring first.
             col = kms_color(sub, 3, eps=cfg.eps, trials=cfg.trials, seed=seed)
+            break
+        col = exact_coloring(sub)
+        if col is not None:
             break
         # v* never joins its own neighborhood, so ``remaining`` stays
         # nonempty across splits.
@@ -295,9 +298,8 @@ class _CombinedFinder:
                 sub, float(self.k), eps=self.cfg.eps, budget=SOLVER_BUDGET,
                 seed=rng_seed)
             self._rows = dict(zip(u_ids, vc.vectors))
-        c = kms_threshold(float(self.k), sub.average_degree)
-        chosen = kms_independent_set(
-            sub, vc, RoundingParams(c, trials=self.cfg.trials, seed=rng_seed))
+        chosen = kms_independent_set(sub, vc, trials=self.cfg.trials,
+                                     seed=rng_seed)
         return LargeIndependentSet(frozenset(u_ids[i] for i in chosen))
 
     def _probe_pair(self, cg: ContractedGraph, u: int, v: int):
@@ -315,7 +317,7 @@ class _CombinedFinder:
                 repeats=1)
             result = combined_color(sub, k2, probe_cfg)
             if (result.coloring is not None
-                    and result.colors_used <= cutoff(sub.n, k2, self.cfg.c0)):
+                    and result.colors_used <= cutoff(sub.n, k2)):
                 cls = largest_color_class(result.coloring)
                 return LargeIndependentSet(frozenset(s_ids[list(cls)].tolist()))
             if result.coloring is None:
@@ -382,8 +384,6 @@ def combined_color(g: Graph, k: int, cfg: CombinedConfig | None = None) -> Combi
         raise ValueError(f"k must be at least 2, got {k}")
     if cfg.repeats < 1:
         raise ValueError(f"repeats must be at least 1, got {cfg.repeats}")
-    if not 0.0 < cfg.c0 < math.inf:
-        raise ValueError(f"c0 must be positive and finite, got {cfg.c0}")
     fallback = k == 3 and g.n > 0  # every such attempt takes that route
     a_exp = K3_FALLBACK_EXPONENT if fallback else alpha_k(k)
     failures: list[tuple[str, str]] = []
@@ -416,7 +416,7 @@ def _attempt(g: Graph, k: int, cfg: CombinedConfig, seed: int,
     if k == 3:
         return color_three_fallback(g, cfg, seed)
     finder = _CombinedFinder(k, cfg, seed, declarations)
-    budget = cutoff(g.n, k, cfg.c0)
+    budget = cutoff(g.n, k)
     return progress_driver(g, finder=finder, budget=budget)
 
 

@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from .graph import Graph, induced_subgraph, larger_side, verify_independent_set
-from .rounding import RoundingParams, kms_independent_set, kms_threshold, lex_best
+from .rounding import kms_independent_set, lex_best
 from .vecsdp import (
     DegenerateProjectionError,
     PromiseNotMetError,
@@ -82,9 +82,7 @@ def l2_vector_indset(g: Graph, vc: VectorColoring, trials: int = 64,
         return frozenset(side) if side is not None else greedy_independent_set(g)
 
     trials_here = max(8, trials // 4)
-    c = kms_threshold(vc.alpha, g.average_degree)
-    branch_a = kms_independent_set(
-        g, vc, RoundingParams(c, trials=trials_here, seed=seed))
+    branch_a = kms_independent_set(g, vc, trials=trials_here, seed=seed)
 
     # g has an edge, so the maximum-degree vertex has a neighbour.
     v_star = int(np.argmax(g.degrees()))  # ties to the lowest id
@@ -96,16 +94,14 @@ def l2_vector_indset(g: Graph, vc: VectorColoring, trials: int = 64,
             # Collapsed geometry (typically a graph without the promised
             # structure); stay best-effort with the greedy neighborhood.
             pass
-    cand = g.neighbors(v_star)
     if red is not None:
         inner = l2_vector_indset(red.graph, red.coloring, trials, seed + 1)
         branch_b = frozenset(red.vertices[i] for i in inner)
-    elif verify_independent_set(g, cand):
-        # With alpha - 1 < 2 the neighborhood of v* is vector
-        # (<2)-colorable, i.e. an independent set up to tolerance.
-        branch_b = cand
     else:
-        sub, verts = induced_subgraph(g, cand)
+        # Greedy on G[N(v*)]. With alpha - 1 < 2 that neighbourhood is
+        # vector (<2)-colorable, i.e. edgeless up to tolerance, and the
+        # greedy set of an edgeless graph is all of it.
+        sub, verts = induced_subgraph(g, g.neighbors(v_star))
         branch_b = frozenset(verts[i] for i in greedy_independent_set(sub))
 
     return lex_best(branch_a, branch_b)

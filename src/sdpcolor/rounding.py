@@ -9,13 +9,15 @@ value
 whose extra -ln ln D term buys the polylogarithmic improvement over the
 classical sqrt((1 - 2/alpha) 2 ln D) choice (``testkit.classic_threshold``,
 kept for the comparison experiments). Logarithms are natural; D is clamped
-below by e so ln ln D is defined.
+below by e so ln ln D is defined. ``kms_independent_set`` derives c from the
+vector coloring's alpha and the graph's average degree, so the threshold is
+chosen in this module alone; ``round_once`` takes an explicit c for the
+experiments that compare two thresholds on shared draws.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,25 +27,9 @@ from .graph import (Coloring, Graph, NotKColorableError, exact_coloring,
 from .vecsdp import VectorColoring, solve_vector_coloring
 
 
-@dataclass(frozen=True)
-class RoundingParams:
-    """Threshold c, number of independent trials, and the RNG seed."""
-
-    c: float
-    trials: int = 64
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0.0 <= self.c < math.inf:
-            raise ValueError(
-                f"threshold c must be finite and nonnegative, got {self.c}")
-        if self.trials < 1:
-            raise ValueError(f"need at least one trial, got {self.trials}")
-
-
 def kms_threshold(alpha: float, d_avg: float) -> float:
     """Refined rounding threshold sqrt((1 - 2/alpha)(2 ln D - ln ln D))."""
-    if alpha <= 2.0:
+    if not alpha > 2.0:  # also refuses NaN
         raise ValueError(f"threshold needs alpha > 2, got {alpha}")
     d = max(d_avg, math.e)
     return math.sqrt((1.0 - 2.0 / alpha) * (2.0 * math.log(d) - math.log(math.log(d))))
@@ -90,24 +76,28 @@ def lex_best(a: frozenset[int], b: frozenset[int]) -> frozenset[int]:
     return a if sorted(a) <= sorted(b) else b
 
 
-def kms_independent_set(g: Graph, vc: VectorColoring,
-                        params: RoundingParams) -> frozenset[int]:
-    """Best rounded set over params.trials independent Gaussian draws.
+def kms_independent_set(g: Graph, vc: VectorColoring, trials: int = 64,
+                        seed: int = 0) -> frozenset[int]:
+    """Best rounded set over ``trials`` independent Gaussian draws at the
+    threshold c = kms_threshold(vc.alpha, g.average_degree).
 
     The draws are consecutive standard_normal(vc.dim) vectors of one
-    stream(params.seed, "kms-trial"), opened once per call. Ties go to the
+    stream(seed, "kms-trial"), opened once per call. Ties go to the
     lexicographically smallest set, so the reduction is schedule-independent.
     While every draw so far has selected nothing, it keeps drawing past
-    params.trials (Las Vegas amplification; no bound changes), up to 16 *
-    params.trials draws. Never empty for n >= 1: after that cap it falls
-    back to a single minimum-degree vertex.
+    ``trials`` (Las Vegas amplification; no bound changes), up to 16 *
+    trials draws. Never empty for n >= 1: after that cap it falls back to a
+    single minimum-degree vertex.
     """
-    rng = stream(params.seed, "kms-trial")
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
+    c = kms_threshold(vc.alpha, g.average_degree)
+    rng = stream(seed, "kms-trial")
     best: frozenset[int] = frozenset()
     trial = 0
-    while trial < params.trials or (not best and trial < 16 * params.trials):
+    while trial < trials or (not best and trial < 16 * trials):
         r = rng.standard_normal(vc.dim)
-        best = lex_best(best, round_once(vc, g, r, params.c))
+        best = lex_best(best, round_once(vc, g, r, c))
         trial += 1
     if not best and g.n >= 1:
         best = frozenset([int(np.argmin(g.degrees()))])  # ties to the lowest id
@@ -119,8 +109,8 @@ def kms_color(g: Graph, k: int, eps: float = 1e-3, trials: int = 64,
     """Color a vector k-colorable graph by repeated threshold rounding.
 
     The vector coloring is solved once and restricted to each residual
-    subgraph (restriction closure); the threshold is recomputed from each
-    residual's average degree. Tiny and bipartite graphs get their exact
+    subgraph (restriction closure), so each residual's threshold follows
+    its own average degree. Tiny and bipartite graphs get their exact
     coloring instead. Failures raise NotKColorableError: kind "solver" (its
     subclass InfeasibleError) on a solver stall, "witness" at k = 2.
     """
@@ -139,10 +129,8 @@ def kms_color(g: Graph, k: int, eps: float = 1e-3, trials: int = 64,
     while remaining:
         sub, verts = induced_subgraph(g, remaining)
         rvc = vc.restrict(verts)
-        c = kms_threshold(float(k), sub.average_degree)
-        params = RoundingParams(c, trials=trials, seed=seed * 1000003 + color)
-        chosen = {verts[idx] for idx in
-                  kms_independent_set(sub, rvc, params)}
+        chosen = {verts[idx] for idx in kms_independent_set(
+            sub, rvc, trials=trials, seed=seed * 1000003 + color)}
         for v in chosen:
             assignment[v] = color
         remaining = [v for v in remaining if v not in chosen]

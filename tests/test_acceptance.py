@@ -32,7 +32,6 @@ from sdpcolor.graph import Graph, verify_coloring, verify_independent_set
 from sdpcolor.indset import ak_independent_set, f_exponent, greedy_independent_set
 from sdpcolor.progress import build_candidate_collection
 from sdpcolor.rounding import (
-    RoundingParams,
     kms_independent_set,
     kms_threshold,
     round_once,
@@ -157,8 +156,7 @@ def test_criterion_5_rounding_size_floor(planted_rounding_instance):
     inst, vc = planted_rounding_instance
     g = inst.graph
     d_avg = g.average_degree
-    c = kms_threshold(3.0, d_avg)
-    best = kms_independent_set(g, vc, RoundingParams(c, trials=64, seed=9))
+    best = kms_independent_set(g, vc, trials=64, seed=9)
     floor = 0.5 * g.n / (d_avg ** (1.0 / 3.0) * math.log(d_avg) ** (1.0 / 3.0))
     assert verify_independent_set(g, best)
     assert len(best) >= floor
@@ -210,9 +208,7 @@ def test_criterion_7_small_scale_oracle_equivalence():
         produced = [greedy_independent_set(g)]
         vecs = simplex_vectors(max(n, 2), dim=max(n - 1, 1))[:n]
         svc = VectorColoring(float(max(n, 3)), vecs, 1e-6)
-        produced.append(kms_independent_set(
-            g, svc, RoundingParams(kms_threshold(float(max(n, 3)), g.average_degree),
-                                   trials=4, seed=seed)))
+        produced.append(kms_independent_set(g, svc, trials=4, seed=seed))
         if seed % 5 == 0:
             produced.append(ak_independent_set(g, 3.0, trials=8, seed=seed))
         for s in produced:

@@ -228,8 +228,6 @@ USAGE_ERRORS = {
     # Used to exit 2 as if the algorithm had failed.
     "color-k3-zero-eps": ["color", "--gen", "planted:n=40,k=3,seed=0",
                           "--k", "3", "--eps", "0"],
-    "color-negative-c0": ["color", "--gen", "planted:n=40,k=4,seed=0",
-                          "--k", "4", "--c0", "-1"],
     # These raised a library ValueError with a traceback.
     "bench-k-below-2": ["bench", "--k", "1", "--sizes", "20"],
     "bench-p-above-1": ["bench", "--k", "4", "--p", "1.5", "--sizes", "20"],
@@ -262,9 +260,6 @@ USAGE_ERRORS = {
     "indset-inf-eps": ["indset"] + GEN10 + ["--alpha", "3", "--eps", "inf"],
     "color-k4-inf-eps": ["color", "--gen", "planted:n=40,k=4,seed=0",
                          "--k", "4", "--eps", "inf"],
-    # Used to raise OverflowError from the colour budget.
-    "color-inf-c0": ["color", "--gen", "planted:n=40,k=4,seed=0",
-                     "--k", "4", "--c0", "inf"],
     # Used to raise ValueError from normal_tail, or (a range to inf) never
     # to end.
     "analyze-inf-c": ["analyze", "--c", "inf"],

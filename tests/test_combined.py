@@ -107,13 +107,6 @@ def test_combined_rejects_repeats_below_1(repeats):
         combined_color(cycle_graph(9), 2, CombinedConfig(repeats=repeats))
 
 
-@pytest.mark.parametrize("c0", [0.0, -1.0, math.inf, math.nan])
-def test_combined_rejects_c0_not_positive_and_finite(c0):
-    # c0 = inf used to end in an OverflowError from cutoff.
-    with pytest.raises(ValueError, match="c0"):
-        combined_color(cycle_graph(9), 4, CombinedConfig(c0=c0))
-
-
 def test_combined_k3_fallback_flagged():
     inst = planted_k_colorable(90, 3, 0.3, seed=4)
     res = combined_color(inst.graph, 3, CombinedConfig(seed=1, trials=16))

@@ -7,7 +7,7 @@ from sdpcolor.indset import (
     greedy_independent_set,
     l2_vector_indset,
 )
-from sdpcolor.rounding import RoundingParams, kms_independent_set, kms_threshold
+from sdpcolor.rounding import kms_independent_set
 from sdpcolor.testkit import (
     brute_force_mis,
     complete_graph,
@@ -77,9 +77,7 @@ def test_l2_dominates_single_branch():
     vc = VectorColoring(4.0, simplex_vectors(4)[inst.class_of()], 1e-9)
     assert vc.edge_residual(g) <= 1e-9
     out = l2_vector_indset(g, vc, trials=16, seed=3)
-    params = RoundingParams(kms_threshold(4.0, g.average_degree),
-                            trials=max(8, 16 // 4), seed=3)
-    branch_a = kms_independent_set(g, vc, params)
+    branch_a = kms_independent_set(g, vc, trials=max(8, 16 // 4), seed=3)
     assert len(out) >= len(branch_a)
     assert verify_independent_set(g, out)
 

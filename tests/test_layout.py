@@ -6,6 +6,7 @@ claims for the test suite; the library modules must run without it. The
 front end (``cli``) and the package namespace (``__init__``) may use it.
 ``graph``, ``vecsdp`` and ``rounding`` sit below ``progress`` and
 ``combined``; the one failure type lives in ``graph`` so they need neither.
+The rounding threshold is chosen in ``rounding`` alone.
 """
 
 import ast
@@ -57,6 +58,24 @@ def test_bottom_layers_import_neither_progress_nor_combined():
     offenders = [(name, upper) for name in ("graph", "vecsdp", "rounding")
                  for upper in ("progress", "combined")
                  if _imports(_tree(name), upper)]
+    assert offenders == []
+
+
+def _references(tree, name):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id == name:
+            return True
+        if isinstance(node, ast.Attribute) and node.attr == name:
+            return True
+        if isinstance(node, ast.alias) and node.name == name:
+            return True
+    return False
+
+
+def test_only_rounding_references_the_threshold():
+    offenders = [name for name in _library_modules()
+                 if name != "rounding"
+                 and _references(_tree(name), "kms_threshold")]
     assert offenders == []
 
 

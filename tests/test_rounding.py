@@ -8,7 +8,6 @@ import sdpcolor.rounding as rounding
 from sdpcolor.graph import Graph, verify_coloring, verify_independent_set
 from sdpcolor.progress import NotKColorableError
 from sdpcolor.rounding import (
-    RoundingParams,
     kms_color,
     kms_independent_set,
     kms_threshold,
@@ -31,6 +30,14 @@ PLANAR_120 = np.array([
     [-0.5, math.sqrt(3) / 2],
     [-0.5, -math.sqrt(3) / 2],
 ])
+
+
+def _rows_on_e0(n, norm):
+    """n equal rows norm * e_0 in two dimensions. At threshold c they select
+    every vertex exactly when r_0 >= c / norm, and none when norm is 0."""
+    vecs = np.zeros((n, 2))
+    vecs[:, 0] = norm
+    return vecs
 
 
 def test_threshold_values():
@@ -59,12 +66,18 @@ def test_threshold_validation_and_clamp():
     assert kms_threshold(3.0, 0.0) == kms_threshold(3.0, math.e)
 
 
-@pytest.mark.parametrize("c", [math.inf, math.nan, -1.0])
-def test_rounding_params_reject_nonfinite_or_negative_c(c):
-    # An infinite or NaN threshold selects no vertex in any draw, which
-    # would end every call in the one-vertex fallback.
-    with pytest.raises(ValueError, match="threshold c must be finite"):
-        RoundingParams(c)
+def test_threshold_rejects_nan_alpha():
+    # A NaN threshold would select no vertex in any draw and end every
+    # kms_independent_set call in the one-vertex fallback.
+    with pytest.raises(ValueError, match="alpha > 2"):
+        kms_threshold(math.nan, 10.0)
+
+
+def test_kms_independent_set_rejects_trials_below_one():
+    g = path_graph(3)
+    vc = VectorColoring(3.0, _rows_on_e0(3, 1.0), 1e-9)
+    with pytest.raises(ValueError, match="at least one trial"):
+        kms_independent_set(g, vc, trials=0)
 
 
 def test_refined_below_classic():
@@ -127,20 +140,20 @@ def test_round_once_always_independent_fuzz():
 
 
 def test_kms_independent_set_edgeless():
+    # Rows of norm 1e6 c select everything once r_0 >= 1e-6.
     g = Graph(7)
-    vecs = np.zeros((7, 2))
-    vecs[:, 0] = 1.0
-    vc = VectorColoring(2.0, vecs, 1e-9)
-    out = kms_independent_set(g, vc, RoundingParams(0.0, trials=4, seed=0))
+    c = kms_threshold(3.0, g.average_degree)
+    vc = VectorColoring(3.0, _rows_on_e0(7, 1e6 * c), 1e-9)
+    out = kms_independent_set(g, vc, trials=4, seed=0)
     assert out == frozenset(range(7))
 
 
 def test_kms_independent_set_fallback_single_vertex():
-    # A threshold no draw can reach forces the min-degree fallback.
+    # Zero rows never reach the threshold, which forces the min-degree
+    # fallback.
     g = path_graph(3)
-    vecs = np.tile(np.array([1.0, 0.0]), (3, 1))
-    vc = VectorColoring(3.0, vecs, 1e-9)
-    out = kms_independent_set(g, vc, RoundingParams(1e9, trials=3, seed=0))
+    vc = VectorColoring(3.0, _rows_on_e0(3, 0.0), 1e-9)
+    out = kms_independent_set(g, vc, trials=3, seed=0)
     assert out == frozenset({0})  # degree-1 tie broken by lowest id
 
 
@@ -157,17 +170,16 @@ def _counted_draws(monkeypatch):
 
 
 def test_kms_independent_set_draws_past_trials_until_a_hit(monkeypatch):
-    # Every vertex sits on e_0, so a draw selects all of them exactly when
+    # Every row is (c/2) e_0, so a draw selects all of them exactly when
     # r_0 >= 2. With seed 1 draws 0-5 miss and draw 6 hits: the four trials
     # alone would end in the single-vertex fallback.
     draws = _counted_draws(monkeypatch)
     g = Graph(5)
-    vecs = np.zeros((5, 2))
-    vecs[:, 0] = 1.0
-    vc = VectorColoring(3.0, vecs, 1e-9)
-    out = kms_independent_set(g, vc, RoundingParams(2.0, trials=4, seed=1))
+    c = kms_threshold(3.0, g.average_degree)
+    vc = VectorColoring(3.0, _rows_on_e0(5, c / 2), 1e-9)
+    out = kms_independent_set(g, vc, trials=4, seed=1)
     assert out == frozenset(range(5))
-    assert len(draws) == 7
+    assert draws == [c] * 7
 
 
 def test_kms_independent_set_opens_one_stream_per_call(monkeypatch):
@@ -179,19 +191,17 @@ def test_kms_independent_set_opens_one_stream_per_call(monkeypatch):
 
     monkeypatch.setattr(rounding, "stream", counted)
     g = path_graph(4)
-    vecs = np.tile(np.array([1.0, 0.0]), (4, 1))
-    vc = VectorColoring(3.0, vecs, 1e-9)
+    vc = VectorColoring(3.0, _rows_on_e0(4, 0.0), 1e-9)
     # 48 draws, all missing, from the one stream.
-    kms_independent_set(g, vc, RoundingParams(1e9, trials=3, seed=4))
+    kms_independent_set(g, vc, trials=3, seed=4)
     assert opened == [(4, ("kms-trial",))]
 
 
 def test_kms_independent_set_retry_is_capped(monkeypatch):
     draws = _counted_draws(monkeypatch)
     g = path_graph(4)
-    vecs = np.tile(np.array([1.0, 0.0]), (4, 1))
-    vc = VectorColoring(3.0, vecs, 1e-9)
-    out = kms_independent_set(g, vc, RoundingParams(1e9, trials=3, seed=0))
+    vc = VectorColoring(3.0, _rows_on_e0(4, 0.0), 1e-9)
+    out = kms_independent_set(g, vc, trials=3, seed=0)
     assert out == frozenset({0})  # the minimum-degree vertex, lowest id
     assert len(draws) == 16 * 3
 
