@@ -90,8 +90,6 @@ def load_input(args) -> Graph:
 
 def check_solver_args(args) -> None:
     """Reject solver settings the library would refuse mid-run."""
-    if not args.eps > 0:
-        raise UsageError("--eps must be positive")
     if args.trials < 1:
         raise UsageError("--trials must be at least 1")
 
@@ -182,7 +180,7 @@ def cmd_color(args) -> int:
     if args.repeats < 1:
         raise UsageError("--repeats must be at least 1")
     check_solver_args(args)
-    cfg = CombinedConfig(eps=args.eps, trials=args.trials, seed=args.seed,
+    cfg = CombinedConfig(trials=args.trials, seed=args.seed,
                          repeats=args.repeats)
     result = combined_color(graph, args.k, cfg)
     payload = result.to_json_dict()
@@ -199,8 +197,8 @@ def cmd_indset(args) -> int:
     if not args.alpha >= 1:
         raise UsageError("--alpha must be at least 1")
     check_solver_args(args)
-    members = ak_independent_set(graph, args.alpha, eps=args.eps,
-                                 trials=args.trials, seed=args.seed)
+    members = ak_independent_set(graph, args.alpha, trials=args.trials,
+                                 seed=args.seed)
     if not verify_independent_set(graph, members):
         raise AssertionError("refusing to write an unverified set")
     payload = {
@@ -302,8 +300,8 @@ def _bench_cell(args, graph: Graph, s: int) -> tuple[int | None, str | None]:
     """One bench cell's verified value, or None and the failure's kind
     (as in NotKColorableError) when the algorithm failed on it."""
     if args.algo == "combined":
-        cfg = CombinedConfig(eps=args.eps, trials=args.trials,
-                             seed=args.seed + s, repeats=args.repeats)
+        cfg = CombinedConfig(trials=args.trials, seed=args.seed + s,
+                             repeats=args.repeats)
         res = combined_color(graph, args.k, cfg)
         if res.coloring is None:
             return None, res.attempt_failures[-1][0]
@@ -312,7 +310,7 @@ def _bench_cell(args, graph: Graph, s: int) -> tuple[int | None, str | None]:
         return res.colors_used, None
     if args.algo == "kms":
         try:
-            col = kms_color(graph, args.k, eps=args.eps, trials=args.trials,
+            col = kms_color(graph, args.k, trials=args.trials,
                             seed=args.seed + s)
         except NotKColorableError as exc:
             return None, exc.kind
@@ -320,8 +318,8 @@ def _bench_cell(args, graph: Graph, s: int) -> tuple[int | None, str | None]:
             raise AssertionError("unverified coloring in bench")
         return col.colors_used, None
     if args.algo == "indset":
-        members = ak_independent_set(graph, float(args.k), eps=args.eps,
-                                     trials=args.trials, seed=args.seed + s)
+        members = ak_independent_set(graph, float(args.k), trials=args.trials,
+                                     seed=args.seed + s)
         if not verify_independent_set(graph, members):
             raise AssertionError("unverified set in bench")
         return len(members), None
@@ -351,7 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("color", help="color a graph with the combined algorithm")
     _add_input_args(p)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--eps", type=finite, default=1e-3)
     p.add_argument("--trials", type=int, default=64)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--repeats", type=int, default=3)
@@ -361,7 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("indset", help="extract a large independent set")
     _add_input_args(p)
     p.add_argument("--alpha", type=finite, required=True)
-    p.add_argument("--eps", type=finite, default=1e-3)
     p.add_argument("--trials", type=int, default=64)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
@@ -388,7 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=finite, default=0.3)
     p.add_argument("--sizes", required=True, help="comma list, e.g. 125,250,500")
     p.add_argument("--seeds", type=int, default=3)
-    p.add_argument("--eps", type=finite, default=1e-3)
     p.add_argument("--trials", type=int, default=24)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--repeats", type=int, default=3)

@@ -16,7 +16,7 @@ One round of the finder on the current quotient graph (n vertices):
   3.   peel vertices of residual degree < n^{a_k/(1-2/k)} into U, core W.
   4.   |U| >= n/2: threshold rounding on G[U] gives a large independent set.
        It rounds the last solve's rows restricted to U when they still meet
-       eps on every edge of G[U]; only otherwise does it solve G[U] again.
+       EPS on every edge of G[U]; only otherwise does it solve G[U] again.
   5/6. otherwise probe the pair u,v in W with the largest common
        neighborhood S (when |S| >= n^{(1-a_k)/(1-a_{k-2})}): color G[S] with
        k-2 colors recursively; success within the cutoff extracts a large
@@ -68,7 +68,7 @@ from .progress import (
     progress_driver,
 )
 from .rounding import kms_color, kms_independent_set
-from .vecsdp import VectorColoring, solve_vector_coloring
+from .vecsdp import EPS, VectorColoring, solve_vector_coloring
 
 
 @lru_cache(maxsize=None)
@@ -114,7 +114,6 @@ DECLARATION_LIMIT_BIPARTITE = 80
 class CombinedConfig:
     """The caller-set parameters of the combined algorithm."""
 
-    eps: float = 1e-3
     trials: int = 64
     seed: int = 0
     repeats: int = 3
@@ -195,7 +194,7 @@ def color_three_fallback(g: Graph, cfg: CombinedConfig, seed: int) -> Coloring:
         v_star = int(np.argmax(sub.degrees()))  # ties to the lowest id
         if sub.degree(v_star) < sub.n ** 0.75:
             # kms_color tries the exact coloring first.
-            col = kms_color(sub, 3, eps=cfg.eps, trials=cfg.trials, seed=seed)
+            col = kms_color(sub, 3, trials=cfg.trials, seed=seed)
             break
         col = exact_coloring(sub)
         if col is not None:
@@ -290,13 +289,12 @@ class _CombinedFinder:
             # representatives merged since the solve.
             vc = VectorColoring(float(self.k),
                                 np.stack([self._rows[rep] for rep in u_ids]),
-                                self.cfg.eps)
-            if vc.edge_residual(sub) > self.cfg.eps:
+                                EPS)
+            if vc.edge_residual(sub) > EPS:
                 vc = None
         if vc is None:
-            vc = solve_vector_coloring(
-                sub, float(self.k), eps=self.cfg.eps, budget=SOLVER_BUDGET,
-                seed=rng_seed)
+            vc = solve_vector_coloring(sub, float(self.k),
+                                       budget=SOLVER_BUDGET, seed=rng_seed)
             self._rows = dict(zip(u_ids, vc.vectors))
         chosen = kms_independent_set(sub, vc, trials=self.cfg.trials,
                                      seed=rng_seed)
@@ -352,8 +350,7 @@ class _CombinedFinder:
             for rank, i in enumerate(order[:CANDIDATE_CAP]):
                 tsub, verts = induced_subgraph(wsub, coll.sets[i].members)
                 found = ak_independent_set(
-                    tsub, alpha_probe, eps=self.cfg.eps,
-                    trials=max(8, self.cfg.trials // 4),
+                    tsub, alpha_probe, trials=max(8, self.cfg.trials // 4),
                     seed=self.seed * 131 + self.round_no * 17 + rank,
                     solver_budget=INDSET_BUDGET)
                 if len(found) >= floor_size:

@@ -107,13 +107,12 @@ def l2_vector_indset(g: Graph, vc: VectorColoring, trials: int = 64,
     return lex_best(branch_a, branch_b)
 
 
-def ak_independent_set(g: Graph, alpha: float, eps: float = 1e-3,
-                       trials: int = 64, seed: int = 0,
+def ak_independent_set(g: Graph, alpha: float, trials: int = 64, seed: int = 0,
                        solver_budget: int = 6000) -> frozenset[int]:
     """Independent set under the promise of one of size >= n/alpha.
 
-    Pipeline: independence-number relaxation, well-aligned subset with its
-    vector alpha'-coloring, then the recursive extraction on that subgraph.
+    Pipeline: independence-number relaxation at vecsdp.EPS, well-aligned
+    subset with its vector alpha'-coloring, then recursive extraction on it.
     Best-effort when the promise fails (the aligned extraction refuses):
     returns the greedy set instead of erroring. The output is always
     verified independent.
@@ -126,7 +125,7 @@ def ak_independent_set(g: Graph, alpha: float, eps: float = 1e-3,
         return frozenset(range(g.n))
     if g.n < 3:
         return greedy_independent_set(g)
-    sol = solve_indset_sdp(g, eps=eps, budget=solver_budget, seed=seed)
+    sol = solve_indset_sdp(g, budget=solver_budget, seed=seed)
     try:
         res = well_aligned_subset(sol, g, max(alpha, 2.0), seed=seed)
     except PromiseNotMetError:

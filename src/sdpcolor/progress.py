@@ -261,20 +261,13 @@ def progress_driver(g: Graph, *,
         result = finder(cg)
         if isinstance(result, SameColor):
             cg.merge(result.u, result.v)  # raises on a stale or adjacent pair
-        elif isinstance(result, LargeIndependentSet):
-            members = result.members
-            if not members:
+            continue
+        if isinstance(result, LargeIndependentSet):
+            if not result.members:
                 raise ValueError("finder returned an empty independent set")
-            if not cg.is_independent(members):
+            if not cg.is_independent(result.members):
                 raise ValueError("finder returned a dependent vertex set")
-            if next_color + 1 > budget:
-                raise NotKColorableError(
-                    "budget", f"color budget {budget} exhausted")
-            for rep in members:
-                for base_v in cg.members[rep]:
-                    assignment[base_v] = next_color
-            next_color += 1
-            cg.delete(members)
+            proposal = dict.fromkeys(result.members, 0)
         elif isinstance(result, Colored):
             quotient, reps = cg.quotient_graph()
             proposal = result.coloring
@@ -283,18 +276,19 @@ def progress_driver(g: Graph, *,
             qcol = Coloring(tuple(proposal[rep] for rep in reps))
             if not verify_coloring(quotient, qcol):
                 raise ValueError("finder returned an improper quotient coloring")
-            used = sorted(set(proposal.values()))
-            relabel = {c: next_color + i for i, c in enumerate(used)}
-            if next_color + len(used) > budget:
-                raise NotKColorableError(
-                    "budget", f"color budget {budget} exhausted")
-            for rep, c in proposal.items():
-                for base_v in cg.members[rep]:
-                    assignment[base_v] = relabel[c]
-            next_color += len(used)
-            cg.delete(list(proposal))
         else:
             raise TypeError(f"finder returned {result!r}, not a progress result")
+        # Spend the claim's colours: one for a set, one per class otherwise.
+        used = sorted(set(proposal.values()))
+        if next_color + len(used) > budget:
+            raise NotKColorableError(
+                "budget", f"color budget {budget} exhausted")
+        relabel = {c: next_color + i for i, c in enumerate(used)}
+        for rep, c in proposal.items():
+            for base_v in cg.members[rep]:
+                assignment[base_v] = relabel[c]
+        next_color += len(used)
+        cg.delete(list(proposal))
     coloring = Coloring(tuple(assignment[v] for v in range(g.n)))
     if not verify_coloring(g, coloring):
         raise AssertionError("driver assembled an improper coloring")

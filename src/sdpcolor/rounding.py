@@ -104,15 +104,15 @@ def kms_independent_set(g: Graph, vc: VectorColoring, trials: int = 64,
     return best
 
 
-def kms_color(g: Graph, k: int, eps: float = 1e-3, trials: int = 64,
-              seed: int = 0) -> Coloring:
+def kms_color(g: Graph, k: int, trials: int = 64, seed: int = 0) -> Coloring:
     """Color a vector k-colorable graph by repeated threshold rounding.
 
-    The vector coloring is solved once and restricted to each residual
-    subgraph (restriction closure), so each residual's threshold follows
-    its own average degree. Tiny and bipartite graphs get their exact
-    coloring instead. Failures raise NotKColorableError: kind "solver" (its
-    subclass InfeasibleError) on a solver stall, "witness" at k = 2.
+    The vector coloring is solved once, at ``vecsdp.EPS``, and restricted to
+    each residual subgraph (restriction closure), so each residual's
+    threshold follows its own average degree. Tiny and bipartite graphs get
+    their exact coloring instead. Failures raise NotKColorableError: kind
+    "solver" (its subclass InfeasibleError) on a solver stall, "witness" at
+    k = 2.
     """
     if k < 2:
         raise ValueError(f"k must be at least 2, got {k}")
@@ -121,7 +121,7 @@ def kms_color(g: Graph, k: int, eps: float = 1e-3, trials: int = 64,
         return exact
     if k == 2:
         raise NotKColorableError("witness", "graph is not bipartite")
-    vc = solve_vector_coloring(g, float(k), eps=eps, seed=seed)
+    vc = solve_vector_coloring(g, float(k), seed=seed)
 
     assignment = [-1] * g.n
     remaining = list(range(g.n))

@@ -83,29 +83,31 @@ def planted_k_colorable(n: int, k: int, p: float, seed: int = 0) -> PlantedInsta
     base, extra = divmod(n, k)
     classes = []
     pos = 0
+    class_of = np.empty(n, dtype=np.int64)
     for c in range(k):
         size = base + (1 if c < extra else 0)
         classes.append(tuple(sorted(int(x) for x in perm[pos:pos + size])))
+        class_of[perm[pos:pos + size]] = c
         pos += size
-    class_of = np.empty(n, dtype=np.int64)
-    for c, cls in enumerate(classes):
-        class_of[list(cls)] = c
     iu, iv = np.triu_indices(n, k=1)
     cross = class_of[iu] != class_of[iv]
     iu, iv = iu[cross], iv[cross]
     keep = rng.random(iu.shape[0]) < p
-    edges = [(int(a), int(b)) for a, b in zip(iu[keep], iv[keep])]
-    return PlantedInstance(Graph(n, edges), tuple(classes), k, float(p), int(seed))
+    # triu_indices is row-major: the kept pairs are sorted, u < v, distinct.
+    return PlantedInstance(Graph._from_arrays(n, iu[keep], iv[keep]),
+                           tuple(classes), k, float(p), int(seed))
 
 
 def random_graph(n: int, p: float, seed: int = 0) -> Graph:
     """Erdos-Renyi G(n, p), deterministic given the seed."""
+    if n < 0:
+        raise ValueError(f"vertex count must be nonnegative, got {n}")
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"p must be in [0, 1], got {p}")
     rng = stream(seed, "gnp", n)
     iu, iv = np.triu_indices(n, k=1)
     keep = rng.random(iu.shape[0]) < p
-    return Graph(n, [(int(a), int(b)) for a, b in zip(iu[keep], iv[keep])])
+    return Graph._from_arrays(n, iu[keep], iv[keep])  # sorted, as above
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,8 @@ import numpy as np
 from ._rng import stream
 from .graph import Graph, NotKColorableError, induced_subgraph
 
+EPS = 1e-3  # the tolerance of both programs for every library caller
+
 
 class InfeasibleError(NotKColorableError):
     """The coloring solver could not reach the requested tolerance (kind
@@ -452,10 +454,10 @@ def _rank_reduce(v, rank):
     return _row_normalize(out)
 
 
-def solve_vector_coloring(g: Graph, alpha: float, eps: float = 1e-3,
+def solve_vector_coloring(g: Graph, alpha: float, eps: float = EPS,
                           budget: int = 2000, seed: int = 0,
                           restarts: int = 1) -> VectorColoring:
-    """Find a vector alpha-coloring of g at tolerance eps.
+    """Find a vector alpha-coloring of g at tolerance eps (default EPS).
 
     Each restart starts from random rows and takes one path:
 
@@ -595,14 +597,15 @@ def _dual_bound(rows, lam, eu, ev):
                  + (n + 1) * max(0.0, -lmin))
 
 
-def solve_indset_sdp(g: Graph, eps: float = 1e-3, budget: int = 6000,
+def solve_indset_sdp(g: Graph, eps: float = EPS, budget: int = 6000,
                      seed: int = 0, restarts: int = 2) -> IndSetSdpSolution:
     """Near-optimal feasible point of the independence-number program.
 
     Augmented Lagrangian (Burer-Monteiro) on the edge constraints
     (v0+v_i).(v0+v_j) = 0 with the alignment objective; budget caps the
-    inner iterations per restart. The restart returned is the best by
-    (residual <= eps, objective); ``iterations`` sums the restarts run.
+    inner iterations per restart, eps (default EPS) the tolerance. The
+    restart returned is the best by (residual <= eps, objective);
+    ``iterations`` sums the restarts run.
 
     Each restart draws v0 and Gaussian rows g from its own stream and starts
     the rows at normalize(0.3 g - v0), beside v_i = -v0: the empty set,

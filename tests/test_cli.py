@@ -219,15 +219,11 @@ USAGE_ERRORS = {
     "verify-malformed-result": ["verify"] + GEN10 + ["--result", "{tmp}/bad.json"],
     "gen-non-numeric-p": ["color", "--gen", "planted:n=20,k=3,p=x", "--k", "3"],
     "gen-n-below-k": ["color", "--gen", "planted:n=2,k=3", "--k", "3"],
-    "color-k4-zero-eps": ["color", "--gen", "planted:n=40,k=4,seed=0",
-                          "--k", "4", "--eps", "0"],
+    "gen-negative-n": ["color", "--gen", "gnp:n=-1,p=0.5", "--k", "3"],
     "color-zero-trials": ["color", "--gen", "planted:n=40,k=4,seed=0",
                           "--k", "4", "--trials", "0"],
     "analyze-non-numeric-c": ["analyze", "--c", "x"],
     "bench-non-integer-size": ["bench", "--k", "4", "--sizes", "30,x"],
-    # Used to exit 2 as if the algorithm had failed.
-    "color-k3-zero-eps": ["color", "--gen", "planted:n=40,k=3,seed=0",
-                          "--k", "3", "--eps", "0"],
     # These raised a library ValueError with a traceback.
     "bench-k-below-2": ["bench", "--k", "1", "--sizes", "20"],
     "bench-p-above-1": ["bench", "--k", "4", "--p", "1.5", "--sizes", "20"],
@@ -257,9 +253,6 @@ USAGE_ERRORS = {
     # Used to exit 0: with "alpha":Infinity, which is not JSON, or with a
     # coloring from vectors gone nan.
     "indset-inf-alpha": ["indset"] + GEN10 + ["--alpha", "inf"],
-    "indset-inf-eps": ["indset"] + GEN10 + ["--alpha", "3", "--eps", "inf"],
-    "color-k4-inf-eps": ["color", "--gen", "planted:n=40,k=4,seed=0",
-                         "--k", "4", "--eps", "inf"],
     # Used to raise ValueError from normal_tail, or (a range to inf) never
     # to end.
     "analyze-inf-c": ["analyze", "--c", "inf"],

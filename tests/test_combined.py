@@ -35,7 +35,7 @@ from sdpcolor.testkit import (
     random_graph,
     step9_identity_holds,
 )
-from sdpcolor.vecsdp import InfeasibleError
+from sdpcolor.vecsdp import EPS, InfeasibleError
 
 TABLE = {
     3: Fraction(3, 14),
@@ -153,7 +153,8 @@ def test_color_three_fallback_reports_solver_stall(monkeypatch):
     # An odd 25-cycle is above the exact oracle's guard, not bipartite and
     # of low degree, so the fallback rounds it through kms_color.
     def stall(g, alpha, **kwargs):
-        raise InfeasibleError(alpha, kwargs["eps"], 0.5, 1)
+        assert "eps" not in kwargs  # the solver's default tolerance holds
+        raise InfeasibleError(alpha, EPS, 0.5, 1)
 
     monkeypatch.setattr(rounding, "solve_vector_coloring", stall)
     with pytest.raises(NotKColorableError) as err:

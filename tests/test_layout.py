@@ -6,7 +6,8 @@ claims for the test suite; the library modules must run without it. The
 front end (``cli``) and the package namespace (``__init__``) may use it.
 ``graph``, ``vecsdp`` and ``rounding`` sit below ``progress`` and
 ``combined``; the one failure type lives in ``graph`` so they need neither.
-The rounding threshold is chosen in ``rounding`` alone.
+The rounding threshold is chosen in ``rounding`` alone, and the solver
+tolerance in ``vecsdp`` alone.
 """
 
 import ast
@@ -76,6 +77,28 @@ def test_only_rounding_references_the_threshold():
     offenders = [name for name in _library_modules()
                  if name != "rounding"
                  and _references(_tree(name), "kms_threshold")]
+    assert offenders == []
+
+
+def _names_eps(tree):
+    """Whether a function parameter or a dataclass field is named eps."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            params = node.args
+            if any(arg.arg == "eps" for arg in (
+                    params.posonlyargs + params.args + params.kwonlyargs)):
+                return True
+        elif isinstance(node, ast.ClassDef):
+            if any(isinstance(item, ast.AnnAssign)
+                   and isinstance(item.target, ast.Name)
+                   and item.target.id == "eps" for item in node.body):
+                return True
+    return False
+
+
+def test_only_vecsdp_takes_a_tolerance():
+    offenders = [name for name in _library_modules() + ["cli"]
+                 if name != "vecsdp" and _names_eps(_tree(name))]
     assert offenders == []
 
 

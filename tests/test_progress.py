@@ -228,6 +228,48 @@ def test_driver_budget_exhaustion():
     assert err.value.kind == "budget"
 
 
+@pytest.mark.parametrize("claim, message", [
+    (LargeIndependentSet(frozenset()), "empty independent set"),
+    (Colored({0: 0, 1: 1}), "does not cover the quotient"),
+    (Colored({0: 0, 1: 0, 2: 1}), "improper quotient coloring"),
+])
+def test_driver_refuses_a_bad_claim(claim, message):
+    with pytest.raises(ValueError, match=message):
+        progress_driver(path_graph(3), finder=lambda cg: claim, budget=3)
+
+
+def test_driver_refuses_a_coloring_over_budget():
+    def finder(cg):
+        return Colored({rep: i for i, rep in enumerate(cg.alive)})
+
+    with pytest.raises(NotKColorableError,
+                       match="color budget 3 exhausted") as err:
+        progress_driver(complete_graph(4), finder=finder, budget=3)
+    assert err.value.kind == "budget"
+
+
+def test_driver_refuses_a_non_result():
+    with pytest.raises(TypeError):
+        progress_driver(path_graph(3), finder=lambda cg: {0, 2}, budget=3)
+
+
+def test_driver_deletes_once_per_spending_claim(monkeypatch):
+    claims = iter([SameColor(0, 2), LargeIndependentSet(frozenset([0])),
+                   Colored({1: 5, 3: 7})])
+    deleted = []
+    real_delete = ContractedGraph.delete
+
+    def delete(cg, vs):
+        deleted.append(sorted(vs))
+        real_delete(cg, vs)
+
+    monkeypatch.setattr(ContractedGraph, "delete", delete)
+    col = progress_driver(path_graph(4), finder=lambda cg: next(claims),
+                          budget=3)
+    assert deleted == [[0], [1, 3]]
+    assert col.assignment == (0, 1, 0, 2)
+
+
 def test_driver_same_color_and_colored_path():
     # Merge the ends of a path, then finish with an exact coloring.
     calls = {"n": 0}

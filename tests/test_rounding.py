@@ -224,13 +224,6 @@ def test_kms_color_rejects_odd_cycle_for_k2():
     assert info.value.kind == "witness"
 
 
-def test_kms_color_does_not_mask_bad_arguments_as_infeasible():
-    # Only a solver stall means "not vector colorable"; a bad tolerance is
-    # the caller's error and surfaces as such.
-    with pytest.raises(ValueError):
-        kms_color(cycle_graph(25), 3, eps=0.0)
-
-
 def test_kms_color_planted_proper():
     inst = planted_k_colorable(60, 3, 0.25, seed=11)
     col = kms_color(inst.graph, 3, trials=16, seed=2)

@@ -1,6 +1,6 @@
 import pytest
 
-from sdpcolor.graph import verify_coloring, verify_independent_set
+from sdpcolor.graph import Graph, verify_coloring, verify_independent_set
 from sdpcolor.testkit import (
     SizeGuardError,
     brute_force_chromatic,
@@ -58,6 +58,29 @@ def test_planted_rejects_bad_args():
         planted_k_colorable(5, 3, 1.5)
     with pytest.raises(ValueError):
         planted_k_colorable(5, 1, 0.5)
+
+
+@pytest.mark.parametrize("graph", [
+    lambda: planted_k_colorable(2, 2, 0.0).graph,
+    lambda: planted_k_colorable(3, 3, 1.0).graph,
+    lambda: planted_k_colorable(30, 4, 0.3, seed=3).graph,
+    lambda: random_graph(0, 0.5),
+    lambda: random_graph(1, 1.0),
+    lambda: random_graph(20, 0.0),
+    lambda: random_graph(20, 1.0),
+    lambda: random_graph(40, 0.3, seed=3),
+], ids=["planted-2-empty", "planted-3-full", "planted-30", "gnp-0", "gnp-1",
+        "gnp-empty", "gnp-full", "gnp-40"])
+def test_generated_graph_equals_its_validated_rebuild(graph):
+    g = graph()
+    assert Graph(g.n, g.edges) == g
+
+
+def test_random_graph_rejects_bad_args():
+    with pytest.raises(ValueError):
+        random_graph(-1, 0.5)
+    with pytest.raises(ValueError):
+        random_graph(5, 1.5)
 
 
 def test_planted_small_instances_are_k_colorable():
