@@ -55,6 +55,7 @@ from .graph import (
     larger_side,
     largest_color_class,
     two_coloring,
+    verify_coloring,
 )
 from .indset import ak_independent_set, greedy_independent_set
 from .progress import (
@@ -201,7 +202,7 @@ def color_three_fallback(g: Graph, cfg: CombinedConfig, seed: int) -> Coloring:
             break
         # v* never joins its own neighborhood, so ``remaining`` stays
         # nonempty across splits.
-        nbrs = sorted(sub.neighbors(v_star))
+        nbrs = sub.neighbors(v_star).tolist()
         split = two_coloring(induced_subgraph(sub, nbrs)[0])
         if split is None:
             raise NotKColorableError(
@@ -211,8 +212,7 @@ def color_three_fallback(g: Graph, cfg: CombinedConfig, seed: int) -> Coloring:
         for idx, side in enumerate(split.assignment):
             assignment[verts[nbrs[idx]]] = next_color + side
         next_color += 2
-        colored = {verts[v] for v in nbrs}
-        remaining = [v for v in remaining if v not in colored]
+        remaining = np.delete(verts, nbrs).tolist()  # verts == remaining
     for idx, c in enumerate(col.assignment):
         assignment[verts[idx]] = next_color + c
     return Coloring(tuple(assignment))
@@ -405,16 +405,15 @@ def _attempt(g: Graph, k: int, cfg: CombinedConfig, seed: int,
              declarations: list[Declaration]) -> Coloring:
     if g.n == 0:
         return Coloring(())
-    if k == 2:
-        col = two_coloring(g)
-        if col is None:
-            raise NotKColorableError("witness", "graph is not bipartite")
-        return col
-    if k == 3:
-        return color_three_fallback(g, cfg, seed)
-    finder = _CombinedFinder(k, cfg, seed, declarations)
-    budget = cutoff(g.n, k)
-    return progress_driver(g, finder=finder, budget=budget)
+    if k >= 4:  # the driver verifies its own coloring
+        finder = _CombinedFinder(k, cfg, seed, declarations)
+        return progress_driver(g, finder=finder, budget=cutoff(g.n, k))
+    col = two_coloring(g) if k == 2 else color_three_fallback(g, cfg, seed)
+    if col is None:
+        raise NotKColorableError("witness", "graph is not bipartite")
+    if not verify_coloring(g, col):
+        raise AssertionError(f"the k = {k} route produced an improper coloring")
+    return col
 
 
 def fit_exponent(sizes, values) -> float:

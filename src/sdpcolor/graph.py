@@ -2,15 +2,17 @@
 
 Vertices are the integers 0..n-1. A Graph is n plus its edges as two
 read-only int64 endpoint arrays (u < v, in (u, v) order), which the solvers
-read; the edge tuple, CSR neighbour arrays, neighbour sets, degrees and
-adjacency matrix are derived from them on first use and cached. Graphs are
-immutable (threads racing to fill a cache store equal values), so instances
-can be shared freely between threads. DIMACS .col files use 1-indexed
-vertices; the conversion happens at the I/O boundary only.
+read; the edge tuple, CSR neighbour arrays (the one neighbour structure),
+degrees and adjacency matrix are derived from them on first use and
+cached. Graphs are immutable (threads racing to fill a cache store equal
+values), so instances can be shared freely between threads. DIMACS .col
+files use 1-indexed vertices; the conversion happens at the I/O boundary
+only.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import IO, Iterable, Iterator
@@ -43,7 +45,7 @@ class Graph:
 
     Its whole state is n and two read-only int64 endpoint arrays, u[i] <
     v[i] in (u, v) order; everything else is derived from them when first
-    read, then cached.
+    read, then cached. ``neighbors`` and ``neighbors_of`` read the CSR arrays.
     """
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
@@ -107,21 +109,25 @@ class Graph:
 
     @cached_property
     def _csr(self) -> tuple[np.ndarray, np.ndarray]:
-        # (indptr, indices): the neighbours of v are indices[indptr[v]:indptr[v + 1]].
+        # (indptr, indices): the neighbours of v are indices[indptr[v]:indptr[v + 1]],
+        # sorted, as the ev half (those below v, in u order) sorts first.
         src = np.concatenate((self._ev, self._eu))
         dst = np.concatenate((self._eu, self._ev))[np.argsort(src, kind="stable")]
         indptr = np.zeros(self._n + 1, dtype=np.int64)
         np.cumsum(self._degrees, out=indptr[1:])
+        indptr.flags.writeable = dst.flags.writeable = False
         return indptr, dst
 
-    @cached_property
-    def _neighbors(self) -> tuple[frozenset[int], ...]:
+    def neighbors(self, v: int) -> np.ndarray:
+        """The neighbours of v, sorted: a read-only int64 slice of the CSR
+        arrays (``.tolist()`` gives Python ints)."""
         indptr, indices = self._csr
-        parts = np.split(indices, indptr[1:-1]) if self._n else []
-        return tuple(frozenset(part.tolist()) for part in parts)
+        return indices[indptr[v]:indptr[v + 1]]
 
-    def neighbors(self, v: int) -> frozenset[int]:
-        return self._neighbors[v]
+    def neighbors_of(self, vs: np.ndarray) -> np.ndarray:
+        """The neighbours of every vertex of the int64 array ``vs``,
+        concatenated in the order of ``vs`` (with repeats)."""
+        return _gather(*self._csr, vs)
 
     def degree(self, v: int) -> int:
         return int(self._degrees[v])
@@ -130,7 +136,7 @@ class Graph:
         return self._degrees.tolist()
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self._neighbors[u]
+        return v in self.neighbors(u)
 
     @property
     def average_degree(self) -> float:
@@ -186,7 +192,7 @@ class Coloring:
 def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, list[int]]:
     """Subgraph induced by vertex set ``s`` plus its sorted vertex list
     ``verts``: vertex i of the subgraph is verts[i]."""
-    verts = sorted(set(s))
+    verts = sorted(set(map(operator.index, s)))  # Python ints, also from arrays
     if verts and not (0 <= verts[0] and verts[-1] < g.n):
         raise ValueError(f"subset contains invalid vertex ids for n={g.n}")
     pos = np.full(g.n, -1, dtype=np.int64)
@@ -233,6 +239,15 @@ def largest_color_class(c: Coloring) -> set[int]:
     return classes[best_color] if best_color is not None else set()
 
 
+def _gather(indptr: np.ndarray, indices: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """The CSR neighbours of every vertex of ``vs``, concatenated in order:
+    one repeat of each row's offset and one fancy index, no Python loop."""
+    counts = indptr[vs + 1] - indptr[vs]
+    ends = np.cumsum(counts)
+    at = np.repeat(indptr[vs] - (ends - counts), counts)
+    return indices[at + np.arange(ends[-1] if ends.size else 0)]
+
+
 def _bfs_sides(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray | None:
     """Side (0 or 1) of every vertex of the graph with CSR arrays (indptr,
     indices), or None if an odd cycle exists.
@@ -244,9 +259,8 @@ def _bfs_sides(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray | None:
     side.
     """
     n = indptr.size - 1
-    deg = np.diff(indptr)
     side = np.zeros(n, dtype=np.int8)
-    seen = deg == 0  # isolated vertices are their own components, side 0
+    seen = np.diff(indptr) == 0  # isolated vertices are their own components, side 0
     nxt = np.zeros(n, dtype=bool)  # the next level, deduplicated
     start = 0
     while not seen[start:].all():
@@ -254,10 +268,7 @@ def _bfs_sides(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray | None:
         seen[root] = True
         level, parity = np.array([root]), 0
         while level.size:
-            counts = deg[level]
-            ends = np.cumsum(counts)
-            at = np.repeat(indptr[level] - (ends - counts), counts)
-            nbrs = indices[at + np.arange(ends[-1])]
+            nbrs = _gather(indptr, indices, level)
             old = seen[nbrs]
             if np.any(side[nbrs[old]] == parity):
                 return None
@@ -338,7 +349,7 @@ def _try_k_coloring(g: Graph, k: int) -> tuple[int, ...] | None:
         return None
     order = sorted(range(n), key=lambda v: (-g.degree(v), v))
     color = [-1] * n
-    neighbors = [sorted(g.neighbors(v)) for v in range(n)]
+    neighbors = [g.neighbors(v).tolist() for v in range(n)]
 
     def place(idx: int, used: int) -> bool:
         if idx == n:

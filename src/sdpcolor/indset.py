@@ -45,19 +45,21 @@ def f_exponent(alpha: float) -> float:
 
 
 def greedy_independent_set(g: Graph) -> frozenset[int]:
-    """Deterministic min-degree greedy (ties to the lowest id)."""
-    deg = g.degrees()
-    alive = set(range(g.n))
+    """Deterministic min-degree greedy (ties to the lowest id, argmin's
+    first index). ``deg`` is n at removed vertices; each pick takes one
+    ``bincount`` of the removed vertices' gathered neighbours off it."""
+    n = g.n
+    deg = np.asarray(g.degrees(), dtype=np.int64)
+    alive = np.ones(n, dtype=bool)
     chosen = []
-    while alive:
-        v = min(alive, key=lambda x: (deg[x], x))
+    while alive.any():
+        v = int(np.argmin(deg))
         chosen.append(v)
-        dead = (g.neighbors(v) & alive) | {v}
-        alive -= dead
-        for w in dead:
-            for x in g.neighbors(w):
-                if x in alive:
-                    deg[x] -= 1
+        nbrs = g.neighbors(v)
+        dead = np.append(nbrs[alive[nbrs]], v)
+        alive[dead] = False
+        deg[dead] = n
+        deg -= np.bincount(g.neighbors_of(dead), minlength=n) * alive
     return frozenset(chosen)
 
 
@@ -101,7 +103,7 @@ def l2_vector_indset(g: Graph, vc: VectorColoring, trials: int = 64,
         # Greedy on G[N(v*)]. With alpha - 1 < 2 that neighbourhood is
         # vector (<2)-colorable, i.e. edgeless up to tolerance, and the
         # greedy set of an edgeless graph is all of it.
-        sub, verts = induced_subgraph(g, g.neighbors(v_star))
+        sub, verts = induced_subgraph(g, g.neighbors(v_star).tolist())
         branch_b = frozenset(verts[i] for i in greedy_independent_set(sub))
 
     return lex_best(branch_a, branch_b)

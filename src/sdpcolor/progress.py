@@ -55,8 +55,8 @@ def bucket_index(degree: int, delta: float) -> int:
 
 
 def default_delta(n: int) -> float:
-    """Bucket width 1/ln n with a floor of 0.05 for tiny graphs."""
-    if n < 2:
+    """Bucket width 1/ln n, capped at 1 (n < 3) and floored at 0.05."""
+    if n < 3:
         return 1.0
     return max(1.0 / math.log(n), 0.05)
 
@@ -82,28 +82,25 @@ def build_candidate_collection(g: Graph, delta: float | None = None) -> Candidat
     """All nonempty T = N_i(N(v) & I_j), deduplicated with first-provenance.
 
     Deterministic: v, j, i are enumerated in increasing order and the first
-    occurrence of each distinct member set keeps its (v, j, i) tag.
+    occurrence of each distinct member set keeps its (v, j, i) tag. Reads
+    the CSR neighbour arrays alone: d_S(u) is one ``bincount`` of the
+    gathered neighbours of S, so no n*n state is built.
     """
     if delta is None:
         delta = default_delta(g.n)
     if not (0.0 < delta <= 1.0):
         raise ValueError(f"delta must lie in (0, 1], got {delta}")
-    adj = g.adjacency_matrix()
     degs = np.asarray(g.degrees(), dtype=np.int64)
     jbucket = np.array([bucket_index(int(d), delta) if d >= 1 else -1
                         for d in degs], dtype=np.int64)
     out: list[CandidateSet] = []
     seen: dict[frozenset[int], int] = {}
     for v in range(g.n):
-        nbrs = np.nonzero(adj[v])[0]
-        if nbrs.size == 0:
-            continue
+        nbrs = g.neighbors(v)
         for j in sorted(set(int(x) for x in jbucket[nbrs])):
             s_idx = nbrs[jbucket[nbrs] == j]
-            d_s = adj[:, s_idx].sum(axis=1)
-            touched = np.nonzero(d_s)[0]
-            if touched.size == 0:
-                continue
+            d_s = np.bincount(g.neighbors_of(s_idx), minlength=g.n)
+            touched = np.nonzero(d_s)[0]  # holds v, so never empty
             ibuckets = np.array([bucket_index(int(d_s[u]), delta) for u in touched],
                                 dtype=np.int64)
             for i in sorted(set(int(x) for x in ibuckets)):

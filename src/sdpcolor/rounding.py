@@ -38,33 +38,24 @@ def kms_threshold(alpha: float, d_avg: float) -> float:
 def round_once(vc: VectorColoring, g: Graph, r: np.ndarray, c: float) -> frozenset[int]:
     """One threshold pass: select {i : v_i . r >= c}, then delete one endpoint
     of every surviving edge (higher residual internal degree first, ties to
-    the lower id) so the result is always independent."""
-    dots = vc.vectors @ r
-    selected = dots >= c
-    members = np.nonzero(selected)[0]
-    if members.size == 0:
+    the lower id) so the result is always independent. Works on the
+    selection mask and a degree array, lowered at a dropped vertex's CSR
+    neighbours."""
+    alive = vc.vectors @ r >= c
+    if not alive.any():  # most draws at the benchmark thresholds
         return frozenset()
-    alive = set(members.tolist())
     eu, ev = g.edge_arrays()
-    inside = selected[eu] & selected[ev]
-    if not inside.any():
-        return frozenset(alive)
-    internal = list(zip(eu[inside].tolist(), ev[inside].tolist()))
-    nbrs: dict[int, set[int]] = {v: set() for v in alive}
-    for u, v in internal:
-        nbrs[u].add(v)
-        nbrs[v].add(u)
-    deg = {v: len(nbrs[v]) for v in alive}
-    for u, v in internal:  # the edge arrays are sorted: a fixed scan order
-        if u in alive and v in alive:
-            # Drop the endpoint with more surviving internal edges; on a tie
-            # drop the lower id. Dropping updates residual degrees.
-            drop = u if (deg[u] > deg[v] or (deg[u] == deg[v] and u < v)) else v
-            alive.discard(drop)
-            for w in nbrs[drop]:
-                if w in alive:
-                    deg[w] -= 1
-    return frozenset(alive)
+    inside = alive[eu] & alive[ev]
+    iu, iv = eu[inside], ev[inside]
+    deg = np.bincount(np.concatenate((iu, iv)), minlength=g.n)
+    # The edge arrays are sorted, a fixed scan order, and u < v, so a tie
+    # drops u, the lower id.
+    for u, v in zip(iu.tolist(), iv.tolist()):
+        if alive[u] and alive[v]:
+            drop = u if deg[u] >= deg[v] else v
+            alive[drop] = False
+            deg[g.neighbors(drop)] -= 1
+    return frozenset(np.flatnonzero(alive).tolist())
 
 
 def lex_best(a: frozenset[int], b: frozenset[int]) -> frozenset[int]:
@@ -116,27 +107,25 @@ def kms_color(g: Graph, k: int, trials: int = 64, seed: int = 0) -> Coloring:
     """
     if k < 2:
         raise ValueError(f"k must be at least 2, got {k}")
-    exact = exact_coloring(g)
-    if exact is not None:
-        return exact
-    if k == 2:
+    result = exact_coloring(g)
+    if result is None and k == 2:
         raise NotKColorableError("witness", "graph is not bipartite")
-    vc = solve_vector_coloring(g, float(k), seed=seed)
-
-    assignment = [-1] * g.n
-    remaining = list(range(g.n))
-    color = 0
-    while remaining:
-        sub, verts = induced_subgraph(g, remaining)
-        rvc = vc.restrict(verts)
-        chosen = {verts[idx] for idx in kms_independent_set(
-            sub, rvc, trials=trials, seed=seed * 1000003 + color)}
-        for v in chosen:
-            assignment[v] = color
-        remaining = [v for v in remaining if v not in chosen]
-        color += 1
-    result = Coloring(tuple(assignment))
+    if result is None:
+        vc = solve_vector_coloring(g, float(k), seed=seed)
+        assignment = [-1] * g.n
+        remaining = list(range(g.n))
+        color = 0
+        while remaining:
+            sub, verts = induced_subgraph(g, remaining)
+            rvc = vc.restrict(verts)
+            chosen = {verts[idx] for idx in kms_independent_set(
+                sub, rvc, trials=trials, seed=seed * 1000003 + color)}
+            for v in chosen:
+                assignment[v] = color
+            remaining = [v for v in remaining if v not in chosen]
+            color += 1
+        result = Coloring(tuple(assignment))
     if not verify_coloring(g, result):
-        raise AssertionError("rounding produced an improper coloring")
+        raise AssertionError("kms_color produced an improper coloring")
     return result
 

@@ -796,7 +796,7 @@ def neighborhood_reduce(vc: VectorColoring, g: Graph, v: int,
         raise ValueError(f"neighborhood reduction needs alpha > 2, got {vc.alpha}")
     if g.degree(v) < 1:
         raise ValueError(f"vertex {v} has no neighbors")
-    neighbors = sorted(g.neighbors(v))
+    neighbors = g.neighbors(v).tolist()
     axis = vc.vectors[v] / float(np.linalg.norm(vc.vectors[v]))
     proj = _project(axis, vc.vectors[neighbors], vc.eps, seed, "nbr-perturb", v)
     if proj is None:

@@ -19,7 +19,7 @@ from sdpcolor.combined import (
     _best_pair,
     _CombinedFinder,
 )
-from sdpcolor.graph import Graph, verify_coloring
+from sdpcolor.graph import Coloring, Graph, verify_coloring
 from sdpcolor.progress import (
     ContractedGraph,
     ContradictionError,
@@ -160,6 +160,17 @@ def test_color_three_fallback_reports_solver_stall(monkeypatch):
     with pytest.raises(NotKColorableError) as err:
         color_three_fallback(cycle_graph(25), CombinedConfig(), 0)
     assert err.value.kind == "solver"
+
+
+@pytest.mark.parametrize("k, route", [(2, "two_coloring"),
+                                      (3, "color_three_fallback")])
+def test_combined_verifies_the_k2_and_k3_routes(monkeypatch, k, route):
+    # Each route's colouring is verified before it leaves the library, as
+    # progress_driver verifies its own: an improper one is a bug trap.
+    monkeypatch.setattr(combined, route,
+                        lambda g, *args: Coloring((0,) * g.n))
+    with pytest.raises(AssertionError, match="improper"):
+        combined_color(cycle_graph(6), k)
 
 
 def test_combined_k4_planted_small():

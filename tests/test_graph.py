@@ -1,4 +1,5 @@
 import io
+import json
 from collections import deque
 
 import numpy as np
@@ -43,11 +44,34 @@ def test_construction_validates():
 def test_basic_queries():
     g = Graph(4, [(0, 1), (1, 2), (2, 3)])
     assert g.n == 4 and g.m == 3
-    assert g.neighbors(1) == frozenset({0, 2})
+    assert g.neighbors(1).tolist() == [0, 2]
     assert g.degree(0) == 1
     assert g.average_degree == pytest.approx(1.5)
     assert g.max_degree == 2
     assert g.has_edge(2, 1) and not g.has_edge(0, 2)
+
+
+def test_neighbors_is_a_read_only_int64_slice():
+    g = random_graph(20, 0.3, seed=1)
+    for v in range(g.n):
+        nbrs = g.neighbors(v)
+        assert nbrs.dtype == np.int64
+        assert nbrs.tolist() == sorted(w for e in g.edges for w in e
+                                       if v in e and w != v)
+        if nbrs.size:
+            with pytest.raises(ValueError):
+                nbrs[0] = v
+
+
+def test_induced_subgraph_takes_an_array_of_ids():
+    # Python ints in ``verts`` whatever the ids came as, so the sets built
+    # from them reach json (as the CLI writes its results).
+    g = cycle_graph(6)
+    for ids in (np.array([4, 0, 2, 1]), g.neighbors(0)):
+        sub, verts = induced_subgraph(g, ids)
+        assert verts == sorted(ids.tolist())
+        assert all(type(v) is int for v in verts)
+        json.dumps(sorted(frozenset(verts)))
 
 
 def test_induced_subgraph_k4_restriction():
@@ -81,7 +105,7 @@ def test_induced_subgraph_matches_contracted_induced():
             assert sub == other and hash(sub) == hash(other)
             assert sub.edges == other.edges
             assert sub.degrees() == other.degrees()
-            assert all(sub.neighbors(v) == other.neighbors(v)
+            assert all(np.array_equal(sub.neighbors(v), other.neighbors(v))
                        for v in range(sub.n))
             for mine, theirs in zip(sub.edge_arrays(), other.edge_arrays()):
                 assert mine.dtype == theirs.dtype == np.int64

@@ -58,6 +58,13 @@ def test_candidate_collection_edgeless():
     assert len(build_candidate_collection(Graph(6), delta=0.5)) == 0
 
 
+def test_candidate_collection_default_delta_on_one_edge():
+    # 1/ln 2 exceeds the largest valid width, so the default is capped at 1.
+    assert default_delta(2) == 1.0
+    coll = build_candidate_collection(Graph(2, [(0, 1)]))
+    assert [c.members for c in coll.sets] == [frozenset({0}), frozenset({1})]
+
+
 def test_candidate_collection_size_bound_and_determinism():
     for seed in range(5):
         g = random_graph(40, 0.2, seed=seed)

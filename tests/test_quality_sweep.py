@@ -27,3 +27,7 @@ def test_quality_sweep_case_lists(sweep):
             for part in ("kms", "combined", "stall")] == [300, 54, len(STALL_CASES)]
     assert [c[1:] for c in cases if c[0] == "stall"] == STALL_CASES
     assert len(sweep.sparse_cases()) == 54
+    indset = sweep.indset_cases()
+    assert len(indset) == 100
+    assert [n for n, _ in indset[:4]] == [100, 150, 100, 150]
+    assert [s for _, s in indset] == list(range(960000, 960100))

@@ -5,7 +5,7 @@ import pytest
 
 from sdpcolor._rng import stream
 import sdpcolor.rounding as rounding
-from sdpcolor.graph import Graph, verify_coloring, verify_independent_set
+from sdpcolor.graph import Coloring, Graph, verify_coloring, verify_independent_set
 from sdpcolor.progress import NotKColorableError
 from sdpcolor.rounding import (
     kms_color,
@@ -209,6 +209,14 @@ def test_kms_independent_set_retry_is_capped(monkeypatch):
 def test_kms_color_small_graphs_exact():
     assert kms_color(cycle_graph(5), 3).colors_used == 3
     assert kms_color(petersen_graph(), 3).colors_used == 3
+
+
+def test_kms_color_verifies_the_exact_coloring(monkeypatch):
+    # The exact route's colouring is verified too before it is returned.
+    monkeypatch.setattr(rounding, "exact_coloring",
+                        lambda g: Coloring((0,) * g.n))
+    with pytest.raises(AssertionError, match="improper"):
+        kms_color(cycle_graph(5), 3)
 
 
 def test_kms_color_bipartite_shortcut():

@@ -1,9 +1,10 @@
-"""Run the colouring quality gates and print their totals as one JSON line.
+"""Run the colouring and independent-set quality gates and print their
+totals as one JSON line.
 
     python3 tools/quality_sweep.py
 
 Run from anywhere; the library is imported from ``src`` with one BLAS
-thread. Three sets of cases, each a fixed list (no options):
+thread. Four sets of cases, each a fixed list (no options):
 
 * ``grid``: criterion 8, planted k=4, p=0.3, n = 125..1000, 5 seeds,
   ``combined_color`` at ``CombinedConfig(seed=100 + s, trials=16)``; also
@@ -15,7 +16,10 @@ thread. Three sets of cases, each a fixed list (no options):
   that test calls them);
 * ``sparse_k3``: 54 ``solve_vector_coloring(g, 3.0, seed=s)`` solves on
   planted 3-colourable graphs, n 60/90/120/200, average degree 4/6/8/12,
-  seeds 0..3, kept where 16 m < n^2.
+  seeds 0..3, kept where 16 m < n^2;
+* ``indset``: the 100 bench-shaped cases, planted k=3, p=0.3, n = 100/150
+  alternating from 100, seeds 960000..960099,
+  ``ak_independent_set(g, 3.0, seed=s)``.
 
 For each part the line gives the runs, colours, failures (an
 ``InfeasibleError``, or a ``combined_color`` result with no colouring),
@@ -28,7 +32,9 @@ aims). Colour and iteration totals are deterministic; ``seconds`` is not.
 ``colorings_sha256`` is one digest over the colourings of every
 ``combined_color`` run (``grid``, ``combined`` and ``stall``), in run order:
 each as its JSON list (``null`` for no colouring), one per line, so two
-trees' outputs compare as one string.
+trees' outputs compare as one string. ``indset`` gives the total ``size``
+of its sets and ``sets_sha256``, the same kind of digest over each set as
+its sorted JSON list.
 """
 
 from __future__ import annotations
@@ -55,6 +61,7 @@ import numpy as np  # noqa: E402
 from sdpcolor import vecsdp  # noqa: E402
 from sdpcolor.combined import CombinedConfig, combined_color, fit_exponent  # noqa: E402
 from sdpcolor.graph import verify_coloring  # noqa: E402
+from sdpcolor.indset import ak_independent_set  # noqa: E402
 from sdpcolor.rounding import kms_color  # noqa: E402
 from sdpcolor.testkit import planted_k_colorable  # noqa: E402
 from sdpcolor.vecsdp import InfeasibleError, solve_vector_coloring  # noqa: E402
@@ -89,6 +96,11 @@ def sparse_cases():
                 if 16 * g.m < n * n:
                     out.append((n, deg, s))
     return out
+
+
+def indset_cases():
+    """(n, seed) of the 100 bench-shaped independent-set cases."""
+    return [(100 + 50 * (i % 2), 960000 + i) for i in range(100)]
 
 
 class _PhaseCounter:
@@ -181,6 +193,18 @@ def run():
             except InfeasibleError:
                 sparse["failures"] += 1
     out["sparse_k3"] = _finish(sparse, count, t0)
+
+    t0 = time.perf_counter()
+    sets = hashlib.sha256()
+    size = 0
+    for n, s in indset_cases():
+        chosen = sorted(ak_independent_set(
+            planted_k_colorable(n, 3, 0.3, seed=s).graph, 3.0, seed=s))
+        size += len(chosen)
+        sets.update(json.dumps(chosen).encode() + b"\n")
+    out["indset"] = {"runs": len(indset_cases()), "size": size,
+                     "sets_sha256": sets.hexdigest(),
+                     "seconds": round(time.perf_counter() - t0, 1)}
     out["colorings_sha256"] = digest.hexdigest()
     return out
 
