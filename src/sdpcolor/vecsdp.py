@@ -6,11 +6,8 @@ product of spheres (no external SDP solver):
 
 * vector alpha-coloring: unit v_1..v_n with v_i . v_j <= -1/(alpha-1) + eps
   on every edge. A penalty descent on the hinge violations (multipliers at
-  zero), refined where it misses by per-edge multipliers, then a
-  rank-reduction pass with a margin polish (minimize the total edge inner
-  product while keeping feasibility); the polish drives planted instances
-  toward their natural clustered configurations, which is what makes
-  downstream threshold rounding effective.
+  zero), refined where it misses by per-edge multipliers, then the same
+  feasibility descent again on the rows reduced to rank ceil(alpha) - 1.
 
 * the independence-number program: maximize sum (1 + v0 . v_i)/2 subject to
   (v0 + v_i) . (v0 + v_j) = 0 on edges.
@@ -373,31 +370,24 @@ def _solver_dim(n: int, m: int) -> int:
 # A descent phase stops once its objective moved by at most this much,
 # relative to max(1, |objective|), over the ten iterations between checks:
 # a low-rank factorization parks at a stationary point (Burer-Monteiro) and
-# the remaining budget would not move it. Polish falls geometrically
-# (x0.3-0.5 per check) and crosses 1e-7 near its 100th iteration; a floor of
-# 1e-9 buys about 50 more iterations that move its objective by about 1e-7
-# of itself.
+# the remaining budget would not move it. On a 3-colourable graph of
+# average degree 20 the rank-2 phase parks just above its exit this way
+# after 171 iterations; a floor of 1e-9 ran it to 211.
 _STALL_RTOL = 1e-7
 
-_POLISH_MU = 50.0
 
+def _coloring_descent(v, eu, ev, target, iters, lr, stop_at=None):
+    """One Adam descent phase for the coloring program: minimize sum
+    relu(d_e - target_e)^2.
 
-def _coloring_descent(v, eu, ev, target, mode, iters, lr, stop_at=None):
-    """Adam descent phases for the coloring program.
-
-    mode "feasible": minimize sum relu(d_e - target_e)^2.
-    mode "polish":   minimize sum d_e + mu * relu(d_e - target_e)^2,
-                     mu = ``_POLISH_MU`` (50).
     ``target`` is one aim, or one per edge in v's dtype (refinement). The
     learning rate halves in six stages. Every tenth iteration, before its
-    step, the loop exits in feasible mode once the max edge dot drops to
-    ``stop_at``, and in either mode once the objective (summed in v's
-    dtype) moved by at most ``_STALL_RTOL * max(1, |objective|)`` (1e-7)
-    since the previous check: below that floor polish no longer moves the
-    rows by anything threshold rounding sees. The gradient is the
-    ``_EdgeSums`` neighbour sum with weights 1 + hinge (polish) or hinge
-    (feasible: the violated edges), by the kernels the workspace picks.
-    Returns the iterations used, the exiting one included.
+    step, the loop exits once the max edge dot drops to ``stop_at``, or
+    once the objective (summed in v's dtype) moved by at most
+    ``_STALL_RTOL * max(1, |objective|)`` (1e-7) since the previous check.
+    The gradient is the ``_EdgeSums`` neighbour sum of the hinge weights
+    over the violated edges, by the kernels the workspace picks. Returns
+    the iterations used, the exiting one included.
 
     Every array an iteration writes is allocated once per call, in v's
     dtype. The operation order is part of the output contract: each
@@ -409,8 +399,6 @@ def _coloring_descent(v, eu, ev, target, mode, iters, lr, stop_at=None):
     only decides where a run ends.
     """
     n, d = v.shape
-    feasible, polish = mode == "feasible", mode == "polish"
-    hinge_scale = 2.0 if feasible else 2.0 * _POLISH_MU
     stage = max(1, iters // 6)
     opt = _Adam(v, lr)
     used = 0
@@ -427,19 +415,15 @@ def _coloring_descent(v, eu, ev, target, mode, iters, lr, stop_at=None):
         np.subtract(dots, target, out=viol)
         np.maximum(viol, 0.0, out=viol)              # relu(dots - target)
         if it % 10 == 0:
-            if feasible and stop_at is not None and dots.max() <= stop_at:
+            if stop_at is not None and dots.max() <= stop_at:
                 break
             np.multiply(viol, viol, out=hinge)      # hinge is rewritten below
             obj = float(hinge.sum())
-            if polish:
-                obj = float(dots.sum()) + _POLISH_MU * obj
             if abs(obj - prev_obj) <= _STALL_RTOL * max(1.0, abs(obj)):
                 break
             prev_obj = obj
-        np.multiply(hinge_scale, viol, out=hinge)
-        if polish:
-            np.add(1.0, hinge, out=hinge)            # 1 + hinge_w
-        sums.neighbour_sums(hinge, v, grad, None if polish else viol)
+        np.multiply(2.0, viol, out=hinge)
+        sums.neighbour_sums(hinge, v, grad, viol)
         _sphere_step(v, grad, opt, tmp, rowdots)
     return used
 
@@ -465,8 +449,8 @@ def solve_vector_coloring(g: Graph, alpha: float, eps: float = EPS,
     2. if its residual is within the hand-off bar 10 eps, the
        rank-``ceil(alpha) - 1`` re-descent: a feasibility phase of
        ``budget`` iterations, which must end within the hand-off bar too,
-       a polish phase of ``budget``, then a final feasibility phase of
-       ``budget // 2``, returned if it meets eps;
+       then a final feasibility phase of ``budget // 2``, returned if it
+       meets eps;
     3. while the residual exceeds eps, up to four refinement passes of
        ``budget // 2`` on the wide rows, at lr 0.02, 0.008, 0.003, 0.001;
     4. if a refinement pass ran and brought the residual within eps, the
@@ -477,21 +461,24 @@ def solve_vector_coloring(g: Graph, alpha: float, eps: float = EPS,
     -1/(alpha-1): before each pass every edge's shift becomes max(0, shift
     + d_e - t) and the pass aims its hinge at t - shift (multipliers 2
     shift), so an edge that a K_k holds at t keeps its shift. The other
-    feasibility phases aim at t, which any K_k forces some edge dot to
-    reach, polish at t - eps/2; residuals that decide are measured against
-    t. The refinement phases exit at t + eps/4: they iterate the wide rows,
-    float32 ones renormalized in float64 before the eps test. The final
-    low-rank phase iterates float64 rows that are accepted at t + eps, so
-    it exits at t + eps/2, which leaves a margin between the Gram dots that
-    test the exit and the per-edge products that accept. The wide phase and
-    the first low-rank phase exit at the hand-off bar t + 10 eps (polish
-    lifts the rows above t again, so driving the first low-rank phase
-    further buys nothing), and every phase once its objective stalls
-    (``_coloring_descent``, relative change 1e-7). Callers keep the one
-    default restart and rerun a failed solve with a fresh seed. Raises
-    InfeasibleError (evidence only) when every restart stalls above eps,
-    its iteration count covering every phase run, and ValueError when alpha
-    is not finite or below 2, or budget or restarts is below 1.
+    phases aim at t, which any K_k forces some edge dot to reach; residuals
+    that decide are measured against t. The refinement phases exit at t +
+    eps/4: they iterate the wide rows, float32 ones renormalized in float64
+    before the eps test. The final low-rank phase iterates float64 rows
+    that are accepted at t + eps, so it exits at t + eps/2, which leaves a
+    margin between the Gram dots that test the exit and the per-edge
+    products that accept. The wide phase and the first low-rank phase exit
+    at the hand-off bar t + 10 eps, and every phase once its objective
+    stalls (``_coloring_descent``, relative change 1e-7). The re-descent
+    has no margin polish (a phase minimizing sum d_e between the two): on
+    the first ``color-k4`` case such a phase moved sum d_e -342.88 ->
+    -350.38 and the final phase gave it all back (-342.69), and without it
+    no quality sweep total got worse (``BENCH_drop_polish.json``).
+    Callers keep the one default restart and rerun a failed solve with a
+    fresh seed. Raises InfeasibleError (evidence only) when every restart
+    stalls above eps, its iteration count covering every phase run, and
+    ValueError when alpha is not finite or below 2, or budget or restarts
+    is below 1.
     """
     _check_alpha(alpha)
     if not 0.0 < eps < math.inf:
@@ -515,21 +502,17 @@ def solve_vector_coloring(g: Graph, alpha: float, eps: float = EPS,
     wide_dtype = _iteration_dtype(eps, d)
     rank = max(2, int(math.ceil(alpha)) - 1)
 
-    def descend(vecs, mode, iters, lr, aim=target, **kwargs):
+    def descend(vecs, iters, lr, aim=target, **kwargs):
         nonlocal total_iters
-        total_iters += _coloring_descent(vecs, eu, ev, aim, mode, iters, lr,
-                                         **kwargs)
+        total_iters += _coloring_descent(vecs, eu, ev, aim, iters, lr, **kwargs)
 
     def try_lowrank(full):
-        # Re-descend in the top-rank basis; cheap iterations carry the long
-        # margin polish that clusters planted-style instances.
+        # Re-descend in the top-rank basis: to the hand-off bar, then to eps.
         reduced = _rank_reduce(full, rank)
-        descend(reduced, "feasible", budget, lr=0.02, stop_at=target + handoff)
+        descend(reduced, budget, lr=0.02, stop_at=target + handoff)
         if _residual(reduced, eu, ev, target) > handoff:
             return None
-        descend(reduced, "polish", budget, lr=0.01, aim=target - 0.5 * eps)
-        descend(reduced, "feasible", budget // 2, lr=0.005,
-                stop_at=target + 0.5 * eps)
+        descend(reduced, budget // 2, lr=0.005, stop_at=target + 0.5 * eps)
         ok = _residual(reduced, eu, ev, target) <= eps
         return VectorColoring(alpha, reduced, eps) if ok else None
 
@@ -537,7 +520,7 @@ def solve_vector_coloring(g: Graph, alpha: float, eps: float = EPS,
         rng = stream(seed, "veccol", attempt)
         v = _row_normalize(rng.standard_normal((n, d)))
         work = v.astype(wide_dtype) if wide_dtype is np.float32 else v
-        descend(work, "feasible", budget, lr=0.05, stop_at=target + handoff)
+        descend(work, budget, lr=0.05, stop_at=target + handoff)
         res = _residual(work, eu, ev, target)
         if res <= handoff:
             found = try_lowrank(_row_normalize(work.astype(np.float64)))
@@ -551,7 +534,7 @@ def solve_vector_coloring(g: Graph, alpha: float, eps: float = EPS,
             if dots.max() - target <= eps:
                 break
             shift = np.maximum(shift + dots - target, 0.0)
-            descend(work, "feasible", budget // 2, lr=lr, aim=target - shift,
+            descend(work, budget // 2, lr=lr, aim=target - shift,
                     stop_at=target + 0.25 * eps)
         v = _as_float64(work)
         res = _residual(v, eu, ev, target)

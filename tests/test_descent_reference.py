@@ -21,16 +21,13 @@ failure names the kernels that drifted. Where they are read from a gemm
 Gram matrix they round differently from the reference's row products, so
 the case asserts equal iteration counts and vectors within 1e-5 in float32
 and 1e-12 in float64. The descent takes its neighbour sums from one
-``_EdgeSums`` workspace and no adjacency matrix; the reference keeps its
-``both_idx`` and ``adj`` arguments, which ``_both`` passes to it alone.
-Where polish scatters (above n = 2048 here) the reference scatters the
-hinge and adds the unit weights apart, so the two agree to 1e-9 instead of
-bit for bit. Both take ``target`` as a scalar or as one aim per edge, the
-form a refinement pass passes; the reference's ``dots - target``
-broadcasts either. The refinement case records every pass of two solves,
-checks each pass's aim against the multiplier step shift = max(0, shift +
-d - t), and runs the reference toward that aim from the pass's starting
-rows.
+``_EdgeSums`` workspace; the reference keeps its ``both_idx`` argument,
+which ``_both`` passes to it alone. Both take ``target`` as a scalar or as
+one aim per edge, the form a refinement pass passes; the reference's ``dots
+- target`` broadcasts either. The refinement case records every pass of two
+solves, checks each pass's aim against the multiplier step shift = max(0,
+shift + d - t), and runs the reference toward that aim from the pass's
+starting rows.
 
 ``_ref_solve_indset_sdp`` is the independence solver as it stood before its
 workspace, with the same helpers, brought to what the solver now does: it
@@ -113,8 +110,8 @@ class _RefAdam:
         params -= self.m / (np.sqrt(self.v) * (c2 / lr_c1) + 1e-12 / lr_c1)
 
 
-def _ref_coloring_descent(v, eu, ev, both_idx, target, mode, iters, lr,
-                          mu=50.0, stop_at=None, adj=None, cut_at=None):
+def _ref_coloring_descent(v, eu, ev, both_idx, target, iters, lr,
+                          stop_at=None, cut_at=None):
     n = v.shape[0]
     m = len(eu)
     d = v.shape[1]
@@ -130,39 +127,25 @@ def _ref_coloring_descent(v, eu, ev, both_idx, target, mode, iters, lr,
             opt.lr *= 0.5
         dots = (v[eu] * v[ev]).sum(axis=1)
         viol = np.maximum(dots - target, 0.0)
-        if mode == "feasible" and it % 10 == 0 and stop_at is not None \
-                and dots.max() <= stop_at:
+        if it % 10 == 0 and stop_at is not None and dots.max() <= stop_at:
             break
         if used == cut_at:
             break
-        hinge_w = (2.0 if mode == "feasible" else 2.0 * mu) * viol
+        hinge_w = 2.0 * viol
         active = np.nonzero(viol)[0]
-        weighted = m if mode == "polish" else active.size
-        use_dense = 0 < weighted >= workspace.gemm_from
-        if use_dense:
+        if 0 < active.size >= workspace.gemm_from:
             dense_w.fill(0.0)
-            if mode == "polish":
-                wall = 1.0 + hinge_w
-                dense_w[eu, ev] = wall
-                dense_w[ev, eu] = wall
-            else:
-                ea, va, wa = eu[active], ev[active], hinge_w[active]
-                dense_w[ea, va] = wa
-                dense_w[va, ea] = wa
+            ea, va, wa = eu[active], ev[active], hinge_w[active]
+            dense_w[ea, va] = wa
+            dense_w[va, ea] = wa
             grad = dense_w @ v
+        elif active.size:
+            act2 = np.concatenate([active, active + m])
+            wa = hinge_w[active]
+            grad = _ref_scatter_rows(both_idx[act2], np.concatenate([wa, wa]),
+                                     v[other[act2]], n)
         else:
-            if active.size:
-                act2 = np.concatenate([active, active + m])
-                wa = hinge_w[active]
-                grad = _ref_scatter_rows(both_idx[act2], np.concatenate([wa, wa]),
-                                         v[other[act2]], n)
-            else:
-                grad = np.zeros_like(v)
-            if mode == "polish":
-                if adj is not None:
-                    grad += adj @ v
-                else:
-                    grad += _ref_scatter_rows(both_idx, np.ones(2 * m), v[other], n)
+            grad = np.zeros_like(v)
         grad -= np.einsum("ij,ij->i", grad, v)[:, None] * v
         opt.step(v, grad)
         _ref_row_normalize(v)
@@ -347,12 +330,11 @@ def kernels(monkeypatch):
     return record
 
 
-def _both(v0, eu, ev, both, *args, adj=None, **kwargs):
-    """Runs the reference (with ``both`` and ``adj``) and the descent, which
-    takes neither, from copies of v0."""
+def _both(v0, eu, ev, both, *args, **kwargs):
+    """Runs the reference (with ``both``) and the descent, which does not
+    take it, from copies of v0."""
     ref, new = v0.copy(), v0.copy()
-    used_ref = _ref_coloring_descent(ref, eu, ev, both, *args, adj=adj,
-                                     **kwargs)
+    used_ref = _ref_coloring_descent(ref, eu, ev, both, *args, **kwargs)
     used_new = _coloring_descent(new, eu, ev, *args, **kwargs)
     return ref, new, used_ref, used_new
 
@@ -384,7 +366,7 @@ def test_wide_float32_feasible_matches_within_rounding(kernels):
     assert d == 24
     target = -1.0 / 3.0
     v0 = _random_start(g.n, d, 1, np.float32)
-    ref, new, ur, un = _both(v0, eu, ev, both, target - 5e-4, "feasible",
+    ref, new, ur, un = _both(v0, eu, ev, both, target - 5e-4,
                              100, lr=0.05, stop_at=target + 5e-4)
     _assert_within_rounding(ref, new, ur, un)
     assert kernels == _steps("gram", "gemm", un)
@@ -395,22 +377,11 @@ def test_lowrank_float64_feasible_stops_early_within_rounding(kernels):
     target = -1.0 / 3.0
     v0 = _planted_start(12, 96, 4, 0.3, noise=0.05)
     assert v0.shape[1] == 3
-    ref, new, ur, un = _both(v0, eu, ev, both, target - 5e-4, "feasible",
+    ref, new, ur, un = _both(v0, eu, ev, both, target - 5e-4,
                              100, lr=0.02, stop_at=target + 3e-3)
     assert un < 100  # the stop_at exit fired
     _assert_within_rounding(ref, new, ur, un)
     assert kernels == _steps("gram", "gemm", un, stopped=True)
-
-
-def test_polish_with_adjacency_matches_within_rounding(kernels):
-    g, eu, ev, both = _instance(96, 4, 0.3, seed=13)
-    adj = g.adjacency_matrix().astype(float)
-    target = -1.0 / 3.0
-    v0 = _planted_start(13, 96, 4, 0.3, noise=0.2)
-    ref, new, ur, un = _both(v0, eu, ev, both, target - 5e-4, "polish",
-                             100, lr=0.01, adj=adj)
-    _assert_within_rounding(ref, new, ur, un)
-    assert kernels == _steps("gram", "gemm", un)
 
 
 @pytest.mark.parametrize("dtype, case", [
@@ -424,8 +395,7 @@ def test_sparse_scatter_branch_is_bitwise(dtype, case, kernels):
     g, eu, ev, both = _instance(*case)
     d = _solver_dim(g.n, g.m)
     v0 = _random_start(g.n, d, 2, dtype)
-    ref, new, ur, un = _both(v0, eu, ev, both, -0.5 - 5e-4, "feasible",
-                             100, lr=0.05)
+    ref, new, ur, un = _both(v0, eu, ev, both, -0.5 - 5e-4, 100, lr=0.05)
     _assert_same(ref, new, ur, un)
     gemms = kernels.count(("gather", "gemm"))
     assert 0 < gemms < un
@@ -435,77 +405,40 @@ def test_sparse_scatter_branch_is_bitwise(dtype, case, kernels):
     assert kernels.dtypes == {np.dtype(dtype)}
 
 
-def test_sparse_polish_takes_the_gemm_within_rounding(kernels):
-    # Average degree 4 at n=300 and rank 2: the dots are gathered and polish
-    # sums its 1 + hinge weights by the gemm, as the reference does.
-    g, eu, ev, both = _instance(300, 3, 4.0 / 200, seed=15)
-    v0 = _planted_start(15, 300, 3, 4.0 / 200, noise=0.3)
-    ref, new, ur, un = _both(v0, eu, ev, both, -0.5 - 5e-4, "polish",
-                             100, lr=0.01,
-                             adj=g.adjacency_matrix().astype(float))
-    assert un == ur == 100
-    assert kernels == _steps("gather", "gemm", un)
-    assert np.abs(new - ref).max() <= 1e-12
-
-
 def test_scatter_branches_above_2048_vertices(kernels):
     # No dense matrix above n = 2048. The float32 wide phase at alpha 7
     # scatters its violated edges into a float32 gradient and reaches steps
-    # with none violated (a zero gradient); polish scatters 1 + hinge over
-    # every edge, where the reference adds a scatter of the ones.
+    # with none violated (a zero gradient).
     g, eu, ev, both = _instance(2049, 3, 3.0 / 1366, seed=18)
     target = -1.0 / 6.0 - 5e-4
     v0 = _random_start(g.n, _solver_dim(g.n, g.m), 6, np.float32)
-    ref, new, ur, un = _both(v0, eu, ev, both, target, "feasible", 50,
-                             lr=0.05)
+    ref, new, ur, un = _both(v0, eu, ev, both, target, 50, lr=0.05)
     _assert_same(ref, new, ur, un)
     assert {dots for dots, _ in kernels} == {"gather"}
     assert {sums for _, sums in kernels} == {"scatter", None}
     assert kernels.dtypes == {np.dtype(np.float32)}
-    kernels.clear()
-    v0 = _rank_reduce(_ref_row_normalize(new.astype(np.float64)), 6)
-    ref, new, ur, un = _both(v0, eu, ev, both, target, "polish", 50, lr=0.01)
-    assert un == ur == 50
-    assert kernels == _steps("gather", "scatter-all", un)
-    assert np.abs(new - ref).max() <= 1e-9
 
 
-def _objective(v, eu, ev, target, mode, mu=50.0):
+def _objective(v, eu, ev, target):
     dots = (v[eu] * v[ev]).sum(axis=1)
-    obj = float((np.maximum(dots - target, 0.0) ** 2).sum())
-    return float(dots.sum()) + mu * obj if mode == "polish" else obj
+    return float((np.maximum(dots - target, 0.0) ** 2).sum())
 
 
-def _stalled(v0, eu, ev, both, target, mode, iters, lr, adj=None, **kwargs):
+def _stalled(v0, eu, ev, both, target, iters, lr, **kwargs):
     """Runs a descent that must stop on a stall; checks that it is a prefix
     of the reference run, within rounding, and returns (stopped, full-budget
     reference, used).
     """
     new = v0.copy()
-    used = _coloring_descent(new, eu, ev, target, mode, iters, lr, **kwargs)
+    used = _coloring_descent(new, eu, ev, target, iters, lr, **kwargs)
     assert used < iters
     cut, full = v0.copy(), v0.copy()
-    used_cut = _ref_coloring_descent(cut, eu, ev, both, target, mode, iters,
-                                     lr, cut_at=used, adj=adj, **kwargs)
+    used_cut = _ref_coloring_descent(cut, eu, ev, both, target, iters, lr,
+                                     cut_at=used, **kwargs)
     _assert_within_rounding(cut, new, used_cut, used)
-    assert _ref_coloring_descent(full, eu, ev, both, target, mode, iters, lr,
-                                 adj=adj, **kwargs) == iters
+    assert _ref_coloring_descent(full, eu, ev, both, target, iters, lr,
+                                 **kwargs) == iters
     return new, full, used
-
-
-def test_polish_stall_stop_within_rounding_near_full_budget_objective(
-        kernels):
-    g, eu, ev, both = _instance(96, 4, 0.3, seed=13)
-    adj = g.adjacency_matrix().astype(float)
-    target = -1.0 / 3.0 - 5e-4
-    v0 = _planted_start(13, 96, 4, 0.3, noise=0.2)
-    new, full, used = _stalled(v0, eu, ev, both, target, "polish", 1600,
-                               lr=0.01, adj=adj)
-    assert kernels == _steps("gram", "gemm", used, stopped=True)
-    assert used <= 220  # 201 at the 1e-7 floor; a 1e-9 floor ran 241
-    got = _objective(new, eu, ev, target, "polish")
-    want = _objective(full, eu, ev, target, "polish")
-    assert abs(got - want) <= _STALL_RTOL * max(1.0, abs(want))
 
 
 def test_lowrank_feasible_stops_at_its_fixed_point_within_rounding(
@@ -516,20 +449,20 @@ def test_lowrank_feasible_stops_at_its_fixed_point_within_rounding(
     g, eu, ev, both = _instance(150, 3, 30.0 / 150, seed=0)
     target = -0.5
     wide = _random_start(g.n, _solver_dim(g.n, g.m), 3, np.float32)
-    _coloring_descent(wide, eu, ev, target - 5e-4, "feasible", 2000,
-                      lr=0.05, stop_at=target + 5e-4)
+    _coloring_descent(wide, eu, ev, target - 5e-4, 2000, lr=0.05,
+                      stop_at=target + 5e-4)
     v0 = _rank_reduce(_ref_row_normalize(wide.astype(np.float64)), 2)
     stop_at = target - 2.5e-4
     kernels.clear()
-    new, full, used = _stalled(v0, eu, ev, both, target - 5e-4, "feasible",
+    new, full, used = _stalled(v0, eu, ev, both, target - 5e-4,
                                2000, lr=0.02, stop_at=stop_at)
     assert [dots for dots, _ in kernels] == ["gram"] * used
     assert kernels[-1] == ("gram", None)
     assert used <= 190  # 171 at the 1e-7 floor; a 1e-9 floor ran 211
     for v in (new, full):
         assert (v[eu] * v[ev]).sum(axis=1).max() > stop_at
-    got = _objective(new, eu, ev, target - 5e-4, "feasible")
-    want = _objective(full, eu, ev, target - 5e-4, "feasible")
+    got = _objective(new, eu, ev, target - 5e-4)
+    want = _objective(full, eu, ev, target - 5e-4)
     assert 0.0 < want and abs(got - want) <= _STALL_RTOL
 
 
@@ -581,9 +514,8 @@ def test_refinement_passes_match_the_reference(case, eps, branch, prefix,
                                              cut_at=used, **kwargs)
             _assert_same(ref, new, used_ref, used)
         else:
-            mode, _, lr = args
-            _assert_within_rounding(*_both(start, eu, ev, both, aim, mode,
-                                           prefix, lr, **kwargs))
+            _assert_within_rounding(*_both(start, eu, ev, both, aim, prefix,
+                                           args[1], **kwargs))
     if prefix is None:  # the passes scatter once few edges stay violated
         assert any(("gather", "scatter") in ran for *_, ran in passes)
 

@@ -241,23 +241,24 @@ def test_refinement_rescues_the_solve(n, k, p, seed, dim):
 
 
 def test_final_lowrank_phase_exits_at_half_eps(monkeypatch):
-    # The phase after polish iterates float64 rows accepted at t + eps and
-    # exits at t + eps/2.
+    # The re-descent is two feasibility phases at rank 3: the first exits at
+    # the hand-off bar t + 10 eps, the second iterates float64 rows accepted
+    # at t + eps and exits at t + eps/2. No phase runs between them.
     phases = []
     real = vecsdp._coloring_descent
 
-    def recorded(v, eu, ev, target, mode, *args, stop_at=None, **kwargs):
-        phases.append((mode, v.shape[1], stop_at))
-        return real(v, eu, ev, target, mode, *args, stop_at=stop_at, **kwargs)
+    def recorded(v, *args, stop_at=None, **kwargs):
+        phases.append((v.shape[1], stop_at))
+        return real(v, *args, stop_at=stop_at, **kwargs)
 
     monkeypatch.setattr(vecsdp, "_coloring_descent", recorded)
     g = planted_k_colorable(60, 4, 0.3, seed=1).graph
     eps = 1e-3
     vc = solve_vector_coloring(g, 4.0, eps=eps, seed=1)
     assert is_feasible_for(vc, g) and vc.dim == 3
-    after_polish = [phases[i + 1] for i, (mode, _, _) in enumerate(phases)
-                    if mode == "polish"]
-    assert after_polish == [("feasible", 3, -1.0 / 3.0 + 0.5 * eps)]
+    t = -1.0 / 3.0
+    assert [phase for phase in phases if phase[0] == 3] == [
+        (3, t + 10.0 * eps), (3, t + 0.5 * eps)]
 
 
 def test_unrefined_rows_are_re_descended_once(monkeypatch):

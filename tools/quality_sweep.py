@@ -27,8 +27,8 @@ repeats (``combined_color``'s ``repeats_used``, summed; per case for
 ``stall``)
 and the ``_coloring_descent`` iterations per phase: ``wide`` (feasibility
 on the full-width rows), ``lowrank`` (both feasibility phases on the
-rank-reduced rows), ``polish`` and ``refine`` (the passes with per-edge
-aims). Colour and iteration totals are deterministic; ``seconds`` is not.
+rank-reduced rows) and ``refine`` (the passes with per-edge aims). Colour
+and iteration totals are deterministic; ``seconds`` is not.
 ``colorings_sha256`` is one digest over the colourings of every
 ``combined_color`` run (``grid``, ``combined`` and ``stall``), in run order:
 each as its JSON list (``null`` for no colouring), one per line, so two
@@ -67,7 +67,7 @@ from sdpcolor.testkit import planted_k_colorable  # noqa: E402
 from sdpcolor.vecsdp import InfeasibleError, solve_vector_coloring  # noqa: E402
 from test_combined import STALL_CASES  # noqa: E402
 
-PHASES = ("wide", "lowrank", "polish", "refine")
+PHASES = ("wide", "lowrank", "refine")
 
 
 def grid_cases():
@@ -119,11 +119,9 @@ class _PhaseCounter:
             self.reduced = self.rank_reduce(v, rank)
             return self.reduced
 
-        def descent(v, eu, ev, target, mode, *args, **kwargs):
-            used = self.descent(v, eu, ev, target, mode, *args, **kwargs)
-            if mode == "polish":
-                phase = "polish"
-            elif isinstance(target, np.ndarray):
+        def descent(v, eu, ev, target, *args, **kwargs):
+            used = self.descent(v, eu, ev, target, *args, **kwargs)
+            if isinstance(target, np.ndarray):
                 phase = "refine"
             else:
                 phase = "lowrank" if v is self.reduced else "wide"
