@@ -2,19 +2,21 @@
 
 Vertices are the integers 0..n-1. A Graph is n plus its edges as two
 read-only int64 endpoint arrays (u < v, in (u, v) order), which the solvers
-read; the edge tuple, CSR neighbour arrays (the one neighbour structure),
-degrees and adjacency matrix are derived from them on first use and
-cached. Graphs are immutable (threads racing to fill a cache store equal
-values), so instances can be shared freely between threads. DIMACS .col
-files use 1-indexed vertices; the conversion happens at the I/O boundary
-only.
+read; the edge tuple, CSR neighbour arrays (the one neighbour structure)
+and degrees are derived from them on first use and cached, and no n*n
+matrix is kept. ``Graph(n, edges)`` and ``read_dimacs`` validate input
+once, as arrays. Graphs are immutable (threads racing to fill a cache store
+equal values), so instances can be shared freely between threads. DIMACS
+.col files use 1-indexed vertices, converted at the I/O boundary only.
 """
 
 from __future__ import annotations
 
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral
 from typing import IO, Iterable, Iterator
 
 import numpy as np
@@ -44,28 +46,34 @@ class Graph:
     """Simple undirected graph on vertices 0..n-1 (no loops, no multi-edges).
 
     Its whole state is n and two read-only int64 endpoint arrays, u[i] <
-    v[i] in (u, v) order; everything else is derived from them when first
-    read, then cached. ``neighbors`` and ``neighbors_of`` read the CSR arrays.
+    v[i] in (u, v) order; the rest is derived from them, and all but the n*n
+    matrix is cached. ``neighbors`` and ``neighbors_of`` read the CSR arrays.
+    ``Graph(n, edges)`` validates once, as arrays: the first bad edge raises.
     """
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
-        seen: set[tuple[int, int]] = set()
-        for e in edges:
-            u, v = e
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge {e!r} out of range for n={n}")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if u > v:
-                u, v = v, u
-            if (u, v) in seen:
-                raise ValueError(f"duplicate edge ({u}, {v})")
-            seen.add((u, v))
-        self.edges = tuple(sorted(seen))  # fills the cached property
-        arr = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
-        self._set(n, arr[:, 0].copy(), arr[:, 1].copy())
+        pairs = list(edges)
+        arr = np.array(pairs) if pairs else np.zeros((0, 2), dtype=np.int64)
+        if arr.dtype.kind not in "biu":  # floats, strings, or ints beyond int64
+            for j, e in enumerate(pairs):
+                if not all(isinstance(x, Integral) for x in e):
+                    Graph(n, pairs[:j])  # a fault before it comes first
+                    raise ValueError(f"edge {e!r} has a non-integer endpoint")
+            # Integers outside 0..n-1 become -1, still out of range.
+            arr = np.array([[x if 0 <= x < n else -1 for x in e] for e in pairs])
+        if arr.ndim != 2 or arr.shape[1] != 2:
+            raise ValueError(f"edges must be (u, v) pairs, got shape {arr.shape}")
+        lo, hi, order, dup = _sorted_edges(*arr.astype(np.int64).T)
+        out, loop = (lo < 0) | (hi >= n), lo == hi
+        bad = out | loop | dup
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"edge {pairs[i]!r} out of range for n={n}" if out[i]
+                             else f"self-loop at vertex {lo[i]}" if loop[i]
+                             else f"duplicate edge ({lo[i]}, {hi[i]})")
+        self._set(n, lo[order], hi[order])
 
     @classmethod
     def _from_arrays(cls, n: int, eu: np.ndarray, ev: np.ndarray) -> "Graph":
@@ -79,8 +87,7 @@ class Graph:
     def _from_matrix(cls, mat: np.ndarray) -> "Graph":
         # Trusted constructor from a symmetric boolean adjacency matrix with
         # a zero diagonal; np.nonzero's row-major order is (u, v) order.
-        eu, ev = np.nonzero(np.triu(mat, 1))
-        return cls._from_arrays(len(mat), eu, ev)
+        return cls._from_arrays(len(mat), *np.nonzero(np.triu(mat, 1)))
 
     def _set(self, n: int, eu: np.ndarray, ev: np.ndarray) -> None:
         eu.flags.writeable = ev.flags.writeable = False
@@ -140,26 +147,17 @@ class Graph:
 
     @property
     def average_degree(self) -> float:
-        if self._n == 0:
-            return 0.0
-        return 2.0 * self.m / self._n
+        return 2.0 * self.m / self._n if self._n else 0.0
 
     @property
     def max_degree(self) -> int:
-        if self._n == 0:
-            return 0
-        return int(self._degrees.max())
-
-    @cached_property
-    def _adjacency(self) -> np.ndarray:
-        mat = np.zeros((self._n, self._n), dtype=bool)
-        mat[self._eu, self._ev] = True
-        mat[self._ev, self._eu] = True
-        return mat
+        return int(self._degrees.max()) if self._n else 0
 
     def adjacency_matrix(self) -> np.ndarray:
-        """Boolean n*n adjacency matrix (cached)."""
-        return self._adjacency
+        """A new boolean n*n adjacency matrix, built from the edge arrays."""
+        mat = np.zeros((self._n, self._n), dtype=bool)
+        mat[self._eu, self._ev] = mat[self._ev, self._eu] = True
+        return mat
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Graph):
@@ -172,6 +170,16 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self._n}, m={self.m})"
+
+
+def _sorted_edges(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(lo, hi, order, dup): the edges (u[i], v[i]) as lo <= hi, the stable
+    order sorting them by (lo, hi), and which equal an earlier edge."""
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    order = np.lexsort((hi, lo))
+    dup = np.zeros(order.size, dtype=bool)
+    dup[order[1:]] = (np.diff(lo[order]) == 0) & (np.diff(hi[order]) == 0)
+    return lo, hi, order, dup
 
 
 @dataclass(frozen=True)
@@ -215,7 +223,10 @@ def verify_coloring(g: Graph, c: Coloring) -> bool:
 
 def verify_independent_set(g: Graph, s: Iterable[int]) -> bool:
     """True iff s is a valid vertex set with no internal edge."""
-    members = set(s)
+    try:
+        members = set(map(operator.index, s))
+    except TypeError:  # a non-integer member is no vertex
+        return False
     if any(not (0 <= v < g.n) for v in members):
         return False
     inside = np.zeros(g.n, dtype=bool)
@@ -226,17 +237,9 @@ def verify_independent_set(g: Graph, s: Iterable[int]) -> bool:
 
 def largest_color_class(c: Coloring) -> set[int]:
     """Largest color class; ties broken by the smallest color index."""
-    classes: dict[int, set[int]] = {}
-    for v, col in enumerate(c.assignment):
-        classes.setdefault(col, set()).add(v)
-    best_color = None
-    best_size = -1
-    for col in sorted(classes):
-        size = len(classes[col])
-        if size > best_size:
-            best_size = size
-            best_color = col
-    return classes[best_color] if best_color is not None else set()
+    counts = Counter(c.assignment)
+    best = min(counts, key=lambda col: (-counts[col], col), default=None)
+    return {v for v, col in enumerate(c.assignment) if col == best}
 
 
 def _gather(indptr: np.ndarray, indices: np.ndarray, vs: np.ndarray) -> np.ndarray:
@@ -429,8 +432,7 @@ def read_dimacs(source: str | IO[str]) -> Graph:
 def _read_dimacs_lines(lines: Iterator[str]) -> Graph:
     n = None
     m_declared = None
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
+    edges: list[tuple[int, int, int]] = []  # (u, v, line), as in the file
     line_no = 0
     for raw in lines:
         line_no += 1
@@ -444,8 +446,7 @@ def _read_dimacs_lines(lines: Iterator[str]) -> Graph:
             if len(fields) != 4 or fields[1] != "edge":
                 raise DimacsError(f"expected 'p edge <n> <m>', got {line!r}", line_no)
             try:
-                n = int(fields[2])
-                m_declared = int(fields[3])
+                n, m_declared = int(fields[2]), int(fields[3])
             except ValueError:
                 raise DimacsError(f"non-integer sizes in {line!r}", line_no) from None
             if n < 0 or m_declared < 0:
@@ -456,26 +457,26 @@ def _read_dimacs_lines(lines: Iterator[str]) -> Graph:
             if len(fields) != 3:
                 raise DimacsError(f"expected 'e <u> <v>', got {line!r}", line_no)
             try:
-                u = int(fields[1]) - 1
-                v = int(fields[2]) - 1
+                u, v = int(fields[1]), int(fields[2])
             except ValueError:
                 raise DimacsError(f"non-integer endpoint in {line!r}", line_no) from None
-            if not (0 <= u < n and 0 <= v < n):
+            if not (1 <= u <= n and 1 <= v <= n):
                 raise DimacsError(f"endpoint out of range in {line!r}", line_no)
             if u == v:
-                raise DimacsError(f"self-loop at vertex {u + 1}", line_no)
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise DimacsError(f"duplicate edge ({u + 1}, {v + 1})", line_no)
-            seen.add(key)
-            edges.append(key)
+                raise DimacsError(f"self-loop at vertex {u}", line_no)
+            edges.append((u, v, line_no))
         else:
             raise DimacsError(f"unrecognized line {line!r}", line_no)
     if n is None:
         raise DimacsError("missing problem line")
+    arr = np.array(edges, dtype=np.int64).reshape(-1, 3)
+    lo, hi, order, dup = _sorted_edges(arr[:, 0] - 1, arr[:, 1] - 1)
+    if dup.any():
+        u, v, line = edges[int(np.argmax(dup))]
+        raise DimacsError(f"duplicate edge ({u}, {v})", line)
     if len(edges) != m_declared:
         raise DimacsError(f"problem line declared {m_declared} edges, found {len(edges)}")
-    return Graph(n, edges)
+    return Graph._from_arrays(n, lo[order], hi[order])
 
 
 def write_dimacs(g: Graph, target: str | IO[str]) -> None:

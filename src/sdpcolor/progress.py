@@ -157,7 +157,7 @@ class ContractedGraph:
 
     def __init__(self, base: Graph):
         self.base = base
-        self.adj = base.adjacency_matrix().copy()
+        self.adj = base.adjacency_matrix()  # a new matrix, owned here
         self.live = np.ones(base.n, dtype=bool)
         self.members: dict[int, set[int]] = {v: {v} for v in range(base.n)}
 
@@ -192,10 +192,8 @@ class ContractedGraph:
                 f"them the same color")
         keep, drop = (u, v) if u < v else (v, u)
         union = self.adj[keep] | self.adj[drop]
-        self.adj[drop, :] = False
-        self.adj[:, drop] = False
-        self.adj[keep, :] = union
-        self.adj[:, keep] = union
+        self.adj[drop, :] = self.adj[:, drop] = False
+        self.adj[keep, :] = self.adj[:, keep] = union
         self.live[drop] = False
         self.members[keep] |= self.members.pop(drop)
         return keep
@@ -204,8 +202,7 @@ class ContractedGraph:
         idx = sorted(set(vs))
         if not self._all_live(idx):
             raise ValueError(f"delete needs live vertices, got {idx}")
-        self.adj[idx, :] = False
-        self.adj[:, idx] = False
+        self.adj[idx, :] = self.adj[:, idx] = False
         self.live[idx] = False
 
     def induced(self, ids: list[int]) -> Graph:

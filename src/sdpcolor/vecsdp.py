@@ -777,6 +777,8 @@ def neighborhood_reduce(vc: VectorColoring, g: Graph, v: int,
     """
     if vc.alpha <= 2.0:
         raise ValueError(f"neighborhood reduction needs alpha > 2, got {vc.alpha}")
+    if not 0 <= v < g.n:
+        raise ValueError(f"vertex {v} out of range for n={g.n}")
     if g.degree(v) < 1:
         raise ValueError(f"vertex {v} has no neighbors")
     neighbors = g.neighbors(v).tolist()

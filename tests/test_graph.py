@@ -1,5 +1,6 @@
 import io
 import json
+import re
 from collections import deque
 
 import numpy as np
@@ -30,15 +31,88 @@ from sdpcolor.testkit import (
 )
 
 
-def test_construction_validates():
-    with pytest.raises(ValueError):
-        Graph(3, [(0, 0)])
-    with pytest.raises(ValueError):
-        Graph(3, [(0, 3)])
-    with pytest.raises(ValueError):
-        Graph(3, [(0, 1), (1, 0)])
-    with pytest.raises(ValueError):
-        Graph(-1)
+@pytest.mark.parametrize("n, edges, message", [
+    (3, [(0, 0)], "self-loop at vertex 0"),
+    (3, [(0, 3)], "edge (0, 3) out of range for n=3"),
+    (3, [(0, 1), (1, 0)], "duplicate edge (0, 1)"),
+    (-1, [], "vertex count must be nonnegative, got -1"),
+    # The first offending edge in input order is reported, whatever its kind.
+    (3, [(2, 1), (1, 2), (0, 7)], "duplicate edge (1, 2)"),
+    (3, [(0, 7), (1, 1)], "edge (0, 7) out of range for n=3"),
+    # Beyond int64 (and at its edge) an endpoint is out of range, not an
+    # OverflowError from numpy.
+    (3, [(0, 2**64)], f"edge (0, {2**64}) out of range for n=3"),
+    (3, [(0, 2**63)], f"edge (0, {2**63}) out of range for n=3"),
+    (3, [(-2**70, 1)], f"edge ({-2**70}, 1) out of range for n=3"),
+    (3, [(np.uint64(2**64 - 1), 0)], "out of range for n=3"),
+    (3, [(0, 1, 2)], "(u, v) pairs"),
+    (3, [(0, 1), (1, 2, 0)], None),
+    (3, [(0, 1), (2,)], None),
+], ids=["self-loop", "out-of-range", "duplicate", "negative-n",
+        "duplicate-first", "range-first", "beyond-int64", "at-int64",
+        "below-int64", "uint64-wraps", "triple", "ragged-triple", "single"])
+def test_construction_validates(n, edges, message):
+    with pytest.raises(ValueError, match=message and re.escape(message)):
+        Graph(n, edges)
+
+
+def test_construction_refuses_non_integer_endpoints():
+    # 0.5 used to be truncated to vertex 0, making a duplicate of (0, 1).
+    with pytest.raises(ValueError, match=re.escape(
+            "edge (0.5, 1) has a non-integer endpoint")):
+        Graph(3, [(0.5, 1), (0, 1)])
+    for edges in ([(0, 1.0)], [("0", 1)], [(0, 1), (np.float64(2), 0)]):
+        with pytest.raises(ValueError, match="non-integer endpoint"):
+            Graph(3, edges)
+    # An earlier fault is still reported first.
+    with pytest.raises(ValueError, match=re.escape("edge (0, 5) out of range")):
+        Graph(3, [(0, 5), (0.5, 1)])
+    # Integer types other than int pass: numpy integers and bools.
+    g = Graph(3, [(np.int32(2), np.uint64(0)), (True, np.int64(2))])
+    assert g.edges == ((0, 2), (1, 2))
+    assert all(type(x) is int for e in g.edges for x in e)
+
+
+def _reference_edges(n, edges):
+    """The set-based validation ``Graph(n, edges)`` once made, kept as the
+    reference for the array validation."""
+    seen = set()
+    for e in edges:
+        u, v = e
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge {e!r} out of range for n={n}")
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        if u > v:
+            u, v = v, u
+        if (u, v) in seen:
+            raise ValueError(f"duplicate edge ({u}, {v})")
+        seen.add((u, v))
+    return tuple(sorted(seen))
+
+
+def _outcome(build, n, edges):
+    try:
+        return build(n, edges)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_array_validation_matches_the_set_based_loop():
+    rng = stream(0, "graph-validation-fuzz")
+    kinds = set()
+    for _ in range(3000):
+        n = int(rng.integers(1, 12))
+        m = int(rng.integers(0, 20))
+        # Endpoints -1..n; one in four inputs draws them in range only, so
+        # valid graphs and duplicates are common too.
+        low, high = (0, n) if rng.random() < 0.25 else (-1, n + 1)
+        edges = [tuple(int(x) for x in rng.integers(low, high, 2)) for _ in range(m)]
+        want = _outcome(_reference_edges, n, edges)
+        got = _outcome(lambda n, edges: Graph(n, edges).edges, n, edges)
+        assert got == want, (n, edges)
+        kinds.add(want.split()[0] if isinstance(want, str) else "valid")
+    assert kinds == {"edge", "self-loop", "duplicate", "valid"}
 
 
 def test_basic_queries():
@@ -239,6 +313,12 @@ def test_verify_independent_set():
     # -1 must be refused, not read as vertex 4 (which would make {-1, 1} a
     # valid set of C5).
     assert not verify_independent_set(c5, {-1, 1})
+    # A non-integer member is no vertex: 0.5 must not be read as vertex 0.
+    assert not verify_independent_set(Graph(3, [(0, 1)]), {0.5, 2})
+    assert not verify_independent_set(c5, {"0", 2})
+    # Integer types other than int are vertices: numpy integers and bools.
+    assert verify_independent_set(c5, [np.int64(0), np.uint8(2)])
+    assert verify_independent_set(c5, {True, 3})
 
 
 def test_independent_iff_induced_edgeless():
@@ -429,3 +509,31 @@ def test_dimacs_error_carries_line_number():
     with pytest.raises(DimacsError) as err:
         read_dimacs(io.StringIO("c x\np edge 2 1\ne 1 1\n"))
     assert err.value.line == 3
+
+
+def test_dimacs_duplicate_names_its_line():
+    with pytest.raises(DimacsError) as err:
+        read_dimacs(io.StringIO("p edge 3 3\ne 1 2\nc x\ne 2 3\ne 2 1\n"))
+    assert err.value.line == 5
+    assert str(err.value) == "line 5: duplicate edge (2, 1)"
+
+
+def test_dimacs_per_line_faults_come_before_duplicates():
+    # Duplicates are found once every line is parsed, so a later per-line
+    # fault is reported first.
+    with pytest.raises(DimacsError) as err:
+        read_dimacs(io.StringIO("p edge 3 3\ne 1 2\ne 2 1\ne 3 3\n"))
+    assert err.value.line == 4 and "self-loop at vertex 3" in str(err.value)
+
+
+def test_read_dimacs_validates_once(monkeypatch):
+    g = random_graph(40, 0.3, seed=5)
+    buf = io.StringIO()
+    write_dimacs(g, buf)
+
+    def refuse(self, n, edges=()):
+        raise AssertionError("read_dimacs validated its edges a second time")
+
+    monkeypatch.setattr(Graph, "__init__", refuse)
+    g2 = read_dimacs(io.StringIO(buf.getvalue()))
+    assert g2 == g and g2.edges == g.edges

@@ -260,6 +260,27 @@ def test_driver_refuses_a_non_result():
         progress_driver(path_graph(3), finder=lambda cg: {0, 2}, budget=3)
 
 
+def test_driver_leaves_the_graph_matrix_unchanged():
+    # Merges and deletes write to the quotient's own matrix, never to one
+    # the base Graph hands out.
+    g = random_graph(24, 0.3, seed=4)
+    before = g.adjacency_matrix()
+
+    def finder(cg):
+        live = cg.alive
+        pair = next(((u, v) for u in live for v in live
+                     if u < v and not cg.has_edge(u, v)), None)
+        if pair is not None:
+            return SameColor(*pair)
+        return Colored({rep: i for i, rep in enumerate(live)})
+
+    col = progress_driver(g, finder=finder, budget=g.n)
+    assert verify_coloring(g, col) and col.colors_used < g.n
+    after = g.adjacency_matrix()
+    assert np.array_equal(after, before) and after is not before
+    assert not np.shares_memory(after, g.adjacency_matrix())
+
+
 def test_driver_deletes_once_per_spending_claim(monkeypatch):
     claims = iter([SameColor(0, 2), LargeIndependentSet(frozenset([0])),
                    Colored({1: 5, 3: 7})])

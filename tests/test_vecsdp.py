@@ -574,6 +574,15 @@ def test_neighborhood_reduce_planted_alpha3():
         assert dots.max() <= -1.0 + red.coloring.eps + 1e-12
 
 
+@pytest.mark.parametrize("v", [-1, 4, 9])
+def test_neighborhood_reduce_refuses_a_vertex_out_of_range(v):
+    # -1 used to read vertex 3's degree and an empty slice of neighbours,
+    # and returned an empty reduction.
+    vc = VectorColoring(4.0, simplex_vectors(4), 1e-9)
+    with pytest.raises(ValueError, match=f"vertex {v} out of range for n=4"):
+        neighborhood_reduce(vc, complete_graph(4), v)
+
+
 def test_neighborhood_reduce_degree_one_vacuous():
     g = Graph(2, [(0, 1)])
     vc = VectorColoring(3.0, np.array([[1.0, 0.0], [-0.5, math.sqrt(3) / 2]]), 1e-9)
