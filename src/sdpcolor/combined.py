@@ -12,7 +12,8 @@ n^{1-a_k} progress size.
 One round of the finder on the current quotient graph (n vertices):
 
   1/2. k = 2 exact bipartite coloring; k = 3 via the degree-split fallback,
-       whose n^{1/4} exponent the result reports in place of a_3.
+       whose n^{1/4} exponent (``route_exponent``) the result reports and a
+       k = 5 pair probe's cutoff uses in place of a_3.
   3.   peel vertices of residual degree < n^{a_k/(1-2/k)} into U, core W.
   4.   |U| >= n/2: threshold rounding on G[U] gives a large independent set.
        It rounds the last solve's rows restricted to U when they still meet
@@ -25,9 +26,10 @@ One round of the finder on the current quotient graph (n vertices):
        For k-2 = 2 the probe is exact: a level-by-level BFS 2-coloring of
        S's block of the quotient's matrix (no Graph copy of S), whose
        larger side is the set.
-  7-9. no qualifying pair: build the candidate collection on G[W] and run
-       the promise extractor on the largest candidates until one yields a
-       set of size n^{1-a_k} up to the harness constant.
+  7-9. no qualifying pair: rank the candidate collection on G[W] by size
+       (``progress.candidate_sets``, which builds only the sets it reaches)
+       and run the promise extractor on the largest CANDIDATE_CAP until one
+       yields a set of size n^{1-a_k} up to the harness constant.
 
 Every claim is re-verified by the driver before it is applied. The whole
 algorithm reruns with fresh seeds on failure (contradiction, budget, or
@@ -41,6 +43,7 @@ import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 
 import numpy as np
 
@@ -64,7 +67,7 @@ from .progress import (
     ContradictionError,
     LargeIndependentSet,
     SameColor,
-    build_candidate_collection,
+    candidate_sets,
     default_delta,
     progress_driver,
 )
@@ -85,21 +88,24 @@ def alpha_k(k: int) -> Fraction:
     return 1 - Fraction(6) / (k + 4 + 3 * (1 - Fraction(2, k)) / (1 - prev))
 
 
+def route_exponent(k: int) -> Fraction:
+    """The colour-count exponent of the route that runs for k: a_k, but 1/4
+    at k = 3, whose route is the degree split (color_three_fallback)."""
+    return Fraction(1, 4) if k == 3 else alpha_k(k)
+
+
 def cutoff(size: int, k: int) -> int:
-    """Color-count threshold C0 * size^{a_k} * (1 + ln size)^2 (floored):
-    the colour budget of a run and the success bar of a recursive pair
-    probe."""
+    """Color-count threshold C0 * size^a * (1 + ln size)^2 (floored), a the
+    exponent of k's route: the colour budget of a run and the success bar
+    of a recursive pair probe."""
     if size < 1:
         raise ValueError(f"cutoff needs a positive size, got {size}")
     if k < 2:
         raise ValueError(f"cutoff needs k >= 2, got {k}")
-    a = float(alpha_k(k))
+    a = float(route_exponent(k))
     return max(1, int(C0 * size ** a * (1.0 + math.log(size)) ** 2))
 
 
-# The colour-count exponent of the n^{1/4} degree-split route that k = 3
-# takes (color_three_fallback), reported in place of a_3 = 3/14.
-K3_FALLBACK_EXPONENT = Fraction(1, 4)
 C0 = 4.0                 # the constant of cutoff
 SIZE_FLOOR_CONST = 4.0   # step-9 acceptance divisor
 CANDIDATE_CAP = 8        # step-9 candidate probes per round
@@ -342,13 +348,11 @@ class _CombinedFinder:
                          n: int, ak: float):
         if len(w_ids) >= 2:
             wsub = cg.induced(w_ids)
-            coll = build_candidate_collection(wsub, default_delta(n))
+            largest = islice(candidate_sets(wsub, default_delta(n)), CANDIDATE_CAP)
             floor_size = max(1, int(n ** (1.0 - ak) / SIZE_FLOOR_CONST))
-            order = sorted(range(len(coll.sets)),
-                           key=lambda i: (-len(coll.sets[i].members), i))
             alpha_probe = (self.k - 1) + 3.0 / math.log(max(n, 3))
-            for rank, i in enumerate(order[:CANDIDATE_CAP]):
-                tsub, verts = induced_subgraph(wsub, coll.sets[i].members)
+            for rank, cs in enumerate(largest):
+                tsub, verts = induced_subgraph(wsub, cs.members)
                 found = ak_independent_set(
                     tsub, alpha_probe, trials=max(8, self.cfg.trials // 4),
                     seed=self.seed * 131 + self.round_no * 17 + rank,
@@ -382,7 +386,7 @@ def combined_color(g: Graph, k: int, cfg: CombinedConfig | None = None) -> Combi
     if cfg.repeats < 1:
         raise ValueError(f"repeats must be at least 1, got {cfg.repeats}")
     fallback = k == 3 and g.n > 0  # every such attempt takes that route
-    a_exp = K3_FALLBACK_EXPONENT if fallback else alpha_k(k)
+    a_exp = route_exponent(k) if g.n > 0 else alpha_k(k)  # n = 0 runs none
     failures: list[tuple[str, str]] = []
     declarations: list[Declaration] = []
     for attempt in range(cfg.repeats):

@@ -19,14 +19,15 @@ S = N(v) & I_j. On a k-colorable graph with minimum degree d_min and common
 neighborhoods bounded by s, at least one of these O(n log^2 n) sets is both
 large (d_min^2/s up to polylogs) and nearly 1/(k-1) pure in one color class;
 ``testkit.collection_guarantee_check`` tests that claim against a planted
-partition.
+partition. ``candidate_sets`` yields the sets largest first and builds each
+only when reached, so probing the largest few never builds them all.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -37,20 +38,18 @@ from .graph import Coloring, Graph, NotKColorableError, verify_coloring
 # Degree buckets and the candidate collection
 # ---------------------------------------------------------------------------
 
-def bucket_index(degree: int, delta: float) -> int:
-    """j with (1+delta)^j <= degree < (1+delta)^{j+1} (degree >= 1).
+def _buckets(d: np.ndarray, delta: float) -> np.ndarray:
+    """j with (1+delta)^j <= d < (1+delta)^{j+1}, elementwise (every d >= 1).
 
-    Float-robust: the initial estimate from logs is corrected against the
-    powers actually computed by ** so boundary degrees land deterministically.
-    """
-    if degree < 1:
-        raise ValueError("bucket index needs degree >= 1")
+    The log estimate is corrected up and down against the powers that **
+    computes until stable, so boundary values land deterministically."""
     base = 1.0 + delta
-    j = max(0, int(math.floor(math.log(degree) / math.log(base))))
-    while base ** (j + 1) <= degree:
-        j += 1
-    while j > 0 and base ** j > degree:
-        j -= 1
+    j = np.maximum(np.floor(np.log(d) / math.log(base)), 0).astype(np.int64)
+    powers = np.array([base ** t for t in range(int(j.max(initial=0)) + 3)])
+    while (up := powers[j + 1] <= d).any():
+        j += up
+    while (down := (j > 0) & (powers[j] > d)).any():
+        j -= down
     return j
 
 
@@ -69,46 +68,49 @@ class CandidateSet:
     i: int
 
 
-@dataclass(frozen=True)
-class CandidateCollection:
-    sets: tuple[CandidateSet, ...]
-    delta: float
+def candidate_sets(g: Graph, delta: float) -> Iterator[CandidateSet]:
+    """The distinct nonempty T = N_i(N(v) & I_j), ranked by (-size, v, j, i).
 
-    def __len__(self) -> int:
-        return len(self.sets)
-
-
-def build_candidate_collection(g: Graph, delta: float | None = None) -> CandidateCollection:
-    """All nonempty T = N_i(N(v) & I_j), deduplicated with first-provenance.
-
-    Deterministic: v, j, i are enumerated in increasing order and the first
-    occurrence of each distinct member set keeps its (v, j, i) tag. Reads
-    the CSR neighbour arrays alone: d_S(u) is one ``bincount`` of the
-    gathered neighbours of S, so no n*n state is built.
+    A set keeps the tag of its first copy; later copies are dropped. Each
+    tag's size comes from one ``bincount`` of its (v, j)'s i-buckets, and a
+    set's members are built only when the ranking reaches it, from d_S(u):
+    one ``bincount`` of the gathered CSR neighbours of S (no n*n state).
     """
+    degs = np.asarray(g.degrees(), dtype=np.int64)
+    # The bucket of every value 0..max degree (-1 at 0); d_S(u) <= |S| <= d(v).
+    top = int(degs.max(initial=0))
+    bucket = np.concatenate(([-1], _buckets(np.arange(1, top + 1), delta)))
+    jbucket = bucket[degs]
+
+    def i_buckets(v: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+        nbrs = g.neighbors(v)
+        d_s = np.bincount(g.neighbors_of(nbrs[jbucket[nbrs] == j]), minlength=g.n)
+        touched = np.flatnonzero(d_s)  # holds v, so never empty
+        return touched, bucket[d_s[touched]]
+
+    tags: list[tuple[int, int, int, int]] = []  # (-size, v, j, i)
+    for v in range(g.n):
+        for j in np.unique(jbucket[g.neighbors(v)]).tolist():
+            counts = np.bincount(i_buckets(v, j)[1])
+            tags += [(-int(c), v, j, i) for i, c in enumerate(counts) if c]
+    seen: set[frozenset[int]] = set()
+    for _, v, j, i in sorted(tags):
+        touched, ibuckets = i_buckets(v, j)
+        members = frozenset(touched[ibuckets == i].tolist())
+        if members not in seen:
+            seen.add(members)
+            yield CandidateSet(members, v, j, i)
+
+
+def build_candidate_collection(g: Graph, delta: float | None = None
+                               ) -> tuple[CandidateSet, ...]:
+    """The whole candidate collection in ``candidate_sets`` order: every
+    distinct nonempty T, largest first, each with its first (v, j, i)."""
     if delta is None:
         delta = default_delta(g.n)
     if not (0.0 < delta <= 1.0):
         raise ValueError(f"delta must lie in (0, 1], got {delta}")
-    degs = np.asarray(g.degrees(), dtype=np.int64)
-    jbucket = np.array([bucket_index(int(d), delta) if d >= 1 else -1
-                        for d in degs], dtype=np.int64)
-    out: list[CandidateSet] = []
-    seen: dict[frozenset[int], int] = {}
-    for v in range(g.n):
-        nbrs = g.neighbors(v)
-        for j in sorted(set(int(x) for x in jbucket[nbrs])):
-            s_idx = nbrs[jbucket[nbrs] == j]
-            d_s = np.bincount(g.neighbors_of(s_idx), minlength=g.n)
-            touched = np.nonzero(d_s)[0]  # holds v, so never empty
-            ibuckets = np.array([bucket_index(int(d_s[u]), delta) for u in touched],
-                                dtype=np.int64)
-            for i in sorted(set(int(x) for x in ibuckets)):
-                members = frozenset(int(u) for u in touched[ibuckets == i])
-                if members not in seen:
-                    seen[members] = len(out)
-                    out.append(CandidateSet(members, v, j, i))
-    return CandidateCollection(tuple(out), delta)
+    return tuple(candidate_sets(g, delta))
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,8 @@ def round_once(vc: VectorColoring, g: Graph, r: np.ndarray, c: float) -> frozens
     the lower id) so the result is always independent. Works on the
     selection mask and a degree array, lowered at a dropped vertex's CSR
     neighbours."""
+    if vc.n != g.n:
+        raise ValueError(f"vector coloring has {vc.n} rows for {g.n} vertices")
     alive = vc.vectors @ r >= c
     if not alive.any():  # most draws at the benchmark thresholds
         return frozenset()

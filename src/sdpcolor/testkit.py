@@ -36,7 +36,7 @@ from .graph import (  # the exact coloring is re-exported from here
     read_dimacs,
     write_dimacs,
 )
-from .progress import CandidateCollection
+from .progress import CandidateSet
 from .rounding import kms_threshold, round_once
 from .vecsdp import DegenerateProjectionError, IndSetSdpSolution, VectorColoring
 
@@ -359,11 +359,12 @@ def find_pigeon_index(x, y, delta: float, beta: float | None = None) -> int:
                      "inputs violate sum(x) >= beta * sum(y)")
 
 
-def collection_guarantee_check(g: Graph, coll: CandidateCollection, k: int,
-                               planted: PlantedInstance) -> dict:
-    """Search the collection for a witness set that is simultaneously large
-    (>= d_min^2 / (s ln^2 n)) and nearly 1/(k-1) pure in the heaviest planted
-    class. Returns a report; the caller asserts report["found"]."""
+def collection_guarantee_check(g: Graph, coll: tuple[CandidateSet, ...],
+                               k: int, planted: PlantedInstance) -> dict:
+    """Search the collection, in its order, for the first witness set that
+    is simultaneously large (>= d_min^2 / (s ln^2 n)) and nearly 1/(k-1)
+    pure in the heaviest planted class. Returns a report; the caller
+    asserts report["found"]."""
     if planted.graph != g:
         raise ValueError("planted instance does not match the graph")
     n = g.n
@@ -380,35 +381,25 @@ def collection_guarantee_check(g: Graph, coll: CandidateCollection, k: int,
     logn = math.log(max(n, 3))
     size_floor = d_min * d_min / (max(s_max, 1) * logn * logn)
     purity_floor = 1.0 / (k - 1) - 2.0 / logn
-    best = None
-    found = None
-    for cs in coll.sets:
+    witness = None
+    for cs in coll:
         size = len(cs.members)
-        red_frac = len(cs.members & red) / size if size else 0.0
-        key = (min(size / max(size_floor, 1e-12), 4.0)
-               + min((red_frac - purity_floor) * 4.0, 4.0))
-        if best is None or key > best["score"]:
-            best = {"score": key, "v": cs.v, "j": cs.j, "i": cs.i,
-                    "size": size, "red_fraction": red_frac}
+        red_frac = len(cs.members & red) / size
         if size >= size_floor and red_frac >= purity_floor:
-            if found is None:
-                found = {"v": cs.v, "j": cs.j, "i": cs.i, "size": size,
-                         "red_fraction": red_frac}
-    if best is not None:
-        best.pop("score", None)
+            witness = {"v": cs.v, "j": cs.j, "i": cs.i, "size": size,
+                       "red_fraction": red_frac}
+            break
     return {
         "n": n,
         "k": k,
-        "delta": coll.delta,
         "d_min": d_min,
         "s_max": s_max,
         "size_floor": size_floor,
         "purity_floor": purity_floor,
         "collection_size": len(coll),
         "red_class": red_class,
-        "found": found is not None,
-        "witness": found,
-        "best": best,
+        "found": witness is not None,
+        "witness": witness,
     }
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from sdpcolor._rng import stream
 import sdpcolor.combined as combined
+import sdpcolor.progress as progress
 import sdpcolor.rounding as rounding
 from sdpcolor.combined import (
     CombinedConfig,
@@ -85,6 +86,17 @@ def test_cutoff():
         cutoff(0, 4)
     with pytest.raises(ValueError):
         cutoff(5, 1)
+
+
+def test_cutoff_uses_the_exponent_of_the_route_that_runs():
+    # k = 3 runs the n^{1/4} degree-split route, so a k = 5 run's pair
+    # probes are judged at 1/4, the exponent its result reports, not 3/14.
+    for size in (10, 100, 1000):
+        assert cutoff(size, 3) == int(4.0 * size ** 0.25
+                                      * (1 + math.log(size)) ** 2)
+    res = combined_color(planted_k_colorable(40, 3, 0.4, seed=1).graph, 3,
+                         CombinedConfig(seed=0, trials=8))
+    assert res.alpha_exponent == Fraction(1, 4)
 
 
 def test_combined_k2_bipartite():
@@ -350,6 +362,24 @@ def test_candidate_round_pinned():
                                   float(alpha_k(4)))
     assert got.members == {1, 11, 12, 15, 16, 39, 40, 43, 57}
     assert cg.is_independent(got.members)
+
+
+def test_candidate_round_never_builds_the_whole_collection(monkeypatch):
+    # The round ranks the collection lazily and builds only the sets it
+    # probes, so it must give the pinned set without the full build.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the candidate round built the whole collection")
+
+    monkeypatch.setattr(progress, "build_candidate_collection", refuse)
+    monkeypatch.setattr(combined, "build_candidate_collection", refuse,
+                        raising=False)
+    g = planted_k_colorable(60, 4, 0.4, seed=0).graph
+    cg = ContractedGraph(g)
+    finder = _CombinedFinder(4, CombinedConfig(trials=16), 0, [])
+    finder.round_no = 1
+    got = finder._candidate_round(cg, cg.alive, cg.alive_count,
+                                  float(alpha_k(4)))
+    assert got.members == {1, 11, 12, 15, 16, 39, 40, 43, 57}
 
 
 def _probe_fixture(adjacent):

@@ -1,7 +1,11 @@
 """The neighbour walks over a Graph's CSR arrays against the set-based and
 dense-matrix versions they replaced, kept here as references: the greedy
 independent set, threshold rounding's conflict pass and the candidate
-collection must give exactly the old outputs."""
+collection must give exactly the old outputs. The collection's ranked
+enumeration must equal the reference's distinct sets stably sorted by
+size, and its vector bucket index the scalar one."""
+
+import math
 
 import numpy as np
 import pytest
@@ -9,7 +13,7 @@ import pytest
 from sdpcolor._rng import stream
 from sdpcolor.graph import Graph, induced_subgraph
 from sdpcolor.indset import greedy_independent_set
-from sdpcolor.progress import (CandidateSet, bucket_index,
+from sdpcolor.progress import (CandidateSet, _buckets,
                                build_candidate_collection, default_delta)
 from sdpcolor.rounding import kms_threshold, round_once
 from sdpcolor.testkit import (complete_graph, planted_k_colorable, random_graph,
@@ -67,8 +71,21 @@ def _reference_round_once(vc, g, r, c):
     return frozenset(alive)
 
 
+def bucket_index(degree, delta):
+    """The scalar bucket index: j with (1+delta)^j <= degree < (1+delta)^{j+1}
+    (degree >= 1), its log estimate corrected against the powers ** computes."""
+    base = 1.0 + delta
+    j = max(0, int(math.floor(math.log(degree) / math.log(base))))
+    while base ** (j + 1) <= degree:
+        j += 1
+    while j > 0 and base ** j > degree:
+        j -= 1
+    return j
+
+
 def _reference_collection(g, delta):
-    """The candidate collection read from the dense n*n adjacency matrix."""
+    """The candidate collection read from the dense n*n adjacency matrix, in
+    first-occurrence order."""
     adj = g.adjacency_matrix()
     degs = np.asarray(g.degrees(), dtype=np.int64)
     jbucket = np.array([bucket_index(int(d), delta) if d >= 1 else -1
@@ -134,11 +151,23 @@ def test_round_once_matches_the_set_based_conflict_pass():
     assert conflicts >= 500  # the conflict pass ran, not just the selection
 
 
+def _ranked(sets):
+    """Largest first; equal sizes keep their first-occurrence order."""
+    return tuple(sorted(sets, key=lambda cs: -len(cs.members)))
+
+
+@pytest.mark.parametrize("delta", [0.05, 0.1, 1 / math.log(1000), 0.5, 1.0])
+def test_vector_buckets_match_the_scalar_index(delta):
+    d = np.arange(1, 20_001)
+    want = [bucket_index(int(x), delta) for x in d]
+    assert _buckets(d, delta).tolist() == want
+
+
 @pytest.mark.parametrize("g", CASES, ids=repr)
 def test_collection_matches_the_dense_matrix_collection(g):
     for delta in (default_delta(g.n), 0.5):
-        assert (build_candidate_collection(g, delta).sets
-                == _reference_collection(g, delta))
+        assert (build_candidate_collection(g, delta)
+                == _ranked(_reference_collection(g, delta)))
 
 
 def test_collection_of_an_induced_subgraph():
@@ -147,5 +176,5 @@ def test_collection_of_an_induced_subgraph():
     w = stream(7, "walk-subset").choice(g.n, size=70, replace=False)
     sub, _ = induced_subgraph(g, w)
     delta = default_delta(sub.n)
-    assert (build_candidate_collection(sub, delta).sets
-            == _reference_collection(sub, delta))
+    assert (build_candidate_collection(sub, delta)
+            == _ranked(_reference_collection(sub, delta)))

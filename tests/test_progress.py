@@ -12,7 +12,7 @@ from sdpcolor.progress import (
     LargeIndependentSet,
     NotKColorableError,
     SameColor,
-    bucket_index,
+    _buckets,
     build_candidate_collection,
     default_delta,
     progress_driver,
@@ -32,12 +32,7 @@ from sdpcolor.vecsdp import InfeasibleError
 
 def test_bucket_index_boundaries():
     # Exact powers land in their own bucket; delta = 1 doubles each step.
-    assert bucket_index(1, 1.0) == 0
-    assert bucket_index(7, 1.0) == 2
-    assert bucket_index(8, 1.0) == 3
-    assert bucket_index(15, 1.0) == 3
-    with pytest.raises(ValueError):
-        bucket_index(0, 0.5)
+    assert _buckets(np.array([1, 7, 8, 15]), 1.0).tolist() == [0, 2, 3, 3]
 
 
 def test_candidate_collection_k4():
@@ -46,7 +41,7 @@ def test_candidate_collection_k4():
     coll = build_candidate_collection(complete_graph(4), delta=0.5)
     assert len(coll) == 8
     per_v: dict[int, int] = {}
-    for cs in coll.sets:
+    for cs in coll:
         per_v[cs.v] = per_v.get(cs.v, 0) + 1
         assert cs.members in ({cs.v}, set(range(4)) - {cs.v},
                               frozenset({cs.v}),
@@ -62,7 +57,7 @@ def test_candidate_collection_default_delta_on_one_edge():
     # 1/ln 2 exceeds the largest valid width, so the default is capped at 1.
     assert default_delta(2) == 1.0
     coll = build_candidate_collection(Graph(2, [(0, 1)]))
-    assert [c.members for c in coll.sets] == [frozenset({0}), frozenset({1})]
+    assert [c.members for c in coll] == [frozenset({0}), frozenset({1})]
 
 
 def test_candidate_collection_size_bound_and_determinism():
@@ -103,7 +98,7 @@ def test_guarantee_check_bipartite_pure_witness():
     coll = build_candidate_collection(inst.graph)
     report = collection_guarantee_check(inst.graph, coll, 2, inst)
     assert report["found"]
-    pure = [cs for cs in coll.sets
+    pure = [cs for cs in coll
             if len(cs.members & set(inst.classes[report["red_class"]]))
             == len(cs.members)]
     assert pure

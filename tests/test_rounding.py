@@ -6,6 +6,7 @@ import pytest
 from sdpcolor._rng import stream
 import sdpcolor.rounding as rounding
 from sdpcolor.graph import Coloring, Graph, verify_coloring, verify_independent_set
+from sdpcolor.indset import l2_vector_indset
 from sdpcolor.progress import NotKColorableError
 from sdpcolor.rounding import (
     kms_color,
@@ -38,6 +39,22 @@ def _rows_on_e0(n, norm):
     vecs = np.zeros((n, 2))
     vecs[:, 0] = norm
     return vecs
+
+
+@pytest.mark.parametrize("rows", [5, 2])
+@pytest.mark.parametrize("rounder", [
+    lambda g, vc: round_once(vc, g, np.array([10.0, 0.0]), 0.5),
+    lambda g, vc: kms_independent_set(g, vc, trials=8),
+    lambda g, vc: l2_vector_indset(g, vc, trials=8),
+], ids=["round_once", "kms_independent_set", "l2_vector_indset"])
+def test_rounding_refuses_rows_that_do_not_match_the_graph(rounder, rows):
+    # With 5 rows on a 3-vertex path every draw that selects anything used
+    # to return {0, 2, 3, 4}, two vertices that do not exist; with 2 rows
+    # it raised a bare IndexError.
+    g = Graph(3, [(0, 1), (1, 2)])
+    vc = VectorColoring(3.0, _rows_on_e0(rows, 1.0), 0.0)
+    with pytest.raises(ValueError, match=f"{rows} rows for 3 vertices"):
+        rounder(g, vc)
 
 
 def test_threshold_values():
