@@ -32,7 +32,7 @@ from .indset import ak_independent_set
 from .rounding import kms_color
 from .testkit import planted_k_colorable, random_graph
 
-SCHEMA = 1
+SCHEMA = 2
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -177,11 +177,8 @@ def cmd_color(args) -> int:
     graph = load_input(args)
     if args.k < 2:
         raise UsageError("--k must be at least 2")
-    if args.repeats < 1:
-        raise UsageError("--repeats must be at least 1")
     check_solver_args(args)
-    cfg = CombinedConfig(trials=args.trials, seed=args.seed,
-                         repeats=args.repeats)
+    cfg = CombinedConfig(trials=args.trials, seed=args.seed)
     result = combined_color(graph, args.k, cfg)
     payload = result.to_json_dict()
     payload["schema"] = SCHEMA
@@ -265,8 +262,6 @@ def cmd_bench(args) -> int:
         raise UsageError("every --sizes entry must be at least --k")
     if args.seeds < 1:
         raise UsageError("--seeds must be at least 1")
-    if args.repeats < 1:
-        raise UsageError("--repeats must be at least 1")
     check_solver_args(args)
     cells = []
     for n in sizes:
@@ -300,11 +295,10 @@ def _bench_cell(args, graph: Graph, s: int) -> tuple[int | None, str | None]:
     """One bench cell's verified value, or None and the failure's kind
     (as in NotKColorableError) when the algorithm failed on it."""
     if args.algo == "combined":
-        cfg = CombinedConfig(trials=args.trials, seed=args.seed + s,
-                             repeats=args.repeats)
+        cfg = CombinedConfig(trials=args.trials, seed=args.seed + s)
         res = combined_color(graph, args.k, cfg)
         if res.coloring is None:
-            return None, res.attempt_failures[-1][0]
+            return None, res.attempt_failures[0][0]
         if not verify_coloring(graph, res.coloring):
             raise AssertionError("unverified coloring in bench")
         return res.colors_used, None
@@ -351,7 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--trials", type=int, default=64)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--repeats", type=int, default=3)
     p.add_argument("--out", help="result JSON path (stdout if omitted)")
     p.set_defaults(func=cmd_color)
 
@@ -386,7 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=int, default=3)
     p.add_argument("--trials", type=int, default=24)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--repeats", type=int, default=3)
     p.add_argument("--out")
     p.set_defaults(func=cmd_bench)
 

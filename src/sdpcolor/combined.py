@@ -22,7 +22,7 @@ One round of the finder on the current quotient graph (n vertices):
        neighborhood S (when |S| >= n^{(1-a_k)/(1-a_{k-2})}): color G[S] with
        k-2 colors recursively; success within the cutoff extracts a large
        color class, failure proves u,v share a color and they are merged
-       (a solver stall in the probe proves nothing and fails the attempt).
+       (a solver stall in the probe proves nothing and fails the run).
        For k-2 = 2 the probe is exact: a level-by-level BFS 2-coloring of
        S's block of the quotient's matrix (no Graph copy of S), whose
        larger side is the set.
@@ -31,10 +31,9 @@ One round of the finder on the current quotient graph (n vertices):
        and run the promise extractor on the largest CANDIDATE_CAP until one
        yields a set of size n^{1-a_k} up to the harness constant.
 
-Every claim is re-verified by the driver before it is applied. The whole
-algorithm reruns with fresh seeds on failure (contradiction, budget, or
-solver stall), since the randomized inner steps can produce false
-"not colorable" evidence.
+Every claim is re-verified by the driver before it is applied. A run is one
+randomized pass from ``CombinedConfig.seed``; a failure (contradiction,
+budget, or solver stall) is reported, not retried.
 """
 
 from __future__ import annotations
@@ -80,12 +79,11 @@ def alpha_k(k: int) -> Fraction:
     """Exact color-count exponent for k-colorable graphs."""
     if k < 2:
         raise ValueError(f"exponent sequence starts at k = 2, got {k}")
-    if k == 2:
-        return Fraction(0)
-    if k == 3:
-        return Fraction(3, 14)
-    prev = alpha_k(k - 2)
-    return 1 - Fraction(6) / (k + 4 + 3 * (1 - Fraction(2, k)) / (1 - prev))
+    # A loop, not a recursion: k may pass the interpreter's recursion limit.
+    a = Fraction(0) if k % 2 == 0 else Fraction(3, 14)
+    for j in range(4 + k % 2, k + 1, 2):
+        a = 1 - Fraction(6) / (j + 4 + 3 * (1 - Fraction(2, j)) / (1 - a))
+    return a
 
 
 def route_exponent(k: int) -> Fraction:
@@ -123,7 +121,6 @@ class CombinedConfig:
 
     trials: int = 64
     seed: int = 0
-    repeats: int = 3
 
 
 @dataclass(frozen=True)
@@ -155,15 +152,20 @@ class CombinedResult:
     failure: str | None
     alpha_exponent: Fraction  # of the route that ran: 1/4 if k3_fallback
     seed: int
-    repeats_used: int
     k3_fallback: bool
     declarations: list[Declaration] = field(default_factory=list)
-    # (kind, message) of every failed attempt, kind as in NotKColorableError
+    # (kind, message) of the run's failure, kind as in NotKColorableError;
+    # empty when it coloured
     attempt_failures: list[tuple[str, str]] = field(default_factory=list)
 
     @property
     def colors_used(self) -> int | None:
         return self.coloring.colors_used if self.coloring is not None else None
+
+    @property
+    def repeats_used(self) -> int:
+        """Attempts the run made: 1, whether it coloured or failed."""
+        return len(self.attempt_failures) + (self.coloring is not None)
 
     def to_json_dict(self) -> dict:
         return {
@@ -176,7 +178,6 @@ class CombinedResult:
             "alpha_k": str(self.alpha_exponent),
             "bound_n_pow_alpha": float(self.n ** float(self.alpha_exponent)),
             "seed": self.seed,
-            "repeats_used": self.repeats_used,
             "k3_fallback": self.k3_fallback,
         }
 
@@ -185,7 +186,7 @@ class CombinedResult:
 # k = 3 fallback: high-degree neighborhood splitting + threshold rounding
 # ---------------------------------------------------------------------------
 
-def color_three_fallback(g: Graph, cfg: CombinedConfig, seed: int) -> Coloring:
+def color_three_fallback(g: Graph, cfg: CombinedConfig) -> Coloring:
     """Color a 3-colorable graph with roughly n^{1/4} polylog colors.
 
     While a vertex of degree >= n^{3/4} exists, its neighborhood must be
@@ -201,7 +202,7 @@ def color_three_fallback(g: Graph, cfg: CombinedConfig, seed: int) -> Coloring:
         v_star = int(np.argmax(sub.degrees()))  # ties to the lowest id
         if sub.degree(v_star) < sub.n ** 0.75:
             # kms_color tries the exact coloring first.
-            col = kms_color(sub, 3, trials=cfg.trials, seed=seed)
+            col = kms_color(sub, 3, trials=cfg.trials, seed=cfg.seed)
             break
         col = exact_coloring(sub)
         if col is not None:
@@ -254,11 +255,10 @@ class _CombinedFinder:
     the round counter and the last solve's rows, for restriction to U.
     """
 
-    def __init__(self, k: int, cfg: CombinedConfig, seed: int,
+    def __init__(self, k: int, cfg: CombinedConfig,
                  declarations: list[Declaration]):
         self.k = k
         self.cfg = cfg
-        self.seed = seed
         self.declarations = declarations
         self.round_no = 0
         self._rows: dict[int, np.ndarray] = {}  # rep id -> last solved row
@@ -288,7 +288,7 @@ class _CombinedFinder:
         sub = cg.induced(u_ids)
         if sub.m == 0:
             return LargeIndependentSet(frozenset(u_ids))
-        rng_seed = self.seed * 1009 + self.round_no
+        rng_seed = self.cfg.seed * 1009 + self.round_no
         vc = None
         if all(rep in self._rows for rep in u_ids):
             # Restriction closure; the exact per-edge check re-validates
@@ -316,20 +316,18 @@ class _CombinedFinder:
                 return LargeIndependentSet(frozenset(s_ids[side].tolist()))
         else:
             sub = cg.induced(s_ids)
-            probe_cfg = replace(
-                self.cfg, trials=max(8, self.cfg.trials // 2), seed=self.seed,
-                repeats=1)
+            probe_cfg = replace(self.cfg, trials=max(8, self.cfg.trials // 2))
             result = combined_color(sub, k2, probe_cfg)
             if (result.coloring is not None
                     and result.colors_used <= cutoff(sub.n, k2)):
                 cls = largest_color_class(result.coloring)
                 return LargeIndependentSet(frozenset(s_ids[list(cls)].tolist()))
             if result.coloring is None:
-                kind, msg = result.attempt_failures[-1]
+                [(kind, msg)] = result.attempt_failures
                 if kind == "solver":
                     # A stalled solver says nothing about S: neither a
                     # merge nor a contradiction may rest on it, so the
-                    # whole attempt reruns with a fresh seed.
+                    # whole run fails as "solver".
                     raise NotKColorableError(
                         "solver", f"{k2}-coloring probe of pair {u},{v}: {msg}")
         limit = DECLARATION_LIMIT_BIPARTITE if k2 == 2 else DECLARATION_LIMIT
@@ -355,7 +353,7 @@ class _CombinedFinder:
                 tsub, verts = induced_subgraph(wsub, cs.members)
                 found = ak_independent_set(
                     tsub, alpha_probe, trials=max(8, self.cfg.trials // 4),
-                    seed=self.seed * 131 + self.round_no * 17 + rank,
+                    seed=self.cfg.seed * 131 + self.round_no * 17 + rank,
                     solver_budget=INDSET_BUDGET)
                 if len(found) >= floor_size:
                     return LargeIndependentSet(frozenset(
@@ -375,49 +373,38 @@ def combined_color(g: Graph, k: int, cfg: CombinedConfig | None = None) -> Combi
     """Color g with roughly n^{a_k} polylog colors when g is k-colorable.
 
     Always returns a CombinedResult; the coloring (when present) is proper
-    regardless of whether g was k-colorable. Failures (contradiction, color
-    budget, solver stall) trigger up to cfg.repeats full reruns with fresh
-    seeds before being reported.
+    regardless of whether g was k-colorable. The run is one pass from
+    cfg.seed: a failure (contradiction, color budget, solver stall) is
+    reported as it happened.
     """
     if cfg is None:
         cfg = CombinedConfig()
     if k < 2:
         raise ValueError(f"k must be at least 2, got {k}")
-    if cfg.repeats < 1:
-        raise ValueError(f"repeats must be at least 1, got {cfg.repeats}")
-    fallback = k == 3 and g.n > 0  # every such attempt takes that route
+    fallback = k == 3 and g.n > 0  # every such run takes that route
     a_exp = route_exponent(k) if g.n > 0 else alpha_k(k)  # n = 0 runs none
-    failures: list[tuple[str, str]] = []
     declarations: list[Declaration] = []
-    for attempt in range(cfg.repeats):
-        seed = cfg.seed + 7919 * attempt
-        try:
-            coloring = _attempt(g, k, cfg, seed, declarations)
-        except NotKColorableError as exc:
-            failures.append((exc.kind, str(exc)))
-            continue
-        return CombinedResult(g.n, k, coloring, None, a_exp, cfg.seed,
-                              attempt + 1, fallback, declarations, failures)
-    return CombinedResult(
-        g.n, k, None,
-        "not k-colorable or algorithm failure: "
-        + " | ".join(f"{kind}: {msg}" for kind, msg in failures),
-        a_exp, cfg.seed, cfg.repeats, fallback, declarations, failures)
-
-
-def _attempt(g: Graph, k: int, cfg: CombinedConfig, seed: int,
-             declarations: list[Declaration]) -> Coloring:
-    if g.n == 0:
-        return Coloring(())
-    if k >= 4:  # the driver verifies its own coloring
-        finder = _CombinedFinder(k, cfg, seed, declarations)
-        return progress_driver(g, finder=finder, budget=cutoff(g.n, k))
-    col = two_coloring(g) if k == 2 else color_three_fallback(g, cfg, seed)
-    if col is None:
-        raise NotKColorableError("witness", "graph is not bipartite")
-    if not verify_coloring(g, col):
-        raise AssertionError(f"the k = {k} route produced an improper coloring")
-    return col
+    try:
+        if g.n == 0:
+            coloring = Coloring(())
+        elif k >= 4:  # the driver verifies its own coloring
+            finder = _CombinedFinder(k, cfg, declarations)
+            coloring = progress_driver(g, finder=finder, budget=cutoff(g.n, k))
+        else:
+            coloring = (two_coloring(g) if k == 2
+                        else color_three_fallback(g, cfg))
+            if coloring is None:
+                raise NotKColorableError("witness", "graph is not bipartite")
+            if not verify_coloring(g, coloring):
+                raise AssertionError(
+                    f"the k = {k} route produced an improper coloring")
+    except NotKColorableError as exc:
+        return CombinedResult(
+            g.n, k, None,
+            f"not k-colorable or algorithm failure: {exc.kind}: {exc}",
+            a_exp, cfg.seed, fallback, declarations, [(exc.kind, str(exc))])
+    return CombinedResult(g.n, k, coloring, None, a_exp, cfg.seed, fallback,
+                          declarations)
 
 
 def fit_exponent(sizes, values) -> float:

@@ -51,7 +51,7 @@ def test_color_planted_small(tmp_path):
                 "--out", str(out)])
     assert code == EXIT_OK
     payload = read_json(out)
-    assert payload["schema"] == 1
+    assert payload["schema"] == 2
     assert payload["colors_used"] >= 4
     inst = planted_k_colorable(40, 4, 0.4, seed=1)
     assert verify_coloring(inst.graph, Coloring(tuple(payload["coloring"])))
@@ -68,6 +68,15 @@ def test_color_k222_exact(tmp_path):
     assert read_json(out)["colors_used"] == 3
 
 
+def test_color_large_k_exits_0(tmp_path):
+    # alpha_k(2500) once recursed past the interpreter's limit: exit 2.
+    out = tmp_path / "res.json"
+    code = run(["color", "--gen", "planted:n=30,k=3,p=0.3,seed=0",
+                "--k", "2500", "--out", str(out)])
+    assert code == EXIT_OK
+    assert read_json(out)["k"] == 2500
+
+
 def test_color_missing_input_is_usage_error(tmp_path):
     code = run(["color", "--input", str(tmp_path / "missing.col"), "--k", "3"])
     assert code == EXIT_USAGE
@@ -76,7 +85,7 @@ def test_color_missing_input_is_usage_error(tmp_path):
 def test_color_failure_exit_code(tmp_path):
     out = tmp_path / "res.json"
     code = run(["color", "--gen", "gnp:n=9,p=1.0,seed=0", "--k", "2",
-                "--repeats", "1", "--out", str(out)])
+                "--out", str(out)])
     assert code == EXIT_FAILURE
     assert read_json(out)["coloring"] is None
 
@@ -234,7 +243,10 @@ USAGE_ERRORS = {
     # Used to exit 0 with no cells.
     "bench-negative-seeds": ["bench", "--k", "4", "--sizes", "20",
                              "--seeds", "-1"],
-    # Used to exit 0 after one attempt.
+    # No --repeats flag: a run is one attempt, so any value is refused.
+    "color-repeats": ["color", "--gen", "planted:n=20,k=4,seed=0",
+                      "--k", "4", "--repeats", "3"],
+    "bench-repeats": ["bench", "--k", "4", "--sizes", "20", "--repeats", "3"],
     "color-negative-repeats": ["color", "--gen", "planted:n=20,k=4,seed=0",
                                "--k", "4", "--repeats", "-2"],
     "bench-zero-repeats": ["bench", "--k", "4", "--sizes", "20",

@@ -54,6 +54,17 @@ def test_alpha_table_exact():
         assert alpha_k(k) == want
 
 
+def test_alpha_loop_matches_the_recurrence():
+    # a_k from a_{k-2}, as the recurrence is written; alpha_k runs it as a
+    # loop, so a k far past the interpreter's recursion limit evaluates.
+    want = {2: Fraction(0), 3: Fraction(3, 14)}
+    for k in range(4, 41):
+        want[k] = 1 - Fraction(6) / (
+            k + 4 + 3 * (1 - Fraction(2, k)) / (1 - want[k - 2]))
+    assert {k: alpha_k(k) for k in want} == want
+    assert 0 < alpha_k(2500) < 1
+
+
 def test_alpha_validation():
     with pytest.raises(ValueError):
         alpha_k(1)
@@ -113,10 +124,11 @@ def test_combined_k2_odd_cycle_fails():
     assert "not" in res.failure
 
 
-@pytest.mark.parametrize("repeats", [0, -2])
-def test_combined_rejects_repeats_below_1(repeats):
-    with pytest.raises(ValueError, match="repeats"):
-        combined_color(cycle_graph(9), 2, CombinedConfig(repeats=repeats))
+def test_failing_run_makes_one_attempt():
+    # A failure is reported from the run's one pass, never rerun.
+    res = combined_color(cycle_graph(9), 2)
+    assert len(res.attempt_failures) == 1
+    assert res.repeats_used == 1
 
 
 def test_combined_k3_fallback_flagged():
@@ -130,7 +142,7 @@ def test_color_three_witness_on_non_3_colorable():
     # K5 has a non-bipartite neighborhood... but it is tiny, so drive the
     # witness path with a graph above the exact threshold: a 25-clique.
     g = complete_graph(25)
-    res = combined_color(g, 3, CombinedConfig(seed=0, trials=8, repeats=1))
+    res = combined_color(g, 3, CombinedConfig(seed=0, trials=8))
     assert res.coloring is None
     assert "not" in res.failure
 
@@ -156,7 +168,7 @@ _WHEEL_CYCLE = (0, 1) * 15
 ])
 def test_color_three_fallback_splits_high_degree_neighbourhood(path_len, rest):
     g = _wheel_plus_path(path_len)
-    col = color_three_fallback(g, CombinedConfig(), 0)
+    col = color_three_fallback(g, CombinedConfig())
     assert col.assignment == rest
     assert verify_coloring(g, col)
 
@@ -170,7 +182,7 @@ def test_color_three_fallback_reports_solver_stall(monkeypatch):
 
     monkeypatch.setattr(rounding, "solve_vector_coloring", stall)
     with pytest.raises(NotKColorableError) as err:
-        color_three_fallback(cycle_graph(25), CombinedConfig(), 0)
+        color_three_fallback(cycle_graph(25), CombinedConfig())
     assert err.value.kind == "solver"
 
 
@@ -201,10 +213,9 @@ def test_combined_k4_planted_midsize():
     assert res.colors_used <= 20
 
 
-# Planted (n, k, p, seed) cases whose solves once stalled above eps on every
-# attempt: with feasibility aimed below the exact target, a K_k held the
-# largest edge residual at 1.2-1.7e-3 against eps 1e-3. Each now colours on
-# its first attempt; n=64 needed a second until refinement moved its aims.
+# Planted (n, k, p, seed) cases whose solves once stalled above eps: with
+# feasibility aimed below the exact target, a K_k held the largest edge
+# residual at 1.2-1.7e-3 against eps 1e-3. Each now colours in its one run.
 STALL_CASES = [
     (200, 4, 0.5, 0), (250, 4, 0.5, 0), (300, 4, 0.5, 0), (120, 4, 0.6, 0),
     (64, 4, 0.3, 0), (120, 6, 0.7, 3), (130, 4, 0.5, 306005),
@@ -217,7 +228,7 @@ def test_former_solver_stalls_colour(n, k, p, seed):
     res = combined_color(g, k, CombinedConfig(seed=seed, trials=16))
     assert res.coloring is not None, res.failure
     assert verify_coloring(g, res.coloring)
-    assert res.repeats_used == 1
+    assert res.attempt_failures == []
 
 
 def _counting_solver(monkeypatch):
@@ -236,7 +247,7 @@ def _counting_solver(monkeypatch):
 def _first_round(monkeypatch):
     calls = _counting_solver(monkeypatch)
     cg = ContractedGraph(planted_k_colorable(60, 4, 0.3, seed=1).graph)
-    finder = _CombinedFinder(4, CombinedConfig(trials=16), 0, [])
+    finder = _CombinedFinder(4, CombinedConfig(trials=16), [])
     first = finder._round_low_degree(cg, cg.alive)
     assert calls == [60] and first.members
     return calls, cg, finder, first
@@ -304,7 +315,7 @@ def test_result_json_schema():
         assert payload["colors_used"] == len(set(payload["coloring"]))
         assert set(payload) == {
             "n", "k", "colors_used", "coloring", "failure", "alpha_k",
-            "bound_n_pow_alpha", "seed", "repeats_used", "k3_fallback",
+            "bound_n_pow_alpha", "seed", "k3_fallback",
         }
 
 
@@ -356,7 +367,7 @@ def test_candidate_round_pinned():
     # the greedy last resort.
     g = planted_k_colorable(60, 4, 0.4, seed=0).graph
     cg = ContractedGraph(g)
-    finder = _CombinedFinder(4, CombinedConfig(trials=16), 0, [])
+    finder = _CombinedFinder(4, CombinedConfig(trials=16), [])
     finder.round_no = 1
     got = finder._candidate_round(cg, cg.alive, cg.alive_count,
                                   float(alpha_k(4)))
@@ -375,7 +386,7 @@ def test_candidate_round_never_builds_the_whole_collection(monkeypatch):
                         raising=False)
     g = planted_k_colorable(60, 4, 0.4, seed=0).graph
     cg = ContractedGraph(g)
-    finder = _CombinedFinder(4, CombinedConfig(trials=16), 0, [])
+    finder = _CombinedFinder(4, CombinedConfig(trials=16), [])
     finder.round_no = 1
     got = finder._candidate_round(cg, cg.alive, cg.alive_count,
                                   float(alpha_k(4)))
@@ -399,7 +410,7 @@ def _failing_probe(monkeypatch, kind):
     def probe(sub, k, cfg=None):
         calls.append((sub.n, k))
         return CombinedResult(sub.n, k, None, f"{kind}: probe failed",
-                              alpha_k(k), 0, 1, False,
+                              alpha_k(k), 0, False,
                               attempt_failures=[(kind, "probe failed")])
 
     monkeypatch.setattr(combined, "combined_color", probe)
@@ -409,10 +420,10 @@ def _failing_probe(monkeypatch, kind):
 @pytest.mark.parametrize("adjacent", [False, True])
 def test_probe_solver_stall_is_no_evidence(monkeypatch, adjacent):
     # A stalled solver must neither merge the pair nor contradict the graph:
-    # the attempt fails as "solver" and reruns with a fresh seed.
+    # the run fails as "solver".
     calls = _failing_probe(monkeypatch, "solver")
     declarations = []
-    finder = _CombinedFinder(6, CombinedConfig(), 0, declarations)
+    finder = _CombinedFinder(6, CombinedConfig(), declarations)
     with pytest.raises(NotKColorableError) as err:
         finder._probe_pair(_probe_fixture(adjacent), 0, 1)
     assert err.value.kind == "solver"
@@ -425,7 +436,7 @@ def test_probe_solver_stall_is_no_evidence(monkeypatch, adjacent):
 def test_probe_sound_failure_merges_or_contradicts(monkeypatch, kind):
     _failing_probe(monkeypatch, kind)
     declarations = []
-    finder = _CombinedFinder(6, CombinedConfig(), 0, declarations)
+    finder = _CombinedFinder(6, CombinedConfig(), declarations)
     assert finder._probe_pair(_probe_fixture(False), 0, 1) == SameColor(0, 1)
     with pytest.raises(ContradictionError):
         finder._probe_pair(_probe_fixture(True), 0, 1)
@@ -441,7 +452,7 @@ def test_declarations_read_what_the_probe_built(monkeypatch):
     cg = ContractedGraph(Graph(10, edges))
     cg.merge(8, 9)  # a merged-away id, whose zero row stays out of S
     declarations = []
-    finder = _CombinedFinder(4, CombinedConfig(), 0, declarations)
+    finder = _CombinedFinder(4, CombinedConfig(), declarations)
     assert finder._probe_pair(cg, 0, 1) == SameColor(0, 1)
     [dec] = declarations
     assert dec == Declaration(cg.induced(list(range(2, 9))), 2)
@@ -451,7 +462,7 @@ def test_declarations_read_what_the_probe_built(monkeypatch):
     _failing_probe(monkeypatch, "budget")
     declarations.clear()
     cg = _probe_fixture(False)
-    finder = _CombinedFinder(6, CombinedConfig(), 0, declarations)
+    finder = _CombinedFinder(6, CombinedConfig(), declarations)
     assert finder._probe_pair(cg, 0, 1) == SameColor(0, 1)
     [dec] = declarations
     assert dec == Declaration(cg.induced(list(range(2, 7))), 4)

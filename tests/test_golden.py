@@ -42,8 +42,8 @@ CASES = {
     "color-k6-n120-adjacent-probe": (["color", "--gen",
                                       "planted:n=120,k=6,p=0.7,seed=3", "--k", "6",
                                       "--trials", "16", "--seed", "3"], EXIT_OK),
-    # not 4-colourable (its greedy clique has 23 vertices): exit 2, three
-    # contradiction failures
+    # not 4-colourable (its greedy clique has 23 vertices): exit 2, one
+    # contradiction failure
     "color-k4-gnp60-contradiction": (["color", "--gen", "gnp:n=60,p=0.9,seed=1",
                                       "--k", "4", "--trials", "16", "--seed", "1"],
                                      EXIT_FAILURE),

@@ -22,9 +22,7 @@ thread. Four sets of cases, each a fixed list (no options):
   ``ak_independent_set(g, 3.0, seed=s)``.
 
 For each part the line gives the runs, colours, failures (an
-``InfeasibleError``, or a ``combined_color`` result with no colouring),
-repeats (``combined_color``'s ``repeats_used``, summed; per case for
-``stall``)
+``InfeasibleError``, or a ``combined_color`` result with no colouring)
 and the ``_coloring_descent`` iterations per phase: ``wide`` (feasibility
 on the full-width rows), ``lowrank`` (both feasibility phases on the
 rank-reduced rows) and ``refine`` (the passes with per-edge aims). Colour
@@ -152,7 +150,7 @@ def run():
         for name in ("kms", "combined", "stall")]
     for name, mine in parts:
         t0 = time.perf_counter()
-        colors, repeats = [], []
+        colors = []
         with _PhaseCounter() as count:
             for n, k, p, s, seed in mine:
                 g = planted_k_colorable(n, k, p, seed=s).graph
@@ -164,7 +162,6 @@ def run():
                 else:
                     res = combined_color(g, k, CombinedConfig(seed=seed, trials=16))
                     coloring = res.coloring
-                    repeats.append(res.repeats_used)
                     digest.update(json.dumps(
                         None if coloring is None
                         else list(coloring.assignment)).encode() + b"\n")
@@ -174,8 +171,6 @@ def run():
         done = [(case[0], c) for case, c in zip(mine, colors) if c is not None]
         part = {"runs": len(mine), "colors": sum(c for _, c in done),
                 "failures": len(mine) - len(done)}
-        if name != "kms":
-            part["repeats"] = repeats if name == "stall" else sum(repeats)
         if name == "grid":
             part["fitted_exponent"] = round(fit_exponent(*zip(*done)), 3) + 0.0
         out[name] = _finish(part, count, t0)
