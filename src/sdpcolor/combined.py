@@ -381,6 +381,8 @@ def combined_color(g: Graph, k: int, cfg: CombinedConfig | None = None) -> Combi
         cfg = CombinedConfig()
     if k < 2:
         raise ValueError(f"k must be at least 2, got {k}")
+    if cfg.trials < 1:
+        raise ValueError(f"need at least one trial, got {cfg.trials}")
     fallback = k == 3 and g.n > 0  # every such run takes that route
     a_exp = route_exponent(k) if g.n > 0 else alpha_k(k)  # n = 0 runs none
     declarations: list[Declaration] = []

@@ -42,6 +42,13 @@ class NotKColorableError(RuntimeError):
         self.kind = kind
 
 
+def check_vertex(v: int, n: int) -> None:
+    """Refuses a vertex id outside 0..n-1, which numpy indexing would wrap
+    (a negative id) or report as an array index."""
+    if not 0 <= v < n:
+        raise IndexError(f"vertex {v} out of range for n={n}")
+
+
 class Graph:
     """Simple undirected graph on vertices 0..n-1 (no loops, no multi-edges).
 
@@ -128,6 +135,7 @@ class Graph:
     def neighbors(self, v: int) -> np.ndarray:
         """The neighbours of v, sorted: a read-only int64 slice of the CSR
         arrays (``.tolist()`` gives Python ints)."""
+        check_vertex(v, self._n)
         indptr, indices = self._csr
         return indices[indptr[v]:indptr[v + 1]]
 
@@ -137,12 +145,13 @@ class Graph:
         return _gather(*self._csr, vs)
 
     def degree(self, v: int) -> int:
-        return int(self._degrees[v])
+        return len(self.neighbors(v))
 
     def degrees(self) -> list[int]:
         return self._degrees.tolist()
 
     def has_edge(self, u: int, v: int) -> bool:
+        check_vertex(v, self._n)
         return v in self.neighbors(u)
 
     @property

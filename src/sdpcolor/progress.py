@@ -31,7 +31,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .graph import Coloring, Graph, NotKColorableError, verify_coloring
+from .graph import Coloring, Graph, NotKColorableError, check_vertex, verify_coloring
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +175,8 @@ class ContractedGraph:
         return int(np.count_nonzero(self.live))
 
     def has_edge(self, u: int, v: int) -> bool:
+        check_vertex(u, self.base.n)
+        check_vertex(v, self.base.n)
         return bool(self.adj[u, v])
 
     def is_independent(self, vs: Iterable[int]) -> bool:

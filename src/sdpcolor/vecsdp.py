@@ -4,7 +4,7 @@ Two programs are solved here over unit vectors, both as augmented
 Lagrangians (Burer-Monteiro) by Adam steps with row renormalization on the
 product of spheres (no external SDP solver):
 
-* vector alpha-coloring: unit v_1..v_n with v_i . v_j <= -1/(alpha-1) + eps
+* vector alpha-coloring: unit v_1..v_n with v_i . v_j <= -1/(alpha-1) + EPS
   on every edge. A penalty descent on the hinge violations (multipliers at
   zero), refined where it misses by per-edge multipliers, then the same
   feasibility descent again on the rows reduced to rank ceil(alpha) - 1.
@@ -12,14 +12,15 @@ product of spheres (no external SDP solver):
 * the independence-number program: maximize sum (1 + v0 . v_i)/2 subject to
   (v0 + v_i) . (v0 + v_j) = 0 on edges.
 
-Both iterate on the edge kernels of one ``_EdgeSums`` workspace: in float32
-where eps is at least 1e-4 and the rows are wider than 8
+Both solve at the one tolerance ``EPS`` and iterate on the edge kernels of
+one ``_EdgeSums`` workspace: in float32 where the rows are wider than 8
 (``_iteration_dtype``), which covers the coloring solver's wide rows and
-every independence iteration, else in float64. What is accepted or returned
-is measured in float64 with per-edge products. The coloring solver's
-infeasibility reports are evidence only (best residual reached), not
-certificates; the independence solver stops on a weak-duality certificate
-up to n = 2048 (``solve_indset_sdp``). All logarithms are natural.
+every independence iteration on 8 or more vertices, else in float64. What
+is accepted or returned is measured in float64 with per-edge products. The
+coloring solver's infeasibility reports are evidence only (best residual
+reached), not certificates; the independence solver stops on a
+weak-duality certificate up to n = 2048 (``solve_indset_sdp``). All
+logarithms are natural.
 """
 
 from __future__ import annotations
@@ -43,11 +44,10 @@ class InfeasibleError(NotKColorableError):
     that no feasible solution exists.
     """
 
-    def __init__(self, alpha: float, eps: float, best_residual: float,
-                 iterations: int):
+    def __init__(self, alpha: float, best_residual: float, iterations: int):
         super().__init__(
             "solver",
-            f"no vector {alpha:g}-coloring found at tolerance {eps:g} "
+            f"no vector {alpha:g}-coloring found at tolerance {EPS:g} "
             f"(best edge residual {best_residual:.3e} after {iterations} "
             f"iterations; evidence only, not a certificate)")
         self.best_residual = best_residual
@@ -322,14 +322,12 @@ def _sphere_step(v, grad, opt, tmp, rowdots):
     _row_normalize(v, rowdots)
 
 
-def _iteration_dtype(eps: float, d: int):
-    """The dtype a solver iterates in at tolerance eps and width d.
-
-    float32 whenever eps is far above float32 resolution and the rows are
-    wider than 8: the iterations then only have to land near a target that
-    float64 measurements accept or refuse. float64 otherwise.
-    """
-    return np.float32 if (eps >= 1e-4 and d > 8) else np.float64
+def _iteration_dtype(d: int):
+    """The dtype a solver iterates in at width d: float32 for rows wider
+    than 8, where the iterations only have to land near a target that
+    float64 measurements accept or refuse at EPS, far above float32
+    resolution; float64 otherwise."""
+    return np.float32 if d > 8 else np.float64
 
 
 def _as_float64(v: np.ndarray) -> np.ndarray:
@@ -343,12 +341,12 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must be finite and at least 2, got {alpha}")
 
 
-def _check_counts(budget: int, restarts: int) -> None:
-    """Both solvers run at least one iteration of at least one restart."""
-    if budget < 1:
-        raise ValueError(f"budget must be at least 1, got {budget}")
-    if restarts < 1:
-        raise ValueError(f"restarts must be at least 1, got {restarts}")
+def _check_counts(**counts: int) -> None:
+    """Each count is at least 1: both solvers run at least one iteration
+    per restart, and the coloring solver at least one restart."""
+    for name, count in counts.items():
+        if count < 1:
+            raise ValueError(f"{name} must be at least 1, got {count}")
 
 
 # Cap on the solver width: every iteration scales with the width and
@@ -438,10 +436,9 @@ def _rank_reduce(v, rank):
     return _row_normalize(out)
 
 
-def solve_vector_coloring(g: Graph, alpha: float, eps: float = EPS,
-                          budget: int = 2000, seed: int = 0,
-                          restarts: int = 1) -> VectorColoring:
-    """Find a vector alpha-coloring of g at tolerance eps (default EPS).
+def solve_vector_coloring(g: Graph, alpha: float, budget: int = 2000,
+                          seed: int = 0, restarts: int = 1) -> VectorColoring:
+    """Find a vector alpha-coloring of g at tolerance eps = EPS.
 
     Each restart starts from random rows and takes one path:
 
@@ -469,37 +466,27 @@ def solve_vector_coloring(g: Graph, alpha: float, eps: float = EPS,
     margin between the Gram dots that test the exit and the per-edge
     products that accept. The wide phase and the first low-rank phase exit
     at the hand-off bar t + 10 eps, and every phase once its objective
-    stalls (``_coloring_descent``, relative change 1e-7). The re-descent
-    has no margin polish (a phase minimizing sum d_e between the two): on
-    the first ``color-k4`` case such a phase moved sum d_e -342.88 ->
-    -350.38 and the final phase gave it all back (-342.69), and without it
-    no quality sweep total got worse (``BENCH_drop_polish.json``).
-    Callers keep the one default restart and rerun a failed solve with a
-    fresh seed. Raises InfeasibleError (evidence only) when every restart
-    stalls above eps, its iteration count covering every phase run, and
-    ValueError when alpha is not finite or below 2, or budget or restarts
-    is below 1.
+    stalls (``_coloring_descent``, relative change 1e-7). Callers keep the
+    one default restart and rerun a failed solve with a fresh seed. Raises
+    InfeasibleError (evidence only) when every restart stalls above eps,
+    its iteration count covering every phase run, and ValueError when alpha
+    is not finite or below 2, or budget or restarts is below 1.
     """
     _check_alpha(alpha)
-    if not 0.0 < eps < math.inf:
-        raise ValueError(f"eps must be positive and finite, got {eps}")
-    _check_counts(budget, restarts)
+    _check_counts(budget=budget, restarts=restarts)
     n = g.n
-    if n == 0:
-        return VectorColoring(alpha, np.zeros((0, 1)), eps)
-    d = _solver_dim(n, g.m)
+    d = _solver_dim(n, g.m)  # 1 at n = 0: an empty graph gets (0, 1) rows
     if g.m == 0:
         vecs = np.zeros((n, d))
         vecs[:, 0] = 1.0
-        return VectorColoring(alpha, vecs, eps)
+        return VectorColoring(alpha, vecs, EPS)
 
     target = -1.0 / (alpha - 1.0)
     eu, ev = g.edge_arrays()
 
     best_res = float("inf")
     total_iters = 0
-    handoff = 10.0 * eps  # the wide and first low-rank phases' exit and test
-    wide_dtype = _iteration_dtype(eps, d)
+    handoff = 10.0 * EPS  # the wide and first low-rank phases' exit and test
     rank = max(2, int(math.ceil(alpha)) - 1)
 
     def descend(vecs, iters, lr, aim=target, **kwargs):
@@ -507,19 +494,19 @@ def solve_vector_coloring(g: Graph, alpha: float, eps: float = EPS,
         total_iters += _coloring_descent(vecs, eu, ev, aim, iters, lr, **kwargs)
 
     def try_lowrank(full):
-        # Re-descend in the top-rank basis: to the hand-off bar, then to eps.
+        # Re-descend in the top-rank basis: to the hand-off bar, then to EPS.
         reduced = _rank_reduce(full, rank)
         descend(reduced, budget, lr=0.02, stop_at=target + handoff)
         if _residual(reduced, eu, ev, target) > handoff:
             return None
-        descend(reduced, budget // 2, lr=0.005, stop_at=target + 0.5 * eps)
-        ok = _residual(reduced, eu, ev, target) <= eps
-        return VectorColoring(alpha, reduced, eps) if ok else None
+        descend(reduced, budget // 2, lr=0.005, stop_at=target + 0.5 * EPS)
+        ok = _residual(reduced, eu, ev, target) <= EPS
+        return VectorColoring(alpha, reduced, EPS) if ok else None
 
     for attempt in range(restarts):
         rng = stream(seed, "veccol", attempt)
         v = _row_normalize(rng.standard_normal((n, d)))
-        work = v.astype(wide_dtype) if wide_dtype is np.float32 else v
+        work = v.astype(_iteration_dtype(d), copy=False)
         descend(work, budget, lr=0.05, stop_at=target + handoff)
         res = _residual(work, eu, ev, target)
         if res <= handoff:
@@ -527,23 +514,23 @@ def solve_vector_coloring(g: Graph, alpha: float, eps: float = EPS,
             if found is not None:
                 return found
         # Augmented-Lagrangian passes: multiplier step, then the shifted aim.
-        refined = res > eps
+        refined = res > EPS
         shift = 0.0
         for lr in (0.02, 0.008, 0.003, 0.001):
             dots = _edge_dots(work, eu, ev)
-            if dots.max() - target <= eps:
+            if dots.max() - target <= EPS:
                 break
             shift = np.maximum(shift + dots - target, 0.0)
             descend(work, budget // 2, lr=lr, aim=target - shift,
-                    stop_at=target + 0.25 * eps)
+                    stop_at=target + 0.25 * EPS)
         v = _as_float64(work)
         res = _residual(v, eu, ev, target)
         best_res = min(best_res, res)
-        if res > eps:
+        if res > EPS:
             continue
         found = try_lowrank(v) if refined else None
-        return found if found is not None else VectorColoring(alpha, v, eps)
-    raise InfeasibleError(alpha, eps, best_res, total_iters)
+        return found if found is not None else VectorColoring(alpha, v, EPS)
+    raise InfeasibleError(alpha, best_res, total_iters)
 
 
 # ---------------------------------------------------------------------------
@@ -580,15 +567,16 @@ def _dual_bound(rows, lam, eu, ev):
                  + (n + 1) * max(0.0, -lmin))
 
 
-def solve_indset_sdp(g: Graph, eps: float = EPS, budget: int = 6000,
-                     seed: int = 0, restarts: int = 2) -> IndSetSdpSolution:
-    """Near-optimal feasible point of the independence-number program.
+def solve_indset_sdp(g: Graph, budget: int = 6000,
+                     seed: int = 0) -> IndSetSdpSolution:
+    """Near-optimal feasible point of the independence-number program at
+    tolerance eps = EPS.
 
     Augmented Lagrangian (Burer-Monteiro) on the edge constraints
     (v0+v_i).(v0+v_j) = 0 with the alignment objective; budget caps the
-    inner iterations per restart, eps (default EPS) the tolerance. The
-    restart returned is the best by (residual <= eps, objective);
-    ``iterations`` sums the restarts run.
+    inner iterations of each of two restarts. The restart returned is the
+    best by (residual <= eps, objective); ``iterations`` sums the restarts
+    run.
 
     Each restart draws v0 and Gaussian rows g from its own stream and starts
     the rows at normalize(0.3 g - v0), beside v_i = -v0: the empty set,
@@ -603,17 +591,16 @@ def solve_indset_sdp(g: Graph, eps: float = EPS, budget: int = 6000,
     n=1000 on one BLAS thread), paid by every such step, certified or not.
 
     A restart ends at the first outer step with residual within eps/2 that
-    meets either stop, both with tolerance max(1e-7, 0.01 eps n): the
+    meets either stop, both with tolerance 0.01 eps n: the
     certificate, objective within the tolerance of ``upper_bound`` (a bound
     from an earlier step or restart counts), or the stall rule, from the
     fourth step on, objective within the tolerance of the previous step's;
-    above n = 2048 only the stall rule. No further restart runs once the
-    best has residual <= eps and objective within 0.5 eps n of
+    above n = 2048 only the stall rule. The second restart is skipped once
+    the first has residual <= eps and objective within 0.5 eps n of
     ``upper_bound``. Above n = 2048 ``upper_bound`` is inf; an edgeless
-    graph returns n for both. Raises ValueError when budget or restarts is
-    below 1.
+    graph returns n for both. Raises ValueError when budget is below 1.
 
-    The inner iterations run in ``_iteration_dtype(eps, d)``, in buffers
+    The inner iterations run in ``_iteration_dtype(d)``, in buffers
     allocated once per call, with the multipliers rounded to that dtype for
     each outer step. The edge values (v0+v_u).(v0+v_v) are
     ``_EdgeSums.dots``; the gradient is its neighbour sum of the
@@ -624,16 +611,14 @@ def solve_indset_sdp(g: Graph, eps: float = EPS, budget: int = 6000,
     update are measured with per-edge products; the last measurement is the
     restart's result.
     """
-    if not 0.0 < eps < math.inf:
-        raise ValueError(f"eps must be positive and finite, got {eps}")
-    _check_counts(budget, restarts)
+    _check_counts(budget=budget)
     n = g.n
     if g.m == 0:
-        return IndSetSdpSolution(np.ones(1), np.ones((n, 1)), float(n), eps,
+        return IndSetSdpSolution(np.ones(1), np.ones((n, 1)), float(n), EPS,
                                  0.0, float(n))
 
     d = max(3, min(n + 1, 32))
-    dtype = _iteration_dtype(eps, d)
+    dtype = _iteration_dtype(d)
     eu, ev = g.edge_arrays()
     sums = _EdgeSums(eu, ev, (n, d), dtype)
     grad, tmp = np.empty((n + 1, d), dtype), np.empty((n + 1, d), dtype)
@@ -643,9 +628,9 @@ def solve_indset_sdp(g: Graph, eps: float = EPS, budget: int = 6000,
     p64, h64 = np.empty((n, d)), np.empty(g.m)  # measured in float64
     c = grad[1:]  # the weighted neighbour sums; v0 comes off after grad[0]
 
-    tol = max(1e-7, 0.01 * eps * n)  # of both stops, certified and stalled
+    tol = 0.01 * EPS * n  # of both stops, certified and stalled
     best, upper, iterations = None, math.inf, 0
-    for attempt in range(restarts):
+    for attempt in range(2):
         rng = stream(seed, "indsdp", attempt)
         w = np.zeros((n + 1, d))
         w[0] = _row_normalize(rng.standard_normal((1, d)))[0]
@@ -683,21 +668,21 @@ def solve_indset_sdp(g: Graph, eps: float = EPS, budget: int = 6000,
             obj = float((1.0 + rows[1:] @ rows[0]).sum() / 2.0)
             stall = abs(obj - prev_obj)
             prev_obj = obj
-            met = res <= 0.5 * eps
+            met = res <= 0.5 * EPS
             if met and n <= _DENSE_N:
                 upper = min(upper, _dual_bound(rows, lam, eu, ev))
             if met and (upper - obj <= tol or (outer >= 4 and stall <= tol)):
                 break
             lam = lam + mu * h64
-            if res > 0.25 * eps:
+            if res > 0.25 * EPS:
                 mu = min(mu * 1.6, 1e8)
         if n <= _DENSE_N and not met:
             upper = min(upper, _dual_bound(rows, lam, eu, ev))
         iterations += used
-        if best is None or (res <= eps, obj) > best_key:
-            best = IndSetSdpSolution(rows[0].copy(), rows[1:].copy(), obj, eps, res)
-            best_key = (res <= eps, obj)
-        if best_key[0] and upper - best.objective <= 0.5 * eps * n:
+        if best is None or (res <= EPS, obj) > best_key:
+            best = IndSetSdpSolution(rows[0].copy(), rows[1:].copy(), obj, EPS, res)
+            best_key = (res <= EPS, obj)
+        if best_key[0] and upper - best.objective <= 0.5 * EPS * n:
             break
     return replace(best, upper_bound=upper, iterations=iterations)
 

@@ -59,7 +59,7 @@ def planted_rounding_instance():
     """n = 1000 three-colorable instance with average degree ~20 plus its
     solved vector 3-coloring (shared by criteria 4 and 5)."""
     inst = planted_k_colorable(1000, 3, 0.03, seed=42)
-    vc = solve_vector_coloring(inst.graph, 3.0, eps=1e-3, seed=5)
+    vc = solve_vector_coloring(inst.graph, 3.0, seed=5)
     return inst, vc
 
 

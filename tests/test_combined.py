@@ -36,7 +36,7 @@ from sdpcolor.testkit import (
     random_graph,
     step9_identity_holds,
 )
-from sdpcolor.vecsdp import EPS, InfeasibleError
+from sdpcolor.vecsdp import InfeasibleError
 
 TABLE = {
     3: Fraction(3, 14),
@@ -178,7 +178,7 @@ def test_color_three_fallback_reports_solver_stall(monkeypatch):
     # of low degree, so the fallback rounds it through kms_color.
     def stall(g, alpha, **kwargs):
         assert "eps" not in kwargs  # the solver's default tolerance holds
-        raise InfeasibleError(alpha, EPS, 0.5, 1)
+        raise InfeasibleError(alpha, 0.5, 1)
 
     monkeypatch.setattr(rounding, "solve_vector_coloring", stall)
     with pytest.raises(NotKColorableError) as err:
@@ -467,6 +467,15 @@ def test_declarations_read_what_the_probe_built(monkeypatch):
     [dec] = declarations
     assert dec == Declaration(cg.induced(list(range(2, 7))), 4)
     assert (dec.n, dec.k, len(dec.edges)) == (5, 4, 10)
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_combined_refuses_trials_below_one(trials):
+    # Refused at entry, before any round: on 15 vertices the exact finish
+    # would colour the graph without a single rounding trial.
+    g = planted_k_colorable(15, 4, 0.3, seed=1).graph
+    with pytest.raises(ValueError, match="need at least one trial"):
+        combined_color(g, 4, CombinedConfig(trials=trials))
 
 
 def test_fit_exponent():

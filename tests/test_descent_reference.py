@@ -30,9 +30,10 @@ shift + d - t), and runs the reference toward that aim from the pass's
 starting rows.
 
 ``_ref_solve_indset_sdp`` is the independence solver as it stood before its
-workspace, with the same helpers, brought to what the solver now does: it
-iterates in float32 when eps >= 1e-4 and the width exceeds 8 (float64
-otherwise), rounds the multipliers to that dtype for each outer step,
+workspace, with the same helpers, brought to what the solver now does. It
+keeps its tolerance ``eps`` and its number of ``restarts`` as parameters,
+which the solver fixes at EPS and 2. It iterates in float32 when eps >=
+1e-4 and the width exceeds 8 (float64 otherwise), rounds the multipliers to that dtype for each outer step,
 measures every outer step on the rows taken to float64 (renormalized after
 float32 iterations), takes its Gram matrix as ``p @ p.T.copy()`` (gemm, not
 syrk) and forms the gradient of v0 from the column sums of the neighbour
@@ -44,14 +45,15 @@ eps/2 and at the end of a restart whose last step was not; it ends a
 restart once the objective is within the stall tolerance max(1e-7, 0.01 eps
 n) of the smallest bound so far, and stops restarting once its best restart
 meets eps and lies within eps/2 per vertex of that bound. It counts its
-inner iterations over the restarts run. Its solves must match bit for bit,
-iteration counts included, on all three branches: gathered dots, Gram dots,
-and the scatter above n = 2048; in one solve where the restart skip leaves
-restart 1 out; and in one single-restart solve where the per-step bound
-ends the restart before the stall rule would. The bounds agree to 1e-9 per
-vertex. Three solves are also pinned by digest: two float32 ones and one
-float64 one. Its Gram dots and its gemm or scatter sums follow the
-workspace's choice too.
+inner iterations over the restarts run. Its two-restart solves at eps =
+1e-3 must match the solver's bit for bit, iteration counts included, on all
+three branches: gathered dots, Gram dots (in float32, and in float64 on 6
+vertices), and the scatter above n = 2048; in one solve where the restart
+skip leaves restart 1 out; and in one solve where the per-step bound ends
+restart 0 before the stall rule would, which a single-restart reference
+run without the bound measures. The bounds agree to 1e-9 per vertex. Three
+solves are also pinned by digest: two float32 ones and one float64 one. Its
+Gram dots and its gemm or scatter sums follow the workspace's choice too.
 """
 
 import hashlib
@@ -466,23 +468,22 @@ def test_lowrank_feasible_stops_at_its_fixed_point_within_rounding(
     assert 0.0 < want and abs(got - want) <= _STALL_RTOL
 
 
-@pytest.mark.parametrize("case, eps, branch, prefix", [
-    ((400, 3, 0.015, 1), 1e-3, "gather", None),
-    ((60, 3, 0.3, 3), 5e-5, "gram", 100),
+@pytest.mark.parametrize("case, branch, same", [
+    ((400, 3, 0.015, 1), "gather", _assert_same),
+    ((6, 3, 1.0, 1), "gram", _assert_within_rounding),  # float64 at width 6
 ], ids=["scatter-float32", "gram-float64"])
-def test_refinement_passes_match_the_reference(case, eps, branch, prefix,
+def test_refinement_passes_match_the_reference(case, branch, same,
                                                monkeypatch, kernels):
     # Every refinement pass of a solve that needs two or more: its per-edge
     # aim is target - shift after the step shift = max(0, shift + d - t) on
-    # the pass's starting rows. Where the dots are gathered the whole pass
-    # matches the reference from the same rows bit for bit. On the Gram dots
-    # the descent toward each pass's aim is rerun for ``prefix`` iterations
-    # and matches within rounding, in float64 as the low-rank Gram case
-    # above does. An edge whose dot rounds to either side of its aim is
-    # active in one run only, and Adam's first steps scale that to a full
-    # step: a float32 pass on (40, 4, 0.3, 3) differs by 0.04 after one
-    # step, with a fixed aim as with shifts, and float64 passes on other
-    # instances by up to 1e-11.
+    # the pass's starting rows, and the whole pass matches the reference
+    # from the same rows, cut where the pass ended: bit for bit where the
+    # dots are gathered, within rounding on the Gram dots, in float64 as the
+    # low-rank Gram case above does. An edge whose dot rounds to either side
+    # of its aim is active in one run only, and Adam's first steps scale
+    # that to a full step: a float32 pass on (40, 4, 0.3, 3) differs by 0.04
+    # after one step, with a fixed aim as with shifts, and float64 passes on
+    # other instances by up to 1e-11.
     n, k, p, seed = case
     g, eu, ev, both = _instance(n, k, p, seed)
     passes = []
@@ -497,7 +498,7 @@ def test_refinement_passes_match_the_reference(case, eps, branch, prefix,
         return used
 
     monkeypatch.setattr(vecsdp, "_coloring_descent", recorded)
-    vc = vecsdp.solve_vector_coloring(g, float(k), eps=eps, seed=seed)
+    vc = vecsdp.solve_vector_coloring(g, float(k), seed=seed)
     assert is_feasible_for(vc, g)
     assert len(passes) >= 2
     target = -1.0 / (k - 1)
@@ -508,15 +509,11 @@ def test_refinement_passes_match_the_reference(case, eps, branch, prefix,
         assert shift.any()
         assert np.array_equal(aim, target - shift)
         assert [dots for dots, _ in ran] == [branch] * used
-        if prefix is None:
-            ref = start.copy()
-            used_ref = _ref_coloring_descent(ref, eu, ev, both, aim, *args,
-                                             cut_at=used, **kwargs)
-            _assert_same(ref, new, used_ref, used)
-        else:
-            _assert_within_rounding(*_both(start, eu, ev, both, aim, prefix,
-                                           args[1], **kwargs))
-    if prefix is None:  # the passes scatter once few edges stay violated
+        ref = start.copy()
+        used_ref = _ref_coloring_descent(ref, eu, ev, both, aim, *args,
+                                         cut_at=used, **kwargs)
+        same(ref, new, used_ref, used)
+    if branch == "gather":  # the passes scatter once few edges stay violated
         assert any(("gather", "scatter") in ran for *_, ran in passes)
 
 
@@ -537,9 +534,9 @@ def test_row_sums_match_numpy_bitwise(d, dtype):
 
 
 
-def _indset_pair(g, budget, seed, eps=1e-3, restarts=2):
-    return (_ref_solve_indset_sdp(g, eps, budget, seed, restarts),
-            solve_indset_sdp(g, eps, budget, seed, restarts))
+def _indset_pair(g, budget, seed):
+    return (_ref_solve_indset_sdp(g, 1e-3, budget, seed, 2),
+            solve_indset_sdp(g, budget, seed))
 
 
 def _assert_indset_same(ref, new):
@@ -564,13 +561,15 @@ def test_indset_edge_dot_path_is_bitwise(kernels):
     assert set(kernels) == {("gather", "gemm")}
 
 
-@pytest.mark.parametrize("eps, dtype", [(1e-3, np.float32),
-                                        (5e-5, np.float64)],
+@pytest.mark.parametrize("case, dtype", [((100, 3, 0.3, 17), np.float32),
+                                         ((6, 3, 1.0, 1), np.float64)],
                          ids=["float32", "float64"])
-def test_indset_gram_path_is_bitwise(eps, dtype, kernels):
-    g = planted_k_colorable(100, 3, 0.3, seed=17).graph
-    assert vecsdp._iteration_dtype(eps, 32) is dtype
-    ref, new = _indset_pair(g, 400, seed=4, eps=eps)
+def test_indset_gram_path_is_bitwise(case, dtype, kernels):
+    # Width min(n + 1, 32): float64 only on 7 vertices or fewer.
+    n, k, p, inst_seed = case
+    g = planted_k_colorable(n, k, p, seed=inst_seed).graph
+    assert vecsdp._iteration_dtype(min(n + 1, 32)) is dtype
+    ref, new = _indset_pair(g, 400, seed=4)
     _assert_indset_same(ref, new)
     assert set(kernels) == {("gram", "gemm")}
 
@@ -606,16 +605,16 @@ def test_indset_certified_restart_skip_is_bitwise(monkeypatch):
 
 
 def test_indset_step_certificate_is_bitwise(monkeypatch):
-    # One restart, so only the per-step stop can differ from the stall rule:
-    # here the objective is within max(1e-7, 0.01 eps n) of the bound one
-    # outer step before the objective stalls.
+    # The objective is within 0.01 eps n of the bound one outer step before
+    # it stalls, which ends restart 0 and skips restart 1. A single-restart
+    # reference run without the bound runs restart 0 to the stall rule.
     g = planted_k_colorable(80, 3, 0.3, seed=6).graph
-    ref, new = _indset_pair(g, 6000, seed=5, restarts=1)
+    ref, new = _indset_pair(g, 6000, seed=5)
     _assert_indset_same(ref, new)
     assert new.max_constraint_residual <= 0.5e-3
     assert new.upper_bound - new.objective <= 0.01 * 1e-3 * g.n
-    monkeypatch.setattr(vecsdp, "_dual_bound", lambda *args: math.inf)
-    stalled = solve_indset_sdp(g, 1e-3, 6000, 5, restarts=1)
+    monkeypatch.setitem(globals(), "_ref_dual_bound", lambda *args: math.inf)
+    stalled = _ref_solve_indset_sdp(g, 1e-3, 6000, 5, restarts=1)
     assert stalled.iterations > new.iterations
 
 
@@ -623,33 +622,33 @@ def _digest(a):
     return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()[:16]
 
 
-# (n, k, p, instance seed, budget, solver seed, eps) -> the kernels every
+# (n, k, p, instance seed, budget, solver seed) -> the kernels every
 # iteration runs, and digests of the vectors and v0, and the objective and
-# residual as float.hex. Each pin holds the bits of its kernels' iterations, float32 for eps 1e-3 and
-# float64 for eps below 1e-4, from restarts that start beside the empty
-# set (rows at normalize(0.3 g - v0)) and iterations that take the lean
-# sphere step (Adam on unscaled moments, einsum row dots, gemv column
-# sums); ``_ref_solve_indset_sdp`` gave the same bits when they were
-# captured.
+# residual as float.hex. Each pin holds the bits of its kernels' iterations,
+# float32 on the wide rows and float64 on 6 vertices (width 7), from
+# restarts that start beside the empty set (rows at normalize(0.3 g - v0))
+# and iterations that take the lean sphere step (Adam on unscaled moments,
+# einsum row dots, gemv column sums); ``_ref_solve_indset_sdp`` gave the
+# same bits when they were captured.
 _INDSET_PINS = [
-    ((100, 3, 0.3, 17, 400, 4, 1e-3), ("gram", "gemm"),
+    ((100, 3, 0.3, 17, 400, 4), ("gram", "gemm"),
      ("428709f680b32b98", "bfadede2c9283a69", "0x1.0c3740fc0e68bp+5",
       "0x1.a31529df428f0p-8")),
-    ((800, 3, 0.0375, 16, 120, 3, 1e-3), ("gather", "gemm"),
+    ((800, 3, 0.0375, 16, 120, 3), ("gather", "gemm"),
      ("9a13d7894424a437", "c88455e818e09f4d", "0x1.005788d7ce096p+8",
       "0x1.4935e71bae6bcp-5")),
-    ((100, 3, 0.3, 17, 400, 4, 5e-5), ("gram", "gemm"),
-     ("e52221431ea2f827", "fc16f2c7e88ee213", "0x1.0bf0a42b7d513p+5",
-      "0x1.73a8599317ed8p-7")),
+    ((6, 3, 1.0, 1, 400, 4), ("gram", "gemm"),
+     ("85ca3d9d45134a26", "9c04381a98b05911", "0x1.ffbf91ee7c7fep+0",
+      "0x1.0b3f2b3cb0259p-10")),
 ]
 
 
 @pytest.mark.parametrize("case, branch, pin", _INDSET_PINS,
                          ids=["gram", "gather", "gram-float64"])
 def test_indset_solution_keeps_its_pinned_bits(case, branch, pin, kernels):
-    n, k, p, inst_seed, budget, seed, eps = case
+    n, k, p, inst_seed, budget, seed = case
     g = planted_k_colorable(n, k, p, seed=inst_seed).graph
-    sol = solve_indset_sdp(g, eps=eps, budget=budget, seed=seed)
+    sol = solve_indset_sdp(g, budget=budget, seed=seed)
     assert set(kernels) == {branch}
     assert (_digest(sol.vectors), _digest(sol.v0), sol.objective.hex(),
             sol.max_constraint_residual.hex()) == pin

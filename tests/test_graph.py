@@ -125,6 +125,22 @@ def test_basic_queries():
     assert g.has_edge(2, 1) and not g.has_edge(0, 2)
 
 
+@pytest.mark.parametrize("quotient, query, args", [
+    (False, "degree", (-1,)), (False, "degree", (3,)),
+    (False, "neighbors", (-1,)), (False, "neighbors", (3,)),
+    (False, "has_edge", (-1, 1)), (False, "has_edge", (1, 3)),
+    (True, "has_edge", (-1, -2)), (True, "has_edge", (0, 3)),
+], ids=[f"{name}-{side}" for name in ("degree", "neighbors", "has_edge",
+                                       "quotient-has_edge")
+        for side in ("negative", "n")])
+def test_vertex_queries_refuse_ids_out_of_range(quotient, query, args):
+    # numpy indexing would wrap a negative id: degree(-1) would read vertex
+    # 2's degree, and the quotient's has_edge(-1, -2) the edge (2, 1).
+    g = Graph(3, [(1, 2)])
+    with pytest.raises(IndexError, match="out of range for n=3"):
+        getattr(ContractedGraph(g) if quotient else g, query)(*args)
+
+
 def test_neighbors_is_a_read_only_int64_slice():
     g = random_graph(20, 0.3, seed=1)
     for v in range(g.n):

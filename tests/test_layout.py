@@ -7,7 +7,7 @@ front end (``cli``) and the package namespace (``__init__``) may use it.
 ``graph``, ``vecsdp`` and ``rounding`` sit below ``progress`` and
 ``combined``; the one failure type lives in ``graph`` so they need neither.
 The rounding threshold is chosen in ``rounding`` alone, and the solver
-tolerance in ``vecsdp`` alone.
+tolerance in ``vecsdp`` alone: no public function takes one.
 """
 
 import ast
@@ -80,13 +80,16 @@ def test_only_rounding_references_the_threshold():
     assert offenders == []
 
 
+def _params(fn):
+    args = fn.args
+    return [arg.arg for arg in args.posonlyargs + args.args + args.kwonlyargs]
+
+
 def _names_eps(tree):
     """Whether a function parameter or a dataclass field is named eps."""
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.Lambda)):
-            params = node.args
-            if any(arg.arg == "eps" for arg in (
-                    params.posonlyargs + params.args + params.kwonlyargs)):
+            if "eps" in _params(node):
                 return True
         elif isinstance(node, ast.ClassDef):
             if any(isinstance(item, ast.AnnAssign)
@@ -96,10 +99,32 @@ def _names_eps(tree):
     return False
 
 
+def _public_functions(tree):
+    """(name, node) of each public module-level function and of each public
+    method or constructor of a public module-level class."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and (
+                        item.name == "__init__" or not item.name.startswith("_")):
+                    yield f"{node.name}.{item.name}", item
+
+
 def test_only_vecsdp_takes_a_tolerance():
-    offenders = [name for name in _library_modules() + ["cli"]
+    # Outside vecsdp nothing is named eps; inside it only private helpers
+    # (``_project``, ``_reduced``) and dataclass fields are, as the solvers
+    # solve at vecsdp.EPS. The independence solver always runs two restarts.
+    modules = _library_modules() + ["cli"]
+    offenders = [name for name in modules
                  if name != "vecsdp" and _names_eps(_tree(name))]
+    offenders += [f"{module}.{name}" for module in modules
+                  for name, fn in _public_functions(_tree(module))
+                  if "eps" in _params(fn)]
     assert offenders == []
+    solvers = dict(_public_functions(_tree("vecsdp")))
+    assert "restarts" not in _params(solvers["solve_indset_sdp"])
 
 
 def test_testkit_reexports_the_library_exact_coloring():

@@ -318,7 +318,7 @@ def test_driver_contradiction_bubbles():
 
 
 def test_failure_types_are_kinds_of_not_k_colorable():
-    stall = InfeasibleError(3.0, 1e-3, 0.5, 1)
+    stall = InfeasibleError(3.0, 0.5, 1)
     contradiction = ContradictionError("x")
     assert stall.kind == "solver" and contradiction.kind == "contradiction"
     assert isinstance(stall, NotKColorableError)

@@ -270,7 +270,7 @@ def test_kms_color_low_degree_color_bound():
 
 def test_paired_trials_shapes_and_types():
     inst = planted_k_colorable(60, 3, 0.25, seed=1)
-    vc = solve_vector_coloring(inst.graph, 3.0, eps=1e-3, seed=0)
+    vc = solve_vector_coloring(inst.graph, 3.0, seed=0)
     res = paired_threshold_trials(inst.graph, vc, 3.0, 8, seed=5)
     assert len(res["refined_sizes"]) == 8
     assert res["c_refined"] < res["c_classic"]

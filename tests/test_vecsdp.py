@@ -20,6 +20,7 @@ from sdpcolor.testkit import (
     simplex_vectors,
 )
 from sdpcolor.vecsdp import (
+    EPS,
     DegenerateProjectionError,
     IndSetSdpSolution,
     InfeasibleError,
@@ -166,7 +167,7 @@ def test_solve_simplex_tight_instance():
     # K_{k+1} at alpha = k+1 forces the regular simplex: every pairwise dot
     # lands on -1/k.
     g = complete_graph(5)
-    vc = solve_vector_coloring(g, 5.0, eps=1e-3, seed=0)
+    vc = solve_vector_coloring(g, 5.0, seed=0)
     assert is_feasible_for(vc, g)
     dots = vc.vectors @ vc.vectors.T
     off = dots[~np.eye(5, dtype=bool)]
@@ -175,18 +176,18 @@ def test_solve_simplex_tight_instance():
 
 def test_solve_edgeless_any_alpha():
     g = Graph(6)
-    vc = solve_vector_coloring(g, 2.0, eps=1e-3, seed=0)
+    vc = solve_vector_coloring(g, 2.0, seed=0)
     assert vc.norm_residual() <= 1e-12
     assert vc.edge_residual(g) == float("-inf")
 
 
 def test_solve_planted_instance():
     inst = planted_k_colorable(30, 3, 0.5, seed=7)
-    vc = solve_vector_coloring(inst.graph, 3.0, eps=1e-3, seed=1)
+    vc = solve_vector_coloring(inst.graph, 3.0, seed=1)
     assert is_feasible_for(vc, inst.graph)
     # The planted classes give an exact witness, so feasibility must also hold
     # at any weaker alpha.
-    vc2 = solve_vector_coloring(inst.graph, 3.5, eps=1e-3, seed=1)
+    vc2 = solve_vector_coloring(inst.graph, 3.5, seed=1)
     assert is_feasible_for(vc2, inst.graph)
 
 
@@ -194,17 +195,17 @@ def test_solve_infeasible_is_evidence():
     # K4 has no vector 2.5-coloring: four unit vectors cannot be pairwise
     # below -2/3 (the Gram sum would be negative).
     with pytest.raises(InfeasibleError) as err:
-        solve_vector_coloring(complete_graph(4), 2.5, eps=1e-3, budget=600, seed=0)
+        solve_vector_coloring(complete_graph(4), 2.5, budget=600, seed=0)
     assert err.value.best_residual > 0
     assert "evidence" in str(err.value)
 
 
 def test_solve_tracks_vector_chromatic_boundary():
     # The vector chromatic number of C5 is sqrt(5) ~ 2.236.
-    vc = solve_vector_coloring(cycle_graph(5), 2.5, eps=1e-3, seed=0)
+    vc = solve_vector_coloring(cycle_graph(5), 2.5, seed=0)
     assert is_feasible_for(vc, cycle_graph(5))
     with pytest.raises(InfeasibleError):
-        solve_vector_coloring(cycle_graph(5), 2.1, eps=1e-3, budget=1200, seed=0)
+        solve_vector_coloring(cycle_graph(5), 2.1, budget=1200, seed=0)
 
 
 def test_infeasible_error_counts_every_descent_iteration(monkeypatch):
@@ -220,8 +221,8 @@ def test_infeasible_error_counts_every_descent_iteration(monkeypatch):
 
     monkeypatch.setattr(vecsdp, "_coloring_descent", counted)
     with pytest.raises(InfeasibleError) as err:
-        solve_vector_coloring(cycle_graph(5), 2.23, eps=1e-3, budget=400,
-                              seed=0, restarts=2)
+        solve_vector_coloring(cycle_graph(5), 2.23, budget=400, seed=0,
+                              restarts=2)
     assert any(width == 2 for width, _ in calls)
     assert err.value.iterations == sum(used for _, used in calls)
 
@@ -235,7 +236,7 @@ def test_infeasible_error_counts_every_descent_iteration(monkeypatch):
 ])
 def test_refinement_rescues_the_solve(n, k, p, seed, dim):
     g = planted_k_colorable(n, k, p, seed=seed).graph
-    vc = solve_vector_coloring(g, float(k), eps=1e-3, seed=seed, restarts=1)
+    vc = solve_vector_coloring(g, float(k), seed=seed, restarts=1)
     assert vc.dim == dim
     assert is_feasible_for(vc, g)
 
@@ -253,12 +254,11 @@ def test_final_lowrank_phase_exits_at_half_eps(monkeypatch):
 
     monkeypatch.setattr(vecsdp, "_coloring_descent", recorded)
     g = planted_k_colorable(60, 4, 0.3, seed=1).graph
-    eps = 1e-3
-    vc = solve_vector_coloring(g, 4.0, eps=eps, seed=1)
+    vc = solve_vector_coloring(g, 4.0, seed=1)
     assert is_feasible_for(vc, g) and vc.dim == 3
     t = -1.0 / 3.0
     assert [phase for phase in phases if phase[0] == 3] == [
-        (3, t + 10.0 * eps), (3, t + 0.5 * eps)]
+        (3, t + 10.0 * EPS), (3, t + 0.5 * EPS)]
 
 
 def test_unrefined_rows_are_re_descended_once(monkeypatch):
@@ -274,7 +274,7 @@ def test_unrefined_rows_are_re_descended_once(monkeypatch):
 
     monkeypatch.setattr(vecsdp, "_rank_reduce", collapsed)
     g = petersen_graph()
-    vc = solve_vector_coloring(g, 3.0, eps=1e-3, seed=0)
+    vc = solve_vector_coloring(g, 3.0, seed=0)
     assert calls == [2]
     assert vc.dim == 10 and is_feasible_for(vc, g)
 
@@ -283,7 +283,7 @@ def test_rank_at_least_width_still_solves():
     # n = 3 rows are narrower than rank ceil(8) - 1 = 7, so the re-descent
     # runs on a full-width copy.
     g = complete_graph(3)
-    vc = solve_vector_coloring(g, 8.0, eps=1e-3, seed=0)
+    vc = solve_vector_coloring(g, 8.0, seed=0)
     assert vc.dim == 3
     assert is_feasible_for(vc, g)
 
@@ -291,7 +291,7 @@ def test_rank_at_least_width_still_solves():
 def test_restriction_closure():
     inst = planted_k_colorable(24, 3, 0.5, seed=4)
     g = inst.graph
-    vc = solve_vector_coloring(g, 3.0, eps=1e-3, seed=0)
+    vc = solve_vector_coloring(g, 3.0, seed=0)
     for subset in ({0, 1, 2, 3, 4}, set(range(0, 24, 2))):
         from sdpcolor.graph import induced_subgraph
         sub, _ = induced_subgraph(g, subset)
@@ -303,8 +303,6 @@ def test_restriction_closure():
 def test_alpha_validation():
     with pytest.raises(ValueError):
         solve_vector_coloring(complete_graph(3), 1.5)
-    with pytest.raises(ValueError):
-        solve_vector_coloring(complete_graph(3), 3.0, eps=0.0)
 
 
 @pytest.mark.parametrize("alpha", [math.inf, math.nan])
@@ -313,30 +311,19 @@ def test_coloring_solver_rejects_nonfinite_alpha(alpha):
         solve_vector_coloring(complete_graph(3), alpha)
 
 
-@pytest.mark.parametrize("eps", [math.inf, math.nan])
-def test_solvers_reject_nonfinite_eps(eps):
-    with pytest.raises(ValueError, match="finite"):
-        solve_vector_coloring(complete_graph(3), 3.0, eps=eps)
-    with pytest.raises(ValueError, match="finite"):
-        solve_indset_sdp(complete_graph(3), eps=eps)
-
-
 @pytest.mark.parametrize("budget", [0, -1])
 def test_indset_sdp_rejects_budget_below_one(budget):
     with pytest.raises(ValueError, match="budget"):
         solve_indset_sdp(complete_graph(3), budget=budget)
 
 
-@pytest.mark.parametrize("solve, name", [
-    (solve_indset_sdp, "restarts"),
-    (lambda g, **kw: solve_vector_coloring(g, 3.0, **kw), "budget"),
-    (lambda g, **kw: solve_vector_coloring(g, 3.0, **kw), "restarts"),
-], ids=["indset-restarts", "coloring-budget", "coloring-restarts"])
+@pytest.mark.parametrize("name", ["budget", "restarts"],
+                         ids=["coloring-budget", "coloring-restarts"])
 @pytest.mark.parametrize("value", [0, -1])
-def test_solvers_reject_counts_below_one(solve, name, value):
+def test_solvers_reject_counts_below_one(name, value):
     # A usage error, not InfeasibleError, and never a silent single restart.
     with pytest.raises(ValueError, match=name):
-        solve(complete_graph(3), **{name: value})
+        solve_vector_coloring(complete_graph(3), 3.0, **{name: value})
 
 
 # ---------------------------------------------------------------------------
@@ -344,24 +331,25 @@ def test_solvers_reject_counts_below_one(solve, name, value):
 # ---------------------------------------------------------------------------
 
 def test_indset_sdp_edgeless():
-    sol = solve_indset_sdp(Graph(5), eps=1e-3, seed=0)
+    sol = solve_indset_sdp(Graph(5), seed=0)
     assert sol.objective == pytest.approx(5.0, abs=1e-9)
     assert sol.upper_bound == 5.0
     assert sol.iterations == 0
 
 
 def test_indset_sdp_single_edge():
-    # Optimum of the one-edge program is 1 (v1 = v0, v2 = -v0).
-    sol = solve_indset_sdp(Graph(2, [(0, 1)]), eps=1e-4, seed=0)
-    assert sol.max_constraint_residual <= 1e-4
+    # Optimum of the one-edge program is 1 (v1 = v0, v2 = -v0). A restart
+    # stops only at an outer step with residual within EPS/2.
+    sol = solve_indset_sdp(Graph(2, [(0, 1)]), seed=0)
+    assert sol.max_constraint_residual <= 0.5 * EPS
     assert sol.objective == pytest.approx(1.0, abs=5e-3)
 
 
 def test_indset_sdp_c5_matches_theta():
     # The program value for C5 is sqrt(5) ~ 2.2360; brute force independence
     # number is 2, and the relaxation must land between them.
-    sol = solve_indset_sdp(cycle_graph(5), eps=1e-6, seed=0)
-    assert sol.max_constraint_residual <= 1e-6
+    sol = solve_indset_sdp(cycle_graph(5), seed=0)
+    assert sol.max_constraint_residual <= 0.5 * EPS
     assert 2.0 <= sol.objective <= 2.2361
 
 
@@ -371,7 +359,7 @@ _THETA = [(cycle_graph(5), math.sqrt(5.0)), (petersen_graph(), 4.0),
 
 @pytest.mark.parametrize("g, theta", _THETA, ids=["C5", "petersen", "K4"])
 def test_indset_upper_bound_brackets_theta(g, theta):
-    sol = solve_indset_sdp(g, eps=1e-3, seed=0)
+    sol = solve_indset_sdp(g, seed=0)
     assert theta <= sol.upper_bound <= theta + 1e-3
 
 
@@ -389,7 +377,7 @@ def test_dual_bound_holds_for_any_rows_and_multipliers():
 
 def test_indset_upper_bound_covers_planted_class():
     inst = planted_k_colorable(150, 3, 0.3, seed=2)
-    sol = solve_indset_sdp(inst.graph, eps=1e-3, seed=2)
+    sol = solve_indset_sdp(inst.graph, seed=2)
     largest = max(np.bincount(inst.class_of()))
     assert largest <= sol.upper_bound < math.inf
 
@@ -411,23 +399,18 @@ def indsdp_draws(monkeypatch):
 
 def test_indset_certified_restart_skips_the_rest(indsdp_draws):
     g = planted_k_colorable(100, 3, 0.3, seed=5).graph
-    sol = solve_indset_sdp(g, eps=1e-3, seed=3, restarts=2)
+    sol = solve_indset_sdp(g, seed=3)
     assert indsdp_draws == [0]
-    assert sol.max_constraint_residual <= 1e-3
-    assert sol.upper_bound - sol.objective <= 0.5 * 1e-3 * g.n
-    one = solve_indset_sdp(g, eps=1e-3, seed=3, restarts=1)
-    assert np.array_equal(sol.vectors, one.vectors)
-    assert np.array_equal(sol.v0, one.v0)
-    assert (sol.objective, sol.max_constraint_residual, sol.upper_bound) == (
-        one.objective, one.max_constraint_residual, one.upper_bound)
+    assert sol.max_constraint_residual <= EPS
+    assert sol.upper_bound - sol.objective <= 0.5 * EPS * g.n
 
 
 def test_indset_uncertified_restart_runs_the_rest(indsdp_draws):
     # 400 iterations leave the residual above eps: nothing to certify.
     g = planted_k_colorable(100, 3, 0.3, seed=5).graph
-    sol = solve_indset_sdp(g, eps=1e-3, budget=400, seed=3, restarts=2)
+    sol = solve_indset_sdp(g, budget=400, seed=3)
     assert indsdp_draws == [0, 1]
-    assert sol.max_constraint_residual > 1e-3
+    assert sol.max_constraint_residual > EPS
     assert sol.upper_bound < math.inf
     assert sol.iterations == 2 * 400  # both restarts, each to its budget
 
@@ -439,25 +422,36 @@ def _bench_shaped():
 
 def test_indset_step_certificate_is_within_the_stall_tolerance():
     g = _bench_shaped()
-    sol = solve_indset_sdp(g, eps=1e-3, seed=960000)
-    assert sol.max_constraint_residual <= 0.5e-3
-    assert sol.upper_bound - sol.objective <= max(1e-7, 0.01 * 1e-3 * g.n)
+    sol = solve_indset_sdp(g, seed=960000)
+    assert sol.max_constraint_residual <= 0.5 * EPS
+    assert sol.upper_bound - sol.objective <= 0.01 * EPS * g.n
 
 
-def test_indset_without_a_bound_runs_more_iterations(monkeypatch):
-    # inf is always a valid bound, and it certifies nothing. One restart,
-    # so the restart skip cannot account for the difference.
+def test_indset_without_a_bound_runs_more_iterations(monkeypatch,
+                                                     indsdp_draws):
+    # inf is always a valid bound, and it certifies nothing. The bound ends
+    # the first restart and skips the second; without it the first restart
+    # alone runs more outer steps of 6000 // 30 inner iterations each.
     g = _bench_shaped()
-    sol = solve_indset_sdp(g, eps=1e-3, seed=960000, restarts=1)
+    sol = solve_indset_sdp(g, seed=960000)
+    assert indsdp_draws == [0]
+    steps = []  # the restart of every outer step
+    real = vecsdp._as_float64
+
+    def counted(w):
+        steps.append(indsdp_draws[-1])
+        return real(w)
+
+    monkeypatch.setattr(vecsdp, "_as_float64", counted)
     monkeypatch.setattr(vecsdp, "_dual_bound", lambda *args: math.inf)
-    loose = solve_indset_sdp(g, eps=1e-3, seed=960000, restarts=1)
+    loose = solve_indset_sdp(g, seed=960000)
     assert loose.upper_bound == math.inf
-    assert loose.iterations > sol.iterations > 0
+    assert steps.count(0) * 200 > sol.iterations > 0
 
 
 def test_indset_sdp_planted_alignment():
     inst = planted_k_colorable(100, 3, 0.4, seed=3)
-    sol = solve_indset_sdp(inst.graph, eps=1e-3, seed=1)
+    sol = solve_indset_sdp(inst.graph, seed=1)
     assert sol.max_constraint_residual <= 1e-3
     align = float((sol.vectors @ sol.v0).sum())
     assert align >= (2.0 / 3.0 - 1.0 - 1.0 / math.log(100)) * 100
@@ -465,8 +459,8 @@ def test_indset_sdp_planted_alignment():
 
 def test_indset_sdp_float32_iterations_return_float64_rows():
     g = planted_k_colorable(60, 3, 0.3, seed=5).graph
-    assert vecsdp._iteration_dtype(1e-3, 32) is np.float32  # width 32 at n=60
-    sol = solve_indset_sdp(g, eps=1e-3, budget=600, seed=2)
+    assert vecsdp._iteration_dtype(32) is np.float32  # width 32 at n=60
+    sol = solve_indset_sdp(g, budget=600, seed=2)
     assert sol.vectors.dtype == sol.v0.dtype == np.float64
     rows = np.vstack([sol.v0, sol.vectors])
     assert np.abs(np.linalg.norm(rows, axis=1) - 1.0).max() <= 1e-12
@@ -476,7 +470,7 @@ def test_indset_sdp_float32_iterations_return_float64_rows():
 
 def test_indset_sdp_fields_are_consistent():
     inst = planted_k_colorable(30, 3, 0.5, seed=2)
-    sol = solve_indset_sdp(inst.graph, eps=1e-3, seed=0)
+    sol = solve_indset_sdp(inst.graph, seed=0)
     recomputed = float((1.0 + sol.vectors @ sol.v0).sum() / 2.0)
     assert abs(recomputed - sol.objective) <= inst.graph.n * sol.eps
     assert constraint_residual(sol, inst.graph) == pytest.approx(
@@ -564,7 +558,7 @@ def test_neighborhood_reduce_planted_alpha3():
     # edge dots must sit at -1 up to the measured tolerance.
     inst = planted_k_colorable(30, 3, 0.5, seed=7)
     g = inst.graph
-    vc = solve_vector_coloring(g, 3.0, eps=1e-3, seed=1)
+    vc = solve_vector_coloring(g, 3.0, seed=1)
     v = max(range(g.n), key=g.degree)
     red = neighborhood_reduce(vc, g, v)
     assert red.coloring.alpha == pytest.approx(2.0)
@@ -608,7 +602,7 @@ def test_neighborhood_reduce_validates():
 
 def test_well_aligned_edgeless_takes_everything():
     g = Graph(8)
-    sol = solve_indset_sdp(g, eps=1e-3, seed=0)
+    sol = solve_indset_sdp(g, seed=0)
     res = well_aligned_subset(sol, g, 2.0)
     assert res.vertices == list(range(8))
 
@@ -616,7 +610,7 @@ def test_well_aligned_edgeless_takes_everything():
 def test_well_aligned_planted():
     inst = planted_k_colorable(100, 3, 0.4, seed=3)
     g = inst.graph
-    sol = solve_indset_sdp(g, eps=1e-3, seed=1)
+    sol = solve_indset_sdp(g, seed=1)
     res = well_aligned_subset(sol, g, 3.0, seed=0)
     assert len(res.vertices) >= 100 / math.log(100)
     sub = res.graph
@@ -639,7 +633,7 @@ def test_well_aligned_refuses_broken_promise():
     # K6 has independence number 1, so its program tops out at alignment
     # 2 - 6 = -4, below the alpha = 2 promise of -6/ln 6 ~ -3.35.
     g = complete_graph(6)
-    sol = solve_indset_sdp(g, eps=1e-3, seed=0)
+    sol = solve_indset_sdp(g, seed=0)
     with pytest.raises(PromiseNotMetError):
         well_aligned_subset(sol, g, 2.0)
 
@@ -647,7 +641,7 @@ def test_well_aligned_refuses_broken_promise():
 @pytest.mark.parametrize("alpha", [math.inf, math.nan])
 def test_well_aligned_rejects_nonfinite_alpha(alpha):
     g = planted_k_colorable(30, 3, 0.3, seed=0).graph
-    sol = solve_indset_sdp(g, eps=1e-3, budget=200, seed=0)
+    sol = solve_indset_sdp(g, budget=200, seed=0)
     with pytest.raises(ValueError, match="alpha must be finite"):
         well_aligned_subset(sol, g, alpha)
 
