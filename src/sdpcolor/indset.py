@@ -117,10 +117,13 @@ def ak_independent_set(g: Graph, alpha: float, trials: int = 64, seed: int = 0,
     subset with its vector alpha'-coloring, then recursive extraction on it.
     Best-effort when the promise fails (the aligned extraction refuses):
     returns the greedy set instead of erroring. The output is always
-    verified independent.
+    verified independent. An alpha that is not finite or below 1, and
+    trials below 1, raise ValueError at entry.
     """
     if not 1.0 <= alpha < math.inf:
         raise ValueError(f"alpha must be finite and at least 1, got {alpha}")
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
     if g.n == 0:
         return frozenset()
     if g.m == 0:

@@ -103,12 +103,15 @@ def kms_color(g: Graph, k: int, trials: int = 64, seed: int = 0) -> Coloring:
     The vector coloring is solved once, at ``vecsdp.EPS``, and restricted to
     each residual subgraph (restriction closure), so each residual's
     threshold follows its own average degree. Tiny and bipartite graphs get
-    their exact coloring instead. Failures raise NotKColorableError: kind
-    "solver" (its subclass InfeasibleError) on a solver stall, "witness" at
-    k = 2.
+    their exact coloring instead. k below 2 and trials below 1 raise
+    ValueError before anything is solved. Failures raise
+    NotKColorableError: kind "solver" (its subclass InfeasibleError) on a
+    solver stall, "witness" at k = 2.
     """
     if k < 2:
         raise ValueError(f"k must be at least 2, got {k}")
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
     result = exact_coloring(g)
     if result is None and k == 2:
         raise NotKColorableError("witness", "graph is not bipartite")

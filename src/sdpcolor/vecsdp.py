@@ -30,6 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._dual import DualBounds
 from ._rng import stream
 from .graph import Graph, NotKColorableError, induced_subgraph
 
@@ -111,7 +112,9 @@ class IndSetSdpSolution:
     objective: float     # sum (1 + v0 . v_i) / 2
     eps: float
     max_constraint_residual: float
-    upper_bound: float = math.inf  # >= the optimum; inf above n = 2048
+    # The smallest certified bar, >= the optimum; inf where no bar was
+    # certified, and always above n = 2048.
+    upper_bound: float = math.inf
     iterations: int = 0  # inner iterations, summed over the restarts run
 
     @property
@@ -537,36 +540,6 @@ def solve_vector_coloring(g: Graph, alpha: float, budget: int = 2000,
 # Independence-number relaxation
 # ---------------------------------------------------------------------------
 
-def _dual_bound(rows, lam, eu, ev):
-    """Weak-duality upper bound on the independence program's optimum.
-
-    Valid for any (n+1, d) rows W = [v0; v_1..v_n] and any edge multipliers
-    lam (Lovasz 1979). With lam_e/2 on each edge constraint, the Lagrangian
-    at the Gram matrix X of unit rows is n/2 - sum(lam)/2 + <K, X>, where
-    K[0,i] = 1/4 - (sum of lam over the edges at i)/4, K[i,j] = -lam_ij/4
-    on each edge ij, and every other entry is 0. For any gamma, <K, X> <=
-    sum(gamma) + (n+1) max(0, -lambda_min(diag(gamma) - K)), since X is
-    PSD with trace n+1. gamma_a = W_a . (K W)_a, the rows' radial
-    multipliers, makes the bound tight at a stationary point. The value is
-    at least theta(G), which is at least alpha(G).
-
-    ``solve_indset_sdp`` calls it up to n = 2048 after each outer step with
-    residual <= eps/2, and at the end of a restart whose last step had a
-    larger residual; each call is one (n+1) x (n+1) ``eigvalsh``.
-    """
-    n = rows.shape[0] - 1
-    at = np.bincount(np.concatenate([eu, ev]), np.concatenate([lam, lam]), n)
-    k = np.zeros((n + 1, n + 1))
-    k[0, 1:] = k[1:, 0] = 0.25 - 0.25 * at
-    k[eu + 1, ev + 1] = k[ev + 1, eu + 1] = -0.25 * lam
-    gamma = (rows * (k @ rows)).sum(axis=1)
-    np.negative(k, out=k)
-    k.flat[::n + 2] = gamma
-    lmin = float(np.linalg.eigvalsh(k)[0])
-    return float(n / 2.0 - 0.5 * lam.sum() + gamma.sum()
-                 + (n + 1) * max(0.0, -lmin))
-
-
 def solve_indset_sdp(g: Graph, budget: int = 6000,
                      seed: int = 0) -> IndSetSdpSolution:
     """Near-optimal feasible point of the independence-number program at
@@ -583,22 +556,24 @@ def solve_indset_sdp(g: Graph, budget: int = 6000,
     which meets every edge constraint exactly. Rows on v0's side would put
     every vertex in the set, for the first outer steps to push most out.
 
-    Up to n = 2048 (``_DENSE_N``) ``_dual_bound`` runs on the float64 rows
-    and edge multipliers after every outer step with residual within eps/2,
-    and at the end of a restart whose last step was not; ``upper_bound`` is
-    the smallest of these bounds, at least theta(G) >= alpha(G) whatever
-    the rows. Each call is one (n+1) x (n+1) ``eigvalsh`` (0.12 s at
-    n=1000 on one BLAS thread), paid by every such step, certified or not.
+    Up to n = 2048 (``_DENSE_N``) the solve keeps the weak-duality bound
+    (``_dual.DualBounds``) of the float64 rows and edge multipliers of every
+    outer step with residual within eps/2, and of the end of a restart
+    whose last step was not. Each bound is at least theta(G) >= alpha(G)
+    whatever the rows. A stop asks only whether the smallest kept bound is
+    at most a bar, and a Cholesky factorization answers it; no bound's
+    value is computed.
 
     A restart ends at the first outer step with residual within eps/2 that
-    meets either stop, both with tolerance 0.01 eps n: the
-    certificate, objective within the tolerance of ``upper_bound`` (a bound
-    from an earlier step or restart counts), or the stall rule, from the
-    fourth step on, objective within the tolerance of the previous step's;
-    above n = 2048 only the stall rule. The second restart is skipped once
-    the first has residual <= eps and objective within 0.5 eps n of
-    ``upper_bound``. Above n = 2048 ``upper_bound`` is inf; an edgeless
-    graph returns n for both. Raises ValueError when budget is below 1.
+    meets either stop, both with tolerance tol = 0.01 eps n: the stall
+    rule, from the fourth step on, objective within tol of the previous
+    step's; or the certificate, some kept bound (an earlier step's or
+    restart's counts) at most objective + tol. Above n = 2048 only the
+    stall rule. The second restart is skipped once the first has residual
+    <= eps and some kept bound is at most its objective + 0.5 eps n.
+    ``upper_bound`` is the smallest bar certified: inf where none was, and
+    always above n = 2048; an edgeless graph returns n for both. Raises
+    ValueError when budget is below 1.
 
     The inner iterations run in ``_iteration_dtype(d)``, in buffers
     allocated once per call, with the multipliers rounded to that dtype for
@@ -629,7 +604,8 @@ def solve_indset_sdp(g: Graph, budget: int = 6000,
     c = grad[1:]  # the weighted neighbour sums; v0 comes off after grad[0]
 
     tol = 0.01 * EPS * n  # of both stops, certified and stalled
-    best, upper, iterations = None, math.inf, 0
+    bounds = DualBounds(eu, ev, n)
+    best, iterations = None, 0
     for attempt in range(2):
         rng = stream(seed, "indsdp", attempt)
         w = np.zeros((n + 1, d))
@@ -670,21 +646,23 @@ def solve_indset_sdp(g: Graph, budget: int = 6000,
             prev_obj = obj
             met = res <= 0.5 * EPS
             if met and n <= _DENSE_N:
-                upper = min(upper, _dual_bound(rows, lam, eu, ev))
-            if met and (upper - obj <= tol or (outer >= 4 and stall <= tol)):
+                bounds.add(rows, lam)
+            if met and ((outer >= 4 and stall <= tol)
+                        or bounds.certifies(obj + tol)):
                 break
             lam = lam + mu * h64
             if res > 0.25 * EPS:
                 mu = min(mu * 1.6, 1e8)
         if n <= _DENSE_N and not met:
-            upper = min(upper, _dual_bound(rows, lam, eu, ev))
+            bounds.add(rows, lam)
         iterations += used
         if best is None or (res <= EPS, obj) > best_key:
             best = IndSetSdpSolution(rows[0].copy(), rows[1:].copy(), obj, EPS, res)
             best_key = (res <= EPS, obj)
-        if best_key[0] and upper - best.objective <= 0.5 * EPS * n:
+        if (attempt == 0 and best_key[0]
+                and bounds.certifies(best.objective + 0.5 * EPS * n)):
             break
-    return replace(best, upper_bound=upper, iterations=iterations)
+    return replace(best, upper_bound=bounds.upper, iterations=iterations)
 
 
 # ---------------------------------------------------------------------------

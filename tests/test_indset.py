@@ -1,5 +1,6 @@
 import pytest
 
+import sdpcolor.indset as indset
 from sdpcolor.graph import Graph, verify_independent_set
 from sdpcolor.indset import (
     ak_independent_set,
@@ -130,6 +131,19 @@ def test_ak_best_effort_without_promise():
 def test_ak_validation():
     with pytest.raises(ValueError):
         ak_independent_set(Graph(3), 0.5)
+
+
+@pytest.mark.parametrize("trials", [0, -5])
+def test_ak_refuses_trials_below_one(monkeypatch, trials):
+    # Refused at entry, before the solve: the recursion's floor of 8
+    # trials per level would otherwise hide it.
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before checking trials")
+
+    monkeypatch.setattr(indset, "solve_indset_sdp", no_solve)
+    g = planted_k_colorable(100, 3, 0.3, seed=1).graph
+    with pytest.raises(ValueError, match="need at least one trial"):
+        ak_independent_set(g, 3.0, trials=trials)
 
 
 def test_ak_rejects_nan_alpha():

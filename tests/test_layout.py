@@ -131,3 +131,14 @@ def test_testkit_reexports_the_library_exact_coloring():
     # perfbench wraps the exact finish under the name testkit gives it; the
     # wrapper reaches the library's calls only if both bind one object.
     assert testkit.brute_force_chromatic is graph.brute_force_chromatic
+
+
+def test_library_calls_no_eigensolver():
+    # The independence solver's certificates are Cholesky factorizations;
+    # no module of the package pages in LAPACK's eigensolvers.
+    names = sorted(f[:-3] for f in os.listdir(PACKAGE) if f.endswith(".py"))
+    calls = [(name, node.attr) for name in names
+             for node in ast.walk(_tree(name))
+             if isinstance(node, ast.Attribute)
+             and node.attr in {"eig", "eigh", "eigvals", "eigvalsh"}]
+    assert calls == []

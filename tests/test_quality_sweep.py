@@ -5,6 +5,8 @@ import os
 
 import pytest
 
+from sdpcolor.testkit import planted_k_colorable
+from sdpcolor.vecsdp import solve_indset_sdp
 from test_combined import STALL_CASES
 
 TOOL = os.path.join(os.path.dirname(__file__), os.pardir, "tools",
@@ -31,3 +33,12 @@ def test_quality_sweep_case_lists(sweep):
     assert len(indset) == 100
     assert [n for n, _ in indset[:4]] == [100, 150, 100, 150]
     assert [s for _, s in indset] == list(range(960000, 960100))
+
+
+def test_solve_counter_sums_iterations_and_restores(sweep):
+    real = sweep.indset.solve_indset_sdp
+    g = planted_k_colorable(30, 3, 0.3, seed=0).graph
+    with sweep._SolveCounter() as solves:
+        sweep.ak_independent_set(g, 3.0, seed=0)
+    assert solves.iterations == solve_indset_sdp(g, seed=0).iterations > 0
+    assert sweep.indset.solve_indset_sdp is real

@@ -97,6 +97,21 @@ def test_kms_independent_set_rejects_trials_below_one():
         kms_independent_set(g, vc, trials=0)
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+@pytest.mark.parametrize("g, k", [(path_graph(4), 2),
+                                  (planted_k_colorable(60, 4, 0.3, seed=1).graph, 4)],
+                         ids=["bipartite", "planted"])
+def test_kms_color_refuses_trials_below_one(monkeypatch, g, k, trials):
+    # Refused at entry: before the bipartite shortcut, and before a solve
+    # whose first rounding round would refuse it.
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before checking trials")
+
+    monkeypatch.setattr(rounding, "solve_vector_coloring", no_solve)
+    with pytest.raises(ValueError, match="need at least one trial"):
+        kms_color(g, k, trials=trials)
+
+
 def test_refined_below_classic():
     for d in (10.0, 50.0, 1000.0):
         assert kms_threshold(3.0, d) < classic_threshold(3.0, d)

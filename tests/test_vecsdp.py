@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+import sdpcolor._dual as dual
 import sdpcolor.vecsdp as vecsdp
 from sdpcolor._rng import stream
 from sdpcolor.graph import Graph
@@ -357,29 +358,76 @@ _THETA = [(cycle_graph(5), math.sqrt(5.0)), (petersen_graph(), 4.0),
           (complete_graph(4), 1.0)]
 
 
+def _exact_bound(bounds, kept):
+    """The oracle: a kept step's bound base + (n+1) max(0, -lambda_min(M))
+    by ``eigvalsh``, M = diag(gamma) - K."""
+    m = -bounds._k(kept.lam)
+    m.flat[::m.shape[0] + 1] = kept.gamma
+    return kept.base + m.shape[0] * max(0.0, -np.linalg.eigvalsh(m)[0])
+
+
+@pytest.fixture
+def exact_bounds(monkeypatch):
+    """The oracle's bound of every step the independence solver keeps."""
+    out = []
+    real = dual.DualBounds.add
+
+    def add(self, rows, lam):
+        real(self, rows, lam)
+        out.append(_exact_bound(self, self.kept[-1]))
+
+    monkeypatch.setattr(dual.DualBounds, "add", add)
+    return out
+
+
 @pytest.mark.parametrize("g, theta", _THETA, ids=["C5", "petersen", "K4"])
-def test_indset_upper_bound_brackets_theta(g, theta):
+def test_indset_upper_bound_brackets_theta(g, theta, exact_bounds):
     sol = solve_indset_sdp(g, seed=0)
-    assert theta <= sol.upper_bound <= theta + 1e-3
+    assert theta <= min(exact_bounds) <= theta + 1e-3
+    # A certified bar is at least the oracle's bound, and at most the
+    # loosest bar the solver asks about.
+    assert min(exact_bounds) <= sol.upper_bound
+    assert sol.upper_bound <= sol.objective + 0.5 * EPS * g.n
+
+
+def _random_dual_cases():
+    # (graph, theta or None, trial): random rows and multipliers on the
+    # three theta graphs, then on a 120-vertex graph (rows of width 32).
+    for trial in range(50):
+        yield (*_THETA[trial % 3], trial)
+    g = planted_k_colorable(120, 3, 0.3, seed=7).graph
+    for trial in range(50, 60):
+        yield g, None, trial
 
 
 def test_dual_bound_holds_for_any_rows_and_multipliers():
     # Weak duality: no rows and no multipliers give a bound below theta.
-    for trial in range(50):
-        g, theta = _THETA[trial % 3]
+    # The Cholesky test never certifies a bar below the oracle's bound, and
+    # it certifies one 1e-6 above it.
+    for g, theta, trial in _random_dual_cases():
         rng = stream(trial, "dual-bound")
-        rows = rng.standard_normal((g.n + 1, 4))
+        rows = rng.standard_normal((g.n + 1, 4 if theta else 32))
         rows /= np.linalg.norm(rows, axis=1, keepdims=True)
         lam = rng.uniform(0.0, 4.0) * rng.standard_normal(g.m)
         eu, ev = g.edge_arrays()
-        assert vecsdp._dual_bound(rows, lam, eu, ev) >= theta - 1e-9
+        bounds = dual.DualBounds(eu, ev, g.n)
+        bounds.add(rows, lam)
+        exact = _exact_bound(bounds, bounds.kept[0])
+        below = [exact - 1.0, exact - 1e-3, exact - 1e-6]
+        if theta is not None:
+            assert exact >= theta - 1e-9
+            below.insert(0, theta - 1e-6)
+        for bar in sorted(below):
+            assert not bounds.certifies(bar), (trial, exact - bar)
+        assert bounds.certifies(exact + 1e-6), trial
+        assert bounds.upper == exact + 1e-6
 
 
-def test_indset_upper_bound_covers_planted_class():
+def test_indset_upper_bound_covers_planted_class(exact_bounds):
     inst = planted_k_colorable(150, 3, 0.3, seed=2)
     sol = solve_indset_sdp(inst.graph, seed=2)
     largest = max(np.bincount(inst.class_of()))
-    assert largest <= sol.upper_bound < math.inf
+    assert largest <= min(exact_bounds) <= sol.upper_bound < math.inf
 
 
 @pytest.fixture
@@ -397,21 +445,25 @@ def indsdp_draws(monkeypatch):
     return draws
 
 
-def test_indset_certified_restart_skips_the_rest(indsdp_draws):
+def test_indset_certified_restart_skips_the_rest(indsdp_draws, exact_bounds):
     g = planted_k_colorable(100, 3, 0.3, seed=5).graph
     sol = solve_indset_sdp(g, seed=3)
     assert indsdp_draws == [0]
     assert sol.max_constraint_residual <= EPS
-    assert sol.upper_bound - sol.objective <= 0.5 * EPS * g.n
+    assert min(exact_bounds) <= sol.upper_bound
+    assert sol.upper_bound <= sol.objective + 0.5 * EPS * g.n
 
 
-def test_indset_uncertified_restart_runs_the_rest(indsdp_draws):
-    # 400 iterations leave the residual above eps: nothing to certify.
+def test_indset_uncertified_restart_runs_the_rest(indsdp_draws,
+                                                  exact_bounds):
+    # 400 iterations leave the residual above eps: nothing to certify. Each
+    # restart still keeps the bound of its last step, and no bar is asked.
     g = planted_k_colorable(100, 3, 0.3, seed=5).graph
     sol = solve_indset_sdp(g, budget=400, seed=3)
     assert indsdp_draws == [0, 1]
     assert sol.max_constraint_residual > EPS
-    assert sol.upper_bound < math.inf
+    assert len(exact_bounds) == 2 and max(exact_bounds) < math.inf
+    assert sol.upper_bound == math.inf
     assert sol.iterations == 2 * 400  # both restarts, each to its budget
 
 
@@ -420,18 +472,19 @@ def _bench_shaped():
     return planted_k_colorable(100, 3, 0.3, seed=960000).graph
 
 
-def test_indset_step_certificate_is_within_the_stall_tolerance():
+def test_indset_step_certificate_is_within_the_stall_tolerance(exact_bounds):
     g = _bench_shaped()
     sol = solve_indset_sdp(g, seed=960000)
     assert sol.max_constraint_residual <= 0.5 * EPS
-    assert sol.upper_bound - sol.objective <= 0.01 * EPS * g.n
+    assert min(exact_bounds) <= sol.upper_bound
+    assert sol.upper_bound == sol.objective + 0.01 * EPS * g.n  # its bar
 
 
 def test_indset_without_a_bound_runs_more_iterations(monkeypatch,
                                                      indsdp_draws):
-    # inf is always a valid bound, and it certifies nothing. The bound ends
-    # the first restart and skips the second; without it the first restart
-    # alone runs more outer steps of 6000 // 30 inner iterations each.
+    # A test that never certifies is always sound. The bound ends the first
+    # restart and skips the second; without it the first restart alone
+    # runs more outer steps of 6000 // 30 inner iterations each.
     g = _bench_shaped()
     sol = solve_indset_sdp(g, seed=960000)
     assert indsdp_draws == [0]
@@ -443,7 +496,7 @@ def test_indset_without_a_bound_runs_more_iterations(monkeypatch,
         return real(w)
 
     monkeypatch.setattr(vecsdp, "_as_float64", counted)
-    monkeypatch.setattr(vecsdp, "_dual_bound", lambda *args: math.inf)
+    monkeypatch.setattr(dual.DualBounds, "certifies", lambda *args: False)
     loose = solve_indset_sdp(g, seed=960000)
     assert loose.upper_bound == math.inf
     assert steps.count(0) * 200 > sol.iterations > 0

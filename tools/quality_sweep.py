@@ -31,8 +31,9 @@ and iteration totals are deterministic; ``seconds`` is not.
 ``combined_color`` run (``grid``, ``combined`` and ``stall``), in run order:
 each as its JSON list (``null`` for no colouring), one per line, so two
 trees' outputs compare as one string. ``indset`` gives the total ``size``
-of its sets and ``sets_sha256``, the same kind of digest over each set as
-its sorted JSON list.
+of its sets, ``sets_sha256``, the same kind of digest over each set as its
+sorted JSON list, and ``iterations``, the independence solver's inner
+iterations summed over its 100 solves (``IndSetSdpSolution.iterations``).
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ sys.path.insert(0, os.path.join(ROOT, "tests"))
 
 import numpy as np  # noqa: E402
 
-from sdpcolor import vecsdp  # noqa: E402
+from sdpcolor import indset, vecsdp  # noqa: E402
 from sdpcolor.combined import CombinedConfig, combined_color, fit_exponent  # noqa: E402
 from sdpcolor.graph import verify_coloring  # noqa: E402
 from sdpcolor.indset import ak_independent_set  # noqa: E402
@@ -134,6 +135,28 @@ class _PhaseCounter:
         vecsdp._rank_reduce = self.rank_reduce
 
 
+class _SolveCounter:
+    """Sums the inner iterations of the independence solves that
+    ``ak_independent_set`` makes while installed."""
+
+    def __init__(self):
+        self.iterations = 0
+
+    def __enter__(self):
+        self.solve = indset.solve_indset_sdp
+
+        def solve(*args, **kwargs):
+            sol = self.solve(*args, **kwargs)
+            self.iterations += sol.iterations
+            return sol
+
+        indset.solve_indset_sdp = solve
+        return self
+
+    def __exit__(self, *exc):
+        indset.solve_indset_sdp = self.solve
+
+
 def _finish(part, count, t0):
     part["descent_iterations"] = dict(count.counts,
                                       total=sum(count.counts.values()))
@@ -190,13 +213,15 @@ def run():
     t0 = time.perf_counter()
     sets = hashlib.sha256()
     size = 0
-    for n, s in indset_cases():
-        chosen = sorted(ak_independent_set(
-            planted_k_colorable(n, 3, 0.3, seed=s).graph, 3.0, seed=s))
-        size += len(chosen)
-        sets.update(json.dumps(chosen).encode() + b"\n")
+    with _SolveCounter() as solves:
+        for n, s in indset_cases():
+            chosen = sorted(ak_independent_set(
+                planted_k_colorable(n, 3, 0.3, seed=s).graph, 3.0, seed=s))
+            size += len(chosen)
+            sets.update(json.dumps(chosen).encode() + b"\n")
     out["indset"] = {"runs": len(indset_cases()), "size": size,
                      "sets_sha256": sets.hexdigest(),
+                     "iterations": solves.iterations,
                      "seconds": round(time.perf_counter() - t0, 1)}
     out["colorings_sha256"] = digest.hexdigest()
     return out
