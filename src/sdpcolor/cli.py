@@ -298,7 +298,7 @@ def _bench_cell(args, graph: Graph, s: int) -> tuple[int | None, str | None]:
         cfg = CombinedConfig(trials=args.trials, seed=args.seed + s)
         res = combined_color(graph, args.k, cfg)
         if res.coloring is None:
-            return None, res.attempt_failures[0][0]
+            return None, res.failure[0]
         if not verify_coloring(graph, res.coloring):
             raise AssertionError("unverified coloring in bench")
         return res.colors_used, None

@@ -149,23 +149,28 @@ class CombinedResult:
     n: int
     k: int
     coloring: Coloring | None
-    failure: str | None
-    alpha_exponent: Fraction  # of the route that ran: 1/4 if k3_fallback
+    failure: tuple[str, str] | None  # NotKColorableError (kind, message)
     seed: int
-    k3_fallback: bool
     declarations: list[Declaration] = field(default_factory=list)
-    # (kind, message) of the run's failure, kind as in NotKColorableError;
-    # empty when it coloured
-    attempt_failures: list[tuple[str, str]] = field(default_factory=list)
 
     @property
     def colors_used(self) -> int | None:
         return self.coloring.colors_used if self.coloring is not None else None
 
     @property
+    def alpha_exponent(self) -> Fraction:
+        """The exponent of the route that ran; a_k at n = 0, where none does."""
+        return route_exponent(self.k) if self.n > 0 else alpha_k(self.k)
+
+    @property
+    def k3_fallback(self) -> bool:
+        """Whether the run took the k = 3 degree split."""
+        return self.k == 3 and self.n > 0
+
+    @property
     def repeats_used(self) -> int:
         """Attempts the run made: 1, whether it coloured or failed."""
-        return len(self.attempt_failures) + (self.coloring is not None)
+        return (self.failure is not None) + (self.coloring is not None)
 
     def to_json_dict(self) -> dict:
         return {
@@ -174,7 +179,8 @@ class CombinedResult:
             "colors_used": self.colors_used,
             "coloring": (list(self.coloring.assignment)
                          if self.coloring is not None else None),
-            "failure": self.failure,
+            "failure": self.failure and (
+                "not k-colorable or algorithm failure: %s: %s" % self.failure),
             "alpha_k": str(self.alpha_exponent),
             "bound_n_pow_alpha": float(self.n ** float(self.alpha_exponent)),
             "seed": self.seed,
@@ -323,7 +329,7 @@ class _CombinedFinder:
                 cls = largest_color_class(result.coloring)
                 return LargeIndependentSet(frozenset(s_ids[list(cls)].tolist()))
             if result.coloring is None:
-                [(kind, msg)] = result.attempt_failures
+                kind, msg = result.failure
                 if kind == "solver":
                     # A stalled solver says nothing about S: neither a
                     # merge nor a contradiction may rest on it, so the
@@ -383,8 +389,6 @@ def combined_color(g: Graph, k: int, cfg: CombinedConfig | None = None) -> Combi
         raise ValueError(f"k must be at least 2, got {k}")
     if cfg.trials < 1:
         raise ValueError(f"need at least one trial, got {cfg.trials}")
-    fallback = k == 3 and g.n > 0  # every such run takes that route
-    a_exp = route_exponent(k) if g.n > 0 else alpha_k(k)  # n = 0 runs none
     declarations: list[Declaration] = []
     try:
         if g.n == 0:
@@ -401,12 +405,9 @@ def combined_color(g: Graph, k: int, cfg: CombinedConfig | None = None) -> Combi
                 raise AssertionError(
                     f"the k = {k} route produced an improper coloring")
     except NotKColorableError as exc:
-        return CombinedResult(
-            g.n, k, None,
-            f"not k-colorable or algorithm failure: {exc.kind}: {exc}",
-            a_exp, cfg.seed, fallback, declarations, [(exc.kind, str(exc))])
-    return CombinedResult(g.n, k, coloring, None, a_exp, cfg.seed, fallback,
-                          declarations)
+        return CombinedResult(g.n, k, None, (exc.kind, str(exc)), cfg.seed,
+                              declarations)
+    return CombinedResult(g.n, k, coloring, None, cfg.seed, declarations)
 
 
 def fit_exponent(sizes, values) -> float:

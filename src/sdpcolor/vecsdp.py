@@ -105,12 +105,11 @@ class VectorColoring:
 
 @dataclass(frozen=True)
 class IndSetSdpSolution:
-    """Feasible point of the independence-number relaxation."""
+    """Feasible point of the independence-number relaxation, solved at EPS."""
 
     v0: np.ndarray
     vectors: np.ndarray  # shape (n, d)
     objective: float     # sum (1 + v0 . v_i) / 2
-    eps: float
     max_constraint_residual: float
     # The smallest certified bar, >= the optimum; inf where no bar was
     # certified, and always above n = 2048.
@@ -272,9 +271,9 @@ class _EdgeSums:
             both = np.concatenate([active, active + self.m])
             idx, other, weights = idx[both], other[both], weights[active]
         weights = np.concatenate([weights, weights])
-        rows = x[other]
-        for col in range(x.shape[1]):
-            out[:, col] = np.bincount(idx, weights=weights * rows[:, col],
+        # One column at a time from x^T: strided (2a, d) rows miss the cache.
+        for col, xc in enumerate(np.ascontiguousarray(x.T)):
+            out[:, col] = np.bincount(idx, weights=weights * xc[other],
                                       minlength=self.n)
 
 
@@ -589,8 +588,8 @@ def solve_indset_sdp(g: Graph, budget: int = 6000,
     _check_counts(budget=budget)
     n = g.n
     if g.m == 0:
-        return IndSetSdpSolution(np.ones(1), np.ones((n, 1)), float(n), EPS,
-                                 0.0, float(n))
+        return IndSetSdpSolution(np.ones(1), np.ones((n, 1)), float(n), 0.0,
+                                 float(n))
 
     d = max(3, min(n + 1, 32))
     dtype = _iteration_dtype(d)
@@ -657,7 +656,7 @@ def solve_indset_sdp(g: Graph, budget: int = 6000,
             bounds.add(rows, lam)
         iterations += used
         if best is None or (res <= EPS, obj) > best_key:
-            best = IndSetSdpSolution(rows[0].copy(), rows[1:].copy(), obj, EPS, res)
+            best = IndSetSdpSolution(rows[0].copy(), rows[1:].copy(), obj, res)
             best_key = (res <= EPS, obj)
         if (attempt == 0 and best_key[0]
                 and bounds.certifies(best.objective + 0.5 * EPS * n)):
@@ -788,12 +787,12 @@ def well_aligned_subset(sol: IndSetSdpSolution, g: Graph, alpha: float,
             "inconsistent solver output")
     rows = sol.vectors[members]
     v0 = sol.v0 / float(np.linalg.norm(sol.v0))
-    proj = _project(v0, rows, sol.eps, seed, "aligned-perturb")
+    proj = _project(v0, rows, EPS, seed, "aligned-perturb")
     if proj is None:
         # Vectors still parallel to v0 after a perturbation sit at
         # v_i ~ v0; feasibility forces such vertices to be isolated
         # inside S (an S-edge at one would need |v_i . v_j| > 1), so
         # their projected vector is unconstrained.
-        proj = _project_all(v0, rows, sol.eps, fill_degenerate=True)
+        proj = _project_all(v0, rows, EPS, fill_degenerate=True)
     alpha_prime = 1.0 + (1.0 - beta) / (1.0 + beta)
-    return _reduced(alpha_prime, proj, sol.eps, g, members)
+    return _reduced(alpha_prime, proj, EPS, g, members)

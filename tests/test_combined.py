@@ -121,14 +121,58 @@ def test_combined_k2_bipartite():
 def test_combined_k2_odd_cycle_fails():
     res = combined_color(cycle_graph(9), 2)
     assert res.coloring is None
-    assert "not" in res.failure
+    assert res.failure[0] == "witness"
 
 
 def test_failing_run_makes_one_attempt():
     # A failure is reported from the run's one pass, never rerun.
     res = combined_color(cycle_graph(9), 2)
-    assert len(res.attempt_failures) == 1
+    assert res.failure == ("witness", "graph is not bipartite")
     assert res.repeats_used == 1
+    res = combined_color(complete_multipartite([7, 8]), 2)
+    assert res.failure is None
+    assert res.repeats_used == 1
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_route_fields_derive_from_k_and_n(k):
+    # No route runs at n = 0, so the result reports a_k and no fallback;
+    # every k = 3 run on a vertex takes the n^{1/4} degree split.
+    empty = combined_color(Graph(0), k)
+    assert empty.alpha_exponent == alpha_k(k)
+    assert not empty.k3_fallback
+    res = CombinedResult(5, k, None, ("witness", "x"), 0)
+    assert res.k3_fallback is (k == 3)
+    assert res.alpha_exponent == (Fraction(1, 4) if k == 3 else alpha_k(k))
+
+
+def _budget_of_one(monkeypatch):
+    monkeypatch.setattr(combined, "cutoff", lambda size, k: 1)
+    return planted_k_colorable(40, 4, 0.3, seed=0).graph
+
+
+# One run per failure kind, with the JSON failure string each gave when the
+# result stored that string.
+FAILURE_STRINGS = [
+    ("witness", lambda mp: cycle_graph(9), 2,
+     "graph is not bipartite"),
+    ("solver", lambda mp: random_graph(40, 0.5, seed=0), 4,
+     "no vector 4-coloring found at tolerance 0.001 (best edge residual "
+     "3.159e-01 after 535 iterations; evidence only, not a certificate)"),
+    ("contradiction", lambda mp: random_graph(40, 0.7, seed=0), 4,
+     "adjacent pair 14,33 has a common neighborhood needing more than 2 "
+     "colors"),
+    ("budget", _budget_of_one, 4, "color budget 1 exhausted"),
+]
+
+
+@pytest.mark.parametrize("kind,graph,k,message", FAILURE_STRINGS,
+                         ids=[case[0] for case in FAILURE_STRINGS])
+def test_failure_json_string_per_kind(monkeypatch, kind, graph, k, message):
+    res = combined_color(graph(monkeypatch), k, CombinedConfig(seed=0, trials=8))
+    assert res.failure == (kind, message)
+    assert res.to_json_dict()["failure"] == (
+        f"not k-colorable or algorithm failure: {kind}: {message}")
 
 
 def test_combined_k3_fallback_flagged():
@@ -144,7 +188,7 @@ def test_color_three_witness_on_non_3_colorable():
     g = complete_graph(25)
     res = combined_color(g, 3, CombinedConfig(seed=0, trials=8))
     assert res.coloring is None
-    assert "not" in res.failure
+    assert res.failure[0] == "witness"
 
 
 def _wheel_plus_path(path_len):
@@ -228,7 +272,7 @@ def test_former_solver_stalls_colour(n, k, p, seed):
     res = combined_color(g, k, CombinedConfig(seed=seed, trials=16))
     assert res.coloring is not None, res.failure
     assert verify_coloring(g, res.coloring)
-    assert res.attempt_failures == []
+    assert res.failure is None
 
 
 def _counting_solver(monkeypatch):
@@ -409,9 +453,7 @@ def _failing_probe(monkeypatch, kind):
 
     def probe(sub, k, cfg=None):
         calls.append((sub.n, k))
-        return CombinedResult(sub.n, k, None, f"{kind}: probe failed",
-                              alpha_k(k), 0, False,
-                              attempt_failures=[(kind, "probe failed")])
+        return CombinedResult(sub.n, k, None, (kind, "probe failed"), 0)
 
     monkeypatch.setattr(combined, "combined_color", probe)
     return calls

@@ -268,7 +268,7 @@ def _ref_solve_indset_sdp(g, eps=1e-3, budget=6000, seed=0, restarts=2):
         obj = float((1.0 + vecs @ v0).sum() / 2.0)
         if dense and not met:
             bounds.append(_ref_dual_bound(g, w64, lam))
-        cand = IndSetSdpSolution(v0, vecs, obj, eps, res)
+        cand = IndSetSdpSolution(v0, vecs, obj, res)
         if best is None:
             best = cand
         else:
@@ -279,7 +279,7 @@ def _ref_solve_indset_sdp(g, eps=1e-3, budget=6000, seed=0, restarts=2):
         if attempt + 1 < restarts and best.max_constraint_residual <= eps \
                 and certify(best.objective + 0.5 * eps * n):
             break
-    return IndSetSdpSolution(best.v0, best.vectors, best.objective, eps,
+    return IndSetSdpSolution(best.v0, best.vectors, best.objective,
                              best.max_constraint_residual, certified, iterations)
 
 
