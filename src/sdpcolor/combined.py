@@ -135,14 +135,6 @@ class Declaration:
     sub: Graph
     k: int  # the number of colors the subgraph was declared to exceed
 
-    @property
-    def n(self) -> int:
-        return self.sub.n
-
-    @property
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        return self.sub.edges
-
 
 @dataclass
 class CombinedResult:
@@ -200,11 +192,11 @@ def color_three_fallback(g: Graph, cfg: CombinedConfig) -> Coloring:
     sound "not 3-colorable" witness) and is finished with two fresh colors;
     the low-degree remainder goes to threshold-rounding coloring.
     """
-    assignment = [-1] * g.n
-    remaining = list(range(g.n))
+    assignment = np.full(g.n, -1, dtype=np.int64)
     next_color = 0
     while True:
-        sub, verts = induced_subgraph(g, remaining)
+        verts = np.flatnonzero(assignment < 0)
+        sub = induced_subgraph(g, verts)[0]
         v_star = int(np.argmax(sub.degrees()))  # ties to the lowest id
         if sub.degree(v_star) < sub.n ** 0.75:
             # kms_color tries the exact coloring first.
@@ -213,22 +205,19 @@ def color_three_fallback(g: Graph, cfg: CombinedConfig) -> Coloring:
         col = exact_coloring(sub)
         if col is not None:
             break
-        # v* never joins its own neighborhood, so ``remaining`` stays
-        # nonempty across splits.
-        nbrs = sub.neighbors(v_star).tolist()
+        # v* never joins its own neighborhood, so some vertex stays
+        # uncoloured across splits.
+        nbrs = sub.neighbors(v_star)
         split = two_coloring(induced_subgraph(sub, nbrs)[0])
         if split is None:
             raise NotKColorableError(
                 "witness",
                 "a vertex neighborhood is not bipartite, so the graph "
                 "is not 3-colorable")
-        for idx, side in enumerate(split.assignment):
-            assignment[verts[nbrs[idx]]] = next_color + side
+        assignment[verts[nbrs]] = next_color + np.array(split.assignment)
         next_color += 2
-        remaining = np.delete(verts, nbrs).tolist()  # verts == remaining
-    for idx, c in enumerate(col.assignment):
-        assignment[verts[idx]] = next_color + c
-    return Coloring(tuple(assignment))
+    assignment[verts] = next_color + np.array(col.assignment)
+    return Coloring(tuple(assignment.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +265,7 @@ class _CombinedFinder:
         if n <= CHROMATIC_GUARD:
             quotient, reps = cg.quotient_graph()
             col = brute_force_chromatic(quotient)
-            return Colored({reps[i]: int(c)
-                            for i, c in enumerate(col.assignment)})
+            return Colored(dict(zip(reps, col.assignment)))
         ak = float(alpha_k(k))
         ak2 = float(alpha_k(k - 2))
         peel_thr = n ** (ak / (1.0 - 2.0 / k))

@@ -7,7 +7,10 @@ driver loops a caller-supplied finder over the shrinking quotient graph,
 verifying every claim before applying it. The quotient lives in one place,
 a ContractedGraph: finders read its dense adjacency and take the parts they
 need through ``induced`` as Graphs built from edge arrays alone (no Python
-sets or tuples); only the driver mutates it.
+sets or tuples); only the driver mutates it. The grouping is one int array,
+each base vertex's representative, and the driver keeps its colours in one
+int array indexed by representative, so a colouring of the quotient lifts
+to the base graph with one gather.
 
 The candidate collection groups vertices into geometric degree buckets
 I_j = {v : (1+delta)^j <= d(v) < (1+delta)^{j+1}} and emits, for every
@@ -151,8 +154,9 @@ class ContractedGraph:
     ``adj`` is a boolean adjacency matrix over base vertex ids in which the
     rows and columns of merged-away and deleted ids are zero; ``live`` marks
     the quotient's vertices. Each quotient vertex is named by its
-    representative, the smallest base id in its merged group, and
-    ``members`` maps each representative to its group. Every method takes
+    representative, the smallest base id in its merged group, and ``rep``
+    is an int64 array with rep[v] the representative of base vertex v (a
+    deleted group keeps its representative). Every method takes
     representatives. Single-owner mutable; the driver serializes all
     mutations.
     """
@@ -161,7 +165,7 @@ class ContractedGraph:
         self.base = base
         self.adj = base.adjacency_matrix()  # a new matrix, owned here
         self.live = np.ones(base.n, dtype=bool)
-        self.members: dict[int, set[int]] = {v: {v} for v in range(base.n)}
+        self.rep = np.arange(base.n, dtype=np.int64)
 
     def _all_live(self, vs: Iterable[int]) -> bool:
         return all(0 <= v < self.base.n and self.live[v] for v in vs)
@@ -199,7 +203,7 @@ class ContractedGraph:
         self.adj[drop, :] = self.adj[:, drop] = False
         self.adj[keep, :] = self.adj[:, keep] = union
         self.live[drop] = False
-        self.members[keep] |= self.members.pop(drop)
+        self.rep[self.rep == drop] = keep
         return keep
 
     def delete(self, vs: Iterable[int]) -> None:
@@ -253,7 +257,7 @@ def progress_driver(g: Graph, *,
     exceeding it raises NotKColorableError of kind "budget".
     """
     cg = ContractedGraph(g)
-    assignment: dict[int, int] = {}
+    color = np.empty(g.n, dtype=np.int64)  # indexed by representative
     next_color = 0
     while cg.alive_count > 0:
         result = finder(cg)
@@ -282,12 +286,10 @@ def progress_driver(g: Graph, *,
             raise NotKColorableError(
                 "budget", f"color budget {budget} exhausted")
         relabel = {c: next_color + i for i, c in enumerate(used)}
-        for rep, c in proposal.items():
-            for base_v in cg.members[rep]:
-                assignment[base_v] = relabel[c]
+        color[list(proposal)] = [relabel[c] for c in proposal.values()]
         next_color += len(used)
         cg.delete(list(proposal))
-    coloring = Coloring(tuple(assignment[v] for v in range(g.n)))
+    coloring = Coloring(tuple(color[cg.rep].tolist()))
     if not verify_coloring(g, coloring):
         raise AssertionError("driver assembled an improper coloring")
     return coloring

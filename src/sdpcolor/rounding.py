@@ -117,19 +117,15 @@ def kms_color(g: Graph, k: int, trials: int = 64, seed: int = 0) -> Coloring:
         raise NotKColorableError("witness", "graph is not bipartite")
     if result is None:
         vc = solve_vector_coloring(g, float(k), seed=seed)
-        assignment = [-1] * g.n
-        remaining = list(range(g.n))
+        assignment = np.full(g.n, -1, dtype=np.int64)
         color = 0
-        while remaining:
+        while (remaining := np.flatnonzero(assignment < 0)).size:
             sub, verts = induced_subgraph(g, remaining)
-            rvc = vc.restrict(verts)
-            chosen = {verts[idx] for idx in kms_independent_set(
-                sub, rvc, trials=trials, seed=seed * 1000003 + color)}
-            for v in chosen:
-                assignment[v] = color
-            remaining = [v for v in remaining if v not in chosen]
+            chosen = kms_independent_set(sub, vc.restrict(verts), trials=trials,
+                                         seed=seed * 1000003 + color)
+            assignment[remaining[list(chosen)]] = color
             color += 1
-        result = Coloring(tuple(assignment))
+        result = Coloring(tuple(assignment.tolist()))
     if not verify_coloring(g, result):
         raise AssertionError("kms_color produced an improper coloring")
     return result

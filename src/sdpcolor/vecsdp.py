@@ -468,9 +468,10 @@ def solve_vector_coloring(g: Graph, alpha: float, budget: int = 2000,
     margin between the Gram dots that test the exit and the per-edge
     products that accept. The wide phase and the first low-rank phase exit
     at the hand-off bar t + 10 eps, and every phase once its objective
-    stalls (``_coloring_descent``, relative change 1e-7). Callers keep the
-    one default restart and rerun a failed solve with a fresh seed. Raises
-    InfeasibleError (evidence only) when every restart stalls above eps,
+    stalls (``_coloring_descent``, relative change 1e-7). Library callers
+    keep the one default restart and do not rerun a failed solve:
+    ``kms_color`` raises, and ``combined_color`` reports kind "solver".
+    Raises InfeasibleError (evidence only) when every restart stalls above eps,
     its iteration count covering every phase run, and ValueError when alpha
     is not finite or below 2, or budget or restarts is below 1.
     """

@@ -223,7 +223,7 @@ def test_criterion_7_small_scale_oracle_equivalence():
         assert res.coloring is not None
         assert verify_coloring(inst.graph, res.coloring)
         for dec in res.declarations:
-            sub = Graph(dec.n, dec.edges)
+            sub = Graph(dec.sub.n, dec.sub.edges)
             if dec.k == 2:
                 from sdpcolor.graph import two_coloring
                 assert two_coloring(sub) is None  # zero false declarations

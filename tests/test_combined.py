@@ -337,7 +337,7 @@ def test_combined_declarations_are_sound():
     assert res.coloring is not None
     assert res.declarations
     for dec in res.declarations:
-        sub = Graph(dec.n, dec.edges)
+        sub = Graph(dec.sub.n, dec.sub.edges)
         if dec.k == 2:
             assert two_coloring(sub) is None
         else:
@@ -386,9 +386,7 @@ def test_quotient_matches_recompute_through_merges_and_deletes():
                 if u != v and not cg.has_edge(u, v):
                     cg.merge(u, v)
             alive = cg.alive
-            groups = np.zeros((len(alive), g.n), dtype=np.int64)
-            for i, rep in enumerate(alive):
-                groups[i, sorted(cg.members[rep])] = 1
+            groups = (cg.rep == np.array(alive)[:, None]).astype(np.int64)
             want = (groups @ base @ groups.T) > 0
             assert np.array_equal(cg.adj[np.ix_(alive, alive)], want)
             assert not cg.adj[~cg.live].any() and not cg.adj[:, ~cg.live].any()
@@ -482,7 +480,7 @@ def test_probe_sound_failure_merges_or_contradicts(monkeypatch, kind):
     assert finder._probe_pair(_probe_fixture(False), 0, 1) == SameColor(0, 1)
     with pytest.raises(ContradictionError):
         finder._probe_pair(_probe_fixture(True), 0, 1)
-    assert [(d.n, d.k) for d in declarations] == [(5, 4), (5, 4)]
+    assert [(d.sub.n, d.k) for d in declarations] == [(5, 4), (5, 4)]
 
 
 def test_declarations_read_what_the_probe_built(monkeypatch):
@@ -498,8 +496,8 @@ def test_declarations_read_what_the_probe_built(monkeypatch):
     assert finder._probe_pair(cg, 0, 1) == SameColor(0, 1)
     [dec] = declarations
     assert dec == Declaration(cg.induced(list(range(2, 9))), 2)
-    assert (dec.n, dec.k) == (7, 2)
-    assert dec.edges == ((0, 1), (0, 4), (1, 2), (2, 3), (3, 4), (5, 6))
+    assert (dec.sub.n, dec.k) == (7, 2)
+    assert dec.sub.edges == ((0, 1), (0, 4), (1, 2), (2, 3), (3, 4), (5, 6))
 
     _failing_probe(monkeypatch, "budget")
     declarations.clear()
@@ -508,7 +506,7 @@ def test_declarations_read_what_the_probe_built(monkeypatch):
     assert finder._probe_pair(cg, 0, 1) == SameColor(0, 1)
     [dec] = declarations
     assert dec == Declaration(cg.induced(list(range(2, 7))), 4)
-    assert (dec.n, dec.k, len(dec.edges)) == (5, 4, 10)
+    assert (dec.sub.n, dec.k, len(dec.sub.edges)) == (5, 4, 10)
 
 
 @pytest.mark.parametrize("trials", [0, -1])

@@ -273,9 +273,9 @@ def test_peel_order_independence():
 
 def _reference_peel(g, cg, threshold):
     """Peel of the quotient of g, vertex by vertex from the base edges and
-    ``members``, never from ``cg.adj``; also the number of passes that
+    ``rep``, never from ``cg.adj``; also the number of passes that
     removed something."""
-    owner = {b: rep for rep in cg.alive for b in cg.members[rep]}
+    owner = {b: int(cg.rep[b]) for b in range(g.n) if cg.live[cg.rep[b]]}
     nbrs = {rep: set() for rep in cg.alive}
     for u, v in g.edges:
         if u in owner and v in owner:

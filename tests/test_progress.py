@@ -172,19 +172,54 @@ def test_contraction_lift_preserves_properness():
                 cg.merge(u, v)
         quotient, reps = cg.quotient_graph()
         # Greedy color the quotient, lift, verify.
-        assignment = {}
+        assignment = np.full(g.n, -1, dtype=np.int64)
         for rep in reps:
-            banned = {assignment[w] for w in np.flatnonzero(cg.adj[rep])
-                      if w in assignment}
+            banned = set(assignment[cg.adj[rep]].tolist())
             c = 0
             while c in banned:
                 c += 1
             assignment[rep] = c
-        lifted = [0] * g.n
-        for rep, c in assignment.items():
-            for base_v in cg.members[rep]:
-                lifted[base_v] = c
-        assert verify_coloring(g, Coloring(tuple(lifted)))
+        lifted = assignment[cg.rep]
+        assert (lifted >= 0).all()
+        assert verify_coloring(g, Coloring(tuple(lifted.tolist())))
+
+
+def test_rep_names_each_group_by_its_smallest_id():
+    # After random merges and deletes, rep[v] is the smallest base id of
+    # v's group (a deleted group keeps its own), every representative
+    # represents itself, and the group sizes are the merges made.
+    rng = stream(5, "rep-invariant")
+    total = 0
+    for seed in range(8):
+        g = random_graph(30, 0.2, seed=seed)
+        cg = ContractedGraph(g)
+        groups = {v: {v} for v in range(g.n)}  # by representative
+        merges = 0
+        for step in range(20):
+            alive = cg.alive
+            if len(alive) < 3:
+                break
+            if step % 5 == 4:
+                drop = rng.choice(alive, size=2, replace=False).tolist()
+                if cg.is_independent(drop):
+                    cg.delete(drop)
+                continue
+            u, v = (int(x) for x in rng.choice(alive, 2, replace=False))
+            if not cg.has_edge(u, v):
+                merged = groups.pop(u) | groups.pop(v)
+                groups[cg.merge(u, v)] = merged
+                merges += 1
+        want = np.empty(g.n, dtype=np.int64)
+        for rep, group in groups.items():
+            assert rep == min(group)
+            want[sorted(group)] = rep
+        assert np.array_equal(cg.rep, want)
+        assert np.array_equal(cg.rep[cg.rep], cg.rep)
+        sizes = np.bincount(cg.rep, minlength=g.n)
+        assert sizes.tolist() == [len(groups.get(v, ())) for v in range(g.n)]
+        assert g.n - np.count_nonzero(sizes) == merges
+        total += merges
+    assert total >= 40
 
 
 # ---------------------------------------------------------------------------

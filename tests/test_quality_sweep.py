@@ -28,6 +28,10 @@ def test_quality_sweep_case_lists(sweep):
     assert [sum(c[0] == part for c in cases)
             for part in ("kms", "combined", "stall")] == [300, 54, len(STALL_CASES)]
     assert [c[1:] for c in cases if c[0] == "stall"] == STALL_CASES
+    k3 = sweep.k3_cases()
+    assert len(k3) == 60
+    assert k3[:6] == [(40, 0.3, s) for s in range(5)] + [(60, 0.3, 0)]
+    assert [p for _, p, _ in k3] == [0.3] * 20 + [0.5] * 20 + [0.7] * 20
     assert len(sweep.sparse_cases()) == 54
     indset = sweep.indset_cases()
     assert len(indset) == 100

@@ -4,7 +4,7 @@ totals as one JSON line.
     python3 tools/quality_sweep.py
 
 Run from anywhere; the library is imported from ``src`` with one BLAS
-thread. Four sets of cases, each a fixed list (no options):
+thread. Five sets of cases, each a fixed list (no options):
 
 * ``grid``: criterion 8, planted k=4, p=0.3, n = 125..1000, 5 seeds,
   ``combined_color`` at ``CombinedConfig(seed=100 + s, trials=16)``; also
@@ -14,6 +14,8 @@ thread. Four sets of cases, each a fixed list (no options):
   ``combined_color`` runs, k 5/6, p 0.3/0.5/0.7, n 60/90/120, seeds 0..2,
   trials 16) and ``stall`` (``tests/test_combined.STALL_CASES``, called as
   that test calls them);
+* ``k3``: 60 ``combined_color(g, 3, CombinedConfig(seed=s, trials=16))``
+  runs on planted k=3 graphs, p 0.3/0.5/0.7, n 40/60/90/150, seeds 0..4;
 * ``sparse_k3``: 54 ``solve_vector_coloring(g, 3.0, seed=s)`` solves on
   planted 3-colourable graphs, n 60/90/120/200, average degree 4/6/8/12,
   seeds 0..3, kept where 16 m < n^2;
@@ -30,10 +32,12 @@ and iteration totals are deterministic; ``seconds`` is not.
 ``colorings_sha256`` is one digest over the colourings of every
 ``combined_color`` run (``grid``, ``combined`` and ``stall``), in run order:
 each as its JSON list (``null`` for no colouring), one per line, so two
-trees' outputs compare as one string. ``indset`` gives the total ``size``
-of its sets, ``sets_sha256``, the same kind of digest over each set as its
-sorted JSON list, and ``iterations``, the independence solver's inner
-iterations summed over its 100 solves (``IndSetSdpSolution.iterations``).
+trees' outputs compare as one string. ``kms`` and ``k3`` each give their
+own ``colorings_sha256``, the same kind of digest over their runs alone.
+``indset`` gives the total ``size`` of its sets, ``sets_sha256``, the same
+kind of digest over each set as its sorted JSON list, and ``iterations``,
+the independence solver's inner iterations summed over its 100 solves
+(``IndSetSdpSolution.iterations``).
 """
 
 from __future__ import annotations
@@ -82,6 +86,12 @@ def sweep_cases():
     comb = [("combined", n, k, p, s) for k in (5, 6) for p in (0.3, 0.5, 0.7)
             for n in (60, 90, 120) for s in range(3)]
     return kms + comb + [("stall", *case) for case in STALL_CASES]
+
+
+def k3_cases():
+    """(n, p, seed) of the k=3 ``combined_color`` family."""
+    return [(n, p, s) for p in (0.3, 0.5, 0.7) for n in (40, 60, 90, 150)
+            for s in range(5)]
 
 
 def sparse_cases():
@@ -171,9 +181,11 @@ def run():
     parts = [("grid", grid_cases())] + [
         (name, [(n, k, p, s, s) for tag, n, k, p, s in cases if tag == name])
         for name in ("kms", "combined", "stall")]
+    parts.append(("k3", [(n, 3, p, s, s) for n, p, s in k3_cases()]))
     for name, mine in parts:
         t0 = time.perf_counter()
         colors = []
+        own = hashlib.sha256() if name in ("kms", "k3") else digest
         with _PhaseCounter() as count:
             for n, k, p, s, seed in mine:
                 g = planted_k_colorable(n, k, p, seed=s).graph
@@ -185,9 +197,9 @@ def run():
                 else:
                     res = combined_color(g, k, CombinedConfig(seed=seed, trials=16))
                     coloring = res.coloring
-                    digest.update(json.dumps(
-                        None if coloring is None
-                        else list(coloring.assignment)).encode() + b"\n")
+                own.update(json.dumps(
+                    None if coloring is None
+                    else list(coloring.assignment)).encode() + b"\n")
                 if coloring is not None and not verify_coloring(g, coloring):
                     raise AssertionError(f"improper colouring of {(n, k, p, s)}")
                 colors.append(None if coloring is None else coloring.colors_used)
@@ -196,6 +208,8 @@ def run():
                 "failures": len(mine) - len(done)}
         if name == "grid":
             part["fitted_exponent"] = round(fit_exponent(*zip(*done)), 3) + 0.0
+        if own is not digest:
+            part["colorings_sha256"] = own.hexdigest()
         out[name] = _finish(part, count, t0)
 
     t0 = time.perf_counter()
