@@ -224,7 +224,7 @@ def color_three_fallback(g: Graph, cfg: CombinedConfig) -> Coloring:
 # The per-round finder for k >= 4
 # ---------------------------------------------------------------------------
 
-def _best_pair(cg: ContractedGraph, w_ids: list[int]) -> tuple[int, int, int] | None:
+def _best_pair(cg: ContractedGraph, w_ids: np.ndarray) -> tuple[int, int, int] | None:
     """The pair in W with the most common neighbours in the quotient (the
     first in row-major order on ties) and that count, or None when no two
     vertices of W share a neighbour."""
@@ -237,8 +237,9 @@ def _best_pair(cg: ContractedGraph, w_ids: list[int]) -> tuple[int, int, int] | 
     best = int(common[i, j])
     if i == j or best <= 0:
         return None
-    u, v = w_ids[i], w_ids[j]
-    return (min(u, v), max(u, v), best)
+    # i < j, as the first maximum of a symmetric matrix lies above its
+    # diagonal, and w_ids is sorted, so u < v.
+    return int(w_ids[i]), int(w_ids[j]), best
 
 
 class _CombinedFinder:
@@ -246,8 +247,10 @@ class _CombinedFinder:
 
     Holds no graph state: each round reads the ContractedGraph it is handed,
     and every returned vertex id is a quotient representative (= base id),
-    which is what the driver verifies against. Across rounds it keeps only
-    the round counter and the last solve's rows, for restriction to U.
+    which is what the driver verifies against; claims carry int64 arrays
+    indexed out of the quotient's own. Across rounds it keeps only the
+    round counter and the last solve's rows, with each base id's row index
+    in them (-1 for none), for restriction to U.
     """
 
     def __init__(self, k: int, cfg: CombinedConfig,
@@ -256,16 +259,15 @@ class _CombinedFinder:
         self.cfg = cfg
         self.declarations = declarations
         self.round_no = 0
-        self._rows: dict[int, np.ndarray] = {}  # rep id -> last solved row
+        self._rows: np.ndarray | None = None    # the last solve's rows
+        self._row_of: np.ndarray | None = None  # base id -> row index, or -1
 
     def __call__(self, cg: ContractedGraph):
         self.round_no += 1
         k, cfg = self.k, self.cfg
         n = cg.alive_count
         if n <= CHROMATIC_GUARD:
-            quotient, reps = cg.quotient_graph()
-            col = brute_force_chromatic(quotient)
-            return Colored(dict(zip(reps, col.assignment)))
+            return Colored(brute_force_chromatic(cg.quotient_graph()[0]))
         ak = float(alpha_k(k))
         ak2 = float(alpha_k(k - 2))
         peel_thr = n ** (ak / (1.0 - 2.0 / k))
@@ -278,27 +280,27 @@ class _CombinedFinder:
             return self._probe_pair(cg, pair[0], pair[1])
         return self._candidate_round(cg, w_ids, n, ak)
 
-    def _round_low_degree(self, cg: ContractedGraph, u_ids: list[int]):
+    def _round_low_degree(self, cg: ContractedGraph, u_ids: np.ndarray):
         sub = cg.induced(u_ids)
         if sub.m == 0:
-            return LargeIndependentSet(frozenset(u_ids))
+            return LargeIndependentSet(u_ids)
         rng_seed = self.cfg.seed * 1009 + self.round_no
         vc = None
-        if all(rep in self._rows for rep in u_ids):
+        if self._row_of is not None and (at := self._row_of[u_ids]).min() >= 0:
             # Restriction closure; the exact per-edge check re-validates
             # representatives merged since the solve.
-            vc = VectorColoring(float(self.k),
-                                np.stack([self._rows[rep] for rep in u_ids]),
-                                EPS)
+            vc = VectorColoring(float(self.k), self._rows[at], EPS)
             if vc.edge_residual(sub) > EPS:
                 vc = None
         if vc is None:
             vc = solve_vector_coloring(sub, float(self.k),
                                        budget=SOLVER_BUDGET, seed=rng_seed)
-            self._rows = dict(zip(u_ids, vc.vectors))
+            self._rows = vc.vectors
+            self._row_of = np.full(cg.base.n, -1, dtype=np.int64)
+            self._row_of[u_ids] = np.arange(u_ids.size)
         chosen = kms_independent_set(sub, vc, trials=self.cfg.trials,
                                      seed=rng_seed)
-        return LargeIndependentSet(frozenset(u_ids[i] for i in chosen))
+        return LargeIndependentSet(u_ids[sorted(chosen)])
 
     def _probe_pair(self, cg: ContractedGraph, u: int, v: int):
         s_ids = np.flatnonzero(cg.adj[u] & cg.adj[v])
@@ -307,7 +309,7 @@ class _CombinedFinder:
             sub = cg.adj[np.ix_(s_ids, s_ids)]
             side = larger_side(sub)
             if side is not None:
-                return LargeIndependentSet(frozenset(s_ids[side].tolist()))
+                return LargeIndependentSet(s_ids[side])
         else:
             sub = cg.induced(s_ids)
             probe_cfg = replace(self.cfg, trials=max(8, self.cfg.trials // 2))
@@ -315,7 +317,7 @@ class _CombinedFinder:
             if (result.coloring is not None
                     and result.colors_used <= cutoff(sub.n, k2)):
                 cls = largest_color_class(result.coloring)
-                return LargeIndependentSet(frozenset(s_ids[list(cls)].tolist()))
+                return LargeIndependentSet(s_ids[sorted(cls)])
             if result.coloring is None:
                 kind, msg = result.failure
                 if kind == "solver":
@@ -336,7 +338,7 @@ class _CombinedFinder:
                 f"more than {k2} colors")
         return SameColor(u, v)
 
-    def _candidate_round(self, cg: ContractedGraph, w_ids: list[int],
+    def _candidate_round(self, cg: ContractedGraph, w_ids: np.ndarray,
                          n: int, ak: float):
         if len(w_ids) >= 2:
             wsub = cg.induced(w_ids)
@@ -350,13 +352,11 @@ class _CombinedFinder:
                     seed=self.cfg.seed * 131 + self.round_no * 17 + rank,
                     solver_budget=INDSET_BUDGET)
                 if len(found) >= floor_size:
-                    return LargeIndependentSet(frozenset(
-                        w_ids[verts[x]] for x in found))
+                    return LargeIndependentSet(w_ids[verts[sorted(found)]])
         # Last resort: greedy progress keeps the driver moving; the color
         # budget polices the overall count.
         quotient, reps = cg.quotient_graph()
-        chosen = greedy_independent_set(quotient)
-        return LargeIndependentSet(frozenset(reps[i] for i in chosen))
+        return LargeIndependentSet(reps[sorted(greedy_independent_set(quotient))])
 
 
 # ---------------------------------------------------------------------------

@@ -206,18 +206,38 @@ class Coloring:
         return len(set(self.assignment))
 
 
-def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, list[int]]:
-    """Subgraph induced by vertex set ``s`` plus its sorted vertex list
-    ``verts``: vertex i of the subgraph is verts[i]."""
-    verts = sorted(set(map(operator.index, s)))  # Python ints, also from arrays
-    if verts and not (0 <= verts[0] and verts[-1] < g.n):
-        raise ValueError(f"subset contains invalid vertex ids for n={g.n}")
-    pos = np.full(g.n, -1, dtype=np.int64)
-    pos[verts] = np.arange(len(verts))
+def vertex_ids(s: Iterable[int]) -> np.ndarray:
+    """The ids of ``s`` as an integer array: an integer array as is, any
+    other iterable read through ``operator.index`` into int64, so a
+    non-integer id raises TypeError (a Python int beyond int64,
+    OverflowError)."""
+    if isinstance(s, np.ndarray) and s.dtype.kind in "iu":
+        return s
+    return np.fromiter(map(operator.index, s), dtype=np.int64)
+
+
+def vertex_mask(s: Iterable[int], n: int) -> np.ndarray:
+    """Boolean mask over 0..n-1 of the ids in ``s`` (``vertex_ids``),
+    written through one fancy index, so repeats fold without a sort. An id
+    outside 0..n-1 raises ValueError."""
+    s = vertex_ids(s)
+    if s.size and not (0 <= s.min() and s.max() < n):
+        raise ValueError(f"subset contains invalid vertex ids for n={n}")
+    inside = np.zeros(n, dtype=bool)
+    inside[s] = True
+    return inside
+
+
+def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, np.ndarray]:
+    """Subgraph induced by vertex set ``s`` plus its distinct ids as a
+    sorted int64 array ``verts``: vertex i of the subgraph is verts[i]."""
+    inside = vertex_mask(s, g.n)
+    verts = np.flatnonzero(inside)
+    pos = np.cumsum(inside) - 1  # each kept id's index in verts
     eu, ev = g.edge_arrays()
-    keep = (pos[eu] >= 0) & (pos[ev] >= 0)
+    keep = inside[eu] & inside[ev]
     # The relabelling is monotone, so the kept edges stay in (u, v) order.
-    return Graph._from_arrays(len(verts), pos[eu[keep]], pos[ev[keep]]), verts
+    return Graph._from_arrays(verts.size, pos[eu[keep]], pos[ev[keep]]), verts
 
 
 def verify_coloring(g: Graph, c: Coloring) -> bool:
@@ -233,13 +253,9 @@ def verify_coloring(g: Graph, c: Coloring) -> bool:
 def verify_independent_set(g: Graph, s: Iterable[int]) -> bool:
     """True iff s is a valid vertex set with no internal edge."""
     try:
-        members = set(map(operator.index, s))
-    except TypeError:  # a non-integer member is no vertex
+        inside = vertex_mask(s, g.n)
+    except (TypeError, ValueError, OverflowError):  # an id that is no vertex
         return False
-    if any(not (0 <= v < g.n) for v in members):
-        return False
-    inside = np.zeros(g.n, dtype=bool)
-    inside[np.fromiter(members, dtype=np.int64, count=len(members))] = True
     eu, ev = g.edge_arrays()
     return not np.any(inside[eu] & inside[ev])
 

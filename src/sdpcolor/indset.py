@@ -98,13 +98,13 @@ def l2_vector_indset(g: Graph, vc: VectorColoring, trials: int = 64,
             pass
     if red is not None:
         inner = l2_vector_indset(red.graph, red.coloring, trials, seed + 1)
-        branch_b = frozenset(red.vertices[i] for i in inner)
+        branch_b = frozenset(red.vertices[list(inner)].tolist())
     else:
         # Greedy on G[N(v*)]. With alpha - 1 < 2 that neighbourhood is
         # vector (<2)-colorable, i.e. edgeless up to tolerance, and the
         # greedy set of an edgeless graph is all of it.
-        sub, verts = induced_subgraph(g, g.neighbors(v_star).tolist())
-        branch_b = frozenset(verts[i] for i in greedy_independent_set(sub))
+        sub, verts = induced_subgraph(g, g.neighbors(v_star))
+        branch_b = frozenset(verts[list(greedy_independent_set(sub))].tolist())
 
     return lex_best(branch_a, branch_b)
 
@@ -139,7 +139,7 @@ def ak_independent_set(g: Graph, alpha: float, trials: int = 64, seed: int = 0,
     # the greedy baseline on it is often strong; keep the max.
     inner = lex_best(l2_vector_indset(res.graph, res.coloring, trials, seed),
                      greedy_independent_set(res.graph))
-    out = frozenset(res.vertices[i] for i in inner)
+    out = frozenset(res.vertices[list(inner)].tolist())
     if not verify_independent_set(g, out):
         # The recursion only returns verified pieces, so this is a bug trap.
         raise AssertionError("extraction produced a dependent set")

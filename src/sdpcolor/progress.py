@@ -10,7 +10,10 @@ need through ``induced`` as Graphs built from edge arrays alone (no Python
 sets or tuples); only the driver mutates it. The grouping is one int array,
 each base vertex's representative, and the driver keeps its colours in one
 int array indexed by representative, so a colouring of the quotient lifts
-to the base graph with one gather.
+to the base graph with one gather. Vertex ids pass between the quotient,
+the finder and the driver as int64 arrays of representatives: a set claim
+is one, and a finishing colouring is a Coloring of ``quotient_graph()``'s
+Graph, indexed like its ``reps``.
 
 The candidate collection groups vertices into geometric degree buckets
 I_j = {v : (1+delta)^j <= d(v) < (1+delta)^{j+1}} and emits, for every
@@ -30,11 +33,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
-from .graph import Coloring, Graph, NotKColorableError, check_vertex, verify_coloring
+from .graph import (Coloring, Graph, NotKColorableError, check_vertex,
+                    verify_coloring, vertex_ids)
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +97,9 @@ def candidate_sets(g: Graph, delta: float) -> Iterator[CandidateSet]:
 
     tags: list[tuple[int, int, int, int]] = []  # (-size, v, j, i)
     for v in range(g.n):
-        for j in np.unique(jbucket[g.neighbors(v)]).tolist():
+        # The buckets met among v's neighbours (each >= 0, as a neighbour
+        # has degree >= 1), read from a count, not a sort.
+        for j in np.flatnonzero(np.bincount(jbucket[g.neighbors(v)])).tolist():
             counts = np.bincount(i_buckets(v, j)[1])
             tags += [(-int(c), v, j, i) for i, c in enumerate(counts) if c]
     seen: set[frozenset[int]] = set()
@@ -137,12 +143,17 @@ class SameColor:
 
 @dataclass(frozen=True)
 class LargeIndependentSet:
-    members: frozenset[int]
+    """An independent set of the quotient, to be spent on one colour."""
+
+    members: np.ndarray  # int64 representatives
 
 
 @dataclass(frozen=True)
 class Colored:
-    coloring: dict[int, int]  # quotient vertex -> color
+    """A colouring of ``ContractedGraph.quotient_graph()``'s Graph: its
+    vertex i is the quotient vertex reps[i]."""
+
+    coloring: Coloring
 
 
 ProgressResult = SameColor | LargeIndependentSet | Colored
@@ -157,8 +168,8 @@ class ContractedGraph:
     representative, the smallest base id in its merged group, and ``rep``
     is an int64 array with rep[v] the representative of base vertex v (a
     deleted group keeps its representative). Every method takes
-    representatives. Single-owner mutable; the driver serializes all
-    mutations.
+    representatives, and vertex lists go in and out as int64 arrays.
+    Single-owner mutable; the driver serializes all mutations.
     """
 
     def __init__(self, base: Graph):
@@ -167,12 +178,18 @@ class ContractedGraph:
         self.live = np.ones(base.n, dtype=bool)
         self.rep = np.arange(base.n, dtype=np.int64)
 
-    def _all_live(self, vs: Iterable[int]) -> bool:
-        return all(0 <= v < self.base.n and self.live[v] for v in vs)
+    def _live_ids(self, vs) -> np.ndarray | None:
+        """``vs`` as an integer array (``vertex_ids``, which refuses a
+        non-integer id) when every id is a live vertex, else None: one
+        range test, then one gather (a negative id is refused, not
+        wrapped)."""
+        ids = vertex_ids(vs)
+        inside = (ids >= 0) & (ids < self.base.n)
+        return ids if inside.all() and self.live[ids].all() else None
 
     @property
-    def alive(self) -> list[int]:
-        return np.flatnonzero(self.live).tolist()
+    def alive(self) -> np.ndarray:
+        return np.flatnonzero(self.live)
 
     @property
     def alive_count(self) -> int:
@@ -183,16 +200,14 @@ class ContractedGraph:
         check_vertex(v, self.base.n)
         return bool(self.adj[u, v])
 
-    def is_independent(self, vs: Iterable[int]) -> bool:
-        idx = sorted(set(vs))
-        if not self._all_live(idx):
-            return False
-        return not self.adj[np.ix_(idx, idx)].any()
+    def is_independent(self, vs) -> bool:
+        ids = self._live_ids(vs)
+        return ids is not None and not self.adj[np.ix_(ids, ids)].any()
 
     def merge(self, u: int, v: int) -> int:
         """Merge two live, distinct, non-adjacent quotient vertices; returns
         the surviving representative (the smaller id)."""
-        if u == v or not self._all_live((u, v)):
+        if u == v or self._live_ids((u, v)) is None:
             raise ValueError(f"merge needs two live distinct vertices, got {u},{v}")
         if self.adj[u, v]:
             raise ContradictionError(
@@ -206,25 +221,25 @@ class ContractedGraph:
         self.rep[self.rep == drop] = keep
         return keep
 
-    def delete(self, vs: Iterable[int]) -> None:
-        idx = sorted(set(vs))
-        if not self._all_live(idx):
-            raise ValueError(f"delete needs live vertices, got {idx}")
-        self.adj[idx, :] = self.adj[:, idx] = False
-        self.live[idx] = False
+    def delete(self, vs) -> None:
+        ids = self._live_ids(vs)
+        if ids is None:
+            raise ValueError(f"delete needs live vertices, got {vs}")
+        self.adj[ids, :] = self.adj[:, ids] = False
+        self.live[ids] = False
 
-    def induced(self, ids: list[int]) -> Graph:
+    def induced(self, ids: np.ndarray) -> Graph:
         """The subgraph of the quotient induced by ``ids`` as an immutable
         Graph; vertex i of it is ids[i]."""
         return Graph._from_matrix(self.adj[np.ix_(ids, ids)])
 
-    def quotient_graph(self) -> tuple[Graph, list[int]]:
+    def quotient_graph(self) -> tuple[Graph, np.ndarray]:
         """The whole quotient as an immutable Graph plus its sorted
         representatives ``reps``: vertex i of the Graph is reps[i]."""
         reps = self.alive
         return self.induced(reps), reps
 
-    def peel(self, threshold: float) -> tuple[list[int], list[int]]:
+    def peel(self, threshold: float) -> tuple[np.ndarray, np.ndarray]:
         """Exhaustively remove live vertices of residual degree < threshold.
 
         Returns (U, W), both sorted: U is everything removed, W the unique
@@ -241,8 +256,7 @@ class ContractedGraph:
                 break
             keep &= ~low
             deg -= self.adj[low].sum(axis=0)
-        return (np.flatnonzero(self.live & ~keep).tolist(),
-                np.flatnonzero(keep).tolist())
+        return np.flatnonzero(self.live & ~keep), np.flatnonzero(keep)
 
 
 def progress_driver(g: Graph, *,
@@ -252,9 +266,10 @@ def progress_driver(g: Graph, *,
 
     SameColor claims contract the quotient; LargeIndependentSet claims spend
     one color on the base vertices of the claimed set; Colored finishes the
-    remaining quotient outright. Every claim is verified against the quotient
-    before being applied, and the color count is capped by ``budget``;
-    exceeding it raises NotKColorableError of kind "budget".
+    remaining quotient outright, its colours relabelled in order to fresh
+    ones. Every claim is verified against the quotient before being applied,
+    and the color count is capped by ``budget``; exceeding it raises
+    NotKColorableError of kind "budget".
     """
     cg = ContractedGraph(g)
     color = np.empty(g.n, dtype=np.int64)  # indexed by representative
@@ -265,30 +280,31 @@ def progress_driver(g: Graph, *,
             cg.merge(result.u, result.v)  # raises on a stale or adjacent pair
             continue
         if isinstance(result, LargeIndependentSet):
-            if not result.members:
+            ids = vertex_ids(result.members)
+            if not ids.size:
                 raise ValueError("finder returned an empty independent set")
-            if not cg.is_independent(result.members):
+            if not cg.is_independent(ids):
                 raise ValueError("finder returned a dependent vertex set")
-            proposal = dict.fromkeys(result.members, 0)
+            values = (0,)  # one colour, broadcast over the set
         elif isinstance(result, Colored):
-            quotient, reps = cg.quotient_graph()
-            proposal = result.coloring
-            if set(proposal) != set(reps):
+            quotient, ids = cg.quotient_graph()
+            if result.coloring.n != ids.size:
                 raise ValueError("finder coloring does not cover the quotient")
-            qcol = Coloring(tuple(proposal[rep] for rep in reps))
-            if not verify_coloring(quotient, qcol):
+            if not verify_coloring(quotient, result.coloring):
                 raise ValueError("finder returned an improper quotient coloring")
+            values = result.coloring.assignment
         else:
             raise TypeError(f"finder returned {result!r}, not a progress result")
-        # Spend the claim's colours: one for a set, one per class otherwise.
-        used = sorted(set(proposal.values()))
-        if next_color + len(used) > budget:
+        # Spend the claim's colours: one for a set, one per class otherwise,
+        # relabelled in order (a dict, not np.searchsorted, whose kernels
+        # raised peak RSS by about 0.1 MB).
+        relabel = {c: i for i, c in enumerate(sorted(set(values)), next_color)}
+        if next_color + len(relabel) > budget:
             raise NotKColorableError(
                 "budget", f"color budget {budget} exhausted")
-        relabel = {c: next_color + i for i, c in enumerate(used)}
-        color[list(proposal)] = [relabel[c] for c in proposal.values()]
-        next_color += len(used)
-        cg.delete(list(proposal))
+        color[ids] = np.fromiter(map(relabel.get, values), np.int64, len(values))
+        next_color += len(relabel)
+        cg.delete(ids)
     coloring = Coloring(tuple(color[cg.rep].tolist()))
     if not verify_coloring(g, coloring):
         raise AssertionError("driver assembled an improper coloring")

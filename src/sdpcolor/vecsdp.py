@@ -32,7 +32,7 @@ import numpy as np
 
 from ._dual import DualBounds
 from ._rng import stream
-from .graph import Graph, NotKColorableError, induced_subgraph
+from .graph import Graph, NotKColorableError, induced_subgraph, vertex_mask
 
 EPS = 1e-3  # the tolerance of both programs for every library caller
 
@@ -98,9 +98,10 @@ class VectorColoring:
         return float(np.abs(np.linalg.norm(self.vectors, axis=1) - 1.0).max())
 
     def restrict(self, indices) -> "VectorColoring":
-        """Row restriction; valid for the induced subgraph on sorted(indices)."""
-        idx = sorted(indices)
-        return VectorColoring(self.alpha, self.vectors[idx].copy(), self.eps)
+        """Row restriction; valid for the induced subgraph on the distinct
+        ``indices`` (``induced_subgraph``'s ``verts``)."""
+        keep = vertex_mask(indices, self.n)
+        return VectorColoring(self.alpha, self.vectors[keep], self.eps)
 
 
 @dataclass(frozen=True)
@@ -675,7 +676,7 @@ class ReducedColoring:
 
     coloring: VectorColoring
     graph: Graph
-    vertices: list[int]  # sorted original ids; row i of coloring is vertices[i]
+    vertices: np.ndarray  # sorted int64 original ids; row i is vertices[i]
 
 
 def _perturb_axis(axis: np.ndarray, magnitude: float, rng) -> np.ndarray:
@@ -744,7 +745,7 @@ def neighborhood_reduce(vc: VectorColoring, g: Graph, v: int,
         raise ValueError(f"vertex {v} out of range for n={g.n}")
     if g.degree(v) < 1:
         raise ValueError(f"vertex {v} has no neighbors")
-    neighbors = g.neighbors(v).tolist()
+    neighbors = g.neighbors(v)
     axis = vc.vectors[v] / float(np.linalg.norm(vc.vectors[v]))
     proj = _project(axis, vc.vectors[neighbors], vc.eps, seed, "nbr-perturb", v)
     if proj is None:
@@ -780,7 +781,7 @@ def well_aligned_subset(sol: IndSetSdpSolution, g: Graph, alpha: float,
     # Membership uses the raw threshold (below -1 it admits every unit
     # vector, antipodal ones included); the coloring parameter needs the
     # clamp so alpha' stays finite and positive.
-    members = sorted(int(i) for i in np.nonzero(align > beta)[0])
+    members = np.flatnonzero(align > beta)
     beta = max(beta, -1.0 + 1e-9)
     if len(members) < n / logn - 1e-9:
         raise RuntimeError(

@@ -293,7 +293,7 @@ def _first_round(monkeypatch):
     cg = ContractedGraph(planted_k_colorable(60, 4, 0.3, seed=1).graph)
     finder = _CombinedFinder(4, CombinedConfig(trials=16), [])
     first = finder._round_low_degree(cg, cg.alive)
-    assert calls == [60] and first.members
+    assert calls == [60] and first.members.size
     return calls, cg, finder, first
 
 
@@ -302,22 +302,21 @@ def test_low_degree_round_restricts_feasible_cached_rows(monkeypatch):
     cg.delete(first.members)
     second = finder._round_low_degree(cg, cg.alive)
     assert calls == [60]  # the cached rows of U served the round
-    assert second.members and cg.is_independent(second.members)
+    assert second.members.size and cg.is_independent(second.members)
 
 
 @pytest.mark.parametrize("miss", ["row", "residual"])
 def test_low_degree_round_solves_cold_without_feasible_rows(monkeypatch, miss):
     calls, cg, finder, _ = _first_round(monkeypatch)
-    rows = finder._rows
+    first_row = finder._row_of[cg.alive[0]]
     if miss == "row":
-        del rows[cg.alive[0]]
+        finder._row_of[cg.alive[0]] = -1
     else:
         # One shared row puts every edge dot at 1, far above -1/3 + eps.
-        for rep in rows:
-            rows[rep] = rows[cg.alive[0]]
+        finder._rows[:] = finder._rows[first_row]
     second = finder._round_low_degree(cg, cg.alive)
     assert calls == [60, 60]
-    assert second.members and cg.is_independent(second.members)
+    assert second.members.size and cg.is_independent(second.members)
 
 
 def test_combined_proper_even_when_not_k_colorable():
@@ -399,8 +398,9 @@ def test_quotient_matches_recompute_through_merges_and_deletes():
                 assert pair is None
             else:
                 u, v, count = pair
-                assert count == common.max()
-                assert count == common[alive.index(u), alive.index(v)]
+                assert u < v and count == common.max()
+                index = alive.tolist().index
+                assert count == common[index(u), index(v)]
 
 
 def test_candidate_round_pinned():
@@ -413,7 +413,7 @@ def test_candidate_round_pinned():
     finder.round_no = 1
     got = finder._candidate_round(cg, cg.alive, cg.alive_count,
                                   float(alpha_k(4)))
-    assert got.members == {1, 11, 12, 15, 16, 39, 40, 43, 57}
+    assert got.members.tolist() == [1, 11, 12, 15, 16, 39, 40, 43, 57]
     assert cg.is_independent(got.members)
 
 
@@ -432,7 +432,7 @@ def test_candidate_round_never_builds_the_whole_collection(monkeypatch):
     finder.round_no = 1
     got = finder._candidate_round(cg, cg.alive, cg.alive_count,
                                   float(alpha_k(4)))
-    assert got.members == {1, 11, 12, 15, 16, 39, 40, 43, 57}
+    assert got.members.tolist() == [1, 11, 12, 15, 16, 39, 40, 43, 57]
 
 
 def _probe_fixture(adjacent):

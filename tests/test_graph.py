@@ -1,5 +1,4 @@
 import io
-import json
 import re
 from collections import deque
 
@@ -154,20 +153,32 @@ def test_neighbors_is_a_read_only_int64_slice():
 
 
 def test_induced_subgraph_takes_an_array_of_ids():
-    # Python ints in ``verts`` whatever the ids came as, so the sets built
-    # from them reach json (as the CLI writes its results).
+    # An integer array is read as is, and ``verts`` is its distinct ids as
+    # a sorted int64 array, whatever the ids came as.
     g = cycle_graph(6)
-    for ids in (np.array([4, 0, 2, 1]), g.neighbors(0)):
+    for ids in (np.array([4, 0, 2, 1, 4]), g.neighbors(0), [4, 0, 2, 1],
+                np.array([4, 0, 2], dtype=np.uint8)):
         sub, verts = induced_subgraph(g, ids)
-        assert verts == sorted(ids.tolist())
-        assert all(type(v) is int for v in verts)
-        json.dumps(sorted(frozenset(verts)))
+        assert verts.tolist() == sorted(set(np.asarray(ids).tolist()))
+        assert verts.dtype == np.int64
+
+
+@pytest.mark.parametrize("ids, error", [
+    (np.array([0.0, 2.0]), TypeError),
+    ([0, 1.5], TypeError),
+    (np.array([True, False]), TypeError),
+    (np.array([0, -1]), ValueError),  # -1 must not be read as vertex 5
+    ([0, 6], ValueError),
+])
+def test_induced_subgraph_refuses_bad_ids(ids, error):
+    with pytest.raises(error):
+        induced_subgraph(cycle_graph(6), ids)
 
 
 def test_induced_subgraph_k4_restriction():
     sub, verts = induced_subgraph(complete_graph(4), {0, 1, 2})
     assert sub == complete_graph(3)
-    assert verts == [0, 1, 2]
+    assert verts.tolist() == [0, 1, 2]
 
 
 def test_induced_subgraph_c5_alternating():
@@ -175,12 +186,12 @@ def test_induced_subgraph_c5_alternating():
     sub, verts = induced_subgraph(cycle_graph(5), {0, 2, 4})
     assert sub.n == 3
     assert sub.edges == ((0, 2),)
-    assert verts == [0, 2, 4]
+    assert verts.tolist() == [0, 2, 4]
 
 
 def test_induced_subgraph_empty():
     sub, verts = induced_subgraph(cycle_graph(5), set())
-    assert sub.n == 0 and sub.m == 0 and verts == []
+    assert sub.n == 0 and sub.m == 0 and verts.tolist() == []
 
 
 def test_induced_subgraph_matches_contracted_induced():
@@ -189,7 +200,7 @@ def test_induced_subgraph_matches_contracted_induced():
         rng = stream(seed, "induced-subsets")
         ids = [int(x) for x in rng.choice(g.n, size=4 + 3 * seed, replace=False)]
         sub, verts = induced_subgraph(g, ids)
-        assert verts == sorted(ids)
+        assert verts.tolist() == sorted(ids)
         validated = Graph(len(verts), sub.edges)
         for other in (ContractedGraph(g).induced(verts), validated):
             assert sub == other and hash(sub) == hash(other)
@@ -200,7 +211,7 @@ def test_induced_subgraph_matches_contracted_induced():
             for mine, theirs in zip(sub.edge_arrays(), other.edge_arrays()):
                 assert mine.dtype == theirs.dtype == np.int64
                 assert np.array_equal(mine, theirs)
-        pos = {old: new for new, old in enumerate(verts)}
+        pos = {old: new for new, old in enumerate(verts.tolist())}
         assert validated.edges == tuple(sorted(
             (pos[u], pos[v]) for u, v in g.edges if u in pos and v in pos))
 
@@ -308,7 +319,7 @@ def test_peel_after_merges_and_deletes():
                 cg.merge(u, v)
         for threshold in (1, 4, 7.5, 10, 13, 100):
             u_ids, w_ids, passes = _reference_peel(g, cg, threshold)
-            assert cg.peel(threshold) == (u_ids, w_ids)
+            assert [ids.tolist() for ids in cg.peel(threshold)] == [u_ids, w_ids]
             most_passes = max(most_passes, passes)
     assert most_passes >= 3
 

@@ -1,6 +1,9 @@
+import json
+
 import pytest
 
 import sdpcolor.indset as indset
+from sdpcolor.combined import CombinedConfig, combined_color
 from sdpcolor.graph import Graph, verify_independent_set
 from sdpcolor.indset import (
     ak_independent_set,
@@ -12,11 +15,12 @@ from sdpcolor.rounding import kms_independent_set
 from sdpcolor.testkit import (
     brute_force_mis,
     complete_graph,
+    cycle_graph,
     planted_k_colorable,
     random_graph,
     simplex_vectors,
 )
-from sdpcolor.vecsdp import VectorColoring, solve_indset_sdp
+from sdpcolor.vecsdp import VectorColoring, solve_indset_sdp, solve_vector_coloring
 
 
 def test_f_integer_values():
@@ -155,3 +159,36 @@ def test_ak_rejects_infinite_alpha():
     # Refused before the solve, as well_aligned_subset would refuse it after.
     with pytest.raises(ValueError, match="alpha must be finite"):
         ak_independent_set(Graph(3), float("inf"))
+
+
+def test_public_results_hold_python_ints(monkeypatch):
+    # The library passes vertex ids as int64 arrays; every public set and
+    # colouring turns them into Python ints, which json writes and
+    # perfbench's checker (``isinstance(v, int)``) accepts.
+    reached = []
+    for name in ("neighborhood_reduce", "induced_subgraph"):
+        real = getattr(indset, name)
+
+        def logged(*args, real=real, name=name, **kwargs):
+            reached.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(indset, name, logged)
+    g = planted_k_colorable(40, 3, 0.3, seed=0).graph
+    vc = solve_vector_coloring(g, 3.0, seed=0)
+    # C5 is vector 2.24-colourable; at alpha 2.5 < 3, l2 takes the greedy
+    # neighbourhood branch.
+    c5 = cycle_graph(5)
+    vc5 = solve_vector_coloring(c5, 2.5, seed=0)
+    sets = [ak_independent_set(g, 3.0, seed=0)]
+    sets.append(l2_vector_indset(g, vc, trials=16))
+    assert "neighborhood_reduce" in reached
+    reached.clear()
+    sets.append(l2_vector_indset(c5, vc5, trials=16))
+    assert reached == ["induced_subgraph"]  # the greedy-neighbourhood branch
+    sets += [greedy_independent_set(g), kms_independent_set(g, vc, trials=16)]
+    coloring = combined_color(planted_k_colorable(60, 4, 0.3, seed=1).graph, 4,
+                              CombinedConfig(trials=16)).coloring
+    for values in sets + [coloring.assignment]:
+        assert values and all(type(v) is int for v in values)
+        json.dumps(sorted(values))

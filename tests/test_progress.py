@@ -154,6 +154,11 @@ def test_merge_validates_liveness():
         cg.merge(0, 2)
     with pytest.raises(ValueError):
         cg.merge(1, -1)  # -1 must not be read as vertex 3
+    with pytest.raises(ValueError, match="delete needs live vertices"):
+        cg.delete(np.array([-1]))
+    with pytest.raises(TypeError):
+        cg.delete(np.array([1.5]))  # not read as vertex 1
+    assert cg.live.tolist() == [True, True, False, True]
 
 
 def test_contraction_lift_preserves_properness():
@@ -228,7 +233,7 @@ def test_rep_names_each_group_by_its_smallest_id():
 
 def test_driver_edgeless_single_color():
     def finder(cg):
-        return LargeIndependentSet(frozenset(cg.alive))
+        return LargeIndependentSet(cg.alive)
 
     col = progress_driver(Graph(6), finder=finder, budget=6)
     assert col.colors_used == 1
@@ -238,7 +243,7 @@ def test_driver_with_exact_mis_oracle_on_c5():
     def finder(cg):
         quotient, reps = cg.quotient_graph()
         mis = brute_force_mis(quotient)
-        return LargeIndependentSet(frozenset(reps[i] for i in mis))
+        return LargeIndependentSet(reps[sorted(mis)])
 
     col = progress_driver(cycle_graph(5), finder=finder, budget=5)
     assert col.colors_used == 3
@@ -250,7 +255,7 @@ def test_driver_with_exact_mis_oracle_on_c5():
 
 def test_driver_rejects_dependent_set():
     def finder(cg):
-        return LargeIndependentSet(frozenset(cg.alive))
+        return LargeIndependentSet(cg.alive)
 
     with pytest.raises(ValueError):
         progress_driver(path_graph(3), finder=finder, budget=3)
@@ -258,7 +263,7 @@ def test_driver_rejects_dependent_set():
 
 def test_driver_budget_exhaustion():
     def finder(cg):
-        return LargeIndependentSet(frozenset([cg.alive[0]]))
+        return LargeIndependentSet(cg.alive[:1])
 
     with pytest.raises(NotKColorableError) as err:
         progress_driver(complete_graph(6), finder=finder, budget=3)
@@ -266,18 +271,30 @@ def test_driver_budget_exhaustion():
 
 
 @pytest.mark.parametrize("claim, message", [
-    (LargeIndependentSet(frozenset()), "empty independent set"),
-    (Colored({0: 0, 1: 1}), "does not cover the quotient"),
-    (Colored({0: 0, 1: 0, 2: 1}), "improper quotient coloring"),
+    (LargeIndependentSet(np.array([], dtype=np.int64)), "empty independent set"),
+    (Colored(Coloring((0, 1))), "does not cover the quotient"),
+    (Colored(Coloring((0, 0, 1))), "improper quotient coloring"),
+    # -1 must not be read as vertex 2, which would make it a valid set.
+    (LargeIndependentSet(np.array([-1])), "dependent vertex set"),
 ])
 def test_driver_refuses_a_bad_claim(claim, message):
     with pytest.raises(ValueError, match=message):
         progress_driver(path_graph(3), finder=lambda cg: claim, budget=3)
 
 
+def test_driver_relabels_a_quotient_coloring_in_order():
+    # Colours out of order and negative, (7, -2) on reps [1, 3], keep their
+    # order: -2 becomes the first fresh colour and 7 the next.
+    claims = iter([SameColor(0, 2), LargeIndependentSet(np.array([0])),
+                   Colored(Coloring((7, -2)))])
+    col = progress_driver(path_graph(4), finder=lambda cg: next(claims),
+                          budget=3)
+    assert col.assignment == (0, 2, 0, 1)
+
+
 def test_driver_refuses_a_coloring_over_budget():
     def finder(cg):
-        return Colored({rep: i for i, rep in enumerate(cg.alive)})
+        return Colored(Coloring(tuple(range(cg.alive_count))))
 
     with pytest.raises(NotKColorableError,
                        match="color budget 3 exhausted") as err:
@@ -298,11 +315,11 @@ def test_driver_leaves_the_graph_matrix_unchanged():
 
     def finder(cg):
         live = cg.alive
-        pair = next(((u, v) for u in live for v in live
+        pair = next(((u, v) for u in live.tolist() for v in live.tolist()
                      if u < v and not cg.has_edge(u, v)), None)
         if pair is not None:
             return SameColor(*pair)
-        return Colored({rep: i for i, rep in enumerate(live)})
+        return Colored(Coloring(tuple(range(live.size))))
 
     col = progress_driver(g, finder=finder, budget=g.n)
     assert verify_coloring(g, col) and col.colors_used < g.n
@@ -312,13 +329,13 @@ def test_driver_leaves_the_graph_matrix_unchanged():
 
 
 def test_driver_deletes_once_per_spending_claim(monkeypatch):
-    claims = iter([SameColor(0, 2), LargeIndependentSet(frozenset([0])),
-                   Colored({1: 5, 3: 7})])
+    claims = iter([SameColor(0, 2), LargeIndependentSet(np.array([0])),
+                   Colored(Coloring((5, 7)))])  # reps [1, 3]
     deleted = []
     real_delete = ContractedGraph.delete
 
     def delete(cg, vs):
-        deleted.append(sorted(vs))
+        deleted.append(np.asarray(vs).tolist())
         real_delete(cg, vs)
 
     monkeypatch.setattr(ContractedGraph, "delete", delete)
@@ -336,7 +353,7 @@ def test_driver_same_color_and_colored_path():
         calls["n"] += 1
         if calls["n"] == 1:
             return SameColor(0, 2)
-        return Colored({rep: i % 2 for i, rep in enumerate(cg.alive)})
+        return Colored(Coloring(tuple(i % 2 for i in range(cg.alive_count))))
 
     g = path_graph(3)
     col = progress_driver(g, finder=finder, budget=3)

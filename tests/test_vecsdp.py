@@ -683,7 +683,7 @@ def test_well_aligned_edgeless_takes_everything():
     g = Graph(8)
     sol = solve_indset_sdp(g, seed=0)
     res = well_aligned_subset(sol, g, 2.0)
-    assert res.vertices == list(range(8))
+    assert res.vertices.tolist() == list(range(8))
 
 
 def test_well_aligned_planted():
