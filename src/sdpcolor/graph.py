@@ -119,7 +119,9 @@ class Graph:
 
     @cached_property
     def _degrees(self) -> np.ndarray:
-        return np.bincount(np.concatenate((self._eu, self._ev)), minlength=self._n)
+        deg = np.bincount(np.concatenate((self._eu, self._ev)), minlength=self._n)
+        deg.flags.writeable = False
+        return deg
 
     @cached_property
     def _csr(self) -> tuple[np.ndarray, np.ndarray]:
@@ -149,6 +151,10 @@ class Graph:
 
     def degrees(self) -> list[int]:
         return self._degrees.tolist()
+
+    def degree_array(self) -> np.ndarray:
+        """Every vertex's degree as one cached read-only int64 array."""
+        return self._degrees
 
     def has_edge(self, u: int, v: int) -> bool:
         check_vertex(v, self._n)

@@ -18,6 +18,7 @@ experiments that compare two thresholds on shared draws.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -93,7 +94,7 @@ def kms_independent_set(g: Graph, vc: VectorColoring, trials: int = 64,
         best = lex_best(best, round_once(vc, g, r, c))
         trial += 1
     if not best and g.n >= 1:
-        best = frozenset([int(np.argmin(g.degrees()))])  # ties to the lowest id
+        best = frozenset([int(np.argmin(g.degree_array()))])  # ties to the lowest id
     return best
 
 
@@ -120,8 +121,11 @@ def kms_color(g: Graph, k: int, trials: int = 64, seed: int = 0) -> Coloring:
         assignment = np.full(g.n, -1, dtype=np.int64)
         color = 0
         while (remaining := np.flatnonzero(assignment < 0)).size:
-            sub, verts = induced_subgraph(g, remaining)
-            chosen = kms_independent_set(sub, vc.restrict(verts), trials=trials,
+            # remaining is sorted and distinct: its rows are the
+            # restriction to the induced subgraph, taken without a mask.
+            sub = induced_subgraph(g, remaining)[0]
+            rows = replace(vc, vectors=vc.vectors[remaining])
+            chosen = kms_independent_set(sub, rows, trials=trials,
                                          seed=seed * 1000003 + color)
             assignment[remaining[list(chosen)]] = color
             color += 1

@@ -7,7 +7,9 @@ product of spheres (no external SDP solver):
 * vector alpha-coloring: unit v_1..v_n with v_i . v_j <= -1/(alpha-1) + EPS
   on every edge. A penalty descent on the hinge violations (multipliers at
   zero), refined where it misses by per-edge multipliers, then the same
-  feasibility descent again on the rows reduced to rank ceil(alpha) - 1.
+  feasibility descent again on the rows reduced to rank ceil(alpha) - 1,
+  finished by gradient steps of Polyak's length (the objective's optimum,
+  0, is known), with Adam from their rows where they stop short.
 
 * the independence-number program: maximize sum (1 + v0 . v_i)/2 subject to
   (v0 + v_i) . (v0 + v_j) = 0 on edges.
@@ -313,14 +315,20 @@ class _Adam:
         np.subtract(params, buf, out=params)
 
 
+def _project_tangent(v, grad, tmp, rowdots):
+    """grad -= einsum("ij,ij->i", grad, v)[:, None] * v: each row of grad
+    onto its row of v's tangent space, in place, in the buffers tmp (shaped
+    like grad) and rowdots (n,)."""
+    np.einsum("ij,ij->i", grad, v, out=rowdots)
+    np.multiply(rowdots[:, None], v, out=tmp)
+    np.subtract(grad, tmp, out=grad)
+
+
 def _sphere_step(v, grad, opt, tmp, rowdots):
     """Project grad onto each row's tangent space, step, renormalize rows.
     Allocation-free: tmp is shaped like grad, rowdots (n,) serves both
     row-dot passes."""
-    # grad -= einsum("ij,ij->i", grad, v)[:, None] * v
-    np.einsum("ij,ij->i", grad, v, out=rowdots)
-    np.multiply(rowdots[:, None], v, out=tmp)
-    np.subtract(grad, tmp, out=grad)
+    _project_tangent(v, grad, tmp, rowdots)
     opt.step(v, grad)
     _row_normalize(v, rowdots)
 
@@ -429,6 +437,62 @@ def _coloring_descent(v, eu, ev, target, iters, lr, stop_at=None):
     return used
 
 
+# The Polyak polish's caps: at most this many iterations, and an exit once
+# its running minimum objective has not fallen for ``_POLISH_PATIENCE``.
+_POLISH_ITERS = 100
+_POLISH_PATIENCE = 30
+
+
+def _polyak_polish(v, eu, ev, target, stop_at):
+    """Riemannian gradient descent with Polyak's step on the hinge objective
+    f = sum relu(d_e - target)^2, whose optimum 0 is known (Polyak,
+    *Introduction to Optimization*, 1987, section 5.3): each step is v <-
+    normalize(v - (f / ||g||^2) g) with g the gradient projected onto each
+    row's tangent space. It works on rows already near a feasible point,
+    where Adam's first steps of +-lr per coordinate would raise f before
+    lowering it.
+
+    Every iteration exits once the max edge dot is at most ``stop_at``; the
+    loop also exits when the running minimum of f has not fallen for
+    ``_POLISH_PATIENCE`` (30) iterations, when the tangent gradient is zero,
+    or after ``_POLISH_ITERS`` (100). Returns the iterations used, the
+    exiting one included, and whether the max edge dot reached ``stop_at``.
+    Its kernels are ``_coloring_descent``'s, on one ``_EdgeSums``
+    workspace, and each iteration performs the floating-point operations of
+    the out-of-place expressions noted beside each step and in
+    ``_project_tangent``, in their order and v's dtype (to rounding where
+    the dots read the Gram matrix).
+    """
+    n, d = v.shape
+    sums = _EdgeSums(eu, ev, v.shape, v.dtype)
+    dots, viol, hinge = (np.empty(sums.m, v.dtype) for _ in range(3))
+    grad, tmp = np.empty((n, d), v.dtype), np.empty((n, d), v.dtype)
+    rowdots = np.empty(n, v.dtype)
+    best, best_at = math.inf, 0
+    for it in range(_POLISH_ITERS):
+        sums.dots(v, dots)                           # (v[eu] * v[ev]).sum(1)
+        if dots.max() <= stop_at:
+            return it + 1, True
+        np.subtract(dots, target, out=viol)
+        np.maximum(viol, 0.0, out=viol)              # relu(dots - target)
+        np.multiply(viol, viol, out=hinge)
+        f = float(hinge.sum())                       # (viol ** 2).sum()
+        if f < best:
+            best, best_at = f, it
+        elif it - best_at >= _POLISH_PATIENCE:
+            break
+        np.multiply(2.0, viol, out=hinge)
+        sums.neighbour_sums(hinge, v, grad, viol)
+        _project_tangent(v, grad, tmp, rowdots)
+        gg = float(np.vdot(grad, grad))
+        if gg == 0.0:
+            break
+        np.multiply(f / gg, grad, out=tmp)           # v -= (f / gg) * grad
+        np.subtract(v, tmp, out=v)
+        _row_normalize(v, rowdots)
+    return it + 1, False
+
+
 def _rank_reduce(v, rank):
     """Coordinates of the rows in their top-``rank`` right-singular basis,
     renormalized; the returned array has only ``rank`` columns."""
@@ -449,8 +513,10 @@ def solve_vector_coloring(g: Graph, alpha: float, budget: int = 2000,
     2. if its residual is within the hand-off bar 10 eps, the
        rank-``ceil(alpha) - 1`` re-descent: a feasibility phase of
        ``budget`` iterations, which must end within the hand-off bar too,
-       then a final feasibility phase of ``budget // 2``, returned if it
-       meets eps;
+       then the Polyak polish (``_polyak_polish``, at most 100
+       iterations) and, only where it ends above t + eps/2, a final
+       feasibility phase of ``budget // 2`` from its rows; returned if
+       it meets eps;
     3. while the residual exceeds eps, up to four refinement passes of
        ``budget // 2`` on the wide rows, at lr 0.02, 0.008, 0.003, 0.001;
     4. if a refinement pass ran and brought the residual within eps, the
@@ -464,17 +530,19 @@ def solve_vector_coloring(g: Graph, alpha: float, budget: int = 2000,
     phases aim at t, which any K_k forces some edge dot to reach; residuals
     that decide are measured against t. The refinement phases exit at t +
     eps/4: they iterate the wide rows, float32 ones renormalized in float64
-    before the eps test. The final low-rank phase iterates float64 rows
-    that are accepted at t + eps, so it exits at t + eps/2, which leaves a
-    margin between the Gram dots that test the exit and the per-edge
-    products that accept. The wide phase and the first low-rank phase exit
-    at the hand-off bar t + 10 eps, and every phase once its objective
-    stalls (``_coloring_descent``, relative change 1e-7). Library callers
-    keep the one default restart and do not rerun a failed solve:
-    ``kms_color`` raises, and ``combined_color`` reports kind "solver".
-    Raises InfeasibleError (evidence only) when every restart stalls above eps,
-    its iteration count covering every phase run, and ValueError when alpha
-    is not finite or below 2, or budget or restarts is below 1.
+    before the eps test. The polish and the final low-rank phase iterate
+    float64 rows that are accepted at t + eps, so they exit at t + eps/2,
+    which leaves a margin between the Gram dots that test the exit and the
+    per-edge products that accept. The wide phase and the first low-rank
+    phase exit at the hand-off bar t + 10 eps, and every Adam phase once
+    its objective stalls (``_coloring_descent``, relative change 1e-7).
+    Library callers keep the one default restart and do not rerun a failed
+    solve: ``kms_color`` raises, and ``combined_color`` reports kind
+    "solver".
+    Raises InfeasibleError (evidence only) when every restart stalls above
+    eps, its iteration count covering every phase run, the polish
+    included, and ValueError when alpha is not finite or below 2, or
+    budget or restarts is below 1.
     """
     _check_alpha(alpha)
     _check_counts(budget=budget, restarts=restarts)
@@ -498,12 +566,18 @@ def solve_vector_coloring(g: Graph, alpha: float, budget: int = 2000,
         total_iters += _coloring_descent(vecs, eu, ev, aim, iters, lr, **kwargs)
 
     def try_lowrank(full):
-        # Re-descend in the top-rank basis: to the hand-off bar, then to EPS.
+        # Re-descend in the top-rank basis to the hand-off bar, then polish
+        # to EPS: Polyak steps, and Adam from their rows where they park.
+        nonlocal total_iters
         reduced = _rank_reduce(full, rank)
         descend(reduced, budget, lr=0.02, stop_at=target + handoff)
         if _residual(reduced, eu, ev, target) > handoff:
             return None
-        descend(reduced, budget // 2, lr=0.005, stop_at=target + 0.5 * EPS)
+        polish_bar = target + 0.5 * EPS
+        used, met = _polyak_polish(reduced, eu, ev, target, polish_bar)
+        total_iters += used
+        if not met:
+            descend(reduced, budget // 2, lr=0.005, stop_at=polish_bar)
         ok = _residual(reduced, eu, ev, target) <= EPS
         return VectorColoring(alpha, reduced, EPS) if ok else None
 

@@ -564,3 +564,15 @@ def test_read_dimacs_validates_once(monkeypatch):
     monkeypatch.setattr(Graph, "__init__", refuse)
     g2 = read_dimacs(io.StringIO(buf.getvalue()))
     assert g2 == g and g2.edges == g.edges
+
+
+@pytest.mark.parametrize("g", [Graph(0), Graph(4), star_graph(6),
+                               random_graph(30, 0.3, seed=2)],
+                         ids=["empty", "edgeless", "star", "random"])
+def test_degree_array_is_the_cached_read_only_degrees(g):
+    deg = g.degree_array()
+    assert deg is g.degree_array()
+    assert deg.dtype == np.int64 and not deg.flags.writeable
+    assert deg.tolist() == g.degrees() == [g.degree(v) for v in range(g.n)]
+    with pytest.raises(ValueError):
+        deg[:1] = 0

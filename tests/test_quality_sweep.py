@@ -5,8 +5,8 @@ import os
 
 import pytest
 
-from sdpcolor.testkit import planted_k_colorable
-from sdpcolor.vecsdp import solve_indset_sdp
+from sdpcolor.testkit import cycle_graph, planted_k_colorable
+from sdpcolor.vecsdp import InfeasibleError, solve_indset_sdp, solve_vector_coloring
 from test_combined import STALL_CASES
 
 TOOL = os.path.join(os.path.dirname(__file__), os.pardir, "tools",
@@ -46,3 +46,28 @@ def test_solve_counter_sums_iterations_and_restores(sweep):
         sweep.ak_independent_set(g, 3.0, seed=0)
     assert solves.iterations == solve_indset_sdp(g, seed=0).iterations > 0
     assert sweep.indset.solve_indset_sdp is real
+
+
+def test_phase_counter_counts_the_polish_and_its_fallbacks(sweep):
+    vecsdp = sweep.vecsdp
+    real = (vecsdp._coloring_descent, vecsdp._rank_reduce, vecsdp._polyak_polish)
+    # Planted (40, 7, 0.5, 1) at alpha 7: the Polyak polish runs its 100
+    # iterations short of t + eps/2, and the Adam polish takes over.
+    g = planted_k_colorable(40, 7, 0.5, seed=1).graph
+    with sweep._PhaseCounter() as count:
+        solve_vector_coloring(g, 7.0, seed=1)
+    assert count.counts["polish"] == vecsdp._POLISH_ITERS
+    assert count.fallbacks == 1
+    g = planted_k_colorable(60, 4, 0.3, seed=1).graph
+    with sweep._PhaseCounter() as count:
+        solve_vector_coloring(g, 4.0, seed=1)
+    assert 0 < count.counts["polish"] < vecsdp._POLISH_ITERS
+    assert count.fallbacks == 0 and count.counts["lowrank"] > 0
+    # Every iteration the solver reports is counted in some phase.
+    with sweep._PhaseCounter() as count, pytest.raises(InfeasibleError) as err:
+        solve_vector_coloring(cycle_graph(5), 2.23, budget=400, seed=0,
+                              restarts=2)
+    assert count.counts["polish"] > 0
+    assert sum(count.counts.values()) == err.value.iterations
+    assert (vecsdp._coloring_descent, vecsdp._rank_reduce,
+            vecsdp._polyak_polish) == real

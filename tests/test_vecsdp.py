@@ -16,6 +16,7 @@ from sdpcolor.testkit import (
     constraint_residual,
     cycle_graph,
     is_feasible_for,
+    path_graph,
     petersen_graph,
     planted_k_colorable,
     project_orthogonal,
@@ -237,21 +238,29 @@ def test_solve_tracks_vector_chromatic_boundary():
 
 def test_infeasible_error_counts_every_descent_iteration(monkeypatch):
     # Just below C5's vector chromatic number the wide pass lands within
-    # 10 eps, so the rank-2 re-descent runs before the solve gives up.
+    # 10 eps, so the rank-2 re-descent and its Polyak polish run before the
+    # solve gives up; the polish's iterations count too.
     calls = []
-    real = vecsdp._coloring_descent
+    real_descent, real_polish = vecsdp._coloring_descent, vecsdp._polyak_polish
 
     def counted(v, *args, **kwargs):
-        used = real(v, *args, **kwargs)
-        calls.append((v.shape[1], used))
+        used = real_descent(v, *args, **kwargs)
+        calls.append(("adam", v.shape[1], used))
         return used
 
+    def polished(v, *args):
+        used, met = real_polish(v, *args)
+        calls.append(("polyak", v.shape[1], used))
+        return used, met
+
     monkeypatch.setattr(vecsdp, "_coloring_descent", counted)
+    monkeypatch.setattr(vecsdp, "_polyak_polish", polished)
     with pytest.raises(InfeasibleError) as err:
         solve_vector_coloring(cycle_graph(5), 2.23, budget=400, seed=0,
                               restarts=2)
-    assert any(width == 2 for width, _ in calls)
-    assert err.value.iterations == sum(used for _, used in calls)
+    assert any(width == 2 for kind, width, _ in calls if kind == "adam")
+    assert any(kind == "polyak" for kind, _, _ in calls)
+    assert err.value.iterations == sum(used for *_, used in calls)
 
 
 @pytest.mark.parametrize("n,k,p,seed,dim", [
@@ -269,23 +278,72 @@ def test_refinement_rescues_the_solve(n, k, p, seed, dim):
 
 
 def test_final_lowrank_phase_exits_at_half_eps(monkeypatch):
-    # The re-descent is two feasibility phases at rank 3: the first exits at
-    # the hand-off bar t + 10 eps, the second iterates float64 rows accepted
-    # at t + eps and exits at t + eps/2. No phase runs between them.
+    # The re-descent at rank 3 is an Adam feasibility phase that exits at
+    # the hand-off bar t + 10 eps, then the Polyak polish, which iterates
+    # float64 rows accepted at t + eps and exits at t + eps/2. It meets that
+    # bar here, so no Adam polish follows it.
     phases = []
-    real = vecsdp._coloring_descent
+    real_descent, real_polish = vecsdp._coloring_descent, vecsdp._polyak_polish
 
     def recorded(v, *args, stop_at=None, **kwargs):
-        phases.append((v.shape[1], stop_at))
-        return real(v, *args, stop_at=stop_at, **kwargs)
+        phases.append(("adam", v.shape[1], stop_at))
+        return real_descent(v, *args, stop_at=stop_at, **kwargs)
+
+    def polished(v, eu, ev, target, stop_at):
+        used, met = real_polish(v, eu, ev, target, stop_at)
+        phases.append(("polyak", v.shape[1], stop_at))
+        assert met and (v[eu] * v[ev]).sum(axis=1).max() <= stop_at
+        return used, met
 
     monkeypatch.setattr(vecsdp, "_coloring_descent", recorded)
+    monkeypatch.setattr(vecsdp, "_polyak_polish", polished)
     g = planted_k_colorable(60, 4, 0.3, seed=1).graph
     vc = solve_vector_coloring(g, 4.0, seed=1)
     assert is_feasible_for(vc, g) and vc.dim == 3
     t = -1.0 / 3.0
-    assert [phase for phase in phases if phase[0] == 3] == [
-        (3, t + 10.0 * EPS), (3, t + 0.5 * EPS)]
+    assert [phase for phase in phases if phase[1] == 3] == [
+        ("adam", 3, t + 10.0 * EPS), ("polyak", 3, t + 0.5 * EPS)]
+
+
+def test_polish_that_stops_short_falls_back_to_adam(monkeypatch):
+    # At alpha 7 on planted (40, 7, 0.5, 1) the Polyak polish of the rank-6
+    # rows runs its 100 iterations without reaching t + eps/2, so the Adam
+    # polish continues from its rows, exits at the same bar, and the solve
+    # still returns rank-6 rows within eps.
+    phases = []
+    real_descent, real_polish = vecsdp._coloring_descent, vecsdp._polyak_polish
+
+    def recorded(v, *args, stop_at=None, **kwargs):
+        phases.append(("adam", v.shape[1], stop_at))
+        return real_descent(v, *args, stop_at=stop_at, **kwargs)
+
+    def polished(v, *args):
+        used, met = real_polish(v, *args)
+        phases.append(("polyak", v.shape[1], used, met))
+        return used, met
+
+    monkeypatch.setattr(vecsdp, "_coloring_descent", recorded)
+    monkeypatch.setattr(vecsdp, "_polyak_polish", polished)
+    g = planted_k_colorable(40, 7, 0.5, seed=1).graph
+    vc = solve_vector_coloring(g, 7.0, seed=1)
+    t = -1.0 / 6.0
+    assert [phase for phase in phases if phase[1] == 6] == [
+        ("adam", 6, t + 10.0 * EPS), ("polyak", 6, vecsdp._POLISH_ITERS, False),
+        ("adam", 6, t + 0.5 * EPS)]
+    assert vc.dim == 6 and is_feasible_for(vc, g)
+
+
+def test_polish_stops_on_a_zero_tangent_gradient():
+    # Identical rows on a path: every neighbour sum is parallel to its own
+    # row, so the tangent gradient is exactly zero while every edge is
+    # violated. The polish stops there and leaves the rows as they were,
+    # with no 0/0 step.
+    g = path_graph(4)
+    eu, ev = g.edge_arrays()
+    v = np.zeros((4, 2))
+    v[:, 0] = 1.0
+    assert vecsdp._polyak_polish(v, eu, ev, -0.5, -0.5 + 0.5 * EPS) == (1, False)
+    assert np.array_equal(v[:, 0], np.ones(4)) and not v[:, 1].any()
 
 
 def test_unrefined_rows_are_re_descended_once(monkeypatch):

@@ -25,10 +25,13 @@ thread. Five sets of cases, each a fixed list (no options):
 
 For each part the line gives the runs, colours, failures (an
 ``InfeasibleError``, or a ``combined_color`` result with no colouring)
-and the ``_coloring_descent`` iterations per phase: ``wide`` (feasibility
-on the full-width rows), ``lowrank`` (both feasibility phases on the
-rank-reduced rows) and ``refine`` (the passes with per-edge aims). Colour
-and iteration totals are deterministic; ``seconds`` is not.
+and the solver's iterations per phase: ``wide`` (feasibility on the
+full-width rows), ``lowrank`` (the Adam phases on the rank-reduced rows:
+the hand-off phase and any Adam polish), ``polish`` (the Polyak polish,
+``_polyak_polish``) and ``refine`` (the passes with per-edge aims), and
+``fallbacks``, the solves whose Polyak polish stopped short, so that the
+Adam polish ran from its rows. Colour, iteration and fallback totals are
+deterministic; ``seconds`` is not.
 ``colorings_sha256`` is one digest over the colourings of every
 ``combined_color`` run (``grid``, ``combined`` and ``stall``), in run order:
 each as its JSON list (``null`` for no colouring), one per line, so two
@@ -70,7 +73,7 @@ from sdpcolor.testkit import planted_k_colorable  # noqa: E402
 from sdpcolor.vecsdp import InfeasibleError, solve_vector_coloring  # noqa: E402
 from test_combined import STALL_CASES  # noqa: E402
 
-PHASES = ("wide", "lowrank", "refine")
+PHASES = ("wide", "lowrank", "polish", "refine")
 
 
 def grid_cases():
@@ -113,20 +116,29 @@ def indset_cases():
 
 
 class _PhaseCounter:
-    """Counts ``_coloring_descent`` iterations per phase while installed.
+    """Counts ``_coloring_descent`` and ``_polyak_polish`` iterations per
+    phase, and the Polyak polishes that stopped short, while installed.
     Rows returned by ``_rank_reduce`` mark the low-rank phases."""
 
     def __init__(self):
         self.reduced = None
         self.counts = dict.fromkeys(PHASES, 0)
+        self.fallbacks = 0
 
     def __enter__(self):
-        self.descent, self.rank_reduce = (vecsdp._coloring_descent,
-                                          vecsdp._rank_reduce)
+        self.descent, self.rank_reduce, self.polish = (
+            vecsdp._coloring_descent, vecsdp._rank_reduce,
+            vecsdp._polyak_polish)
 
         def rank_reduce(v, rank):
             self.reduced = self.rank_reduce(v, rank)
             return self.reduced
+
+        def polish(*args):
+            used, met = self.polish(*args)
+            self.counts["polish"] += used
+            self.fallbacks += not met
+            return used, met
 
         def descent(v, eu, ev, target, *args, **kwargs):
             used = self.descent(v, eu, ev, target, *args, **kwargs)
@@ -138,11 +150,13 @@ class _PhaseCounter:
             return used
 
         vecsdp._rank_reduce, vecsdp._coloring_descent = rank_reduce, descent
+        vecsdp._polyak_polish = polish
         return self
 
     def __exit__(self, *exc):
         vecsdp._coloring_descent = self.descent
         vecsdp._rank_reduce = self.rank_reduce
+        vecsdp._polyak_polish = self.polish
 
 
 class _SolveCounter:
@@ -170,6 +184,7 @@ class _SolveCounter:
 def _finish(part, count, t0):
     part["descent_iterations"] = dict(count.counts,
                                       total=sum(count.counts.values()))
+    part["fallbacks"] = count.fallbacks
     part["seconds"] = round(time.perf_counter() - t0, 1)
     return part
 
