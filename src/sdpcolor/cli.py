@@ -18,7 +18,7 @@ import sys
 import time
 
 from . import analysis
-from .combined import CombinedConfig, combined_color, fit_exponent
+from .combined import CombinedConfig, CombinedResult, combined_color, fit_exponent
 from .graph import (
     Coloring,
     DimacsError,
@@ -173,18 +173,30 @@ def dump_json(payload: dict) -> str:
 # Subcommands
 # ---------------------------------------------------------------------------
 
+def _run_combined(graph: Graph, k: int, trials: int, seed: int) -> CombinedResult:
+    """``combined_color``'s result, its coloring (if any) re-verified."""
+    result = combined_color(graph, k, CombinedConfig(trials=trials, seed=seed))
+    if result.coloring is not None and not verify_coloring(graph, result.coloring):
+        raise AssertionError("refusing to write an unverified coloring")
+    return result
+
+
+def _run_indset(graph: Graph, alpha: float, trials: int, seed: int) -> frozenset[int]:
+    """``ak_independent_set``'s set, re-verified."""
+    members = ak_independent_set(graph, alpha, trials=trials, seed=seed)
+    if not verify_independent_set(graph, members):
+        raise AssertionError("refusing to write an unverified set")
+    return members
+
+
 def cmd_color(args) -> int:
     graph = load_input(args)
     if args.k < 2:
         raise UsageError("--k must be at least 2")
     check_solver_args(args)
-    cfg = CombinedConfig(trials=args.trials, seed=args.seed)
-    result = combined_color(graph, args.k, cfg)
+    result = _run_combined(graph, args.k, args.trials, args.seed)
     payload = result.to_json_dict()
     payload["schema"] = SCHEMA
-    if result.coloring is not None:
-        if not verify_coloring(graph, result.coloring):
-            raise AssertionError("refusing to write an unverified coloring")
     write_text(_resolve_out(args.out), dump_json(payload))
     return EXIT_OK if result.coloring is not None else EXIT_FAILURE
 
@@ -194,10 +206,7 @@ def cmd_indset(args) -> int:
     if not args.alpha >= 1:
         raise UsageError("--alpha must be at least 1")
     check_solver_args(args)
-    members = ak_independent_set(graph, args.alpha, trials=args.trials,
-                                 seed=args.seed)
-    if not verify_independent_set(graph, members):
-        raise AssertionError("refusing to write an unverified set")
+    members = _run_indset(graph, args.alpha, args.trials, args.seed)
     payload = {
         "schema": SCHEMA,
         "n": graph.n,
@@ -295,12 +304,9 @@ def _bench_cell(args, graph: Graph, s: int) -> tuple[int | None, str | None]:
     """One bench cell's verified value, or None and the failure's kind
     (as in NotKColorableError) when the algorithm failed on it."""
     if args.algo == "combined":
-        cfg = CombinedConfig(trials=args.trials, seed=args.seed + s)
-        res = combined_color(graph, args.k, cfg)
+        res = _run_combined(graph, args.k, args.trials, args.seed + s)
         if res.coloring is None:
             return None, res.failure[0]
-        if not verify_coloring(graph, res.coloring):
-            raise AssertionError("unverified coloring in bench")
         return res.colors_used, None
     if args.algo == "kms":
         try:
@@ -312,11 +318,7 @@ def _bench_cell(args, graph: Graph, s: int) -> tuple[int | None, str | None]:
             raise AssertionError("unverified coloring in bench")
         return col.colors_used, None
     if args.algo == "indset":
-        members = ak_independent_set(graph, float(args.k), trials=args.trials,
-                                     seed=args.seed + s)
-        if not verify_independent_set(graph, members):
-            raise AssertionError("unverified set in bench")
-        return len(members), None
+        return len(_run_indset(graph, float(args.k), args.trials, args.seed + s)), None
     raise UsageError(f"unknown algo {args.algo!r}")
 
 

@@ -197,7 +197,7 @@ def color_three_fallback(g: Graph, cfg: CombinedConfig) -> Coloring:
     while True:
         verts = np.flatnonzero(assignment < 0)
         sub = induced_subgraph(g, verts)[0]
-        v_star = int(np.argmax(sub.degree_array()))  # ties to the lowest id
+        v_star = int(np.argmax(sub.degrees()))  # ties to the lowest id
         if sub.degree(v_star) < sub.n ** 0.75:
             # kms_color tries the exact coloring first.
             col = kms_color(sub, 3, trials=cfg.trials, seed=cfg.seed)
@@ -264,7 +264,7 @@ class _CombinedFinder:
 
     def __call__(self, cg: ContractedGraph):
         self.round_no += 1
-        k, cfg = self.k, self.cfg
+        k = self.k
         n = cg.alive_count
         if n <= CHROMATIC_GUARD:
             return Colored(brute_force_chromatic(cg.quotient_graph()[0]))

@@ -54,7 +54,9 @@ class Graph:
 
     Its whole state is n and two read-only int64 endpoint arrays, u[i] <
     v[i] in (u, v) order; the rest is derived from them, and all but the n*n
-    matrix is cached. ``neighbors`` and ``neighbors_of`` read the CSR arrays.
+    matrix is cached. ``neighbors`` and ``neighbors_of`` read the CSR arrays;
+    ``degrees()`` is the cached read-only int64 degree array, which
+    ``degree(v)`` reads without building them.
     ``Graph(n, edges)`` validates once, as arrays: the first bad edge raises.
     """
 
@@ -147,12 +149,10 @@ class Graph:
         return _gather(*self._csr, vs)
 
     def degree(self, v: int) -> int:
-        return len(self.neighbors(v))
+        check_vertex(v, self._n)
+        return int(self._degrees[v])
 
-    def degrees(self) -> list[int]:
-        return self._degrees.tolist()
-
-    def degree_array(self) -> np.ndarray:
+    def degrees(self) -> np.ndarray:
         """Every vertex's degree as one cached read-only int64 array."""
         return self._degrees
 
@@ -403,17 +403,20 @@ def _try_k_coloring(g: Graph, k: int) -> tuple[int, ...] | None:
     return tuple(color) if place(0, 0) else None
 
 
+def _greedy_clique(v: int, rest: int, masks: list[int]) -> int:
+    """The bitmask of the clique grown from v over the candidates ``rest``
+    (v's neighbours among them), adding the lowest candidate first."""
+    clique = 1 << v
+    while rest:
+        u = (rest & -rest).bit_length() - 1
+        clique |= 1 << u
+        rest &= masks[u]
+    return clique
+
+
 def _clique_lower_bound(g: Graph, masks: list[int]) -> int:
-    best = 1 if g.n else 0
-    for v in range(g.n):
-        clique = 1 << v
-        rest = masks[v]
-        while rest:
-            u = (rest & -rest).bit_length() - 1
-            clique |= 1 << u
-            rest &= masks[u]
-        best = max(best, bin(clique).count("1"))
-    return best
+    return max((bin(_greedy_clique(v, masks[v], masks)).count("1")
+                for v in range(g.n)), default=0)
 
 
 def brute_force_chromatic(g: Graph) -> Coloring:

@@ -49,7 +49,7 @@ def greedy_independent_set(g: Graph) -> frozenset[int]:
     first index). ``deg`` is n at removed vertices; each pick takes one
     ``bincount`` of the removed vertices' gathered neighbours off it."""
     n = g.n
-    deg = g.degree_array().copy()
+    deg = g.degrees().copy()
     alive = np.ones(n, dtype=bool)
     chosen = []
     while alive.any():
@@ -87,7 +87,7 @@ def l2_vector_indset(g: Graph, vc: VectorColoring, trials: int = 64,
     branch_a = kms_independent_set(g, vc, trials=trials_here, seed=seed)
 
     # g has an edge, so the maximum-degree vertex has a neighbour.
-    v_star = int(np.argmax(g.degree_array()))  # ties to the lowest id
+    v_star = int(np.argmax(g.degrees()))  # ties to the lowest id
     red = None
     if vc.alpha - 1.0 >= 2.0:
         try:

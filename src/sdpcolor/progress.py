@@ -83,7 +83,7 @@ def candidate_sets(g: Graph, delta: float) -> Iterator[CandidateSet]:
     set's members are built only when the ranking reaches it, from d_S(u):
     one ``bincount`` of the gathered CSR neighbours of S (no n*n state).
     """
-    degs = g.degree_array()
+    degs = g.degrees()
     # The bucket of every value 0..max degree (-1 at 0); d_S(u) <= |S| <= d(v).
     top = int(degs.max(initial=0))
     bucket = np.concatenate(([-1], _buckets(np.arange(1, top + 1), delta)))

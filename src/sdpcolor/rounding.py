@@ -94,7 +94,7 @@ def kms_independent_set(g: Graph, vc: VectorColoring, trials: int = 64,
         best = lex_best(best, round_once(vc, g, r, c))
         trial += 1
     if not best and g.n >= 1:
-        best = frozenset([int(np.argmin(g.degree_array()))])  # ties to the lowest id
+        best = frozenset([int(np.argmin(g.degrees()))])  # ties to the lowest id
     return best
 
 

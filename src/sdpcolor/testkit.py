@@ -31,6 +31,7 @@ from .graph import (  # the exact coloring is re-exported from here
     Graph,
     SizeGuardError,
     _adjacency_masks,
+    _greedy_clique,
     _try_k_coloring,
     brute_force_chromatic,
     read_dimacs,
@@ -163,13 +164,7 @@ def _clique_cover_bound(cand: int, masks: list[int]) -> int:
     count = 0
     while cand:
         v = (cand & -cand).bit_length() - 1
-        rest = cand & masks[v]
-        clique = 1 << v
-        while rest:
-            u = (rest & -rest).bit_length() - 1
-            clique |= 1 << u
-            rest &= masks[u]
-        cand &= ~clique
+        cand &= ~_greedy_clique(v, cand & masks[v], masks)
         count += 1
     return count
 
@@ -373,7 +368,7 @@ def collection_guarantee_check(g: Graph, coll: tuple[CandidateSet, ...],
     red_class = min(range(len(class_weight)),
                     key=lambda c: (-class_weight[c], c))
     red = set(planted.classes[red_class])
-    d_min = min(degs) if n else 0
+    d_min = int(degs.min()) if n else 0
     adj = g.adjacency_matrix().astype(np.int16)
     common = adj @ adj
     np.fill_diagonal(common, 0)

@@ -34,7 +34,7 @@ import numpy as np
 
 from ._dual import DualBounds
 from ._rng import stream
-from .graph import Graph, NotKColorableError, induced_subgraph, vertex_mask
+from .graph import Graph, NotKColorableError, induced_subgraph
 
 EPS = 1e-3  # the tolerance of both programs for every library caller
 
@@ -98,12 +98,6 @@ class VectorColoring:
         if self.n == 0:
             return 0.0
         return float(np.abs(np.linalg.norm(self.vectors, axis=1) - 1.0).max())
-
-    def restrict(self, indices) -> "VectorColoring":
-        """Row restriction; valid for the induced subgraph on the distinct
-        ``indices`` (``induced_subgraph``'s ``verts``)."""
-        keep = vertex_mask(indices, self.n)
-        return VectorColoring(self.alpha, self.vectors[keep], self.eps)
 
 
 @dataclass(frozen=True)

@@ -180,6 +180,19 @@ def test_bench_records_a_failed_cell_and_carries_on(tmp_path, capsys):
         [c["n"] for c in verified], [c["value"] for c in verified]))
 
 
+def test_bench_combined_records_colours_and_a_failed_cell(tmp_path, capsys):
+    # The same planted k=3, n=60 seeds through combined_color: seed 0 is
+    # coloured with 3 colours, seed 1 stalls the solver.
+    out = tmp_path / "bench.json"
+    assert run(["bench", "--algo", "combined", "--k", "3", "--p", "0.15",
+                "--sizes", "60", "--seeds", "2", "--out", str(out)]) == EXIT_FAILURE
+    payload = read_json(out)
+    assert [(c["value"], c["failure"]) for c in payload["cells"]] == [
+        (3, None), (None, "solver")]
+    assert payload["fitted_exponent"] is None
+    assert "1 of 2 cells failed" in capsys.readouterr().err
+
+
 def test_bad_generator_spec():
     assert run(["color", "--gen", "mystery:n=5", "--k", "3"]) == EXIT_USAGE
     assert run(["color", "--gen", "planted:n=5", "--k", "3"]) == EXIT_USAGE

@@ -205,7 +205,7 @@ def test_induced_subgraph_matches_contracted_induced():
         for other in (ContractedGraph(g).induced(verts), validated):
             assert sub == other and hash(sub) == hash(other)
             assert sub.edges == other.edges
-            assert sub.degrees() == other.degrees()
+            assert np.array_equal(sub.degrees(), other.degrees())
             assert all(np.array_equal(sub.neighbors(v), other.neighbors(v))
                        for v in range(sub.n))
             for mine, theirs in zip(sub.edge_arrays(), other.edge_arrays()):
@@ -267,7 +267,7 @@ def test_peel_order_independence():
         g = random_graph(30, 0.2, seed=seed)
         thr = 3
         alive = set(range(g.n))
-        deg = g.degrees()
+        deg = list(g.degrees())
         changed = True
         while changed:
             changed = False
@@ -569,10 +569,21 @@ def test_read_dimacs_validates_once(monkeypatch):
 @pytest.mark.parametrize("g", [Graph(0), Graph(4), star_graph(6),
                                random_graph(30, 0.3, seed=2)],
                          ids=["empty", "edgeless", "star", "random"])
-def test_degree_array_is_the_cached_read_only_degrees(g):
-    deg = g.degree_array()
-    assert deg is g.degree_array()
+def test_degrees_are_one_cached_read_only_array(g):
+    deg = g.degrees()
+    assert deg is g.degrees()
     assert deg.dtype == np.int64 and not deg.flags.writeable
-    assert deg.tolist() == g.degrees() == [g.degree(v) for v in range(g.n)]
+    assert deg.tolist() == [g.degree(v) for v in range(g.n)]
+    assert deg.tolist() == [len(g.neighbors(v)) for v in range(g.n)]
     with pytest.raises(ValueError):
         deg[:1] = 0
+
+
+def test_degree_queries_leave_the_csr_arrays_unbuilt():
+    g = random_graph(30, 0.3, seed=2)
+    assert g.degree(0) == g.degrees()[0]
+    with pytest.raises(IndexError):
+        g.degree(g.n)
+    assert "_csr" not in g.__dict__
+    g.neighbors(0)
+    assert "_csr" in g.__dict__

@@ -32,7 +32,7 @@ def _neighbour_sets(g):
 def _reference_greedy(g):
     """The set-based min-degree greedy (ties to the lowest id)."""
     nbrs = _neighbour_sets(g)
-    deg = g.degrees()
+    deg = list(g.degrees())
     alive = set(range(g.n))
     chosen = []
     while alive:

@@ -379,8 +379,8 @@ def test_restriction_closure():
     vc = solve_vector_coloring(g, 3.0, seed=0)
     for subset in ({0, 1, 2, 3, 4}, set(range(0, 24, 2))):
         from sdpcolor.graph import induced_subgraph
-        sub, _ = induced_subgraph(g, subset)
-        rvc = vc.restrict(subset)
+        sub, verts = induced_subgraph(g, subset)
+        rvc = VectorColoring(vc.alpha, vc.vectors[verts], vc.eps)
         assert rvc.norm_residual() <= vc.eps
         assert rvc.edge_residual(sub) <= vc.eps
 
