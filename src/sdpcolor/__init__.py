@@ -22,7 +22,6 @@ from .combined import (
     alpha_k,
     combined_color,
     cutoff,
-    fit_exponent,
 )
 from .graph import (
     Coloring,
@@ -52,6 +51,7 @@ from .testkit import (
     brute_force_chromatic,
     brute_force_mis,
     collection_guarantee_check,
+    fit_exponent,
     is_k_colorable,
     planted_k_colorable,
 )

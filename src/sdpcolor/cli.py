@@ -18,7 +18,7 @@ import sys
 import time
 
 from . import analysis
-from .combined import CombinedConfig, CombinedResult, combined_color, fit_exponent
+from .combined import CombinedConfig, CombinedResult, combined_color
 from .graph import (
     Coloring,
     DimacsError,
@@ -30,7 +30,7 @@ from .graph import (
 )
 from .indset import ak_independent_set
 from .rounding import kms_color
-from .testkit import planted_k_colorable, random_graph
+from .testkit import fit_exponent, planted_k_colorable, random_graph
 
 SCHEMA = 2
 

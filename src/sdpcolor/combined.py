@@ -25,7 +25,10 @@ One round of the finder on the current quotient graph (n vertices):
        (a solver stall in the probe proves nothing and fails the run).
        For k-2 = 2 the probe is exact: a level-by-level BFS 2-coloring of
        S's block of the quotient's matrix (no Graph copy of S), whose
-       larger side is the set.
+       larger side is the set. The pair always exists: a round on more
+       than CHROMATIC_GUARD vertices reaches this step with |W| > n/2 > 10,
+       and the peel leaves each W vertex at least two neighbours in W
+       (n^{a_k/(1-2/k)} > 1 for k >= 4), so |S| >= 1.
   7-9. no qualifying pair: rank the candidate collection on G[W] by size
        (``progress.candidate_sets``, which builds only the sets it reaches)
        and run the promise extractor on the largest CANDIDATE_CAP until one
@@ -63,7 +66,6 @@ from .indset import ak_independent_set, greedy_independent_set
 from .progress import (
     Colored,
     ContractedGraph,
-    ContradictionError,
     LargeIndependentSet,
     SameColor,
     candidate_sets,
@@ -224,22 +226,21 @@ def color_three_fallback(g: Graph, cfg: CombinedConfig) -> Coloring:
 # The per-round finder for k >= 4
 # ---------------------------------------------------------------------------
 
-def _best_pair(cg: ContractedGraph, w_ids: np.ndarray) -> tuple[int, int, int] | None:
+def _best_pair(cg: ContractedGraph, w_ids: np.ndarray) -> tuple[int, int, int]:
     """The pair in W with the most common neighbours in the quotient (the
-    first in row-major order on ties) and that count, or None when no two
-    vertices of W share a neighbour."""
-    if len(w_ids) < 2:
-        return None
+    first in row-major order on ties) and that count.
+
+    The finder calls it only on a peeled core W of more than 10 vertices
+    (|U| < n/2 with n > 20), in which every vertex keeps at least
+    n^{a_k/(1-2/k)} > 1, so at least 2, neighbours: two neighbours of one
+    W vertex share it, so the count is at least 1 and i != j."""
     rows = cg.adj[w_ids].astype(np.float32)
     common = rows @ rows.T
     np.fill_diagonal(common, 0)
     i, j = divmod(int(np.argmax(common)), len(w_ids))
-    best = int(common[i, j])
-    if i == j or best <= 0:
-        return None
     # i < j, as the first maximum of a symmetric matrix lies above its
     # diagonal, and w_ids is sorted, so u < v.
-    return int(w_ids[i]), int(w_ids[j]), best
+    return int(w_ids[i]), int(w_ids[j]), int(common[i, j])
 
 
 class _CombinedFinder:
@@ -274,10 +275,9 @@ class _CombinedFinder:
         u_ids, w_ids = cg.peel(peel_thr)
         if len(u_ids) >= n / 2:
             return self._round_low_degree(cg, u_ids)
-        pair = _best_pair(cg, w_ids)
-        s_thr = n ** ((1.0 - ak) / (1.0 - ak2))
-        if pair is not None and pair[2] >= s_thr:
-            return self._probe_pair(cg, pair[0], pair[1])
+        u, v, count = _best_pair(cg, w_ids)
+        if count >= n ** ((1.0 - ak) / (1.0 - ak2)):
+            return self._probe_pair(cg, u, v)
         return self._candidate_round(cg, w_ids, n, ak)
 
     def _round_low_degree(self, cg: ContractedGraph, u_ids: np.ndarray):
@@ -333,26 +333,25 @@ class _CombinedFinder:
         if cg.has_edge(u, v):
             # Adjacent endpoints can never share a color: together with the
             # failed probe this certifies the graph is not k-colorable.
-            raise ContradictionError(
-                f"adjacent pair {u},{v} has a common neighborhood needing "
-                f"more than {k2} colors")
+            raise NotKColorableError("contradiction", f"adjacent pair {u},{v} "
+                                     "has a common neighborhood needing more "
+                                     f"than {k2} colors")
         return SameColor(u, v)
 
     def _candidate_round(self, cg: ContractedGraph, w_ids: np.ndarray,
                          n: int, ak: float):
-        if len(w_ids) >= 2:
-            wsub = cg.induced(w_ids)
-            largest = islice(candidate_sets(wsub, default_delta(n)), CANDIDATE_CAP)
-            floor_size = max(1, int(n ** (1.0 - ak) / SIZE_FLOOR_CONST))
-            alpha_probe = (self.k - 1) + 3.0 / math.log(max(n, 3))
-            for rank, cs in enumerate(largest):
-                tsub, verts = induced_subgraph(wsub, cs.members)
-                found = ak_independent_set(
-                    tsub, alpha_probe, trials=max(8, self.cfg.trials // 4),
-                    seed=self.cfg.seed * 131 + self.round_no * 17 + rank,
-                    solver_budget=INDSET_BUDGET)
-                if len(found) >= floor_size:
-                    return LargeIndependentSet(w_ids[verts[sorted(found)]])
+        wsub = cg.induced(w_ids)
+        largest = islice(candidate_sets(wsub, default_delta(n)), CANDIDATE_CAP)
+        floor_size = max(1, int(n ** (1.0 - ak) / SIZE_FLOOR_CONST))
+        alpha_probe = (self.k - 1) + 3.0 / math.log(max(n, 3))
+        for rank, cs in enumerate(largest):
+            tsub, verts = induced_subgraph(wsub, cs.members)
+            found = ak_independent_set(
+                tsub, alpha_probe, trials=max(8, self.cfg.trials // 4),
+                seed=self.cfg.seed * 131 + self.round_no * 17 + rank,
+                solver_budget=INDSET_BUDGET)
+            if len(found) >= floor_size:
+                return LargeIndependentSet(w_ids[verts[sorted(found)]])
         # Last resort: greedy progress keeps the driver moving; the color
         # budget polices the overall count.
         quotient, reps = cg.quotient_graph()
@@ -396,13 +395,3 @@ def combined_color(g: Graph, k: int, cfg: CombinedConfig | None = None) -> Combi
         return CombinedResult(g.n, k, None, (exc.kind, str(exc)), cfg.seed,
                               declarations)
     return CombinedResult(g.n, k, coloring, None, cfg.seed, declarations)
-
-
-def fit_exponent(sizes, values) -> float:
-    """Least-squares slope of log(values) against log(sizes)."""
-    xs = np.log(np.asarray(sizes, dtype=float))
-    ys = np.log(np.asarray(values, dtype=float))
-    if len(xs) < 2:
-        raise ValueError("need at least two points to fit an exponent")
-    slope, _ = np.polyfit(xs, ys, 1)
-    return float(slope)

@@ -355,7 +355,7 @@ def two_coloring(g: Graph) -> Coloring | None:
 
 
 # ---------------------------------------------------------------------------
-# Exact finish: optimal colorings of small graphs (backtracking)
+# Exact finish: optimal colorings of small graphs (backtracking on bitmasks)
 # ---------------------------------------------------------------------------
 
 CHROMATIC_GUARD = 20
@@ -373,31 +373,29 @@ def _adjacency_masks(g: Graph) -> list[int]:
     return masks
 
 
-def _try_k_coloring(g: Graph, k: int) -> tuple[int, ...] | None:
-    """Backtracking k-coloring; first vertex in the order is pinned to color 0
-    and a fresh color may only be opened one beyond the current maximum."""
+def _try_k_coloring(g: Graph, k: int, masks: list[int]) -> tuple[int, ...] | None:
+    """Backtracking k-coloring over g's adjacency bitmasks ``masks``
+    (``_adjacency_masks``, which ``brute_force_mis`` searches on too): it
+    keeps one bitmask per colour class, and v may join class c when
+    classes[c] & masks[v] is 0. Vertices go in order of falling degree, the
+    first pinned to color 0, and a fresh color may only be opened one
+    beyond the current maximum."""
     n = g.n
-    if n == 0:
-        return ()
-    if k <= 0:
-        return None
     order = sorted(range(n), key=lambda v: (-g.degree(v), v))
     color = [-1] * n
-    neighbors = [g.neighbors(v).tolist() for v in range(n)]
+    classes = [0] * min(k, n)  # empty for k <= 0, which colours only n = 0
 
     def place(idx: int, used: int) -> bool:
         if idx == n:
             return True
         v = order[idx]
-        banned = {color[w] for w in neighbors[v] if color[w] != -1}
-        top = min(k, used + 1)
-        for c in range(top):
-            if c in banned:
-                continue
-            color[v] = c
-            if place(idx + 1, max(used, c + 1)):
-                return True
-            color[v] = -1
+        for c in range(min(k, used + 1)):
+            if not classes[c] & masks[v]:
+                classes[c] |= 1 << v
+                color[v] = c
+                if place(idx + 1, max(used, c + 1)):
+                    return True
+                classes[c] ^= 1 << v
         return False
 
     return tuple(color) if place(0, 0) else None
@@ -429,7 +427,7 @@ def brute_force_chromatic(g: Graph) -> Coloring:
     masks = _adjacency_masks(g)
     lower = _clique_lower_bound(g, masks)
     for k in range(max(1, lower), g.n + 1):
-        attempt = _try_k_coloring(g, k)
+        attempt = _try_k_coloring(g, k, masks)
         if attempt is not None:
             return Coloring(attempt)
     raise AssertionError("unreachable: every graph is n-colorable")

@@ -13,7 +13,10 @@ int array indexed by representative, so a colouring of the quotient lifts
 to the base graph with one gather. Vertex ids pass between the quotient,
 the finder and the driver as int64 arrays of representatives: a set claim
 is one, and a finishing colouring is a Coloring of ``quotient_graph()``'s
-Graph, indexed like its ``reps``.
+Graph, indexed like its ``reps``. The driver fails with one type,
+NotKColorableError, named by its kind: a same-colour claim on an adjacent
+pair is a "contradiction", a claim past the colour budget "budget"; a
+malformed claim is a ValueError.
 
 The candidate collection groups vertices into geometric degree buckets
 I_j = {v : (1+delta)^j <= d(v) < (1+delta)^{j+1}} and emits, for every
@@ -46,18 +49,15 @@ from .graph import (Coloring, Graph, NotKColorableError, check_vertex,
 # ---------------------------------------------------------------------------
 
 def _buckets(d: np.ndarray, delta: float) -> np.ndarray:
-    """j with (1+delta)^j <= d < (1+delta)^{j+1}, elementwise (every d >= 1).
-
-    The log estimate is corrected up and down against the powers that **
-    computes until stable, so boundary values land deterministically."""
+    """j with (1+delta)^j <= d < (1+delta)^{j+1}, elementwise (every d >= 1):
+    the count of the powers (1+delta)^t, t >= 0, at or below d, less one.
+    The powers are those ** computes, so boundary values land
+    deterministically; the table runs one power past the log estimate of
+    the largest d."""
     base = 1.0 + delta
-    j = np.maximum(np.floor(np.log(d) / math.log(base)), 0).astype(np.int64)
-    powers = np.array([base ** t for t in range(int(j.max(initial=0)) + 3)])
-    while (up := powers[j + 1] <= d).any():
-        j += up
-    while (down := (j > 0) & (powers[j] > d)).any():
-        j -= down
-    return j
+    top = math.log(d.max(initial=1)) / math.log(base)
+    powers = np.array([base ** t for t in range(int(top) + 2)])
+    return (powers[:, None] <= d).sum(axis=0) - 1
 
 
 def default_delta(n: int) -> float:
@@ -125,15 +125,6 @@ def build_candidate_collection(g: Graph, delta: float | None = None
 # ---------------------------------------------------------------------------
 # Contraction and the progress driver
 # ---------------------------------------------------------------------------
-
-class ContradictionError(NotKColorableError):
-    """A same-color merge hit an edge (kind "contradiction"): no valid
-    coloring is consistent with the accumulated inferences (the input was
-    not k-colorable, or a finder made an unsound claim)."""
-
-    def __init__(self, message: str):
-        super().__init__("contradiction", message)
-
 
 @dataclass(frozen=True)
 class SameColor:
@@ -206,13 +197,16 @@ class ContractedGraph:
 
     def merge(self, u: int, v: int) -> int:
         """Merge two live, distinct, non-adjacent quotient vertices; returns
-        the surviving representative (the smaller id)."""
+        the surviving representative (the smaller id). An adjacent pair
+        raises NotKColorableError of kind "contradiction": no valid coloring
+        is consistent with the inferences so far (the input is not
+        k-colorable, or a finder made an unsound claim)."""
         if u == v or self._live_ids((u, v)) is None:
             raise ValueError(f"merge needs two live distinct vertices, got {u},{v}")
         if self.adj[u, v]:
-            raise ContradictionError(
-                f"vertices {u} and {v} are adjacent; no valid coloring gives "
-                f"them the same color")
+            raise NotKColorableError("contradiction", f"vertices {u} and {v} "
+                                     "are adjacent; no valid coloring gives "
+                                     "them the same color")
         keep, drop = (u, v) if u < v else (v, u)
         union = self.adj[keep] | self.adj[drop]
         self.adj[drop, :] = self.adj[:, drop] = False

@@ -208,7 +208,7 @@ def is_k_colorable(g: Graph, k: int) -> bool:
             f"is_k_colorable guard is n <= {K_COLORABLE_GUARD}, got {g.n}")
     if k >= g.n or g.max_degree < k:
         return k >= 1 or g.n == 0
-    return _try_k_coloring(g, k) is not None
+    return _try_k_coloring(g, k, _adjacency_masks(g)) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +352,16 @@ def find_pigeon_index(x, y, delta: float, beta: float | None = None) -> int:
             return i
     raise ValueError("no index satisfies the pigeonhole conditions; "
                      "inputs violate sum(x) >= beta * sum(y)")
+
+
+def fit_exponent(sizes, values) -> float:
+    """Least-squares slope of log(values) against log(sizes)."""
+    xs = np.log(np.asarray(sizes, dtype=float))
+    ys = np.log(np.asarray(values, dtype=float))
+    if len(xs) < 2:
+        raise ValueError("need at least two points to fit an exponent")
+    slope, _ = np.polyfit(xs, ys, 1)
+    return float(slope)
 
 
 def collection_guarantee_check(g: Graph, coll: tuple[CandidateSet, ...],

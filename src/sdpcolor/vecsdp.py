@@ -582,7 +582,7 @@ def solve_vector_coloring(g: Graph, alpha: float, budget: int = 2000,
         descend(work, budget, lr=0.05, stop_at=target + handoff)
         res = _residual(work, eu, ev, target)
         if res <= handoff:
-            found = try_lowrank(_row_normalize(work.astype(np.float64)))
+            found = try_lowrank(_as_float64(work))
             if found is not None:
                 return found
         # Augmented-Lagrangian passes: multiplier step, then the shifted aim.

@@ -26,7 +26,6 @@ from sdpcolor.combined import (
     CombinedConfig,
     alpha_k,
     combined_color,
-    fit_exponent,
 )
 from sdpcolor.graph import Graph, verify_coloring, verify_independent_set
 from sdpcolor.indset import ak_independent_set, f_exponent, greedy_independent_set
@@ -40,6 +39,7 @@ from sdpcolor.testkit import (
     bootstrap_mean_difference,
     brute_force_mis,
     collection_guarantee_check,
+    fit_exponent,
     is_k_colorable,
     paired_threshold_trials,
     planted_k_colorable,

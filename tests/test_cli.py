@@ -13,14 +13,14 @@ from sdpcolor.cli import (
     main,
     parse_range,
 )
-from sdpcolor.combined import fit_exponent
 from sdpcolor.graph import (
     Coloring,
     verify_coloring,
     verify_independent_set,
     write_dimacs,
 )
-from sdpcolor.testkit import cycle_graph, planted_k_colorable, save_fixture
+from sdpcolor.testkit import (cycle_graph, fit_exponent, planted_k_colorable,
+                              save_fixture)
 import math
 
 

@@ -16,14 +16,12 @@ from sdpcolor.combined import (
     color_three_fallback,
     combined_color,
     cutoff,
-    fit_exponent,
     _best_pair,
     _CombinedFinder,
 )
 from sdpcolor.graph import Coloring, Graph, verify_coloring
 from sdpcolor.progress import (
     ContractedGraph,
-    ContradictionError,
     NotKColorableError,
     SameColor,
 )
@@ -31,6 +29,7 @@ from sdpcolor.testkit import (
     complete_graph,
     complete_multipartite,
     cycle_graph,
+    fit_exponent,
     is_k_colorable,
     planted_k_colorable,
     random_graph,
@@ -366,7 +365,10 @@ def test_quotient_matches_recompute_through_merges_and_deletes():
     # The dense quotient must equal the graph rebuilt from the base graph and
     # the merged groups, dead ids must hold no edges, and the finder's pair
     # counts must match common neighbours counted on the rebuilt quotient.
+    # The pair is asked for only where the finder asks for it: on a peeled
+    # core of more than 10 vertices at a threshold above 1.
     rng = stream(11, "finder-fuzz")
+    paired = 0
     for seed in range(6):
         g = random_graph(22, 0.3, seed=seed)
         base = g.adjacency_matrix().astype(np.int64)
@@ -393,14 +395,55 @@ def test_quotient_matches_recompute_through_merges_and_deletes():
             assert np.array_equal(quotient.adjacency_matrix(), want)
             common = want.astype(np.int64) @ want.astype(np.int64)
             np.fill_diagonal(common, 0)
-            pair = _best_pair(cg, alive)
-            if common.max() == 0:
-                assert pair is None
-            else:
-                u, v, count = pair
-                assert u < v and count == common.max()
-                index = alive.tolist().index
+            index = alive.tolist().index
+            for thr in (1.5, 3.0):
+                w_ids = cg.peel(thr)[1]
+                if len(w_ids) <= 10:
+                    continue
+                paired += 1
+                at = [index(w) for w in w_ids]
+                common_w = common[np.ix_(at, at)]
+                u, v, count = _best_pair(cg, w_ids)
+                assert u < v and count == common_w.max() >= 1
+                # Ties go to the first pair in row-major order over W.
+                i, j = divmod(int(np.argmax(common_w)), len(at))
+                assert (u, v) == (w_ids[i], w_ids[j])
                 assert count == common[index(u), index(v)]
+    assert paired >= 80
+
+
+def test_pair_step_rests_on_the_peel_invariant(monkeypatch):
+    # Every pair step the finder takes is on a core W of more than 10
+    # vertices, each with at least 2 neighbours in W, so a pair sharing a
+    # neighbour always exists: _best_pair needs no "no pair" answer.
+    calls = []
+
+    def checked(cg, w_ids):
+        assert len(w_ids) > 10
+        assert cg.adj[np.ix_(w_ids, w_ids)].sum(axis=1).min() >= 2
+        u, v, count = _best_pair(cg, w_ids)
+        assert count >= 1 and u < v
+        calls.append(len(w_ids))
+        return u, v, count
+
+    monkeypatch.setattr(combined, "_best_pair", checked)
+    # The k >= 4 golden runs (tests/test_golden.py), then contract-k4-shaped
+    # runs (perfbench: planted k=4, p=0.5, n=130, default trials). The first
+    # golden run's rounds are all low-degree ones and never reach the step.
+    runs = [(planted_k_colorable(96, 4, 0.3, seed=1).graph, 4, 16, 1),
+            (planted_k_colorable(130, 4, 0.5, seed=2).graph, 4, 16, 2),
+            (planted_k_colorable(100, 4, 0.8, seed=1).graph, 4, 16, 1),
+            (planted_k_colorable(90, 6, 0.8, seed=5).graph, 6, 16, 5),
+            (planted_k_colorable(120, 6, 0.7, seed=3).graph, 6, 16, 3),
+            (random_graph(60, 0.9, seed=1), 4, 16, 1)]
+    runs += [(planted_k_colorable(130, 4, 0.5, seed=s).graph, 4, 64, s)
+             for s in (1000, 1001, 1002)]
+    reached = []
+    for g, k, trials, seed in runs:
+        before = len(calls)
+        combined_color(g, k, CombinedConfig(trials=trials, seed=seed))
+        reached.append(len(calls) > before)
+    assert reached == [False] + [True] * (len(runs) - 1)
 
 
 def test_candidate_round_pinned():
@@ -478,8 +521,9 @@ def test_probe_sound_failure_merges_or_contradicts(monkeypatch, kind):
     declarations = []
     finder = _CombinedFinder(6, CombinedConfig(), declarations)
     assert finder._probe_pair(_probe_fixture(False), 0, 1) == SameColor(0, 1)
-    with pytest.raises(ContradictionError):
+    with pytest.raises(NotKColorableError) as err:
         finder._probe_pair(_probe_fixture(True), 0, 1)
+    assert err.value.kind == "contradiction"
     assert [(d.sub.n, d.k) for d in declarations] == [(5, 4), (5, 4)]
 
 

@@ -10,6 +10,9 @@ from sdpcolor.graph import (
     Coloring,
     DimacsError,
     Graph,
+    _adjacency_masks,
+    _try_k_coloring,
+    brute_force_chromatic,
     induced_subgraph,
     larger_side,
     largest_color_class,
@@ -23,6 +26,7 @@ from sdpcolor.progress import ContractedGraph
 from sdpcolor.testkit import (
     complete_graph,
     cycle_graph,
+    is_k_colorable,
     path_graph,
     planted_k_colorable,
     random_graph,
@@ -587,3 +591,53 @@ def test_degree_queries_leave_the_csr_arrays_unbuilt():
     assert "_csr" not in g.__dict__
     g.neighbors(0)
     assert "_csr" in g.__dict__
+
+
+def _reference_k_coloring(g, k):
+    """The list-based backtracking search: each node builds the set of
+    colours on the vertex's coloured neighbours. Same vertex order (falling
+    degree, then id) and colour order as ``_try_k_coloring``."""
+    n = g.n
+    if n == 0:
+        return ()
+    if k <= 0:
+        return None
+    order = sorted(range(n), key=lambda v: (-g.degree(v), v))
+    color = [-1] * n
+    neighbors = [g.neighbors(v).tolist() for v in range(n)]
+
+    def place(idx, used):
+        if idx == n:
+            return True
+        v = order[idx]
+        banned = {color[w] for w in neighbors[v] if color[w] != -1}
+        for c in range(min(k, used + 1)):
+            if c in banned:
+                continue
+            color[v] = c
+            if place(idx + 1, max(used, c + 1)):
+                return True
+            color[v] = -1
+        return False
+
+    return tuple(color) if place(0, 0) else None
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_bitmask_k_coloring_matches_the_list_search(seed):
+    # Seeded random graphs, n 0..20 and p 0.1..0.9: the bitmask search
+    # finds the reference's colouring (or none) at every k, and the exact
+    # oracles built on it agree with the reference.
+    rng = stream(seed, "k-coloring-graphs")
+    for n in range(21):
+        p = float(rng.choice([0.1, 0.3, 0.5, 0.7, 0.9]))
+        g = random_graph(n, p, seed=int(rng.integers(1 << 30)))
+        masks = _adjacency_masks(g)
+        for k in range(6):
+            want = _reference_k_coloring(g, k)
+            assert _try_k_coloring(g, k, masks) == want
+            assert is_k_colorable(g, k) == (want is not None)
+        chi = brute_force_chromatic(g)
+        assert chi.colors_used == min(
+            k for k in range(n + 1) if _reference_k_coloring(g, k) is not None)
+        assert chi.assignment == _reference_k_coloring(g, chi.colors_used)

@@ -8,7 +8,6 @@ from sdpcolor.graph import Coloring, Graph, verify_coloring
 from sdpcolor.progress import (
     Colored,
     ContractedGraph,
-    ContradictionError,
     LargeIndependentSet,
     NotKColorableError,
     SameColor,
@@ -134,8 +133,9 @@ def test_merge_path_to_single_edge():
 
 def test_merge_triangle_contradiction():
     cg = ContractedGraph(complete_graph(3))
-    with pytest.raises(ContradictionError):
+    with pytest.raises(NotKColorableError) as err:
         cg.merge(0, 1)
+    assert err.value.kind == "contradiction"
 
 
 def test_merge_c6_antipodal_gives_triangle():
@@ -365,13 +365,14 @@ def test_driver_contradiction_bubbles():
     def finder(cg):
         return SameColor(0, 1)
 
-    with pytest.raises(ContradictionError):
+    with pytest.raises(NotKColorableError) as err:
         progress_driver(complete_graph(3), finder=finder, budget=3)
+    assert err.value.kind == "contradiction"
 
 
 def test_failure_types_are_kinds_of_not_k_colorable():
     stall = InfeasibleError(3.0, 0.5, 1)
-    contradiction = ContradictionError("x")
+    contradiction = NotKColorableError("contradiction", "x")
     assert stall.kind == "solver" and contradiction.kind == "contradiction"
     assert isinstance(stall, NotKColorableError)
     assert isinstance(contradiction, NotKColorableError)

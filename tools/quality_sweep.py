@@ -65,11 +65,11 @@ sys.path.insert(0, os.path.join(ROOT, "tests"))
 import numpy as np  # noqa: E402
 
 from sdpcolor import indset, vecsdp  # noqa: E402
-from sdpcolor.combined import CombinedConfig, combined_color, fit_exponent  # noqa: E402
+from sdpcolor.combined import CombinedConfig, combined_color  # noqa: E402
 from sdpcolor.graph import verify_coloring  # noqa: E402
 from sdpcolor.indset import ak_independent_set  # noqa: E402
 from sdpcolor.rounding import kms_color  # noqa: E402
-from sdpcolor.testkit import planted_k_colorable  # noqa: E402
+from sdpcolor.testkit import fit_exponent, planted_k_colorable  # noqa: E402
 from sdpcolor.vecsdp import InfeasibleError, solve_vector_coloring  # noqa: E402
 from test_combined import STALL_CASES  # noqa: E402
 
