@@ -23,12 +23,12 @@ One round of the finder on the current quotient graph (n vertices):
        k-2 colors recursively; success within the cutoff extracts a large
        color class, failure proves u,v share a color and they are merged
        (a solver stall in the probe proves nothing and fails the run).
-       For k-2 = 2 the probe is exact: a level-by-level BFS 2-coloring of
-       S's block of the quotient's matrix (no Graph copy of S), whose
-       larger side is the set. The pair always exists: a round on more
-       than CHROMATIC_GUARD vertices reaches this step with |W| > n/2 > 10,
-       and the peel leaves each W vertex at least two neighbours in W
-       (n^{a_k/(1-2/k)} > 1 for k >= 4), so |S| >= 1.
+       For k-2 = 2 the recursion is its own exact k = 2 route, the BFS
+       2-coloring of G[S], whose larger colour class (on a tie colour 0,
+       the side of S's lowest id) is the set. The pair always exists: a
+       round on more than CHROMATIC_GUARD vertices reaches this step with
+       |W| > n/2 > 10, and the peel leaves each W vertex at least two
+       neighbours in W (n^{a_k/(1-2/k)} > 1 for k >= 4), so |S| >= 1.
   7-9. no qualifying pair: rank the candidate collection on G[W] by size
        (``progress.candidate_sets``, which builds only the sets it reaches)
        and run the promise extractor on the largest CANDIDATE_CAP until one
@@ -57,7 +57,6 @@ from .graph import (
     brute_force_chromatic,
     exact_coloring,
     induced_subgraph,
-    larger_side,
     largest_color_class,
     two_coloring,
     verify_coloring,
@@ -305,31 +304,24 @@ class _CombinedFinder:
     def _probe_pair(self, cg: ContractedGraph, u: int, v: int):
         s_ids = np.flatnonzero(cg.adj[u] & cg.adj[v])
         k2 = self.k - 2
-        if k2 == 2:
-            sub = cg.adj[np.ix_(s_ids, s_ids)]
-            side = larger_side(sub)
-            if side is not None:
-                return LargeIndependentSet(s_ids[side])
-        else:
-            sub = cg.induced(s_ids)
-            probe_cfg = replace(self.cfg, trials=max(8, self.cfg.trials // 2))
-            result = combined_color(sub, k2, probe_cfg)
-            if (result.coloring is not None
-                    and result.colors_used <= cutoff(sub.n, k2)):
-                cls = largest_color_class(result.coloring)
-                return LargeIndependentSet(s_ids[sorted(cls)])
-            if result.coloring is None:
-                kind, msg = result.failure
-                if kind == "solver":
-                    # A stalled solver says nothing about S: neither a
-                    # merge nor a contradiction may rest on it, so the
-                    # whole run fails as "solver".
-                    raise NotKColorableError(
-                        "solver", f"{k2}-coloring probe of pair {u},{v}: {msg}")
+        sub = cg.induced(s_ids)
+        probe_cfg = replace(self.cfg, trials=max(8, self.cfg.trials // 2))
+        result = combined_color(sub, k2, probe_cfg)
+        if (result.coloring is not None
+                and result.colors_used <= cutoff(sub.n, k2)):
+            cls = largest_color_class(result.coloring)
+            return LargeIndependentSet(s_ids[sorted(cls)])
+        if result.coloring is None:
+            kind, msg = result.failure
+            if kind == "solver":
+                # A stalled solver says nothing about S: neither a merge
+                # nor a contradiction may rest on it, so the whole run
+                # fails as "solver".
+                raise NotKColorableError(
+                    "solver", f"{k2}-coloring probe of pair {u},{v}: {msg}")
         limit = DECLARATION_LIMIT_BIPARTITE if k2 == 2 else DECLARATION_LIMIT
         if len(s_ids) <= limit:
-            self.declarations.append(Declaration(
-                Graph._from_matrix(sub) if k2 == 2 else sub, k2))
+            self.declarations.append(Declaration(sub, k2))
         if cg.has_edge(u, v):
             # Adjacent endpoints can never share a color: together with the
             # failed probe this certifies the graph is not k-colorable.

@@ -318,39 +318,21 @@ def _bfs_sides(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray | None:
     return side
 
 
-def _sides(g: Graph | np.ndarray) -> np.ndarray | None:
-    if isinstance(g, Graph):
-        return _bfs_sides(*g._csr)
-    # The BFS's first test, made on the block before any CSR array is
-    # built: an edge among the neighbours of the lowest non-isolated vertex
-    # (the first root) is a triangle, and the block is refused. A block
-    # that passes goes through the BFS unchanged.
-    busy = g.any(axis=1)
-    if busy.any():
-        nbrs = np.flatnonzero(g[int(np.argmax(busy))])
-        if g[np.ix_(nbrs, nbrs)].any():
-            return None
-    rows, indices = np.nonzero(g)  # row-major: already grouped by row
-    indptr = np.zeros(len(g) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=len(g)), out=indptr[1:])
-    return _bfs_sides(indptr, indices)
-
-
-def larger_side(g: Graph | np.ndarray) -> list[int] | None:
-    """The larger side of the BFS 2-coloring, sorted, or None if an odd
-    cycle exists; ``g`` is a Graph or a symmetric boolean adjacency matrix.
-    On a tie it is side 0, the side holding vertex 0 (``two_coloring``)."""
-    side = _sides(g)
-    if side is None:
-        return None
-    ones = int(np.count_nonzero(side))
-    return np.flatnonzero(side == int(ones > side.size - ones)).tolist()
-
-
 def two_coloring(g: Graph) -> Coloring | None:
     """Proper 2-coloring via BFS, or None if an odd cycle exists. Color 0
-    holds each connected component's lowest id (isolated vertices too)."""
-    side = _sides(g)
+    holds each connected component's lowest id (isolated vertices too).
+
+    The BFS's first test is made on the edge arrays before any CSR array
+    is built: r = eu[0], the lowest non-isolated vertex and the first
+    root, has only higher neighbours, ev[eu == r], and an edge between two
+    of them is a triangle."""
+    eu, ev = g.edge_arrays()
+    if eu.size:
+        mask = np.zeros(g.n, dtype=bool)
+        mask[ev[eu == eu[0]]] = True
+        if (mask[eu] & mask[ev]).any():
+            return None
+    side = _bfs_sides(*g._csr)
     return None if side is None else Coloring(tuple(side.tolist()))
 
 

@@ -19,7 +19,13 @@ import math
 
 import numpy as np
 
-from .graph import Graph, induced_subgraph, larger_side, verify_independent_set
+from .graph import (
+    Graph,
+    induced_subgraph,
+    largest_color_class,
+    two_coloring,
+    verify_independent_set,
+)
 from .rounding import kms_independent_set, lex_best
 from .vecsdp import (
     DegenerateProjectionError,
@@ -80,8 +86,9 @@ def l2_vector_indset(g: Graph, vc: VectorColoring, trials: int = 64,
         return greedy_independent_set(g)
     if vc.alpha <= 2.0:
         # Vector 2-colorable means bipartite; take the larger side.
-        side = larger_side(g)
-        return frozenset(side) if side is not None else greedy_independent_set(g)
+        col = two_coloring(g)
+        return (frozenset(largest_color_class(col)) if col is not None
+                else greedy_independent_set(g))
 
     trials_here = max(8, trials // 4)
     branch_a = kms_independent_set(g, vc, trials=trials_here, seed=seed)
@@ -124,8 +131,6 @@ def ak_independent_set(g: Graph, alpha: float, trials: int = 64, seed: int = 0,
         raise ValueError(f"alpha must be finite and at least 1, got {alpha}")
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
-    if g.n == 0:
-        return frozenset()
     if g.m == 0:
         return frozenset(range(g.n))
     if g.n < 3:

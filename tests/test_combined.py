@@ -528,9 +528,8 @@ def test_probe_sound_failure_merges_or_contradicts(monkeypatch, kind):
 
 
 def test_declarations_read_what_the_probe_built(monkeypatch):
-    # k - 2 = 2 records a Graph read from the probe's block of the matrix,
-    # k - 2 >= 3 the probe's Graph; both equal the subgraph the quotient
-    # induces on S.
+    # k - 2 = 2 and k - 2 >= 3 both record the Graph the probe coloured,
+    # cg.induced(S): the subgraph the quotient induces on S.
     edges = [(0, x) for x in range(2, 9)] + [(1, x) for x in range(2, 9)]
     edges += [(2, 3), (3, 4), (4, 5), (5, 6), (6, 2), (7, 8)]  # C5 + edge
     cg = ContractedGraph(Graph(10, edges))
@@ -551,6 +550,24 @@ def test_declarations_read_what_the_probe_built(monkeypatch):
     [dec] = declarations
     assert dec == Declaration(cg.induced(list(range(2, 7))), 4)
     assert (dec.sub.n, dec.k, len(dec.sub.edges)) == (5, 4, 10)
+
+
+@pytest.mark.parametrize("cycle, side", [
+    ((3, 6, 4, 7, 5, 8), [3, 4, 5]),
+    ((3, 4, 7, 5, 8, 6), [3, 7, 8]),
+])
+def test_k4_probe_tie_takes_the_side_of_the_lowest_id(cycle, side):
+    # Pair 0,1 with the common neighbourhood S = {3..8}, an even cycle
+    # whose two sides have three vertices each; 2 is a neighbour of 0 only.
+    # The k - 2 = 2 colouring's larger class is, on the tie, colour 0: the
+    # side holding S's lowest id.
+    edges = [(0, 2)] + [(0, x) for x in cycle] + [(1, x) for x in cycle]
+    edges += [tuple(sorted(e)) for e in zip(cycle, cycle[1:] + cycle[:1])]
+    declarations = []
+    finder = _CombinedFinder(4, CombinedConfig(), declarations)
+    claim = finder._probe_pair(ContractedGraph(Graph(9, edges)), 0, 1)
+    assert claim.members.tolist() == side
+    assert declarations == []
 
 
 @pytest.mark.parametrize("trials", [0, -1])

@@ -14,7 +14,6 @@ from sdpcolor.graph import (
     _try_k_coloring,
     brute_force_chromatic,
     induced_subgraph,
-    larger_side,
     largest_color_class,
     read_dimacs,
     two_coloring,
@@ -469,9 +468,9 @@ def _beyond_the_first_level():
 
 
 def test_bipartition_matches_the_vertex_by_vertex_bfs():
-    # Both routes (a Graph's edge arrays and a dense block's np.nonzero)
-    # give exactly the old sides, so probe and k=2/k=3 results keep theirs:
-    # the larger side and its tie rule fix the partition.
+    # The one route gives exactly the old sides, so probe, k=2/k=3 and
+    # alpha=2 results keep theirs: the larger side and its tie rule fix
+    # the partition.
     count = odd = 0
     for g in _bipartition_cases():
         count += 1
@@ -484,12 +483,7 @@ def test_bipartition_matches_the_vertex_by_vertex_bfs():
             for side in (0, 1):
                 assert {v for v, c in enumerate(col.assignment)
                         if c == side} == want[side]
-        larger = None if want is None else sorted(max(want, key=len))
-        assert larger_side(g) == larger
-        # The block of g inside a larger matrix, as a probe cuts it.
-        big = _disjoint_union(cycle_graph(3), g).adjacency_matrix()
-        ids = np.arange(3, 3 + g.n)
-        assert larger_side(big[np.ix_(ids, ids)]) == larger
+            assert sorted(largest_color_class(col)) == sorted(max(want, key=len))
     assert count >= 400 and odd >= 50
     for g in _beyond_the_first_level():
         adj = g.adjacency_matrix()
@@ -497,6 +491,34 @@ def test_bipartition_matches_the_vertex_by_vertex_bfs():
         if busy.size:
             nbrs = np.flatnonzero(adj[busy[0]])
             assert not adj[np.ix_(nbrs, nbrs)].any()
+
+
+def _triangle_at_the_first_root():
+    """Graphs with an edge among the neighbours of the lowest non-isolated
+    vertex, the BFS's first root."""
+    yield complete_graph(3)
+    yield complete_graph(6)
+    yield _disjoint_union(Graph(2), complete_graph(4))  # isolated ids first
+    # The root 0's neighbours 1 and 5 are joined, a path hangs from 5, and
+    # 2..4 are isolated.
+    yield Graph(9, [(0, 1), (0, 5), (1, 5), (5, 6), (6, 7), (7, 8)])
+    for seed in range(20):
+        # A planted 3-colourable graph with the root's first two neighbours
+        # joined (if they were not already).
+        g = planted_k_colorable(40, 3, 0.5, seed=seed).graph
+        eu, ev = g.edge_arrays()
+        a, b = ev[eu == eu[0]][:2].tolist()
+        yield Graph(g.n, set(g.edges) | {(a, b)})
+
+
+def test_first_root_triangle_refuses_before_the_csr_arrays():
+    count = 0
+    for g in _triangle_at_the_first_root():
+        count += 1
+        assert two_coloring(g) is None
+        assert "_csr" not in vars(g)
+        assert _reference_bipartition(g) is None
+    assert count >= 20
 
 
 def test_dimacs_round_trip():

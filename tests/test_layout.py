@@ -7,7 +7,8 @@ front end (``cli``) and the package namespace (``__init__``) may use it.
 ``graph``, ``vecsdp`` and ``rounding`` sit below ``progress`` and
 ``combined``; the one failure type lives in ``graph`` so they need neither.
 The rounding threshold is chosen in ``rounding`` alone, and the solver
-tolerance in ``vecsdp`` alone: no public function takes one.
+tolerance in ``vecsdp`` alone: no public function takes one. Bipartiteness
+has one entry, ``graph.two_coloring``.
 """
 
 import ast
@@ -78,6 +79,22 @@ def test_only_rounding_references_the_threshold():
                  if name != "rounding"
                  and _references(_tree(name), "kms_threshold")]
     assert offenders == []
+
+
+def _calls(tree, name):
+    """Whether ``tree`` calls a function named ``name``."""
+    return any(isinstance(node, ast.Call)
+               and getattr(node.func, "id", getattr(node.func, "attr", None)) == name
+               for node in ast.walk(tree))
+
+
+def test_bipartiteness_has_one_entry():
+    # The level-by-level BFS runs only under graph.two_coloring; every other
+    # caller (the k = 2 route, the k = 3 split, alpha = 2 extraction, the
+    # k - 2 = 2 pair probe) goes through it.
+    callers = [(name, getattr(node, "name", None)) for name in _library_modules()
+               for node in _tree(name).body if _calls(node, "_bfs_sides")]
+    assert callers == [("graph", "two_coloring")]
 
 
 def _params(fn):
