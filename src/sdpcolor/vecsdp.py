@@ -5,8 +5,10 @@ Lagrangians (Burer-Monteiro) by Adam steps with row renormalization on the
 product of spheres (no external SDP solver):
 
 * vector alpha-coloring: unit v_1..v_n with v_i . v_j <= -1/(alpha-1) + EPS
-  on every edge. A penalty descent on the hinge violations (multipliers at
-  zero), refined where it misses by per-edge multipliers, then the same
+  on every edge. Random rows pushed toward the adjacency's most negative
+  eigenspace by five power steps on Delta I - A (Delta the maximum degree)
+  start a penalty descent on the hinge violations (multipliers at zero),
+  refined where it misses by per-edge multipliers, then the same
   feasibility descent again on the rows reduced to rank ceil(alpha) - 1,
   finished by gradient steps of Polyak's length (the objective's optimum,
   0, is known), with Adam from their rows where they stop short.
@@ -487,6 +489,30 @@ def _polyak_polish(v, eu, ev, target, stop_at):
     return it + 1, False
 
 
+# Power steps of the coloring solver's start filter (``_spectral_start``).
+_SPECTRAL_STEPS = 5
+
+
+def _spectral_start(v, eu, ev, top):
+    """Push random rows toward the adjacency's most negative eigenspace, in
+    place: ``_SPECTRAL_STEPS`` (5) steps v <- top v - A v, each followed by
+    dividing every column by its norm (raised to the dtype's tiny), then
+    unit rows. With top the maximum degree these are power steps on the
+    positive semidefinite top I - A, whose leading eigenvectors are A's most
+    negative ones, where a planted coloring shows (Alon-Kahale, SIAM J.
+    Comput. 1997); each is also a gradient step of sum_edges v_u . v_v,
+    which pushes neighbours apart. A v is the ``_EdgeSums`` neighbour sum
+    with unit weights, in v's dtype, by the kernel the workspace picks."""
+    sums = _EdgeSums(eu, ev, v.shape, v.dtype)
+    ones, av = np.ones(sums.m, v.dtype), np.empty_like(v)
+    for _ in range(_SPECTRAL_STEPS):
+        sums.neighbour_sums(ones, v, av)
+        v *= top
+        v -= av                                      # top v - A v
+        v /= np.maximum(np.sqrt(np.einsum("ij,ij->j", v, v)), _TINY[v.dtype])
+    return _row_normalize(v)
+
+
 def _rank_reduce(v, rank):
     """Coordinates of the rows in their top-``rank`` right-singular basis,
     renormalized; the returned array has only ``rank`` columns."""
@@ -501,7 +527,9 @@ def solve_vector_coloring(g: Graph, alpha: float, budget: int = 2000,
                           seed: int = 0, restarts: int = 1) -> VectorColoring:
     """Find a vector alpha-coloring of g at tolerance eps = EPS.
 
-    Each restart starts from random rows and takes one path:
+    Each restart starts from Gaussian rows in the wide phase's dtype, put
+    through five power steps v <- Delta v - A v on the maximum degree
+    Delta (``_spectral_start``), and takes one path:
 
     1. the wide feasibility phase, at most ``budget`` iterations;
     2. if its residual is within the hand-off bar 10 eps, the
@@ -577,8 +605,8 @@ def solve_vector_coloring(g: Graph, alpha: float, budget: int = 2000,
 
     for attempt in range(restarts):
         rng = stream(seed, "veccol", attempt)
-        v = _row_normalize(rng.standard_normal((n, d)))
-        work = v.astype(_iteration_dtype(d), copy=False)
+        work = _spectral_start(rng.standard_normal((n, d)).astype(
+            _iteration_dtype(d), copy=False), eu, ev, g.max_degree)
         descend(work, budget, lr=0.05, stop_at=target + handoff)
         res = _residual(work, eu, ev, target)
         if res <= handoff:

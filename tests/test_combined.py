@@ -157,7 +157,7 @@ FAILURE_STRINGS = [
      "graph is not bipartite"),
     ("solver", lambda mp: random_graph(40, 0.5, seed=0), 4,
      "no vector 4-coloring found at tolerance 0.001 (best edge residual "
-     "3.159e-01 after 535 iterations; evidence only, not a certificate)"),
+     "3.160e-01 after 525 iterations; evidence only, not a certificate)"),
     ("contradiction", lambda mp: random_graph(40, 0.7, seed=0), 4,
      "adjacent pair 14,33 has a common neighborhood needing more than 2 "
      "colors"),

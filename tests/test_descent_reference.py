@@ -351,12 +351,14 @@ def _planted_start(inst_seed, n, k, p, noise):
 
 
 class _Kernels(list):
-    """(dots kernel, sums kernel) per iteration, and the dtypes of the sums'
-    outputs in ``dtypes``."""
+    """(dots kernel, sums kernel) per iteration, the dtypes of the sums'
+    outputs in ``dtypes``, and in ``dotted`` the workspace whose dots the
+    last entry holds until its sums fill it."""
 
     def __init__(self):
         super().__init__()
         self.dtypes = set()
+        self.dotted = None
 
 
 @pytest.fixture
@@ -365,22 +367,30 @@ def kernels(monkeypatch):
     workspace: its dots, "gram" or "gather", then its sums, "gemm",
     "scatter" (over the ``active`` edges), "scatter-all" (over every edge)
     or None (the iteration exited before its sums, or no edge carried
-    weight)."""
+    weight). Sums on a workspace that took no dots before them, as in the
+    coloring solver's start filter, are recorded as (None, sums)."""
     record = _Kernels()
     real = vecsdp._EdgeSums
 
     def dots(self, x, out):
         record.append(("gram" if self.by_gram else "gather", None))
+        record.dotted = self
         return real_dots(self, x, out)
 
-    def gemm(self, weights, x, out):
-        record[-1] = (record[-1][0], "gemm")
+    def summed(self, kind, out):
+        if record.dotted is self:
+            record[-1] = (record[-1][0], kind)
+            record.dotted = None
+        else:
+            record.append((None, kind))
         record.dtypes.add(out.dtype)
+
+    def gemm(self, weights, x, out):
+        summed(self, "gemm", out)
         return real_gemm(self, weights, x, out)
 
     def scatter(self, weights, x, out, active=None):
-        record[-1] = (record[-1][0], "scatter-all" if active is None else "scatter")
-        record.dtypes.add(out.dtype)
+        summed(self, "scatter-all" if active is None else "scatter", out)
         return real_scatter(self, weights, x, out, active)
 
     real_dots, real_gemm, real_scatter = real.dots, real.gemm, real.scatter

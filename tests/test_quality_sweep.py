@@ -51,11 +51,11 @@ def test_solve_counter_sums_iterations_and_restores(sweep):
 def test_phase_counter_counts_the_polish_and_its_fallbacks(sweep):
     vecsdp = sweep.vecsdp
     real = (vecsdp._coloring_descent, vecsdp._rank_reduce, vecsdp._polyak_polish)
-    # Planted (40, 7, 0.5, 1) at alpha 7: the Polyak polish runs its 100
+    # Planted (40, 7, 0.5, 0) at alpha 7: the Polyak polish runs its 100
     # iterations short of t + eps/2, and the Adam polish takes over.
-    g = planted_k_colorable(40, 7, 0.5, seed=1).graph
+    g = planted_k_colorable(40, 7, 0.5, seed=0).graph
     with sweep._PhaseCounter() as count:
-        solve_vector_coloring(g, 7.0, seed=1)
+        solve_vector_coloring(g, 7.0, seed=0)
     assert count.counts["polish"] == vecsdp._POLISH_ITERS
     assert count.fallbacks == 1
     g = planted_k_colorable(60, 4, 0.3, seed=1).graph

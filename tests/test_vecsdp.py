@@ -306,7 +306,7 @@ def test_final_lowrank_phase_exits_at_half_eps(monkeypatch):
 
 
 def test_polish_that_stops_short_falls_back_to_adam(monkeypatch):
-    # At alpha 7 on planted (40, 7, 0.5, 1) the Polyak polish of the rank-6
+    # At alpha 7 on planted (40, 7, 0.5, 0) the Polyak polish of the rank-6
     # rows runs its 100 iterations without reaching t + eps/2, so the Adam
     # polish continues from its rows, exits at the same bar, and the solve
     # still returns rank-6 rows within eps.
@@ -324,8 +324,8 @@ def test_polish_that_stops_short_falls_back_to_adam(monkeypatch):
 
     monkeypatch.setattr(vecsdp, "_coloring_descent", recorded)
     monkeypatch.setattr(vecsdp, "_polyak_polish", polished)
-    g = planted_k_colorable(40, 7, 0.5, seed=1).graph
-    vc = solve_vector_coloring(g, 7.0, seed=1)
+    g = planted_k_colorable(40, 7, 0.5, seed=0).graph
+    vc = solve_vector_coloring(g, 7.0, seed=0)
     t = -1.0 / 6.0
     assert [phase for phase in phases if phase[1] == 6] == [
         ("adam", 6, t + 10.0 * EPS), ("polyak", 6, vecsdp._POLISH_ITERS, False),
@@ -371,6 +371,55 @@ def test_rank_at_least_width_still_solves():
     vc = solve_vector_coloring(g, 8.0, seed=0)
     assert vc.dim == 3
     assert is_feasible_for(vc, g)
+
+
+def _gaussian_rows(n, d, dtype):
+    return stream(48, "spectral-start").standard_normal((n, d)).astype(dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_spectral_start_gives_unit_rows_that_push_neighbours_apart(dtype):
+    # Power steps on max_degree I - A move random rows toward the
+    # adjacency's most negative eigenspace: unit rows in the input dtype,
+    # the same rows for the same draw, and edges further apart on average
+    # than between the raw rows.
+    g = planted_k_colorable(128, 4, 0.3, seed=0).graph
+    eu, ev = g.edge_arrays()
+    raw = vecsdp._row_normalize(_gaussian_rows(g.n, 24, dtype))
+    start = vecsdp._spectral_start(_gaussian_rows(g.n, 24, dtype), eu, ev,
+                                   g.max_degree)
+    again = vecsdp._spectral_start(_gaussian_rows(g.n, 24, dtype), eu, ev,
+                                   g.max_degree)
+    assert start.dtype == np.dtype(dtype) and start.shape == (g.n, 24)
+    assert np.allclose(np.linalg.norm(start.astype(np.float64), axis=1), 1.0,
+                       atol=1e-6)
+    assert np.array_equal(start, again)
+    mean_dot = float(vecsdp._edge_dots(start, eu, ev).mean())
+    assert mean_dot < 0.0
+    assert mean_dot < float(vecsdp._edge_dots(raw, eu, ev).mean())
+
+
+def test_spectral_start_scatters_above_2048_vertices(monkeypatch):
+    # No n x n matrix above n = 2048: the start's products A v go through
+    # the scatter over every edge, never the gemm.
+    g = planted_k_colorable(2049, 3, 3.0 / 1366, seed=18).graph
+    eu, ev = g.edge_arrays()
+    calls = []
+    real = vecsdp._EdgeSums.scatter
+
+    def scatter(self, weights, x, out, active=None):
+        calls.append(active)
+        return real(self, weights, x, out, active)
+
+    def gemm(self, weights, x, out):
+        raise AssertionError("gemm above n = 2048")
+
+    monkeypatch.setattr(vecsdp._EdgeSums, "scatter", scatter)
+    monkeypatch.setattr(vecsdp._EdgeSums, "gemm", gemm)
+    d = vecsdp._solver_dim(g.n, g.m)
+    vecsdp._spectral_start(_gaussian_rows(g.n, d, np.float32), eu, ev,
+                           g.max_degree)
+    assert calls == [None] * vecsdp._SPECTRAL_STEPS
 
 
 def test_restriction_closure():
