@@ -21,14 +21,12 @@ import numpy as np
 
 from .graph import (
     Graph,
-    induced_subgraph,
     largest_color_class,
     two_coloring,
     verify_independent_set,
 )
 from .rounding import kms_independent_set, lex_best
 from .vecsdp import (
-    DegenerateProjectionError,
     PromiseNotMetError,
     VectorColoring,
     neighborhood_reduce,
@@ -72,7 +70,10 @@ def greedy_independent_set(g: Graph) -> frozenset[int]:
 def l2_vector_indset(g: Graph, vc: VectorColoring, trials: int = 64,
                      seed: int = 0) -> frozenset[int]:
     """Independent set from a vector coloring: max of threshold rounding and
-    the neighborhood recursion at parameter alpha - 1.
+    the neighborhood recursion at parameter alpha - 1 on G[N(v*)], v* a
+    maximum-degree vertex. ``neighborhood_reduce`` cannot fail on geometry,
+    so every level with alpha > 2 recurses; at alpha < 3 that recursion is
+    the base case.
 
     Base case floor(alpha) = 1: a vector alpha-colorable graph with alpha < 2
     has no edges, so the whole vertex set is returned; residual edges (a
@@ -95,23 +96,9 @@ def l2_vector_indset(g: Graph, vc: VectorColoring, trials: int = 64,
 
     # g has an edge, so the maximum-degree vertex has a neighbour.
     v_star = int(np.argmax(g.degrees()))  # ties to the lowest id
-    red = None
-    if vc.alpha - 1.0 >= 2.0:
-        try:
-            red = neighborhood_reduce(vc, g, v_star, seed=seed)
-        except DegenerateProjectionError:
-            # Collapsed geometry (typically a graph without the promised
-            # structure); stay best-effort with the greedy neighborhood.
-            pass
-    if red is not None:
-        inner = l2_vector_indset(red.graph, red.coloring, trials, seed + 1)
-        branch_b = frozenset(red.vertices[list(inner)].tolist())
-    else:
-        # Greedy on G[N(v*)]. With alpha - 1 < 2 that neighbourhood is
-        # vector (<2)-colorable, i.e. edgeless up to tolerance, and the
-        # greedy set of an edgeless graph is all of it.
-        sub, verts = induced_subgraph(g, g.neighbors(v_star))
-        branch_b = frozenset(verts[list(greedy_independent_set(sub))].tolist())
+    red = neighborhood_reduce(vc, g, v_star, seed=seed)
+    inner = l2_vector_indset(red.graph, red.coloring, trials, seed + 1)
+    branch_b = frozenset(red.vertices[list(inner)].tolist())
 
     return lex_best(branch_a, branch_b)
 

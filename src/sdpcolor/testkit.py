@@ -39,7 +39,7 @@ from .graph import (  # the exact coloring is re-exported from here
 )
 from .progress import CandidateSet
 from .rounding import kms_threshold, round_once
-from .vecsdp import DegenerateProjectionError, IndSetSdpSolution, VectorColoring
+from .vecsdp import IndSetSdpSolution, VectorColoring
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +262,10 @@ def simplex_vectors(count: int, dim: int | None = None) -> np.ndarray:
     out = np.zeros((count, d))
     out[:, :count - 1] = coords
     return out
+
+
+class DegenerateProjectionError(ValueError):
+    """A vector was too close to +-axis for a stable orthogonal projection."""
 
 
 def project_orthogonal(v0: np.ndarray, v: np.ndarray, eps: float) -> np.ndarray:

@@ -59,10 +59,6 @@ class InfeasibleError(NotKColorableError):
         self.iterations = iterations
 
 
-class DegenerateProjectionError(ValueError):
-    """A vector was too close to +-axis for a stable orthogonal projection."""
-
-
 class PromiseNotMetError(RuntimeError):
     """The independence-promise precondition failed (solver slack too large
     or the graph lacks the promised independent set)."""
@@ -433,10 +429,8 @@ def _coloring_descent(v, eu, ev, target, iters, lr, stop_at=None):
     return used
 
 
-# The Polyak polish's caps: at most this many iterations, and an exit once
-# its running minimum objective has not fallen for ``_POLISH_PATIENCE``.
+# The Polyak polish's cap: at most this many iterations.
 _POLISH_ITERS = 100
-_POLISH_PATIENCE = 30
 
 
 def _polyak_polish(v, eu, ev, target, stop_at):
@@ -449,9 +443,8 @@ def _polyak_polish(v, eu, ev, target, stop_at):
     lowering it.
 
     Every iteration exits once the max edge dot is at most ``stop_at``; the
-    loop also exits when the running minimum of f has not fallen for
-    ``_POLISH_PATIENCE`` (30) iterations, when the tangent gradient is zero,
-    or after ``_POLISH_ITERS`` (100). Returns the iterations used, the
+    loop also exits when the tangent gradient is zero, or after
+    ``_POLISH_ITERS`` (100). Returns the iterations used, the
     exiting one included, and whether the max edge dot reached ``stop_at``.
     Its kernels are ``_coloring_descent``'s, on one ``_EdgeSums``
     workspace, and each iteration performs the floating-point operations of
@@ -464,7 +457,6 @@ def _polyak_polish(v, eu, ev, target, stop_at):
     dots, viol, hinge = (np.empty(sums.m, v.dtype) for _ in range(3))
     grad, tmp = np.empty((n, d), v.dtype), np.empty((n, d), v.dtype)
     rowdots = np.empty(n, v.dtype)
-    best, best_at = math.inf, 0
     for it in range(_POLISH_ITERS):
         sums.dots(v, dots)                           # (v[eu] * v[ev]).sum(1)
         if dots.max() <= stop_at:
@@ -473,10 +465,6 @@ def _polyak_polish(v, eu, ev, target, stop_at):
         np.maximum(viol, 0.0, out=viol)              # relu(dots - target)
         np.multiply(viol, viol, out=hinge)
         f = float(hinge.sum())                       # (viol ** 2).sum()
-        if f < best:
-            best, best_at = f, it
-        elif it - best_at >= _POLISH_PATIENCE:
-            break
         np.multiply(2.0, viol, out=hinge)
         sums.neighbour_sums(hinge, v, grad, viol)
         _project_tangent(v, grad, tmp, rowdots)
@@ -785,35 +773,23 @@ def _perturb_axis(axis: np.ndarray, magnitude: float, rng) -> np.ndarray:
     return out / float(np.linalg.norm(out))
 
 
-def _project_all(axis, rows, eps, fill_degenerate=False):
-    """Normalized projections of rows orthogonal to axis.
-
-    Returns None when a row is within eps of +-axis, unless fill_degenerate
-    is set, in which case such rows become an arbitrary unit vector (used for
-    vertices that are provably isolated in the restricted subgraph, where
-    the vector is unconstrained; the caller re-measures residuals anyway).
-    """
+def _project(axis, rows, eps, *key):
+    """Normalized projections of rows orthogonal to axis. If a row is within
+    eps of +-axis, once more with the axis perturbed by 10 eps from
+    ``stream(*key)``, which is opened only then; a row still within eps
+    becomes e_0. The callers pass the rows to ``_reduced``, which re-measures
+    the residual, so the fill never overstates feasibility."""
     proj = rows - (rows @ axis)[:, None] * axis[None, :]
     norms = np.linalg.norm(proj, axis=1)
-    bad = norms <= eps
-    if bad.any():
-        if not fill_degenerate:
-            return None
+    if (norms <= eps).any():
+        axis = _perturb_axis(axis, 10.0 * eps, stream(*key))
+        proj = rows - (rows @ axis)[:, None] * axis[None, :]
+        norms = np.linalg.norm(proj, axis=1)
+        bad = norms <= eps
         proj[bad] = 0.0
         proj[bad, 0] = 1.0
-        norms = np.linalg.norm(proj, axis=1)
+        norms[bad] = 1.0
     return proj / norms[:, None]
-
-
-def _project(axis, rows, eps, *key):
-    """``_project_all``; if a row is degenerate, once more with the axis
-    perturbed by 10 eps from ``stream(*key)``, which is opened only then.
-    None if a row is degenerate both times."""
-    proj = _project_all(axis, rows, eps)
-    if proj is None:
-        axis = _perturb_axis(axis, 10.0 * eps, stream(*key))
-        proj = _project_all(axis, rows, eps)
-    return proj
 
 
 def _reduced(alpha, vectors, eps, g, ids):
@@ -832,8 +808,10 @@ def neighborhood_reduce(vc: VectorColoring, g: Graph, v: int,
 
     The tolerance of the result is the measured residual of the projected
     vectors against -1/(alpha-2) (first-order, the input eps grows by about
-    2/(1 - t^2) with t = -1/(alpha-1)). A degenerate neighbor triggers one
-    seeded perturbation of the axis before failing.
+    2/(1 - t^2) with t = -1/(alpha-1)). A neighbor within eps of +-v_v
+    takes ``_project``'s seeded perturbation of the axis, and then its fill;
+    while eps < 2/(3(alpha-1)) a neighbor at -v_v has no edge in G[N(v)], so
+    the fill leaves its vector unconstrained.
     """
     if vc.alpha <= 2.0:
         raise ValueError(f"neighborhood reduction needs alpha > 2, got {vc.alpha}")
@@ -844,10 +822,6 @@ def neighborhood_reduce(vc: VectorColoring, g: Graph, v: int,
     neighbors = g.neighbors(v)
     axis = vc.vectors[v] / float(np.linalg.norm(vc.vectors[v]))
     proj = _project(axis, vc.vectors[neighbors], vc.eps, seed, "nbr-perturb", v)
-    if proj is None:
-        raise DegenerateProjectionError(
-            f"a neighbor of {v} is within eps of +-v_{v} even after "
-            f"perturbation")
     return _reduced(vc.alpha - 1.0, proj, vc.eps, g, neighbors)
 
 
@@ -859,7 +833,10 @@ def well_aligned_subset(sol: IndSetSdpSolution, g: Graph, alpha: float,
 
     Requires the promise sum v0 . v_i >= (2/alpha - 1 - 1/ln n) n; refuses
     otherwise (the graph lacked the promised independent set or the solver
-    slack was too large). When the promise holds, |S| >= n / ln n.
+    slack was too large). When the promise holds, |S| >= n / ln n. The rows
+    of S are projected orthogonal to v0 by ``_project``; a member it fills
+    (still within EPS of v0 after the perturbation) is isolated inside S, as
+    an S-edge at it would need |v_i . v_j| > 1.
     """
     _check_alpha(alpha)
     n = g.n
@@ -886,11 +863,5 @@ def well_aligned_subset(sol: IndSetSdpSolution, g: Graph, alpha: float,
     rows = sol.vectors[members]
     v0 = sol.v0 / float(np.linalg.norm(sol.v0))
     proj = _project(v0, rows, EPS, seed, "aligned-perturb")
-    if proj is None:
-        # Vectors still parallel to v0 after a perturbation sit at
-        # v_i ~ v0; feasibility forces such vertices to be isolated
-        # inside S (an S-edge at one would need |v_i . v_j| > 1), so
-        # their projected vector is unconstrained.
-        proj = _project_all(v0, rows, EPS, fill_degenerate=True)
     alpha_prime = 1.0 + (1.0 - beta) / (1.0 + beta)
     return _reduced(alpha_prime, proj, EPS, g, members)

@@ -177,20 +177,14 @@ def _ref_coloring_descent(v, eu, ev, both_idx, target, iters, lr,
 
 def _ref_polyak_polish(v, eu, ev, both_idx, target, stop_at):
     """Polyak steps v <- normalize(v - (f / ||g||^2) g) on the tangent hinge
-    gradient g; at most 100 iterations, and an exit once the running minimum
-    of f has not fallen for 30."""
+    gradient g; at most 100 iterations."""
     gradient = _RefGradient(v, eu, ev, both_idx)
-    best, best_at = math.inf, 0
     for it in range(100):
         dots = (v[eu] * v[ev]).sum(axis=1)
         if dots.max() <= stop_at:
             return it + 1, True
         viol = np.maximum(dots - target, 0.0)
         f = float((viol ** 2).sum())
-        if f < best:
-            best, best_at = f, it
-        elif it - best_at >= 30:
-            break
         grad = gradient(v, viol)
         grad -= np.einsum("ij,ij->i", grad, v)[:, None] * v
         gg = float(np.vdot(grad, grad))

@@ -5,7 +5,7 @@ changes any decision changes a file. The ``.meta.json`` side file holds a
 timestamp and is not compared. To capture the files (only when an output
 change is intended):
 
-    PYTHONPATH=src python tests/test_golden.py
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/test_golden.py
 
 It prints each case's exit code and whether its file is new, unchanged or
 changed, so a recapture states exactly which results moved.

@@ -8,7 +8,8 @@ front end (``cli``) and the package namespace (``__init__``) may use it.
 ``combined``; the one failure type lives in ``graph`` so they need neither.
 The rounding threshold is chosen in ``rounding`` alone, and the solver
 tolerance in ``vecsdp`` alone: no public function takes one. Bipartiteness
-has one entry, ``graph.two_coloring``.
+has one entry, ``graph.two_coloring``, and a projection orthogonal to an
+axis one rule, ``vecsdp._project``.
 """
 
 import ast
@@ -97,6 +98,19 @@ def test_bipartiteness_has_one_entry():
     assert callers == [("graph", "two_coloring")]
 
 
+def test_projection_has_one_rule():
+    # A row near the axis is handled inside vecsdp._project (one perturbed
+    # retry, then e_0), so no library module sees a degenerate projection,
+    # and the two reductions are its only callers.
+    offenders = [name for name in _library_modules()
+                 if _references(_tree(name), "DegenerateProjectionError")]
+    assert offenders == []
+    callers = [(name, getattr(node, "name", None)) for name in _library_modules()
+               for node in _tree(name).body if _calls(node, "_project")]
+    assert callers == [("vecsdp", "neighborhood_reduce"),
+                       ("vecsdp", "well_aligned_subset")]
+
+
 def _params(fn):
     args = fn.args
     return [arg.arg for arg in args.posonlyargs + args.args + args.kwonlyargs]
@@ -130,9 +144,10 @@ def _public_functions(tree):
 
 
 def test_only_vecsdp_takes_a_tolerance():
-    # Outside vecsdp nothing is named eps; inside it only private helpers
-    # (``_project``, ``_reduced``) and dataclass fields are, as the solvers
-    # solve at vecsdp.EPS. The independence solver always runs two restarts.
+    # Outside vecsdp nothing is named eps; inside it only the two private
+    # projection helpers (``_project``, ``_reduced``) and dataclass fields
+    # are, as the solvers solve at vecsdp.EPS. The independence solver
+    # always runs two restarts.
     modules = _library_modules() + ["cli"]
     offenders = [name for name in modules
                  if name != "vecsdp" and _names_eps(_tree(name))]

@@ -11,6 +11,7 @@ import sdpcolor.vecsdp as vecsdp
 from sdpcolor._rng import stream
 from sdpcolor.graph import Graph
 from sdpcolor.testkit import (
+    DegenerateProjectionError,
     alignment_sum,
     complete_graph,
     constraint_residual,
@@ -21,10 +22,10 @@ from sdpcolor.testkit import (
     planted_k_colorable,
     project_orthogonal,
     simplex_vectors,
+    star_graph,
 )
 from sdpcolor.vecsdp import (
     EPS,
-    DegenerateProjectionError,
     IndSetSdpSolution,
     InfeasibleError,
     PromiseNotMetError,
@@ -782,6 +783,24 @@ def test_neighborhood_reduce_validates():
         neighborhood_reduce(vc2, g2, 0)
 
 
+def test_neighborhood_reduce_fills_a_row_the_retry_leaves_on_the_axis():
+    # A 2-D star on 0 with v_0 = e_0. Leaf 1 sits at -e_0, so the first
+    # projection is degenerate; the perturbed axis is normalize(1, +-10 eps),
+    # and leaf 2 or leaf 3 lies on its antipode whichever sign the noise
+    # draws. That row becomes e_0; the others project to unit rows.
+    eps = 1e-3
+    leaves = np.array([[-1.0, 0.0], [-1.0, 10 * eps], [-1.0, -10 * eps]])
+    rows = np.vstack([[1.0, 0.0],
+                      leaves / np.linalg.norm(leaves, axis=1)[:, None]])
+    red = neighborhood_reduce(VectorColoring(3.0, rows, eps), star_graph(3), 0)
+    assert isinstance(red, vecsdp.ReducedColoring)
+    assert red.vertices.tolist() == [1, 2, 3] and red.graph.m == 0
+    out = red.coloring.vectors
+    assert np.allclose(np.linalg.norm(out, axis=1), 1.0, atol=1e-12)
+    filled = [i for i, row in enumerate(out) if row.tolist() == [1.0, 0.0]]
+    assert filled in ([1], [2])
+
+
 # ---------------------------------------------------------------------------
 # Aligned-subset extraction
 # ---------------------------------------------------------------------------
@@ -813,6 +832,33 @@ def test_well_aligned_planted():
     for v in res.vertices:
         counts[classes[v]] = counts.get(classes[v], 0) + 1
     assert max(counts.values()) >= 0.8 * len(res.vertices)
+
+
+def test_well_aligned_retries_on_a_perturbed_axis(monkeypatch):
+    # A bench-shaped instance whose aligned rows include some within EPS of
+    # v0: the first projection is degenerate, and the one retry on an axis
+    # perturbed from the seed's stream gives unit rows, the same each time.
+    g = planted_k_colorable(100, 3, 0.3, seed=960000).graph
+    sol = solve_indset_sdp(g, seed=960000)
+    v0 = sol.v0 / np.linalg.norm(sol.v0)
+    perturbed = []
+    real = vecsdp._perturb_axis
+
+    def logged(*args):
+        perturbed.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(vecsdp, "_perturb_axis", logged)
+    res = well_aligned_subset(sol, g, 3.0, seed=960000)
+    rows = sol.vectors[res.vertices]
+    off_axis = np.linalg.norm(rows - np.outer(rows @ v0, v0), axis=1)
+    assert (off_axis <= EPS).any()
+    assert perturbed == [10 * EPS]
+    vectors = res.coloring.vectors
+    assert np.allclose(np.linalg.norm(vectors, axis=1), 1.0, atol=1e-12)
+    again = well_aligned_subset(sol, g, 3.0, seed=960000)
+    assert np.array_equal(again.coloring.vectors, vectors)
+    assert np.array_equal(again.vertices, res.vertices)
 
 
 def test_well_aligned_refuses_broken_promise():
