@@ -16,8 +16,11 @@ One round of the finder on the current quotient graph (n vertices):
        k = 5 pair probe's cutoff uses in place of a_3.
   3.   peel vertices of residual degree < n^{a_k/(1-2/k)} into U, core W.
   4.   |U| >= n/2: threshold rounding on G[U] gives a large independent set.
-       It rounds the last solve's rows restricted to U when they still meet
-       EPS on every edge of G[U]; only otherwise does it solve G[U] again.
+       It rounds the last solve's rows restricted to U when every vertex of
+       U has one, and solves G[U] otherwise. The finder drops the rows when
+       it claims a merge, so between a solve and its reuse the quotient only
+       lost vertices: G[U] is an induced subgraph of the solved graph, on
+       which the rows meet EPS on every edge (restriction closure).
   5/6. otherwise probe the pair u,v in W with the largest common
        neighborhood S (when |S| >= n^{(1-a_k)/(1-a_{k-2})}): color G[S] with
        k-2 colors recursively; success within the cutoff extracts a large
@@ -250,7 +253,8 @@ class _CombinedFinder:
     which is what the driver verifies against; claims carry int64 arrays
     indexed out of the quotient's own. Across rounds it keeps only the
     round counter and the last solve's rows, with each base id's row index
-    in them (-1 for none), for restriction to U.
+    in them (-1 for none), for restriction to U; it drops the rows when it
+    claims a merge.
     """
 
     def __init__(self, k: int, cfg: CombinedConfig,
@@ -284,14 +288,11 @@ class _CombinedFinder:
         if sub.m == 0:
             return LargeIndependentSet(u_ids)
         rng_seed = self.cfg.seed * 1009 + self.round_no
-        vc = None
         if self._row_of is not None and (at := self._row_of[u_ids]).min() >= 0:
-            # Restriction closure; the exact per-edge check re-validates
-            # representatives merged since the solve.
+            # Restriction closure: only deletions happened since the solve,
+            # so G[U] is an induced subgraph of the solved one.
             vc = VectorColoring(float(self.k), self._rows[at], EPS)
-            if vc.edge_residual(sub) > EPS:
-                vc = None
-        if vc is None:
+        else:
             vc = solve_vector_coloring(sub, float(self.k),
                                        budget=SOLVER_BUDGET, seed=rng_seed)
             self._rows = vc.vectors
@@ -328,6 +329,8 @@ class _CombinedFinder:
             raise NotKColorableError("contradiction", f"adjacent pair {u},{v} "
                                      "has a common neighborhood needing more "
                                      f"than {k2} colors")
+        # The merge gives v's edges to u, which the cached rows never saw.
+        self._rows = self._row_of = None
         return SameColor(u, v)
 
     def _candidate_round(self, cg: ContractedGraph, w_ids: np.ndarray,

@@ -24,7 +24,7 @@ import numpy as np
 
 from ._rng import stream
 from .graph import (Coloring, Graph, NotKColorableError, exact_coloring,
-                    induced_subgraph, verify_coloring)
+                    induced_subgraph, two_coloring, verify_coloring)
 from .vecsdp import VectorColoring, solve_vector_coloring
 
 
@@ -103,17 +103,18 @@ def kms_color(g: Graph, k: int, trials: int = 64, seed: int = 0) -> Coloring:
 
     The vector coloring is solved once, at ``vecsdp.EPS``, and restricted to
     each residual subgraph (restriction closure), so each residual's
-    threshold follows its own average degree. Tiny and bipartite graphs get
-    their exact coloring instead. k below 2 and trials below 1 raise
+    threshold follows its own average degree. At k = 2 the answer is the
+    exact 2-coloring at every size; at larger k tiny and bipartite graphs
+    get their exact coloring instead. k below 2 and trials below 1 raise
     ValueError before anything is solved. Failures raise
     NotKColorableError: kind "solver" (its subclass InfeasibleError) on a
-    solver stall, "witness" at k = 2.
+    solver stall, "witness" on a graph that is not bipartite at k = 2.
     """
     if k < 2:
         raise ValueError(f"k must be at least 2, got {k}")
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
-    result = exact_coloring(g)
+    result = two_coloring(g) if k == 2 else exact_coloring(g)
     if result is None and k == 2:
         raise NotKColorableError("witness", "graph is not bipartite")
     if result is None:

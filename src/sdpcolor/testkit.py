@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -81,22 +81,36 @@ def planted_k_colorable(n: int, k: int, p: float, seed: int = 0) -> PlantedInsta
         raise ValueError(f"p must be in [0, 1], got {p}")
     rng = stream(seed, "planted", n, k)
     perm = rng.permutation(n)
-    base, extra = divmod(n, k)
-    classes = []
-    pos = 0
+    parts = np.array_split(perm, k)  # the first n mod k one vertex larger
     class_of = np.empty(n, dtype=np.int64)
-    for c in range(k):
-        size = base + (1 if c < extra else 0)
-        classes.append(tuple(sorted(int(x) for x in perm[pos:pos + size])))
-        class_of[perm[pos:pos + size]] = c
-        pos += size
+    class_of[perm] = np.repeat(np.arange(k), [part.size for part in parts])
     iu, iv = np.triu_indices(n, k=1)
     cross = class_of[iu] != class_of[iv]
     iu, iv = iu[cross], iv[cross]
     keep = rng.random(iu.shape[0]) < p
     # triu_indices is row-major: the kept pairs are sorted, u < v, distinct.
     return PlantedInstance(Graph._from_arrays(n, iu[keep], iv[keep]),
-                           tuple(classes), k, float(p), int(seed))
+                           tuple(tuple(sorted(part.tolist())) for part in parts),
+                           k, float(p), int(seed))
+
+
+def degree_capped_planted(n: int, k: int, p: float, d: int,
+                          seed: int = 0) -> PlantedInstance:
+    """``planted_k_colorable(n, k, p, seed)`` with every degree capped at d:
+    its edges are visited in the order of a permutation drawn from
+    ``stream(seed, "capped", n, k)``, and each is kept while both endpoints'
+    degrees are still below d. Capping removes the peel cascade of uniform
+    planted graphs, so ``combined_color`` reaches its candidate round
+    (steps 7-9) on this family."""
+    inst = planted_k_colorable(n, k, p, seed)
+    eu, ev = inst.graph.edge_arrays()
+    keep, deg = np.zeros(eu.size, dtype=bool), [0] * n
+    for t in stream(seed, "capped", n, k).permutation(eu.size).tolist():
+        u, v = int(eu[t]), int(ev[t])
+        if deg[u] < d and deg[v] < d:
+            keep[t], deg[u], deg[v] = True, deg[u] + 1, deg[v] + 1
+    # The kept edges stay in the planted graph's sorted order.
+    return replace(inst, graph=Graph._from_arrays(n, eu[keep], ev[keep]))
 
 
 def random_graph(n: int, p: float, seed: int = 0) -> Graph:
@@ -134,11 +148,8 @@ def star_graph(leaves: int) -> Graph:
 
 
 def complete_multipartite(sizes: list[int]) -> Graph:
-    bounds = np.cumsum([0] + list(sizes))
-    n = int(bounds[-1])
-    part = np.empty(n, dtype=np.int64)
-    for c in range(len(sizes)):
-        part[bounds[c]:bounds[c + 1]] = c
+    part = np.repeat(np.arange(len(sizes)), sizes)
+    n = part.size
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if part[u] != part[v]]
     return Graph(n, edges)
 

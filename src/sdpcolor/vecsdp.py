@@ -40,6 +40,11 @@ from .graph import Graph, NotKColorableError, induced_subgraph
 
 EPS = 1e-3  # the tolerance of both programs for every library caller
 
+# The coloring solver's phases, whose iterations it tallies: Adam on the
+# full-width rows, Adam on the rank-reduced rows, the Polyak polish of those,
+# and the refinement passes with per-edge aims (``solve_vector_coloring``).
+PHASES = ("wide", "lowrank", "polish", "refine")
+
 
 class InfeasibleError(NotKColorableError):
     """The coloring solver could not reach the requested tolerance (kind
@@ -49,13 +54,15 @@ class InfeasibleError(NotKColorableError):
     that no feasible solution exists.
     """
 
-    def __init__(self, alpha: float, best_residual: float, iterations: int):
+    def __init__(self, alpha: float, best_residual: float, counts: dict):
+        iterations = sum(counts[phase] for phase in PHASES)
         super().__init__(
             "solver",
             f"no vector {alpha:g}-coloring found at tolerance {EPS:g} "
             f"(best edge residual {best_residual:.3e} after {iterations} "
             f"iterations; evidence only, not a certificate)")
         self.best_residual = best_residual
+        self.counts = counts  # the solve's tally, as ``VectorColoring.counts``
         self.iterations = iterations
 
 
@@ -66,11 +73,16 @@ class PromiseNotMetError(RuntimeError):
 
 @dataclass(frozen=True)
 class VectorColoring:
-    """Unit vectors with every edge inner product <= -1/(alpha-1) + eps."""
+    """Unit vectors with every edge inner product <= -1/(alpha-1) + eps.
+
+    ``counts`` is the tally of the solve that returned the rows: iterations
+    per phase of ``PHASES`` and ``fallbacks``, the Polyak polishes that
+    stopped short; None for rows no solve returned."""
 
     alpha: float
     vectors: np.ndarray  # shape (n, d)
     eps: float
+    counts: dict[str, int] | None = None
 
     @property
     def n(self) -> int:
@@ -110,10 +122,6 @@ class IndSetSdpSolution:
     # certified, and always above n = 2048.
     upper_bound: float = math.inf
     iterations: int = 0  # inner iterations, summed over the restarts run
-
-    @property
-    def n(self) -> int:
-        return self.vectors.shape[0]
 
 
 # ---------------------------------------------------------------------------
@@ -549,53 +557,55 @@ def solve_vector_coloring(g: Graph, alpha: float, budget: int = 2000,
     Library callers keep the one default restart and do not rerun a failed
     solve: ``kms_color`` raises, and ``combined_color`` reports kind
     "solver".
-    Raises InfeasibleError (evidence only) when every restart stalls above
-    eps, its iteration count covering every phase run, the polish
-    included, and ValueError when alpha is not finite or below 2, or
-    budget or restarts is below 1.
+    The solve tallies its iterations per phase of ``PHASES`` over every
+    restart, with ``fallbacks`` the Polyak polishes that stopped short: the
+    result's ``counts``, all zero for an edgeless graph, or the
+    ``InfeasibleError``'s. That error (evidence only) is raised when every
+    restart stalls above eps, its iteration count the tally's sum over the
+    phases; ValueError when alpha is not finite or below 2, or budget or
+    restarts is below 1.
     """
     _check_alpha(alpha)
     _check_counts(budget=budget, restarts=restarts)
     n = g.n
     d = _solver_dim(n, g.m)  # 1 at n = 0: an empty graph gets (0, 1) rows
+    counts = dict.fromkeys(PHASES + ("fallbacks",), 0)
     if g.m == 0:
         vecs = np.zeros((n, d))
         vecs[:, 0] = 1.0
-        return VectorColoring(alpha, vecs, EPS)
+        return VectorColoring(alpha, vecs, EPS, counts)
 
     target = -1.0 / (alpha - 1.0)
     eu, ev = g.edge_arrays()
 
     best_res = float("inf")
-    total_iters = 0
     handoff = 10.0 * EPS  # the wide and first low-rank phases' exit and test
     rank = max(2, int(math.ceil(alpha)) - 1)
 
-    def descend(vecs, iters, lr, aim=target, **kwargs):
-        nonlocal total_iters
-        total_iters += _coloring_descent(vecs, eu, ev, aim, iters, lr, **kwargs)
+    def descend(phase, vecs, iters, lr, aim=target, **kwargs):
+        counts[phase] += _coloring_descent(vecs, eu, ev, aim, iters, lr, **kwargs)
 
     def try_lowrank(full):
         # Re-descend in the top-rank basis to the hand-off bar, then polish
         # to EPS: Polyak steps, and Adam from their rows where they park.
-        nonlocal total_iters
         reduced = _rank_reduce(full, rank)
-        descend(reduced, budget, lr=0.02, stop_at=target + handoff)
+        descend("lowrank", reduced, budget, lr=0.02, stop_at=target + handoff)
         if _residual(reduced, eu, ev, target) > handoff:
             return None
         polish_bar = target + 0.5 * EPS
         used, met = _polyak_polish(reduced, eu, ev, target, polish_bar)
-        total_iters += used
+        counts["polish"] += used
         if not met:
-            descend(reduced, budget // 2, lr=0.005, stop_at=polish_bar)
+            counts["fallbacks"] += 1
+            descend("lowrank", reduced, budget // 2, lr=0.005, stop_at=polish_bar)
         ok = _residual(reduced, eu, ev, target) <= EPS
-        return VectorColoring(alpha, reduced, EPS) if ok else None
+        return VectorColoring(alpha, reduced, EPS, counts) if ok else None
 
     for attempt in range(restarts):
         rng = stream(seed, "veccol", attempt)
         work = _spectral_start(rng.standard_normal((n, d)).astype(
             _iteration_dtype(d), copy=False), eu, ev, g.max_degree)
-        descend(work, budget, lr=0.05, stop_at=target + handoff)
+        descend("wide", work, budget, lr=0.05, stop_at=target + handoff)
         res = _residual(work, eu, ev, target)
         if res <= handoff:
             found = try_lowrank(_as_float64(work))
@@ -609,7 +619,7 @@ def solve_vector_coloring(g: Graph, alpha: float, budget: int = 2000,
             if dots.max() - target <= EPS:
                 break
             shift = np.maximum(shift + dots - target, 0.0)
-            descend(work, budget // 2, lr=lr, aim=target - shift,
+            descend("refine", work, budget // 2, lr=lr, aim=target - shift,
                     stop_at=target + 0.25 * EPS)
         v = _as_float64(work)
         res = _residual(v, eu, ev, target)
@@ -617,8 +627,8 @@ def solve_vector_coloring(g: Graph, alpha: float, budget: int = 2000,
         if res > EPS:
             continue
         found = try_lowrank(v) if refined else None
-        return found if found is not None else VectorColoring(alpha, v, EPS)
-    raise InfeasibleError(alpha, best_res, total_iters)
+        return found if found is not None else VectorColoring(alpha, v, EPS, counts)
+    raise InfeasibleError(alpha, best_res, counts)
 
 
 # ---------------------------------------------------------------------------

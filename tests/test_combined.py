@@ -20,6 +20,7 @@ from sdpcolor.combined import (
     _CombinedFinder,
 )
 from sdpcolor.graph import Coloring, Graph, verify_coloring
+from sdpcolor.indset import greedy_independent_set
 from sdpcolor.progress import (
     ContractedGraph,
     NotKColorableError,
@@ -29,13 +30,14 @@ from sdpcolor.testkit import (
     complete_graph,
     complete_multipartite,
     cycle_graph,
+    degree_capped_planted,
     fit_exponent,
     is_k_colorable,
     planted_k_colorable,
     random_graph,
     step9_identity_holds,
 )
-from sdpcolor.vecsdp import InfeasibleError
+from sdpcolor.vecsdp import PHASES, InfeasibleError
 
 TABLE = {
     3: Fraction(3, 14),
@@ -221,7 +223,7 @@ def test_color_three_fallback_reports_solver_stall(monkeypatch):
     # of low degree, so the fallback rounds it through kms_color.
     def stall(g, alpha, **kwargs):
         assert "eps" not in kwargs  # the solver's default tolerance holds
-        raise InfeasibleError(alpha, 0.5, 1)
+        raise InfeasibleError(alpha, 0.5, dict.fromkeys(PHASES, 1))
 
     monkeypatch.setattr(rounding, "solve_vector_coloring", stall)
     with pytest.raises(NotKColorableError) as err:
@@ -304,17 +306,23 @@ def test_low_degree_round_restricts_feasible_cached_rows(monkeypatch):
     assert second.members.size and cg.is_independent(second.members)
 
 
-@pytest.mark.parametrize("miss", ["row", "residual"])
+@pytest.mark.parametrize("miss", ["row", "merge"])
 def test_low_degree_round_solves_cold_without_feasible_rows(monkeypatch, miss):
     calls, cg, finder, _ = _first_round(monkeypatch)
-    first_row = finder._row_of[cg.alive[0]]
     if miss == "row":
         finder._row_of[cg.alive[0]] = -1
     else:
-        # One shared row puts every edge dot at 1, far above -1/3 + eps.
-        finder._rows[:] = finder._rows[first_row]
+        # A failed probe claims a merge, which gives u the edges of v that
+        # the cached rows never saw: the finder drops them.
+        monkeypatch.setattr(combined, "combined_color",
+                            lambda g, k, cfg: CombinedResult(
+                                g.n, k, None, ("witness", "x"), cfg.seed))
+        u, v = planted_k_colorable(60, 4, 0.3, seed=1).classes[0][:2]
+        claim = finder._probe_pair(cg, u, v)
+        assert claim == SameColor(u, v) and finder._rows is None
+        cg.merge(u, v)
     second = finder._round_low_degree(cg, cg.alive)
-    assert calls == [60, 60]
+    assert calls == [60, cg.alive_count]
     assert second.members.size and cg.is_independent(second.members)
 
 
@@ -458,6 +466,58 @@ def test_candidate_round_pinned():
                                   float(alpha_k(4)))
     assert got.members.tolist() == [1, 11, 12, 15, 16, 39, 40, 43, 57]
     assert cg.is_independent(got.members)
+
+
+def test_candidate_round_falls_back_to_greedy(monkeypatch):
+    # When no probe meets its floor, the round's last resort is the greedy
+    # set of the whole quotient, named by its representatives.
+    probes = []
+
+    def nothing(tsub, *args, **kwargs):
+        probes.append(tsub.n)
+        return frozenset()
+
+    monkeypatch.setattr(combined, "ak_independent_set", nothing)
+    inst = planted_k_colorable(60, 4, 0.4, seed=0)
+    cg = ContractedGraph(inst.graph)
+    cg.merge(*inst.classes[0][:2])
+    finder = _CombinedFinder(4, CombinedConfig(trials=16), [])
+    finder.round_no = 1
+    got = finder._candidate_round(cg, cg.alive, cg.alive_count,
+                                  float(alpha_k(4)))
+    assert len(probes) == combined.CANDIDATE_CAP
+    quotient, reps = cg.quotient_graph()
+    assert got.members.tolist() == reps[sorted(
+        greedy_independent_set(quotient))].tolist() == [
+            0, 5, 13, 17, 18, 28, 30, 33, 35, 37, 45]
+    assert cg.is_independent(got.members)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_capped_family_reaches_the_candidate_round(monkeypatch, seed):
+    # Steps 7-9 end to end: on a degree-capped planted graph the peel
+    # leaves a core in which no pair shares enough neighbours, so the
+    # finder's dispatch runs one candidate round, and a probe meets its
+    # floor (the greedy last resort never runs).
+    rounds = []
+    real = _CombinedFinder._candidate_round
+
+    def recorded(self, cg, w_ids, n, ak):
+        claim = real(self, cg, w_ids, n, ak)
+        rounds.append((claim.members.size, n ** (1.0 - ak) / 4.0))
+        return claim
+
+    def refuse(g):
+        raise AssertionError("the candidate round fell back to greedy")
+
+    monkeypatch.setattr(_CombinedFinder, "_candidate_round", recorded)
+    monkeypatch.setattr(combined, "greedy_independent_set", refuse)
+    n, k, d = 400, 4, 90
+    g = degree_capped_planted(n, k, 2 * d / (3 * n / 4), d, seed=seed).graph
+    res = combined_color(g, k, CombinedConfig(seed=seed))
+    assert verify_coloring(g, res.coloring)
+    assert res.colors_used <= cutoff(n, k)
+    assert len(rounds) == 1 and rounds[0][0] >= rounds[0][1]
 
 
 def test_candidate_round_never_builds_the_whole_collection(monkeypatch):

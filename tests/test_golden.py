@@ -5,18 +5,26 @@ changes any decision changes a file. The ``.meta.json`` side file holds a
 timestamp and is not compared. To capture the files (only when an output
 change is intended):
 
-    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py
 
-It prints each case's exit code and whether its file is new, unchanged or
-changed, so a recapture states exactly which results moved.
+The recapture fixes one BLAS thread before numpy loads, so the files it
+writes do not depend on the machine's core count. It prints each case's
+exit code and whether its file is new, unchanged or changed, so a
+recapture states exactly which results moved.
 """
 
 import os
 import sys
 
-import pytest
+if __name__ == "__main__":
+    # Fixed before numpy loads, as tools/quality_sweep.py does.
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                "BLIS_NUM_THREADS"):
+        os.environ[var] = "1"
 
-from sdpcolor.cli import EXIT_FAILURE, EXIT_OK, main
+import pytest  # noqa: E402
+
+from sdpcolor.cli import EXIT_FAILURE, EXIT_OK, main  # noqa: E402
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 import sdpcolor.indset as indset
@@ -16,11 +17,17 @@ from sdpcolor.testkit import (
     brute_force_mis,
     complete_graph,
     cycle_graph,
+    path_graph,
     planted_k_colorable,
     random_graph,
     simplex_vectors,
 )
-from sdpcolor.vecsdp import VectorColoring, solve_indset_sdp, solve_vector_coloring
+from sdpcolor.vecsdp import (
+    PromiseNotMetError,
+    VectorColoring,
+    solve_indset_sdp,
+    solve_vector_coloring,
+)
 
 
 def test_f_integer_values():
@@ -64,6 +71,14 @@ def test_l2_base_case_edgeless():
     g = Graph(5)
     vc = VectorColoring(1.5, simplex_vectors(2)[:1].repeat(5, axis=0), 1e-9)
     assert l2_vector_indset(g, vc) == frozenset(range(5))
+
+
+def test_l2_below_two_with_a_leftover_edge_is_greedy():
+    # A vector coloring below 2 admits no edge; one left by numerics falls
+    # to the greedy set.
+    g = path_graph(3)
+    vc = VectorColoring(1.5, np.tile([1.0, 0.0], (3, 1)), 1e-9)
+    assert l2_vector_indset(g, vc) == greedy_independent_set(g) == {0, 2}
 
 
 def test_l2_k4_simplex_singleton():
@@ -130,6 +145,34 @@ def test_ak_best_effort_without_promise():
         out = ak_independent_set(g, 3.0, trials=8, seed=seed)
         assert verify_independent_set(g, out)
         assert len(out) <= len(brute_force_mis(g))
+
+
+def test_ak_refused_promise_returns_the_greedy_set(monkeypatch):
+    # K10 holds no independent set of 10 / 2 vertices: the aligned
+    # extraction refuses, and the extractor returns the greedy set.
+    refused = []
+    real = indset.well_aligned_subset
+
+    def recorded(*args, **kwargs):
+        try:
+            return real(*args, **kwargs)
+        except PromiseNotMetError:
+            refused.append(True)
+            raise
+
+    monkeypatch.setattr(indset, "well_aligned_subset", recorded)
+    g = complete_graph(10)
+    assert ak_independent_set(g, 2.0, seed=0) == greedy_independent_set(g) == {0}
+    assert refused == [True]
+
+
+def test_ak_below_three_vertices_is_greedy(monkeypatch):
+    # K2 is answered by the greedy set, with no relaxation solved.
+    def refuse(*args, **kwargs):
+        raise AssertionError("solved the relaxation of K2")
+
+    monkeypatch.setattr(indset, "solve_indset_sdp", refuse)
+    assert ak_independent_set(complete_graph(2), 2.0) == frozenset({0})
 
 
 def test_ak_validation():

@@ -371,10 +371,13 @@ def test_driver_contradiction_bubbles():
 
 
 def test_failure_types_are_kinds_of_not_k_colorable():
-    stall = InfeasibleError(3.0, 0.5, 1)
+    counts = {"wide": 1, "lowrank": 0, "polish": 0, "refine": 0,
+              "fallbacks": 0}
+    stall = InfeasibleError(3.0, 0.5, counts)
     contradiction = NotKColorableError("contradiction", "x")
     assert stall.kind == "solver" and contradiction.kind == "contradiction"
     assert isinstance(stall, NotKColorableError)
     assert isinstance(contradiction, NotKColorableError)
     assert (stall.best_residual, stall.iterations) == (0.5, 1)
+    assert stall.counts is counts
     assert str(contradiction) == "x"

@@ -16,6 +16,7 @@ from sdpcolor.rounding import (
 )
 from sdpcolor.testkit import (
     classic_threshold,
+    complete_graph,
     complete_multipartite,
     cycle_graph,
     paired_threshold_trials,
@@ -261,6 +262,16 @@ def test_kms_color_bipartite_shortcut():
 def test_kms_color_rejects_odd_cycle_for_k2():
     with pytest.raises(NotKColorableError) as info:
         kms_color(cycle_graph(25), 2)
+    assert info.value.kind == "witness"
+
+
+@pytest.mark.parametrize("g", [cycle_graph(5), complete_graph(3)],
+                         ids=["C5", "K3"])
+def test_kms_color_k2_answers_by_two_coloring_at_every_size(g):
+    # Below the exact oracle's size guard too: an odd cycle is a witness,
+    # not an optimal 3-colouring.
+    with pytest.raises(NotKColorableError) as info:
+        kms_color(g, 2)
     assert info.value.kind == "witness"
 
 

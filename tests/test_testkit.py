@@ -8,6 +8,7 @@ from sdpcolor.testkit import (
     complete_graph,
     complete_multipartite,
     cycle_graph,
+    degree_capped_planted,
     is_k_colorable,
     load_fixture,
     petersen_graph,
@@ -22,6 +23,24 @@ def test_planted_all_cross_edges():
     assert inst.graph.m == complete_multipartite([2, 2, 2]).m == 12
     sizes = sorted(len(c) for c in inst.classes)
     assert sizes == [2, 2, 2]
+
+
+def test_degree_capped_planted_keeps_planted_edges_up_to_the_cap():
+    inst = planted_k_colorable(120, 4, 0.5, seed=3)
+    capped = degree_capped_planted(120, 4, 0.5, 20, seed=3)
+    assert capped.classes == inst.classes
+    assert (capped.k, capped.p, capped.seed) == (4, 0.5, 3)
+    assert set(capped.graph.edges) < set(inst.graph.edges)
+    assert list(capped.graph.edges) == sorted(capped.graph.edges)
+    assert capped.graph.max_degree == 20
+    # An edge is dropped only where an endpoint already has d neighbours.
+    degrees = capped.graph.degrees()
+    assert all(max(degrees[u], degrees[v]) == 20
+               for u, v in set(inst.graph.edges) - set(capped.graph.edges))
+    assert degree_capped_planted(120, 4, 0.5, 20, seed=3).graph.edges == (
+        capped.graph.edges)
+    assert degree_capped_planted(120, 4, 0.5, 200, seed=3).graph.edges == (
+        inst.graph.edges)
 
 
 def test_planted_empty():

@@ -25,13 +25,13 @@ thread. Five sets of cases, each a fixed list (no options):
 
 For each part the line gives the runs, colours, failures (an
 ``InfeasibleError``, or a ``combined_color`` result with no colouring)
-and the solver's iterations per phase: ``wide`` (feasibility on the
-full-width rows), ``lowrank`` (the Adam phases on the rank-reduced rows:
-the hand-off phase and any Adam polish), ``polish`` (the Polyak polish,
-``_polyak_polish``) and ``refine`` (the passes with per-edge aims), and
-``fallbacks``, the solves whose Polyak polish stopped short, so that the
-Adam polish ran from its rows. Colour, iteration and fallback totals are
-deterministic; ``seconds`` is not.
+and the colouring solver's iterations per phase of ``vecsdp.PHASES``
+(``wide``, ``lowrank``, ``polish``, ``refine``) with their total, and
+``fallbacks``, the Polyak polishes that stopped short, so that an Adam
+polish ran from their rows. These are the sums of the ``counts`` that
+each solve reports (``VectorColoring.counts``, or the
+``InfeasibleError``'s), read by wrapping the two public solvers. Colour,
+iteration and fallback totals are deterministic; ``seconds`` is not.
 ``colorings_sha256`` is one digest over the colourings of every
 ``combined_color`` run (``grid``, ``combined`` and ``stall``), in run order:
 each as its JSON list (``null`` for no colouring), one per line, so two
@@ -62,18 +62,14 @@ if __name__ == "__main__":
 sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "tests"))
 
-import numpy as np  # noqa: E402
-
-from sdpcolor import indset, vecsdp  # noqa: E402
+from sdpcolor import vecsdp  # noqa: E402
 from sdpcolor.combined import CombinedConfig, combined_color  # noqa: E402
 from sdpcolor.graph import verify_coloring  # noqa: E402
 from sdpcolor.indset import ak_independent_set  # noqa: E402
 from sdpcolor.rounding import kms_color  # noqa: E402
 from sdpcolor.testkit import fit_exponent, planted_k_colorable  # noqa: E402
-from sdpcolor.vecsdp import InfeasibleError, solve_vector_coloring  # noqa: E402
+from sdpcolor.vecsdp import InfeasibleError  # noqa: E402
 from test_combined import STALL_CASES  # noqa: E402
-
-PHASES = ("wide", "lowrank", "polish", "refine")
 
 
 def grid_cases():
@@ -115,76 +111,56 @@ def indset_cases():
     return [(100 + 50 * (i % 2), 960000 + i) for i in range(100)]
 
 
-class _PhaseCounter:
-    """Counts ``_coloring_descent`` and ``_polyak_polish`` iterations per
-    phase, and the Polyak polishes that stopped short, while installed.
-    Rows returned by ``_rank_reduce`` mark the low-rank phases."""
+class _Tally:
+    """Sums what the two public solvers report while installed, patched
+    wherever an ``sdpcolor`` module bound them: the colouring solver's
+    ``counts``, of its result or its ``InfeasibleError``, and the
+    independence solver's ``iterations``."""
 
     def __init__(self):
-        self.reduced = None
-        self.counts = dict.fromkeys(PHASES, 0)
-        self.fallbacks = 0
-
-    def __enter__(self):
-        self.descent, self.rank_reduce, self.polish = (
-            vecsdp._coloring_descent, vecsdp._rank_reduce,
-            vecsdp._polyak_polish)
-
-        def rank_reduce(v, rank):
-            self.reduced = self.rank_reduce(v, rank)
-            return self.reduced
-
-        def polish(*args):
-            used, met = self.polish(*args)
-            self.counts["polish"] += used
-            self.fallbacks += not met
-            return used, met
-
-        def descent(v, eu, ev, target, *args, **kwargs):
-            used = self.descent(v, eu, ev, target, *args, **kwargs)
-            if isinstance(target, np.ndarray):
-                phase = "refine"
-            else:
-                phase = "lowrank" if v is self.reduced else "wide"
-            self.counts[phase] += used
-            return used
-
-        vecsdp._rank_reduce, vecsdp._coloring_descent = rank_reduce, descent
-        vecsdp._polyak_polish = polish
-        return self
-
-    def __exit__(self, *exc):
-        vecsdp._coloring_descent = self.descent
-        vecsdp._rank_reduce = self.rank_reduce
-        vecsdp._polyak_polish = self.polish
-
-
-class _SolveCounter:
-    """Sums the inner iterations of the independence solves that
-    ``ak_independent_set`` makes while installed."""
-
-    def __init__(self):
+        self.counts = dict.fromkeys(vecsdp.PHASES + ("fallbacks",), 0)
         self.iterations = 0
 
     def __enter__(self):
-        self.solve = indset.solve_indset_sdp
+        color, indset = vecsdp.solve_vector_coloring, vecsdp.solve_indset_sdp
 
-        def solve(*args, **kwargs):
-            sol = self.solve(*args, **kwargs)
+        def counted_color(*args, **kwargs):
+            try:
+                vc = color(*args, **kwargs)
+            except InfeasibleError as exc:
+                self._add(exc.counts)
+                raise
+            self._add(vc.counts)
+            return vc
+
+        def counted_indset(*args, **kwargs):
+            sol = indset(*args, **kwargs)
             self.iterations += sol.iterations
             return sol
 
-        indset.solve_indset_sdp = solve
+        wrapped = {color: counted_color, indset: counted_indset}
+        self.bound = [(module, name, value)
+                      for key, module in list(sys.modules.items())
+                      if key == "sdpcolor" or key.startswith("sdpcolor.")
+                      for name, value in vars(module).items()
+                      if any(value is real for real in wrapped)]
+        for module, name, value in self.bound:
+            setattr(module, name, wrapped[value])
         return self
 
     def __exit__(self, *exc):
-        indset.solve_indset_sdp = self.solve
+        for module, name, value in self.bound:
+            setattr(module, name, value)
+
+    def _add(self, counts):
+        for key, used in counts.items():
+            self.counts[key] += used
 
 
-def _finish(part, count, t0):
-    part["descent_iterations"] = dict(count.counts,
-                                      total=sum(count.counts.values()))
-    part["fallbacks"] = count.fallbacks
+def _finish(part, tally, t0):
+    phases = {phase: tally.counts[phase] for phase in vecsdp.PHASES}
+    part["descent_iterations"] = dict(phases, total=sum(phases.values()))
+    part["fallbacks"] = tally.counts["fallbacks"]
     part["seconds"] = round(time.perf_counter() - t0, 1)
     return part
 
@@ -201,7 +177,7 @@ def run():
         t0 = time.perf_counter()
         colors = []
         own = hashlib.sha256() if name in ("kms", "k3") else digest
-        with _PhaseCounter() as count:
+        with _Tally() as tally:
             for n, k, p, s, seed in mine:
                 g = planted_k_colorable(n, k, p, seed=s).graph
                 if name == "kms":
@@ -225,24 +201,24 @@ def run():
             part["fitted_exponent"] = round(fit_exponent(*zip(*done)), 3) + 0.0
         if own is not digest:
             part["colorings_sha256"] = own.hexdigest()
-        out[name] = _finish(part, count, t0)
+        out[name] = _finish(part, tally, t0)
 
     t0 = time.perf_counter()
     sparse = {"runs": 0, "failures": 0}
-    with _PhaseCounter() as count:
+    with _Tally() as tally:
         for n, deg, s in sparse_cases():
             g = planted_k_colorable(n, 3, deg / (2 * n / 3), seed=s).graph
             sparse["runs"] += 1
             try:
-                solve_vector_coloring(g, 3.0, seed=s)
+                vecsdp.solve_vector_coloring(g, 3.0, seed=s)
             except InfeasibleError:
                 sparse["failures"] += 1
-    out["sparse_k3"] = _finish(sparse, count, t0)
+    out["sparse_k3"] = _finish(sparse, tally, t0)
 
     t0 = time.perf_counter()
     sets = hashlib.sha256()
     size = 0
-    with _SolveCounter() as solves:
+    with _Tally() as tally:
         for n, s in indset_cases():
             chosen = sorted(ak_independent_set(
                 planted_k_colorable(n, 3, 0.3, seed=s).graph, 3.0, seed=s))
@@ -250,7 +226,7 @@ def run():
             sets.update(json.dumps(chosen).encode() + b"\n")
     out["indset"] = {"runs": len(indset_cases()), "size": size,
                      "sets_sha256": sets.hexdigest(),
-                     "iterations": solves.iterations,
+                     "iterations": tally.iterations,
                      "seconds": round(time.perf_counter() - t0, 1)}
     out["colorings_sha256"] = digest.hexdigest()
     return out
