@@ -7,6 +7,15 @@ coloring algorithm, and numerical verification of the underlying
 probability bounds.
 """
 
+import os
+
+# The rounding of the solver's float32 gemm follows the BLAS thread count,
+# so results are byte-stable only at a fixed count: numpy loads at one
+# thread unless the caller set a count, or imported numpy first.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+             "BLIS_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 from .analysis import (
     WedgeSpec,
     expected_rounding_size,

@@ -19,8 +19,9 @@ One round of the finder on the current quotient graph (n vertices):
        It rounds the last solve's rows restricted to U when every vertex of
        U has one, and solves G[U] otherwise. The finder drops the rows when
        it claims a merge, so between a solve and its reuse the quotient only
-       lost vertices: G[U] is an induced subgraph of the solved graph, on
-       which the rows meet EPS on every edge (restriction closure).
+       lost vertices: G[U] is an induced subgraph of the solved graph, so the
+       restricted rows meet the solve's tolerance on every edge (restriction
+       closure).
   5/6. otherwise probe the pair u,v in W with the largest common
        neighborhood S (when |S| >= n^{(1-a_k)/(1-a_{k-2})}): color G[S] with
        k-2 colors recursively; success within the cutoff extracts a large
@@ -75,7 +76,7 @@ from .progress import (
     progress_driver,
 )
 from .rounding import kms_color, kms_independent_set
-from .vecsdp import EPS, VectorColoring, solve_vector_coloring
+from .vecsdp import solve_vector_coloring
 
 
 @lru_cache(maxsize=None)
@@ -236,9 +237,7 @@ def _best_pair(cg: ContractedGraph, w_ids: np.ndarray) -> tuple[int, int, int]:
     (|U| < n/2 with n > 20), in which every vertex keeps at least
     n^{a_k/(1-2/k)} > 1, so at least 2, neighbours: two neighbours of one
     W vertex share it, so the count is at least 1 and i != j."""
-    rows = cg.adj[w_ids].astype(np.float32)
-    common = rows @ rows.T
-    np.fill_diagonal(common, 0)
+    common = cg.common_neighbour_counts(w_ids)
     i, j = divmod(int(np.argmax(common)), len(w_ids))
     # i < j, as the first maximum of a symmetric matrix lies above its
     # diagonal, and w_ids is sorted, so u < v.
@@ -252,9 +251,9 @@ class _CombinedFinder:
     and every returned vertex id is a quotient representative (= base id),
     which is what the driver verifies against; claims carry int64 arrays
     indexed out of the quotient's own. Across rounds it keeps only the
-    round counter and the last solve's rows, with each base id's row index
-    in them (-1 for none), for restriction to U; it drops the rows when it
-    claims a merge.
+    round counter and the last solve's result, with each base id's row
+    index in its rows (-1 for none), for restriction to U; it drops both
+    when it claims a merge.
     """
 
     def __init__(self, k: int, cfg: CombinedConfig,
@@ -263,7 +262,7 @@ class _CombinedFinder:
         self.cfg = cfg
         self.declarations = declarations
         self.round_no = 0
-        self._rows: np.ndarray | None = None    # the last solve's rows
+        self._solved = None  # the last solve's result
         self._row_of: np.ndarray | None = None  # base id -> row index, or -1
 
     def __call__(self, cg: ContractedGraph):
@@ -273,13 +272,11 @@ class _CombinedFinder:
         if n <= CHROMATIC_GUARD:
             return Colored(brute_force_chromatic(cg.quotient_graph()[0]))
         ak = float(alpha_k(k))
-        ak2 = float(alpha_k(k - 2))
-        peel_thr = n ** (ak / (1.0 - 2.0 / k))
-        u_ids, w_ids = cg.peel(peel_thr)
+        u_ids, w_ids = cg.peel(n ** (ak / (1.0 - 2.0 / k)))
         if len(u_ids) >= n / 2:
             return self._round_low_degree(cg, u_ids)
         u, v, count = _best_pair(cg, w_ids)
-        if count >= n ** ((1.0 - ak) / (1.0 - ak2)):
+        if count >= n ** ((1.0 - ak) / (1.0 - float(alpha_k(k - 2)))):
             return self._probe_pair(cg, u, v)
         return self._candidate_round(cg, w_ids, n, ak)
 
@@ -291,11 +288,10 @@ class _CombinedFinder:
         if self._row_of is not None and (at := self._row_of[u_ids]).min() >= 0:
             # Restriction closure: only deletions happened since the solve,
             # so G[U] is an induced subgraph of the solved one.
-            vc = VectorColoring(float(self.k), self._rows[at], EPS)
+            vc = replace(self._solved, vectors=self._solved.vectors[at])
         else:
-            vc = solve_vector_coloring(sub, float(self.k),
-                                       budget=SOLVER_BUDGET, seed=rng_seed)
-            self._rows = vc.vectors
+            self._solved = vc = solve_vector_coloring(
+                sub, float(self.k), budget=SOLVER_BUDGET, seed=rng_seed)
             self._row_of = np.full(cg.base.n, -1, dtype=np.int64)
             self._row_of[u_ids] = np.arange(u_ids.size)
         chosen = kms_independent_set(sub, vc, trials=self.cfg.trials,
@@ -303,7 +299,7 @@ class _CombinedFinder:
         return LargeIndependentSet(u_ids[sorted(chosen)])
 
     def _probe_pair(self, cg: ContractedGraph, u: int, v: int):
-        s_ids = np.flatnonzero(cg.adj[u] & cg.adj[v])
+        s_ids = cg.common_neighbours(u, v)
         k2 = self.k - 2
         sub = cg.induced(s_ids)
         probe_cfg = replace(self.cfg, trials=max(8, self.cfg.trials // 2))
@@ -330,7 +326,7 @@ class _CombinedFinder:
                                      "has a common neighborhood needing more "
                                      f"than {k2} colors")
         # The merge gives v's edges to u, which the cached rows never saw.
-        self._rows = self._row_of = None
+        self._solved = self._row_of = None
         return SameColor(u, v)
 
     def _candidate_round(self, cg: ContractedGraph, w_ids: np.ndarray,

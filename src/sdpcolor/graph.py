@@ -92,12 +92,6 @@ class Graph:
         g._set(n, eu, ev)
         return g
 
-    @classmethod
-    def _from_matrix(cls, mat: np.ndarray) -> "Graph":
-        # Trusted constructor from a symmetric boolean adjacency matrix with
-        # a zero diagonal; np.nonzero's row-major order is (u, v) order.
-        return cls._from_arrays(len(mat), *np.nonzero(np.triu(mat, 1)))
-
     def _set(self, n: int, eu: np.ndarray, ev: np.ndarray) -> None:
         eu.flags.writeable = ev.flags.writeable = False
         self._n, self._eu, self._ev = n, eu, ev

@@ -5,9 +5,10 @@ non-adjacent vertices share a color in some valid k-coloring (contract
 them), or finding a large independent set (spend one color on it). The
 driver loops a caller-supplied finder over the shrinking quotient graph,
 verifying every claim before applying it. The quotient lives in one place,
-a ContractedGraph: finders read its dense adjacency and take the parts they
-need through ``induced`` as Graphs built from edge arrays alone (no Python
-sets or tuples); only the driver mutates it. The grouping is one int array,
+a ContractedGraph, the only code that reads its dense adjacency: finders ask
+it for common neighbours and their counts, and take the parts they need
+through ``induced`` as Graphs built from edge arrays alone (no Python sets
+or tuples); only the driver mutates it. The grouping is one int array,
 each base vertex's representative, and the driver keeps its colours in one
 int array indexed by representative, so a colouring of the quotient lifts
 to the base graph with one gather. Vertex ids pass between the quotient,
@@ -193,7 +194,20 @@ class ContractedGraph:
 
     def is_independent(self, vs) -> bool:
         ids = self._live_ids(vs)
-        return ids is not None and not self.adj[np.ix_(ids, ids)].any()
+        return ids is not None and not self.adj[ids][:, ids].any()
+
+    def common_neighbours(self, u: int, v: int) -> np.ndarray:
+        """The sorted common neighbours of quotient vertices u and v."""
+        return np.flatnonzero(self.adj[u] & self.adj[v])
+
+    def common_neighbour_counts(self, ids: np.ndarray) -> np.ndarray:
+        """The float32 matrix of common-neighbour counts in the quotient of
+        each pair of ``ids`` (entry [i, j] for ids[i], ids[j]), with a zero
+        diagonal."""
+        rows = self.adj[ids].astype(np.float32)
+        common = rows @ rows.T
+        np.fill_diagonal(common, 0)
+        return common
 
     def merge(self, u: int, v: int) -> int:
         """Merge two live, distinct, non-adjacent quotient vertices; returns
@@ -225,7 +239,9 @@ class ContractedGraph:
     def induced(self, ids: np.ndarray) -> Graph:
         """The subgraph of the quotient induced by ``ids`` as an immutable
         Graph; vertex i of it is ids[i]."""
-        return Graph._from_matrix(self.adj[np.ix_(ids, ids)])
+        # np.nonzero's row-major order over the upper triangle is (u, v) order.
+        block = self.adj[ids][:, ids]
+        return Graph._from_arrays(len(block), *np.nonzero(np.triu(block, 1)))
 
     def quotient_graph(self) -> tuple[Graph, np.ndarray]:
         """The whole quotient as an immutable Graph plus its sorted

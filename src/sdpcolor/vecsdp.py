@@ -541,6 +541,11 @@ def solve_vector_coloring(g: Graph, alpha: float, budget: int = 2000,
        re-descent once more;
     5. otherwise the wide rows, if they meet eps; else the next restart.
 
+    ``budget`` sets the learning-rate schedule as well as the cap: every
+    Adam phase halves its rate each sixth of the iterations it is given
+    (``_coloring_descent``), so a solve that ends well inside its budget
+    still takes other steps, and returns other rows, under another budget.
+
     The refinement passes are an augmented Lagrangian on d_e <= t =
     -1/(alpha-1): before each pass every edge's shift becomes max(0, shift
     + d_e - t) and the pass aims its hinge at t - shift (multipliers 2

@@ -223,16 +223,49 @@ def test_determinism_repeated_runs(tmp_path):
         assert a.read_bytes() == b.read_bytes()
 
 
-def test_module_entry_point(tmp_path):
+def _child_env():
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")
+    return env
+
+
+def test_module_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "sdpcolor", "analyze", "--beta", "pi/6",
          "--c", "1.0", "--out", str(tmp_path / "x.csv")],
-        env=env, capture_output=True, text=True)
+        env=_child_env(), capture_output=True, text=True)
     assert proc.returncode == 0
     assert (tmp_path / "x.csv").exists()
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS", "BLIS_NUM_THREADS")
+
+
+def test_cli_bytes_do_not_follow_the_blas_threads(tmp_path):
+    # At n = 1000 the rounding of the solver's float32 gemm follows the BLAS
+    # thread count, and with OpenBLAS's default (one thread per core) this
+    # seed gave other bytes on a 2-core machine. The package loads numpy at
+    # one thread unless told otherwise, so a child with the four variables
+    # removed (importing sdpcolor set them in this process) writes the
+    # bytes of one with them set to 1.
+    outs = []
+    for pinned in (False, True):
+        env = _child_env()
+        for var in BLAS_THREAD_VARS:
+            env.pop(var, None)
+            if pinned:
+                env[var] = "1"
+        out = tmp_path / f"pinned{pinned}.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "sdpcolor", "color",
+             "--gen", "planted:n=1000,k=4,p=0.3,seed=3", "--k", "4",
+             "--trials", "16", "--seed", "103", "--out", str(out)],
+            env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
 
 
 GEN10 = ["--gen", "planted:n=10,k=3,seed=0"]

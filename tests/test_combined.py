@@ -319,7 +319,7 @@ def test_low_degree_round_solves_cold_without_feasible_rows(monkeypatch, miss):
                                 g.n, k, None, ("witness", "x"), cfg.seed))
         u, v = planted_k_colorable(60, 4, 0.3, seed=1).classes[0][:2]
         claim = finder._probe_pair(cg, u, v)
-        assert claim == SameColor(u, v) and finder._rows is None
+        assert claim == SameColor(u, v) and finder._solved is None
         cg.merge(u, v)
     second = finder._round_low_degree(cg, cg.alive)
     assert calls == [60, cg.alive_count]

@@ -7,9 +7,10 @@ front end (``cli``) and the package namespace (``__init__``) may use it.
 ``graph``, ``vecsdp`` and ``rounding`` sit below ``progress`` and
 ``combined``; the one failure type lives in ``graph`` so they need neither.
 The rounding threshold is chosen in ``rounding`` alone, and the solver
-tolerance in ``vecsdp`` alone: no public function takes one. Bipartiteness
-has one entry, ``graph.two_coloring``, and a projection orthogonal to an
-axis one rule, ``vecsdp._project``.
+tolerance in ``vecsdp`` alone: no public function takes one, and no other
+module names ``EPS``. The quotient's dense adjacency is read in
+``progress`` alone. Bipartiteness has one entry, ``graph.two_coloring``,
+and a projection orthogonal to an axis one rule, ``vecsdp._project``.
 """
 
 import ast
@@ -24,9 +25,12 @@ LIBRARY = {"analysis", "combined", "graph", "indset", "progress", "rounding",
            "vecsdp"}
 
 
+def _package_modules():
+    return sorted(f[:-3] for f in os.listdir(PACKAGE) if f.endswith(".py"))
+
+
 def _library_modules():
-    names = sorted(f[:-3] for f in os.listdir(PACKAGE) if f.endswith(".py"))
-    return [name for name in names if name not in NOT_LIBRARY]
+    return [name for name in _package_modules() if name not in NOT_LIBRARY]
 
 
 def _imports(tree, module):
@@ -144,19 +148,40 @@ def _public_functions(tree):
 
 
 def test_only_vecsdp_takes_a_tolerance():
-    # Outside vecsdp nothing is named eps; inside it only the two private
-    # projection helpers (``_project``, ``_reduced``) and dataclass fields
-    # are, as the solvers solve at vecsdp.EPS. The independence solver
-    # always runs two restarts.
+    # Outside vecsdp nothing is named eps or imports or names EPS; inside it
+    # only the two private projection helpers (``_project``, ``_reduced``)
+    # and dataclass fields are named eps, as the solvers solve at
+    # vecsdp.EPS. The independence solver always runs two restarts.
     modules = _library_modules() + ["cli"]
     offenders = [name for name in modules
                  if name != "vecsdp" and _names_eps(_tree(name))]
+    offenders += [f"{name}.EPS" for name in _package_modules()
+                  if name != "vecsdp" and _references(_tree(name), "EPS")]
     offenders += [f"{module}.{name}" for module in modules
                   for name, fn in _public_functions(_tree(module))
                   if "eps" in _params(fn)]
     assert offenders == []
     solvers = dict(_public_functions(_tree("vecsdp")))
     assert "restarts" not in _params(solvers["solve_indset_sdp"])
+
+
+def test_only_progress_reads_the_quotient_matrix():
+    # The dense adjacency of the quotient is ContractedGraph's storage:
+    # finders ask it for common neighbours, their counts and induced
+    # subgraphs, and read no ``adj`` attribute themselves.
+    offenders = [name for name in _library_modules()
+                 if name != "progress" and any(
+                     isinstance(node, ast.Attribute) and node.attr == "adj"
+                     for node in ast.walk(_tree(name)))]
+    assert offenders == []
+
+
+def test_library_gathers_blocks_without_ix():
+    # A block of a matrix is read as rows, then columns (``adj[ids][:, ids]``):
+    # the same booleans as ``np.ix_``'s open mesh, gathered faster.
+    offenders = [name for name in _library_modules()
+                 if _references(_tree(name), "ix_")]
+    assert offenders == []
 
 
 def test_testkit_reexports_the_library_exact_coloring():
@@ -168,8 +193,7 @@ def test_testkit_reexports_the_library_exact_coloring():
 def test_library_calls_no_eigensolver():
     # The independence solver's certificates are Cholesky factorizations;
     # no module of the package pages in LAPACK's eigensolvers.
-    names = sorted(f[:-3] for f in os.listdir(PACKAGE) if f.endswith(".py"))
-    calls = [(name, node.attr) for name in names
+    calls = [(name, node.attr) for name in _package_modules()
              for node in ast.walk(_tree(name))
              if isinstance(node, ast.Attribute)
              and node.attr in {"eig", "eigh", "eigvals", "eigvalsh"}]
@@ -180,8 +204,7 @@ def test_library_dedups_without_a_sort():
     # Vertex ids are deduplicated through boolean masks: np.unique and
     # np.isin sort, and the first sort in a process pages in numpy's sort
     # kernels (about 1.5 and 0.3 MB of peak RSS).
-    names = sorted(f[:-3] for f in os.listdir(PACKAGE) if f.endswith(".py"))
-    calls = [(name, node.attr) for name in names
+    calls = [(name, node.attr) for name in _package_modules()
              for node in ast.walk(_tree(name))
              if isinstance(node, ast.Attribute)
              and node.attr in {"unique", "isin", "in1d"}]

@@ -345,6 +345,12 @@ def test_polish_stops_on_a_zero_tangent_gradient():
     v[:, 0] = 1.0
     assert vecsdp._polyak_polish(v, eu, ev, -0.5, -0.5 + 0.5 * EPS) == (1, False)
     assert np.array_equal(v[:, 0], np.ones(4)) and not v[:, 1].any()
+    # The smallest case: two adjacent vertices on one unit row.
+    eu, ev = complete_graph(2).edge_arrays()
+    pair = np.zeros((2, 3))
+    pair[:, 0] = 1.0
+    assert vecsdp._polyak_polish(pair, eu, ev, -0.5, -0.5 + 0.5 * EPS) == (1, False)
+    assert np.array_equal(pair, np.eye(1, 3).repeat(2, axis=0))
 
 
 def test_unrefined_rows_are_re_descended_once(monkeypatch):
@@ -522,6 +528,20 @@ def test_indset_upper_bound_brackets_theta(g, theta, exact_bounds):
     # loosest bar the solver asks about.
     assert min(exact_bounds) <= sol.upper_bound
     assert sol.upper_bound <= sol.objective + 0.5 * EPS * g.n
+
+
+@pytest.mark.parametrize("g, theta", _THETA, ids=["C5", "petersen", "K4"])
+def test_indset_restart_ending_unmet_keeps_a_sound_bound(g, theta,
+                                                         exact_bounds):
+    # A budget of two outer steps stops both restarts on a step with
+    # residual above eps/2, so the only bounds kept are those of each
+    # restart's last step. Each is at least theta whatever the rows, and the
+    # returned bar is inf or at least theta.
+    sol = solve_indset_sdp(g, budget=80, seed=0)
+    assert sol.iterations == 160 and sol.max_constraint_residual > 0.5 * EPS
+    assert len(exact_bounds) == 2
+    assert min(exact_bounds) >= theta - 1e-9
+    assert sol.upper_bound == math.inf or sol.upper_bound >= theta
 
 
 def _random_dual_cases():
@@ -859,6 +879,17 @@ def test_well_aligned_retries_on_a_perturbed_axis(monkeypatch):
     again = well_aligned_subset(sol, g, 3.0, seed=960000)
     assert np.array_equal(again.coloring.vectors, vectors)
     assert np.array_equal(again.vertices, res.vertices)
+
+
+def test_projection_of_one_wide_rows_fills_e0():
+    # With rows one wide, all noise is parallel to the axis, so the
+    # perturbation returns the axis unmoved; every row stays on +-axis and
+    # the fill makes it e_0.
+    axis = np.array([1.0])
+    assert vecsdp._perturb_axis(axis, 10 * EPS, stream(0, "one-wide")) is axis
+    rows = np.array([[1.0], [-1.0], [1.0]])
+    out = vecsdp._project(axis, rows, EPS, 0, "one-wide")
+    assert np.array_equal(out, np.ones((3, 1)))
 
 
 def test_well_aligned_refuses_broken_promise():
